@@ -1,11 +1,12 @@
 """Exact-arithmetic grading switches for nonassociative algebras in prime
 characteristic, built on generalized Laguerre polynomials of derivations.
 
-The pieces, bottom up: finite fields (`fields`), polynomials and the
-bivariate quotient rings behind the coefficient tables (`polyring`), the
-Laguerre values with their identity suite (`laguerre`), structure-constant
-algebras and exact linear algebra (`galg`), the switching operator and its
-verification (`switch`), and tori of restricted Lie algebras (`toral`).
+The pieces, bottom up: exact elimination over a field (`echelon`), finite
+fields (`fields`), polynomials and the bivariate quotient rings behind the
+coefficient tables (`polyring`), the Laguerre values with their identity
+suite (`laguerre`), structure-constant algebras and linear maps (`galg`),
+the switching operator and its verification (`switch`), and tori of
+restricted Lie algebras (`toral`).
 """
 
 from .fields import GF, FqElement, artin_schreier_root, embed, embedding, \
@@ -20,7 +21,7 @@ from .laguerre import CoefficientTable, c_coefficients, \
     laguerre_symbolic, scalar_product_form, strade_operator_form_check, \
     truncated_exp, zero_pair_closed_form
 from .polyring import MultiPoly, NonInvertibleError, Polynomial, \
-    QuotientRing, TruncSeries
+    QuotientRing
 from .switch import HypothesisError, PPolynomial, Relation, SwitchResult, \
     VerificationError, build_LD, build_g, p_power_relation, \
     semisimple_exponent, special_LD, switch_grading, verify_product_rule
@@ -42,7 +43,6 @@ __all__ = [
     "scalar_product_form", "strade_operator_form_check", "truncated_exp",
     "zero_pair_closed_form",
     "MultiPoly", "NonInvertibleError", "Polynomial", "QuotientRing",
-    "TruncSeries",
     "HypothesisError", "PPolynomial", "Relation", "SwitchResult",
     "VerificationError", "build_LD", "build_g", "p_power_relation",
     "semisimple_exponent", "special_LD", "switch_grading",

@@ -20,6 +20,8 @@ Everything is exact; fields and elements are immutable.
 import functools
 import random
 
+from .echelon import solve
+
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
 _EXHAUST_CAP = 10 ** 6    # root search by evaluation when q**deg <= this
 
@@ -142,36 +144,6 @@ def _smallest_irreducible(p, n):
         if _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _solve_modp(rows, rhs, p):
-    """One solution of rows*x = rhs over F_p, or None.  rows: list of lists."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv = []
-    r = 0
-    for c in range(n):
-        k = next((i for i in range(r, m) if a[i][c] % p), None)
-        if k is None:
-            continue
-        a[r], a[k] = a[k], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] % p:
-            return None
-    x = [0] * n
-    for i, c in enumerate(piv):
-        x[c] = a[i][n] % p
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +513,16 @@ def _artin_schreier_in(field, c):
     solution set, when nonempty, is gamma + F_p.
     """
     n = field.n
+    prime = GF(field.p)
     cols = []
     for i in range(n):
         gi = field.from_coeffs([0] * i + [1])
         cols.append((gi.frobenius() - gi).coeffs)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sol = _solve_modp(rows, list(c.coeffs), field.p)
+    rows = [[prime.scalar(cols[j][i]) for j in range(n)] for i in range(n)]
+    sol = solve(rows, [prime.scalar(x) for x in c.coeffs], prime)
     if sol is None:
         return None
-    base = field.from_coeffs(sol)
+    base = field.from_coeffs([int(x) for x in sol])
     return min((base + k for k in range(field.p)), key=int)
 
 
@@ -709,17 +682,18 @@ def _split_linear(w, rng):
     t = Polynomial.variable(field)
     while True:
         a = rng.element()
-        shifted = t + a
         if field.p == 2:
-            # trace map sum shifted^(2^i), i < n*log2-size of q
-            m = field.n
+            # Berlekamp's trace algorithm: Tr(a t) = sum (a t)^(2^i), i < n,
+            # is 0 or 1 at each root.  A random scale a separates two roots
+            # with probability 1/2; a shift t + a never separates roots of
+            # equal trace.
             h = Polynomial(field, [field.zero])
-            cur = shifted % w
-            for _ in range(m):
+            cur = (t * a) % w
+            for _ in range(field.n):
                 h = h + cur
                 cur = cur.pow_mod(2, w)
         else:
-            h = shifted.pow_mod((field.q - 1) // 2, w) - field.one
+            h = (t + a).pow_mod((field.q - 1) // 2, w) - field.one
         g = w.gcd(h)
         if 0 < g.degree() < w.degree():
             g = g.monic()

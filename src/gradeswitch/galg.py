@@ -1,5 +1,6 @@
-"""Graded nonassociative algebras over finite fields, plus the exact linear
-algebra needed to switch their gradings.
+"""Graded nonassociative algebras over finite fields, plus the linear maps
+and subspaces needed to switch their gradings; their eliminations run in
+:mod:`gradeswitch.echelon`.
 
 Conventions: vectors are coefficient tuples in the algebra basis; a
 :class:`LinearMap` acts on column vectors, ``apply(v) = M v``; a
@@ -9,35 +10,18 @@ are sparse: ``products[(i, j)]`` lists the nonzero (k, coefficient) pairs of
 e_i * e_j.
 """
 
+import itertools
+
+from . import echelon
+from .echelon import Echelon, first_dependence
 from .fields import FqElement, GF, embedding, roots_in_splitting_field
 from .polyring import Polynomial
 
 
 def rref(vectors, field):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return (), ()
-    n = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    out = [tuple(row) for row in rows[:r] if any(row)]
-    return tuple(out), tuple(pivots[:len(out)])
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    The entries carry their field, so `field` is not consulted."""
+    return echelon.rref(vectors)
 
 
 class LinearMap:
@@ -170,14 +154,14 @@ class LinearMap:
         return LinearMap(self.field, [self.column(j) for j in range(self.n)])
 
     def rank(self):
-        return len(rref(self.rows, self.field)[0])
+        return Echelon(self.rows).rank
 
     def inverse(self):
         n = self.n
         aug = [list(row) + [self.field.one if i == j else self.field.zero
                             for j in range(n)]
                for i, row in enumerate(self.rows)]
-        rows, piv = rref(aug, self.field)
+        rows, piv = echelon.rref(aug)
         if len(rows) < n or piv != tuple(range(n)):
             raise ValueError("matrix is singular")
         return LinearMap(self.field, [row[n:] for row in rows])
@@ -194,48 +178,27 @@ class LinearMap:
         """Least monic f with f(M) = 0, by Krylov iteration and lcm."""
         field, n = self.field, self.n
         f = Polynomial(field, [field.one])
-        seen_rows = []
-        seen_piv = {}
+        seen = Echelon()
         for s in range(n):
             seed = tuple(field.one if i == s else field.zero for i in range(n))
-            if _in_span(seen_piv, seed):
+            if seen.contains(seed):
                 continue
-            local = self._local_minpoly(seed)
+            local = Polynomial(field, first_dependence(self._krylov(seed),
+                                                       field) + [field.one])
             g = f * local // f.gcd(local)
             f = g.monic()
             # fold the whole Krylov space of the seed into the span
-            v = seed
-            for _ in range(local.degree()):
-                _span_add(seen_piv, v, field)
-                v = self.apply(v)
+            for v in itertools.islice(self._krylov(seed), local.degree()):
+                seen.add(v)
             if f.degree() == n:
                 break
         assert f.evaluate(self).is_zero()
         return f
 
-    def _local_minpoly(self, v):
-        field = self.field
-        piv = {}
-        w, rep = v, [field.one]
+    def _krylov(self, v):
         while True:
-            w2, rep2 = list(w), list(rep)
-            for c, (vec, vrep) in piv.items():
-                f = w2[c]
-                if f:
-                    for i in range(len(w2)):
-                        w2[i] = w2[i] - f * vec[i]
-                    for i in range(len(vrep)):
-                        if i < len(rep2):
-                            rep2[i] = rep2[i] - f * vrep[i]
-                        else:
-                            rep2.append(-f * vrep[i])
-            lead = next((c for c in range(len(w2)) if w2[c]), None)
-            if lead is None:
-                return Polynomial(field, rep2).monic()
-            inv = w2[lead].inverse()
-            piv[lead] = ([x * inv for x in w2], [x * inv for x in rep2])
-            w = self.apply(w)
-            rep = [field.zero] * len(rep) + [field.one]
+            yield v
+            v = self.apply(v)
 
     def char_polynomial(self):
         """Characteristic polynomial det(T*I - M) via Hessenberg reduction."""
@@ -313,70 +276,27 @@ def _dot(row, col, field):
     return acc
 
 
-def _span_add(piv, v, field):
-    w = list(v)
-    for c, vec in piv.items():
-        f = w[c]
-        if f:
-            for i in range(len(w)):
-                w[i] = w[i] - f * vec[i]
-    lead = next((c for c in range(len(w)) if w[c]), None)
-    if lead is None:
-        return False
-    inv = w[lead].inverse()
-    piv[lead] = [x * inv for x in w]
-    return True
-
-
-def _in_span(piv, v):
-    w = list(v)
-    for c, vec in piv.items():
-        f = w[c]
-        if f:
-            for i in range(len(w)):
-                w[i] = w[i] - f * vec[i]
-    return not any(w)
-
-
 def kernel(M):
     """Basis of the null space of M (column-vector convention)."""
-    rows, piv = rref(M.rows, M.field)
-    n = M.n
-    free = [c for c in range(n) if c not in piv]
-    out = []
-    for fc in free:
-        v = [M.field.zero] * n
-        v[fc] = M.field.one
-        for r, pc in zip(rows, piv):
-            v[pc] = -r[fc]
-        out.append(tuple(v))
-    return tuple(out)
+    return echelon.kernel(M.rows, M.n, M.field)
 
 
 def solve(M, b):
     """One solution of M x = b, or None."""
-    aug = [list(row) + [bb] for row, bb in zip(M.rows, b)]
-    rows, piv = rref(aug, M.field)
-    n = M.n
-    x = [M.field.zero] * n
-    for r, pc in zip(rows, piv):
-        if pc == n:
-            return None
-        x[pc] = r[n]
-    return tuple(x)
+    x = echelon.solve(M.rows, b, M.field)
+    return None if x is None else tuple(x)
 
 
 class Subspace:
     """Subspace of F^n stored as a reduced row echelon basis (canonical)."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_echelon")
 
     def __init__(self, field, ambient, vectors):
-        rows, piv = rref(vectors, field)
+        self._echelon = Echelon(vectors)
+        self.basis, self.pivots = self._echelon.rref()
         self.field = field
         self.ambient = ambient
-        self.basis = rows
-        self.pivots = piv
 
     @classmethod
     def zero(cls, field, ambient):
@@ -391,13 +311,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v):
-        w = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            f = w[pc]
-            if f:
-                for i in range(self.ambient):
-                    w[i] = w[i] - f * row[i]
-        return not any(w)
+        return self._echelon.contains(v)
 
     def contains_subspace(self, other):
         return all(self.contains(b) for b in other.basis)
@@ -431,7 +345,7 @@ class Subspace:
         # solve c*B1 = d*B2: kernel of the stacked transpose
         stacked = [[(self.basis[i][r] if i < k1 else -other.basis[i - k1][r])
                     for i in range(k1 + k2)] for r in range(self.ambient)]
-        ker = kernel(LinearMap(self.field, _pad_square(stacked, self.field)))
+        ker = echelon.kernel(stacked, k1 + k2, self.field)
         vecs = []
         for kv in ker:
             v = [self.field.zero] * self.ambient
@@ -464,17 +378,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of F^%d)" % (self.dim, self.ambient)
-
-
-def _pad_square(rows, field):
-    """Pad a rectangular row list with zero rows/cols to make LinearMap
-    accept it; only used to reuse kernel() on rectangular systems."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    size = max(m, n)
-    out = [list(r) + [field.zero] * (size - n) for r in rows]
-    out += [[field.zero] * size for _ in range(size - m)]
-    return out
 
 
 class Decomposition:
@@ -521,7 +424,7 @@ def generalized_eigenspaces(D):
     if dec.total_dim != D.n:
         raise AssertionError("generalized eigenspaces do not fill the space")
     stacked = [b for _, s in entries for b in s.basis]
-    if len(rref(stacked, big)[0]) != D.n:
+    if Echelon(stacked).rank != D.n:
         raise AssertionError("generalized eigenspaces are not independent")
     return big, dec
 
@@ -663,30 +566,56 @@ class GradedAlgebra:
     @classmethod
     def from_json(cls, obj):
         try:
-            p = int(obj["p"])
-            n = int(obj.get("field_degree", 1))
+            p = _json_int(obj["p"], "p")
+            n = _json_int(obj.get("field_degree", 1), "field_degree")
             modulus = obj.get("modulus")
-            field = GF(p, n, tuple(modulus) if modulus else None)
-            dim = int(obj["dim"])
-            m = int(obj["m"])
-            degrees = [int(d) for d in obj["deg"]]
+            if modulus:
+                modulus = tuple(_json_int(c, "modulus") for c in modulus)
+            field = GF(p, n, modulus or None)
+            dim = _json_int(obj["dim"], "dim")
+            m = _json_int(obj["m"], "m")
+            degrees = [_json_int(d, "deg") for d in obj["deg"]]
             if len(degrees) != dim:
                 raise ValueError("deg must list one residue per basis vector")
             entries = []
             for item in obj["sc"]:
                 i, j, k, cs = item
-                entries.append((int(i), int(j), int(k), _coeff_parse(field, cs)))
+                entries.append((_json_int(i, "sc index"),
+                                _json_int(j, "sc index"),
+                                _json_int(k, "sc index"),
+                                _json_coeff(field, cs)))
             pmap = None
             if "pmap" in obj:
                 rows = [[field.zero] * dim for _ in range(dim)]
                 for i, row in obj["pmap"]:
-                    rows[int(i)] = [_coeff_parse(field, c) for c in row]
-                    if len(rows[int(i)]) != dim:
+                    i = _json_int(i, "pmap index")
+                    if not 0 <= i < dim:
+                        raise _malformed("pmap index %d out of range" % i)
+                    rows[i] = [_json_coeff(field, c) for c in row]
+                    if len(rows[i]) != dim:
                         raise ValueError("pmap vector of wrong length")
                 pmap = rows
             return cls.from_entries(field, m, degrees, entries, pmap)
         except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError("malformed algebra JSON: %s" % exc) from exc
+            raise _malformed(exc) from exc
+
+
+def _malformed(detail):
+    return ValueError("malformed algebra JSON: %s" % (detail,))
+
+
+def _json_int(x, what):
+    """x itself when it is a JSON integer; floats and bools are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise _malformed("%s must be an integer, not %r" % (what, x))
+    return x
+
+
+def _json_coeff(field, s):
+    try:
+        return _coeff_parse(field, s)
+    except (ValueError, TypeError) as exc:
+        raise _malformed("coefficient %r: %s" % (s, exc)) from exc
 
 
 def _coeff_str(c):
@@ -783,29 +712,33 @@ def is_graded_derivation(A, D, d):
                                   (A.field.p * d) % A.m == 0, d % A.m)
 
 
-def is_grading(A, parts):
+def is_grading(A, parts, add=None):
     """True iff the labelled subspaces sum directly to A and multiply into
-    the component of the summed label; absent labels act as zero."""
+    the component of the combined label; absent labels act as zero.
+
+    Labels are residues mod A.m added mod A.m, unless `add` combines them:
+    then they may be any hashable values.
+    """
+    if add is None:
+        parts = [(k % A.m, s) for k, s in parts]
+
+        def add(k, l):
+            return (k + l) % A.m
     by_label = {}
-    total = 0
-    stacked = []
     for k, s in parts:
-        k %= A.m
         if k in by_label:
-            raise ValueError("duplicate label %r" % k)
+            raise ValueError("duplicate label %r" % (k,))
         by_label[k] = s
-        total += s.dim
-        stacked.extend(s.basis)
-    if total != A.dim or len(rref(stacked, A.field)[0]) != A.dim:
+    stacked = [b for s in by_label.values() for b in s.basis]
+    if len(stacked) != A.dim or Echelon(stacked).rank != A.dim:
         return False
-    zero = Subspace.zero(A.field, A.dim)
     for k, s in by_label.items():
         for l, t in by_label.items():
-            target = by_label.get((k + l) % A.m, zero)
+            target = by_label.get(add(k, l))
             for u in s.basis:
                 for v in t.basis:
                     w = A.product(u, v)
-                    if any(w) and not target.contains(w):
+                    if any(w) and (target is None or not target.contains(w)):
                         return False
     return True
 

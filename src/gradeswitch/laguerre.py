@@ -20,9 +20,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .fields import GF, FqElement
-from .polyring import (MultiPoly, NonInvertibleError, Polynomial,
-                       QuotientRing, quotient_inverse, quotient_mul)
+from .fields import GF
+from .polyring import (MultiPoly, Polynomial, QuotientRing, quotient_inverse,
+                       quotient_mul)
 
 
 @dataclass(frozen=True)
@@ -346,10 +346,6 @@ def scalar_product_form(p, x):
 def in_prime_star(x):
     """True iff x lies in F_p^* (the only non-admissible sums a + b)."""
     return bool(x) and x ** (x.field.p - 1) == x.field.one
-
-
-def _laguerre_x_quotient(ring, coeff_values):
-    return ring.from_x_poly(coeff_values)
 
 
 def _laguerre_xy_quotient(ring, coeff_values, p):

@@ -2,9 +2,9 @@
 
 Three element flavours over a field F:
 
- * :class:`Polynomial`  — dense univariate,
- * :class:`MultiPoly`   — sparse multivariate (exponent tuple -> coefficient),
- * :class:`TruncSeries` — truncated power series F[U]/(U^s),
+ * :class:`Polynomial`    — dense univariate,
+ * :class:`MultiPoly`     — sparse multivariate (exponent tuple -> coefficient),
+ * :class:`BiTruncSeries` — power series F[U,V]/(U^a, V^b) in two nilpotents,
 
 plus :class:`QuotientRing`, the bivariate quotient R[X,Y]/(X^p - xc, Y^p - yc)
 in which product-splitting coefficient tables are computed.  Quotient entries
@@ -14,6 +14,7 @@ int and field-scalar mixing, ``** k`` for k >= 0 with ``x ** 0`` the ring
 one, and truthiness as a nonzero test.
 """
 
+from .echelon import solve
 from .fields import FqElement
 
 
@@ -516,128 +517,6 @@ class MultiPoly:
     __hash__ = None
 
 
-class TruncSeries:
-    """Element of F[U]/(U^order): a power series truncated at U^order."""
-
-    __slots__ = ("field", "order", "coeffs")
-
-    def __init__(self, field, order, coeffs):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        cs = [_as_field_elt(field, c) for c in coeffs][:order]
-        cs += [field.zero] * (order - len(cs))
-        self.field = field
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, field, order, c):
-        return cls(field, order, [c])
-
-    @classmethod
-    def shift(cls, field, order):
-        """The class of U."""
-        return cls(field, order, [field.zero, field.one])
-
-    @property
-    def constant_term(self):
-        return self.coeffs[0]
-
-    def is_unit(self):
-        return bool(self.coeffs[0])
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            if other.field is not self.field or other.order != self.order:
-                raise ValueError("series over different rings")
-            return other
-        if isinstance(other, (int, FqElement)):
-            return TruncSeries.constant(self.field, self.order, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncSeries(self.field, self.order,
-                           [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.field, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.order
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs[:n - i]):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.field, n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = TruncSeries.constant(self.field, self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self):
-        """Series inverse; exists iff the constant term is nonzero."""
-        if not self.is_unit():
-            raise NonInvertibleError("series with zero constant term")
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [self.field.zero] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(self.field, self.order, out)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, FqElement)):
-            other = self._coerce(other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.field is other.field and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), self.order, self.coeffs))
-
-    def __repr__(self):
-        return "TruncSeries(%r, %d, (%s))" % (
-            self.field, self.order, ", ".join(str(c) for c in self.coeffs))
-
-
 class BiTruncSeries:
     """Element of F[U,V]/(U^ua, V^ub): series in two commuting nilpotents,
     truncated independently in each variable.  Coefficient [i][j] multiplies
@@ -971,37 +850,6 @@ def quotient_mul(u, v):
     return u * v
 
 
-def _solve_field_linear(rows, rhs, field):
-    """One solution of rows*x = rhs over an FqField, or None."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv = []
-    r = 0
-    for c in range(n):
-        k = next((i for i in range(r, m) if a[i][c]), None)
-        if k is None:
-            continue
-        a[r], a[k] = a[k], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            return None
-    x = [field.zero] * n
-    for i, c in enumerate(piv):
-        x[c] = a[i][n]
-    return x
-
-
 def _quotient_inverse_linear(u):
     """Inverse via the p^2 x p^2 multiplication matrix (field entries only)."""
     ring = u.ring
@@ -1016,7 +864,7 @@ def _quotient_inverse_linear(u):
             cols.append([prod.entries[s][t] for s in range(p) for t in range(p)])
     rows = [[cols[c][r] for c in range(p * p)] for r in range(p * p)]
     rhs = [field.one] + [field.zero] * (p * p - 1)
-    sol = _solve_field_linear(rows, rhs, field)
+    sol = solve(rows, rhs, field)
     if sol is None:
         raise NonInvertibleError("quotient element is not invertible")
     inv = ring.element([[sol[k * p + l] for l in range(p)] for k in range(p)])
@@ -1038,7 +886,7 @@ def _quotient_inverse_ppower(u):
             raise NonInvertibleError("quotient element is not invertible")
         s_inv = s.inverse()
     else:
-        s_inv = s.inverse()  # TruncSeries raises NonInvertibleError itself
+        s_inv = s.inverse()  # BiTruncSeries raises NonInvertibleError itself
     inv = (u ** (ring.p - 1)) * s_inv
     if u * inv != ring.one():
         raise NonInvertibleError("p-power inverse failed verification")

@@ -20,8 +20,8 @@ space.
 from math import gcd as _gcd
 
 from .fields import GF, embedding, roots_in_splitting_field
-from .galg import LinearMap, Subspace, kernel, rref
-from .polyring import _solve_field_linear
+from .echelon import solve
+from .galg import LinearMap, Subspace, is_grading, kernel
 from .switch import HypothesisError, VerificationError, build_LD, \
     h_polynomial, semisimple_exponent
 
@@ -141,7 +141,7 @@ class RestrictedLie:
         rows = [[cols[j][s] for j in range(self.dim)]
                 for s in range(self.dim * self.dim)]
         rhs = [x for row in M.rows for x in row]
-        sol = _solve_field_linear(rows, rhs, self.field)
+        sol = solve(rows, rhs, self.field)
         return tuple(sol) if sol is not None else None
 
     def is_toral(self, t):
@@ -399,35 +399,6 @@ def _space_key(s):
     return [[int(x) for x in row] for row in s.basis]
 
 
-def grading_over_labels(algebra, parts, add):
-    """Direct-sum and closure check for a grading with arbitrary hashable
-    labels; add combines two labels.  Products falling into an absent
-    label must vanish."""
-    index = {}
-    stacked = []
-    total = 0
-    for label, space in parts:
-        if label in index:
-            raise ValueError("duplicate label %r" % (label,))
-        index[label] = space
-        stacked.extend(space.basis)
-        total += space.dim
-    rows, _ = rref(stacked, algebra.field)
-    if total != algebra.dim or len(rows) != algebra.dim:
-        return False
-    for l1, s1 in parts:
-        for l2, s2 in parts:
-            target = index.get(add(l1, l2))
-            for b1 in s1.basis:
-                for b2 in s2.basis:
-                    v = algebra.product(b1, b2)
-                    if not any(v):
-                        continue
-                    if target is None or not target.contains(v):
-                        return False
-    return True
-
-
 class RefinedSwitch:
     """Outcome of switching along the direction of one toral element."""
 
@@ -521,8 +492,7 @@ def refine_grading(lie, torus_vectors, x, r=None, lam=None):
     p = lie.p
 
     switched_line = [(k, s.map_field(f2).image(lmap)) for k, s in line_parts]
-    line_ok = grading_over_labels(alg2, switched_line,
-                                  lambda a, b: (a + b) % p)
+    line_ok = is_grading(alg2, switched_line, lambda a, b: (a + b) % p)
 
     emb = embedding(field, f2)
     residual_fixed = True
@@ -539,7 +509,7 @@ def refine_grading(lie, torus_vectors, x, r=None, lam=None):
     for (kk, g0), s in product_parts:
         g0e = tuple(emb(c) for c in g0)
         switched_product.append(((kk, g0e), s.map_field(f2).image(lmap)))
-    product_ok = grading_over_labels(alg2, switched_product, addpair)
+    product_ok = is_grading(alg2, switched_product, addpair)
 
     out = RefinedSwitch(
         lie=lie, beta=beta, t1=t1, torus0_basis=tuple(t0_vecs),

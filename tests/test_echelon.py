@@ -1,0 +1,74 @@
+from gradeswitch.echelon import (
+    Echelon, first_dependence, kernel, rref, solve)
+from gradeswitch.fields import GF
+
+
+def test_solve_cases():
+    F = GF(5)
+    s = F.scalar
+    rows = [[s(1), s(2)], [s(3), s(4)]]
+    sol = solve(rows, [s(1), s(2)], F)
+    assert sol is not None
+    assert [sol[0] + 2 * sol[1], 3 * sol[0] + 4 * sol[1]] == [s(1), s(2)]
+    # inconsistent system
+    rows = [[s(1), s(1)], [s(2), s(2)]]
+    assert solve(rows, [s(1), s(3)], F) is None
+    # underdetermined but consistent
+    sol = solve([[s(1), s(1)]], [s(3)], F)
+    assert sol is not None and sol[0] + sol[1] == s(3)
+
+
+def test_solve_sets_free_variables_to_zero():
+    F = GF(7)
+    s = F.scalar
+    # x0 + 2 x2 = 3, x1 + x2 = 1: pivots 0 and 1, x2 free
+    assert solve([[s(1), s(0), s(2)], [s(0), s(1), s(1)]], [s(3), s(1)],
+                 F) == [s(3), s(1), s(0)]
+    # the first row meets the pivot of the second: back substitution
+    assert solve([[s(1), s(1), s(0)], [s(0), s(1), s(1)]], [s(5), s(2)],
+                 F) == [s(3), s(2), s(0)]
+
+
+def test_echelon_add_reduce_contains():
+    F = GF(3)
+    s = F.scalar
+    ech = Echelon()
+    assert ech.add((s(0), s(1), s(2)))
+    assert ech.add((s(1), s(1), s(1)))
+    assert not ech.add((s(1), s(2), s(0)))  # the sum of the first two
+    assert ech.rank == 2
+    assert ech.contains((s(2), s(0), s(1)))
+    assert not ech.contains((s(0), s(0), s(1)))
+    assert ech.reduce((s(1), s(2), s(0))) == [F.zero] * 3
+    # rref leaves the span alone
+    rows, piv = ech.rref()
+    assert piv == (0, 1)
+    assert rows == ((s(1), s(0), s(2)), (s(0), s(1), s(2)))
+    assert ech.contains((s(2), s(0), s(1)))
+    assert not ech.contains((s(0), s(0), s(1)))
+
+
+def test_rref_and_kernel_of_empty_and_zero_input():
+    F = GF(5)
+    assert rref([]) == ((), ())
+    assert rref([(F.zero, F.zero)]) == ((), ())
+    assert kernel([], 2, F) == ((F.one, F.zero), (F.zero, F.one))
+
+
+def test_kernel_of_rectangular_rows():
+    F = GF(5)
+    s = F.scalar
+    ker = kernel([[s(1), s(2), s(3)]], 3, F)
+    assert ker == ((s(3), s(1), s(0)), (s(2), s(0), s(1)))
+
+
+def test_first_dependence():
+    F = GF(5)
+    s = F.scalar
+    v0, v1 = (s(1), s(0)), (s(0), s(1))
+    v2 = (s(2), s(3))
+    # v2 - 2 v0 - 3 v1 = 0
+    assert first_dependence([v0, v1, v2], F) == [s(-2), s(-3)]
+    assert first_dependence([v0, v1], F) is None
+    assert first_dependence([v0, (s(4), s(0))], F) == [s(-4)]
+    assert first_dependence([], F) is None

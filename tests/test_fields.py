@@ -1,7 +1,10 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
+from gradeswitch import fields
 from gradeswitch.fields import (
     GF, FqElement, artin_schreier_root, embed, embedding, is_prime,
     minimal_polynomial, roots_in_splitting_field)
@@ -203,3 +206,68 @@ def test_element_hash_and_pickle_roundtrip():
     y = pickle.loads(pickle.dumps(x))
     assert y == x and y.field is x.field
     assert len({F.from_int(5), x}) == 1
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than `seconds`."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs POSIX interval timers")
+
+    def expire(*_):
+        raise TimeoutError("still running after %s s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def absolute_trace(x):
+    acc, y = x.field.zero, x
+    for _ in range(x.field.n):
+        acc, y = acc + y, y.frobenius()
+    return acc
+
+
+def test_char2_splitting_separates_equal_trace_roots():
+    # q^2 = 2^20 is above the exhaustive-search cap, so the roots come from
+    # trace splitting, which must separate two roots of equal trace
+    F = GF(2, 10)
+    assert F.q ** 2 > fields._EXHAUST_CAP
+    x = F.from_int(3)
+    y = next(z for z in F.elements()
+             if z != x and absolute_trace(z) == absolute_trace(x))
+    t = Polynomial.variable(F)
+    with time_limit(20):
+        big, roots = roots_in_splitting_field((t - x) * (t - y))
+    assert big is F
+    assert roots == sorted([(x, 1), (y, 1)], key=lambda e: int(e[0]))
+
+
+@pytest.mark.parametrize("p,n,deg", [(2, 4, 4), (5, 2, 4), (2, 10, 2),
+                                     (3, 7, 2)])
+def test_exhaustive_and_splitting_root_finding_agree(monkeypatch, p, n, deg):
+    F = GF(p, n)
+    below_cap = F.q ** deg <= fields._EXHAUST_CAP
+    assert below_cap == (F.q < 100)  # two cases on each side of the cap
+    rng = random.Random(1000 * p + n)
+    t = Polynomial.variable(F)
+    polys = []
+    for _ in range(4):
+        split = Polynomial(F, [F.one])
+        for _ in range(deg):
+            split = split * (t - F.random_element(rng))
+        polys.append(split)
+        polys.append(Polynomial(F, [F.random_element(rng)
+                                    for _ in range(deg)] + [F.one]))
+    for f in polys:
+        with time_limit(20):
+            monkeypatch.setattr(fields, "_EXHAUST_CAP", 0)
+            by_splitting = fields._roots_in_field(f)
+            monkeypatch.setattr(fields, "_EXHAUST_CAP", F.q ** deg)
+            by_search = fields._roots_in_field(f)
+        assert sorted(map(int, by_splitting)) == sorted(map(int, by_search))
+        assert all(not f.evaluate(x) for x in by_search)

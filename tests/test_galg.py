@@ -273,6 +273,34 @@ def test_json_roundtrip():
         GradedAlgebra.from_json({"p": 3})
 
 
+def test_json_rejects_non_integer_sizes():
+    for key, bad in (("p", 5.5), ("dim", 2.7), ("m", True), ("p", "5"),
+                     ("modulus", [0.5, 1])):
+        obj = witt(5).to_json()
+        obj[key] = bad
+        with pytest.raises(ValueError, match="malformed algebra JSON"):
+            GradedAlgebra.from_json(obj)
+    obj = witt(5).to_json()
+    obj["sc"][0][2] = 1.0
+    with pytest.raises(ValueError, match="malformed algebra JSON"):
+        GradedAlgebra.from_json(obj)
+
+
+def test_json_rejects_pmap_index_out_of_range():
+    for bad in (-1, 5):
+        obj = witt(5).to_json()
+        obj["pmap"].append([bad, ["1"] * 5])
+        with pytest.raises(ValueError, match="malformed algebra JSON"):
+            GradedAlgebra.from_json(obj)
+
+
+def test_json_bad_coefficient_names_the_input():
+    obj = witt(5).to_json()
+    obj["sc"][0][3] = "x"
+    with pytest.raises(ValueError, match="malformed algebra JSON"):
+        GradedAlgebra.from_json(obj)
+
+
 def test_direct_sum_structure():
     A = direct_sum(witt(5), torus_line(5, 5))
     assert A.dim == 6

@@ -5,8 +5,8 @@ import pytest
 from gradeswitch.fields import GF
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientRing,
-    TruncSeries, _quotient_inverse_linear, _quotient_inverse_ppower,
-    _solve_field_linear, poly_compose, quotient_inverse, quotient_mul)
+    _quotient_inverse_linear, _quotient_inverse_ppower, poly_compose,
+    quotient_inverse, quotient_mul)
 
 
 def rand_poly(field, deg, rng):
@@ -85,19 +85,6 @@ def test_multipoly_substitute_and_evaluate():
     assert uni == Polynomial.variable(F, "x") ** 2 + Polynomial.variable(F, "x")
 
 
-def test_trunc_series():
-    F = GF(5)
-    s = TruncSeries.shift(F, 4)  # U with U^4 = 0
-    assert not s ** 4
-    u = TruncSeries.constant(F, 4, F.one) + s
-    inv = u.inverse()
-    assert u * inv == TruncSeries.constant(F, 4, F.one)
-    # geometric series: 1 - U + U^2 - U^3
-    assert inv.coeffs == (F.one, -F.one, F.one, -F.one)
-    with pytest.raises(NonInvertibleError):
-        s.inverse()
-
-
 def test_bitrunc_series_arithmetic():
     F = GF(3)
     u = BiTruncSeries.shift_u(F, 3, 2)
@@ -133,21 +120,6 @@ def test_bitrunc_degenerate_orders():
     assert not u
     c = BiTruncSeries.constant(F, 1, 1, F.scalar(2))
     assert c * c == BiTruncSeries.constant(F, 1, 1, F.one)
-
-
-def test_solve_field_linear():
-    F = GF(5)
-    s = F.scalar
-    rows = [[s(1), s(2)], [s(3), s(4)]]
-    sol = _solve_field_linear(rows, [s(1), s(2)], F)
-    assert sol is not None
-    assert [sol[0] + 2 * sol[1], 3 * sol[0] + 4 * sol[1]] == [s(1), s(2)]
-    # inconsistent system
-    rows = [[s(1), s(1)], [s(2), s(2)]]
-    assert _solve_field_linear(rows, [s(1), s(3)], F) is None
-    # underdetermined but consistent
-    sol = _solve_field_linear([[s(1), s(1)]], [s(3)], F)
-    assert sol is not None and sol[0] + sol[1] == s(3)
 
 
 def quotient_ring_for(p, a, b):

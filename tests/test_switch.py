@@ -298,6 +298,27 @@ def test_non_derivation_rejected():
         switch_grading(W, LinearMap(F, rows))
 
 
+def test_leibniz_rule_checked_once_per_switch(monkeypatch):
+    from gradeswitch import galg, switch
+    calls = []
+    original = galg.is_derivation
+
+    def counting(A, D):
+        calls.append(1)
+        return original(A, D)
+    for module in (galg, switch):  # every module that binds the name
+        if getattr(module, "is_derivation", None) is original:
+            monkeypatch.setattr(module, "is_derivation", counting)
+    W = witt(5)
+    switch_grading(W, W.left_multiplication(W.basis_vector(0)),
+                   check_product_rule=False)
+    assert len(calls) == 1
+    # a graded map that breaks the Leibniz rule is still refused
+    with pytest.raises(HypothesisError) as exc:
+        switch_grading(W, LinearMap.identity(W.field, 5))
+    assert exc.value.hypothesis == "D is a graded derivation"
+
+
 def test_grading_modulus_constraint():
     # switching requires m | p*d; tpoly(3, 9, 9) with ddx has
     # d = -1 mod 9 and p*d = 24, which 9 does not divide
