@@ -162,10 +162,7 @@ def _parse_derivation(A, spec, json_rows):
     if spec == "json":
         if json_rows is None:
             raise ValueError("input file carries no derivation matrix")
-        rows = [[_coeff_parse(A.field, e) for e in row] for row in json_rows]
-        if len(rows) != A.dim or any(len(r) != A.dim for r in rows):
-            raise ValueError("derivation matrix of wrong shape")
-        return LinearMap(A.field, rows)
+        return _derivation_matrix(A, json_rows)
     if spec.startswith("ad:"):
         i = int(spec[3:])
         if not 0 <= i < A.dim:
@@ -175,6 +172,28 @@ def _parse_derivation(A, spec, json_rows):
         return truncated_poly_derivation(A, spec)
     raise ValueError("unknown derivation %r (use ad:I, ddx, xddx, or json)"
                      % spec)
+
+
+def _derivation_matrix(A, json_rows):
+    """The `--derivation json` matrix: A.dim lists of A.dim coefficients."""
+    def malformed(detail):
+        return ValueError("malformed derivation matrix: %s" % (detail,))
+
+    if not isinstance(json_rows, list):
+        raise malformed("expected a list of rows, not %r" % (json_rows,))
+    rows = []
+    for i, row in enumerate(json_rows):
+        if not isinstance(row, list):
+            raise malformed("row %d: expected a list, not %r" % (i, row))
+        rows.append([])
+        for j, entry in enumerate(row):
+            try:
+                rows[-1].append(_coeff_parse(A.field, entry))
+            except (TypeError, ValueError) as exc:
+                raise malformed("entry (%d, %d): %s" % (i, j, exc)) from exc
+    if len(rows) != A.dim or any(len(r) != A.dim for r in rows):
+        raise malformed("expected %d x %d entries" % (A.dim, A.dim))
+    return LinearMap(A.field, rows)
 
 
 def cmd_switch(args):

@@ -18,6 +18,7 @@ Everything is exact; fields and elements are immutable.
 """
 
 import functools
+import operator
 import random
 
 from .echelon import solve
@@ -106,15 +107,29 @@ def _psub(a, b, p):
     return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
-def _ppowmod(a, e, m, p):
-    result = (1,)
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
+def power(x, e, one, mul=operator.mul):
+    """x ** e for an integer e >= 0 in any ring: left-to-right
+    square-and-multiply.
+
+    Starts from x itself and never squares after the lowest bit, so it
+    spends (e.bit_length() - 1) squarings plus (popcount(e) - 1) further
+    products; e == 0 returns `one`.  `mul` is the product, for rings whose
+    elements do not overload ``*`` or whose products reduce modulo
+    something.
+    """
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
     return result
+
+
+def _ppowmod(a, e, m, p):
+    return power(_pmod(a, m, p), e, (1,),
+                 lambda b, c: _pmod(_pmul(b, c, p), m, p))
 
 
 def _is_irreducible(f, p):
@@ -251,14 +266,7 @@ class FqElement:
             fld._ensure_tables()
         if fld._log is not None:
             return fld._exp[(fld._log[self.coeffs] * e) % (fld.q - 1)]
-        result = fld.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, fld.one)
 
     def inverse(self):
         fld = self.field
@@ -419,13 +427,7 @@ class FqField:
         return tuple(prod[:n])
 
     def _raw_pow(self, a, e):
-        result = self.one.coeffs
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return result
+        return power(a, e, self.one.coeffs, self._raw_mul)
 
     def _find_generator(self):
         factors = _prime_factors(self.q - 1)

@@ -14,7 +14,8 @@ import itertools
 
 from . import echelon
 from .echelon import Echelon, first_dependence
-from .fields import FqElement, GF, embedding, roots_in_splitting_field
+from .fields import (FqElement, GF, embedding, power,
+                     roots_in_splitting_field)
 from .polyring import Polynomial
 
 
@@ -129,14 +130,7 @@ class LinearMap:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = LinearMap.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, LinearMap.identity(self.field, self.n))
 
     def p_power(self, k):
         """M^(p^k)."""
@@ -623,12 +617,20 @@ def _coeff_str(c):
 
 
 def _coeff_parse(field, s):
+    """A coefficient from its JSON form: a "d0,d1,..." digit string, one
+    integer, or a list of integer digits.  Bools, floats and other types
+    are refused, also inside digit lists (TypeError); a digit string that
+    is not integers raises ValueError."""
     if isinstance(s, str):
         digits = [int(t) for t in s.split(",")]
-    elif isinstance(s, int):
-        digits = [s]
+    elif isinstance(s, list):
+        digits = s
     else:
-        digits = [int(t) for t in s]
+        digits = [s]
+    for d in digits:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError("coefficient digits must be integers, not %r"
+                            % (d,))
     return field.from_coeffs(digits)
 
 

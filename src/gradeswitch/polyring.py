@@ -15,7 +15,7 @@ one, and truthiness as a nonzero test.
 """
 
 from .echelon import solve
-from .fields import FqElement
+from .fields import FqElement, power
 
 
 class NonInvertibleError(ValueError):
@@ -161,25 +161,14 @@ class Polynomial:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = Polynomial(self.field, [self.field.one], self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Polynomial(self.field, [self.field.one],
+                                         self.var))
 
     def pow_mod(self, e, m):
         """self**e mod m, by repeated squaring (e may be huge)."""
-        result = Polynomial(self.field, [self.field.one], self.var)
-        base = self % m
-        while e:
-            if e & 1:
-                result = result * base % m
-            base = base * base % m
-            e >>= 1
-        return result
+        return power(self % m, e,
+                     Polynomial(self.field, [self.field.one], self.var),
+                     lambda a, b: a * b % m)
 
     def gcd(self, other):
         a, b = self, self._coerce(other)
@@ -393,14 +382,7 @@ class MultiPoly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = MultiPoly.constant(self.field, self.vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, MultiPoly.constant(self.field, self.vars, 1))
 
     # -- substitution ---------------------------------------------------------
 
@@ -539,6 +521,18 @@ class BiTruncSeries:
         self.coeffs = tuple(rows)
 
     @classmethod
+    def _from_rows(cls, field, ua, ub, rows):
+        """Series on rows that are already checked: ua tuples of ub
+        elements of `field`.  Ring operations on checked operands build
+        their results here, skipping the per-coefficient check."""
+        obj = object.__new__(cls)
+        obj.field = field
+        obj.ua = ua
+        obj.ub = ub
+        obj.coeffs = rows
+        return obj
+
+    @classmethod
     def constant(cls, field, ua, ub, c):
         return cls(field, ua, ub, [[c]])
 
@@ -576,21 +570,26 @@ class BiTruncSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return BiTruncSeries(self.field, self.ua, self.ub,
-                             [[a + b for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.coeffs, o.coeffs)])
+        return BiTruncSeries._from_rows(
+            self.field, self.ua, self.ub,
+            tuple(tuple(a + b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiTruncSeries(self.field, self.ua, self.ub,
-                             [[-c for c in row] for row in self.coeffs])
+        return BiTruncSeries._from_rows(
+            self.field, self.ua, self.ub,
+            tuple(tuple(-c for c in row) for row in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return BiTruncSeries._from_rows(
+            self.field, self.ua, self.ub,
+            tuple(tuple(a - b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -610,25 +609,21 @@ class BiTruncSeries:
                 if not a:
                     continue
                 for k in range(ua - i):
+                    brow, orow = o.coeffs[k], out[i + k]
                     for l in range(ub - j):
-                        b = o.coeffs[k][l]
+                        b = brow[l]
                         if b:
-                            out[i + k][j + l] = out[i + k][j + l] + a * b
-        return BiTruncSeries(self.field, ua, ub, out)
+                            orow[j + l] = orow[j + l] + a * b
+        return BiTruncSeries._from_rows(self.field, ua, ub,
+                                        tuple(tuple(r) for r in out))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e,
+                     BiTruncSeries.constant(self.field, self.ua, self.ub, 1))
 
     def inverse(self):
         """Geometric-series inverse; exists iff the constant term does."""
@@ -692,11 +687,6 @@ class QuotientRing:
             raise ValueError("entries must form a p x p matrix")
         return QuotientElement(self, rows)
 
-    def zero(self):
-        z = self.zero_entry
-        return QuotientElement(self, tuple((z,) * self.p
-                                           for _ in range(self.p)))
-
     def one(self):
         return self.monomial(0, 0, self.one_entry)
 
@@ -708,10 +698,12 @@ class QuotientRing:
 
     def from_exponents(self, items):
         """Element from ((i, j), coeff) pairs; exponents are reduced."""
-        acc = self.zero()
+        p = self.p
+        rows = [[self.zero_entry] * p for _ in range(p)]
         for (i, j), c in items:
-            acc = acc + self.monomial(i, j, c)
-        return acc
+            rows[i % p][j % p] = rows[i % p][j % p] \
+                + c * (self.xc ** (i // p)) * (self.yc ** (j // p))
+        return QuotientElement(self, tuple(tuple(r) for r in rows))
 
     def from_x_poly(self, coeffs):
         """sum coeffs[k] X^k (degrees < p)."""
@@ -784,27 +776,24 @@ class QuotientElement:
                 raise ValueError("elements of different quotient rings")
             ring = self.ring
             p = ring.p
-            acc = [[ring.zero_entry] * p for _ in range(p)]
-            for i in range(p):
-                for j in range(p):
-                    c1 = self.entries[i][j]
-                    if not c1:
-                        continue
-                    for k in range(p):
-                        for l in range(p):
-                            c2 = other.entries[k][l]
-                            if not c2:
-                                continue
-                            c = c1 * c2
-                            s, t = i + k, j + l
-                            if s >= p:
-                                s -= p
-                                c = c * ring.xc
-                            if t >= p:
-                                t -= p
-                                c = c * ring.yc
-                            acc[s][t] = acc[s][t] + c
-            return QuotientElement(ring, tuple(tuple(r) for r in acc))
+            terms = [(k, l, c2) for k, row in enumerate(other.entries)
+                     for l, c2 in enumerate(row) if c2]
+            acc = [[ring.zero_entry] * (2 * p - 1) for _ in range(2 * p - 1)]
+            for i, row in enumerate(self.entries):
+                for j, c1 in enumerate(row):
+                    if c1:
+                        for k, l, c2 in terms:
+                            acc[i + k][j + l] = acc[i + k][j + l] + c1 * c2
+            # fold the exponents >= p back: Y^p = yc, then X^p = xc
+            for row in acc:
+                for t in range(p, 2 * p - 1):
+                    if row[t]:
+                        row[t - p] = row[t - p] + row[t] * ring.yc
+            for s in range(p, 2 * p - 1):
+                for t in range(p):
+                    if acc[s][t]:
+                        acc[s - p][t] = acc[s - p][t] + acc[s][t] * ring.xc
+            return QuotientElement(ring, tuple(tuple(r[:p]) for r in acc[:p]))
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
@@ -816,14 +805,7 @@ class QuotientElement:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElement)):
@@ -873,20 +855,40 @@ def _quotient_inverse_linear(u):
     return inv
 
 
-def _quotient_inverse_ppower(u):
-    """Inverse via u^{-1} = u^{p-1} (u^p)^{-1}; u^p is always a scalar in
-    characteristic p, so this works whenever entries themselves invert."""
+def _frobenius_scalar(u):
+    """u^p as an entry: sum_{i,j} c_ij^p xc^i yc^j.
+
+    In characteristic p Frobenius is additive on the commutative quotient
+    ring, and (X^i Y^j)^p = xc^i yc^j, so u^p is this scalar.  It costs p^2
+    entry p-th powers and no quotient-ring product.
+    """
     ring = u.ring
-    up = u ** ring.p
-    if not up.is_scalar():
-        raise AssertionError("u^p failed to be scalar")  # char-p identity
-    s = up.scalar_part
-    if isinstance(s, FqElement):
-        if not s:
-            raise NonInvertibleError("quotient element is not invertible")
-        s_inv = s.inverse()
-    else:
-        s_inv = s.inverse()  # BiTruncSeries raises NonInvertibleError itself
+    p = ring.p
+    xpow, ypow = [ring.one_entry], [ring.one_entry]
+    for _ in range(p - 1):
+        xpow.append(xpow[-1] * ring.xc)
+        ypow.append(ypow[-1] * ring.yc)
+    s = ring.zero_entry
+    for i, row in enumerate(u.entries):
+        for j, c in enumerate(row):
+            if c:
+                s = s + (c ** p) * xpow[i] * ypow[j]
+    return s
+
+
+def _quotient_inverse_ppower(u):
+    """Inverse via u^{-1} = u^{p-1} (u^p)^{-1}.
+
+    u^p is the scalar of :func:`_frobenius_scalar`, so this works whenever
+    that entry inverts; a zero field scalar, or a series scalar with zero
+    constant term, raises NonInvertibleError.  The result is verified
+    against u * inv == 1, which holds exactly when u^p equals the scalar.
+    """
+    ring = u.ring
+    s = _frobenius_scalar(u)
+    if isinstance(s, FqElement) and not s:
+        raise NonInvertibleError("quotient element is not invertible")
+    s_inv = s.inverse()  # BiTruncSeries raises NonInvertibleError itself
     inv = (u ** (ring.p - 1)) * s_inv
     if u * inv != ring.one():
         raise NonInvertibleError("p-power inverse failed verification")
@@ -897,7 +899,8 @@ def quotient_inverse(u):
     """Inverse in the quotient ring.
 
     Field entries go through the multiplication-matrix solve; other entry
-    rings use the p-power closed form, whose result is verified against
+    rings use the p-power closed form, u^{-1} = u^{p-1} (u^p)^{-1} with the
+    scalar u^p computed by Frobenius.  Either result is verified against
     u * inv == 1 before being returned.
     """
     if isinstance(u.ring.one_entry, FqElement):

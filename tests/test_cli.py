@@ -143,6 +143,55 @@ def test_switch_malformed_json(tmp_path, capsys):
                "--derivation", "ad:0")[0] == 2
 
 
+def _witt3_input(tmp_path, derivation):
+    from gradeswitch.galg import witt
+    path = tmp_path / "witt3.json"
+    path.write_text(json.dumps({"algebra": witt(3).to_json(),
+                                "derivation": derivation}))
+    return str(path)
+
+
+# ad e_{-1} on witt:3; entry (0, 1) is 1, so a misread 1 still passes
+WITT3_AD0 = [["0", "1", "0"], ["0", "0", "2"], ["0", "0", "0"]]
+
+
+def _with_entry(value, i=0, j=1):
+    rows = [list(r) for r in WITT3_AD0]
+    rows[i][j] = value
+    return rows
+
+
+def test_switch_json_derivation_accepts_integers_and_digit_lists(
+        tmp_path, capsys):
+    for rows in (WITT3_AD0, _with_entry(1), _with_entry([1])):
+        path = _witt3_input(tmp_path, rows)
+        assert run(capsys, "switch", "--input", path,
+                   "--derivation", "json")[0] == 0
+
+
+@pytest.mark.parametrize("entry", [1.5, True, [1.5], [True], "x"])
+def test_switch_json_derivation_bad_entry_is_named(tmp_path, capsys, entry):
+    path = _witt3_input(tmp_path, _with_entry(entry))
+    code, _, err = run(capsys, "switch", "--input", path,
+                       "--derivation", "json")
+    assert code == 2
+    assert "malformed derivation matrix: entry (0, 1): " in err
+
+
+@pytest.mark.parametrize("rows, where", [
+    ([["0", "1", "0"], "0,0,2", ["0", "0", "0"]], "row 1: "),
+    ({"0": ["0", "1", "0"]}, "expected a list of rows"),
+    ([["0", "1", "0"], ["0", "0", "2"]], "expected 3 x 3 entries"),
+])
+def test_switch_json_derivation_bad_rows_are_named(tmp_path, capsys, rows,
+                                                   where):
+    path = _witt3_input(tmp_path, rows)
+    code, _, err = run(capsys, "switch", "--input", path,
+                       "--derivation", "json")
+    assert code == 2
+    assert "malformed derivation matrix: " + where in err
+
+
 def test_switch_missing_algebra(capsys):
     assert run(capsys, "switch", "--derivation", "ad:0")[0] == 2
     assert run(capsys, "switch", "--builtin", "witt:5")[0] == 2

@@ -5,9 +5,9 @@ import pytest
 
 from gradeswitch.fields import GF
 from gradeswitch.galg import (
-    GradedAlgebra, LinearMap, Subspace, derivation_degree, direct_sum,
-    generalized_eigenspaces, is_derivation, is_graded_derivation, is_grading,
-    kernel, rref, solve, torus_line, truncated_poly,
+    GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
+    direct_sum, generalized_eigenspaces, is_derivation, is_graded_derivation,
+    is_grading, kernel, rref, solve, torus_line, truncated_poly,
     truncated_poly_derivation, witt)
 from gradeswitch.polyring import Polynomial
 
@@ -299,6 +299,22 @@ def test_json_bad_coefficient_names_the_input():
     obj["sc"][0][3] = "x"
     with pytest.raises(ValueError, match="malformed algebra JSON"):
         GradedAlgebra.from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, [1.5], [True], ["1"]])
+def test_json_coefficient_refuses_bools_and_floats(bad):
+    obj = witt(5).to_json()
+    obj["sc"][0][3] = bad
+    with pytest.raises(ValueError, match="malformed algebra JSON: "
+                                         "coefficient"):
+        GradedAlgebra.from_json(obj)
+
+
+def test_json_coefficient_forms():
+    F = GF(3, 2)
+    assert _coeff_parse(F, "2,1") == _coeff_parse(F, [2, 1]) \
+        == F.from_coeffs([2, 1])
+    assert _coeff_parse(F, 5) == F.from_coeffs([2])
 
 
 def test_direct_sum_structure():

@@ -4,9 +4,9 @@ import pytest
 
 from gradeswitch.fields import GF
 from gradeswitch.polyring import (
-    BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientRing,
-    _quotient_inverse_linear, _quotient_inverse_ppower, poly_compose,
-    quotient_inverse, quotient_mul)
+    BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
+    QuotientRing, _frobenius_scalar, _quotient_inverse_linear,
+    _quotient_inverse_ppower, poly_compose, quotient_inverse, quotient_mul)
 
 
 def rand_poly(field, deg, rng):
@@ -188,3 +188,85 @@ def test_quotient_ring_with_series_entries():
     u = ring.one() + x
     inv = _quotient_inverse_ppower(u)
     assert u * inv == ring.one()
+
+
+def _series_ring(p, F, ua, ub, a0, b0):
+    """The entry ring of the product-rule pair series: alpha = a0 + U,
+    beta = b0 + V."""
+    alpha = BiTruncSeries.constant(F, ua, ub, a0) \
+        + BiTruncSeries.shift_u(F, ua, ub)
+    beta = BiTruncSeries.constant(F, ua, ub, b0) \
+        + BiTruncSeries.shift_v(F, ua, ub)
+    return QuotientRing(p, alpha ** p - alpha, beta ** p - beta)
+
+
+def _random_series(F, ua, ub, rng):
+    return BiTruncSeries(F, ua, ub, [[F.random_element(rng)
+                                      for _ in range(ub)] for _ in range(ua)])
+
+
+def test_frobenius_scalar_matches_u_to_the_p():
+    """u^p by quotient products is the scalar that the p-power inverse
+    computes by Frobenius, for field and series entries."""
+    rng = random.Random(11)
+    cases = []
+    for F in (GF(5), GF(3, 2)):
+        for _ in range(6):
+            ring = quotient_ring_for(F.p, F.random_element(rng),
+                                     F.random_element(rng))
+            cases.append((ring, F.random_element))
+    F = GF(5)
+    for ua in (1, 2, 3):
+        for ub in (1, 2, 3):
+            ring = _series_ring(5, F, ua, ub, F.random_element(rng),
+                                F.random_element(rng))
+            cases.append((ring, lambda r, ua=ua, ub=ub:
+                          _random_series(F, ua, ub, r)))
+    for ring, entry in cases:
+        p = ring.p
+        u = ring.element([[entry(rng) for _ in range(p)] for _ in range(p)])
+        up = u ** p
+        assert up.is_scalar()
+        assert up.scalar_part == _frobenius_scalar(u)
+        try:
+            inv = _quotient_inverse_ppower(u)
+        except NonInvertibleError:
+            continue
+        assert u * inv == ring.one()
+
+
+def test_ppower_inverse_refuses_series_scalar_without_constant_term():
+    F = GF(5)
+    ring = _series_ring(5, F, 3, 2, F.scalar(2), F.scalar(3))
+    u = ring.monomial(1, 0, ring.one_entry)  # X; X^p = alpha^5 - alpha = -U
+    s = _frobenius_scalar(u)
+    assert s and not s.constant_term
+    with pytest.raises(NonInvertibleError):
+        _quotient_inverse_ppower(u)
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_ppower_inverse_quotient_product_count(p, monkeypatch):
+    """u^(p-1) by one left-to-right square-and-multiply, plus the u * inv
+    check; u^p itself costs no quotient product."""
+    F = GF(p)
+    rng = random.Random(p)
+    ring = quotient_ring_for(p, F.scalar(2), F.scalar(3))
+    while True:
+        u = ring.element([[F.random_element(rng) for _ in range(p)]
+                          for _ in range(p)])
+        if _frobenius_scalar(u):
+            break
+    calls = []
+    original = QuotientElement.__mul__
+
+    def counting(self, other):
+        if isinstance(other, QuotientElement):
+            calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(QuotientElement, "__mul__", counting)
+    _quotient_inverse_ppower(u)
+    e = p - 1
+    assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1) + 1
+    assert len(calls) == {5: 3, 11: 5}[p]
