@@ -143,15 +143,18 @@ def _load_algebra(args):
     if args.builtin and args.input:
         raise ValueError("give either --builtin or --input, not both")
     if args.builtin:
-        return _parse_builtin(args.builtin), None
-    if args.input:
+        alg, rows = _parse_builtin(args.builtin), None
+    elif args.input:
         with open(args.input) as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("algebra JSON must be an object")
         alg = GradedAlgebra.from_json(obj.get("algebra", obj))
-        return alg, obj.get("derivation")
-    raise ValueError("an algebra is required: --builtin or --input")
+        rows = obj.get("derivation")
+    else:
+        raise ValueError("an algebra is required: --builtin or --input")
+    _check_prime(alg.field.p, args.p_cap)
+    return alg, rows
 
 
 def _parse_derivation(A, spec, json_rows):
@@ -237,6 +240,7 @@ def cmd_toral(args):
     if not args.builtin:
         raise ValueError("the toral demo runs on builtin algebras")
     A = _parse_builtin(args.builtin)
+    _check_prime(A.field.p, args.p_cap)
     lie = RestrictedLie(A)
     tvecs = _default_torus(args.builtin, lie)
     x = _parse_x(lie, args.x)
@@ -360,7 +364,7 @@ def build_parser():
     sp.add_argument("--derivation",
                     help="ad:I | ddx | xddx | json (matrix from --input)")
     sp.add_argument("--r", type=int, default=None,
-                    help="semisimplicity exponent override")
+                    help="semisimplicity exponent override (>= 0)")
     common(sp)
 
     sp = sub.add_parser("toral",
@@ -369,7 +373,8 @@ def build_parser():
                     help="witt:P, or witt sums joined with +")
     sp.add_argument("--x", default="e:-1",
                     help="root vector: e:K (witt label) or slot:I")
-    sp.add_argument("--r", type=int, default=None)
+    sp.add_argument("--r", type=int, default=None,
+                    help="x^[p]^r must lie in the torus (>= 0)")
     common(sp)
     return ap
 

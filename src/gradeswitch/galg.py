@@ -307,9 +307,6 @@ class Subspace:
     def contains(self, v):
         return self._echelon.contains(v)
 
-    def contains_subspace(self, other):
-        return all(self.contains(b) for b in other.basis)
-
     def coordinates(self, v):
         """Coefficients of v in the echelon basis (v must lie here)."""
         coords = tuple(v[pc] for pc in self.pivots)

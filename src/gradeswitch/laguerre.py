@@ -25,6 +25,11 @@ from .polyring import (MultiPoly, Polynomial, QuotientRing, quotient_inverse,
                        quotient_mul)
 
 
+class VerificationError(RuntimeError):
+    """A conclusion the theory guarantees failed to check out; this means a
+    defect in the implementation (or its caller), not bad input."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -74,60 +79,42 @@ def _check_p(p, field):
                          % (field.p, p))
 
 
-def laguerre_at(p, alpha, n=None):
-    """L_n^(alpha)(X) as a univariate Polynomial over alpha's field."""
-    if isinstance(alpha, int):
-        alpha = GF(p).scalar(alpha)
-    field = alpha.field
+def laguerre_coeffs(p, alpha, n=None):
+    """The X^k coefficients (k = 0..n) of L_n^(alpha)(X), in alpha's ring.
+
+    alpha may be a field element or any ring value that mixes with field
+    scalars: a Polynomial or MultiPoly (symbolic alpha), a BiTruncSeries or
+    a LinearMap (operator alpha).
+    """
+    field = _base_field(alpha)
     _check_p(p, field)
     if n is None:
         n = p - 1
     if not 0 <= n < p:
         raise ValueError("degree must satisfy 0 <= n < p")
     inv = inverse_factorials(field)
-    sign = field.one
-    coeffs = []
-    for k in range(n + 1):
-        coeffs.append(generalized_binomial(alpha + n, n - k) * sign * inv[k])
-        sign = -sign
-    return Polynomial(field, coeffs, "X")
+    return tuple(generalized_binomial(alpha + n, n - k)
+                 * (inv[k] if k % 2 == 0 else -inv[k])
+                 for k in range(n + 1))
+
+
+def laguerre_at(p, alpha, n=None):
+    """L_n^(alpha)(X) as a univariate Polynomial over alpha's field."""
+    if isinstance(alpha, int):
+        alpha = GF(p).scalar(alpha)
+    return Polynomial(alpha.field, laguerre_coeffs(p, alpha, n), "X")
 
 
 def laguerre_symbolic(p, n=None):
     """L_n^(alpha)(X) as a MultiPoly over GF(p) in (alpha, X)."""
     field = GF(p)
-    if n is None:
-        n = p - 1
-    if not 0 <= n < p:
-        raise ValueError("degree must satisfy 0 <= n < p")
-    alpha = MultiPoly.variable(field, ("alpha", "X"), "alpha")
-    x = MultiPoly.variable(field, ("alpha", "X"), "X")
-    inv = inverse_factorials(field)
-    acc = MultiPoly.zero(field, ("alpha", "X"))
-    sign = field.one
-    for k in range(n + 1):
-        acc = acc + generalized_binomial(alpha + n, n - k) * sign * inv[k] * x ** k
-        sign = -sign
+    vars_ = ("alpha", "X")
+    alpha = MultiPoly.variable(field, vars_, "alpha")
+    x = MultiPoly.variable(field, vars_, "X")
+    acc = MultiPoly.zero(field, vars_)
+    for k, c in enumerate(laguerre_coeffs(p, alpha, n)):
+        acc = acc + c * x ** k
     return acc
-
-
-def laguerre_alpha_coeffs(p, field, n=None):
-    """The X^k coefficients of L_n as univariate polynomials in alpha.
-
-    Returned tuple C satisfies L_n^(a)(x) = sum_k C[k](a) x^k; each C[k]
-    may be evaluated at scalars or at operators.
-    """
-    _check_p(p, field)
-    if n is None:
-        n = p - 1
-    alpha = Polynomial.variable(field, "alpha")
-    inv = inverse_factorials(field)
-    out = []
-    sign = field.one
-    for k in range(n + 1):
-        out.append(generalized_binomial(alpha + n, n - k) * sign * inv[k])
-        sign = -sign
-    return tuple(out)
 
 
 def truncated_exp(p, field=None):
@@ -357,6 +344,12 @@ def _laguerre_xy_quotient(ring, coeff_values, p):
     return ring.from_exponents(items)
 
 
+def _vanishing_violations(p, entries):
+    """The (i, j) with p not dividing i + j where entries[i][j] != 0."""
+    return [(i, j) for i in range(p) for j in range(p)
+            if (i + j) % p and entries[i][j]]
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """The table c'_{ij} with L^(a)(X) L^(b)(Y) = sum c'_{ij} X^i Y^j
@@ -380,15 +373,41 @@ class CoefficientTable:
         return self.table[i][self.p - i]
 
     def vanishing_violations(self):
-        out = []
-        for i in range(self.p):
-            for j in range(self.p):
-                if (i + j) % self.p and self.table[i][j]:
-                    out.append((i, j))
-        return out
+        return _vanishing_violations(self.p, self.table)
 
     def values(self):
         return (self.c0,) + tuple(self.c(i) for i in range(1, self.p))
+
+
+def _split_pair(p, a, b):
+    """(u, v) = (L^(a+b)(X+Y), L^(a)(X) L^(b)(Y)) in the quotient ring
+    R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)) over a's and b's ring R."""
+    ring = QuotientRing(p, a ** p - a, b ** p - b)
+    v = quotient_mul(ring.from_x_poly(laguerre_coeffs(p, a)),
+                     ring.from_y_poly(laguerre_coeffs(p, b)))
+    u = _laguerre_xy_quotient(ring, laguerre_coeffs(p, a + b), p)
+    return u, v
+
+
+def coefficient_table(p, a, b):
+    """The verified table v * u^(-1) of :func:`_split_pair`.
+
+    a and b come from one commutative ring of characteristic p: field
+    elements, or truncated series for the product rule.  u is inverted by
+    :func:`quotient_inverse`, which raises NonInvertibleError when it has
+    no inverse; the reconstruction u * table == v and the vanishing of
+    c'_{ij} for p not dividing i + j are checked here.
+    """
+    u, v = _split_pair(p, a, b)
+    table = quotient_mul(v, quotient_inverse(u))
+    if quotient_mul(u, table) != v:
+        raise VerificationError("coefficient table reconstruction failed")
+    out = CoefficientTable(p, a, b, table.entries)
+    bad = out.vanishing_violations()
+    if bad:
+        raise VerificationError("nonzero c'_{ij} with p not dividing i+j "
+                                "at %r" % (bad,))
+    return out
 
 
 def c_coefficients(p, a, b):
@@ -403,23 +422,7 @@ def c_coefficients(p, a, b):
         b = GF(p).scalar(b)
     if a.field is not b.field:
         raise ValueError("a and b must come from one field")
-    field = a.field
-    _check_p(p, field)
-    ring = QuotientRing(p, a ** p - a, b ** p - b)
-    ca = laguerre_at(p, a).coeffs
-    cb = laguerre_at(p, b).coeffs
-    cab = laguerre_at(p, a + b).coeffs
-    v = quotient_mul(ring.from_x_poly(ca), ring.from_y_poly(cb))
-    u = _laguerre_xy_quotient(ring, cab, p)
-    u_inv = quotient_inverse(u)
-    table = quotient_mul(v, u_inv)
-    if quotient_mul(u, table) != v:
-        raise AssertionError("table reconstruction failed")  # ring defect
-    out = CoefficientTable(p, a, b, table.entries)
-    if out.vanishing_violations():
-        raise AssertionError("unexpected nonzero c'_{ij} with p not dividing "
-                             "i+j at %r" % (out.vanishing_violations(),))
-    return out
+    return coefficient_table(p, a, b)
 
 
 def zero_pair_closed_form(p, field=None):
@@ -461,27 +464,19 @@ def c_coefficients_symbolic(p):
     vars_ = ("alpha", "beta")
     alpha = MultiPoly.variable(field, vars_, "alpha")
     beta = MultiPoly.variable(field, vars_, "beta")
-    ring = QuotientRing(p, alpha ** p - alpha, beta ** p - beta)
-
-    coeffs = laguerre_alpha_coeffs(p, field)
-    ca = [c.evaluate(alpha) for c in coeffs]
-    cb = [c.evaluate(beta) for c in coeffs]
-    cab = [c.evaluate(alpha + beta) for c in coeffs]
-    v = quotient_mul(ring.from_x_poly(ca), ring.from_y_poly(cb))
-    u = _laguerre_xy_quotient(ring, cab, p)
+    u, v = _split_pair(p, alpha, beta)
     upow = u ** (p - 1)
     n_table = quotient_mul(v, upow)
     s_elt = quotient_mul(u, upow)
     if not s_elt.is_scalar():
-        raise AssertionError("u^p failed to be scalar")  # char-p identity
+        raise VerificationError("u^p failed to be scalar")  # char-p identity
     s = s_elt.scalar_part
 
     s_expected = alpha ** 0
     for i in range(1, p):
         s_expected = s_expected * (1 + field.scalar(i).inverse() * (alpha + beta)) ** i
 
-    vanishing_ok = all(not n_table.entries[i][j]
-                       for i in range(p) for j in range(p) if (i + j) % p)
+    vanishing_ok = not _vanishing_violations(p, n_table.entries)
     reconstruction_ok = quotient_mul(u, n_table) == v * s
     return SymbolicCoefficientReport(
         p, n_table.entries, s, vanishing_ok, reconstruction_ok,

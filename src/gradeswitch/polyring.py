@@ -187,13 +187,6 @@ class Polynomial:
                           [i * c for i, c in enumerate(self.coeffs)][1:],
                           self.var)
 
-    def compose(self, g):
-        """self(g) for a polynomial g."""
-        acc = Polynomial(self.field, [], self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * g + c
-        return acc
-
     def evaluate(self, x):
         """Horner evaluation; x may be a field element or any ring value
         that mixes with field scalars (matrix, series, multipolynomial)."""
@@ -252,11 +245,6 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%r, %s)" % (self.field, self)
-
-
-def poly_compose(f, g):
-    """f(g(T))."""
-    return f.compose(g)
 
 
 class MultiPoly:
@@ -549,9 +537,6 @@ class BiTruncSeries:
     @property
     def constant_term(self):
         return self.coeffs[0][0]
-
-    def is_unit(self):
-        return bool(self.coeffs[0][0])
 
     def __bool__(self):
         return any(any(c for c in row) for row in self.coeffs)

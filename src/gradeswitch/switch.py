@@ -23,10 +23,9 @@ from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
 from .galg import LinearMap, derivation_degree, generalized_eigenspaces, \
     is_graded_derivation, is_grading
-from .laguerre import _laguerre_xy_quotient, laguerre_alpha_coeffs, \
-    laguerre_at, scalar_product_form
-from .polyring import BiTruncSeries, NonInvertibleError, Polynomial, \
-    QuotientRing, quotient_inverse, quotient_mul
+from .laguerre import VerificationError, coefficient_table, laguerre_at, \
+    laguerre_coeffs, scalar_product_form
+from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
 
 
 class HypothesisError(RuntimeError):
@@ -37,11 +36,6 @@ class HypothesisError(RuntimeError):
         self.detail = detail
         super().__init__("hypothesis failed: %s%s"
                          % (hypothesis, " (%s)" % detail if detail else ""))
-
-
-class VerificationError(RuntimeError):
-    """A conclusion the theory guarantees failed to check out; this means a
-    defect in the implementation (or its caller), not bad input."""
 
 
 @dataclass(frozen=True)
@@ -217,37 +211,37 @@ def h_polynomial(field, r):
 def laguerre_of_operators(p, alpha_op, x_op):
     """L_{p-1} at commuting operators: sum_k C_k(alpha_op) x_op^k."""
     field = alpha_op.field
-    coeffs = laguerre_alpha_coeffs(p, field)
+    coeffs = laguerre_coeffs(p, alpha_op)
     acc = LinearMap.zero(field, alpha_op.n)
     xpow = LinearMap.identity(field, alpha_op.n)
     for k, ck in enumerate(coeffs):
-        acc = acc + ck.evaluate(alpha_op) * xpow
+        acc = acc + ck * xpow
         if k + 1 < len(coeffs):
             xpow = xpow * x_op
     return acc
 
 
+@dataclass
 class SwitchResult:
     """Everything produced while switching a grading along D."""
 
-    def __init__(self, **kw):
-        self.algebra = kw.get("algebra")          # over the final field
-        self.derivation = kw.get("derivation")    # D over the final field
-        self.field_start = kw.get("field_start")
-        self.field_final = kw.get("field_final")
-        self.r_raw = kw.get("r_raw")
-        self.r = kw.get("r")
-        self.relation = kw.get("relation")
-        self.g = kw.get("g")
-        self.lam = kw.get("lam")
-        self.decomposition = kw.get("decomposition")
-        self.block_scalars = kw.get("block_scalars")
-        self.switch_map = kw.get("switch_map")
-        self.degree = kw.get("degree")
-        self.old_parts = kw.get("old_parts")
-        self.new_parts = kw.get("new_parts")
-        self.grading_ok = None
-        self.product_rule_pairs = None
+    algebra: object          # over the final field
+    derivation: object       # D over the final field
+    field_start: object
+    field_final: object
+    r_raw: int
+    r: int
+    relation: object
+    g: object
+    lam: object
+    decomposition: object
+    block_scalars: tuple
+    switch_map: object
+    old_parts: tuple
+    new_parts: tuple
+    degree: int = None               # set by switch_grading
+    grading_ok: bool = None
+    product_rule_pairs: int = None
 
     def to_json(self):
         fin = self.field_final
@@ -274,6 +268,12 @@ class SwitchResult:
         return out
 
 
+def _check_r(r):
+    """Refuse a negative exponent override (None means compute it)."""
+    if r is not None and r < 0:
+        raise ValueError("r must be >= 0, not %d" % r)
+
+
 def build_LD(A, D, r=None, lam=None):
     """The switching operator of D on A, with every scalar law verified.
 
@@ -285,6 +285,7 @@ def build_LD(A, D, r=None, lam=None):
     field0 = A.field
     if D.field is not field0 or D.n != A.dim:
         raise ValueError("derivation does not act on the algebra")
+    _check_r(r)
     p = field0.p
     r_raw = semisimple_exponent(D)
     if r is not None:
@@ -323,33 +324,36 @@ def build_LD(A, D, r=None, lam=None):
         if block ** (p ** r_eff) != LinearMap.identity(f2, space.dim) * s_lag:
             raise VerificationError("block power is not the predicted scalar "
                                     "at rho = %s" % (rho,))
-        blocks.append((rho, block))
+        blocks.append(block)
         scalars.append((rho, s_lag))
 
-    cols = []
-    for _, space in dec:
-        cols.extend(space.basis)
-    vmat = LinearMap.from_columns(f2, cols)
-    n = A.dim
-    bdiag = [[f2.zero] * n for _ in range(n)]
-    off = 0
-    for (_, block), (_, space) in zip(blocks, dec):
-        k = space.dim
-        for i in range(k):
-            for j in range(k):
-                bdiag[off + i][off + j] = block.rows[i][j]
-        off += k
-    switch_map = vmat * LinearMap(f2, bdiag) * vmat.inverse()
-
-    old_parts = a2.grading_parts()
-    new_parts = [(k, s.image(switch_map)) for k, s in old_parts]
-
+    switch_map, old_parts, new_parts = _reassemble(a2, dec, blocks)
     return SwitchResult(
         algebra=a2, derivation=d2, field_start=field0, field_final=f2,
         r_raw=r_raw, r=r_eff, relation=relation, g=g2, lam=lam2,
         decomposition=dec, block_scalars=tuple(scalars),
-        switch_map=switch_map, old_parts=tuple(old_parts),
-        new_parts=tuple(new_parts))
+        switch_map=switch_map, old_parts=old_parts, new_parts=new_parts)
+
+
+def _reassemble(a2, dec, blocks):
+    """(V diag(blocks) V^(-1), old parts, new parts): the switching map
+    from one block per eigenspace of dec (V holds their bases as columns),
+    and the grading components of a2 with their images under it."""
+    f2 = a2.field
+    vmat = LinearMap.from_columns(f2, [v for _, space in dec
+                                       for v in space.basis])
+    n = a2.dim
+    bdiag = [[f2.zero] * n for _ in range(n)]
+    off = 0
+    for block, (_, space) in zip(blocks, dec):
+        k = space.dim
+        for i in range(k):
+            bdiag[off + i][off:off + k] = block.rows[i]
+        off += k
+    switch_map = vmat * LinearMap(f2, bdiag) * vmat.inverse()
+    old_parts = tuple(a2.grading_parts())
+    return switch_map, old_parts, tuple((k, s.image(switch_map))
+                                        for k, s in old_parts)
 
 
 def special_LD(A, D):
@@ -385,34 +389,17 @@ def special_LD(A, D):
         if not s_lag or block ** p != LinearMap.identity(f2, space.dim) * s_lag:
             raise VerificationError("special-case scalar law failed at "
                                     "a = %s" % (rho,))
-        blocks.append((rho, block))
+        blocks.append(block)
         scalars.append((rho, s_lag))
 
-    cols = []
-    for _, space in dec:
-        cols.extend(space.basis)
-    vmat = LinearMap.from_columns(f2, cols)
-    n = A.dim
-    bdiag = [[f2.zero] * n for _ in range(n)]
-    off = 0
-    for (_, block), (_, space) in zip(blocks, dec):
-        k = space.dim
-        for i in range(k):
-            for j in range(k):
-                bdiag[off + i][off + j] = block.rows[i][j]
-        off += k
-    switch_map = vmat * LinearMap(f2, bdiag) * vmat.inverse()
-    old_parts = a2.grading_parts()
-    new_parts = [(k, s.image(switch_map)) for k, s in old_parts]
-
+    switch_map, old_parts, new_parts = _reassemble(a2, dec, blocks)
     return SwitchResult(
         algebra=a2, derivation=d2, field_start=field0, field_final=f2,
         r_raw=1, r=1,
         relation=Relation(field0, 1, 2, (field0.scalar(-1),), False),
         g=PPolynomial.make(f2, [(1, gamma2)]), lam=gamma2,
         decomposition=dec, block_scalars=tuple(scalars),
-        switch_map=switch_map, old_parts=tuple(old_parts),
-        new_parts=tuple(new_parts))
+        switch_map=switch_map, old_parts=old_parts, new_parts=new_parts)
 
 
 def switch_grading(A, D, r=None, lam=None, check_product_rule=True):
@@ -462,28 +449,12 @@ def _pair_coefficient_series(p, field, a0, b0, sa, sb):
         + BiTruncSeries.shift_u(field, sa, sb)
     beta = BiTruncSeries.constant(field, sa, sb, b0) \
         + BiTruncSeries.shift_v(field, sa, sb)
-    ring = QuotientRing(p, alpha ** p - alpha, beta ** p - beta)
-    cks = laguerre_alpha_coeffs(p, field)
-    va = ring.from_x_poly([ck.evaluate(alpha) for ck in cks])
-    vb = ring.from_y_poly([ck.evaluate(beta) for ck in cks])
-    v = quotient_mul(va, vb)
-    ab = alpha + beta
-    u = _laguerre_xy_quotient(ring, [ck.evaluate(ab) for ck in cks], p)
     try:
-        u_inv = quotient_inverse(u)
+        table = coefficient_table(p, alpha, beta)
     except NonInvertibleError as exc:
         raise VerificationError("product-rule coefficient denominator is "
                                 "not invertible: %s" % exc) from exc
-    table = quotient_mul(v, u_inv)
-    if quotient_mul(u, table) != v:
-        raise VerificationError("product-rule table reconstruction failed")
-    for i in range(p):
-        for j in range(p):
-            if (i + j) % p and table.entries[i][j]:
-                raise VerificationError("nonzero c'_{%d%d} with p not "
-                                        "dividing i+j" % (i, j))
-    return [table.entries[0][0]] + [table.entries[i][p - i]
-                                    for i in range(1, p)]
+    return list(table.values())
 
 
 def verify_product_rule(result):

@@ -17,13 +17,14 @@ switch acts along a single cyclic direction while fixing every T_0-root
 space.
 """
 
+from dataclasses import dataclass
 from math import gcd as _gcd
 
 from .fields import GF, embedding, roots_in_splitting_field
 from .echelon import solve
 from .galg import LinearMap, Subspace, is_grading, kernel
-from .switch import HypothesisError, VerificationError, build_LD, \
-    h_polynomial, semisimple_exponent
+from .switch import HypothesisError, VerificationError, _check_r, \
+    build_LD, h_polynomial, semisimple_exponent
 
 
 def _vec_add(u, v):
@@ -226,9 +227,6 @@ class RootSpaces:
                 return s
         return None
 
-    def space_multiset(self):
-        return sorted((s for _, s in self.entries), key=_space_key)
-
 
 def root_decomposition(lie, torus_vectors):
     """(lie', torus', decomposition) over a field where every adjoint of
@@ -327,22 +325,22 @@ def strade_map(result):
     return acc * (-(f2.one))
 
 
+@dataclass
 class ToralComparison:
     """Outcome of switching a torus along a root vector both ways."""
 
-    def __init__(self, **kw):
-        self.lie = kw.get("lie")
-        self.torus = kw.get("torus")
-        self.torus_x = kw.get("torus_x")
-        self.beta = kw.get("beta")
-        self.w = kw.get("w")
-        self.r = kw.get("r")
-        self.old_roots = kw.get("old_roots")
-        self.new_roots = kw.get("new_roots")
-        self.switch = kw.get("switch")
-        self.strade_agrees = kw.get("strade_agrees")
-        self.spaces_match = kw.get("spaces_match")
-        self.torus_x_toral = kw.get("torus_x_toral")
+    lie: object
+    torus: object
+    torus_x: object
+    beta: object
+    w: object
+    r: int
+    old_roots: object
+    new_roots: object
+    switch: object
+    strade_agrees: bool
+    spaces_match: bool
+    torus_x_toral: object   # None when undecidable
 
 
 def compare_switch_to_toral(lie, torus_vectors, x, r=None, lam=None):
@@ -355,6 +353,7 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None, lam=None):
     operator-product form of the connecting map equals the blockwise
     Laguerre construction exactly.
     """
+    _check_r(r)
     lie, torus, old = root_decomposition(lie, torus_vectors)
     if len(x) != lie.dim:
         raise ValueError("x has the wrong length")
@@ -399,23 +398,23 @@ def _space_key(s):
     return [[int(x) for x in row] for row in s.basis]
 
 
+@dataclass
 class RefinedSwitch:
     """Outcome of switching along the direction of one toral element."""
 
-    def __init__(self, **kw):
-        self.lie = kw.get("lie")
-        self.beta = kw.get("beta")
-        self.t1 = kw.get("t1")
-        self.torus0_basis = kw.get("torus0_basis")
-        self.line_parts = kw.get("line_parts")
-        self.residual_parts = kw.get("residual_parts")
-        self.product_parts = kw.get("product_parts")
-        self.switch = kw.get("switch")
-        self.switched_line_parts = kw.get("switched_line_parts")
-        self.switched_product_parts = kw.get("switched_product_parts")
-        self.line_grading_ok = kw.get("line_grading_ok")
-        self.product_grading_ok = kw.get("product_grading_ok")
-        self.residual_fixed = kw.get("residual_fixed")
+    lie: object
+    beta: object
+    t1: object
+    torus0_basis: object
+    line_parts: object
+    residual_parts: object
+    product_parts: object
+    switch: object
+    switched_line_parts: object
+    switched_product_parts: object
+    line_grading_ok: bool
+    product_grading_ok: bool
+    residual_fixed: bool
 
 
 def refine_grading(lie, torus_vectors, x, r=None, lam=None):
@@ -429,6 +428,7 @@ def refine_grading(lie, torus_vectors, x, r=None, lam=None):
     space is fixed setwise, and the switched product grading is a grading
     over pairs.
     """
+    _check_r(r)
     lie, torus, dec = root_decomposition(lie, torus_vectors)
     field = lie.field
     beta = torus.root_of(x)

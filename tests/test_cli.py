@@ -42,6 +42,38 @@ def test_p_cap_enforced(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "witt:17", "--derivation", "ad:0"),
+    ("switch", "--builtin", "tpoly:17:17:17", "--derivation", "ddx"),
+    ("switch", "--builtin", "witt:17+witt:17", "--derivation", "ad:0"),
+    ("toral", "--builtin", "witt:17"),
+])
+def test_p_cap_enforced_on_algebras(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_p_cap_enforced_on_json_input(tmp_path, capsys):
+    from gradeswitch.galg import witt
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": witt(17).to_json()}))
+    code, _, err = run(capsys, "switch", "--input", str(path),
+                       "--derivation", "ad:0")
+    assert code == 2
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "witt:5", "--derivation", "ad:1", "--r", "-3"),
+    ("toral", "--builtin", "witt:5", "--r", "-1"),
+])
+def test_negative_r_is_config_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "r must be >= 0" in err
+
+
 def test_coeffs_deterministic(capsys):
     args = ("coeffs", "--p", "3", "--trials", "6", "--output", "json")
     code1, out1, _ = run(capsys, *args)

@@ -7,11 +7,11 @@ from gradeswitch.fields import GF
 from gradeswitch.laguerre import (
     CheckReport, c_coefficients, c_coefficients_symbolic,
     check_all_identities, check_identity, check_lemma_forms,
-    check_lemma_product_identity, in_prime_star, laguerre_alpha_coeffs,
-    laguerre_at, laguerre_symbolic, lemma_binomial, lemma_eval,
+    check_lemma_product_identity, in_prime_star, laguerre_at,
+    laguerre_coeffs, laguerre_symbolic, lemma_binomial, lemma_eval,
     lemma_product, scalar_product_form, strade_operator_form_check,
     truncated_exp, zero_pair_closed_form)
-from gradeswitch.polyring import NonInvertibleError
+from gradeswitch.polyring import NonInvertibleError, Polynomial
 
 
 def test_laguerre_at_matches_binomial_formula():
@@ -46,10 +46,10 @@ def test_truncated_exp_is_alpha_zero():
             assert e[k] == F.scalar(pow(math.factorial(k), -1, p))
 
 
-def test_alpha_coeffs_consistent():
+def test_laguerre_coeffs_at_polynomial_alpha():
     p = 5
     F = GF(p, 2)
-    C = laguerre_alpha_coeffs(p, F)
+    C = laguerre_coeffs(p, Polynomial.variable(F, "alpha"))
     rng = random.Random(6)
     for _ in range(20):
         a = F.random_element(rng)

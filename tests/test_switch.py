@@ -8,11 +8,13 @@ from gradeswitch.galg import (
     LinearMap, direct_sum, generalized_eigenspaces, is_grading,
     truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.laguerre import (
-    c_coefficients_symbolic, laguerre_at, scalar_product_form, truncated_exp)
+    c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
+    scalar_product_form, truncated_exp)
 from gradeswitch.switch import (
-    HypothesisError, PPolynomial, Relation, VerificationError, build_LD,
-    build_g, h_polynomial, p_power_relation, semisimple_exponent, special_LD,
-    switch_grading, verify_product_rule)
+    HypothesisError, PPolynomial, Relation, VerificationError,
+    _pair_coefficient_series, build_LD, build_g, h_polynomial,
+    p_power_relation, semisimple_exponent, special_LD, switch_grading,
+    verify_product_rule)
 
 
 def test_ppolynomial_is_additive():
@@ -287,6 +289,30 @@ def test_user_supplied_r_validated():
         build_LD(A, D, r=1)  # D^3 is not semisimple
     res = build_LD(A, D, r=3)  # r beyond the minimum is legal
     assert res.r == 3
+
+
+def test_negative_r_refused():
+    A = witt(5)
+    D = A.left_multiplication(A.basis_vector(1))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        build_LD(A, D, r=-3)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
+def test_pair_series_constant_terms_match_field_tables(p, n):
+    # order-1 series take the p-power inverse, field entries the linear
+    # solve: the two routes through one table builder must agree
+    F = GF(p, n)
+    rng = random.Random(100 * p + n)
+    checked = 0
+    while checked < 3:
+        a0, b0 = F.random_element(rng), F.random_element(rng)
+        if in_prime_star(a0 + b0):
+            continue
+        checked += 1
+        series = _pair_coefficient_series(p, F, a0, b0, 1, 1)
+        assert tuple(s.constant_term for s in series) == \
+            c_coefficients(p, a0, b0).values()
 
 
 def test_non_derivation_rejected():

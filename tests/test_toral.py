@@ -3,10 +3,11 @@ import pytest
 from gradeswitch.fields import GF
 from gradeswitch.galg import Subspace, direct_sum, torus_line, truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
-from gradeswitch.switch import HypothesisError
+from gradeswitch.switch import HypothesisError, SwitchResult
 from gradeswitch.toral import (
-    RestrictedLie, Torus, compare_switch_to_toral, refine_grading,
-    root_decomposition, strade_map, switch_torus)
+    RefinedSwitch, RestrictedLie, ToralComparison, Torus,
+    compare_switch_to_toral, refine_grading, root_decomposition, strade_map,
+    switch_torus)
 
 
 def witt_lie(p):
@@ -157,3 +158,18 @@ def test_refine_grading_single_witt():
     assert ref.residual_fixed
     assert len(ref.residual_parts) == 1
     assert ref.torus0_basis == ()
+
+
+def test_negative_r_refused():
+    L = witt_lie(5)
+    for fn in (compare_switch_to_toral, refine_grading):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            fn(L, [L.basis_vector(1)], L.basis_vector(0), r=-1)
+
+
+@pytest.mark.parametrize("cls", [SwitchResult, ToralComparison,
+                                 RefinedSwitch])
+def test_result_fields_are_checked(cls):
+    # a misspelled field is an error, not a silent None
+    with pytest.raises(TypeError):
+        cls(switch_mpa=None)
