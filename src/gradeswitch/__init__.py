@@ -25,7 +25,7 @@ from .polyring import MultiPoly, NonInvertibleError, Polynomial, \
 from .switch import HypothesisError, PPolynomial, Relation, SwitchResult, \
     VerificationError, build_LD, build_g, p_power_relation, \
     semisimple_exponent, special_LD, switch_grading, verify_product_rule
-from .toral import RestrictedLie, RootSpaces, Torus, compare_switch_to_toral, \
+from .toral import RestrictedLie, Torus, compare_switch_to_toral, \
     refine_grading, root_decomposition, strade_map, switch_torus
 
 __version__ = "1.0.0"
@@ -47,7 +47,7 @@ __all__ = [
     "VerificationError", "build_LD", "build_g", "p_power_relation",
     "semisimple_exponent", "special_LD", "switch_grading",
     "verify_product_rule",
-    "RestrictedLie", "RootSpaces", "Torus", "compare_switch_to_toral",
+    "RestrictedLie", "Torus", "compare_switch_to_toral",
     "refine_grading", "root_decomposition", "strade_map", "switch_torus",
     "__version__",
 ]

@@ -121,40 +121,50 @@ def cmd_coeffs(args):
 # algebra and derivation plumbing
 
 
-def _parse_builtin(spec):
-    algs = []
+def _builtin_parts(spec):
+    """(name, integer arguments) for each summand of a builtin spec; the
+    first argument is the prime.  Nothing is built here."""
+    parts = []
     for part in spec.split("+"):
-        bits = part.split(":")
-        if bits[0] == "witt" and len(bits) == 2:
-            algs.append(witt(int(bits[1])))
-        elif bits[0] == "tpoly" and len(bits) == 4:
-            algs.append(truncated_poly(int(bits[1]), int(bits[2]),
-                                       int(bits[3])))
-        else:
+        name, *bits = part.split(":")
+        if (name, len(bits)) not in (("witt", 1), ("tpoly", 3)):
             raise ValueError("unknown builtin %r (use witt:P or "
                              "tpoly:P:LEN:M, joined with +)" % part)
+        parts.append((name, [int(b) for b in bits]))
+    return parts
+
+
+def _parse_builtin(spec):
+    algs = [witt(*bits) if name == "witt" else truncated_poly(*bits)
+            for name, bits in _builtin_parts(spec)]
     acc = algs[0]
     for other in algs[1:]:
         acc = direct_sum(acc, other)
     return acc
 
 
+def _load_builtin(spec, cap):
+    """The builtin algebra, built only once every summand's prime passed
+    the cap (a large one takes seconds to build)."""
+    for _, bits in _builtin_parts(spec):
+        _check_prime(bits[0], cap)
+    return _parse_builtin(spec)
+
+
 def _load_algebra(args):
     if args.builtin and args.input:
         raise ValueError("give either --builtin or --input, not both")
     if args.builtin:
-        alg, rows = _parse_builtin(args.builtin), None
-    elif args.input:
-        with open(args.input) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("algebra JSON must be an object")
-        alg = GradedAlgebra.from_json(obj.get("algebra", obj))
-        rows = obj.get("derivation")
-    else:
+        return _load_builtin(args.builtin, args.p_cap), None
+    if not args.input:
         raise ValueError("an algebra is required: --builtin or --input")
+    with open(args.input) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("algebra JSON must be an object")
+    alg = GradedAlgebra.from_json(obj.get("algebra", obj))
     _check_prime(alg.field.p, args.p_cap)
-    return alg, rows
+    return alg, obj.get("derivation")
 
 
 def _parse_derivation(A, spec, json_rows):
@@ -214,12 +224,11 @@ def cmd_switch(args):
 def _default_torus(spec, lie):
     """e_0 of every Witt summand of the builtin."""
     vecs, off = [], 0
-    for part in spec.split("+"):
-        bits = part.split(":")
-        if bits[0] != "witt":
+    for name, bits in _builtin_parts(spec):
+        if name != "witt":
             raise ValueError("the toral demo needs witt summands")
         vecs.append(lie.basis_vector(off + 1))
-        off += int(bits[1])
+        off += bits[0]
     return vecs
 
 
@@ -239,9 +248,7 @@ def _parse_x(lie, spec):
 def cmd_toral(args):
     if not args.builtin:
         raise ValueError("the toral demo runs on builtin algebras")
-    A = _parse_builtin(args.builtin)
-    _check_prime(A.field.p, args.p_cap)
-    lie = RestrictedLie(A)
+    lie = RestrictedLie(_load_builtin(args.builtin, args.p_cap))
     tvecs = _default_torus(args.builtin, lie)
     x = _parse_x(lie, args.x)
     out = compare_switch_to_toral(lie, tvecs, x, r=args.r)

@@ -11,12 +11,12 @@ e_i * e_j.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from . import echelon
 from .echelon import Echelon, first_dependence
-from .fields import (FqElement, GF, embedding, power,
-                     roots_in_splitting_field)
-from .polyring import Polynomial
+from .fields import FqElement, GF, embedding, roots_in_splitting_field
+from .polyring import Polynomial, RingElement, _as_field_elt
 
 
 def rref(vectors, field):
@@ -25,7 +25,7 @@ def rref(vectors, field):
     return echelon.rref(vectors)
 
 
-class LinearMap:
+class LinearMap(RingElement):
     """Square matrix over an FqField acting on column vectors.
 
     Adding a field element s means M + s*I, so polynomials evaluate at
@@ -35,7 +35,7 @@ class LinearMap:
     __slots__ = ("field", "n", "rows")
 
     def __init__(self, field, rows):
-        rs = tuple(tuple(_coerce_entry(field, x) for x in row) for row in rows)
+        rs = tuple(tuple(_as_field_elt(field, x) for x in row) for row in rows)
         n = len(rs)
         if any(len(r) != n for r in rs):
             raise ValueError("matrix must be square")
@@ -69,12 +69,8 @@ class LinearMap:
         return not self.is_zero()
 
     def _scalar(self, other):
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        if isinstance(other, FqElement):
-            if other.field is not self.field:
-                raise ValueError("scalar from a different field")
-            return other
+        if isinstance(other, (int, FqElement)):
+            return _as_field_elt(self.field, other)
         return None
 
     def __add__(self, other):
@@ -88,24 +84,11 @@ class LinearMap:
             return NotImplemented
         return self + LinearMap.identity(self.field, self.n) * s
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LinearMap(self.field, [[-x for x in row] for row in self.rows])
 
-    def __sub__(self, other):
-        if isinstance(other, LinearMap):
-            return self + (-other)
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + (-s)
-
-    def __rsub__(self, other):
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return (-self) + s
+    def one(self):
+        return LinearMap.identity(self.field, self.n)
 
     def __mul__(self, other):
         if isinstance(other, LinearMap):
@@ -126,11 +109,6 @@ class LinearMap:
         if s is None:
             return NotImplemented
         return self * s
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return power(self, e, LinearMap.identity(self.field, self.n))
 
     def p_power(self, k):
         """M^(p^k)."""
@@ -250,16 +228,6 @@ class LinearMap:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return "LinearMap(%r, [%s])" % (self.field, body)
-
-
-def _coerce_entry(field, x):
-    if isinstance(x, FqElement):
-        if x.field is not field:
-            raise ValueError("entry from a different field")
-        return x
-    if isinstance(x, int):
-        return field.scalar(x)
-    raise TypeError("bad matrix entry %r" % (x,))
 
 
 def _dot(row, col, field):
@@ -447,8 +415,8 @@ class GradedAlgebra:
         for (i, j), terms in products.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError("basis index out of range")
-            kept = tuple((k, _coerce_entry(field, c)) for k, c in terms
-                         if _coerce_entry(field, c))
+            kept = tuple((k, _as_field_elt(field, c)) for k, c in terms
+                         if _as_field_elt(field, c))
             for k, _ in kept:
                 if not 0 <= k < dim:
                     raise ValueError("basis index out of range")
@@ -461,7 +429,7 @@ class GradedAlgebra:
                 clean[(i, j)] = kept
         self.products = clean
         if pmap is not None:
-            pmap = tuple(tuple(_coerce_entry(field, c) for c in row)
+            pmap = tuple(tuple(_as_field_elt(field, c) for c in row)
                          for row in pmap)
             if len(pmap) != dim or any(len(r) != dim for r in pmap):
                 raise ValueError("pmap must give one vector per basis element")
@@ -673,28 +641,20 @@ def derivation_degree(A, D):
     return 0 if d is None else d
 
 
+@dataclass(frozen=True)
 class GradedDerivationReport:
     """Outcome of is_graded_derivation: Leibniz rule, homogeneity of the
     stated degree, and whether m divides p*d (so D^p is again of degree d*p
     = 0 mod m on components)."""
 
-    __slots__ = ("derivation_ok", "degree_ok", "m_divides_pd", "degree")
-
-    def __init__(self, derivation_ok, degree_ok, m_divides_pd, degree):
-        self.derivation_ok = derivation_ok
-        self.degree_ok = degree_ok
-        self.m_divides_pd = m_divides_pd
-        self.degree = degree
+    derivation_ok: bool
+    degree_ok: bool
+    m_divides_pd: bool
+    degree: int
 
     @property
     def ok(self):
         return self.derivation_ok and self.degree_ok
-
-    def __repr__(self):
-        return ("GradedDerivationReport(derivation=%r, degree_ok=%r, "
-                "m_divides_pd=%r, d=%r)" % (self.derivation_ok,
-                                            self.degree_ok,
-                                            self.m_divides_pd, self.degree))
 
 
 def is_graded_derivation(A, D, d):

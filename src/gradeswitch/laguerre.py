@@ -208,13 +208,7 @@ def check_identity(name, p):
         if clear - (alpha ** (p - 1) - 1):
             return report(False, "clearing factor != alpha^(p-1) - 1")
         lhs = _sym(p, p - 1) * clear
-        rhs = MultiPoly.zero(field, ("alpha", "X"))
-        for k in range(p):
-            tail = alpha ** 0
-            for j in range(k + 1, p):
-                tail = tail * (alpha + j)
-            rhs = rhs + x ** k * tail
-        rhs = (1 - alpha ** (p - 1)) * rhs
+        rhs = (1 - alpha ** (p - 1)) * descending_form(p, alpha, x)
         return report(not (lhs - rhs), "cleared by alpha^(p-1) - 1")
 
     if name == "p_power":
@@ -487,6 +481,21 @@ def c_coefficients_symbolic(p):
 # the toral-switching operator form
 
 
+def descending_form(p, alpha, x):
+    """sum_{i<p} (prod_{k=i+1}^{p-1} (alpha + k)) x^i for commuting ring
+    values alpha and x of characteristic p.
+
+    Horner's rule in x with the products built from the right takes
+    2(p - 1) ring products.  The negative of this sum is L_{p-1}^(alpha)(x);
+    it shares no code with :func:`laguerre_coeffs`, so each checks the other.
+    """
+    acc = tail = alpha ** 0
+    for i in range(p - 2, -1, -1):
+        tail = tail * (alpha + (i + 1))
+        acc = acc * x + tail
+    return acc
+
+
 def strade_operator_form_check(p):
     """-sum_{i<p} (prod_{k=i+1}^{p-1} (alpha + k)) X^i == L_{p-1}^(alpha)(X).
 
@@ -496,12 +505,6 @@ def strade_operator_form_check(p):
     field = GF(p)
     alpha = MultiPoly.variable(field, ("alpha", "X"), "alpha")
     x = MultiPoly.variable(field, ("alpha", "X"), "X")
-    acc = MultiPoly.zero(field, ("alpha", "X"))
-    for i in range(p):
-        prod = alpha ** 0
-        for k in range(i + 1, p):
-            prod = prod * (alpha + k)
-        acc = acc + prod * x ** i
-    diff = (-acc) - laguerre_symbolic(p)
+    diff = -descending_form(p, alpha, x) - laguerre_symbolic(p)
     return CheckReport("operator_form[p=%d]" % p, not diff,
                        "descending-product form equals Laguerre value")

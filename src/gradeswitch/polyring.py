@@ -12,6 +12,11 @@ may be field elements, multivariate polynomials (symbolic runs) or truncated
 series (operator runs); all flavours share one small protocol: ring ops,
 int and field-scalar mixing, ``** k`` for k >= 0 with ``x ** 0`` the ring
 one, and truthiness as a nonzero test.
+
+Every flavour, quotient elements and :class:`gradeswitch.galg.LinearMap`
+included, derives from :class:`RingElement`.  A subclass writes ``+``,
+unary ``-``, ``*`` and ``one()``; the base derives reflected ``+``, both
+subtractions and ``** k`` from them.
 """
 
 from .echelon import solve
@@ -20,6 +25,29 @@ from .fields import FqElement, power
 
 class NonInvertibleError(ValueError):
     """Raised when a quotient-ring element has no inverse."""
+
+
+class RingElement:
+    """The ring protocol written once, on a subclass's own ``__add__``,
+    ``__neg__`` and ``one()``: ``k + a``, ``a - b``, ``k - a`` and
+    ``a ** e`` for an int e >= 0 (``a ** 0`` is ``a.one()``).  Operands
+    that ``__add__`` refuses stay refused (NotImplemented)."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        return power(self, e, self.one())
 
 
 def _as_field_elt(field, c):
@@ -32,7 +60,7 @@ def _as_field_elt(field, c):
     raise TypeError("cannot use %r as a coefficient" % (c,))
 
 
-class Polynomial:
+class Polynomial(RingElement):
     """Dense univariate polynomial over an FqField.
 
     The zero polynomial has empty coeffs and degree -1.  The variable tag is
@@ -96,22 +124,11 @@ class Polynomial:
             out[i] = out[i] + c
         return Polynomial(self.field, out, self.var)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.field, [-c for c in self.coeffs], self.var)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def one(self):
+        return Polynomial(self.field, [self.field.one], self.var)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -158,17 +175,9 @@ class Polynomial:
         r = divmod(self, other)
         return NotImplemented if r is NotImplemented else r[1]
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return power(self, e, Polynomial(self.field, [self.field.one],
-                                         self.var))
-
     def pow_mod(self, e, m):
         """self**e mod m, by repeated squaring (e may be huge)."""
-        return power(self % m, e,
-                     Polynomial(self.field, [self.field.one], self.var),
-                     lambda a, b: a * b % m)
+        return power(self % m, e, self.one(), lambda a, b: a * b % m)
 
     def gcd(self, other):
         a, b = self, self._coerce(other)
@@ -247,7 +256,7 @@ class Polynomial:
         return "Polynomial(%r, %s)" % (self.field, self)
 
 
-class MultiPoly:
+class MultiPoly(RingElement):
     """Sparse multivariate polynomial; terms map exponent tuples to nonzero
     coefficients.  Binary operations require identical variable tuples."""
 
@@ -330,23 +339,12 @@ class MultiPoly:
                 out.pop(e, None)
         return MultiPoly(self.field, self.vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly(self.field, self.vars,
                          {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def one(self):
+        return MultiPoly.constant(self.field, self.vars, 1)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -366,11 +364,6 @@ class MultiPoly:
         return MultiPoly(self.field, self.vars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return power(self, e, MultiPoly.constant(self.field, self.vars, 1))
 
     # -- substitution ---------------------------------------------------------
 
@@ -487,7 +480,7 @@ class MultiPoly:
     __hash__ = None
 
 
-class BiTruncSeries:
+class BiTruncSeries(RingElement):
     """Element of F[U,V]/(U^ua, V^ub): series in two commuting nilpotents,
     truncated independently in each variable.  Coefficient [i][j] multiplies
     U^i V^j."""
@@ -560,8 +553,6 @@ class BiTruncSeries:
             tuple(tuple(a + b for a, b in zip(r1, r2))
                   for r1, r2 in zip(self.coeffs, o.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return BiTruncSeries._from_rows(
             self.field, self.ua, self.ub,
@@ -576,11 +567,8 @@ class BiTruncSeries:
             tuple(tuple(a - b for a, b in zip(r1, r2))
                   for r1, r2 in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def one(self):
+        return BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -604,19 +592,13 @@ class BiTruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return power(self, e,
-                     BiTruncSeries.constant(self.field, self.ua, self.ub, 1))
-
     def inverse(self):
         """Geometric-series inverse; exists iff the constant term does."""
         c0 = self.coeffs[0][0]
         if not c0:
             raise NonInvertibleError("series with zero constant term")
         inv0 = c0.inverse()
-        one = BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
+        one = self.one()
         w = one - self * inv0
         acc = one
         term = one
@@ -698,7 +680,7 @@ class QuotientRing:
         return self.from_exponents((((0, k), c) for k, c in enumerate(coeffs)))
 
 
-class QuotientElement:
+class QuotientElement(RingElement):
     """Element of a :class:`QuotientRing`; immutable."""
 
     __slots__ = ("ring", "entries")
@@ -741,19 +723,12 @@ class QuotientElement:
             return NotImplemented
         return self + self.ring.monomial(0, 0, s)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuotientElement(self.ring, tuple(
             tuple(-a for a in row) for row in self.entries))
 
-    def __sub__(self, other):
-        if isinstance(other, QuotientElement):
-            return self + (-other)
-        s = self._coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self + self.ring.monomial(0, 0, -s)
+    def one(self):
+        return self.ring.one()
 
     def __mul__(self, other):
         if isinstance(other, QuotientElement):
@@ -786,11 +761,6 @@ class QuotientElement:
             tuple(a * s for a in row) for row in self.entries))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return power(self, e, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElement)):

@@ -22,7 +22,8 @@ from math import gcd as _gcd
 
 from .fields import GF, embedding, roots_in_splitting_field
 from .echelon import solve
-from .galg import LinearMap, Subspace, is_grading, kernel
+from .galg import Decomposition, Subspace, is_grading, kernel
+from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
     build_LD, h_polynomial, semisimple_exponent
 
@@ -206,30 +207,8 @@ class Torus:
         return tuple(out)
 
 
-class RootSpaces:
-    """Simultaneous eigenspace decomposition for a torus basis."""
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def roots(self):
-        return tuple(r for r, _ in self.entries)
-
-    def find(self, root):
-        for r, s in self.entries:
-            if r == tuple(root):
-                return s
-        return None
-
-
 def root_decomposition(lie, torus_vectors):
-    """(lie', torus', decomposition) over a field where every adjoint of
+    """(lie', torus', Decomposition) over a field where every adjoint of
     the torus basis splits; root labels are eigenvalue tuples."""
     while True:
         torus = Torus(lie, torus_vectors)
@@ -273,7 +252,7 @@ def root_decomposition(lie, torus_vectors):
     if sum(s.dim for _, s in parts) != lie.dim:
         raise VerificationError("root spaces do not fill the algebra")
     parts.sort(key=lambda e: [int(c) for c in e[0]])
-    return lie, torus, RootSpaces(parts)
+    return lie, torus, Decomposition(field, parts)
 
 
 def switch_torus(lie, torus, x, r):
@@ -309,20 +288,9 @@ def strade_map(result):
     -sum_{i<p} (prod_{k=i+1}^{p-1} (g(D) - h(D) + k)) D^i."""
     d2 = result.derivation
     f2 = d2.field
-    p = f2.p
     gd = result.g.eval_matrix(d2)
     hd = h_polynomial(f2, result.r).eval_matrix(d2)
-    base = gd - hd
-    acc = LinearMap.zero(f2, d2.n)
-    dpow = LinearMap.identity(f2, d2.n)
-    for i in range(p):
-        prod = LinearMap.identity(f2, d2.n)
-        for k in range(i + 1, p):
-            prod = prod * (base + k)
-        acc = acc + prod * dpow
-        if i + 1 < p:
-            dpow = dpow * d2
-    return acc * (-(f2.one))
+    return -descending_form(f2.p, gd - hd, d2)
 
 
 @dataclass

@@ -54,6 +54,22 @@ def test_p_cap_enforced_on_algebras(capsys, argv):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "witt:5+tpoly:1009:3:3", "--derivation", "ad:0"),
+    ("toral", "--builtin", "witt:5+witt:1009"),
+])
+def test_p_cap_checked_before_building(monkeypatch, capsys, argv):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("builtin built before the cap check")
+    monkeypatch.setattr(cli, "witt", refuse)
+    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cap" in err
+
+
 def test_p_cap_enforced_on_json_input(tmp_path, capsys):
     from gradeswitch.galg import witt
     path = tmp_path / "alg.json"

@@ -1,7 +1,11 @@
-"""Property tests of the one square-and-multiply, ``fields.power``, through
-every ``__pow__`` that uses it: ``x ** e`` equals the e-fold product for
-e in 0..20 and ``x ** 0`` is the ring's one.  Skipped when hypothesis is
-not installed."""
+"""Property tests of the ring protocol.
+
+``fields.power``, the one square-and-multiply, through every ``__pow__``
+that uses it: ``x ** e`` equals the e-fold product for e in 0..20 and
+``x ** 0`` is the ring's one.  The operators ``polyring.RingElement``
+derives (reflected ``+``, both subtractions, ``** 0``) against the ones each
+element type writes, with int and field-scalar mixing.  Skipped when
+hypothesis is not installed."""
 
 import pytest
 
@@ -17,6 +21,7 @@ BIG = GF(2, 17)  # above the log-table cap: products are plain arithmetic
 assert BIG.q > _TABLE_CAP
 FIELDS = [GF(7), GF(3, 3), BIG]
 MAX_E = 20
+F3, F5 = GF(3), GF(5)
 
 SETTINGS = hypothesis.settings(max_examples=30, deadline=None,
                                derandomize=True, database=None)
@@ -24,6 +29,49 @@ SETTINGS = hypothesis.settings(max_examples=30, deadline=None,
 
 def elements(field):
     return st.integers(0, field.q - 1).map(field.from_int)
+
+
+def linear_maps(field, n):
+    return st.lists(st.lists(elements(field), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: LinearMap(field, rows))
+
+
+def polynomials(field):
+    return st.lists(elements(field), max_size=4).map(
+        lambda coeffs: Polynomial(field, coeffs))
+
+
+def multipolys(field):
+    return st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)), elements(field),
+        max_size=3).map(lambda terms: MultiPoly(field, ("x", "y"), terms))
+
+
+def series(field, ua, ub):
+    return st.lists(st.lists(elements(field), min_size=ub, max_size=ub),
+                    min_size=ua, max_size=ua).map(
+        lambda rows: BiTruncSeries(field, ua, ub, rows))
+
+
+def quotient_elements(ring, entries):
+    return st.lists(entries, min_size=9, max_size=9).map(
+        lambda flat: ring.element([flat[0:3], flat[3:6], flat[6:9]]))
+
+
+def field_quotients():
+    """Element strategies of QuotientRing(3, xc, yc) over GF(3)."""
+    return st.tuples(elements(F3), elements(F3)).map(
+        lambda c: quotient_elements(QuotientRing(3, *c), elements(F3)))
+
+
+def series_quotients():
+    """Element strategies of a quotient ring over GF(3)[U,V]/(U^a, V^b)."""
+    def ring(orders):
+        entries = series(F3, *orders)
+        return st.tuples(entries, entries).map(
+            lambda c: quotient_elements(QuotientRing(3, *c), entries))
+    return st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(ring)
 
 
 def check_powers(x, one):
@@ -52,52 +100,62 @@ def test_field_element_powers(field, data):
 
 
 @SETTINGS
-@hypothesis.given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.lists(elements(GF(5)), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_linear_map_powers(rows):
-    F = GF(5)
-    M = LinearMap(F, rows)
-    check_powers(M, LinearMap.identity(F, M.n))
+@hypothesis.given(st.integers(1, 3).flatmap(lambda n: linear_maps(F5, n)))
+def test_linear_map_powers(M):
+    check_powers(M, LinearMap.identity(F5, M.n))
 
 
 @SETTINGS
-@hypothesis.given(st.lists(elements(GF(5)), max_size=4),
-                  st.lists(elements(GF(5)), min_size=1, max_size=4))
-def test_polynomial_powers_and_pow_mod(coeffs, mod_coeffs):
-    F = GF(5)
-    f = Polynomial(F, coeffs)
-    check_powers(f, Polynomial(F, [F.one]))
-    m = Polynomial(F, mod_coeffs + [F.one])  # monic, degree >= 1
+@hypothesis.given(polynomials(F5),
+                  st.lists(elements(F5), min_size=1, max_size=4))
+def test_polynomial_powers_and_pow_mod(f, mod_coeffs):
+    check_powers(f, Polynomial(F5, [F5.one]))
+    m = Polynomial(F5, mod_coeffs + [F5.one])  # monic, degree >= 1
     for e in range(MAX_E + 1):
         assert f.pow_mod(e, m) == f ** e % m
 
 
 @SETTINGS
-@hypothesis.given(st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(0, 1)), elements(GF(3)),
-    max_size=3))
-def test_multipoly_powers(terms):
-    F = GF(3)
-    f = MultiPoly(F, ("x", "y"), terms)
-    check_powers(f, MultiPoly.constant(F, ("x", "y"), 1))
+@hypothesis.given(multipolys(F3))
+def test_multipoly_powers(f):
+    check_powers(f, MultiPoly.constant(F3, ("x", "y"), 1))
 
 
 @SETTINGS
 @hypothesis.given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_series_powers(ua, ub, data):
-    F = GF(5)
-    rows = data.draw(st.lists(
-        st.lists(elements(F), min_size=ub, max_size=ub),
-        min_size=ua, max_size=ua))
-    s = BiTruncSeries(F, ua, ub, rows)
-    check_powers(s, BiTruncSeries.constant(F, ua, ub, 1))
+    s = data.draw(series(F5, ua, ub))
+    check_powers(s, BiTruncSeries.constant(F5, ua, ub, 1))
 
 
 @SETTINGS
-@hypothesis.given(elements(GF(3)), elements(GF(3)),
-                  st.lists(elements(GF(3)), min_size=9, max_size=9))
-def test_quotient_element_powers(xc, yc, flat):
-    ring = QuotientRing(3, xc, yc)
-    u = ring.element([flat[0:3], flat[3:6], flat[6:9]])
-    check_powers(u, ring.one())
+@hypothesis.given(field_quotients().flatmap(lambda elts: elts))
+def test_quotient_element_powers(u):
+    check_powers(u, u.ring.one())
+
+
+# (base field, strategy of element strategies, one per ring)
+RINGS = {
+    "LinearMap": (F5, st.integers(1, 3).map(lambda n: linear_maps(F5, n))),
+    "Polynomial": (F5, st.just(polynomials(F5))),
+    "MultiPoly": (F3, st.just(multipolys(F3))),
+    "BiTruncSeries": (F5, st.tuples(st.integers(1, 3), st.integers(1, 3))
+                      .map(lambda orders: series(F5, *orders))),
+    "QuotientElement-field": (F3, field_quotients()),
+    "QuotientElement-series": (F3, series_quotients()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_ring_protocol(name, data):
+    field, rings = RINGS[name]
+    elts = data.draw(rings)
+    a, b = data.draw(elts), data.draw(elts)
+    assert a - b == a + (-b)
+    for k in (data.draw(st.integers(-7, 7)), data.draw(elements(field))):
+        assert k - a == -(a - k)
+        assert k + a == a + k
+    assert a ** 0 == a.one()
+    assert not hasattr(a, "__dict__")  # RingElement keeps __slots__ = ()
