@@ -14,7 +14,9 @@ field is reconstructed in every run without a Conway table.
 
 Multiplication uses discrete-log tables once a small field (q <= 2^16) is
 first multiplied in; larger fields fall back to plain polynomial arithmetic.
-Everything is exact; fields and elements are immutable.
+Dot products of whole vectors run on packed ints instead
+(:meth:`FqField.dot_kernel`).  Everything is exact; fields and elements are
+immutable.
 """
 
 import functools
@@ -333,6 +335,18 @@ class FqElement:
         return "%r(%s)" % (self.field, self)
 
 
+def _as_field_elt(field, c):
+    """c as an element of `field`: an element of that field, or an int
+    taken as a scalar."""
+    if isinstance(c, FqElement):
+        if c.field is not field:
+            raise ValueError("coefficient from a different field")
+        return c
+    if isinstance(c, int):
+        return field.scalar(c)
+    raise TypeError("cannot use %r as a coefficient" % (c,))
+
+
 def _rebuild_element(p, n, modulus, coeffs):
     return FqElement(GF(p, n, modulus), coeffs)
 
@@ -426,6 +440,15 @@ class FqField:
                         prod[j] = (prod[j] + ck * rj) % p
         return tuple(prod[:n])
 
+    def dot_kernel(self, length):
+        """(pack, unpack) for dot products of `length` terms on ints.
+
+        pack(x) is the int of an element or int scalar x; for any vectors
+        u, v of that length, unpack(sum(map(operator.mul, pack(u),
+        pack(v)))) is their dot product as an element.
+        """
+        return _dot_kernel(self, length)
+
     def _raw_pow(self, a, e):
         return power(a, e, self.one.coeffs, self._raw_mul)
 
@@ -469,6 +492,67 @@ class FqField:
 @functools.lru_cache(maxsize=None)
 def _field(p, n, modulus):
     return FqField(p, n, modulus)
+
+
+class _Interned(dict):
+    """The elements of one field by coefficient tuple, built on first use;
+    at most _INTERN_CAP of them are kept."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, coeffs):
+        x = FqElement(self.field, coeffs)
+        if len(self) < _INTERN_CAP:
+            self[coeffs] = x
+        return x
+
+
+_INTERN_CAP = 1 << 12
+
+
+@functools.lru_cache(maxsize=None)
+def _interned(field):
+    return _Interned(field)
+
+
+@functools.lru_cache(maxsize=None)
+def _dot_kernel(field, length):
+    # Kronecker substitution: c_0 + c_1 g + ... + c_{n-1} g^{n-1} packs into
+    # sum c_i 2^(i w).  The product of two packed elements holds the 2n - 1
+    # coefficients of the product polynomial in its slots, each at most
+    # n (p-1)^2, so a sum of `length` products never carries between slots
+    # once 2^w exceeds length n (p-1)^2.  Unpacking reads the slots, folds
+    # slots n..2n-2 back through the reduction rows T^(n+k) mod modulus
+    # and reduces mod p once.  Results come from the field's interned
+    # elements.
+    p, n = field.p, field.n
+    elements = _interned(field)
+    if n == 1:
+        def pack(x):
+            return _as_field_elt(field, x).coeffs[0]
+
+        def unpack(s):
+            return elements[(s % p,)]
+        return pack, unpack
+    width = (length * n * (p - 1) ** 2).bit_length() or 1
+    mask = (1 << width) - 1
+    low = tuple(range(0, n * width, width))
+    high = tuple(range(n * width, (2 * n - 1) * width, width))
+    fold = tuple(zip(*field._red))   # fold[j][k]: T^(n+k) at g^j
+    shl, mul = operator.lshift, operator.mul
+
+    def pack(x):
+        return sum(map(shl, _as_field_elt(field, x).coeffs, low))
+
+    def unpack(s):
+        hi = [(s >> sh) & mask for sh in high]
+        return elements[tuple([
+            (((s >> sh) & mask) + sum(map(mul, hi, red))) % p
+            for sh, red in zip(low, fold)])]
+    return pack, unpack
 
 
 def GF(p, n=1, modulus=None):

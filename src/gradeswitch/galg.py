@@ -11,12 +11,14 @@ e_i * e_j.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import echelon
 from .echelon import Echelon, first_dependence
-from .fields import FqElement, GF, embedding, roots_in_splitting_field
-from .polyring import Polynomial, RingElement, _as_field_elt
+from .fields import (FqElement, GF, _as_field_elt, embedding,
+                     roots_in_splitting_field)
+from .polyring import Polynomial, RingElement
 
 
 def rref(vectors, field):
@@ -29,10 +31,12 @@ class LinearMap(RingElement):
     """Square matrix over an FqField acting on column vectors.
 
     Adding a field element s means M + s*I, so polynomials evaluate at
-    matrices through the generic Horner rule.
+    matrices through the generic Horner rule.  Products and applies run on
+    the field's packed-int dot kernel; a map keeps its packed rows and
+    columns once built (it is immutable).
     """
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "_prows", "_pcols")
 
     def __init__(self, field, rows):
         rs = tuple(tuple(_as_field_elt(field, x) for x in row) for row in rows)
@@ -42,17 +46,28 @@ class LinearMap(RingElement):
         self.field = field
         self.n = n
         self.rows = rs
+        self._prows = self._pcols = None
+
+    @classmethod
+    def _trusted(cls, field, rows):
+        """The map with `rows`, n tuples of n elements of `field`,
+        unchecked."""
+        M = object.__new__(cls)
+        M.field = field
+        M.n = len(rows)
+        M.rows = rows
+        M._prows = M._pcols = None
+        return M
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)]
-                           for i in range(n)])
+        return cls._trusted(field, tuple(
+            tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, field, n):
-        z = field.zero
-        return cls(field, [[z] * n for _ in range(n)])
+        return cls._trusted(field, ((field.zero,) * n,) * n)
 
     @classmethod
     def from_columns(cls, field, cols):
@@ -73,19 +88,34 @@ class LinearMap(RingElement):
             return _as_field_elt(self.field, other)
         return None
 
+    def _packed_rows(self):
+        if self._prows is None:
+            pack = self.field.dot_kernel(self.n)[0]
+            self._prows = tuple([tuple([pack(x) for x in row])
+                                 for row in self.rows])
+        return self._prows
+
+    def _packed_columns(self):
+        if self._pcols is None:
+            self._pcols = tuple(zip(*self._packed_rows()))
+        return self._pcols
+
     def __add__(self, other):
         if isinstance(other, LinearMap):
             self._same_space(other)
-            return LinearMap(self.field, [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)])
+            return LinearMap._trusted(self.field, tuple(
+                tuple(map(operator.add, r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)))
         s = self._scalar(other)
         if s is None:
             return NotImplemented
-        return self + LinearMap.identity(self.field, self.n) * s
+        return LinearMap._trusted(self.field, tuple(
+            row[:i] + (row[i] + s,) + row[i + 1:]
+            for i, row in enumerate(self.rows)))
 
     def __neg__(self):
-        return LinearMap(self.field, [[-x for x in row] for row in self.rows])
+        return LinearMap._trusted(self.field, tuple(
+            tuple(map(operator.neg, row)) for row in self.rows))
 
     def one(self):
         return LinearMap.identity(self.field, self.n)
@@ -93,16 +123,17 @@ class LinearMap(RingElement):
     def __mul__(self, other):
         if isinstance(other, LinearMap):
             self._same_space(other)
-            n = self.n
-            cols = [other.column(j) for j in range(n)]
-            out = []
-            for row in self.rows:
-                out.append([_dot(row, col, self.field) for col in cols])
-            return LinearMap(self.field, out)
+            unpack = self.field.dot_kernel(self.n)[1]
+            cols = other._packed_columns()
+            mul = operator.mul
+            return LinearMap._trusted(self.field, tuple([
+                tuple([unpack(sum(map(mul, row, col))) for col in cols])
+                for row in self._packed_rows()]))
         s = self._scalar(other)
         if s is None:
             return NotImplemented
-        return LinearMap(self.field, [[x * s for x in row] for row in self.rows])
+        return LinearMap._trusted(self.field, tuple(
+            tuple([x * s for x in row]) for row in self.rows))
 
     def __rmul__(self, other):
         s = self._scalar(other)
@@ -120,7 +151,11 @@ class LinearMap(RingElement):
     def apply(self, v):
         if len(v) != self.n:
             raise ValueError("vector of wrong length")
-        return tuple(_dot(row, v, self.field) for row in self.rows)
+        pack, unpack = self.field.dot_kernel(self.n)
+        pv = [pack(x) for x in v]
+        mul = operator.mul
+        return tuple([unpack(sum(map(mul, row, pv)))
+                      for row in self._packed_rows()])
 
     def transpose(self):
         return LinearMap(self.field, [self.column(j) for j in range(self.n)])
@@ -228,14 +263,6 @@ class LinearMap(RingElement):
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return "LinearMap(%r, [%s])" % (self.field, body)
-
-
-def _dot(row, col, field):
-    acc = field.zero
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def kernel(M):

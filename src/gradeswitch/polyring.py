@@ -20,7 +20,7 @@ subtractions and ``** k`` from them.
 """
 
 from .echelon import solve
-from .fields import FqElement, power
+from .fields import FqElement, _as_field_elt, power
 
 
 class NonInvertibleError(ValueError):
@@ -48,16 +48,6 @@ class RingElement:
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         return power(self, e, self.one())
-
-
-def _as_field_elt(field, c):
-    if isinstance(c, FqElement):
-        if c.field is not field:
-            raise ValueError("coefficient from a different field")
-        return c
-    if isinstance(c, int):
-        return field.scalar(c)
-    raise TypeError("cannot use %r as a coefficient" % (c,))
 
 
 class Polynomial(RingElement):

@@ -41,6 +41,61 @@ def test_linear_map_arithmetic():
     assert A.transpose().transpose() == A
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(3, 2), GF(5, 5),
+                                   GF(7, 7), GF(2, 17)], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_products_of_the_top_element_fill_every_slot(field, n):
+    # every coefficient p - 1 makes each packed dot product as large as it
+    # gets for its length: each entry is n * c^2
+    c = field.from_coeffs([field.p - 1] * field.n)
+    A = LinearMap(field, [[c] * n for _ in range(n)])
+    want = c * c * n
+    assert (A * A).rows == ((want,) * n,) * n
+    assert A.apply((c,) * n) == (want,) * n
+
+
+def test_empty_map():
+    F = GF(3, 2)
+    E = LinearMap(F, [])
+    assert (E * E).rows == () and E.apply(()) == () and (E + 1).rows == ()
+
+
+def test_apply_refuses_foreign_and_misshapen_vectors():
+    F, G = GF(5), GF(7)
+    A = LinearMap(F, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        A.apply((G.one, G.one))
+    with pytest.raises(ValueError):
+        A.apply((F.one, G.one))
+    with pytest.raises(ValueError):
+        A.apply((F.one,))
+    with pytest.raises(ValueError):
+        A.apply((F.one,) * 3)
+    with pytest.raises(TypeError):
+        A.apply((F.one, "1"))
+
+
+def test_apply_coerces_int_entries_to_scalars():
+    F = GF(5, 2)
+    rng = random.Random(13)
+    A = rand_map(F, 3, rng)
+    ints = (7, -1, 0)
+    assert A.apply(ints) == A.apply(tuple(F.scalar(k) for k in ints))
+
+
+def test_maps_on_different_spaces_do_not_combine():
+    A = LinearMap(GF(5), [[1, 2], [3, 4]])
+    B = LinearMap(GF(7), [[1, 2], [3, 4]])
+    C = LinearMap(GF(5), [[1]])
+    for other in (B, C):
+        with pytest.raises(ValueError):
+            A * other
+        with pytest.raises(ValueError):
+            A + other
+    with pytest.raises(ValueError):
+        A + GF(7).one
+
+
 def test_from_columns_and_column():
     F = GF(5)
     cols = [(F.one, F.zero), (F.scalar(2), F.scalar(3))]
