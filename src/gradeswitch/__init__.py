@@ -18,8 +18,8 @@ from .galg import Decomposition, GradedAlgebra, LinearMap, Subspace, \
 from .laguerre import CoefficientTable, c_coefficients, \
     c_coefficients_symbolic, check_all_identities, check_identity, \
     check_lemma_forms, check_lemma_product_identity, laguerre_at, \
-    laguerre_symbolic, scalar_product_form, strade_operator_form_check, \
-    truncated_exp, zero_pair_closed_form
+    laguerre_symbolic, laguerre_value, scalar_product_form, \
+    strade_operator_form_check, truncated_exp, zero_pair_closed_form
 from .polyring import MultiPoly, NonInvertibleError, Polynomial, \
     QuotientRing
 from .switch import HypothesisError, PPolynomial, Relation, SwitchResult, \
@@ -40,8 +40,8 @@ __all__ = [
     "CoefficientTable", "c_coefficients", "c_coefficients_symbolic",
     "check_all_identities", "check_identity", "check_lemma_forms",
     "check_lemma_product_identity", "laguerre_at", "laguerre_symbolic",
-    "scalar_product_form", "strade_operator_form_check", "truncated_exp",
-    "zero_pair_closed_form",
+    "laguerre_value", "scalar_product_form", "strade_operator_form_check",
+    "truncated_exp", "zero_pair_closed_form",
     "MultiPoly", "NonInvertibleError", "Polynomial", "QuotientRing",
     "HypothesisError", "PPolynomial", "Relation", "SwitchResult",
     "VerificationError", "build_LD", "build_g", "p_power_relation",

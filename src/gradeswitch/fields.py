@@ -20,6 +20,7 @@ immutable.
 """
 
 import functools
+import math
 import operator
 import random
 
@@ -193,9 +194,6 @@ class FqElement:
 
     def __bool__(self):
         return any(self.coeffs)
-
-    def to_digits(self):
-        return list(self.coeffs)
 
     # -- ring operations ---------------------------------------------------
 
@@ -415,10 +413,6 @@ class FqField:
     def extension(self, k):
         """The canonical field F_{p^(n*k)}."""
         return GF(self.p, self.n * k)
-
-    @property
-    def is_prime_field(self):
-        return self.n == 1
 
     # -- internal multiplication ----------------------------------------------
 
@@ -800,9 +794,7 @@ def roots_in_splitting_field(f):
     if f.degree() == 0:
         return field, []
     s = _squarefree_part(f)
-    lcm = 1
-    for d in _factor_degrees(s):
-        lcm = lcm * d // _gcd_int(lcm, d)
+    lcm = math.lcm(*_factor_degrees(s))
     big = field if lcm == 1 else GF(field.p, field.n * lcm)
     emb = embedding(field, big)
     f2 = Polynomial(big, [emb(c) for c in f.coeffs])
@@ -825,9 +817,3 @@ def roots_in_splitting_field(f):
     if check != f2 or sum(m for _, m in out) != f2.degree():
         raise AssertionError("root re-expansion failed")  # splitting defect
     return big, out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -11,6 +11,7 @@ e_i * e_j.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -755,13 +756,15 @@ def truncated_poly(p, length, m):
     """Divided-power truncated polynomial algebra over GF(p): basis
     x^(0), ..., x^(length-1) with x^(i) x^(j) = binom(i+j, i) x^(i+j)
     (zero once i+j reaches length), graded by subscript mod m."""
-    import math as _math
+    if length < 1 or m < 1:
+        raise ValueError("truncated polynomial algebra needs length >= 1 "
+                         "and m >= 1, not length %d, m %d" % (length, m))
     field = GF(p)
     entries = []
     for i in range(length):
         for j in range(length):
             if i + j < length:
-                c = _math.comb(i + j, i) % p
+                c = math.comb(i + j, i) % p
                 if c:
                     entries.append((i, j, i + j, c))
     degrees = [i % m for i in range(length)]

@@ -9,11 +9,12 @@ element, another polynomial, or an operator).  The degree used everywhere
 below defaults to n = p - 1, where L specializes at alpha = 0 to the
 truncated exponential E(X) = sum_{k<p} X^k / k!.
 
-This module provides symbolic and evaluated constructors, the standard
-identity suite relating L at neighbouring alpha values, the three factored
-forms of L_{p-1}^(Z^p)(Z^p - Z), and the coefficient tables c'_{ij} that
-split a product of two Laguerre operator values over the bivariate quotient
-ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)).
+This module provides one evaluator, :func:`laguerre_value`, for L at
+commuting ring values (symbols, polynomials, series, operators), the
+standard identity suite relating L at neighbouring alpha values, the three
+factored forms of L_{p-1}^(Z^p)(Z^p - Z), and the coefficient tables
+c'_{ij} that split a product of two Laguerre operator values over the
+bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)).
 """
 
 import functools
@@ -105,16 +106,34 @@ def laguerre_at(p, alpha, n=None):
     return Polynomial(alpha.field, laguerre_coeffs(p, alpha, n), "X")
 
 
-def laguerre_symbolic(p, n=None):
-    """L_n^(alpha)(X) as a MultiPoly over GF(p) in (alpha, X)."""
+def laguerre_value(p, alpha, x, n=None):
+    """L_n^(alpha)(x) for commuting ring values alpha and x.
+
+    Horner's rule in x over :func:`laguerre_coeffs`, so n ring products
+    beyond the coefficients.  alpha and x may be field elements, Polynomials,
+    MultiPolys over one variable tuple, BiTruncSeries or LinearMaps (x may
+    also be an operator with alpha a field scalar); for n = 0 the value is
+    the one of alpha's ring.
+    """
+    coeffs = laguerre_coeffs(p, alpha, n)
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _symbols(p):
+    """alpha and X as MultiPoly variables over GF(p)."""
     field = GF(p)
     vars_ = ("alpha", "X")
-    alpha = MultiPoly.variable(field, vars_, "alpha")
-    x = MultiPoly.variable(field, vars_, "X")
-    acc = MultiPoly.zero(field, vars_)
-    for k, c in enumerate(laguerre_coeffs(p, alpha, n)):
-        acc = acc + c * x ** k
-    return acc
+    return (MultiPoly.variable(field, vars_, "alpha"),
+            MultiPoly.variable(field, vars_, "X"))
+
+
+def laguerre_symbolic(p, n=None):
+    """L_n^(alpha)(X) as a MultiPoly over GF(p) in (alpha, X)."""
+    alpha, x = _symbols(p)
+    return laguerre_value(p, alpha, x, n)
 
 
 def truncated_exp(p, field=None):
@@ -125,18 +144,6 @@ def truncated_exp(p, field=None):
 
 # ---------------------------------------------------------------------------
 # identity suite
-
-
-def _sym(p, n):
-    return laguerre_symbolic(p, n)
-
-
-def _shift_alpha(f):
-    """f with alpha replaced by alpha + 1."""
-    field = f.field
-    alpha = MultiPoly.variable(field, f.vars, "alpha")
-    x = MultiPoly.variable(field, f.vars, "X")
-    return f.substitute({"alpha": alpha + 1, "X": x})
 
 
 def _dx(f):
@@ -168,34 +175,36 @@ def check_identity(name, p):
     euler       X dL/dX = (X - a) L + X^p - (a^p - a),  L = L_{p-1}^(a)
     exp_diff    X E'(X) = X E(X) + X^p
     """
-    field = GF(p)
-    alpha = MultiPoly.variable(field, ("alpha", "X"), "alpha")
-    x = MultiPoly.variable(field, ("alpha", "X"), "X")
+    alpha, x = _symbols(p)
+
+    def lag(n, shift=0):
+        """L_n^(alpha + shift)(X)."""
+        return laguerre_value(p, alpha + shift, x, n)
 
     def report(ok, detail=""):
         return CheckReport("%s[p=%d]" % (name, p), ok, detail)
 
     if name == "step":
         for n in range(1, p):
-            diff = _sym(p, n) - (_shift_alpha(_sym(p, n)) - _shift_alpha(_sym(p, n - 1)))
+            diff = lag(n) - (lag(n, 1) - lag(n - 1, 1))
             if diff:
                 return report(False, "fails at n=%d: %s" % (n, diff))
         return report(True, "n = 1..%d" % (p - 1))
 
     if name == "three_term":
         for n in range(1, p):
-            lhs = n * _shift_alpha(_sym(p, n))
-            rhs = (n - x) * _shift_alpha(_sym(p, n - 1)) + (n + alpha) * _sym(p, n - 1)
+            lhs = n * lag(n, 1)
+            rhs = (n - x) * lag(n - 1, 1) + (n + alpha) * lag(n - 1)
             if lhs - rhs:
                 return report(False, "fails at n=%d" % n)
         return report(True, "n = 1..%d" % (p - 1))
 
     if name == "derivative":
         for n in range(1, p):
-            d = _dx(_sym(p, n))
-            if d + _shift_alpha(_sym(p, n - 1)):
+            d = _dx(lag(n))
+            if d + lag(n - 1, 1):
                 return report(False, "product form fails at n=%d" % n)
-            if d - (_sym(p, n) - _shift_alpha(_sym(p, n))):
+            if d - (lag(n) - lag(n, 1)):
                 return report(False, "difference form fails at n=%d" % n)
         return report(True, "both forms, n = 1..%d" % (p - 1))
 
@@ -207,29 +216,25 @@ def check_identity(name, p):
             clear = clear * (alpha + j)
         if clear - (alpha ** (p - 1) - 1):
             return report(False, "clearing factor != alpha^(p-1) - 1")
-        lhs = _sym(p, p - 1) * clear
+        lhs = lag(p - 1) * clear
         rhs = (1 - alpha ** (p - 1)) * descending_form(p, alpha, x)
         return report(not (lhs - rhs), "cleared by alpha^(p-1) - 1")
 
     if name == "p_power":
         lhs = x ** p - (alpha ** p - alpha)
-        rhs = -(x * _shift_alpha(_sym(p, p - 1))) + alpha * _sym(p, p - 1)
+        rhs = -(x * lag(p - 1, 1)) + alpha * lag(p - 1)
         return report(not (lhs - rhs))
 
     if name == "euler":
-        lag = _sym(p, p - 1)
-        lhs = x * _dx(lag)
-        rhs = (x - alpha) * lag + x ** p - (alpha ** p - alpha)
+        lp = lag(p - 1)
+        lhs = x * _dx(lp)
+        rhs = (x - alpha) * lp + x ** p - (alpha ** p - alpha)
         return report(not (lhs - rhs))
 
     if name == "exp_diff":
-        e = MultiPoly.zero(field, ("alpha", "X"))
-        inv = inverse_factorials(field)
-        for k in range(p):
-            e = e + inv[k] * x ** k
-        lhs = x * _dx(e)
-        rhs = x * e + x ** p
-        return report(not (lhs - rhs))
+        e = truncated_exp(p)
+        z = Polynomial.variable(e.field, "X")
+        return report(z * e.derivative() == z * e + z ** p)
 
     raise ValueError("unknown identity %r" % name)
 
@@ -244,10 +249,8 @@ def check_all_identities(p):
 
 def lemma_eval(p):
     """L_{p-1}^(Z^p)(Z^p - Z) as a univariate Polynomial in Z over GF(p)."""
-    field = GF(p)
-    z = MultiPoly.variable(field, ("Z",), "Z")
-    sub = laguerre_symbolic(p).substitute({"alpha": z ** p, "X": z ** p - z})
-    return sub.to_polynomial("Z")
+    z = Polynomial.variable(GF(p), "Z")
+    return laguerre_value(p, z ** p, z ** p - z)
 
 
 def lemma_product(p):
@@ -295,14 +298,10 @@ def check_lemma_forms(p):
 
 def check_lemma_product_identity(p):
     """L^(Z^p)(Z^p - Z) * L^(-Z^p)(-Z^p + Z) == 1 - Z^(p(p-1))."""
-    field = GF(p)
-    z = MultiPoly.variable(field, ("Z",), "Z")
-    f1 = laguerre_symbolic(p).substitute({"alpha": z ** p, "X": z ** p - z})
-    f2 = laguerre_symbolic(p).substitute({"alpha": -(z ** p), "X": -(z ** p) + z})
-    prod = (f1 * f2).to_polynomial("Z")
-    zz = Polynomial.variable(field, "Z")
+    z = Polynomial.variable(GF(p), "Z")
+    f2 = laguerre_value(p, -(z ** p), z - z ** p)
     return CheckReport("product_identity[p=%d]" % p,
-                       prod == 1 - zz ** (p * (p - 1)),
+                       lemma_eval(p) * f2 == 1 - z ** (p * (p - 1)),
                        "degree %d" % (p * (p - 1)))
 
 
@@ -502,9 +501,7 @@ def strade_operator_form_check(p):
     This identifies the classical switching operator (descending products of
     ad-translates) with the Laguerre value used everywhere in this package.
     """
-    field = GF(p)
-    alpha = MultiPoly.variable(field, ("alpha", "X"), "alpha")
-    x = MultiPoly.variable(field, ("alpha", "X"), "X")
-    diff = -descending_form(p, alpha, x) - laguerre_symbolic(p)
+    alpha, x = _symbols(p)
+    diff = -descending_form(p, alpha, x) - laguerre_value(p, alpha, x)
     return CheckReport("operator_form[p=%d]" % p, not diff,
                        "descending-product form equals Laguerre value")

@@ -274,10 +274,6 @@ class MultiPoly(RingElement):
         e = tuple(1 if j == i else 0 for j in range(len(vars_)))
         return cls(field, vars_, {e: field.one})
 
-    @classmethod
-    def zero(cls, field, vars_):
-        return cls(field, vars_, {})
-
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self):
@@ -285,24 +281,6 @@ class MultiPoly(RingElement):
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, name):
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
-    @property
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), self.field.zero)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
-
-    def sorted_terms(self):
-        """Terms in graded-lex order (total degree, then exponents)."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     # -- ring structure ----------------------------------------------------------
 
@@ -355,49 +333,6 @@ class MultiPoly(RingElement):
 
     __rmul__ = __mul__
 
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, images):
-        """Simultaneous substitution var -> image for every variable.
-
-        Images must be MultiPoly over one common ring (scalars are lifted to
-        constants of that ring); the result lives there.
-        """
-        template = None
-        for v in self.vars:
-            img = images.get(v)
-            if isinstance(img, MultiPoly):
-                template = img
-                break
-        if template is None:
-            raise ValueError("at least one image must be a MultiPoly; "
-                             "use evaluate() for scalar points")
-        lifted = {}
-        for v in self.vars:
-            img = images[v]
-            if not isinstance(img, MultiPoly):
-                img = MultiPoly.constant(template.field, template.vars, img)
-            elif img.field is not template.field or img.vars != template.vars:
-                raise ValueError("images over different rings")
-            lifted[v] = img
-        powers = {v: [MultiPoly.constant(template.field, template.vars, 1)]
-                  for v in self.vars}
-
-        def power(v, e):
-            cache = powers[v]
-            while len(cache) <= e:
-                cache.append(cache[-1] * lifted[v])
-            return cache[e]
-
-        result = MultiPoly.zero(template.field, template.vars)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(template.field, template.vars, c)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * power(v, e)
-            result = result + term
-        return result
-
     def evaluate(self, values):
         """Value at a scalar point {var: FqElement}."""
         total = self.field.zero
@@ -418,27 +353,6 @@ class MultiPoly(RingElement):
             total = total + term
         return total
 
-    def to_polynomial(self, var=None):
-        """Convert to a dense univariate Polynomial; every other variable
-        must be absent."""
-        names = [v for i, v in enumerate(self.vars)
-                 if any(e[i] for e in self.terms)]
-        if var is None:
-            if len(names) > 1:
-                raise ValueError("more than one variable present")
-            var = names[0] if names else self.vars[0]
-        elif names and names != [var]:
-            raise ValueError("variables other than %r present" % var)
-        i = self.vars.index(var)
-        coeffs = [self.field.zero] * (self.degree_in(var) + 1 or 1)
-        for e, c in self.terms.items():
-            coeffs[e[i]] = c
-        return Polynomial(self.field, coeffs, var)
-
-    def map_coefficients(self, fn, field):
-        return MultiPoly(field, self.vars,
-                         {e: fn(c) for e, c in self.terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, (int, FqElement)):
             other = self._coerce(other)
@@ -451,7 +365,9 @@ class MultiPoly(RingElement):
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        # graded-lex order: total degree, then exponents
+        for exps, c in sorted(self.terms.items(),
+                              key=lambda t: (sum(t[0]), t[0])):
             factors = []
             cs = str(c)
             if cs != "1" or not any(exps):

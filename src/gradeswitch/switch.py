@@ -23,8 +23,8 @@ from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
 from .galg import LinearMap, derivation_degree, generalized_eigenspaces, \
     is_graded_derivation, is_grading
-from .laguerre import VerificationError, coefficient_table, laguerre_at, \
-    laguerre_coeffs, scalar_product_form
+from .laguerre import VerificationError, coefficient_table, \
+    laguerre_value, scalar_product_form
 from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
 
 
@@ -208,19 +208,6 @@ def h_polynomial(field, r):
     return PPolynomial.make(field, [(i, field.one) for i in range(1, r)])
 
 
-def laguerre_of_operators(p, alpha_op, x_op):
-    """L_{p-1} at commuting operators: sum_k C_k(alpha_op) x_op^k."""
-    field = alpha_op.field
-    coeffs = laguerre_coeffs(p, alpha_op)
-    acc = LinearMap.zero(field, alpha_op.n)
-    xpow = LinearMap.identity(field, alpha_op.n)
-    for k, ck in enumerate(coeffs):
-        acc = acc + ck * xpow
-        if k + 1 < len(coeffs):
-            xpow = xpow * x_op
-    return acc
-
-
 @dataclass
 class SwitchResult:
     """Everything produced while switching a grading along D."""
@@ -309,11 +296,9 @@ def build_LD(A, D, r=None, lam=None):
     scalars = []
     for rho, space in dec:
         dres = d2.restrict_to(space)
-        alpha_op = LinearMap.identity(f2, space.dim) * g2(rho) \
-            - h.eval_matrix(dres)
-        block = laguerre_of_operators(p, alpha_op, dres)
         grho = g2(rho)
-        s_lag = laguerre_at(p, grho ** p).evaluate(grho ** p - grho)
+        block = laguerre_value(p, grho - h.eval_matrix(dres), dres)
+        s_lag = laguerre_value(p, grho ** p, grho ** p - grho)
         s_prod = scalar_product_form(p, grho)
         if s_lag != s_prod:
             raise VerificationError("scalar law: Laguerre and product forms "
@@ -383,9 +368,9 @@ def special_LD(A, D):
             raise VerificationError("eigenvalue outside F_p despite "
                                     "D^(p^2) = D^p")
         dres = d2.restrict_to(space)
-        block = laguerre_at(p, rho * gamma2).evaluate(dres)
         agamma = rho * gamma2
-        s_lag = laguerre_at(p, agamma ** p).evaluate(agamma ** p - agamma)
+        block = laguerre_value(p, agamma, dres)
+        s_lag = laguerre_value(p, agamma ** p, agamma ** p - agamma)
         if not s_lag or block ** p != LinearMap.identity(f2, space.dim) * s_lag:
             raise VerificationError("special-case scalar law failed at "
                                     "a = %s" % (rho,))

@@ -17,8 +17,8 @@ switch acts along a single cyclic direction while fixing every T_0-root
 space.
 """
 
+import math
 from dataclasses import dataclass
-from math import gcd as _gcd
 
 from .fields import GF, embedding, roots_in_splitting_field
 from .echelon import solve
@@ -113,15 +113,6 @@ class RestrictedLie:
         for _ in range(k):
             x = self.pth_power(x)
         return x
-
-    def q_element(self, x, r):
-        """sum_{t=1}^{r-1} x^[p]^t (zero when r <= 1)."""
-        acc = (self.field.zero,) * self.dim
-        y = x
-        for _ in range(1, r):
-            y = self.pth_power(y)
-            acc = _vec_add(acc, y)
-        return acc
 
     def center(self):
         acc = Subspace.full(self.field, self.dim)
@@ -337,7 +328,7 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None, lam=None):
 
     res = build_LD(lie.algebra, lie.ad(x), r=r, lam=lam)
     d1, d2 = res.field_final.n, lie2.field.n
-    f_common = GF(lie.p, d1 * d2 // _gcd(d1, d2))
+    f_common = GF(lie.p, math.lcm(d1, d2))
 
     emap = strade_map(res)
     strade_agrees = emap == res.switch_map

@@ -245,6 +245,12 @@ def test_switch_missing_algebra(capsys):
     assert run(capsys, "switch", "--builtin", "witt:5")[0] == 2
     assert run(capsys, "switch", "--builtin", "nope:1",
                "--derivation", "ad:0")[0] == 2
+    # an empty algebra (length < 1) or an empty grading group (m < 1)
+    for spec in ("tpoly:5:3:0", "tpoly:5:0:5", "tpoly:5:-2:5"):
+        code, _, err = run(capsys, "switch", "--builtin", spec,
+                           "--derivation", "ddx")
+        assert code == 2
+        assert "needs length >= 1 and m >= 1" in err
 
 
 def test_switch_non_derivation_is_hypothesis_error(capsys):

@@ -4,14 +4,15 @@ import random
 import pytest
 
 from gradeswitch.fields import GF
+from gradeswitch.galg import LinearMap
 from gradeswitch.laguerre import (
     CheckReport, c_coefficients, c_coefficients_symbolic,
     check_all_identities, check_identity, check_lemma_forms,
-    check_lemma_product_identity, in_prime_star, laguerre_at,
-    laguerre_coeffs, laguerre_symbolic, lemma_binomial, lemma_eval,
-    lemma_product, scalar_product_form, strade_operator_form_check,
-    truncated_exp, zero_pair_closed_form)
-from gradeswitch.polyring import NonInvertibleError, Polynomial
+    check_lemma_product_identity, descending_form, in_prime_star,
+    laguerre_at, laguerre_coeffs, laguerre_symbolic, laguerre_value,
+    lemma_binomial, lemma_eval, lemma_product, scalar_product_form,
+    strade_operator_form_check, truncated_exp, zero_pair_closed_form)
+from gradeswitch.polyring import BiTruncSeries, NonInvertibleError, Polynomial
 
 
 def test_laguerre_at_matches_binomial_formula():
@@ -182,3 +183,21 @@ def test_symbolic_tables():
 def test_strade_operator_form():
     for p in (2, 3, 5, 7):
         assert strade_operator_form_check(p).passed
+    # laguerre_value at operators and series against -descending_form,
+    # which shares no code with laguerre_coeffs
+    rng = random.Random(10)
+    for F in (GF(5), GF(3, 2)):
+        p = F.p
+        M = LinearMap(F, [[F.random_element(rng) for _ in range(4)]
+                          for _ in range(4)])
+        a0 = F.random_element(rng)
+        alpha = Polynomial(F, [F.random_element(rng)
+                               for _ in range(3)]).evaluate(M)
+        for a in (alpha, a0):
+            assert laguerre_value(p, a, M) == -descending_form(p, a, M)
+        ua, ub = 3, 2
+        x = BiTruncSeries(F, ua, ub, [[F.random_element(rng)
+                                       for _ in range(ub)]
+                                      for _ in range(ua)])
+        alpha = a0 + BiTruncSeries.shift_u(F, ua, ub)
+        assert laguerre_value(p, alpha, x) == -descending_form(p, alpha, x)

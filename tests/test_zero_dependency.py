@@ -1,0 +1,32 @@
+"""The package imports nothing outside the standard library."""
+
+import json
+import os
+import subprocess
+import sys
+
+import gradeswitch
+
+# Modules loaded at start-up (site hooks of the environment included) are
+# recorded first, so only what importing the package adds is checked;
+# multiprocessing's alias of __main__ is not an import.
+_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import gradeswitch, gradeswitch.cli
+added = {m.split(".")[0] for m in set(sys.modules) - before
+         if sys.modules[m] is not sys.modules["__main__"]}
+print(json.dumps(sorted(added)))
+"""
+
+
+def test_import_needs_only_the_standard_library():
+    src = os.path.dirname(os.path.dirname(gradeswitch.__file__))
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", _PROBE, src],
+                         capture_output=True, text=True, check=True).stdout
+    added = json.loads(out)
+    assert "gradeswitch" in added
+    foreign = [m for m in added
+               if m != "gradeswitch" and m not in sys.stdlib_module_names]
+    assert foreign == []
