@@ -25,6 +25,7 @@ from .switch import HypothesisError, VerificationError, switch_grading
 from .toral import RestrictedLie, compare_switch_to_toral
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
+DEFAULT_DIM_CAP = 40
 
 
 def _digits(x):
@@ -37,6 +38,12 @@ def _check_prime(p, cap):
     if p > cap:
         raise ValueError("p = %d exceeds the cap %d (raise --p-cap)"
                          % (p, cap))
+
+
+def _check_dim(dim, cap):
+    if dim > cap:
+        raise ValueError("dimension %d exceeds the cap %d (raise --dim-cap)"
+                         % (dim, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +150,16 @@ def _parse_builtin(spec):
     return acc
 
 
-def _load_builtin(spec, cap):
+def _load_builtin(spec, args):
     """The builtin algebra, built only once every summand's prime passed
-    the cap (a large one takes seconds to build)."""
-    for _, bits in _builtin_parts(spec):
-        _check_prime(bits[0], cap)
+    --p-cap and the summands' total dimension passed --dim-cap (a large
+    one takes seconds to build)."""
+    parts = _builtin_parts(spec)
+    for _, bits in parts:
+        _check_prime(bits[0], args.p_cap)
+    # witt:P has dimension P, tpoly:P:LEN:M has dimension LEN
+    _check_dim(sum(bits[0] if name == "witt" else bits[1]
+                   for name, bits in parts), args.dim_cap)
     return _parse_builtin(spec)
 
 
@@ -155,14 +167,18 @@ def _load_algebra(args):
     if args.builtin and args.input:
         raise ValueError("give either --builtin or --input, not both")
     if args.builtin:
-        return _load_builtin(args.builtin, args.p_cap), None
+        return _load_builtin(args.builtin, args), None
     if not args.input:
         raise ValueError("an algebra is required: --builtin or --input")
     with open(args.input) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
-    alg = GradedAlgebra.from_json(obj.get("algebra", obj))
+    alg_obj = obj.get("algebra", obj)
+    dim = alg_obj.get("dim") if isinstance(alg_obj, dict) else None
+    if isinstance(dim, int):   # from_json refuses any other dim
+        _check_dim(dim, args.dim_cap)
+    alg = GradedAlgebra.from_json(alg_obj)
     _check_prime(alg.field.p, args.p_cap)
     return alg, obj.get("derivation")
 
@@ -248,7 +264,7 @@ def _parse_x(lie, spec):
 def cmd_toral(args):
     if not args.builtin:
         raise ValueError("the toral demo runs on builtin algebras")
-    lie = RestrictedLie(_load_builtin(args.builtin, args.p_cap))
+    lie = RestrictedLie(_load_builtin(args.builtin, args))
     tvecs = _default_torus(args.builtin, lie)
     x = _parse_x(lie, args.x)
     out = compare_switch_to_toral(lie, tvecs, x, r=args.r)
@@ -344,6 +360,12 @@ def build_parser():
         sp.add_argument("--p-cap", dest="p_cap", type=int, default=13,
                         help="largest prime accepted (runtime guard)")
 
+    def dim_cap(sp):
+        sp.add_argument("--dim-cap", dest="dim_cap", type=int,
+                        default=DEFAULT_DIM_CAP,
+                        help="largest algebra dimension accepted (runtime "
+                             "guard)")
+
     sp = sub.add_parser("identities",
                         help="symbolic identity suite for the Laguerre "
                              "values and their factored forms")
@@ -373,6 +395,7 @@ def build_parser():
     sp.add_argument("--r", type=int, default=None,
                     help="semisimplicity exponent override (>= 0)")
     common(sp)
+    dim_cap(sp)
 
     sp = sub.add_parser("toral",
                         help="torus replacement along a root vector")
@@ -383,6 +406,7 @@ def build_parser():
     sp.add_argument("--r", type=int, default=None,
                     help="x^[p]^r must lie in the torus (>= 0)")
     common(sp)
+    dim_cap(sp)
     return ap
 
 

@@ -164,6 +164,20 @@ def _smallest_irreducible(p, n):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _reduction_rows(p, modulus, count):
+    """T^(n+k) mod modulus as coefficient tuples, k = 0..count-1."""
+    n = len(modulus) - 1
+    rows = []
+    cur = tuple((-c) % p for c in modulus[:n])  # T^n
+    for _ in range(count):
+        rows.append(cur)
+        top = cur[n - 1]
+        cur = (0,) + cur[:n - 1]
+        if top:
+            cur = tuple((s + top * r) % p for s, r in zip(cur, rows[0]))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -360,17 +374,7 @@ class FqField:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", p ** n)
         object.__setattr__(self, "modulus", modulus)
-        # reduction rows: T^(n+k) mod modulus, k = 0..n-2
-        red = []
-        cur = tuple((-c) % p for c in modulus[:n])  # T^n
-        for _ in range(n - 1):
-            red.append(cur)
-            shifted = (0,) + cur[:n - 1]
-            top = cur[n - 1]
-            if top:
-                shifted = tuple((s + top * r) % p for s, r in zip(shifted, red[0]))
-            cur = shifted
-        object.__setattr__(self, "_red", tuple(red))
+        object.__setattr__(self, "_red", _reduction_rows(p, modulus, n - 1))
         object.__setattr__(self, "_exp", None)
         object.__setattr__(self, "_log", None)
         object.__setattr__(self, "zero", FqElement(self, (0,) * n))
@@ -434,14 +438,17 @@ class FqField:
                         prod[j] = (prod[j] + ck * rj) % p
         return tuple(prod[:n])
 
-    def dot_kernel(self, length):
-        """(pack, unpack) for dot products of `length` terms on ints.
+    def dot_kernel(self, length, factors=2):
+        """(pack, unpack) for sums of `length` products on ints.
 
         pack(x) is the int of an element or int scalar x; for any vectors
         u, v of that length, unpack(sum(map(operator.mul, pack(u),
-        pack(v)))) is their dot product as an element.
+        pack(v)))) is their dot product as an element.  With factors = 3
+        each term may be a product of three packed elements (or of fewer):
+        unpack(sum of pack(a) * pack(b) * pack(c) over `length` terms) is
+        the sum of the a b c.
         """
-        return _dot_kernel(self, length)
+        return _dot_kernel(self, length, factors)
 
     def _raw_pow(self, a, e):
         return power(a, e, self.one.coeffs, self._raw_mul)
@@ -513,15 +520,15 @@ def _interned(field):
 
 
 @functools.lru_cache(maxsize=None)
-def _dot_kernel(field, length):
+def _dot_kernel(field, length, factors):
     # Kronecker substitution: c_0 + c_1 g + ... + c_{n-1} g^{n-1} packs into
-    # sum c_i 2^(i w).  The product of two packed elements holds the 2n - 1
-    # coefficients of the product polynomial in its slots, each at most
-    # n (p-1)^2, so a sum of `length` products never carries between slots
-    # once 2^w exceeds length n (p-1)^2.  Unpacking reads the slots, folds
-    # slots n..2n-2 back through the reduction rows T^(n+k) mod modulus
-    # and reduces mod p once.  Results come from the field's interned
-    # elements.
+    # sum c_i 2^(i w).  The product of f packed elements holds the
+    # f (n - 1) + 1 coefficients of the product polynomial in its slots,
+    # each a sum of at most n^(f-1) products of f digits, so a sum of
+    # `length` such products never carries between slots once 2^w exceeds
+    # length n^(f-1) (p-1)^f.  Unpacking reads the slots, folds slots
+    # n.. back through the reduction rows T^(n+k) mod modulus and reduces
+    # mod p once.  Results come from the field's interned elements.
     p, n = field.p, field.n
     elements = _interned(field)
     if n == 1:
@@ -531,11 +538,14 @@ def _dot_kernel(field, length):
         def unpack(s):
             return elements[(s % p,)]
         return pack, unpack
-    width = (length * n * (p - 1) ** 2).bit_length() or 1
+    width = (length * n ** (factors - 1) * (p - 1) ** factors).bit_length() \
+        or 1
     mask = (1 << width) - 1
+    top = factors * (n - 1) + 1
     low = tuple(range(0, n * width, width))
-    high = tuple(range(n * width, (2 * n - 1) * width, width))
-    fold = tuple(zip(*field._red))   # fold[j][k]: T^(n+k) at g^j
+    high = tuple(range(n * width, top * width, width))
+    # fold[j][k]: T^(n+k) at g^j
+    fold = tuple(zip(*_reduction_rows(p, field.modulus, top - n)))
     shl, mul = operator.lshift, operator.mul
 
     def pack(x):

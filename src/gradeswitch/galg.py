@@ -427,10 +427,12 @@ class GradedAlgebra:
 
     degrees[i] is the residue of basis vector e_i; products[(i, j)] lists
     the nonzero (k, coeff) of e_i e_j; pmap, when present, gives e_i^[p] as
-    a vector.
+    a vector.  Products and the checks below run on the structure
+    constants packed for the field's three-factor dot kernel, built once
+    (the algebra is immutable).
     """
 
-    __slots__ = ("field", "m", "degrees", "products", "pmap")
+    __slots__ = ("field", "m", "degrees", "products", "pmap", "_sc")
 
     def __init__(self, field, m, degrees, products, pmap=None):
         if m < 1:
@@ -462,6 +464,7 @@ class GradedAlgebra:
             if len(pmap) != dim or any(len(r) != dim for r in pmap):
                 raise ValueError("pmap must give one vector per basis element")
         self.pmap = pmap
+        self._sc = None
 
     @classmethod
     def from_entries(cls, field, m, degrees, entries, pmap=None):
@@ -478,25 +481,73 @@ class GradedAlgebra:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
 
+    def _constants(self):
+        """(pack, unpack, rows) with rows[i] = {j: ((k, packed c), ...)}
+        over the nonzero c = c_ijk, repeated k in products[(i, j)] merged.
+
+        Every slot any product or check below accumulates is a sum of at
+        most max(#{(i, j) : c_ijk != 0}, 3 dim) terms of up to three
+        packed factors, which is the kernel's length.
+        """
+        if self._sc is None:
+            dim = self.dim
+            merged = [{} for _ in range(dim)]
+            hits = [0] * dim
+            for (i, j), terms in self.products.items():
+                acc = {}
+                for k, c in terms:
+                    acc[k] = acc[k] + c if k in acc else c
+                acc = [(k, c) for k, c in acc.items() if c]
+                for k, _ in acc:
+                    hits[k] += 1
+                if acc:
+                    merged[i][j] = acc
+            pack, unpack = self.field.dot_kernel(
+                max(hits + [3 * dim, 1]), 3)
+            rows = tuple({j: tuple([(k, pack(c)) for k, c in terms])
+                          for j, terms in row.items()} for row in merged)
+            self._sc = (pack, unpack, rows)
+        return self._sc
+
+    def _pack(self, v):
+        """The packed entries of a vector of this algebra, zeros as 0."""
+        if len(v) != self.dim:
+            raise ValueError("vector of wrong length")
+        return list(map(self._constants()[0], v))
+
+    def _product(self, px, py):
+        """x y from the packed entries of x and y."""
+        _, unpack, rows = self._constants()
+        out = [0] * self.dim
+        for i, xi in enumerate(px):
+            if xi:
+                for j, terms in rows[i].items():
+                    yj = py[j]
+                    if yj:
+                        f = xi * yj
+                        for k, c in terms:
+                            out[k] += f * c
+        zero = self.field.zero
+        return tuple([unpack(s) if s else zero for s in out])
+
     def product(self, x, y):
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                terms = self.products.get((i, j))
-                if terms:
-                    f = xi * yj
-                    for k, c in terms:
-                        out[k] = out[k] + f * c
-        return tuple(out)
+        """x y for vectors of `dim` entries: elements of this algebra's
+        field, or ints taken as scalars."""
+        return self._product(self._pack(x), self._pack(y))
 
     def left_multiplication(self, x):
         """The map y -> x y as a LinearMap (equals ad x for Lie brackets)."""
-        cols = [self.product(x, self.basis_vector(j)) for j in range(self.dim)]
-        return LinearMap.from_columns(self.field, cols)
+        _, unpack, rows = self._constants()
+        n = self.dim
+        acc = [[0] * n for _ in range(n)]   # acc[k][j]: e_k of x e_j
+        for i, xi in enumerate(self._pack(x)):
+            if xi:
+                for j, terms in rows[i].items():
+                    for k, c in terms:
+                        acc[k][j] += xi * c
+        zero = self.field.zero
+        return LinearMap._trusted(self.field, tuple(
+            tuple([unpack(s) if s else zero for s in row]) for row in acc))
 
     def grading_parts(self):
         """[(k, Subspace)] for k = 0..m-1; empty components included."""
@@ -632,20 +683,76 @@ def _coeff_parse(field, s):
 
 
 def is_derivation(A, D):
-    """D(xy) = D(x)y + xD(y) on all basis pairs."""
+    """D(xy) = D(x)y + xD(y) on all basis pairs.
+
+    One pass over the structure constants c_ijk builds the Leibniz defect
+    D(e_i e_j) - D(e_i) e_j - e_i D(e_j) at (i, j, l) from the nonzero
+    entries of column k and of rows i and j of D; D is a derivation iff
+    every accumulated slot is zero.
+    """
+    _check_acts(A, D)
+    pack, unpack, rows = A._constants()
+    n = A.dim
+    cols = [[] for _ in range(n)]   # cols[k]: (l, D_lk)
+    negs = [[] for _ in range(n)]   # negs[a]: (i, -D_ai)
+    for l, row in enumerate(D.rows):
+        for k, x in enumerate(row):
+            if x:
+                cols[k].append((l, pack(x)))
+                negs[l].append((k, pack(-x)))
+
+    def defect():   # slot (i, j, l) as (i n + j) n + l
+        for i, row in enumerate(rows):
+            for j, terms in row.items():
+                for k, c in terms:
+                    for l, d in cols[k]:
+                        yield (i * n + j) * n + l, c * d
+                    for i2, d in negs[i]:
+                        yield (i2 * n + j) * n + k, c * d
+                    for j2, d in negs[j]:
+                        yield (i * n + j2) * n + k, c * d
+    return _vanishes(unpack, defect())
+
+
+def _check_acts(A, D):
     if D.field is not A.field or D.n != A.dim:
         raise ValueError("map does not act on the algebra")
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    images = [D.apply(b) for b in basis]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = D.apply(A.product(basis[i], basis[j]))
-            rhs = tuple(a + b for a, b in zip(
-                A.product(images[i], basis[j]),
-                A.product(basis[i], images[j])))
-            if lhs != rhs:
-                return False
-    return True
+
+
+def _vanishes(unpack, terms):
+    """True when, for every slot, the packed values of the (slot, value)
+    terms sum to zero."""
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    return not any(map(unpack, acc.values()))
+
+
+def bracket_failure(A):
+    """Why the product of A is not a Lie bracket, or None when it is.
+
+    Checked on the structure constants in the order alternation and
+    antisymmetry on basis pairs, then the Jacobi identity on basis
+    triples i < j < k.
+    """
+    unpack, rows = A._constants()[1:]
+    n = A.dim
+    for i in range(n):
+        if i in rows[i]:
+            return "bracket is not alternating"
+        for j in range(i + 1, n):
+            if not _vanishes(unpack,
+                             rows[i].get(j, ()) + rows[j].get(i, ())):
+                return "bracket is not antisymmetric"
+    for i, j, k in itertools.combinations(range(n), 3):
+        # [e_a, [e_b, e_c]] = sum_l c_bcl sum_m c_alm e_m, cyclically
+        if not _vanishes(unpack, (
+                (m, c1 * c2)
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                for l, c1 in rows[b].get(c, ())
+                for m, c2 in rows[a].get(l, ()))):
+            return "Jacobi identity fails"
+    return None
 
 
 def derivation_degree(A, D):
@@ -653,9 +760,10 @@ def derivation_degree(A, D):
 
     The zero map gets degree 0.
     """
+    _check_acts(A, D)
     d = None
     for i in range(A.dim):
-        img = D.apply(A.basis_vector(i))
+        img = D.column(i)
         ks = {A.degrees[k] for k, c in enumerate(img) if c}
         if not ks:
             continue
@@ -688,14 +796,15 @@ class GradedDerivationReport:
 def is_graded_derivation(A, D, d):
     """Check D is a derivation homogeneous of degree d; also reports whether
     m | p d, the hypothesis under which switching preserves the grading."""
+    der_ok = is_derivation(A, D)
     deg_ok = True
     for i in range(A.dim):
-        img = D.apply(A.basis_vector(i))
+        img = D.column(i)
         want = (A.degrees[i] + d) % A.m
         if any(c and A.degrees[k] != want for k, c in enumerate(img)):
             deg_ok = False
             break
-    return GradedDerivationReport(is_derivation(A, D), deg_ok,
+    return GradedDerivationReport(der_ok, deg_ok,
                                   (A.field.p * d) % A.m == 0, d % A.m)
 
 
@@ -719,12 +828,13 @@ def is_grading(A, parts, add=None):
     stacked = [b for s in by_label.values() for b in s.basis]
     if len(stacked) != A.dim or Echelon(stacked).rank != A.dim:
         return False
-    for k, s in by_label.items():
-        for l, t in by_label.items():
+    packed = {k: [A._pack(b) for b in s.basis] for k, s in by_label.items()}
+    for k, us in packed.items():
+        for l, vs in packed.items():
             target = by_label.get(add(k, l))
-            for u in s.basis:
-                for v in t.basis:
-                    w = A.product(u, v)
+            for pu in us:
+                for pv in vs:
+                    w = A._product(pu, pv)
                     if any(w) and (target is None or not target.contains(w)):
                         return False
     return True

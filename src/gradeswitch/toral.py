@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .fields import GF, embedding, roots_in_splitting_field
 from .echelon import solve
-from .galg import Decomposition, Subspace, is_grading, kernel
+from .galg import Decomposition, Subspace, bracket_failure, is_grading, \
+    kernel
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
     build_LD, h_polynomial, semisimple_exponent
@@ -43,8 +44,9 @@ def _vec_is_zero(v):
 class RestrictedLie:
     """A graded algebra validated to be a restricted Lie algebra.
 
-    Checks alternating brackets, the Jacobi identity on all basis triples,
-    and ad(e_i)^p == ad(e_i^[p]) against the stored p-th power rows.
+    Checks alternating and antisymmetric brackets, the Jacobi identity on
+    all basis triples (galg.bracket_failure), and ad(e_i)^p == ad(e_i^[p])
+    against the stored p-th power rows.
     """
 
     def __init__(self, algebra):
@@ -54,26 +56,11 @@ class RestrictedLie:
         self.field = algebra.field
         self.p = algebra.field.p
         self.dim = algebra.dim
-        n = self.dim
-        basis = [algebra.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            if not _vec_is_zero(algebra.product(basis[i], basis[i])):
-                raise ValueError("bracket is not alternating")
-            for j in range(i + 1, n):
-                lhs = algebra.product(basis[i], basis[j])
-                rhs = algebra.product(basis[j], basis[i])
-                if lhs != _vec_scale(rhs, -self.field.one):
-                    raise ValueError("bracket is not antisymmetric")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = algebra.product(basis[i], algebra.product(basis[j], basis[k]))
-                    s = _vec_add(s, algebra.product(basis[j], algebra.product(basis[k], basis[i])))
-                    s = _vec_add(s, algebra.product(basis[k], algebra.product(basis[i], basis[j])))
-                    if not _vec_is_zero(s):
-                        raise ValueError("Jacobi identity fails")
-        for i in range(n):
-            adi = algebra.left_multiplication(basis[i])
+        failure = bracket_failure(algebra)
+        if failure:
+            raise ValueError(failure)
+        for i in range(self.dim):
+            adi = algebra.left_multiplication(algebra.basis_vector(i))
             if adi.p_power(1) != algebra.left_multiplication(algebra.pmap[i]):
                 raise ValueError("ad(e_%d)^p differs from ad(e_%d^[p])" % (i, i))
 

@@ -81,6 +81,51 @@ def test_p_cap_enforced_on_json_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "tpoly:5:3000:5", "--derivation", "ddx"),
+    ("switch", "--builtin", "witt:13+witt:13+witt:13+witt:13",
+     "--derivation", "ad:0"),
+    ("switch", "--builtin", "witt:5", "--derivation", "ad:1",
+     "--dim-cap", "4"),
+    ("toral", "--builtin", "witt:11+witt:11+witt:11+witt:11"),
+    ("toral", "--builtin", "witt:5+witt:5", "--dim-cap", "9"),
+])
+def test_dim_cap_checked_before_building(monkeypatch, capsys, argv):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("builtin built before the cap check")
+    monkeypatch.setattr(cli, "witt", refuse)
+    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "exceeds the cap" in err and "--dim-cap" in err
+
+
+def test_dim_cap_can_be_raised(capsys):
+    code, _, _ = run(capsys, "switch", "--builtin", "witt:5",
+                     "--derivation", "ad:1", "--dim-cap", "5")
+    assert code == 0
+
+
+def test_dim_cap_checked_before_reading_json_input(monkeypatch, tmp_path,
+                                                   capsys):
+    from gradeswitch import cli
+    from gradeswitch.galg import witt
+
+    def refuse(obj):
+        raise AssertionError("algebra JSON read before the cap check")
+    doc = witt(5).to_json()
+    doc["dim"] = 10 ** 9
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": doc}))
+    monkeypatch.setattr(cli.GradedAlgebra, "from_json", refuse)
+    code, _, err = run(capsys, "switch", "--input", str(path),
+                       "--derivation", "ad:0")
+    assert code == 2
+    assert "dimension 1000000000 exceeds the cap" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("switch", "--builtin", "witt:5", "--derivation", "ad:1", "--r", "-3"),
     ("toral", "--builtin", "witt:5", "--r", "-1"),
 ])

@@ -423,3 +423,44 @@ def test_non_derivation_detected():
     assert derivation_degree(W, LinearMap(F, rows)) == 0  # graded, degree 0
     rows[1][0] = F.one  # now maps slot 0 across two degrees
     assert derivation_degree(W, LinearMap(F, rows)) is None
+
+
+def test_product_refuses_foreign_and_misshapen_vectors():
+    W = witt(5)
+    F, G = W.field, GF(7)
+    e = [W.basis_vector(i) for i in range(5)]
+    for bad in ((F.one,) * 4, (F.one,) * 6, ()):
+        with pytest.raises(ValueError):
+            W.product(bad, e[1])
+        with pytest.raises(ValueError):
+            W.product(e[1], bad)
+        with pytest.raises(ValueError):
+            W.left_multiplication(bad)
+    foreign = e[0][:4] + (G.one,)
+    with pytest.raises(ValueError):
+        W.product(foreign, e[1])
+    with pytest.raises(ValueError):
+        W.product(e[1], (G.zero,) * 5)   # refused even where it is zero
+    with pytest.raises(TypeError):
+        W.product(e[1], (F.one, "1", 0, 0, 0))
+
+
+def test_product_coerces_int_entries_to_scalars():
+    A = truncated_poly(5, 5, 5).change_field(GF(5, 2))
+    F = A.field
+    x, y = (7, -1, 0, 3, 1), (2, 0, 4, -3, 1)
+    assert A.product(x, y) == A.product(tuple(F.scalar(k) for k in x),
+                                        tuple(F.scalar(k) for k in y))
+    assert A.left_multiplication(x) == A.left_multiplication(
+        tuple(F.scalar(k) for k in x))
+
+
+def test_derivation_checks_refuse_maps_on_other_spaces():
+    W = witt(5)
+    for D in (LinearMap(W.field, [[1] * 4] * 4),
+              LinearMap(GF(7), [[1] * 5] * 5)):
+        for check in (is_derivation, derivation_degree):
+            with pytest.raises(ValueError):
+                check(W, D)
+        with pytest.raises(ValueError):
+            is_graded_derivation(W, D, 0)
