@@ -15,8 +15,10 @@ field is reconstructed in every run without a Conway table.
 Multiplication uses discrete-log tables once a small field (q <= 2^16) is
 first multiplied in; larger fields fall back to plain polynomial arithmetic.
 Dot products of whole vectors run on packed ints instead
-(:meth:`FqField.dot_kernel`).  Everything is exact; fields and elements are
-immutable.
+(:meth:`FqField.dot_kernel`), and so do sums of products of truncated
+series in two nilpotents (:meth:`FqField.series_kernel`), which carry the
+quotient-ring products of :mod:`gradeswitch.polyring`.  Everything is
+exact; fields and elements are immutable.
 """
 
 import functools
@@ -439,16 +441,29 @@ class FqField:
         return tuple(prod[:n])
 
     def dot_kernel(self, length, factors=2):
-        """(pack, unpack) for sums of `length` products on ints.
+        """(pack, unpack, bits) for sums of `length` products on ints.
 
         pack(x) is the int of an element or int scalar x; for any vectors
         u, v of that length, unpack(sum(map(operator.mul, pack(u),
-        pack(v)))) is their dot product as an element.  With factors = 3
-        each term may be a product of three packed elements (or of fewer):
+        pack(v)))) is their dot product as an element.  With factors = f
+        each term may be a product of up to f packed elements (f = 3:
         unpack(sum of pack(a) * pack(b) * pack(c) over `length` terms) is
-        the sum of the a b c.
+        the sum of the a b c).  Every such sum fits in `bits` bits, so
+        packed elements laid side by side `bits` apart multiply as blocks
+        of a larger Kronecker layout; unpack takes one block.
         """
         return _dot_kernel(self, length, factors)
+
+    def series_kernel(self, ua, ub, length, factors):
+        """(pack, unpack, bits) of :meth:`dot_kernel` for series in two
+        nilpotents, F[U, V]/(U^ua, V^ub), given as ua rows of ub elements
+        (row i, column j multiplies U^i V^j).
+
+        unpack(sum of `length` products of up to `factors` packed series)
+        is their sum as rows of interned elements, truncated to ua x ub;
+        the sum fits in `bits` bits.
+        """
+        return _series_kernel(self, ua, ub, length, factors)
 
     def _raw_pow(self, a, e):
         return power(a, e, self.one.coeffs, self._raw_mul)
@@ -528,18 +543,19 @@ def _dot_kernel(field, length, factors):
     # `length` such products never carries between slots once 2^w exceeds
     # length n^(f-1) (p-1)^f.  Unpacking reads the slots, folds slots
     # n.. back through the reduction rows T^(n+k) mod modulus and reduces
-    # mod p once.  Results come from the field's interned elements.
+    # mod p once.  Results come from the field's interned elements.  The
+    # f (n - 1) + 1 slots of w bits are the block one such sum occupies.
     p, n = field.p, field.n
     elements = _interned(field)
+    width = (length * n ** (factors - 1) * (p - 1) ** factors).bit_length() \
+        or 1
     if n == 1:
         def pack(x):
             return _as_field_elt(field, x).coeffs[0]
 
         def unpack(s):
             return elements[(s % p,)]
-        return pack, unpack
-    width = (length * n ** (factors - 1) * (p - 1) ** factors).bit_length() \
-        or 1
+        return pack, unpack, width
     mask = (1 << width) - 1
     top = factors * (n - 1) + 1
     low = tuple(range(0, n * width, width))
@@ -556,7 +572,31 @@ def _dot_kernel(field, length, factors):
         return elements[tuple([
             (((s >> sh) & mask) + sum(map(mul, hi, red))) % p
             for sh, red in zip(low, fold)])]
-    return pack, unpack
+    return pack, unpack, top * width
+
+
+@functools.lru_cache(maxsize=None)
+def _series_kernel(field, ua, ub, length, factors):
+    # The coefficient of U^i V^j is one element block of the dot kernel, at
+    # cell i vs + j.  A product of `factors` series has U degree below
+    # us = factors (ua - 1) + 1 and V degree below vs, so cells never
+    # collide, and each cell sums at most (ua ub)^(factors-1) products per
+    # term: the element blocks are sized for that many times `length`.
+    pack_e, unpack_e, cell = _dot_kernel(
+        field, length * (ua * ub) ** (factors - 1), factors)
+    us, vs = factors * (ua - 1) + 1, factors * (ub - 1) + 1
+    offsets = tuple(tuple((i * vs + j) * cell for j in range(ub))
+                    for i in range(ua))
+    mask = (1 << cell) - 1
+
+    def pack(rows):
+        return sum([pack_e(c) << sh for row, shs in zip(rows, offsets)
+                    for c, sh in zip(row, shs) if c])
+
+    def unpack(s):
+        return tuple([tuple([unpack_e((s >> sh) & mask) for sh in shs])
+                      for shs in offsets])
+    return pack, unpack, us * vs * cell
 
 
 def GF(p, n=1, modulus=None):

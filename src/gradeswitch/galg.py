@@ -152,7 +152,7 @@ class LinearMap(RingElement):
     def apply(self, v):
         if len(v) != self.n:
             raise ValueError("vector of wrong length")
-        pack, unpack = self.field.dot_kernel(self.n)
+        pack, unpack, _ = self.field.dot_kernel(self.n)
         pv = [pack(x) for x in v]
         mul = operator.mul
         return tuple([unpack(sum(map(mul, row, pv)))
@@ -426,8 +426,9 @@ class GradedAlgebra:
     restricted Lie algebras).
 
     degrees[i] is the residue of basis vector e_i; products[(i, j)] lists
-    the nonzero (k, coeff) of e_i e_j; pmap, when present, gives e_i^[p] as
-    a vector.  Products and the checks below run on the structure
+    the nonzero (k, coeff) of e_i e_j, each k once (constants given more
+    than once for one (i, j, k) are summed); pmap, when present, gives
+    e_i^[p] as a vector.  Products and the checks below run on the structure
     constants packed for the field's three-factor dot kernel, built once
     (the algebra is immutable).
     """
@@ -445,9 +446,11 @@ class GradedAlgebra:
         for (i, j), terms in products.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError("basis index out of range")
-            kept = tuple((k, _as_field_elt(field, c)) for k, c in terms
-                         if _as_field_elt(field, c))
-            for k, _ in kept:
+            merged = {}     # k -> summed c, in order of first listing
+            for k, c in terms:
+                c = _as_field_elt(field, c)
+                if not c:
+                    continue
                 if not 0 <= k < dim:
                     raise ValueError("basis index out of range")
                 if (self.degrees[i] + self.degrees[j]
@@ -455,6 +458,8 @@ class GradedAlgebra:
                     raise ValueError(
                         "product e_%d e_%d hits e_%d outside the graded "
                         "component" % (i, j, k))
+                merged[k] = merged[k] + c if k in merged else c
+            kept = tuple((k, c) for k, c in merged.items() if c)
             if kept:
                 clean[(i, j)] = kept
         self.products = clean
@@ -483,7 +488,7 @@ class GradedAlgebra:
 
     def _constants(self):
         """(pack, unpack, rows) with rows[i] = {j: ((k, packed c), ...)}
-        over the nonzero c = c_ijk, repeated k in products[(i, j)] merged.
+        over the nonzero c = c_ijk.
 
         Every slot any product or check below accumulates is a sum of at
         most max(#{(i, j) : c_ijk != 0}, 3 dim) terms of up to three
@@ -491,21 +496,15 @@ class GradedAlgebra:
         """
         if self._sc is None:
             dim = self.dim
-            merged = [{} for _ in range(dim)]
             hits = [0] * dim
-            for (i, j), terms in self.products.items():
-                acc = {}
-                for k, c in terms:
-                    acc[k] = acc[k] + c if k in acc else c
-                acc = [(k, c) for k, c in acc.items() if c]
-                for k, _ in acc:
+            for terms in self.products.values():
+                for k, _ in terms:
                     hits[k] += 1
-                if acc:
-                    merged[i][j] = acc
-            pack, unpack = self.field.dot_kernel(
+            pack, unpack, _ = self.field.dot_kernel(
                 max(hits + [3 * dim, 1]), 3)
-            rows = tuple({j: tuple([(k, pack(c)) for k, c in terms])
-                          for j, terms in row.items()} for row in merged)
+            rows = tuple({} for _ in range(dim))
+            for (i, j), terms in self.products.items():
+                rows[i][j] = tuple([(k, pack(c)) for k, c in terms])
             self._sc = (pack, unpack, rows)
         return self._sc
 

@@ -542,10 +542,11 @@ class QuotientRing:
     xc and yc are the reduction constants (images of X^p and Y^p); they fix
     R, whose one and zero are derived through the shared ring protocol.
     Elements store a p x p matrix of coefficients, entry [i][j] multiplying
-    X^i Y^j.
+    X^i Y^j.  Products run on the ring's product kernel, built on first
+    use (:meth:`_product_kernel`).
     """
 
-    __slots__ = ("p", "xc", "yc", "one_entry", "zero_entry")
+    __slots__ = ("p", "xc", "yc", "one_entry", "zero_entry", "_kernel")
 
     def __init__(self, p, xc, yc):
         self.p = p
@@ -553,6 +554,20 @@ class QuotientRing:
         self.yc = yc
         self.one_entry = xc ** 0
         self.zero_entry = xc ** 0 - xc ** 0
+        self._kernel = None
+
+    def _product_kernel(self):
+        """The function (u, v) -> entry rows of u v for two elements.
+
+        Symbolic (MultiPoly) entries take the schoolbook loop; field and
+        truncated-series entries take the packed-int kernel of
+        :func:`_packed_product`, built once for this ring.
+        """
+        if self._kernel is None:
+            self._kernel = (_schoolbook_product
+                            if isinstance(self.one_entry, MultiPoly)
+                            else _packed_product(self))
+        return self._kernel
 
     def element(self, entries):
         rows = tuple(tuple(r) for r in entries)
@@ -587,13 +602,15 @@ class QuotientRing:
 
 
 class QuotientElement(RingElement):
-    """Element of a :class:`QuotientRing`; immutable."""
+    """Element of a :class:`QuotientRing`; immutable.  The packed-int
+    kernel keeps the element's packed int once built."""
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("ring", "entries", "_packed")
 
     def __init__(self, ring, entries):
         self.ring = ring
         self.entries = entries
+        self._packed = None
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -638,28 +655,10 @@ class QuotientElement(RingElement):
 
     def __mul__(self, other):
         if isinstance(other, QuotientElement):
-            if other.ring is not self.ring:
-                raise ValueError("elements of different quotient rings")
             ring = self.ring
-            p = ring.p
-            terms = [(k, l, c2) for k, row in enumerate(other.entries)
-                     for l, c2 in enumerate(row) if c2]
-            acc = [[ring.zero_entry] * (2 * p - 1) for _ in range(2 * p - 1)]
-            for i, row in enumerate(self.entries):
-                for j, c1 in enumerate(row):
-                    if c1:
-                        for k, l, c2 in terms:
-                            acc[i + k][j + l] = acc[i + k][j + l] + c1 * c2
-            # fold the exponents >= p back: Y^p = yc, then X^p = xc
-            for row in acc:
-                for t in range(p, 2 * p - 1):
-                    if row[t]:
-                        row[t - p] = row[t - p] + row[t] * ring.yc
-            for s in range(p, 2 * p - 1):
-                for t in range(p):
-                    if acc[s][t]:
-                        acc[s - p][t] = acc[s - p][t] + acc[s][t] * ring.xc
-            return QuotientElement(ring, tuple(tuple(r[:p]) for r in acc[:p]))
+            if other.ring is not ring:
+                raise ValueError("elements of different quotient rings")
+            return QuotientElement(ring, ring._product_kernel()(self, other))
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
@@ -688,8 +687,92 @@ class QuotientElement(RingElement):
         return "Quotient[%s]" % (" + ".join(parts) or "0")
 
 
+def _schoolbook_product(u, v):
+    """Entry rows of u v by entry products, exponents >= p folded back
+    (the product of rings with MultiPoly entries)."""
+    ring = u.ring
+    p = ring.p
+    terms = [(k, l, c2) for k, row in enumerate(v.entries)
+             for l, c2 in enumerate(row) if c2]
+    acc = [[ring.zero_entry] * (2 * p - 1) for _ in range(2 * p - 1)]
+    for i, row in enumerate(u.entries):
+        for j, c1 in enumerate(row):
+            if c1:
+                for k, l, c2 in terms:
+                    acc[i + k][j + l] = acc[i + k][j + l] + c1 * c2
+    # fold the exponents >= p back: Y^p = yc, then X^p = xc
+    for row in acc:
+        for t in range(p, 2 * p - 1):
+            if row[t]:
+                row[t - p] = row[t - p] + row[t] * ring.yc
+    for s in range(p, 2 * p - 1):
+        for t in range(p):
+            if acc[s][t]:
+                acc[s - p][t] = acc[s - p][t] + acc[s][t] * ring.xc
+    return tuple(tuple(r[:p]) for r in acc[:p])
+
+
+def _packed_product(ring):
+    """The packed-int product kernel of a ring with field or
+    truncated-series entries.
+
+    Kronecker layout: entry [i][j] is the entry kernel's block (field
+    digits, and for series the U^a V^b cells around them) at block
+    i (2p - 1) + j, so X and Y are the outer axes with 2p - 1 blocks each,
+    room for the product of two elements.  A product is one int multiply;
+    Y^p = yc is folded by masking the blocks t >= p of every X row and
+    adding them, times packed yc, at t - p, then X^p = xc the same way on
+    the rows s >= p.  Each of the p^2 entries of the result is then a sum
+    of p^2 products of at most four entries (c1 c2 yc xc), which is what
+    the entry kernel's slots are sized for, and is unpacked once: U and V
+    truncated, field digits folded through the reduction rows, one mod p.
+    """
+    p = ring.p
+    one = ring.one_entry
+    field = one.field
+    if isinstance(one, BiTruncSeries):
+        ua, ub = one.ua, one.ub
+        spack, sunpack, bits = field.series_kernel(ua, ub, p * p, 4)
+
+        def pack_entry(c):
+            return spack(c.coeffs)
+
+        def unpack_entry(s):
+            return BiTruncSeries._from_rows(field, ua, ub, sunpack(s))
+    else:
+        pack_entry, unpack_entry, bits = field.dot_kernel(p * p, 4)
+    m = 2 * p - 1
+    row_bits = m * bits
+    offsets = tuple(tuple((i * m + j) * bits for j in range(p))
+                    for i in range(p))
+    mask = (1 << bits) - 1
+    # blocks t < p, and blocks t < p - 1, of each of the 2p - 1 rows
+    low_t = sum(((1 << (p * bits)) - 1) << (s * row_bits) for s in range(m))
+    high_t = sum(((1 << ((p - 1) * bits)) - 1) << (s * row_bits)
+                 for s in range(m))
+    low_s = (1 << (p * row_bits)) - 1
+    xc, yc = pack_entry(ring.xc), pack_entry(ring.yc)
+    zero = ring.zero_entry
+
+    def packed(u):
+        if u._packed is None:
+            u._packed = sum([pack_entry(c) << sh
+                             for row, shs in zip(u.entries, offsets)
+                             for c, sh in zip(row, shs) if c])
+        return u._packed
+
+    def product(u, v):
+        s = packed(u) * packed(v)
+        s = (s & low_t) + ((s >> (p * bits)) & high_t) * yc
+        s = (s & low_s) + (s >> (p * row_bits)) * xc
+        return tuple([tuple([unpack_entry(b) if b else zero
+                             for b in [(s >> sh) & mask for sh in shs]])
+                      for shs in offsets])
+    return product
+
+
 def quotient_mul(u, v):
-    """Product in the quotient ring (single-step exponent reduction)."""
+    """Product in the quotient ring, by the ring's product kernel."""
     return u * v
 
 

@@ -464,3 +464,29 @@ def test_derivation_checks_refuse_maps_on_other_spaces():
                 check(W, D)
         with pytest.raises(ValueError):
             is_graded_derivation(W, D, 0)
+
+
+def test_repeated_constants_are_merged():
+    # constants listed more than once for one (i, j, k) are summed, and a
+    # sum that cancels is dropped, so the algebra equals the one written
+    # with the sums and writes no cancelling pair to JSON
+    F = GF(3)
+    empty = GradedAlgebra.from_entries(F, 1, [0], [])
+    cancel = GradedAlgebra.from_entries(F, 1, [0], [(0, 0, 0, 1),
+                                                    (0, 0, 0, -1)])
+    assert cancel.products == {}
+    assert cancel == empty
+    assert cancel.to_json() == empty.to_json()
+    assert cancel.to_json()["sc"] == []
+    repeated = GradedAlgebra.from_entries(
+        F, 1, [0, 0], [(0, 0, 1, 1), (0, 1, 1, 2), (0, 0, 0, 2),
+                       (0, 0, 1, 1), (0, 1, 1, 1)])
+    summed = GradedAlgebra.from_entries(F, 1, [0, 0], [(0, 0, 1, 2),
+                                                       (0, 0, 0, 2)])
+    assert repeated.products == {(0, 0): ((1, F.scalar(2)), (0, F.scalar(2)))}
+    assert repeated == summed
+    assert repeated.to_json() == summed.to_json()
+    assert repeated.to_json()["sc"] == [[0, 0, 1, "2"], [0, 0, 0, "2"]]
+    assert GradedAlgebra.from_json(repeated.to_json()) == summed
+    x = (F.one, F.scalar(2))
+    assert repeated.product(x, x) == summed.product(x, x)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -263,3 +265,22 @@ def test_ppower_inverse_quotient_product_count(p, monkeypatch):
     e = p - 1
     assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1) + 1
     assert len(calls) == {5: 3, 11: 5}[p]
+
+
+def test_product_kernel_is_freed_with_its_ring():
+    """A ring's packed-int kernel lives on the ring: once the ring and its
+    elements are gone, so is the kernel (no cache outside the ring keeps
+    every pair-series ring alive)."""
+    F = GF(5)
+    refs = []
+    for xc, yc in ((F.scalar(2), F.scalar(3)),
+                   (BiTruncSeries(F, 2, 3, [[1, 2], [3]]),
+                    BiTruncSeries.shift_v(F, 2, 3))):
+        ring = QuotientRing(5, xc, yc)
+        u = ring.from_x_poly([1, 2, 3]) + ring.from_y_poly([0, 4])
+        v = quotient_mul(u, u)
+        assert v == u * u
+        refs.append(weakref.ref(ring._kernel))
+        del ring, u, v
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

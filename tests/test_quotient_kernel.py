@@ -1,0 +1,200 @@
+"""Differential tests of the packed-int product kernel behind
+``QuotientElement``.
+
+Products in R[X,Y]/(X^p - xc, Y^p - yc) are compared with the schoolbook
+loop they replaced, which multiplies entries one pair at a time and folds
+X^p and Y^p back entry by entry.  R is a finite field or a truncated
+series ring F[U,V]/(U^a, V^b) with orders 1 to 3, over prime fields,
+log-table fields and a field above the log-table cap; p runs over 2, 3, 5
+and 7.  The reduction constants xc and yc are random, zero, all-(p-1) or
+the pair-series constants alpha^p - alpha, so they carry U and V terms.
+Elements include zero and all-(p-1) entries, which fill the kernel's
+slots the most.  Skipped when hypothesis is not installed."""
+
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from gradeswitch import polyring  # noqa: E402
+from gradeswitch.fields import GF, _TABLE_CAP  # noqa: E402
+from gradeswitch.polyring import (  # noqa: E402
+    BiTruncSeries, MultiPoly, QuotientElement, QuotientRing)
+
+FIELDS = [GF(2), GF(3), GF(5, 5), GF(3, 3), GF(2, 17)]
+assert FIELDS[-1].q > _TABLE_CAP
+PRIMES = [2, 3, 5, 7]
+ORDERS = [None, (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2), (3, 3)]
+
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
+                               derandomize=True, database=None)
+
+
+# -- the schoolbook product, kept as the oracle ---------------------------------
+
+def reference_product(u, v):
+    ring = u.ring
+    p = ring.p
+    terms = [(k, l, c2) for k, row in enumerate(v.entries)
+             for l, c2 in enumerate(row) if c2]
+    acc = [[ring.zero_entry] * (2 * p - 1) for _ in range(2 * p - 1)]
+    for i, row in enumerate(u.entries):
+        for j, c1 in enumerate(row):
+            if c1:
+                for k, l, c2 in terms:
+                    acc[i + k][j + l] = acc[i + k][j + l] + c1 * c2
+    for row in acc:
+        for t in range(p, 2 * p - 1):
+            if row[t]:
+                row[t - p] = row[t - p] + row[t] * ring.yc
+    for s in range(p, 2 * p - 1):
+        for t in range(p):
+            if acc[s][t]:
+                acc[s - p][t] = acc[s - p][t] + acc[s][t] * ring.xc
+    return tuple(tuple(r[:p]) for r in acc[:p])
+
+
+# -- inputs -----------------------------------------------------------------------
+
+def field_entry(F, kind, rng):
+    if kind == "zero":
+        return F.zero
+    if kind == "max":
+        # every digit p - 1: the largest value a slot can receive
+        return F.from_coeffs([F.p - 1] * F.n)
+    return F.random_element(rng)
+
+
+def entry(F, orders, kind, rng):
+    """A field element (orders None) or a series whose every coefficient
+    is of the given kind."""
+    if orders is None:
+        return field_entry(F, kind, rng)
+    ua, ub = orders
+    return BiTruncSeries(F, ua, ub, [[field_entry(F, kind, rng)
+                                      for _ in range(ub)] for _ in range(ua)])
+
+
+def pair_constant(F, orders, rng):
+    """alpha^p - alpha at alpha = a0 + U (or b0 + V) with p the field's
+    characteristic, as in the product-rule pair series."""
+    a0 = F.random_element(rng)
+    if orders is None:
+        return a0 ** F.p - a0
+    ua, ub = orders
+    shift = (BiTruncSeries.shift_u if rng.randrange(2) else
+             BiTruncSeries.shift_v)(F, ua, ub)
+    alpha = BiTruncSeries.constant(F, ua, ub, a0) + shift
+    return alpha ** F.p - alpha
+
+
+def constant(F, orders, kind, rng):
+    if kind == "pair":
+        return pair_constant(F, orders, rng)
+    return entry(F, orders, kind, rng)
+
+
+def element(ring, F, orders, kind, rng):
+    p = ring.p
+    if kind == "sparse":
+        return ring.element([[entry(F, orders, "random", rng)
+                              if rng.randrange(3) == 0 else ring.zero_entry
+                              for _ in range(p)] for _ in range(p)])
+    if kind == "mixed":
+        return ring.element([[entry(F, orders, rng.choice(
+            ["zero", "max", "random"]), rng) for _ in range(p)]
+            for _ in range(p)])
+    return ring.element([[entry(F, orders, kind, rng) for _ in range(p)]
+                         for _ in range(p)])
+
+
+ENTRY_KINDS = ["zero", "max", "random", "sparse", "mixed"]
+CONSTANT_KINDS = ["zero", "max", "random", "pair"]
+
+
+@st.composite
+def products(draw):
+    F = draw(st.sampled_from(FIELDS))
+    p = draw(st.sampled_from(PRIMES))
+    orders = draw(st.sampled_from(ORDERS))
+    if F.q > _TABLE_CAP and orders is not None:
+        # the reference multiplies polynomials above the table cap
+        p = min(p, 3)
+        orders = (min(orders[0], 2), min(orders[1], 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    xc = constant(F, orders, draw(st.sampled_from(CONSTANT_KINDS)), rng)
+    yc = constant(F, orders, draw(st.sampled_from(CONSTANT_KINDS)), rng)
+    ring = QuotientRing(p, xc, yc)
+    u = element(ring, F, orders, draw(st.sampled_from(ENTRY_KINDS)), rng)
+    v = element(ring, F, orders, draw(st.sampled_from(ENTRY_KINDS)), rng)
+    return u, v
+
+
+@SETTINGS
+@hypothesis.given(products())
+def test_product_matches_reference(case):
+    u, v = case
+    w = u * v
+    assert w.entries == reference_product(u, v)
+    # cached packed operands give the same product again, and the product
+    # is itself a valid operand
+    assert (u * v).entries == w.entries
+    assert (v * u).entries == w.entries
+    assert (w * u).entries == reference_product(w, u)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_all_max_entries(F, p):
+    """Every entry, xc and yc with every digit p - 1: the largest sums the
+    slots must hold without carrying into their neighbours."""
+    rng = random.Random(0)
+    # the reference spends p^4 series products on one product; keep the
+    # widest series to the smaller p and below the table cap
+    shapes = [None]
+    if p <= 5:
+        shapes.append((2, 3) if F.q <= _TABLE_CAP else (2, 2))
+    for orders in shapes:
+        top = entry(F, orders, "max", rng)
+        ring = QuotientRing(p, top, top)
+        u = element(ring, F, orders, "max", rng)
+        assert (u * u).entries == reference_product(u, u)
+
+
+def test_zero_products():
+    F = GF(3, 3)
+    rng = random.Random(1)
+    for orders in (None, (2, 2)):
+        ring = QuotientRing(3, constant(F, orders, "pair", rng),
+                            constant(F, orders, "pair", rng))
+        zero = element(ring, F, orders, "zero", rng)
+        u = element(ring, F, orders, "random", rng)
+        for a, b in ((zero, u), (u, zero), (zero, zero)):
+            assert (a * b).entries == reference_product(a, b)
+            assert not a * b
+
+
+def test_symbolic_entries_take_the_schoolbook_loop():
+    F = GF(3)
+    vars_ = ("alpha", "beta")
+    alpha = MultiPoly.variable(F, vars_, "alpha")
+    beta = MultiPoly.variable(F, vars_, "beta")
+    ring = QuotientRing(3, alpha ** 3 - alpha, beta ** 3 - beta)
+    assert ring._product_kernel() is polyring._schoolbook_product
+    u = ring.from_x_poly([alpha, beta, alpha * beta])
+    v = ring.from_y_poly([beta, 1, alpha])
+    assert (u * v).entries == reference_product(u, v)
+    for orders in (None, (2, 1)):
+        rng = random.Random(2)
+        xc = constant(F, orders, "pair", rng)
+        assert QuotientRing(3, xc, xc)._product_kernel() is not \
+            polyring._schoolbook_product
+
+
+def test_tracer_binds_one_product():
+    # the benchmark's tracer counts quotient products by replacing the one
+    # function bound as both __mul__ and __rmul__
+    assert QuotientElement.__dict__["__rmul__"] is \
+        QuotientElement.__dict__["__mul__"]
