@@ -626,16 +626,6 @@ def GF(p, n=1, modulus=None):
 # module-level operations
 
 
-def frobenius(x, k=1):
-    """x^(p^k)."""
-    return x.frobenius(k)
-
-
-def pth_root(x):
-    """The unique y with y^p == x."""
-    return x.pth_root()
-
-
 def _artin_schreier_in(field, c):
     """Smallest root of y^p - y = c inside `field`, or None.
 

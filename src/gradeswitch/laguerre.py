@@ -53,27 +53,6 @@ def inverse_factorials(field):
     return tuple(out)
 
 
-def _base_field(t):
-    f = getattr(t, "field", None)
-    if f is None:
-        raise TypeError("cannot infer a base field from %r" % (t,))
-    return f
-
-
-def generalized_binomial(t, m):
-    """binom(t, m) = t (t-1) ... (t-m+1) / m! for any ring value t.
-
-    Requires m < p since m! must be invertible.
-    """
-    field = _base_field(t)
-    if not 0 <= m < field.p:
-        raise ValueError("binomial order must satisfy 0 <= m < p")
-    acc = t ** 0
-    for i in range(m):
-        acc = acc * (t - i)
-    return acc * inverse_factorials(field)[m]
-
-
 def _check_p(p, field):
     if field.p != p:
         raise ValueError("field has characteristic %d, expected %d"
@@ -83,19 +62,28 @@ def _check_p(p, field):
 def laguerre_coeffs(p, alpha, n=None):
     """The X^k coefficients (k = 0..n) of L_n^(alpha)(X), in alpha's ring.
 
-    alpha may be a field element or any ring value that mixes with field
-    scalars: a Polynomial or MultiPoly (symbolic alpha), a BiTruncSeries or
-    a LinearMap (operator alpha).
+    The X^k coefficient is binom(alpha + n, n - k) (-1)^k / k!.  The
+    falling factorials (alpha + n) (alpha + n - 1) ... (alpha + k + 1)
+    are built once, one ring product each, so the whole list costs n - 1
+    ring products (none for n = 0) and n + 1 scalar multiplies.  alpha may be a field
+    element or any ring value that mixes with field scalars: a Polynomial
+    or MultiPoly (symbolic alpha), a BiTruncSeries or a LinearMap
+    (operator alpha).
     """
-    field = _base_field(alpha)
+    field = getattr(alpha, "field", None)
+    if field is None:
+        raise TypeError("cannot infer a base field from %r" % (alpha,))
     _check_p(p, field)
     if n is None:
         n = p - 1
     if not 0 <= n < p:
         raise ValueError("degree must satisfy 0 <= n < p")
     inv = inverse_factorials(field)
-    return tuple(generalized_binomial(alpha + n, n - k)
-                 * (inv[k] if k % 2 == 0 else -inv[k])
+    t = alpha + n
+    falling = [t ** 0, t]       # falling[m] = t (t-1) ... (t-m+1)
+    for i in range(1, n):
+        falling.append(falling[-1] * (t - i))
+    return tuple(falling[n - k] * ((-1) ** k * inv[n - k] * inv[k])
                  for k in range(n + 1))
 
 
@@ -268,8 +256,10 @@ def lemma_binomial(p):
     field = GF(p)
     z = Polynomial.variable(field, "Z")
     acc = Polynomial(field, [field.scalar((-1) ** (p * (p - 1) // 2))], "Z")
+    binom = acc.one()           # binom(Z - 1, j), one factor at a time
     for j in range(1, p):
-        acc = acc * generalized_binomial(z - 1, j)
+        binom = binom * (z - j) * field.scalar(j).inverse()
+        acc = acc * binom
     return acc
 
 

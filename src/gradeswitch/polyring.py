@@ -389,7 +389,8 @@ class MultiPoly(RingElement):
 class BiTruncSeries(RingElement):
     """Element of F[U,V]/(U^ua, V^ub): series in two commuting nilpotents,
     truncated independently in each variable.  Coefficient [i][j] multiplies
-    U^i V^j."""
+    U^i V^j.  A product is one int multiply on the field's packed series
+    kernel (:meth:`gradeswitch.fields.FqField.series_kernel`)."""
 
     __slots__ = ("field", "ua", "ub", "coeffs")
 
@@ -464,15 +465,6 @@ class BiTruncSeries(RingElement):
             self.field, self.ua, self.ub,
             tuple(tuple(-c for c in row) for row in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return BiTruncSeries._from_rows(
-            self.field, self.ua, self.ub,
-            tuple(tuple(a - b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.coeffs, o.coeffs)))
-
     def one(self):
         return BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
 
@@ -480,21 +472,10 @@ class BiTruncSeries(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ua, ub = self.ua, self.ub
-        out = [[self.field.zero] * ub for _ in range(ua)]
-        for i in range(ua):
-            for j in range(ub):
-                a = self.coeffs[i][j]
-                if not a:
-                    continue
-                for k in range(ua - i):
-                    brow, orow = o.coeffs[k], out[i + k]
-                    for l in range(ub - j):
-                        b = brow[l]
-                        if b:
-                            orow[j + l] = orow[j + l] + a * b
-        return BiTruncSeries._from_rows(self.field, ua, ub,
-                                        tuple(tuple(r) for r in out))
+        pack, unpack, _ = self.field.series_kernel(self.ua, self.ub, 1, 2)
+        return BiTruncSeries._from_rows(
+            self.field, self.ua, self.ub,
+            unpack(pack(self.coeffs) * pack(o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -579,18 +560,20 @@ class QuotientRing:
         return self.monomial(0, 0, self.one_entry)
 
     def monomial(self, i, j, coeff):
-        rows = [[self.zero_entry] * self.p for _ in range(self.p)]
-        rows[i % self.p][j % self.p] = coeff * (self.xc ** (i // self.p)) \
-            * (self.yc ** (j // self.p))
-        return QuotientElement(self, tuple(tuple(r) for r in rows))
+        """coeff X^i Y^j for exponents 0 <= i, j < p; coeff (an int, a
+        field scalar or an entry) is coerced into the entry ring."""
+        return self.from_exponents((((i, j), coeff),))
 
     def from_exponents(self, items):
-        """Element from ((i, j), coeff) pairs; exponents are reduced."""
+        """Element from ((i, j), coeff) pairs with 0 <= i, j < p; each
+        coeff is added into the entry ring's zero, and the coefficients of
+        a repeated exponent pair add up."""
         p = self.p
         rows = [[self.zero_entry] * p for _ in range(p)]
         for (i, j), c in items:
-            rows[i % p][j % p] = rows[i % p][j % p] \
-                + c * (self.xc ** (i // p)) * (self.yc ** (j // p))
+            if not (0 <= i < p and 0 <= j < p):
+                raise ValueError("exponents must lie in 0..p-1")
+            rows[i][j] = rows[i][j] + c
         return QuotientElement(self, tuple(tuple(r) for r in rows))
 
     def from_x_poly(self, coeffs):

@@ -20,10 +20,10 @@ space.
 import math
 from dataclasses import dataclass
 
-from .fields import GF, embedding, roots_in_splitting_field
+from .fields import GF, embedding
 from .echelon import solve
-from .galg import Decomposition, Subspace, bracket_failure, is_grading, \
-    kernel
+from .galg import Decomposition, Subspace, bracket_failure, \
+    generalized_eigenspaces, is_grading, kernel
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
     build_LD, h_polynomial, semisimple_exponent
@@ -187,46 +187,34 @@ class Torus:
 
 def root_decomposition(lie, torus_vectors):
     """(lie', torus', Decomposition) over a field where every adjoint of
-    the torus basis splits; root labels are eigenvalue tuples."""
+    the torus basis splits; root labels are eigenvalue tuples.
+
+    The eigenspaces of each ad t (semisimple, so its generalized
+    eigenspaces) come from :func:`generalized_eigenspaces` and refine the
+    parts by intersection.  When an adjoint splits only over a larger
+    field, the algebra and the torus move there and the refinement starts
+    again.
+    """
     while True:
         torus = Torus(lie, torus_vectors)
         field = lie.field
-        enlarged = None
+        parts = [((), Subspace.full(field, lie.dim))]
         for t in torus.basis:
-            mp = lie.ad(t).minimal_polynomial()
-            big, _ = roots_in_splitting_field(mp)
+            big, eigen = generalized_eigenspaces(lie.ad(t))
             if big is not field:
-                enlarged = big
                 break
-        if enlarged is None:
+            refined = []
+            for label, space in parts:
+                for rho, eig in eigen:
+                    sub = space.intersect(eig)
+                    if sub.dim:
+                        refined.append((label + (rho,), sub))
+            parts = refined
+        else:
             break
-        emb = embedding(field, enlarged)
+        emb = embedding(field, big)
         torus_vectors = [tuple(emb(c) for c in t) for t in torus_vectors]
-        lie = lie.change_field(enlarged)
-    field = lie.field
-    parts = [((), Subspace.full(field, lie.dim))]
-    for t in torus.basis:
-        ad_t = lie.ad(t)
-        refined = []
-        for label, space in parts:
-            mat = ad_t.restrict_to(space)
-            big, roots = roots_in_splitting_field(mat.minimal_polynomial())
-            if big is not field:
-                raise VerificationError("eigenvalue escaped the common "
-                                        "splitting field")
-            for rho, _ in roots:
-                vecs = []
-                for krow in kernel(mat - rho):
-                    v = [field.zero] * lie.dim
-                    for c, b in zip(krow, space.basis):
-                        if c:
-                            for i in range(lie.dim):
-                                v[i] = v[i] + c * b[i]
-                    vecs.append(tuple(v))
-                sub = Subspace(field, lie.dim, vecs)
-                if sub.dim:
-                    refined.append((label + (rho,), sub))
-        parts = refined
+        lie = lie.change_field(big)
     if sum(s.dim for _, s in parts) != lie.dim:
         raise VerificationError("root spaces do not fill the algebra")
     parts.sort(key=lambda e: [int(c) for c in e[0]])
@@ -402,18 +390,12 @@ def refine_grading(lie, torus_vectors, x, r=None, lam=None):
             raise VerificationError("T_0 does not centralize x")
 
     # group the root spaces by t_1-eigenvalue and by restriction to T_0
-    def t1_value(root):
-        acc = field.zero
-        for b, c in zip(root, torus.subspace.coordinates(t1)):
-            acc = acc + b * c
-        return acc
-
     def t0_label(root):
         return tuple(torus.value_on(root, t) for t in t0_vecs)
 
     line, residual, product = {}, {}, {}
     for root, space in dec:
-        k = t1_value(root)
+        k = torus.value_on(root, t1)
         if k ** lie.p != k:
             raise VerificationError("t_1 eigenvalue outside the prime field")
         kk = int(k.coeffs[0])

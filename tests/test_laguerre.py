@@ -12,7 +12,8 @@ from gradeswitch.laguerre import (
     laguerre_at, laguerre_coeffs, laguerre_symbolic, laguerre_value,
     lemma_binomial, lemma_eval, lemma_product, scalar_product_form,
     strade_operator_form_check, truncated_exp, zero_pair_closed_form)
-from gradeswitch.polyring import BiTruncSeries, NonInvertibleError, Polynomial
+from gradeswitch.polyring import (BiTruncSeries, MultiPoly, NonInvertibleError,
+                                  Polynomial)
 
 
 def test_laguerre_at_matches_binomial_formula():
@@ -26,6 +27,43 @@ def test_laguerre_at_matches_binomial_formula():
                 want = math.comb(a + n, n - k) * (-1) ** k
                 want = want * pow(math.factorial(k), -1, p)
                 assert poly[k] == F.scalar(want)
+
+
+def reference_coeffs(p, alpha, n):
+    """binom(alpha + n, n - k) (-1)^k / k! for k = 0..n, each binomial
+    rebuilt from its own falling factorial."""
+    field = alpha.field
+    t = alpha + n
+    out = []
+    for k in range(n + 1):
+        m = n - k
+        binom = t ** 0
+        for i in range(m):
+            binom = binom * (t - i)
+        scale = (-1) ** k * pow(math.factorial(m) * math.factorial(k), -1, p)
+        out.append(binom * field.scalar(scale))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_laguerre_coeffs_match_reference(p):
+    """Every degree n < p, with alpha a field element, a truncated series,
+    a matrix and a symbol."""
+    rng = random.Random(p)
+    F = GF(p, 2)
+    Fp = GF(p)
+    alphas = [
+        F.random_element(rng),
+        BiTruncSeries(F, 2, 3, [[F.random_element(rng) for _ in range(3)]
+                                for _ in range(2)]),
+        LinearMap(Fp, [[Fp.random_element(rng) for _ in range(3)]
+                       for _ in range(3)]),
+        MultiPoly.variable(Fp, ("alpha",), "alpha"),
+    ]
+    for alpha in alphas:
+        for n in range(p):
+            assert laguerre_coeffs(p, alpha, n) == \
+                reference_coeffs(p, alpha, n), (alpha, n)
 
 
 def test_laguerre_symbolic_specializes():

@@ -5,9 +5,10 @@ import weakref
 import pytest
 
 from gradeswitch.fields import GF
+from gradeswitch.galg import LinearMap
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
-    QuotientRing, _frobenius_scalar, _quotient_inverse_linear,
+    QuotientRing, RingElement, _frobenius_scalar, _quotient_inverse_linear,
     _quotient_inverse_ppower, quotient_inverse, quotient_mul)
 
 
@@ -132,6 +133,28 @@ def test_quotient_ring_reduction():
         [[a ** 3 - a, F.zero, F.zero], [F.zero] * 3, [F.zero] * 3])
     assert (x * y) ** 3 == ring.one() * ((a ** 3 - a) * (b ** 3 - b))
     assert x * y == y * x
+
+
+def test_quotient_exponents_must_be_reduced():
+    F = GF(3)
+    ring = quotient_ring_for(3, F.one, F.scalar(2))
+    assert ring.from_exponents([((1, 2), 1), ((1, 2), F.one)]) == \
+        ring.monomial(1, 2, 2)
+    for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="exponents"):
+            ring.monomial(i, j, F.one)
+
+
+def test_ring_protocol_is_written_once():
+    # every element type inherits the derived operations from RingElement
+    # instead of writing its own
+    subclasses = set(RingElement.__subclasses__())
+    assert subclasses == {Polynomial, MultiPoly, BiTruncSeries,
+                          QuotientElement, LinearMap}
+    for cls in subclasses:
+        own = {"__radd__", "__sub__", "__rsub__", "__pow__"} & \
+            set(vars(cls))
+        assert not own, (cls.__name__, own)
 
 
 def test_quotient_inverse_dual_routes():

@@ -3,7 +3,9 @@
 
 Products in R[X,Y]/(X^p - xc, Y^p - yc) are compared with the schoolbook
 loop they replaced, which multiplies entries one pair at a time and folds
-X^p and Y^p back entry by entry.  R is a finite field or a truncated
+X^p and Y^p back entry by entry; series entries are multiplied there by a
+schoolbook loop too, which also checks the series kernel behind
+``BiTruncSeries.__mul__`` on its own.  R is a finite field or a truncated
 series ring F[U,V]/(U^a, V^b) with orders 1 to 3, over prime fields,
 log-table fields and a field above the log-table cap; p runs over 2, 3, 5
 and 7.  The reduction constants xc and yc are random, zero, all-(p-1) or
@@ -32,7 +34,33 @@ SETTINGS = hypothesis.settings(max_examples=40, deadline=None,
                                derandomize=True, database=None)
 
 
-# -- the schoolbook product, kept as the oracle ---------------------------------
+# -- the schoolbook products, kept as the oracles -------------------------------
+
+def reference_series_product(a, b):
+    """Coefficient rows of a b for two series of one ring, one pair of
+    coefficients at a time, truncated to the ring's orders."""
+    ua, ub = a.ua, a.ub
+    out = [[a.field.zero] * ub for _ in range(ua)]
+    for i in range(ua):
+        for j in range(ub):
+            c = a.coeffs[i][j]
+            if not c:
+                continue
+            for k in range(ua - i):
+                brow, orow = b.coeffs[k], out[i + k]
+                for l in range(ub - j):
+                    if brow[l]:
+                        orow[j + l] = orow[j + l] + c * brow[l]
+    return tuple(tuple(r) for r in out)
+
+
+def entry_product(a, b):
+    """a b for two entries, series through the schoolbook oracle."""
+    if isinstance(a, BiTruncSeries):
+        return BiTruncSeries(a.field, a.ua, a.ub,
+                             reference_series_product(a, b))
+    return a * b
+
 
 def reference_product(u, v):
     ring = u.ring
@@ -44,15 +72,17 @@ def reference_product(u, v):
         for j, c1 in enumerate(row):
             if c1:
                 for k, l, c2 in terms:
-                    acc[i + k][j + l] = acc[i + k][j + l] + c1 * c2
+                    acc[i + k][j + l] = acc[i + k][j + l] \
+                        + entry_product(c1, c2)
     for row in acc:
         for t in range(p, 2 * p - 1):
             if row[t]:
-                row[t - p] = row[t - p] + row[t] * ring.yc
+                row[t - p] = row[t - p] + entry_product(row[t], ring.yc)
     for s in range(p, 2 * p - 1):
         for t in range(p):
             if acc[s][t]:
-                acc[s - p][t] = acc[s - p][t] + acc[s][t] * ring.xc
+                acc[s - p][t] = acc[s - p][t] \
+                    + entry_product(acc[s][t], ring.xc)
     return tuple(tuple(r[:p]) for r in acc[:p])
 
 
@@ -161,6 +191,22 @@ def test_all_max_entries(F, p):
         ring = QuotientRing(p, top, top)
         u = element(ring, F, orders, "max", rng)
         assert (u * u).entries == reference_product(u, u)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_series_product_matches_reference(F):
+    """BiTruncSeries products, on the series kernel, against the
+    schoolbook loop: orders 1..3 in each variable, zero, all-(p-1) and
+    random coefficients on either side."""
+    rng = random.Random(3)
+    kinds = ["zero", "max", "random"]
+    for ua in (1, 2, 3):
+        for ub in (1, 2, 3):
+            for ka in kinds:
+                for kb in kinds:
+                    a = entry(F, (ua, ub), ka, rng)
+                    b = entry(F, (ua, ub), kb, rng)
+                    assert (a * b).coeffs == reference_series_product(a, b)
 
 
 def test_zero_products():

@@ -345,6 +345,31 @@ def test_leibniz_rule_checked_once_per_switch(monkeypatch):
     assert exc.value.hypothesis == "D is a graded derivation"
 
 
+@pytest.mark.parametrize("p,length,outside,series", [(5, 3, 3, 6),
+                                                      (7, 4, 6, 10)])
+def test_product_rule_pairs_outside_the_spectrum(monkeypatch, p, length,
+                                                 outside, series):
+    # xddx on tpoly(p, length, p) has eigenvalues 0 .. length-1, so some
+    # sums rho + sigma are no eigenvalue; those pairs are checked by their
+    # products vanishing, with no pair series
+    from gradeswitch import switch
+    calls = []
+    original = switch._pair_coefficient_series
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(switch, "_pair_coefficient_series", counting)
+    A = truncated_poly(p, length, p)
+    res = switch_grading(A, truncated_poly_derivation(A, "xddx"))
+    values = res.decomposition.values()
+    assert len(values) == length
+    assert sum(res.decomposition.find(r + s) is None
+               for r in values for s in values) == outside
+    assert len(calls) == series == length * length - outside
+    assert res.product_rule_pairs == A.dim ** 2
+
+
 def test_grading_modulus_constraint():
     # switching requires m | p*d; tpoly(3, 9, 9) with ddx has
     # d = -1 mod 9 and p*d = 24, which 9 does not divide

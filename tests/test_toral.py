@@ -88,6 +88,42 @@ def test_root_decomposition_witt():
         assert space.basis[0] == L.basis_vector((k + 1) % 5)
 
 
+# (p, torus vector by slot, modulus of the splitting field, root spaces):
+# each root label is one eigenvalue and each root space one basis vector,
+# both as coefficient tuples over GF(p^2)
+ENLARGED = [
+    (5, {0: 1, 2: 2}, (2, 0, 1), [
+        ((0, 0), [(1, 0), (0, 0), (2, 0), (0, 0), (0, 0)]),
+        ((0, 1), [(1, 0), (0, 1), (1, 0), (0, 1), (2, 0)]),
+        ((0, 2), [(1, 0), (0, 2), (3, 0), (0, 0), (0, 0)]),
+        ((0, 3), [(1, 0), (0, 3), (3, 0), (0, 0), (0, 0)]),
+        ((0, 4), [(1, 0), (0, 4), (1, 0), (0, 4), (2, 0)])]),
+    (7, {0: 1, 2: 1}, (1, 0, 1), [
+        ((0, 0), [(1, 0), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
+        ((0, 1), [(1, 0), (0, 1), (4, 0), (0, 4), (6, 0), (0, 6), (4, 0)]),
+        ((0, 2), [(1, 0), (0, 2), (6, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
+        ((0, 3), [(1, 0), (0, 3), (0, 0), (0, 1), (1, 0), (0, 6), (6, 0)]),
+        ((0, 4), [(1, 0), (0, 4), (0, 0), (0, 6), (1, 0), (0, 1), (6, 0)]),
+        ((0, 5), [(1, 0), (0, 5), (6, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
+        ((0, 6), [(1, 0), (0, 6), (4, 0), (0, 3), (6, 0), (0, 1), (4, 0)])]),
+]
+
+
+@pytest.mark.parametrize("p,slots,modulus,spaces", ENLARGED,
+                         ids=["witt5", "witt7"])
+def test_root_decomposition_enlarges_the_field(p, slots, modulus, spaces):
+    # e_{-1} + c e_1 has an adjoint that splits only over GF(p^2)
+    L = witt_lie(p)
+    t = tuple(L.field.scalar(slots.get(i, 0)) for i in range(p))
+    L2, T2, dec = root_decomposition(L, [t])
+    assert L2.field is GF(p, 2) and L2.field.modulus == modulus
+    # the torus line is the root-0 space
+    assert [[c.coeffs for c in b] for b in T2.basis] == [list(spaces[0][1])]
+    got = [(tuple(c.coeffs for c in root), s.dim,
+            [[c.coeffs for c in b] for b in s.basis]) for root, s in dec]
+    assert got == [((label,), 1, [vec]) for label, vec in spaces]
+
+
 def test_switch_torus_witt5():
     L = witt_lie(5)
     F = L.field
