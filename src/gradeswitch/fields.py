@@ -707,28 +707,6 @@ def embed(x, dst):
     return embedding(x.field, dst)(x)
 
 
-def minimal_polynomial(x):
-    """Minimal polynomial of x over F_p (monic, coefficients in GF(p))."""
-    from .polyring import Polynomial
-    field = x.field
-    orbit = [x]
-    y = x.frobenius()
-    while y != x:
-        orbit.append(y)
-        y = y.frobenius()
-    f = Polynomial(field, [field.one])
-    t = Polynomial(field, [field.zero, field.one])
-    for o in orbit:
-        f = f * (t - o)
-    base = GF(field.p)
-    coeffs = []
-    for c in f.coeffs:
-        if any(c.coeffs[1:]):
-            raise AssertionError("minimal polynomial not over F_p")
-        coeffs.append(base.scalar(c.coeffs[0]))
-    return Polynomial(base, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # polynomial root finding (the Polynomial type lives in polyring; imported
 # lazily to keep this module at the bottom of the layering)

@@ -22,12 +22,6 @@ from .fields import (FqElement, GF, _as_field_elt, embedding,
 from .polyring import Polynomial, RingElement
 
 
-def rref(vectors, field):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-    The entries carry their field, so `field` is not consulted."""
-    return echelon.rref(vectors)
-
-
 class LinearMap(RingElement):
     """Square matrix over an FqField acting on column vectors.
 
@@ -158,9 +152,6 @@ class LinearMap(RingElement):
         return tuple([unpack(sum(map(mul, row, pv)))
                       for row in self._packed_rows()])
 
-    def transpose(self):
-        return LinearMap(self.field, [self.column(j) for j in range(self.n)])
-
     def rank(self):
         return Echelon(self.rows).rank
 
@@ -208,39 +199,6 @@ class LinearMap(RingElement):
             yield v
             v = self.apply(v)
 
-    def char_polynomial(self):
-        """Characteristic polynomial det(T*I - M) via Hessenberg reduction."""
-        field, n = self.field, self.n
-        if n == 0:
-            return Polynomial(field, [field.one])
-        h = [list(row) for row in self.rows]
-        for j in range(n - 2):
-            r = next((i for i in range(j + 1, n) if h[i][j]), None)
-            if r is None:
-                continue
-            if r != j + 1:
-                h[r], h[j + 1] = h[j + 1], h[r]
-                for row in h:
-                    row[r], row[j + 1] = row[j + 1], row[r]
-            inv = h[j + 1][j].inverse()
-            for i in range(j + 2, n):
-                f = h[i][j] * inv
-                if f:
-                    for c in range(n):
-                        h[i][c] = h[i][c] - f * h[j + 1][c]
-                    for rr in range(n):
-                        h[rr][j + 1] = h[rr][j + 1] + f * h[rr][i]
-        t = Polynomial.variable(field)
-        ps = [Polynomial(field, [field.one])]
-        for m in range(1, n + 1):
-            cur = (t - h[m - 1][m - 1]) * ps[m - 1]
-            sub = field.one
-            for i in range(m - 1, 0, -1):
-                sub = sub * h[i][i - 1]
-                cur = cur - h[i - 1][m - 1] * sub * ps[i - 1]
-            ps.append(cur)
-        return ps[n]
-
     def map_coefficients(self, fn, field):
         return LinearMap(field, [[fn(x) for x in row] for row in self.rows])
 
@@ -269,12 +227,6 @@ class LinearMap(RingElement):
 def kernel(M):
     """Basis of the null space of M (column-vector convention)."""
     return echelon.kernel(M.rows, M.n, M.field)
-
-
-def solve(M, b):
-    """One solution of M x = b, or None."""
-    x = echelon.solve(M.rows, b, M.field)
-    return None if x is None else tuple(x)
 
 
 class Subspace:
@@ -616,6 +568,9 @@ class GradedAlgebra:
                 raise ValueError("deg must list one residue per basis vector")
             entries = []
             for item in obj["sc"]:
+                if not isinstance(item, list) or len(item) != 4:
+                    raise _malformed("sc item %r is not [i, j, k, coefficient]"
+                                     % (item,))
                 i, j, k, cs = item
                 entries.append((_json_int(i, "sc index"),
                                 _json_int(j, "sc index"),
@@ -624,7 +579,11 @@ class GradedAlgebra:
             pmap = None
             if "pmap" in obj:
                 rows = [[field.zero] * dim for _ in range(dim)]
-                for i, row in obj["pmap"]:
+                for item in obj["pmap"]:
+                    if not isinstance(item, list) or len(item) != 2:
+                        raise _malformed("pmap item %r is not [i, vector]"
+                                         % (item,))
+                    i, row = item
                     i = _json_int(i, "pmap index")
                     if not 0 <= i < dim:
                         raise _malformed("pmap index %d out of range" % i)

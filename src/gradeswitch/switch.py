@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .echelon import first_dependence
 from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
-from .galg import LinearMap, derivation_degree, generalized_eigenspaces, \
-    is_graded_derivation, is_grading
+from .galg import LinearMap, _check_acts, derivation_degree, \
+    generalized_eigenspaces, is_graded_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
 from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
@@ -157,7 +157,7 @@ def _flat_p_powers(S):
         S = S ** S.field.p
 
 
-def build_g(relation, field=None, D=None, lam=None):
+def build_g(relation, D=None, lam=None):
     """(F', g, lambda) with g an additive polynomial supported on exponents
     r..n-1 satisfying g(D)^p - g(D) = D^(p^r).
 
@@ -166,7 +166,7 @@ def build_g(relation, field=None, D=None, lam=None):
     smallest root in the canonical splitting field.  The matrix identity is
     verified whenever D is supplied.
     """
-    field = field or relation.field
+    field = relation.field
     if relation.degenerate:
         g = PPolynomial.make(field, ())
         if D is not None and not D.p_power(relation.r).is_zero():
@@ -261,29 +261,28 @@ def _check_r(r):
         raise ValueError("r must be >= 0, not %d" % r)
 
 
-def build_LD(A, D, r=None, lam=None):
+def build_LD(A, D, r=None):
     """The switching operator of D on A, with every scalar law verified.
 
-    Steps: semisimplicity exponent (or validate a supplied r), minimal
+    Steps: semisimplicity exponent (a supplied r must be at least it, as
+    p-th powers of a semisimple map stay semisimple), minimal
     p-power relation, additive polynomial g (enlarging the field as
     needed), generalized eigenspaces (ditto), then one Laguerre block per
     eigenvalue and reassembly to a global map.
     """
     field0 = A.field
-    if D.field is not field0 or D.n != A.dim:
-        raise ValueError("derivation does not act on the algebra")
+    _check_acts(A, D)
     _check_r(r)
     p = field0.p
     r_raw = semisimple_exponent(D)
-    if r is not None:
-        if not D.p_power(r).minimal_polynomial().squarefree_is():
-            raise HypothesisError("D^(p^r) semisimple",
-                                  "supplied r = %d fails" % r)
-    else:
+    if r is None:
         r = r_raw
+    elif r < r_raw:
+        raise HypothesisError("D^(p^r) semisimple",
+                              "supplied r = %d fails" % r)
     r_eff = max(r, 1)
     relation = p_power_relation(D, r_eff)
-    f1, g, lam_val = build_g(relation, field0, D=D, lam=lam)
+    f1, g, lam_val = build_g(relation, D=D)
     d1 = D.embed_to(f1)
     f2, dec = generalized_eigenspaces(d1)
     a2 = A.change_field(f2)
@@ -350,8 +349,7 @@ def special_LD(A, D):
     """
     field0 = A.field
     p = field0.p
-    if D.field is not field0 or D.n != A.dim:
-        raise ValueError("derivation does not act on the algebra")
+    _check_acts(A, D)
     if D.p_power(2) != D.p_power(1):
         raise HypothesisError("D^(p^2) = D^p")
     f1, gamma = artin_schreier_root(field0, field0.one)
@@ -387,7 +385,7 @@ def special_LD(A, D):
         switch_map=switch_map, old_parts=old_parts, new_parts=new_parts)
 
 
-def switch_grading(A, D, r=None, lam=None, check_product_rule=True):
+def switch_grading(A, D, r=None, check_product_rule=True):
     """Full switching run: hypothesis checks on (A, D), the operator, the
     switched grading with verification, and the two-sided product rule."""
     d = derivation_degree(A, D)
@@ -399,7 +397,7 @@ def switch_grading(A, D, r=None, lam=None, check_product_rule=True):
     if not rep.m_divides_pd:
         raise HypothesisError("m divides p*d",
                               "d = %d, m = %d, p = %d" % (d, A.m, A.field.p))
-    result = build_LD(A, D, r=r, lam=lam)
+    result = build_LD(A, D, r=r)
     result.degree = d
     if not is_grading(result.algebra, result.new_parts):
         raise VerificationError("switched components fail the grading check")

@@ -285,6 +285,22 @@ def test_switch_json_derivation_bad_rows_are_named(tmp_path, capsys, rows,
     assert "malformed derivation matrix: " + where in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sc", [[0, 0, 1]]), ("sc", "abc"), ("pmap", [[0]])])
+def test_switch_json_algebra_bad_items_are_named(tmp_path, capsys, key,
+                                                  value):
+    from gradeswitch.galg import witt
+    algebra = witt(3).to_json()
+    algebra[key] = value
+    path = tmp_path / "bad_item.json"
+    path.write_text(json.dumps({"algebra": algebra,
+                                "derivation": WITT3_AD0}))
+    code, _, err = run(capsys, "switch", "--input", str(path),
+                       "--derivation", "json")
+    assert code == 2
+    assert "malformed algebra JSON: %s item " % key in err
+
+
 def test_switch_missing_algebra(capsys):
     assert run(capsys, "switch", "--derivation", "ad:0")[0] == 2
     assert run(capsys, "switch", "--builtin", "witt:5")[0] == 2

@@ -7,7 +7,7 @@ import pytest
 from gradeswitch import fields
 from gradeswitch.fields import (
     GF, FqElement, artin_schreier_root, embed, embedding, is_prime,
-    minimal_polynomial, roots_in_splitting_field)
+    roots_in_splitting_field)
 from gradeswitch.polyring import Polynomial
 
 
@@ -154,14 +154,6 @@ def test_embedding_is_canonical_homomorphism():
 def test_embedding_requires_divisibility():
     with pytest.raises(ValueError):
         embedding(GF(3, 2), GF(3, 3))
-
-
-def test_minimal_polynomial_of_element():
-    F = GF(3, 3)
-    g = F.gen
-    mp = minimal_polynomial(g)
-    assert mp.coeffs == (GF(3).one, GF(3).scalar(2), GF(3).zero, GF(3).one)
-    assert minimal_polynomial(F.scalar(2)).degree() == 1
 
 
 def test_roots_in_splitting_field_cubic():

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from gradeswitch.echelon import rref, solve
 from gradeswitch.fields import GF
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
     direct_sum, generalized_eigenspaces, is_derivation, is_graded_derivation,
-    is_grading, kernel, rref, solve, torus_line, truncated_poly,
+    is_grading, kernel, torus_line, truncated_poly,
     truncated_poly_derivation, witt)
 from gradeswitch.polyring import Polynomial
 
@@ -21,7 +22,7 @@ def test_rref_canonical():
     F = GF(5)
     s = F.scalar
     rows, piv = rref([(s(0), s(2), s(4)), (s(0), s(1), s(2)),
-                      (s(1), s(1), s(1))], F)
+                      (s(1), s(1), s(1))])
     assert tuple(piv) == (0, 1)
     assert list(rows) == [(s(1), s(0), s(4)), (s(0), s(1), s(2))]
 
@@ -38,7 +39,6 @@ def test_linear_map_arithmetic():
     v = tuple(F.random_element(rng) for _ in range(3))
     assert (A * B).apply(v) == A.apply(B.apply(v))
     assert A ** 3 == A * A * A
-    assert A.transpose().transpose() == A
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(7), GF(3, 2), GF(5, 5),
@@ -122,9 +122,9 @@ def test_kernel_and_solve():
     for v in ker:
         assert M.apply(v) == (F.zero,) * 3
     b = M.apply((s(1), s(1), s(1)))
-    x = solve(M, b)
+    x = solve(M.rows, b, F)
     assert x is not None and M.apply(x) == b
-    assert solve(M, (s(0), s(1), s(0))) is None  # inconsistent
+    assert solve(M.rows, (s(0), s(1), s(0)), F) is None  # inconsistent
 
 
 def test_inverse_and_rank():
@@ -167,21 +167,13 @@ def brute_char_poly(M):
     return acc
 
 
-def test_char_polynomial_matches_leibniz():
-    F = GF(5)
-    rng = random.Random(13)
-    for _ in range(8):
-        A = rand_map(F, 4, rng)
-        assert A.char_polynomial() == brute_char_poly(A)
-
-
 def test_minimal_polynomial_properties():
     F = GF(3)
     rng = random.Random(14)
     for _ in range(15):
         A = rand_map(F, 4, rng)
         mp = A.minimal_polynomial()
-        cp = A.char_polynomial()
+        cp = brute_char_poly(A)
         assert mp.evaluate(A).is_zero()
         assert (cp % mp).is_zero()
         assert mp.leading() == F.one

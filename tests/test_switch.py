@@ -77,7 +77,7 @@ def test_build_g_companion_case():
     F3 = GF(3)
     D = LinearMap(F3, [[F3.zero, F3.one], [F3.one, F3.one]])
     rel = p_power_relation(D, 1)
-    big, g, lam = build_g(rel, F3, D=D)
+    big, g, lam = build_g(rel, D=D)
     assert big.n == 6
     assert lam ** 9 == 1 + lam
     assert g.terms == ((1, lam.pth_root()), (2, lam))
@@ -91,7 +91,7 @@ def test_build_g_rejects_bad_lambda():
     rel = p_power_relation(D, 1)
     big = GF(3, 6)
     with pytest.raises(HypothesisError):
-        build_g(rel, F3, lam=big.scalar(2))  # 1 + 2 - 2^9 != 0
+        build_g(rel, lam=big.scalar(2))  # 1 + 2 - 2^9 != 0
 
 
 def test_build_g_accepts_each_constraint_root():
@@ -103,7 +103,7 @@ def test_build_g_accepts_each_constraint_root():
     t = Polynomial.variable(F3)
     big, roots = roots_in_splitting_field(1 + t - t ** 9)
     for lam, _ in roots[:3]:
-        _, g, lam_out = build_g(rel, F3, D=D, lam=lam)
+        _, g, lam_out = build_g(rel, D=D, lam=lam)
         assert lam_out == lam
         gD = g.eval_matrix(D.embed_to(big))
         assert gD ** 3 - gD == D.embed_to(big).p_power(1)
@@ -289,6 +289,25 @@ def test_user_supplied_r_validated():
         build_LD(A, D, r=1)  # D^3 is not semisimple
     res = build_LD(A, D, r=3)  # r beyond the minimum is legal
     assert res.r == 3
+
+
+@pytest.mark.parametrize("spec, der, r_raw", [
+    ("witt:5", "ad:1", 0), ("witt:5", "ad:0", 1),
+    ("tpoly:3:9:3", "ddx", 2), ("tpoly:3:27:3", "ddx", 3)])
+def test_supplied_r_refused_exactly_when_its_power_is_not_semisimple(
+        spec, der, r_raw):
+    from gradeswitch import cli
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    assert semisimple_exponent(D) == r_raw
+    for r in range(r_raw + 2):
+        # build_LD compares r with r_raw; the oracle tests D^(p^r) itself
+        if not D.p_power(r).minimal_polynomial().squarefree_is():
+            with pytest.raises(HypothesisError,
+                               match="supplied r = %d fails" % r):
+                build_LD(A, D, r)
+        else:
+            assert build_LD(A, D, r).r == max(r, 1)
 
 
 def test_negative_r_refused():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from gradeswitch.echelon import solve
 from gradeswitch.fields import GF
 from gradeswitch.galg import Subspace, direct_sum, torus_line, truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
@@ -30,22 +33,59 @@ def test_pth_power_rules():
     assert not any(L.pth_power(e[0]))      # e_{-1}^[p] = 0
     assert L.is_toral(e[1])
     assert not L.is_toral(e[0])
-    # non-commuting support falls back to ad-recovery on a centerless algebra
+    # a non-commuting support falls back to ad(t)^p == ad(t) on a
+    # centerless algebra
     x = tuple(F.scalar(c) for c in (1, 1, 0, 0, 0))
     with pytest.raises(ValueError):
         L.pth_power(x)
-    assert L.is_toral(x)  # e_0 + e_{-1} is toral: recovered through ad
+    assert L.is_toral(x)  # e_0 + e_{-1} is toral: decided through ad
 
 
-def test_element_with_ad_roundtrip():
-    L = witt_lie(5)
+def _toral_by_solve(lie, t):
+    """t^[p] == t by recovering t^[p] from ad: solve ad(z) = ad(t)^p over
+    the n^2 matrix entries (centerless algebras only) and compare z with
+    t.  An independent route for checking is_toral."""
+    n = lie.dim
+    flat = [[x for row in lie.ad(lie.basis_vector(j)).rows for x in row]
+            for j in range(n)]
+    rows = [[flat[j][s] for j in range(n)] for s in range(n * n)]
+    rhs = [x for row in lie.ad(t).p_power(1).rows for x in row]
+    z = solve(rows, rhs, lie.field)
+    return z is not None and tuple(z) == tuple(t)
+
+
+@pytest.mark.parametrize("algebra", [
+    witt(5), witt(7), direct_sum(witt(3), witt(3))],
+    ids=["witt:5", "witt:7", "witt:3+witt:3"])
+def test_is_toral_matches_ad_recovery(algebra):
+    L = RestrictedLie(algebra)
     F = L.field
-    x = tuple(F.scalar(c) for c in (1, 2, 0, 3, 4))
-    assert L.element_with_ad(L.ad(x)) == x
-    # center obstruction: the torus line has trivial brackets
-    T = RestrictedLie(torus_line(5, 5))
-    with pytest.raises(ValueError):
-        T.element_with_ad(T.ad(T.basis_vector(0)))
+    e = [L.basis_vector(i) for i in range(L.dim)]
+    # slots 0, 1, 2 hold e_{-1}, e_0, e_1 of the first Witt summand
+    toral = [tuple(a + c * b for a, b in zip(e[1], e[0]))
+             for c in F.elements() if c]
+    # (e_{-1} + e_1)^[p] = (-1)^((p-1)/2) (e_{-1} + e_1): toral exactly
+    # when -1 is a square mod p
+    cases = [(t, True) for t in toral] + \
+        [(tuple(a + b for a, b in zip(e[0], e[2])), F.p % 4 == 1)]
+    rng = random.Random(31)
+    while len(cases) < len(toral) + 9:
+        t = tuple(F.random_element(rng) for _ in range(L.dim))
+        if not L.supports_commute(t):
+            cases.append((t, None))
+    for t, want in cases:
+        with pytest.raises(ValueError):
+            L.pth_power(t)   # every case takes the centerless route
+        got = L.is_toral(t)
+        assert got == _toral_by_solve(L, t)
+        assert want is None or got == want
+
+
+def test_is_toral_refuses_a_center():
+    L = RestrictedLie(direct_sum(witt(5), torus_line(5, 5)))
+    x = tuple(L.field.scalar(c) for c in (1, 1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="center is nontrivial"):
+        L.is_toral(x)
 
 
 def test_torus_validation():
