@@ -13,8 +13,7 @@ from .fields import GF, FqElement, artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
 from .galg import Decomposition, GradedAlgebra, LinearMap, Subspace, \
     derivation_degree, direct_sum, generalized_eigenspaces, is_derivation, \
-    is_graded_derivation, is_grading, truncated_poly, \
-    truncated_poly_derivation, witt
+    is_grading, truncated_poly, truncated_poly_derivation, witt
 from .laguerre import CoefficientTable, c_coefficients, \
     c_coefficients_symbolic, check_all_identities, check_identity, \
     check_lemma_forms, check_lemma_product_identity, laguerre_at, \
@@ -35,7 +34,7 @@ __all__ = [
     "roots_in_splitting_field",
     "Decomposition", "GradedAlgebra", "LinearMap", "Subspace",
     "derivation_degree", "direct_sum", "generalized_eigenspaces",
-    "is_derivation", "is_graded_derivation", "is_grading", "truncated_poly",
+    "is_derivation", "is_grading", "truncated_poly",
     "truncated_poly_derivation", "witt",
     "CoefficientTable", "c_coefficients", "c_coefficients_symbolic",
     "check_all_identities", "check_identity", "check_lemma_forms",

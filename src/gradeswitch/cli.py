@@ -33,11 +33,12 @@ def _digits(x):
 
 
 def _check_prime(p, cap):
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
+    # the cap first: trial division of a huge p runs for minutes
     if p > cap:
         raise ValueError("p = %d exceeds the cap %d (raise --p-cap)"
                          % (p, cap))
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
 
 
 def _check_dim(dim, cap):
@@ -171,16 +172,23 @@ def _load_algebra(args):
     if not args.input:
         raise ValueError("an algebra is required: --builtin or --input")
     with open(args.input) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("malformed algebra JSON: nested too deeply") \
+                from None
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
     alg_obj = obj.get("algebra", obj)
-    dim = alg_obj.get("dim") if isinstance(alg_obj, dict) else None
-    if isinstance(dim, int):   # from_json refuses any other dim
-        _check_dim(dim, args.dim_cap)
-    alg = GradedAlgebra.from_json(alg_obj)
-    _check_prime(alg.field.p, args.p_cap)
-    return alg, obj.get("derivation")
+    if isinstance(alg_obj, dict):
+        # both caps before from_json allocates or tests p for primality;
+        # it refuses a dim or p that is not an integer
+        dim, p = alg_obj.get("dim"), alg_obj.get("p")
+        if isinstance(dim, int):
+            _check_dim(dim, args.dim_cap)
+        if isinstance(p, int) and not isinstance(p, bool):
+            _check_prime(p, args.p_cap)
+    return GradedAlgebra.from_json(alg_obj), obj.get("derivation")
 
 
 def _parse_derivation(A, spec, json_rows):

@@ -13,7 +13,6 @@ e_i * e_j.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import echelon
 from .echelon import Echelon, first_dependence
@@ -733,37 +732,6 @@ def derivation_degree(A, D):
         elif d != di:
             return None
     return 0 if d is None else d
-
-
-@dataclass(frozen=True)
-class GradedDerivationReport:
-    """Outcome of is_graded_derivation: Leibniz rule, homogeneity of the
-    stated degree, and whether m divides p*d (so D^p is again of degree d*p
-    = 0 mod m on components)."""
-
-    derivation_ok: bool
-    degree_ok: bool
-    m_divides_pd: bool
-    degree: int
-
-    @property
-    def ok(self):
-        return self.derivation_ok and self.degree_ok
-
-
-def is_graded_derivation(A, D, d):
-    """Check D is a derivation homogeneous of degree d; also reports whether
-    m | p d, the hypothesis under which switching preserves the grading."""
-    der_ok = is_derivation(A, D)
-    deg_ok = True
-    for i in range(A.dim):
-        img = D.column(i)
-        want = (A.degrees[i] + d) % A.m
-        if any(c and A.degrees[k] != want for k, c in enumerate(img)):
-            deg_ok = False
-            break
-    return GradedDerivationReport(der_ok, deg_ok,
-                                  (A.field.p * d) % A.m == 0, d % A.m)
 
 
 def is_grading(A, parts, add=None):

@@ -595,9 +595,6 @@ class QuotientElement(RingElement):
         self.entries = entries
         self._packed = None
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def is_scalar(self):
         return all(not self.entries[i][j]
                    for i in range(self.ring.p) for j in range(self.ring.p)

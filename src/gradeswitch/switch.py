@@ -22,7 +22,7 @@ from .echelon import first_dependence
 from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
 from .galg import LinearMap, _check_acts, derivation_degree, \
-    generalized_eigenspaces, is_graded_derivation, is_grading
+    generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
 from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
@@ -60,9 +60,12 @@ class PPolynomial:
         return acc
 
     def eval_matrix(self, M):
+        """sum_i b_i M^(p^i), walking M, M^p, M^(p^2), ... once."""
         acc = LinearMap.zero(M.field, M.n)
+        power, k = M, 0
         for i, b in self.terms:
-            acc = acc + M.p_power(i) * b
+            power, k = power.p_power(i - k), i
+            acc = acc + power * b
         return acc
 
     def embed_to(self, field):
@@ -96,12 +99,11 @@ class Relation:
         return self.coeffs[i - self.r]
 
     def verify(self, D):
-        if self.degenerate:
-            return D.p_power(self.r).is_zero()
-        acc = D.p_power(self.n)
-        for i, a in zip(range(self.r, self.n), self.coeffs):
-            acc = acc + D.p_power(i) * a
-        return acc.is_zero()
+        """The relation holds at D (the degenerate one reads D^(p^r))."""
+        top = (self.n, self.field.one)
+        poly = PPolynomial.make(self.field,
+                                [*enumerate(self.coeffs, self.r), top])
+        return poly.eval_matrix(D).is_zero()
 
     def to_json(self):
         return {"r": self.r, "n": self.n, "degenerate": self.degenerate,
@@ -128,16 +130,18 @@ def semisimple_exponent(D):
 def p_power_relation(D, r):
     """Minimal monic relation among S, S^p, S^(p^2), ... for S = D^(p^r).
 
-    Requires S semisimple; then the lowest coefficient is automatically
-    nonzero.  Returns the degenerate relation when S = 0.
+    The first dependence P(T) = T^(p^t) + sum_{k<t} rep[k] T^(p^k) is the
+    least additive polynomial with P(S) = 0, and rep[0] != 0 exactly when
+    S is semisimple.  If rep[0] != 0, P is separable, so the minimal
+    polynomial of S, which divides P, is squarefree.  If rep[0] = 0,
+    P(S) = Q(S)^p for an additive Q of degree p^(t-1); Q(S) is nilpotent,
+    so for semisimple S it is zero, a dependence before the first.
+    Returns the degenerate relation when S = 0.
     """
     field = D.field
     S = D.p_power(r)
     if S.is_zero():
         return Relation(field, r, r, (), True)
-    if not S.minimal_polynomial().squarefree_is():
-        raise HypothesisError("D^(p^r) semisimple",
-                              "r = %d gives a non-semisimple power" % r)
     # first dependence among the flattened iterates; the space of
     # matrices has dimension n^2, so n^2 + 1 iterates always suffice
     rep = first_dependence(itertools.islice(_flat_p_powers(S), D.n * D.n + 1),
@@ -146,8 +150,8 @@ def p_power_relation(D, r):
         raise AssertionError("no p-power relation found")  # unreachable
     # S^(p^t) = -sum_{k<t} rep[k] S^(p^k)
     if not rep[0]:
-        raise AssertionError("semisimple relation with zero lowest "
-                             "coefficient")  # contradicts the theory
+        raise HypothesisError("D^(p^r) semisimple",
+                              "r = %d gives a non-semisimple power" % r)
     return Relation(field, r, r + len(rep), tuple(rep), False)
 
 
@@ -389,12 +393,9 @@ def switch_grading(A, D, r=None, check_product_rule=True):
     """Full switching run: hypothesis checks on (A, D), the operator, the
     switched grading with verification, and the two-sided product rule."""
     d = derivation_degree(A, D)
-    if d is None:
+    if d is None or not is_derivation(A, D):
         raise HypothesisError("D is a graded derivation")
-    rep = is_graded_derivation(A, D, d)
-    if not rep.ok:
-        raise HypothesisError("D is a graded derivation")
-    if not rep.m_divides_pd:
+    if (A.field.p * d) % A.m:
         raise HypothesisError("m divides p*d",
                               "d = %d, m = %d, p = %d" % (d, A.m, A.field.p))
     result = build_LD(A, D, r=r)

@@ -20,12 +20,12 @@ space.
 import math
 from dataclasses import dataclass
 
-from .fields import GF, embedding
+from .fields import GF, embed, embedding
 from .galg import Decomposition, Subspace, bracket_failure, \
     generalized_eigenspaces, is_grading, kernel
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
-    build_LD, h_polynomial, semisimple_exponent
+    build_LD, h_polynomial
 
 
 def _vec_add(u, v):
@@ -119,7 +119,12 @@ class RestrictedLie:
 
 
 class Torus:
-    """Span of pairwise-commuting vectors with semisimple adjoints."""
+    """Span of pairwise-commuting vectors with semisimple adjoints.
+
+    eigen[i] is (F_i, Decomposition) for the adjoint of basis vector t_i:
+    its generalized eigenspaces over a field F_i where it splits.  ad t_i
+    is semisimple exactly when it acts on each of them as its eigenvalue.
+    """
 
     def __init__(self, lie, vectors):
         self.lie = lie
@@ -127,12 +132,29 @@ class Torus:
         self.basis = self.subspace.basis
         if not self.basis:
             raise ValueError("torus must be nonzero")
+        self.eigen = []
         for i, t in enumerate(self.basis):
             for u in self.basis[i + 1:]:
                 if not _vec_is_zero(lie.bracket(t, u)):
                     raise HypothesisError("torus generators commute")
-            if not lie.ad(t).minimal_polynomial().squarefree_is():
+            adt = lie.ad(t)
+            big, dec = generalized_eigenspaces(adt)
+            adt = adt.embed_to(big)
+            if any(adt.apply(b) != _vec_scale(b, rho)
+                   for rho, space in dec for b in space.basis):
                 raise HypothesisError("torus adjoints are semisimple")
+            self.eigen.append((big, dec))
+
+    def change_field(self, field):
+        """This torus over `field`, its eigenspaces carried along."""
+        out = object.__new__(Torus)
+        out.lie = self.lie.change_field(field)
+        out.subspace = self.subspace.map_field(field)
+        out.basis = out.subspace.basis
+        out.eigen = [(field, Decomposition(field, [
+            (embed(rho, field), space.map_field(field))
+            for rho, space in dec])) for _, dec in self.eigen]
+        return out
 
     @property
     def dim(self):
@@ -165,37 +187,39 @@ class Torus:
             out.append(c)
         return tuple(out)
 
+    def nonzero_root(self, x):
+        """root_of(x), refused unless x is a root vector for a nonzero
+        root."""
+        beta = self.root_of(x)
+        if beta is None or not any(beta):
+            raise HypothesisError("x is a root vector for a nonzero root")
+        return beta
 
-def root_decomposition(lie, torus_vectors):
+
+def root_decomposition(torus):
     """(lie', torus', Decomposition) over a field where every adjoint of
     the torus basis splits; root labels are eigenvalue tuples.
 
-    The eigenspaces of each ad t (semisimple, so its generalized
-    eigenspaces) come from :func:`generalized_eigenspaces` and refine the
-    parts by intersection.  When an adjoint splits only over a larger
-    field, the algebra and the torus move there and the refinement starts
-    again.
+    The eigenspaces the torus holds for each ad t refine the parts by
+    intersection.  When some adjoint splits only over a larger field, the
+    algebra and the torus first move once, to the field of degree the lcm
+    of the splitting degrees.
     """
-    while True:
-        torus = Torus(lie, torus_vectors)
-        field = lie.field
-        parts = [((), Subspace.full(field, lie.dim))]
-        for t in torus.basis:
-            big, eigen = generalized_eigenspaces(lie.ad(t))
-            if big is not field:
-                break
-            refined = []
-            for label, space in parts:
-                for rho, eig in eigen:
-                    sub = space.intersect(eig)
-                    if sub.dim:
-                        refined.append((label + (rho,), sub))
-            parts = refined
-        else:
-            break
-        emb = embedding(field, big)
-        torus_vectors = [tuple(emb(c) for c in t) for t in torus_vectors]
-        lie = lie.change_field(big)
+    lie = torus.lie
+    degree = math.lcm(*(big.n for big, _ in torus.eigen))
+    if degree != lie.field.n:
+        torus = torus.change_field(GF(lie.p, degree))
+        lie = torus.lie
+    field = lie.field
+    parts = [((), Subspace.full(field, lie.dim))]
+    for _, eigen in torus.eigen:
+        refined = []
+        for label, space in parts:
+            for rho, eig in eigen:
+                sub = space.intersect(eig)
+                if sub.dim:
+                    refined.append((label + (rho,), sub))
+        parts = refined
     if sum(s.dim for _, s in parts) != lie.dim:
         raise VerificationError("root spaces do not fill the algebra")
     parts.sort(key=lambda e: [int(c) for c in e[0]])
@@ -210,9 +234,7 @@ def switch_torus(lie, torus, x, r):
     x^[p]^r in the torus; the returned generators are validated to span a
     torus again.
     """
-    beta = torus.root_of(x)
-    if beta is None or not any(beta):
-        raise HypothesisError("x is a root vector for a nonzero root")
+    beta = torus.nonzero_root(x)
     w = (lie.field.zero,) * lie.dim
     y = x
     for _ in range(r):
@@ -268,20 +290,20 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     Laguerre construction exactly.
     """
     _check_r(r)
-    lie, torus, old = root_decomposition(lie, torus_vectors)
+    lie, torus, old = root_decomposition(Torus(lie, torus_vectors))
     if len(x) != lie.dim:
         raise ValueError("x has the wrong length")
-    if r is None:
-        r = max(semisimple_exponent(lie.ad(x)), 1)
+    torus.nonzero_root(x)   # refused before the switch is built
+    res = build_LD(lie.algebra, lie.ad(x), r=r)
+    r = res.r
     torus_x, beta, w = switch_torus(lie, torus, x, r)
     try:
         toral_x = all(lie.is_toral(t) for t in torus_x.basis)
     except ValueError:
         toral_x = None  # undecidable without a usable p-th power
 
-    lie2, _, new = root_decomposition(lie, list(torus_x.basis))
+    lie2, _, new = root_decomposition(torus_x)
 
-    res = build_LD(lie.algebra, lie.ad(x), r=r)
     d1, d2 = res.field_final.n, lie2.field.n
     f_common = GF(lie.p, math.lcm(d1, d2))
 
@@ -343,13 +365,9 @@ def refine_grading(lie, torus_vectors, x, r=None):
     over pairs.
     """
     _check_r(r)
-    lie, torus, dec = root_decomposition(lie, torus_vectors)
+    lie, torus, dec = root_decomposition(Torus(lie, torus_vectors))
     field = lie.field
-    beta = torus.root_of(x)
-    if beta is None or not any(beta):
-        raise HypothesisError("x is a root vector for a nonzero root")
-    if r is None:
-        r = max(semisimple_exponent(lie.ad(x)), 1)
+    beta = torus.nonzero_root(x)
 
     # t_1: scale a torus basis vector with beta(t) != 0 to beta(t_1) = 1;
     # for the torus to stay honest t_1 must be toral.

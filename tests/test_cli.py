@@ -80,6 +80,48 @@ def test_p_cap_enforced_on_json_input(tmp_path, capsys):
     assert "cap" in err
 
 
+MERSENNE_61 = str(2 ** 61 - 1)   # prime; trial division takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--p", MERSENNE_61),
+    ("identities", "--p", MERSENNE_61),
+    ("switch", "--builtin", "witt:" + MERSENNE_61, "--derivation", "ad:0"),
+    ("toral", "--builtin", "witt:" + MERSENNE_61),
+    ("switch", "--input", None, "--derivation", "ad:0"),
+])
+def test_p_cap_checked_before_primality(monkeypatch, tmp_path, capsys,
+                                        argv):
+    from gradeswitch import cli, fields
+    from gradeswitch.galg import witt
+
+    real = fields.is_prime
+
+    def guarded(n):
+        assert n <= 13, "primality of p tested before the cap"
+        return real(n)
+    monkeypatch.setattr(cli, "is_prime", guarded)
+    monkeypatch.setattr(fields, "is_prime", guarded)
+    if None in argv:
+        doc = witt(5).to_json()
+        doc["p"] = int(MERSENNE_61)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"algebra": doc}))
+        argv = tuple(str(path) if a is None else a for a in argv)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_deeply_nested_json_input_is_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run(capsys, "switch", "--input", str(path),
+                       "--derivation", "ad:0")
+    assert code == 2
+    assert "malformed algebra JSON" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("switch", "--builtin", "tpoly:5:3000:5", "--derivation", "ddx"),
     ("switch", "--builtin", "witt:13+witt:13+witt:13+witt:13",

@@ -11,7 +11,7 @@ from gradeswitch.echelon import Echelon, kernel, rref, solve  # noqa: E402
 from gradeswitch.fields import GF  # noqa: E402
 from gradeswitch.galg import LinearMap  # noqa: E402
 from gradeswitch.switch import (  # noqa: E402
-    p_power_relation, semisimple_exponent)
+    HypothesisError, p_power_relation, semisimple_exponent)
 from test_galg import brute_char_poly  # noqa: E402
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 3), GF(3, 2)]
@@ -121,3 +121,60 @@ def test_p_power_relation_verifies(case):
     rel = p_power_relation(D, r)
     assert rel.verify(D)
     assert rel.degenerate or rel.coefficient(r)
+
+
+RELATION_FIELDS = [GF(2), GF(3), GF(5), GF(3, 2)]
+
+
+@st.composite
+def relation_cases(draw):
+    """(D, r): a random matrix, or a nilpotent-plus-semisimple one: a
+    diagonal plus a 0/1 superdiagonal, conjugated by a random invertible
+    L U."""
+    field = draw(st.sampled_from(RELATION_FIELDS))
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(0, 2))
+
+    def square():
+        return draw(st.lists(st.lists(elements(field), min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return LinearMap(field, square()), r
+    # repeated eigenvalues and a full superdiagonal give Jordan blocks
+    diag = draw(st.one_of(
+        elements(field).map(lambda c: [c] * n),
+        st.lists(st.sampled_from([field.zero, field.one]), min_size=n,
+                 max_size=n),
+        st.lists(elements(field), min_size=n, max_size=n)))
+    sup = draw(st.one_of(st.just([True] * n),
+                         st.lists(st.booleans(), min_size=n, max_size=n)))
+    J = LinearMap(field, [[diag[i] if j == i else
+                           field.one if j == i + 1 and sup[i] else field.zero
+                           for j in range(n)] for i in range(n)])
+    a, b = square(), square()
+    lower = LinearMap(field, [[field.one if j == i else a[i][j] if j < i
+                               else field.zero for j in range(n)]
+                              for i in range(n)])
+    upper = LinearMap(field, [[field.one if j == i else b[i][j] if j > i
+                               else field.zero for j in range(n)]
+                              for i in range(n)])
+    P = lower * upper
+    return P * J * P.inverse(), r
+
+
+@SETTINGS
+@hypothesis.given(relation_cases())
+def test_p_power_relation_reads_semisimplicity(case):
+    # the squarefree minimal polynomial of S = D^(p^r) as the oracle for
+    # the relation's nonzero lowest coefficient
+    D, r = case
+    S = D.p_power(r)
+    want = not S.is_zero() and not S.minimal_polynomial().squarefree_is()
+    try:
+        rel = p_power_relation(D, r)
+    except HypothesisError as exc:
+        assert want, exc
+        assert exc.hypothesis == "D^(p^r) semisimple"
+    else:
+        assert not want
+        assert rel.verify(D)

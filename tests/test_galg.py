@@ -7,9 +7,8 @@ from gradeswitch.echelon import rref, solve
 from gradeswitch.fields import GF
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
-    direct_sum, generalized_eigenspaces, is_derivation, is_graded_derivation,
-    is_grading, kernel, torus_line, truncated_poly,
-    truncated_poly_derivation, witt)
+    direct_sum, generalized_eigenspaces, is_derivation, is_grading, kernel,
+    torus_line, truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.polyring import Polynomial
 
 
@@ -400,8 +399,6 @@ def test_derivations_and_degrees():
         ad = W.left_multiplication(W.basis_vector(i))
         assert is_derivation(W, ad)
         assert derivation_degree(W, ad) == (i - 1) % 5
-    rep = is_graded_derivation(W, W.left_multiplication(W.basis_vector(0)), 4)
-    assert rep.ok
     with pytest.raises(ValueError):
         truncated_poly_derivation(A, "bogus")
 
@@ -454,8 +451,6 @@ def test_derivation_checks_refuse_maps_on_other_spaces():
         for check in (is_derivation, derivation_degree):
             with pytest.raises(ValueError):
                 check(W, D)
-        with pytest.raises(ValueError):
-            is_graded_derivation(W, D, 0)
 
 
 def test_repeated_constants_are_merged():

@@ -35,6 +35,30 @@ def test_ppolynomial_eval_matrix():
     assert g.eval_matrix(M) == M * 2 + M.p_power(1)
 
 
+def test_eval_matrix_walks_one_p_power_chain(monkeypatch):
+    # h has the terms T^(p^i) for i = 1..39: one chain M, M^p, ...,
+    # M^(p^39) takes 39 p-th powers, where one chain per term takes 780
+    F = GF(5)
+    rng = random.Random(13)
+    M = LinearMap(F, [[F.random_element(rng) for _ in range(3)]
+                      for _ in range(3)])
+    want = LinearMap.zero(F, 3)
+    for i in range(1, 40):
+        want = want + M.p_power(i)
+    real = LinearMap.__mul__
+    products = [0]
+
+    def counting(self, other):
+        if isinstance(other, LinearMap):
+            products[0] += 1
+        return real(self, other)
+    monkeypatch.setattr(LinearMap, "__mul__", counting)
+    M ** F.p
+    per_power, products[0] = products[0], 0
+    assert h_polynomial(F, 40).eval_matrix(M) == want
+    assert products[0] <= 39 * per_power
+
+
 def test_semisimple_exponent():
     F = GF(3)
     diag = LinearMap(F, [[F.one, F.zero], [F.zero, F.scalar(2)]])

@@ -101,6 +101,36 @@ def test_torus_validation():
         Torus(L, [tuple(L.field.zero for _ in range(5))])
 
 
+@pytest.mark.parametrize("algebra", [
+    witt(5), witt(7), direct_sum(witt(3), witt(3))],
+    ids=["witt:5", "witt:7", "witt:3+witt:3"])
+def test_torus_semisimplicity_matches_minimal_polynomial(algebra):
+    # the squarefree minimal polynomial of ad t as the oracle for the
+    # torus's check on its eigenspaces
+    L = RestrictedLie(algebra)
+    F = L.field
+    rng = random.Random(47)
+    cases = [L.basis_vector(i) for i in range(L.dim)]
+    for k in (2, 3, L.dim):   # sparse and dense elements
+        for _ in range(6):
+            slots = rng.sample(range(L.dim), k)
+            t = tuple(F.random_element(rng) if i in slots else F.zero
+                      for i in range(L.dim))
+            if any(t):
+                cases.append(t)
+    seen = set()
+    for t in cases:
+        want = L.ad(t).minimal_polynomial().squarefree_is()
+        seen.add(want)
+        if want:
+            assert Torus(L, [t]).dim == 1
+        else:
+            with pytest.raises(HypothesisError,
+                               match="torus adjoints are semisimple"):
+                Torus(L, [t])
+    assert seen == {True, False}
+
+
 def test_root_of():
     L = witt_lie(5)
     F = L.field
@@ -116,7 +146,7 @@ def test_root_of():
 def test_root_decomposition_witt():
     L = witt_lie(5)
     F = L.field
-    L1, T1, dec = root_decomposition(L, [L.basis_vector(1)])
+    L1, T1, dec = root_decomposition(Torus(L, [L.basis_vector(1)]))
     assert L1.field is F  # already split
     assert len(dec) == 5
     assert sorted(int(r[0]) for r, _ in dec) == [0, 1, 2, 3, 4]
@@ -155,7 +185,7 @@ def test_root_decomposition_enlarges_the_field(p, slots, modulus, spaces):
     # e_{-1} + c e_1 has an adjoint that splits only over GF(p^2)
     L = witt_lie(p)
     t = tuple(L.field.scalar(slots.get(i, 0)) for i in range(p))
-    L2, T2, dec = root_decomposition(L, [t])
+    L2, T2, dec = root_decomposition(Torus(L, [t]))
     assert L2.field is GF(p, 2) and L2.field.modulus == modulus
     # the torus line is the root-0 space
     assert [[c.coeffs for c in b] for b in T2.basis] == [list(spaces[0][1])]
@@ -168,7 +198,7 @@ def test_switch_torus_witt5():
     L = witt_lie(5)
     F = L.field
     e0, em1 = L.basis_vector(1), L.basis_vector(0)
-    L1, T1, _ = root_decomposition(L, [e0])
+    L1, T1, _ = root_decomposition(Torus(L, [e0]))
     Tx, beta, w = switch_torus(L1, T1, em1, 1)
     assert beta == (F.scalar(-1),)
     assert w == em1
@@ -178,7 +208,7 @@ def test_switch_torus_witt5():
 
 def test_switch_torus_hypotheses():
     L = witt_lie(5)
-    L1, T1, _ = root_decomposition(L, [L.basis_vector(1)])
+    L1, T1, _ = root_decomposition(Torus(L, [L.basis_vector(1)]))
     with pytest.raises(HypothesisError):
         switch_torus(L1, T1, L.basis_vector(1), 1)  # root 0
 
@@ -208,7 +238,7 @@ def test_refine_grading_on_witt_sum():
     t_a, t_b = L2.basis_vector(1), L2.basis_vector(6)
     x = L2.basis_vector(0)
 
-    _, _, dec = root_decomposition(L2, [t_a, t_b])
+    _, _, dec = root_decomposition(Torus(L2, [t_a, t_b]))
     assert len(dec) == 9
     assert sorted(s.dim for _, s in dec) == [1] * 8 + [2]
     assert dec.find((F5.zero, F5.zero)).dim == 2
