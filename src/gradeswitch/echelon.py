@@ -4,10 +4,12 @@ routines built on it.
 Every elimination in the package goes through :class:`Echelon`: reduced
 row echelon forms, kernels, linear solves, span membership and the
 dependence search behind minimal polynomials and p-power relations.
-Entries are field elements with ``+``, ``-``, ``*``, ``inverse()`` and
-truthiness as a nonzero test; where a routine has to make new vectors, its
-``field`` argument supplies ``zero`` and ``one``.  The module imports nothing from the package, so every layer,
-``fields`` included, can use it.
+Entries are elements of one field, or ints taken as scalars.  An element
+has a ``field`` and ``+``, ``-``, ``*``, ``inverse()`` and truthiness as a
+nonzero test; the field supplies ``zero``, ``one`` and ``dot_kernel``, the
+packed-int arithmetic that :meth:`Echelon.reduce` runs on.  The module
+imports nothing from the package, so every layer, ``fields`` included,
+can use it.
 """
 
 
@@ -18,13 +20,19 @@ class Echelon:
     the pivot columns of the rows stored earlier.  Only the first `width`
     columns (all by default) may hold pivots; later columns ride along, so
     a right-hand side or a combination of the inputs is reduced with them.
+    All vectors have one length.  The field is `field`, or else that of
+    the first element seen; an entry from another field is refused with
+    ``ValueError``.
     """
 
-    __slots__ = ("width", "rows")
+    __slots__ = ("width", "field", "rows", "_pack", "_unpack")
 
-    def __init__(self, vectors=(), width=None):
+    def __init__(self, vectors=(), width=None, field=None):
         self.width = width
-        self.rows = []  # (pivot, dense row, [(column, nonzero entry)])
+        self.field = field
+        # (pivot, dense row, its nonzero columns, their packed entries)
+        self.rows = []
+        self._pack = self._unpack = None
         for v in vectors:
             self.add(v)
 
@@ -33,14 +41,29 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v):
-        """v minus the combination of stored rows that clears their pivots."""
-        w = list(v)
-        for c, _, nz in self.rows:
-            f = w[c]
+        """v minus the combination of stored rows that clears their pivots.
+
+        The multiples of stored rows are summed as packed ints of the
+        field's dot kernel, and each column they touch is unpacked once,
+        together with v's entry: at most width + 1 terms.  Entries that
+        no stored row touches come back as they are, ints as scalars.
+        """
+        out = self._checked(v)
+        if not self.rows:
+            return out
+        pack, unpack = self._pack, self._unpack
+        w = [0] * len(out)
+        touched = set()
+        for c, _, cols, vals in self.rows:
+            f = unpack(w[c] + pack(out[c])) if w[c] else out[c]
             if f:
-                for i, x in nz:
-                    w[i] = w[i] - f * x
-        return w
+                g = pack(-f)
+                for i, x in zip(cols, vals):
+                    w[i] += g * x
+                touched.update(cols)
+        for i in touched:
+            out[i] = unpack(w[i] + pack(out[i]))
+        return out
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -49,16 +72,50 @@ class Echelon:
         """Store v's reduction; False (nothing stored) when v is dependent."""
         return self._insert(self.reduce(v)) is not None
 
+    def _checked(self, v):
+        """v as a list of elements, ints taken as scalars (left as they are
+        while no field is known).  Refuses an entry from another field;
+        fixes the field and its kernel on first use."""
+        try:
+            named = {x.field for x in v}
+            ints = False
+        except AttributeError:     # ints have no field
+            named = {x.field for x in v if not isinstance(x, int)}
+            ints = True
+        if self.field is None and len(named) == 1:
+            self.field = named.pop()
+        elif named and named != {self.field}:
+            raise ValueError("elements of different fields")
+        if self.field is None:
+            return list(v)
+        if self._pack is None:
+            width = len(v) if self.width is None else self.width
+            self._pack, self._unpack, _ = self.field.dot_kernel(width + 1)
+        if ints:
+            one = self.field.one
+            return [x * one if isinstance(x, int) else x for x in v]
+        return list(v)
+
     def _insert(self, w):
         """Store a reduced vector under its leading column; return that
         column, or None when w vanishes on every pivot-eligible column."""
         width = len(w) if self.width is None else self.width
-        c = next((i for i in range(width) if w[i]), None)
-        if c is not None:
-            inv = w[c].inverse()
-            row = [x * inv if x else x for x in w]
-            self.rows.append((c, row, _support(row, c)))
+        cols = [i for i, x in enumerate(w) if x]
+        if not cols or cols[0] >= width:
+            return None
+        c = cols[0]
+        inv = w[c].inverse()
+        row = list(w)
+        for i in cols:
+            row[i] = w[i] * inv
+        self.rows.append(self._row(c, row, cols))
         return c
+
+    def _row(self, c, row, cols=None):
+        """The stored form of a row with pivot c and nonzero columns cols."""
+        if cols is None:
+            cols = [i for i in range(c, len(row)) if row[i]]
+        return c, row, cols, list(map(self._pack, [row[i] for i in cols]))
 
     def rref(self):
         """(rows, pivots) of the reduced row echelon form, rows as tuples.
@@ -68,21 +125,17 @@ class Echelon:
         """
         rows = sorted(self.rows, key=lambda e: e[0])
         for k in range(len(rows) - 1, -1, -1):
-            c, _, nz = rows[k]
+            c, below, cols, _ = rows[k]
             for j in range(k):
-                cj, row, _ = rows[j]
+                cj, row, _, _ = rows[j]
                 f = row[c]
                 if f:
-                    for i, x in nz:
-                        row[i] = row[i] - f * x
-                    rows[j] = (cj, row, _support(row, cj))
+                    for i in cols:
+                        row[i] = row[i] - f * below[i]
+                    rows[j] = self._row(cj, row)
         self.rows = rows
-        return (tuple(tuple(row) for _, row, _ in rows),
-                tuple(c for c, _, _ in rows))
-
-
-def _support(row, start):
-    return [(i, row[i]) for i in range(start, len(row)) if row[i]]
+        return (tuple(tuple(row) for _, row, _, _ in rows),
+                tuple(c for c, _, _, _ in rows))
 
 
 def rref(vectors):
@@ -92,7 +145,7 @@ def rref(vectors):
 
 def kernel(rows, n, field):
     """Basis of {x in F^n : rows * x = 0}, one vector per free column."""
-    red, piv = rref(rows)
+    red, piv = Echelon(rows, field=field).rref()
     pivots = set(piv)
     out = []
     for fc in range(n):
@@ -110,7 +163,7 @@ def solve(rows, rhs, field):
     """One x with rows * x = rhs, free variables set to zero, or None when
     the system is inconsistent.  rows may be rectangular."""
     n = len(rows[0]) if rows else 0
-    ech = Echelon(width=n)
+    ech = Echelon(width=n, field=field)
     for row, b in zip(rows, rhs):
         w = ech.reduce(list(row) + [b])
         if ech._insert(w) is None and w[n]:
@@ -118,11 +171,11 @@ def solve(rows, rhs, field):
     # a stored row is zero at the pivots of earlier rows, so back
     # substitution runs in reverse insertion order
     x = [field.zero] * n
-    for c, row, nz in reversed(ech.rows):
+    for c, row, cols, _ in reversed(ech.rows):
         acc = row[n]
-        for i, a in nz:
+        for i in cols:
             if c < i < n and x[i]:
-                acc = acc - a * x[i]
+                acc = acc - row[i] * x[i]
         x[c] = acc
     return x
 
@@ -138,7 +191,7 @@ def first_dependence(vectors, field):
     ech = None
     for t, v in enumerate(vectors):
         if ech is None:
-            ech = Echelon(width=len(v))
+            ech = Echelon(width=len(v), field=field)
         w = ech.reduce(list(v) + [field.zero] * t + [field.one])
         if ech._insert(w) is None:
             return w[ech.width:ech.width + t]

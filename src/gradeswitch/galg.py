@@ -234,7 +234,7 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots", "_echelon")
 
     def __init__(self, field, ambient, vectors):
-        self._echelon = Echelon(vectors)
+        self._echelon = Echelon(vectors, field=field)
         self.basis, self.pivots = self._echelon.rref()
         self.field = field
         self.ambient = ambient

@@ -220,6 +220,27 @@ def test_coeffs_bad_config(capsys):
     assert run(capsys, "coeffs", "--p", "9")[0] == 2
 
 
+@pytest.mark.parametrize("degree", ["17", "200"])
+def test_field_degree_cap_checked_before_building(monkeypatch, capsys,
+                                                  degree):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("field built before the degree cap check")
+    monkeypatch.setattr(cli, "GF", refuse)
+    code, out, err = run(capsys, "coeffs", "--p", "2", "--field-degree",
+                         degree, "--trials", "1")
+    assert code == 2 and out == ""
+    assert "field degree %s exceeds the cap 16" % degree in err
+
+
+def test_field_degree_at_the_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "coeffs", "--p", "5", "--field-degree", "16",
+                       "--trials", "1", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["field_degree"] == 16
+
+
 def test_switch_builtin_witt(capsys):
     code, out, _ = run(capsys, "switch", "--builtin", "witt:5",
                        "--derivation", "ad:0", "--output", "json")

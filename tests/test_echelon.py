@@ -1,3 +1,5 @@
+import pytest
+
 from gradeswitch.echelon import (
     Echelon, first_dependence, kernel, rref, solve)
 from gradeswitch.fields import GF
@@ -72,3 +74,35 @@ def test_first_dependence():
     assert first_dependence([v0, v1], F) is None
     assert first_dependence([v0, (s(4), s(0))], F) == [s(-4)]
     assert first_dependence([], F) is None
+
+
+def test_entries_from_another_field_are_refused():
+    # zeros included: GF(5)'s zero is not GF(5^2)'s
+    from gradeswitch.galg import Subspace
+    K, F = GF(5, 2), GF(5)
+    S = Subspace(K, 3, [(K.one, K.zero, K.zero)])
+    for v in [(F.zero, F.one, F.zero), (F.one, F.one, F.zero),
+              (F.zero, F.zero, F.zero), (K.one, F.zero, K.zero)]:
+        with pytest.raises(ValueError):
+            S.contains(v)
+    with pytest.raises(ValueError):
+        Subspace.zero(K, 2).contains((F.zero, F.zero))
+    # ints stay scalars
+    assert S.contains((1, 0, 0)) and S.contains((2, K.zero, 0))
+    assert not S.contains((0, 1, 0))
+
+    ech = Echelon([(K.one, K.zero, K.zero)])
+    with pytest.raises(ValueError):
+        ech.add((F.zero, F.one, F.zero))
+    assert ech.rank == 1
+    ech = Echelon()
+    assert ech.add((F.one, F.zero))
+    with pytest.raises(ValueError):
+        ech.add((K.zero, K.one))
+    assert ech.add((0, 3)) and ech.rank == 2
+
+    with pytest.raises(ValueError):
+        solve([[K.one, K.zero]], [F.one], K)
+    with pytest.raises(ValueError):
+        solve([[F.one, F.zero]], [F.one], K)
+    assert solve([[K.one, 0]], [3], K) == [K.scalar(3), K.zero]

@@ -1,5 +1,7 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its
+elimination layer imports nothing from the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -30,3 +32,19 @@ def test_import_needs_only_the_standard_library():
     foreign = [m for m in added
                if m != "gradeswitch" and m not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_echelon_imports_nothing_from_the_package():
+    # every layer, fields included, eliminates through echelon, so an
+    # import the other way would be a cycle
+    import gradeswitch.echelon
+    with open(gradeswitch.echelon.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert [m for m in imported if m.startswith(".")
+            or m.split(".")[0] == "gradeswitch"] == []
