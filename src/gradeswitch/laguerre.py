@@ -319,7 +319,9 @@ def in_prime_star(x):
 
 
 def _laguerre_xy_quotient(ring, coeff_values, p):
-    """L evaluated at X + Y: spread each (X+Y)^k by integer binomials."""
+    """sum_k coeff_values[k] (X+Y)^k in `ring`: each (X+Y)^k spread by
+    integer binomials.  This is the image of a polynomial in Z under
+    Z -> X + Y, such as L at X + Y or an inverse taken in the Z subring."""
     items = []
     for k, c in enumerate(coeff_values):
         for i in range(k + 1):
@@ -363,26 +365,43 @@ class CoefficientTable:
 
 
 def _split_pair(p, a, b):
-    """(u, v) = (L^(a+b)(X+Y), L^(a)(X) L^(b)(Y)) in the quotient ring
-    R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)) over a's and b's ring R."""
-    ring = QuotientRing(p, a ** p - a, b ** p - b)
+    """(u, v, u_z) for a and b from one commutative ring R of
+    characteristic p.
+
+    v = L^(a)(X) L^(b)(Y) and u = L^(a+b)(X+Y) live in the quotient ring
+    R[X,Y]/(X^p - xc, Y^p - yc), xc = a^p - a and yc = b^p - b.  Since
+    (X+Y)^p = X^p + Y^p = xc + yc, the map Z -> X + Y embeds the
+    one-variable ring R[Z]/(Z^p - (xc + yc)) there, and u is the image of
+    u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
+    QuotientRing(p, xc + yc, xc + yc); its powers and its inverse stay on
+    row 0 and spread back by :func:`_laguerre_xy_quotient`.  Both the
+    verified tables and the symbolic ones invert u this way.
+    """
+    xc, yc = a ** p - a, b ** p - b
+    ring = QuotientRing(p, xc, yc)
     v = quotient_mul(ring.from_x_poly(laguerre_coeffs(p, a)),
                      ring.from_y_poly(laguerre_coeffs(p, b)))
-    u = _laguerre_xy_quotient(ring, laguerre_coeffs(p, a + b), p)
-    return u, v
+    l_ab = laguerre_coeffs(p, a + b)
+    u = _laguerre_xy_quotient(ring, l_ab, p)
+    u_z = QuotientRing(p, xc + yc, xc + yc).from_y_poly(l_ab)
+    return u, v, u_z
 
 
 def coefficient_table(p, a, b):
     """The verified table v * u^(-1) of :func:`_split_pair`.
 
     a and b come from one commutative ring of characteristic p: field
-    elements, or truncated series for the product rule.  u is inverted by
-    :func:`quotient_inverse`, which raises NonInvertibleError when it has
-    no inverse; the reconstruction u * table == v and the vanishing of
-    c'_{ij} for p not dividing i + j are checked here.
+    elements, or truncated series for the product rule.  u is inverted in
+    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z (by
+    the linear solve for field entries, by the p-power closed form for
+    series) and raises NonInvertibleError when it has no inverse, which is
+    exactly when u has none.  The inverse w(Z) is spread to w(X+Y) and the
+    table is v * w(X+Y); the full reconstruction u * table == v and the
+    vanishing of c'_{ij} for p not dividing i + j are checked here.
     """
-    u, v = _split_pair(p, a, b)
-    table = quotient_mul(v, quotient_inverse(u))
+    u, v, u_z = _split_pair(p, a, b)
+    w = _laguerre_xy_quotient(u.ring, quotient_inverse(u_z).entries[0], p)
+    table = quotient_mul(v, w)
     if quotient_mul(u, table) != v:
         raise VerificationError("coefficient table reconstruction failed")
     out = CoefficientTable(p, a, b, table.entries)
@@ -441,19 +460,21 @@ def c_coefficients_symbolic(p):
     The inverse of u = L^(alpha+beta)(X+Y) does not exist in a polynomial
     ring, so both sides are cleared by s = u^p (a scalar): the table
     N = v * u^(p-1) satisfies u * N == s * v, and N/s is the rational
-    c-table.
+    c-table.  u^(p-1) and s are taken in the Z subring of
+    :func:`_split_pair`, on p entries, and u^(p-1) is spread to X + Y.
     """
     field = GF(p)
     vars_ = ("alpha", "beta")
     alpha = MultiPoly.variable(field, vars_, "alpha")
     beta = MultiPoly.variable(field, vars_, "beta")
-    u, v = _split_pair(p, alpha, beta)
-    upow = u ** (p - 1)
-    n_table = quotient_mul(v, upow)
-    s_elt = quotient_mul(u, upow)
+    u, v, u_z = _split_pair(p, alpha, beta)
+    upow = u_z ** (p - 1)
+    s_elt = quotient_mul(u_z, upow)
     if not s_elt.is_scalar():
         raise VerificationError("u^p failed to be scalar")  # char-p identity
     s = s_elt.scalar_part
+    n_table = quotient_mul(
+        v, _laguerre_xy_quotient(u.ring, upow.entries[0], p))
 
     s_expected = alpha ** 0
     for i in range(1, p):

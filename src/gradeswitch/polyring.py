@@ -469,6 +469,12 @@ class BiTruncSeries(RingElement):
         return BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
 
     def __mul__(self, other):
+        if isinstance(other, (int, FqElement)):
+            # a field scalar scales entry by entry, with no kernel product
+            s = _as_field_elt(self.field, other)
+            return BiTruncSeries._from_rows(
+                self.field, self.ua, self.ub,
+                tuple(tuple(c * s for c in row) for row in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -779,25 +785,49 @@ def _quotient_inverse_linear(u):
     return inv
 
 
+def _series_frobenius(s):
+    """s^p for a BiTruncSeries s, additively: sum c_ij^p U^(pi) V^(pj),
+    truncated.
+
+    Frobenius is additive in characteristic p, so this takes one field
+    p-th power per surviving coefficient and no series product.
+    """
+    p, field = s.field.p, s.field
+    rows = [[field.zero] * s.ub for _ in range(s.ua)]
+    for i in range(0, s.ua, p):
+        for j in range(0, s.ub, p):
+            rows[i][j] = s.coeffs[i // p][j // p] ** p
+    return BiTruncSeries._from_rows(field, s.ua, s.ub,
+                                    tuple(tuple(r) for r in rows))
+
+
 def _frobenius_scalar(u):
     """u^p as an entry: sum_{i,j} c_ij^p xc^i yc^j.
 
     In characteristic p Frobenius is additive on the commutative quotient
-    ring, and (X^i Y^j)^p = xc^i yc^j, so u^p is this scalar.  It costs p^2
-    entry p-th powers and no quotient-ring product.
+    ring, and (X^i Y^j)^p = xc^i yc^j, so u^p is this scalar.  It costs one
+    entry p-th power per nonzero entry (additive on series entries, see
+    :func:`_series_frobenius`) and no quotient-ring product; the sum runs
+    by Horner's rule in yc along each row, then in xc over the rows, up to
+    the highest nonzero row and column only, so an element on row 0 (the
+    one-variable subring) takes no power of xc.
     """
     ring = u.ring
     p = ring.p
-    xpow, ypow = [ring.one_entry], [ring.one_entry]
-    for _ in range(p - 1):
-        xpow.append(xpow[-1] * ring.xc)
-        ypow.append(ypow[-1] * ring.yc)
-    s = ring.zero_entry
-    for i, row in enumerate(u.entries):
-        for j, c in enumerate(row):
-            if c:
-                s = s + (c ** p) * xpow[i] * ypow[j]
-    return s
+
+    def frob(c):
+        return _series_frobenius(c) if isinstance(c, BiTruncSeries) \
+            else c ** p
+
+    def horner(values, x):
+        # sum values[k] x^k; no product until the highest nonzero value
+        acc = ring.zero_entry
+        for c in reversed(values):
+            acc = acc * x + c if acc else c
+        return acc
+
+    return horner([horner([frob(c) if c else c for c in row], ring.yc)
+                   for row in u.entries], ring.xc)
 
 
 def _quotient_inverse_ppower(u):

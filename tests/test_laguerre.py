@@ -3,17 +3,19 @@ import random
 
 import pytest
 
+from gradeswitch import laguerre
 from gradeswitch.fields import GF
 from gradeswitch.galg import LinearMap
 from gradeswitch.laguerre import (
-    CheckReport, c_coefficients, c_coefficients_symbolic,
+    CheckReport, _split_pair, c_coefficients, c_coefficients_symbolic,
     check_all_identities, check_identity, check_lemma_forms,
-    check_lemma_product_identity, descending_form, in_prime_star,
-    laguerre_at, laguerre_coeffs, laguerre_symbolic, laguerre_value,
-    lemma_binomial, lemma_eval, lemma_product, scalar_product_form,
-    strade_operator_form_check, truncated_exp, zero_pair_closed_form)
+    check_lemma_product_identity, coefficient_table, descending_form,
+    in_prime_star, laguerre_at, laguerre_coeffs, laguerre_symbolic,
+    laguerre_value, lemma_binomial, lemma_eval, lemma_product,
+    scalar_product_form, strade_operator_form_check, truncated_exp,
+    zero_pair_closed_form)
 from gradeswitch.polyring import (BiTruncSeries, MultiPoly, NonInvertibleError,
-                                  Polynomial)
+                                  Polynomial, quotient_inverse, quotient_mul)
 
 
 def test_laguerre_at_matches_binomial_formula():
@@ -208,8 +210,88 @@ def test_c_table_symmetric_in_arguments():
         done += 1
 
 
+def bivariate_table(p, a, b):
+    """v * u^(-1) with u = L^(a+b)(X+Y) inverted as a full p^2-entry
+    element of R[X,Y]/(X^p - xc, Y^p - yc): the reference for the table
+    builder, which inverts u in the one-variable subring Z = X + Y."""
+    u, v, _ = _split_pair(p, a, b)
+    return quotient_mul(v, quotient_inverse(u)).entries
+
+
+def assert_routes_agree(p, a, b):
+    """Both routes give one table, or both refuse the pair."""
+    try:
+        want = bivariate_table(p, a, b)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            coefficient_table(p, a, b)
+        return False
+    assert coefficient_table(p, a, b).table == want
+    return True
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 2), (5, 7)],
+                         ids=["GF(5)", "GF(7^2)", "GF(5^7)"])
+def test_field_tables_match_bivariate_oracle(p, n):
+    # GF(7^2) lies below the log/exp table cap, GF(5^7) above it
+    F = GF(p, n)
+    rng = random.Random(31 * p + n)
+    pairs = [(F.zero, F.zero)]
+    pairs += [(F.random_element(rng), F.random_element(rng))
+              for _ in range(4)]
+    pairs += [(a, F.scalar(k) - a)          # a + b = k in F_p^*
+              for k, a in ((1, F.random_element(rng)),
+                           (p - 1, F.random_element(rng)))]
+    for a, b in pairs:
+        assert assert_routes_agree(p, a, b) == (not in_prime_star(a + b))
+
+
+# (p, field degree, ua, ub): the orders the bench's product-rule builtins
+# reach (3x3 over GF(3) from tpoly:3:9:3 ddx, 1x1 elsewhere), plus a mixed
+# one
+SERIES_CASES = [(3, 1, 3, 3), (3, 3, 1, 1), (5, 5, 1, 1), (11, 1, 1, 1),
+                (5, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("p,n,ua,ub", SERIES_CASES)
+def test_series_tables_match_bivariate_oracle(p, n, ua, ub):
+    F = GF(p, n)
+    rng = random.Random(1000 * p + 100 * n + 10 * ua + ub)
+    a0s = [F.random_element(rng) for _ in range(3)]
+    b0s = [F.random_element(rng), F.random_element(rng), F.one - a0s[2]]
+    for a0, b0 in zip(a0s, b0s):
+        alpha = a0 + BiTruncSeries.shift_u(F, ua, ub)
+        beta = b0 + BiTruncSeries.shift_v(F, ua, ub)
+        assert assert_routes_agree(p, alpha, beta) == \
+            (not in_prime_star(a0 + b0))
+
+
+def test_table_inverts_only_one_variable_elements(monkeypatch):
+    """The table builder hands quotient_inverse the p-entry u_z on row 0
+    of its ring, never the full p^2-entry u."""
+    seen = []
+    original = laguerre.quotient_inverse
+
+    def guarded(w):
+        assert not any(any(row) for row in w.entries[1:]), w
+        seen.append(w)
+        return original(w)
+
+    monkeypatch.setattr(laguerre, "quotient_inverse", guarded)
+    F = GF(5, 2)
+    rng = random.Random(12)
+    a, b = F.random_element(rng), F.random_element(rng)
+    c_coefficients(5, a, b)
+    c_coefficients(5, 0, 0)
+    coefficient_table(5, a + BiTruncSeries.shift_u(F, 2, 3),
+                      b + BiTruncSeries.shift_v(F, 2, 3))
+    with pytest.raises(NonInvertibleError):
+        c_coefficients(5, 2, 4)
+    assert len(seen) == 4
+
+
 def test_symbolic_tables():
-    for p in (2, 3):
+    for p in (2, 3, 5):
         rep = c_coefficients_symbolic(p)
         assert rep.passed
         for i in range(p):

@@ -4,12 +4,13 @@ import weakref
 
 import pytest
 
-from gradeswitch.fields import GF
+from gradeswitch.fields import GF, power
 from gradeswitch.galg import LinearMap
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
     QuotientRing, RingElement, _frobenius_scalar, _quotient_inverse_linear,
-    _quotient_inverse_ppower, quotient_inverse, quotient_mul)
+    _quotient_inverse_ppower, _series_frobenius, quotient_inverse,
+    quotient_mul)
 
 
 def rand_poly(field, deg, rng):
@@ -242,15 +243,52 @@ def test_frobenius_scalar_matches_u_to_the_p():
                           _random_series(F, ua, ub, r)))
     for ring, entry in cases:
         p = ring.p
-        u = ring.element([[entry(rng) for _ in range(p)] for _ in range(p)])
-        up = u ** p
-        assert up.is_scalar()
-        assert up.scalar_part == _frobenius_scalar(u)
-        try:
-            inv = _quotient_inverse_ppower(u)
-        except NonInvertibleError:
-            continue
-        assert u * inv == ring.one()
+        full = ring.element([[entry(rng) for _ in range(p)]
+                             for _ in range(p)])
+        # row 0 only: an element of the one-variable subring, with the
+        # trailing columns zero
+        row0 = ring.element([full.entries[0][:p - 1] + (ring.zero_entry,)]
+                            + [[ring.zero_entry] * p] * (p - 1))
+        for u in (full, row0):
+            up = u ** p
+            assert up.is_scalar()
+            assert up.scalar_part == _frobenius_scalar(u)
+            try:
+                inv = _quotient_inverse_ppower(u)
+            except NonInvertibleError:
+                continue
+            assert u * inv == ring.one()
+
+
+@pytest.mark.parametrize("p,n,ua,ub", [(3, 1, 5, 7), (3, 2, 4, 3),
+                                        (2, 3, 5, 2), (5, 1, 6, 11),
+                                        (5, 7, 1, 1)])
+def test_series_frobenius_matches_square_and_multiply(p, n, ua, ub):
+    # orders above p keep the U^(pi) V^(pj) terms with i or j > 0
+    F = GF(p, n)
+    rng = random.Random(7 * p + ua + ub)
+    for _ in range(4):
+        s = _random_series(F, ua, ub, rng)
+        frob = _series_frobenius(s)
+        assert frob == power(s, p, s.one())
+        if ua > p or ub > p:
+            assert any(c for i, row in enumerate(frob.coeffs)
+                       for j, c in enumerate(row) if i or j)
+
+
+def test_series_scaled_entry_by_entry():
+    F = GF(5, 2)
+    rng = random.Random(4)
+    s = _random_series(F, 3, 2, rng)
+    for c in (0, 3, -7, F.zero, F.one, F.random_element(rng)):
+        want = s * BiTruncSeries.constant(F, 3, 2, c)   # kernel product
+        assert s * c == want
+        assert c * s == want
+    for foreign in (GF(5).one, GF(5, 3).gen, GF(7).scalar(2)):
+        with pytest.raises(ValueError, match="different field"):
+            s * foreign
+        with pytest.raises(ValueError, match="different field"):
+            foreign * s
 
 
 def test_ppower_inverse_refuses_series_scalar_without_constant_term():
