@@ -13,7 +13,8 @@ polynomial of the required degree with the smallest encoding, so the same
 field is reconstructed in every run without a Conway table.
 
 Multiplication uses discrete-log tables once a small field (q <= 2^16) is
-first multiplied in; larger fields fall back to plain polynomial arithmetic.
+first multiplied in; larger fields fall back to plain polynomial arithmetic,
+and invert by the extended Euclidean algorithm against the modulus.
 Dot products of whole vectors run on packed ints instead
 (:meth:`FqField.dot_kernel`), and so do sums of products of truncated
 series in two nilpotents (:meth:`FqField.series_kernel`), which carry the
@@ -59,7 +60,8 @@ def _prime_factors(m):
 
 # ---------------------------------------------------------------------------
 # small helpers on F_p[T] with plain int coefficients (little-endian tuples,
-# no trailing zeros); only used to search and validate moduli.
+# no trailing zeros); used to search and validate moduli and to invert
+# elements of fields above the log/exp table cap.
 
 def _trim(c):
     c = list(c)
@@ -110,6 +112,26 @@ def _psub(a, b, p):
     a = list(a) + [0] * (n - len(a))
     b = list(b) + [0] * (n - len(b))
     return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _pinverse(a, m, p):
+    """a^(-1) mod m in F_p[T] for a nonzero a of lower degree than an
+    irreducible m, by the extended Euclidean algorithm: each step divides
+    r_(i-1) by r_i with quotient q and keeps s_(i+1) = s_(i-1) - q s_i,
+    so that s_i a = r_i mod m, until r_i is a constant."""
+    r0, r1, s0, s1 = m, _trim(a), (), (1,)
+    while len(r1) > 1:
+        inv = pow(r1[-1], p - 2, p)
+        d = len(r1) - 1
+        r, q = list(r0), [0] * (len(r0) - d)
+        for k in reversed(range(len(q))):
+            c = q[k] = r[k + d] * inv % p
+            for j, x in enumerate(r1):
+                r[k + j] = (r[k + j] - c * x) % p
+        r0, r1 = r1, _trim(r)
+        s0, s1 = s1, _psub(s0, _pmul(tuple(q), s1, p), p)
+    inv = pow(r1[0], p - 2, p)
+    return tuple(c * inv % p for c in s1)
 
 
 def power(x, e, one, mul=operator.mul):
@@ -292,7 +314,8 @@ class FqElement:
             fld._ensure_tables()
         if fld._log is not None:
             return fld._exp[(-fld._log[self.coeffs]) % (fld.q - 1)]
-        return self ** (fld.q - 2)
+        inv = _pinverse(self.coeffs, fld.modulus, fld.p)
+        return FqElement(fld, inv + (0,) * (fld.n - len(inv)))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -163,11 +163,19 @@ def check_identity(name, p):
     euler       X dL/dX = (X - a) L + X^p - (a^p - a),  L = L_{p-1}^(a)
     exp_diff    X E'(X) = X E(X) + X^p
     """
+    return _check_identity(name, p, {})
+
+
+def _check_identity(name, p, values):
+    """:func:`check_identity` with `values` as the map (n, shift) ->
+    L_n^(alpha + shift)(X), filled by :func:`laguerre_value` on first use."""
     alpha, x = _symbols(p)
 
     def lag(n, shift=0):
         """L_n^(alpha + shift)(X)."""
-        return laguerre_value(p, alpha + shift, x, n)
+        if (n, shift) not in values:
+            values[n, shift] = laguerre_value(p, alpha + shift, x, n)
+        return values[n, shift]
 
     def report(ok, detail=""):
         return CheckReport("%s[p=%d]" % (name, p), ok, detail)
@@ -228,7 +236,14 @@ def check_identity(name, p):
 
 
 def check_all_identities(p):
-    return [check_identity(name, p) for name in IDENTITY_NAMES]
+    """The reports of every identity in IDENTITY_NAMES, in that order.
+
+    The checks share one map of Laguerre values for this call, so each
+    L_n^(alpha + shift)(X) is built once (at most 2p values, shift 0 or 1)
+    rather than once per use; nothing is kept after the call.
+    """
+    values = {}
+    return [_check_identity(name, p, values) for name in IDENTITY_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +407,11 @@ def coefficient_table(p, a, b):
 
     a and b come from one commutative ring of characteristic p: field
     elements, or truncated series for the product rule.  u is inverted in
-    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z (by
-    the linear solve for field entries, by the p-power closed form for
-    series) and raises NonInvertibleError when it has no inverse, which is
-    exactly when u has none.  The inverse w(Z) is spread to w(X+Y) and the
+    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z (for
+    field entries by a linear solve of one p x p block, since u_z lies on
+    row 0; for series by the p-power closed form) and raises
+    NonInvertibleError when it has no inverse, which is exactly when u
+    has none.  The inverse w(Z) is spread to w(X+Y) and the
     table is v * w(X+Y); the full reconstruction u * table == v and the
     vanishing of c'_{ij} for p not dividing i + j are checked here.
     """

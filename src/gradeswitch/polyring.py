@@ -763,23 +763,29 @@ def quotient_mul(u, v):
 
 
 def _quotient_inverse_linear(u):
-    """Inverse via the p^2 x p^2 multiplication matrix (field entries only)."""
+    """Inverse by solving u w = 1 as a linear system (field entries only).
+
+    An element on row 0 (a polynomial in Y alone) never folds X when it
+    multiplies, so its multiplication matrix is p identical p x p blocks
+    and its inverse, if any, is on row 0 too: the system is the one block,
+    whose columns are row 0 of u Y^l.  Any other element takes the whole
+    p^2 x p^2 multiplication matrix, whose columns are u X^k Y^l.
+    """
     ring = u.ring
     p = ring.p
     if not isinstance(ring.one_entry, FqElement):
         raise TypeError("linear inversion needs field entries")
     field = ring.one_entry.field
-    cols = []
-    for k in range(p):
-        for l in range(p):
-            prod = u * ring.monomial(k, l, ring.one_entry)
-            cols.append([prod.entries[s][t] for s in range(p) for t in range(p)])
-    rows = [[cols[c][r] for c in range(p * p)] for r in range(p * p)]
-    rhs = [field.one] + [field.zero] * (p * p - 1)
-    sol = solve(rows, rhs, field)
+    height = p if any(any(row) for row in u.entries[1:]) else 1
+    cols = [[c for row in (u * ring.monomial(k, l, field.one)).entries[:height]
+             for c in row]
+            for k in range(height) for l in range(p)]
+    rows = list(zip(*cols))
+    sol = solve(rows, [field.one] + [field.zero] * (len(rows) - 1), field)
     if sol is None:
         raise NonInvertibleError("quotient element is not invertible")
-    inv = ring.element([[sol[k * p + l] for l in range(p)] for k in range(p)])
+    sol += [field.zero] * (p * p - len(sol))
+    inv = ring.element([sol[k * p:(k + 1) * p] for k in range(p)])
     if u * inv != ring.one():
         raise AssertionError("inverse verification failed")  # solver defect
     return inv
@@ -852,10 +858,12 @@ def _quotient_inverse_ppower(u):
 def quotient_inverse(u):
     """Inverse in the quotient ring.
 
-    Field entries go through the multiplication-matrix solve; other entry
-    rings use the p-power closed form, u^{-1} = u^{p-1} (u^p)^{-1} with the
-    scalar u^p computed by Frobenius.  Either result is verified against
-    u * inv == 1 before being returned.
+    Field entries go through the linear solve of
+    :func:`_quotient_inverse_linear`, one p x p block for an element on
+    row 0 and the whole p^2 x p^2 multiplication matrix otherwise; other
+    entry rings use the p-power closed form, u^{-1} = u^{p-1} (u^p)^{-1}
+    with the scalar u^p computed by Frobenius.  Either result is verified
+    against u * inv == 1 before being returned.
     """
     if isinstance(u.ring.one_entry, FqElement):
         return _quotient_inverse_linear(u)

@@ -32,6 +32,22 @@ def test_prime_field_arithmetic():
             assert x ** 6 == F.one  # Fermat
 
 
+@pytest.mark.parametrize("p,n", [(5, 7), (3, 11), (2, 17), (65537, 1)])
+def test_inverse_above_table_cap_matches_power(p, n):
+    """Above the log/exp cap an inverse comes from the extended Euclidean
+    algorithm on the modulus; it equals x^(q-2) by square-and-multiply."""
+    F = GF(p, n)
+    assert F.q > fields._TABLE_CAP
+    rng = random.Random(p + n)
+    xs = [F.one, -F.one, F.gen] + [F.random_element(rng) for _ in range(60)]
+    for x in xs:
+        if x:
+            assert x.inverse() == fields.power(x, F.q - 2, F.one)
+    assert F._log is None
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+
+
 def test_gf_rejects_bad_arguments():
     with pytest.raises(ValueError):
         GF(4)

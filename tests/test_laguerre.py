@@ -115,6 +115,46 @@ def test_identity_names_are_checked_individually():
         check_identity("nonsense", 5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_identity_suite_builds_each_value_once(p, monkeypatch):
+    """check_all_identities shares its Laguerre values across the checks:
+    at most 2p of them (n < p, shift 0 or 1), and the same reports as the
+    checks run one by one."""
+    calls = []
+    original = laguerre.laguerre_value
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(laguerre, "laguerre_value", counted)
+    reports = check_all_identities(p)
+    assert 0 < len(calls) <= 2 * p
+    assert reports == [check_identity(name, p)
+                       for name in laguerre.IDENTITY_NAMES]
+    assert all(rep.passed for rep in reports)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shared_values_still_catch_a_wrong_coefficient(p, monkeypatch):
+    """One coefficient of L_{p-1} off by one, at any position, fails at
+    least one identity of check_all_identities."""
+    original = laguerre.laguerre_coeffs
+    for k in range(p):
+        def off_by_one(p_, alpha, n=None, k=k):
+            coeffs = original(p_, alpha, n)
+            if n in (None, p_ - 1):
+                coeffs = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
+            return coeffs
+
+        monkeypatch.setattr(laguerre, "laguerre_coeffs", off_by_one)
+        failed = [rep.name for rep in check_all_identities(p)
+                  if not rep.passed]
+        assert failed, k
+    monkeypatch.setattr(laguerre, "laguerre_coeffs", original)
+    assert all(rep.passed for rep in check_all_identities(p))
+
+
 def test_lemma_eval_frozen_p3():
     # L_2^(Z^3)(Z^3 - Z) = 1 + 2Z + 2Z^2 + Z^3 over F_3
     assert [int(c) for c in lemma_eval(3).coeffs] == [1, 2, 2, 1]

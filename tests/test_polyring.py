@@ -4,8 +4,11 @@ import weakref
 
 import pytest
 
+from gradeswitch import polyring
+from gradeswitch.echelon import solve
 from gradeswitch.fields import GF, power
 from gradeswitch.galg import LinearMap
+from gradeswitch.laguerre import _split_pair
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
     QuotientRing, RingElement, _frobenius_scalar, _quotient_inverse_linear,
@@ -183,6 +186,60 @@ def test_quotient_inverse_dual_routes():
         assert inv1 == inv2
         assert quotient_mul(u, inv1) == ring.one()
     assert seen_invertible > 0 and seen_singular > 0
+
+
+def full_matrix_inverse(u):
+    """u^(-1) by the whole p^2 x p^2 multiplication matrix, whatever the
+    element: the reference for the one-block solve of row-0 elements."""
+    ring = u.ring
+    p = ring.p
+    field = ring.one_entry.field
+    cols = []
+    for k in range(p):
+        for l in range(p):
+            prod = u * ring.monomial(k, l, ring.one_entry)
+            cols.append([prod.entries[s][t] for s in range(p) for t in range(p)])
+    rows = [[cols[c][r] for c in range(p * p)] for r in range(p * p)]
+    rhs = [field.one] + [field.zero] * (p * p - 1)
+    sol = solve(rows, rhs, field)
+    if sol is None:
+        raise NonInvertibleError("quotient element is not invertible")
+    return ring.element([[sol[k * p + l] for l in range(p)] for k in range(p)])
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (7, 1), (7, 2), (5, 7)],
+                         ids=["GF(2)", "GF(3)", "GF(7)", "GF(7^2)", "GF(5^7)"])
+def test_row0_block_inverse_matches_full_matrix(p, n, monkeypatch):
+    """A row-0 element is inverted from one p x p block; the inverse, and
+    the refusal of a singular element, agree with the whole matrix."""
+    F = GF(p, n)
+    rng = random.Random(100 * p + n)
+    heights = []
+
+    def spy(rows, rhs, field):
+        heights.append(len(rows))
+        return solve(rows, rhs, field)
+
+    monkeypatch.setattr(polyring, "solve", spy)
+    a, b = F.random_element(rng), F.random_element(rng)
+    rings = [quotient_ring_for(p, a, b), quotient_ring_for(p, a, F.zero)]
+    elements = [ring.from_y_poly([F.random_element(rng) for _ in range(p)])
+                for ring in rings for _ in range(4)]
+    # u_z of a pair with a + b in F_p^*, and Y with Y^p = 0
+    singular = [_split_pair(p, a, F.one - a)[2], rings[1].monomial(0, 1, 1)]
+    invertible = 0
+    for u in elements + singular:
+        try:
+            want = full_matrix_inverse(u)
+        except NonInvertibleError:
+            with pytest.raises(NonInvertibleError):
+                _quotient_inverse_linear(u)
+            continue
+        assert u not in singular
+        assert _quotient_inverse_linear(u) == want
+        invertible += 1
+    assert invertible > 0
+    assert heights == [p] * len(elements + singular)
 
 
 def test_quotient_inverse_dispatch():
