@@ -16,7 +16,8 @@ Multiplication uses discrete-log tables once a small field (q <= 2^16) is
 first multiplied in; larger fields fall back to plain polynomial arithmetic,
 and invert by the extended Euclidean algorithm against the modulus.
 Dot products of whole vectors run on packed ints instead
-(:meth:`FqField.dot_kernel`), and so do sums of products of truncated
+(:meth:`FqField.dot_kernel`), whole rows of dot products at once on wide
+ints (:meth:`FqField.row_kernel`), and so do sums of products of truncated
 series in two nilpotents (:meth:`FqField.series_kernel`), which carry the
 quotient-ring products of :mod:`gradeswitch.polyring`.  Everything is
 exact; fields and elements are immutable.
@@ -26,6 +27,8 @@ import functools
 import math
 import operator
 import random
+import struct
+import sys
 
 from .echelon import solve
 
@@ -477,6 +480,20 @@ class FqField:
         """
         return _dot_kernel(self, length, factors)
 
+    def row_kernel(self, length, count):
+        """(pack, widen, unpack, width) for `count` dot products of
+        `length` terms at once.
+
+        pack(c) is the int of the element with coefficient tuple c;
+        widen(ints) lays `count` packed elements side by side as the
+        blocks of one wide int.  For packed elements a_k and wide ints W_k
+        (k < length), unpack(sum(map(operator.mul, a, W))) is the tuple of
+        the `count` dot products, entry j the sum of a_k times entry j of
+        W_k, as interned elements.  The slots are `width` bits wide and
+        keep headroom for folding every block at once.
+        """
+        return _row_kernel(self, length, count)
+
     def series_kernel(self, ua, ub, length, factors):
         """(pack, unpack, bits) of :meth:`dot_kernel` for series in two
         nilpotents, F[U, V]/(U^ua, V^ub), given as ua rows of ub elements
@@ -533,19 +550,19 @@ def _field(p, n, modulus):
     return FqField(p, n, modulus)
 
 
-class _Interned(dict):
-    """The elements of one field by coefficient tuple, built on first use;
-    at most _INTERN_CAP of them are kept."""
+class _Capped(dict):
+    """make(key) by key, built on first use; at most _INTERN_CAP of them
+    are kept."""
 
-    __slots__ = ("field",)
+    __slots__ = ("make",)
 
-    def __init__(self, field):
-        self.field = field
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, coeffs):
-        x = FqElement(self.field, coeffs)
+    def __missing__(self, key):
+        x = self.make(key)
         if len(self) < _INTERN_CAP:
-            self[coeffs] = x
+            self[key] = x
         return x
 
 
@@ -554,7 +571,16 @@ _INTERN_CAP = 1 << 12
 
 @functools.lru_cache(maxsize=None)
 def _interned(field):
-    return _Interned(field)
+    """The elements of one field by coefficient tuple."""
+    return _Capped(functools.partial(FqElement, field))
+
+
+@functools.lru_cache(maxsize=None)
+def _packed(field, width):
+    """The packed ints of one field's elements by coefficient tuple,
+    c_i in slot i of `width` bits."""
+    slots = tuple(range(0, field.n * width, width))
+    return _Capped(lambda coeffs: sum(map(operator.lshift, coeffs, slots)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -596,6 +622,67 @@ def _dot_kernel(field, length, factors):
             (((s >> sh) & mask) + sum(map(mul, hi, red))) % p
             for sh, red in zip(low, fold)])]
     return pack, unpack, top * width
+
+
+@functools.lru_cache(maxsize=None)
+def _row_kernel(field, length, count):
+    # Kronecker substitution as in _dot_kernel, with entry j of a wide int
+    # in block j of 2n - 1 slots of w bits.  A block of a sum of `length`
+    # products of two packed elements holds at most length n (p-1)^2 in
+    # each slot, so no block carries into the next.  Unpacking folds the
+    # high slots n..2n-2 of all blocks at once: with T^(n+k) = sum r_kj g^j
+    # packed as the small int sum r_kj 2^(j w), slot n + k of every block,
+    # masked down to slot 0 and multiplied by that int, adds hi_k r_kj to
+    # slot j of the same block.  A low slot then holds its own sum plus
+    # n - 1 terms hi_k r_kj, each at most length n (p-1)^2 (p-1), so every
+    # slot stays at most length n (p-1)^2 (1 + (n-1)(p-1)) and w is sized
+    # for that bound: the fold never carries between slots.  Slots of 8,
+    # 16, 32 or 64 bits are read straight from the int's bytes through a
+    # memoryview, wider ones by shifting; slot i of every block is then
+    # one strided slice, reduced mod p, and zipping the n slices gives the
+    # coefficient tuples of the whole row.
+    p, n = field.p, field.n
+    bound = length * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+    bits = bound.bit_length() or 1
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), None)
+    width = 8 * size if size else bits
+    span = 2 * n - 1
+    offsets = tuple(range(0, count * span * width, span * width))
+
+    if size:
+        code = next(c for c in "BHILQ" if struct.calcsize(c) == size)
+        nbytes = count * span * size
+        order = sys.byteorder
+
+        def digits(s):
+            return memoryview(s.to_bytes(nbytes, order)).cast(code)
+    else:
+        mask = (1 << width) - 1
+        every = tuple(range(0, count * span * width, width))
+
+        def digits(s):
+            return [(s >> sh) & mask for sh in every]
+
+    packed = _packed(field, width)
+    every_block = sum(1 << sh for sh in offsets)
+    low = ((1 << (n * width)) - 1) * every_block
+    slot0 = ((1 << width) - 1) * every_block
+    fold = tuple(((n + k) * width, packed[red])
+                 for k, red in enumerate(field._red))
+    reduce = p.__rmod__
+    element = _interned(field).__getitem__
+
+    def widen(ints):
+        return sum(map(operator.lshift, ints, offsets))
+
+    def unpack(s):
+        f = s & low
+        for sh, red in fold:
+            f += ((s >> sh) & slot0) * red
+        d = digits(f)
+        return tuple(map(element, zip(*[map(reduce, d[i::span])
+                                        for i in range(n)])))
+    return packed.__getitem__, widen, unpack, width
 
 
 @functools.lru_cache(maxsize=None)

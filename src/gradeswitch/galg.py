@@ -20,17 +20,23 @@ from .fields import (FqElement, GF, _as_field_elt, embedding,
                      roots_in_splitting_field)
 from .polyring import Polynomial, RingElement
 
+_COEFFS = operator.attrgetter("coeffs")
+
 
 class LinearMap(RingElement):
     """Square matrix over an FqField acting on column vectors.
 
     Adding a field element s means M + s*I, so polynomials evaluate at
     matrices through the generic Horner rule.  Products and applies run on
-    the field's packed-int dot kernel; a map keeps its packed rows and
-    columns once built (it is immutable).
+    the field's row kernel: a map keeps its entries packed row by row, and
+    its rows and its columns each packed into one wide int, entry j in
+    block j, once built (it is immutable).  Row i of A B is then one sum
+    of n products of A's packed entries with B's wide rows, A v one sum of
+    n products of v's packed entries with A's wide columns, and each sum
+    is reduced to field elements in one pass over the whole row.
     """
 
-    __slots__ = ("field", "n", "rows", "_prows", "_pcols")
+    __slots__ = ("field", "n", "rows", "_prows", "_wrows", "_wcols")
 
     def __init__(self, field, rows):
         rs = tuple(tuple(_as_field_elt(field, x) for x in row) for row in rows)
@@ -40,7 +46,7 @@ class LinearMap(RingElement):
         self.field = field
         self.n = n
         self.rows = rs
-        self._prows = self._pcols = None
+        self._prows = self._wrows = self._wcols = None
 
     @classmethod
     def _trusted(cls, field, rows):
@@ -50,7 +56,7 @@ class LinearMap(RingElement):
         M.field = field
         M.n = len(rows)
         M.rows = rows
-        M._prows = M._pcols = None
+        M._prows = M._wrows = M._wcols = None
         return M
 
     @classmethod
@@ -82,17 +88,26 @@ class LinearMap(RingElement):
             return _as_field_elt(self.field, other)
         return None
 
+    def _kernel(self):
+        return self.field.row_kernel(self.n, self.n)
+
     def _packed_rows(self):
         if self._prows is None:
-            pack = self.field.dot_kernel(self.n)[0]
-            self._prows = tuple([tuple([pack(x) for x in row])
+            pack = self._kernel()[0]
+            self._prows = tuple([tuple(map(pack, map(_COEFFS, row)))
                                  for row in self.rows])
         return self._prows
 
-    def _packed_columns(self):
-        if self._pcols is None:
-            self._pcols = tuple(zip(*self._packed_rows()))
-        return self._pcols
+    def _wide_rows(self):
+        if self._wrows is None:
+            self._wrows = tuple(map(self._kernel()[1], self._packed_rows()))
+        return self._wrows
+
+    def _wide_columns(self):
+        if self._wcols is None:
+            self._wcols = tuple(map(self._kernel()[1],
+                                    zip(*self._packed_rows())))
+        return self._wcols
 
     def __add__(self, other):
         if isinstance(other, LinearMap):
@@ -117,11 +132,11 @@ class LinearMap(RingElement):
     def __mul__(self, other):
         if isinstance(other, LinearMap):
             self._same_space(other)
-            unpack = self.field.dot_kernel(self.n)[1]
-            cols = other._packed_columns()
+            unpack = self._kernel()[2]
+            wide = other._wide_rows()
             mul = operator.mul
             return LinearMap._trusted(self.field, tuple([
-                tuple([unpack(sum(map(mul, row, col))) for col in cols])
+                unpack(sum(map(mul, row, wide)))
                 for row in self._packed_rows()]))
         s = self._scalar(other)
         if s is None:
@@ -145,11 +160,11 @@ class LinearMap(RingElement):
     def apply(self, v):
         if len(v) != self.n:
             raise ValueError("vector of wrong length")
-        pack, unpack, _ = self.field.dot_kernel(self.n)
-        pv = [pack(x) for x in v]
-        mul = operator.mul
-        return tuple([unpack(sum(map(mul, row, pv)))
-                      for row in self._packed_rows()])
+        pack, _, unpack, _ = self._kernel()
+        field = self.field
+        return unpack(sum(map(operator.mul, [
+            pack(_as_field_elt(field, x).coeffs) for x in v],
+            self._wide_columns())))
 
     def rank(self):
         return Echelon(self.rows).rank
@@ -181,20 +196,24 @@ class LinearMap(RingElement):
             seed = tuple(field.one if i == s else field.zero for i in range(n))
             if seen.contains(seed):
                 continue
-            local = Polynomial(field, first_dependence(self._krylov(seed),
-                                                       field) + [field.one])
+            krylov = []
+            local = Polynomial(field, first_dependence(
+                self._krylov(seed, krylov), field) + [field.one])
             g = f * local // f.gcd(local)
             f = g.monic()
-            # fold the whole Krylov space of the seed into the span
-            for v in itertools.islice(self._krylov(seed), local.degree()):
+            # fold the whole Krylov space of the seed into the span: the
+            # vectors before the dependent last one
+            for v in krylov[:-1]:
                 seen.add(v)
             if f.degree() == n:
                 break
         assert f.evaluate(self).is_zero()
         return f
 
-    def _krylov(self, v):
+    def _krylov(self, v, out):
+        """v, M v, M^2 v, ..., each also appended to `out`."""
         while True:
+            out.append(v)
             yield v
             v = self.apply(v)
 

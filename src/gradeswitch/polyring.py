@@ -187,10 +187,15 @@ class Polynomial(RingElement):
                           self.var)
 
     def evaluate(self, x):
-        """Horner evaluation; x may be a field element or any ring value
-        that mixes with field scalars (matrix, series, multipolynomial)."""
-        acc = (x ** 0) * self.field.zero
-        for c in reversed(self.coeffs):
+        """Horner evaluation from the leading coefficient; x may be a field
+        element or any ring value that mixes with field scalars (matrix,
+        series, multipolynomial)."""
+        cs = self.coeffs
+        if len(cs) < 2:
+            return (x ** 0) * (cs[0] if cs else self.field.zero)
+        # lead x + c_(d-1), sparing the product by `one` of monic f
+        acc = (x if cs[-1] == self.field.one else x * cs[-1]) + cs[-2]
+        for c in reversed(cs[:-2]):
             acc = acc * x + c
         return acc
 

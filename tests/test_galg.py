@@ -182,6 +182,40 @@ def test_minimal_polynomial_properties():
     assert C.minimal_polynomial() == t ** 2 + 1
 
 
+def test_minimal_polynomial_applies_each_krylov_vector_once(monkeypatch):
+    # a cyclic map: the Krylov space of e_0 is everything, so the search
+    # applies the map n times and the fold into the span reuses those
+    # vectors instead of applying it n - 1 times more
+    F = GF(7)
+    n = 6
+    rows = [[F.zero] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = F.one
+    rows[0][n - 1] = F.scalar(3)
+    rows[n - 1][n - 1] = F.scalar(2)
+    C = LinearMap(F, rows)
+    applies = []
+    plain = LinearMap.apply
+
+    def counted(self, v):
+        applies.append(v)
+        return plain(self, v)
+
+    monkeypatch.setattr(LinearMap, "apply", counted)
+    f = C.minimal_polynomial()
+    assert f.degree() == n and len(applies) == n
+    # a map with several Krylov spaces: one apply per vector of each
+    D = LinearMap(F, [[F.scalar(2), F.one, F.zero, F.zero],
+                      [F.zero, F.scalar(2), F.zero, F.zero],
+                      [F.zero, F.zero, F.scalar(5), F.zero],
+                      [F.zero, F.zero, F.zero, F.scalar(5)]])
+    applies.clear()
+    t = Polynomial.variable(F, "T")
+    assert D.minimal_polynomial() == (t - 2) ** 2 * (t - 5)
+    # seeds e_0 (degree 1), e_1 (degree 2), e_2 (degree 1), e_3 (degree 1)
+    assert len(applies) == 5
+
+
 def test_subspace_dimension_formula():
     F = GF(3)
     rng = random.Random(15)

@@ -34,6 +34,38 @@ def test_polynomial_basic_ops():
     assert f[2] == F.one and f[0] == F.one and f[7] == F.zero
 
 
+def test_evaluate_starts_from_the_leading_coefficient(monkeypatch):
+    # Horner from the leading coefficient: a degree-d polynomial spends
+    # d - 1 matrix products, and a monic one no product by its leading 1;
+    # the value is the sum of c_i M^i either way
+    F = GF(5)
+    rng = random.Random(8)
+    M = LinearMap(F, [[F.random_element(rng) for _ in range(4)]
+                      for _ in range(4)])
+    powers = [M ** i for i in range(5)]
+    products = []
+    plain = LinearMap.__mul__
+
+    def counted(a, b):
+        products.append(isinstance(b, LinearMap))
+        return plain(a, b)
+
+    monkeypatch.setattr(LinearMap, "__mul__", counted)
+    for coeffs in ([], [3], [2, 1], [1, 0, 4], [4, 3, 0, 2, 1],
+                   [0, 0, 0, 0, 3]):
+        f = Polynomial(F, coeffs)
+        want = LinearMap.zero(F, 4)
+        for c, P in zip(f.coeffs, powers):
+            want = want + P * c
+        products.clear()
+        assert f.evaluate(M) == want
+        assert products.count(True) == max(f.degree() - 1, 0)
+        monic = f.degree() >= 1 and f.leading() == F.one
+        assert products.count(False) == (0 if monic else 1)
+        assert f.evaluate(F.scalar(3)) == sum(
+            (c * F.scalar(3) ** i for i, c in enumerate(f.coeffs)), F.zero)
+
+
 def test_polynomial_division_properties():
     F = GF(7)
     rng = random.Random(3)
