@@ -145,8 +145,10 @@ def power(x, e, one, mul=operator.mul):
     spends (e.bit_length() - 1) squarings plus (popcount(e) - 1) further
     products; e == 0 returns `one`.  `mul` is the product, for rings whose
     elements do not overload ``*`` or whose products reduce modulo
-    something.
+    something.  A negative e raises ValueError.
     """
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
     if e == 0:
         return one
     result = x

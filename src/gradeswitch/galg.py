@@ -18,22 +18,21 @@ from . import echelon
 from .echelon import Echelon, first_dependence
 from .fields import (FqElement, GF, _as_field_elt, embedding,
                      roots_in_splitting_field)
-from .polyring import Polynomial, RingElement
-
-_COEFFS = operator.attrgetter("coeffs")
+from .polyring import _COEFFS, Polynomial, RingElement
 
 
 class LinearMap(RingElement):
     """Square matrix over an FqField acting on column vectors.
 
     Adding a field element s means M + s*I, so polynomials evaluate at
-    matrices through the generic Horner rule.  Products and applies run on
-    the field's row kernel: a map keeps its entries packed row by row, and
-    its rows and its columns each packed into one wide int, entry j in
-    block j, once built (it is immutable).  Row i of A B is then one sum
-    of n products of A's packed entries with B's wide rows, A v one sum of
-    n products of v's packed entries with A's wide columns, and each sum
-    is reduced to field elements in one pass over the whole row.
+    matrices through the generic Horner rule.  Products, applies, sums and
+    negations run on the field's row kernel: a map keeps its entries
+    packed row by row, and its rows and its columns each packed into one
+    wide int, entry j in block j, once built (it is immutable).  Row i of
+    A B is then one sum of n products of A's packed entries with B's wide
+    rows, A v one sum of n products of v's packed entries with A's wide
+    columns, row i of A + B the sum of the two wide rows, and each is
+    reduced to field elements in one pass over the whole row.
     """
 
     __slots__ = ("field", "n", "rows", "_prows", "_wrows", "_wcols")
@@ -109,12 +108,16 @@ class LinearMap(RingElement):
                                     zip(*self._packed_rows())))
         return self._wcols
 
+    # A sum of two wide rows holds at most 2 (p - 1) in a slot and p - 1
+    # times a wide row at most (p - 1)^2: both within the kernel's bound
+    # (whose slots are at least 8 bits wide), so each is one unpack.
+
     def __add__(self, other):
         if isinstance(other, LinearMap):
             self._same_space(other)
-            return LinearMap._trusted(self.field, tuple(
-                tuple(map(operator.add, r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)))
+            return LinearMap._trusted(self.field, tuple(map(
+                self._kernel()[2],
+                map(operator.add, self._wide_rows(), other._wide_rows()))))
         s = self._scalar(other)
         if s is None:
             return NotImplemented
@@ -123,8 +126,9 @@ class LinearMap(RingElement):
             for i, row in enumerate(self.rows)))
 
     def __neg__(self):
+        unpack, m = self._kernel()[2], self.field.p - 1
         return LinearMap._trusted(self.field, tuple(
-            tuple(map(operator.neg, row)) for row in self.rows))
+            [unpack(w * m) for w in self._wide_rows()]))
 
     def one(self):
         return LinearMap.identity(self.field, self.n)
@@ -188,25 +192,31 @@ class LinearMap(RingElement):
                                       for i in range(k)])
 
     def minimal_polynomial(self):
-        """Least monic f with f(M) = 0, by Krylov iteration and lcm."""
+        """Least monic f with f(M) = 0: the lcm of the minimal polynomials
+        of M on the Krylov spaces of the unit vectors, by Krylov iteration.
+
+        The search stops once those spaces span everything, which they do
+        at the latest when the lcm reaches degree n (an invariant subspace
+        on which M has a minimal polynomial of degree n is the whole
+        space).  Each distinct local polynomial enters one lcm at the end.
+        """
         field, n = self.field, self.n
-        f = Polynomial(field, [field.one])
         seen = Echelon()
+        local = {}
         for s in range(n):
+            if seen.rank == n:
+                break
             seed = tuple(field.one if i == s else field.zero for i in range(n))
             if seen.contains(seed):
                 continue
             krylov = []
-            local = Polynomial(field, first_dependence(
-                self._krylov(seed, krylov), field) + [field.one])
-            g = f * local // f.gcd(local)
-            f = g.monic()
+            local[Polynomial(field, first_dependence(
+                self._krylov(seed, krylov), field) + [field.one])] = None
             # fold the whole Krylov space of the seed into the span: the
             # vectors before the dependent last one
             for v in krylov[:-1]:
                 seen.add(v)
-            if f.degree() == n:
-                break
+        f = _lcm(field, local)
         assert f.evaluate(self).is_zero()
         return f
 
@@ -240,6 +250,18 @@ class LinearMap(RingElement):
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return "LinearMap(%r, [%s])" % (self.field, body)
+
+
+def _lcm(field, polys):
+    """The lcm of monic polynomials over `field` (1 for none), largest
+    degree first, so that a polynomial dividing the lcm so far costs one
+    division and no gcd."""
+    polys = sorted(polys, key=Polynomial.degree, reverse=True)
+    f = polys[0] if polys else Polynomial(field, [field.one])
+    for g in polys[1:]:
+        if f % g:
+            f = f * (g // g.gcd(f))
+    return f
 
 
 def kernel(M):

@@ -19,8 +19,12 @@ unary ``-``, ``*`` and ``one()``; the base derives reflected ``+``, both
 subtractions and ``** k`` from them.
 """
 
+import operator
+
 from .echelon import solve
 from .fields import FqElement, _as_field_elt, power
+
+_COEFFS = operator.attrgetter("coeffs")
 
 
 class NonInvertibleError(ValueError):
@@ -50,14 +54,23 @@ class RingElement:
         return power(self, e, self.one())
 
 
+def _row_kernel(field, length, count):
+    """field.row_kernel with `length` and `count` rounded up to powers of
+    two, so that polynomials of every degree share a few kernels."""
+    return field.row_kernel(1 << (length - 1).bit_length(),
+                            1 << (count - 1).bit_length())
+
+
 class Polynomial(RingElement):
     """Dense univariate polynomial over an FqField.
 
     The zero polynomial has empty coeffs and degree -1.  The variable tag is
-    display-only and ignored by equality.
+    display-only and ignored by equality.  Products run on the field's row
+    kernel: coefficient k of a polynomial packs into block k of one wide
+    int, so a product is one int product and one unpack.
     """
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs", "var", "_rows")
 
     def __init__(self, field, coeffs, var="T"):
         cs = [_as_field_elt(field, c) for c in coeffs]
@@ -66,6 +79,18 @@ class Polynomial(RingElement):
         self.field = field
         self.coeffs = tuple(cs)
         self.var = var
+        self._rows = None
+
+    @classmethod
+    def _trusted(cls, field, coeffs, var):
+        """The polynomial with `coeffs`, a tuple of elements of `field`
+        whose last is nonzero, unchecked."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = coeffs
+        f.var = var
+        f._rows = None
+        return f
 
     @classmethod
     def variable(cls, field, var="T"):
@@ -126,14 +151,16 @@ class Polynomial(RingElement):
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if not a or not b:
-            return Polynomial(self.field, [], self.var)
-        out = [self.field.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return Polynomial(self.field, out, self.var)
+            return Polynomial._trusted(self.field, (), self.var)
+        # block k of the int product sums a_i b_j over i + j = k: at most
+        # min(len a, len b) products of two packed elements
+        count = len(a) + len(b) - 1
+        pack, widen, unpack, _ = _row_kernel(self.field, min(len(a), len(b)),
+                                             count)
+        wa = widen(map(pack, map(_COEFFS, a)))
+        wb = wa if b is a else widen(map(pack, map(_COEFFS, b)))
+        return Polynomial._trusted(self.field, unpack(wa * wb)[:count],
+                                   self.var)
 
     __rmul__ = __mul__
 
@@ -166,11 +193,62 @@ class Polynomial(RingElement):
         return NotImplemented if r is NotImplemented else r[1]
 
     def pow_mod(self, e, m):
-        """self**e mod m, by repeated squaring (e may be huge)."""
-        return power(self % m, e, self.one(), lambda a, b: a * b % m)
+        """self**e mod m for an int e >= 0 (e may be huge), by
+        square-and-multiply on the row kernel.  Everything is 0 modulo a
+        constant m.
+
+        A residue is one wide int, coefficient k in block k.  A product of
+        two residues is one int product, unpacked to its 2d - 1
+        coefficients c_k (d = deg m) and reduced by one sum of the packed
+        c_k times the wide rows of X^k mod m; a second unpack gives the
+        residue.
+        """
+        base = self % m
+        m = self._coerce(m)
+        d = m.degree()
+        if d == 0:
+            # base is zero, and so is every power of it, the 0th included
+            return power(base, e, base)
+        field = self.field
+        pack, widen, unpack, _ = _row_kernel(field, d, 2 * d - 1)
+        rpack, _, runpack, _ = _row_kernel(field, 2 * d - 1, d)
+        rows = m._reduction_rows()
+        mul = operator.mul
+
+        def mulmod(a, b):
+            prod = map(rpack, map(_COEFFS, unpack(a * b)))
+            residue = runpack(sum(map(mul, prod, rows)))
+            return widen(map(pack, map(_COEFFS, residue)))
+
+        wide = widen(map(pack, map(_COEFFS, base.coeffs)))
+        return Polynomial(field, unpack(power(wide, e, 1, mulmod))[:d],
+                          self.var)
+
+    def _reduction_rows(self):
+        """The wide rows of X^k mod self for k < 2d - 1 (d = deg self >= 1)
+        in the layout of ``_row_kernel(field, 2d - 1, d)``; built once per
+        modulus."""
+        if self._rows is None:
+            field, d = self.field, self.degree()
+            pack, widen, _, _ = _row_kernel(field, 2 * d - 1, d)
+            inv = self.leading().inverse()
+            tail = [-c * inv for c in self.coeffs[:-1]]  # X^d mod self
+            zero = field.zero
+            row = [field.one] + [zero] * (d - 1)
+            rows = []
+            for _ in range(2 * d - 1):
+                rows.append(widen(map(pack, map(_COEFFS, row))))
+                top, row = row[-1], [zero] + row[:-1]
+                if top:
+                    row = [x + top * t for x, t in zip(row, tail)]
+            self._rows = tuple(rows)
+        return self._rows
 
     def gcd(self, other):
         a, b = self, self._coerce(other)
+        if b is None:
+            raise TypeError("no gcd of a polynomial and %s"
+                            % type(other).__name__)
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a

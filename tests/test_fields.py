@@ -48,6 +48,21 @@ def test_inverse_above_table_cap_matches_power(p, n):
         F.zero.inverse()
 
 
+def test_power_refuses_negative_exponents():
+    F = GF(5, 2)
+    x = F.gen
+    for e in (-1, -2, -3):
+        with pytest.raises(ValueError):
+            fields.power(x, e, F.one)
+        with pytest.raises(ValueError):
+            fields.power(3, e, 1)
+    assert fields.power(x, 0, F.one) == F.one
+    # the element and ring powers treat negative exponents themselves
+    assert x ** -3 == (x ** 3).inverse()
+    with pytest.raises(TypeError):
+        Polynomial.variable(F) ** -1
+
+
 def test_gf_rejects_bad_arguments():
     with pytest.raises(ValueError):
         GF(4)

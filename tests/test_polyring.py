@@ -1,10 +1,13 @@
+import contextlib
 import gc
+import io
 import random
 import weakref
 
 import pytest
 
-from gradeswitch import polyring
+from gradeswitch import fields, polyring
+from gradeswitch.cli import main
 from gradeswitch.echelon import solve
 from gradeswitch.fields import GF, power
 from gradeswitch.galg import LinearMap
@@ -99,6 +102,60 @@ def test_polynomial_pow_mod():
     m = t ** 3 + t + 1
     f = t + 2
     assert f.pow_mod(26, m) == (f ** 26) % m
+
+
+def test_pow_mod_refuses_negative_exponents():
+    F = GF(5)
+    t = Polynomial.variable(F)
+    m = t ** 3 + t + 1
+    for e in (-1, -3):
+        with pytest.raises(ValueError):
+            (t + 2).pow_mod(e, m)
+        with pytest.raises(ValueError):
+            (t + 2).pow_mod(e, Polynomial(F, [2]))
+
+
+def test_pow_mod_modulo_a_unit_is_zero():
+    F = GF(5)
+    t = Polynomial.variable(F)
+    zero = Polynomial(F, [])
+    for m in (Polynomial(F, [3]), Polynomial(F, [F.one]), 2):
+        for f in (t + 2, zero, Polynomial(F, [4])):
+            for e in (0, 1, 5, F.q ** 3):
+                assert f.pow_mod(e, m) == zero
+    for m in (zero, 0):
+        with pytest.raises(ZeroDivisionError):
+            t.pow_mod(0, m)
+    # 0^0 is 1 modulo a modulus of positive degree
+    assert zero.pow_mod(0, t ** 2 + 1) == Polynomial(F, [1])
+
+
+def test_gcd_refuses_what_is_not_a_polynomial():
+    F = GF(5)
+    f = Polynomial.variable(F) + 1
+    for other in ("x", None, 1.5, [1, 2]):
+        with pytest.raises(TypeError):
+            f.gcd(other)
+    # scalars are constant polynomials, as for divmod and *
+    assert f.gcd(3) == Polynomial(F, [1])
+    assert f.gcd(F.scalar(2)) == Polynomial(F, [1])
+
+
+def test_polynomial_kernels_stay_few():
+    # polynomial products round their kernel sizes up to powers of two, so
+    # the unbounded kernel cache gets a few entries per field instead of
+    # one per pair of degrees (152 on these commands without the rounding)
+    fields._row_kernel.cache_clear()
+    for argv in (["identities", "--p", "13"],
+                 ["switch", "--builtin", "tpoly:5:25:5", "--derivation", "ddx"],
+                 ["switch", "--builtin", "tpoly:3:27:3", "--derivation", "ddx"],
+                 ["switch", "--builtin", "witt:5+witt:5", "--derivation",
+                  "ad:1"],
+                 ["switch", "--builtin", "witt:7+witt:7", "--derivation",
+                  "ad:0"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--output", "json"]) == 0
+    assert fields._row_kernel.cache_info().currsize <= 64
 
 
 def test_polynomial_derivative():
