@@ -180,7 +180,9 @@ def _is_irreducible(f, p):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def _smallest_irreducible(p, n):
+    """The default modulus of GF(p, n), searched once per (p, n)."""
     for enc in range(p ** n):
         digits = []
         e = enc

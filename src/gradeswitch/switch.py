@@ -2,12 +2,13 @@
 
 Pipeline: find the least r with D^(p^r) semisimple, the minimal relation
 D^(p^n) + a_{n-1} D^(p^(n-1)) + ... + a_r D^(p^r) = 0, and an additive
-polynomial g with g(D)^p - g(D) = D^(p^r).  On each generalized eigenspace
-A^(rho) of D the switching operator is the Laguerre value
+polynomial g with g(D)^p - g(D) = D^(p^r).  The switching operator is the
+Laguerre value
 
-    L_D|A^(rho) = L_{p-1}^(g(rho) - h(D))(D),      h(T) = sum_{1<=i<r} T^(p^i),
+    L_D = L_{p-1}^(g(D) - h(D))(D),      h(T) = sum_{1<=i<r} T^(p^i),
 
-an invertible map whose p^r-th power is the nonzero scalar
+an invertible map.  g(D) acts on each generalized eigenspace A^(rho) of D
+as the scalar g(rho), and there L_D^(p^r) is the nonzero scalar
 prod_i (1 + g(rho)/i)^i.  Applying L_D to every component of a grading by
 a derivation of degree d with m | p d yields a new grading; the two-sided
 product rule expresses L_D x * L_D y through L_D applied to a fixed
@@ -161,21 +162,18 @@ def _flat_p_powers(S):
         S = S ** S.field.p
 
 
-def build_g(relation, D=None, lam=None):
+def build_g(relation, lam=None):
     """(F', g, lambda) with g an additive polynomial supported on exponents
-    r..n-1 satisfying g(D)^p - g(D) = D^(p^r).
+    r..n-1 satisfying g(D)^p - g(D) = D^(p^r) (build_LD verifies this at
+    D).
 
     lambda is a root of the constraint polynomial
     1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)); by default the
-    smallest root in the canonical splitting field.  The matrix identity is
-    verified whenever D is supplied.
+    smallest root in the canonical splitting field.
     """
     field = relation.field
     if relation.degenerate:
-        g = PPolynomial.make(field, ())
-        if D is not None and not D.p_power(relation.r).is_zero():
-            raise VerificationError("degenerate relation but D^(p^r) != 0")
-        return field, g, None
+        return field, PPolynomial.make(field, ()), None
     r, n = relation.r, relation.n
     p = field.p
     tvar = Polynomial.variable(field)
@@ -199,11 +197,6 @@ def build_g(relation, D=None, lam=None):
     if -(big.one) - b[r] != lam ** p * a_big[r]:
         raise VerificationError("additive polynomial recursion inconsistent")
     g = PPolynomial.make(big, [(i, b[i]) for i in range(r, n)])
-    if D is not None:
-        D2 = D.embed_to(big)
-        gD = g.eval_matrix(D2)
-        if gD ** p - gD != D2.p_power(r):
-            raise VerificationError("g(D)^p - g(D) != D^(p^r)")
     return big, g, lam
 
 
@@ -271,8 +264,9 @@ def build_LD(A, D, r=None):
     Steps: semisimplicity exponent (a supplied r must be at least it, as
     p-th powers of a semisimple map stay semisimple), minimal
     p-power relation, additive polynomial g (enlarging the field as
-    needed), generalized eigenspaces (ditto), then one Laguerre block per
-    eigenvalue and reassembly to a global map.
+    needed) with G = g(D) checked against G^p - G = D^(p^r), generalized
+    eigenspaces (ditto), then the one Laguerre value
+    L = L_{p-1}^(G - h(D))(D) and its scalar law on each eigenspace.
     """
     field0 = A.field
     _check_acts(A, D)
@@ -286,107 +280,92 @@ def build_LD(A, D, r=None):
                               "supplied r = %d fails" % r)
     r_eff = max(r, 1)
     relation = p_power_relation(D, r_eff)
-    f1, g, lam_val = build_g(relation, D=D)
+    f1, g, lam_val = build_g(relation)
     d1 = D.embed_to(f1)
+    gd = g.eval_matrix(d1)
+    if gd ** p - gd != d1.p_power(r_eff):
+        raise VerificationError("g(D)^p - g(D) != D^(p^r)")
     f2, dec = generalized_eigenspaces(d1)
     a2 = A.change_field(f2)
     d2 = d1.embed_to(f2)
     g2 = g.embed_to(f2)
     lam2 = embed(lam_val, f2) if lam_val is not None else None
-    h = h_polynomial(f2, r_eff)
+    alpha = gd.embed_to(f2) - h_polynomial(f2, r_eff).eval_matrix(d2)
+    lmap = laguerre_value(p, alpha, d2)
+    scalars = _scalar_law(lmap, dec, g2, r_eff)
+    old_parts = tuple(a2.grading_parts())
+    return SwitchResult(
+        algebra=a2, derivation=d2, field_start=field0, field_final=f2,
+        r_raw=r_raw, r=r_eff, relation=relation, g=g2, lam=lam2,
+        decomposition=dec, block_scalars=scalars, switch_map=lmap,
+        old_parts=old_parts,
+        new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
 
-    blocks = []
+
+def _scalar_law(lmap, dec, g, r):
+    """((rho, s), ...) over the eigenvalues rho of dec, with
+    s = L_{p-1}^(g(rho)^p)(g(rho)^p - g(rho)) checked against its product
+    form, nonzero, and lmap^(p^r) checked to act on A^(rho) as s.
+
+    G = g(D) acts on A^(rho) as the scalar g(rho), since the nilpotent
+    part N of D there has N^(p^r) = 0; the eigenspaces span the space, so
+    this is the scalar law of the whole operator.
+    """
+    p = lmap.field.p
+    power = lmap.p_power(r)
     scalars = []
     for rho, space in dec:
-        dres = d2.restrict_to(space)
-        grho = g2(rho)
-        block = laguerre_value(p, grho - h.eval_matrix(dres), dres)
+        grho = g(rho)
         s_lag = laguerre_value(p, grho ** p, grho ** p - grho)
-        s_prod = scalar_product_form(p, grho)
-        if s_lag != s_prod:
+        if s_lag != scalar_product_form(p, grho):
             raise VerificationError("scalar law: Laguerre and product forms "
                                     "disagree at rho = %s" % (rho,))
         if not s_lag:
             raise VerificationError("scalar law gives zero at rho = %s "
                                     "(operator not invertible)" % (rho,))
-        if block ** (p ** r_eff) != LinearMap.identity(f2, space.dim) * s_lag:
-            raise VerificationError("block power is not the predicted scalar "
-                                    "at rho = %s" % (rho,))
-        blocks.append(block)
+        for x in space.basis:
+            if power.apply(x) != tuple(s_lag * c for c in x):
+                raise VerificationError("L^(p^r) is not the predicted "
+                                        "scalar at rho = %s" % (rho,))
         scalars.append((rho, s_lag))
-
-    switch_map, old_parts, new_parts = _reassemble(a2, dec, blocks)
-    return SwitchResult(
-        algebra=a2, derivation=d2, field_start=field0, field_final=f2,
-        r_raw=r_raw, r=r_eff, relation=relation, g=g2, lam=lam2,
-        decomposition=dec, block_scalars=tuple(scalars),
-        switch_map=switch_map, old_parts=old_parts, new_parts=new_parts)
-
-
-def _reassemble(a2, dec, blocks):
-    """(V diag(blocks) V^(-1), old parts, new parts): the switching map
-    from one block per eigenspace of dec (V holds their bases as columns),
-    and the grading components of a2 with their images under it."""
-    f2 = a2.field
-    vmat = LinearMap.from_columns(f2, [v for _, space in dec
-                                       for v in space.basis])
-    n = a2.dim
-    bdiag = [[f2.zero] * n for _ in range(n)]
-    off = 0
-    for block, (_, space) in zip(blocks, dec):
-        k = space.dim
-        for i in range(k):
-            bdiag[off + i][off:off + k] = block.rows[i]
-        off += k
-    switch_map = vmat * LinearMap(f2, bdiag) * vmat.inverse()
-    old_parts = tuple(a2.grading_parts())
-    return switch_map, old_parts, tuple((k, s.image(switch_map))
-                                        for k, s in old_parts)
+    return tuple(scalars)
 
 
 def special_LD(A, D):
     """The switching operator in the special case D^(p^2) = D^p.
 
-    Uses gamma with gamma^p - gamma = 1 and the block values
-    L_{p-1}^(a gamma)(D) on each eigenspace A^(a), a in F_p.  Equivalent to
-    build_LD with r = 1 and g = gamma T^p; kept as an independent code path.
+    Uses gamma with gamma^p - gamma = 1 and the Laguerre value
+    L_{p-1}^(gamma D^p)(D); gamma D^p acts as a gamma on each eigenspace
+    A^(a), a in F_p.  Equivalent to build_LD with r = 1 and
+    g = gamma T^p; kept as an independent code path.
     """
     field0 = A.field
     p = field0.p
     _check_acts(A, D)
-    if D.p_power(2) != D.p_power(1):
+    dp = D ** p
+    if dp ** p != dp:
         raise HypothesisError("D^(p^2) = D^p")
     f1, gamma = artin_schreier_root(field0, field0.one)
     d1 = D.embed_to(f1)
     f2, dec = generalized_eigenspaces(d1)
-    gamma2 = embed(gamma, f2)
-    a2 = A.change_field(f2)
-    d2 = d1.embed_to(f2)
-
-    blocks = []
-    scalars = []
-    for rho, space in dec:
+    for rho, _ in dec:
         if rho ** p != rho:
             raise VerificationError("eigenvalue outside F_p despite "
                                     "D^(p^2) = D^p")
-        dres = d2.restrict_to(space)
-        agamma = rho * gamma2
-        block = laguerre_value(p, agamma, dres)
-        s_lag = laguerre_value(p, agamma ** p, agamma ** p - agamma)
-        if not s_lag or block ** p != LinearMap.identity(f2, space.dim) * s_lag:
-            raise VerificationError("special-case scalar law failed at "
-                                    "a = %s" % (rho,))
-        blocks.append(block)
-        scalars.append((rho, s_lag))
-
-    switch_map, old_parts, new_parts = _reassemble(a2, dec, blocks)
+    gamma2 = embed(gamma, f2)
+    a2 = A.change_field(f2)
+    d2 = d1.embed_to(f2)
+    g = PPolynomial.make(f2, [(1, gamma2)])
+    lmap = laguerre_value(p, dp.embed_to(f2) * gamma2, d2)
+    scalars = _scalar_law(lmap, dec, g, 1)
+    old_parts = tuple(a2.grading_parts())
     return SwitchResult(
         algebra=a2, derivation=d2, field_start=field0, field_final=f2,
         r_raw=1, r=1,
         relation=Relation(field0, 1, 2, (field0.scalar(-1),), False),
-        g=PPolynomial.make(f2, [(1, gamma2)]), lam=gamma2,
-        decomposition=dec, block_scalars=tuple(scalars),
-        switch_map=switch_map, old_parts=old_parts, new_parts=new_parts)
+        g=g, lam=gamma2, decomposition=dec, block_scalars=scalars,
+        switch_map=lmap, old_parts=old_parts,
+        new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
 
 
 def switch_grading(A, D, r=None, check_product_rule=True):

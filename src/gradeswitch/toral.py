@@ -285,9 +285,9 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
 
     Verifies: T_x is a torus (commuting, semisimple, toral generators when
     decidable); the switching operator of D = ad x maps each old root
-    space onto a new one (equal multisets of subspaces); and the global
-    operator-product form of the connecting map equals the blockwise
-    Laguerre construction exactly.
+    space onto a new one (equal multisets of subspaces); and the
+    descending operator-product form of the connecting map equals the
+    switching operator build_LD evaluates by Horner's rule, exactly.
     """
     _check_r(r)
     lie, torus, old = root_decomposition(Torus(lie, torus_vectors))
@@ -323,7 +323,7 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
         torus_x_toral=toral_x)
     if not strade_agrees:
         raise VerificationError("operator-product form of the connecting "
-                                "map disagrees with the blockwise build")
+                                "map disagrees with the Laguerre value")
     if not spaces_match:
         raise VerificationError("switched root spaces differ from the "
                                 "root spaces of the replacement torus")

@@ -87,6 +87,23 @@ def test_field_objects_are_cached():
     assert GF(3, 2) is not GF(3, 3)
 
 
+def test_default_modulus_searched_once(monkeypatch):
+    # the search tests candidates with _is_irreducible; a repeated GF call
+    # must find the modulus cached and test none
+    F = GF(5, 20)
+    tested = []
+    real = fields._is_irreducible
+
+    def counting(f, p):
+        tested.append(f)
+        return real(f, p)
+    monkeypatch.setattr(fields, "_is_irreducible", counting)
+    assert GF(5, 20) is F
+    assert tested == []
+    assert F.modulus == fields._smallest_irreducible.__wrapped__(5, 20)
+    assert tested  # the uncached search does test candidates
+
+
 def test_extension_arithmetic_f27():
     F = GF(3, 3)
     g = F.gen

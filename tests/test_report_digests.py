@@ -1,6 +1,7 @@
-"""The JSON reports of the coefficient-table and identity commands, byte
-for byte: a change to how tables or identities are computed must leave
-every reported value, and its formatting, as it was."""
+"""The JSON reports of the coefficient-table, identity, switch and toral
+commands, byte for byte: a change to how tables, identities or the
+switching operator are computed must leave every reported value, and its
+formatting, as it was."""
 
 import hashlib
 
@@ -17,6 +18,16 @@ REPORTS = [
     (["coeffs", "--p", "7", "--field-degree", "2", "--trials", "3",
       "--seed", "7"],
      "bb8ebce7751a6e5c083bffeab2efcd6c772a19cbdc36b45e4ba5be23d09aca2b"),
+    (["switch", "--builtin", "witt:5+witt:5", "--derivation", "ad:1"],
+     "3ee33add90dbe58d74e5ed0fbb0fa79c547c8b9cbff063b7eaf101f6dbec9bdd"),
+    (["switch", "--builtin", "tpoly:3:9:3", "--derivation", "ddx"],
+     "7e1e31fbe4b155f631b87eb7644faa8b4eca465bd2088bab4fe3e1f6343ec710"),
+    (["switch", "--builtin", "tpoly:5:5:5", "--derivation", "xddx"],
+     "fd8b78610d387349ed1121aa17316dbdc2a16524b6a2c1777dcf82483a575749"),
+    (["switch", "--builtin", "witt:7", "--derivation", "ad:1", "--r", "2"],
+     "251be73749dc99809092c4df84fce9c88e61dd0e87668254d3ab5ec926cffba4"),
+    (["toral", "--builtin", "witt:5+witt:5"],
+     "cd04e2fddfce87f2b6acc1e6066ec72daceefaa368e9727655ae98c77ee4b3b8"),
 ]
 
 

@@ -3,18 +3,83 @@ import random
 
 import pytest
 
+from gradeswitch import cli
 from gradeswitch.fields import GF, embed
 from gradeswitch.galg import (
     LinearMap, direct_sum, generalized_eigenspaces, is_grading,
     truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.laguerre import (
     c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
-    scalar_product_form, truncated_exp)
+    laguerre_value, scalar_product_form, truncated_exp)
 from gradeswitch.switch import (
     HypothesisError, PPolynomial, Relation, VerificationError,
     _pair_coefficient_series, build_LD, build_g, h_polynomial,
     p_power_relation, semisimple_exponent, special_LD, switch_grading,
     verify_product_rule)
+
+
+# -- the blockwise build, kept as the oracle of the global operator ---------
+
+def blockwise_switch_map(res, special=False):
+    """V diag(blocks) V^(-1) for a switch result: one Laguerre block
+    L_{p-1}^(alpha)(D|) per generalized eigenspace A^(rho), with D| the
+    restriction of D there, and V holding the eigenspace bases as columns.
+
+    alpha is g(rho) - h(D|) (build_LD), or rho gamma when special
+    (special_LD).  Each block's p^r-th power must be the scalar res
+    records for rho.
+    """
+    f2 = res.field_final
+    p = f2.p
+    d2 = res.derivation
+    n = d2.n
+    h = h_polynomial(f2, res.r)
+    scalars = dict((rho.coeffs, s) for rho, s in res.block_scalars)
+    diag = [[f2.zero] * n for _ in range(n)]
+    off = 0
+    for rho, space in res.decomposition:
+        dres = d2.restrict_to(space)
+        alpha = rho * res.lam if special else res.g(rho) - h.eval_matrix(dres)
+        block = laguerre_value(p, alpha, dres)
+        k = space.dim
+        assert block.p_power(res.r) == \
+            LinearMap.identity(f2, k) * scalars[rho.coeffs]
+        for i in range(k):
+            diag[off + i][off:off + k] = block.rows[i]
+        off += k
+    vmat = LinearMap.from_columns(f2, [v for _, space in res.decomposition
+                                       for v in space.basis])
+    return vmat * LinearMap(f2, diag) * vmat.inverse()
+
+
+def is_special(D):
+    """D^(p^2) = D^p, the hypothesis of special_LD."""
+    dp = D ** D.field.p
+    return dp ** D.field.p == dp
+
+
+BLOCKWISE_CASES = [
+    ("witt:5", "ad:0", None), ("witt:5", "ad:1", None),
+    ("witt:5+witt:5", "ad:1", None), ("witt:7", "ad:1", 2),
+    ("witt:11", "ad:0", None), ("witt:13", "ad:3", None),
+    ("tpoly:3:9:3", "ddx", None), ("tpoly:3:27:3", "ddx", None),
+    ("tpoly:2:16:2", "ddx", None), ("tpoly:5:5:5", "xddx", None),
+    ("tpoly:3:3:3", "xddx", None)]
+
+
+@pytest.mark.parametrize("spec,der,r", BLOCKWISE_CASES,
+                         ids=["%s-%s-%s" % c for c in BLOCKWISE_CASES])
+def test_global_operator_matches_blockwise_oracle(spec, der, r):
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    res = build_LD(A, D, r)
+    assert res.switch_map == blockwise_switch_map(res)
+    if r is None and is_special(D):
+        spec_res = special_LD(A, D)
+        assert spec_res.switch_map == blockwise_switch_map(spec_res, True)
+        # special_LD always adjoins gamma; build_LD may stay smaller
+        assert spec_res.switch_map == \
+            res.switch_map.embed_to(spec_res.field_final)
 
 
 def test_ppolynomial_is_additive():
@@ -101,7 +166,7 @@ def test_build_g_companion_case():
     F3 = GF(3)
     D = LinearMap(F3, [[F3.zero, F3.one], [F3.one, F3.one]])
     rel = p_power_relation(D, 1)
-    big, g, lam = build_g(rel, D=D)
+    big, g, lam = build_g(rel)
     assert big.n == 6
     assert lam ** 9 == 1 + lam
     assert g.terms == ((1, lam.pth_root()), (2, lam))
@@ -127,7 +192,7 @@ def test_build_g_accepts_each_constraint_root():
     t = Polynomial.variable(F3)
     big, roots = roots_in_splitting_field(1 + t - t ** 9)
     for lam, _ in roots[:3]:
-        _, g, lam_out = build_g(rel, D=D, lam=lam)
+        _, g, lam_out = build_g(rel, lam=lam)
         assert lam_out == lam
         gD = g.eval_matrix(D.embed_to(big))
         assert gD ** 3 - gD == D.embed_to(big).p_power(1)
