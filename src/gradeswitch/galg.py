@@ -487,18 +487,26 @@ class GradedAlgebra:
         packed factors, which is the kernel's length.
         """
         if self._sc is None:
-            dim = self.dim
-            hits = [0] * dim
-            for terms in self.products.values():
-                for k, _ in terms:
-                    hits[k] += 1
             pack, unpack, _ = self.field.dot_kernel(
-                max(hits + [3 * dim, 1]), 3)
-            rows = tuple({} for _ in range(dim))
-            for (i, j), terms in self.products.items():
-                rows[i][j] = tuple([(k, pack(c)) for k, c in terms])
-            self._sc = (pack, unpack, rows)
+                max(self._slot_terms(), 3 * self.dim, 1), 3)
+            self._sc = (pack, unpack, self._structure_rows(pack))
         return self._sc
+
+    def _slot_terms(self):
+        """The most nonzero c_ijk over the pairs (i, j) for one k: the
+        number of terms one slot of a product sums."""
+        hits = [0] * self.dim
+        for terms in self.products.values():
+            for k, _ in terms:
+                hits[k] += 1
+        return max(hits, default=0)
+
+    def _structure_rows(self, pack):
+        """rows[i] = {j: ((k, pack(c)), ...)} over the nonzero c = c_ijk."""
+        rows = tuple({} for _ in range(self.dim))
+        for (i, j), terms in self.products.items():
+            rows[i][j] = tuple([(k, pack(c)) for k, c in terms])
+        return rows
 
     def _pack(self, v):
         """The packed entries of a vector of this algebra, zeros as 0."""
@@ -510,14 +518,7 @@ class GradedAlgebra:
         """x y from the packed entries of x and y."""
         _, unpack, rows = self._constants()
         out = [0] * self.dim
-        for i, xi in enumerate(px):
-            if xi:
-                for j, terms in rows[i].items():
-                    yj = py[j]
-                    if yj:
-                        f = xi * yj
-                        for k, c in terms:
-                            out[k] += f * c
+        _accumulate(rows, px, py, out)
         zero = self.field.zero
         return tuple([unpack(s) if s else zero for s in out])
 
@@ -634,6 +635,20 @@ class GradedAlgebra:
             return cls.from_entries(field, m, degrees, entries, pmap)
         except (KeyError, TypeError, IndexError) as exc:
             raise _malformed(exc) from exc
+
+
+def _accumulate(rows, px, py, out):
+    """out[k] += sum of px[i] py[j] c_ijk over i and j, on packed ints:
+    rows as from :meth:`GradedAlgebra._structure_rows`, px and py packed
+    for the same kernel."""
+    for i, xi in enumerate(px):
+        if xi:
+            for j, terms in rows[i].items():
+                yj = py[j]
+                if yj:
+                    f = xi * yj
+                    for k, c in terms:
+                        out[k] += f * c
 
 
 def _malformed(detail):

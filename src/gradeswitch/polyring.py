@@ -655,14 +655,18 @@ class QuotientRing:
 
     def from_exponents(self, items):
         """Element from ((i, j), coeff) pairs with 0 <= i, j < p; each
-        coeff is added into the entry ring's zero, and the coefficients of
-        a repeated exponent pair add up."""
+        coeff is coerced into the entry ring (the first at a pair is
+        copied in, with no addition), and the coefficients of a repeated
+        exponent pair add up.  Pairs left out hold ring.zero_entry."""
         p = self.p
-        rows = [[self.zero_entry] * p for _ in range(p)]
+        zero = self.zero_entry
+        rows = [[zero] * p for _ in range(p)]
         for (i, j), c in items:
             if not (0 <= i < p and 0 <= j < p):
                 raise ValueError("exponents must lie in 0..p-1")
-            rows[i][j] = rows[i][j] + c
+            cur = rows[i][j]
+            e = zero._coerce(c) if cur is zero else None
+            rows[i][j] = cur + c if e is None else e
         return QuotientElement(self, tuple(tuple(r) for r in rows))
 
     def from_x_poly(self, coeffs):
@@ -723,6 +727,10 @@ class QuotientElement(RingElement):
         return self.ring.one()
 
     def __mul__(self, other):
+        """A product of two elements runs on the ring's product kernel.
+        A scalar (an int, a field element or an entry) multiplies entry
+        by entry; an entry that is ring.zero_entry is copied, by identity,
+        with no entry product."""
         if isinstance(other, QuotientElement):
             ring = self.ring
             if other.ring is not ring:
@@ -731,8 +739,10 @@ class QuotientElement(RingElement):
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
+        zero = self.ring.zero_entry
         return QuotientElement(self.ring, tuple(
-            tuple(a * s for a in row) for row in self.entries))
+            tuple([a if a is zero else a * s for a in row])
+            for row in self.entries))
 
     __rmul__ = __mul__
 
@@ -795,6 +805,12 @@ def _packed_product(ring):
     of p^2 products of at most four entries (c1 c2 yc xc), which is what
     the entry kernel's slots are sized for, and is unpacked once: U and V
     truncated, field digits folded through the reduction rows, one mod p.
+
+    Zero entries are skipped by identity with ring.zero_entry, never by
+    the truthiness of an entry (for a series, a scan of every
+    coefficient): they pack to nothing, and a block that comes out zero
+    unpacks to that object.  A zero that is another object packs to 0
+    through the entry kernel, correctly but more slowly.
     """
     p = ring.p
     one = ring.one_entry
@@ -827,7 +843,7 @@ def _packed_product(ring):
         if u._packed is None:
             u._packed = sum([pack_entry(c) << sh
                              for row, shs in zip(u.entries, offsets)
-                             for c, sh in zip(row, shs) if c])
+                             for c, sh in zip(row, shs) if c is not zero])
         return u._packed
 
     def product(u, v):
@@ -852,17 +868,26 @@ def _quotient_inverse_linear(u):
     multiplies, so its multiplication matrix is p identical p x p blocks
     and its inverse, if any, is on row 0 too: the system is the one block,
     whose columns are row 0 of u Y^l.  Any other element takes the whole
-    p^2 x p^2 multiplication matrix, whose columns are u X^k Y^l.
+    p^2 x p^2 multiplication matrix, whose columns are u X^k Y^l.  Each
+    column is a cyclic shift of u's rows, with no quotient product: in
+    u Y^l every row moves l places and the entries that pass Y^p wrap
+    around times yc, and in u X^k Y^l the rows of u Y^l move k places,
+    those that pass X^p times xc.
     """
     ring = u.ring
     p = ring.p
     if not isinstance(ring.one_entry, FqElement):
         raise TypeError("linear inversion needs field entries")
     field = ring.one_entry.field
+    xc, yc = ring.xc, ring.yc
     height = p if any(any(row) for row in u.entries[1:]) else 1
-    cols = [[c for row in (u * ring.monomial(k, l, field.one)).entries[:height]
-             for c in row]
-            for k in range(height) for l in range(p)]
+    # the rows (up to `height`) of u Y^l for each l
+    ys = [[[row[t - l] * yc if t < l else row[t - l] for t in range(p)]
+           for row in u.entries[:height]] for l in range(p)]
+    cols = [[c for s in range(height)
+             for c in ([x * xc for x in rows[s - k]] if s < k
+                       else rows[s - k])]
+            for k in range(height) for rows in ys]
     rows = list(zip(*cols))
     sol = solve(rows, [field.one] + [field.zero] * (len(rows) - 1), field)
     if sol is None:
@@ -895,11 +920,13 @@ def _frobenius_scalar(u):
 
     In characteristic p Frobenius is additive on the commutative quotient
     ring, and (X^i Y^j)^p = xc^i yc^j, so u^p is this scalar.  It costs one
-    entry p-th power per nonzero entry (additive on series entries, see
-    :func:`_series_frobenius`) and no quotient-ring product; the sum runs
-    by Horner's rule in yc along each row, then in xc over the rows, up to
-    the highest nonzero row and column only, so an element on row 0 (the
-    one-variable subring) takes no power of xc.
+    entry p-th power per entry other than ring.zero_entry (additive on
+    series entries, see :func:`_series_frobenius`) and no quotient-ring
+    product; the sum runs by Horner's rule in yc along each row, then in
+    xc over the rows, up to the highest row and column holding such an
+    entry only, so an element on row 0 (the one-variable subring) takes no
+    power of xc.  Zero entries are told by identity with ring.zero_entry,
+    as in the product kernel.
     """
     ring = u.ring
     p = ring.p
@@ -908,14 +935,18 @@ def _frobenius_scalar(u):
         return _series_frobenius(c) if isinstance(c, BiTruncSeries) \
             else c ** p
 
+    zero = ring.zero_entry
+
     def horner(values, x):
-        # sum values[k] x^k; no product until the highest nonzero value
-        acc = ring.zero_entry
+        # sum values[k] x^k; no product above the highest value that is
+        # not ring.zero_entry
+        acc = zero
         for c in reversed(values):
-            acc = acc * x + c if acc else c
+            acc = c if acc is zero else acc * x + c
         return acc
 
-    return horner([horner([frob(c) if c else c for c in row], ring.yc)
+    return horner([horner([c if c is zero else frob(c) for c in row],
+                          ring.yc)
                    for row in u.entries], ring.xc)
 
 

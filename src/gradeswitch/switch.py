@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .echelon import first_dependence
 from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
-from .galg import LinearMap, _check_acts, derivation_degree, \
-    generalized_eigenspaces, is_derivation, is_grading
+from .galg import LinearMap, _accumulate, _check_acts, \
+    derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
 from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
@@ -428,6 +428,15 @@ def verify_product_rule(result):
     the left factor and beta = g(sigma) - h(D) acting on the right factor,
     the way the operator identity behind the switched grading composes with
     the multiplication map.  Returns the number of pairs checked.
+
+    The sweep runs on packed ints.  Each grid vector nil^j D^i x, each
+    L x and each L y is packed once.  By bilinearity the inner argument is
+    sum_(i,j) (nil^j D^i x) Y_ij with Y_ij = sum_k c_ijk nil^k D^(p-i) y
+    (c_ijk the coefficient [j][k] of the series c_i, D^0 y for i = 0),
+    so each Y_ij is summed once per y, and each pair sums its inner
+    argument on one kernel sized for all of its terms, products of four
+    packed factors (c_ijk, the two vector entries and a structure
+    constant), and unpacks it once.
     """
     a2 = result.algebra
     d2 = result.derivation
@@ -439,17 +448,33 @@ def verify_product_rule(result):
     dec = result.decomposition
     lmap = result.switch_map
     hmat = h.eval_matrix(d2)
-    zero_vec = (f2.zero,) * n
+    zero = f2.zero
+    zero_vec = (zero,) * n
 
-    # Per eigenvalue: the scalar part a0 = g(rho) - h(rho) of the
-    # coefficient operator, its nilpotent part nil = h(rho) - h(D), the
-    # order of nil on the eigenspace, and for each basis vector x the grid
-    # nil^j D^i x (plus the switched image of x).
-    info = []
+    # Per eigenvalue: the nilpotent part nil = h(rho) - h(D) of the
+    # coefficient operator and its order on the eigenspace.
+    nils = []
     for rho, space in dec:
         nil = LinearMap.identity(f2, n) * h(rho) - hmat
-        sa = _nilpotency_index(nil.restrict_to(space), space.dim + 1)
-        a0 = g2(rho) - h(rho)
+        nils.append((nil, _nilpotency_index(nil.restrict_to(space),
+                                            space.dim + 1)))
+
+    # One kernel for every inner argument: per structure constant hitting
+    # a slot, p sa sb terms of four packed factors.
+    smax = max(sa for _, sa in nils)
+    pack, unpack, _ = f2.dot_kernel(
+        max(a2._slot_terms(), 1) * p * smax * smax, 4)
+    rows = a2._structure_rows(pack)
+
+    def packed(v):
+        pv = [pack(c) for c in v]
+        return pv if any(pv) else None
+
+    # Per eigenvalue: the scalar part a0 = g(rho) - h(rho), the order sa,
+    # for each basis vector x the grid nil^j D^i x packed (None where it
+    # vanishes), and L x packed for the algebra's own product.
+    info = []
+    for (rho, space), (nil, sa) in zip(dec, nils):
         grids = []
         for x in space.basis:
             dcol = [x]
@@ -458,57 +483,52 @@ def verify_product_rule(result):
             grid = [dcol]
             for _ in range(sa - 1):
                 grid.append([nil.apply(v) for v in grid[-1]])
-            grids.append(grid)
-        lvecs = [lmap.apply(x) for x in space.basis]
-        info.append((rho, space, a0, sa, grids, lvecs))
+            grids.append([[packed(v) for v in row] for row in grid])
+        info.append((rho, space, g2(rho) - h(rho), sa, grids,
+                     [a2._pack(lmap.apply(x)) for x in space.basis]))
 
     pairs = 0
-    for rho, vspace, a0, sa, agrids, alx in info:
-        for sigma, wspace, b0, sb, bgrids, bly in info:
-            tau = rho + sigma
-            target = dec.find(tau)
-            if target is None:
+    for rho, vspace, a0, sa, xgrids, plx in info:
+        for sigma, wspace, b0, sb, ygrids, ply in info:
+            if dec.find(rho + sigma) is None:
                 for x in vspace.basis:
                     for y in wspace.basis:
                         if a2.product(x, y) != zero_vec:
                             raise VerificationError(
                                 "product outside the eigenspace sum")
-                for lx in alx:
-                    for ly in bly:
-                        if a2.product(lx, ly) != zero_vec:
+                for lx in plx:
+                    for ly in ply:
+                        if any(a2._product(lx, ly)):
                             raise VerificationError(
                                 "switched product outside the eigenspace sum")
                 pairs += len(vspace.basis) * len(wspace.basis)
                 continue
             cseries = _pair_coefficient_series(p, f2, a0, b0, sa, sb)
-            terms = []
-            for i in range(p):
-                ser = cseries[i]
-                terms.append([(j, k, ser.coeffs[j][k])
-                              for j in range(sa) for k in range(sb)
-                              if ser.coeffs[j][k]])
-            for xi in range(len(vspace.basis)):
-                grid_x = agrids[xi]
-                lx = alx[xi]
-                for yi in range(len(wspace.basis)):
-                    grid_y = bgrids[yi]
-                    lhs = a2.product(lx, bly[yi])
-                    inner = [f2.zero] * n
-                    for i in range(p):
-                        iy = p - i if i else 0
-                        for j, k, c in terms[i]:
-                            xv = grid_x[j][i]
-                            if not any(xv):
-                                continue
-                            yv = grid_y[k][iy]
-                            if not any(yv):
-                                continue
-                            prod = a2.product(xv, yv)
-                            for t in range(n):
-                                if prod[t]:
-                                    inner[t] = inner[t] + c * prod[t]
-                    rhs = lmap.apply(inner)
-                    if tuple(lhs) != tuple(rhs):
+            cpacked = [[[pack(c) for c in row] for row in ser.coeffs]
+                       for ser in cseries]
+            for ygrid, ly in zip(ygrids, ply):
+                # Y_ij, or None where it vanishes
+                ys = []
+                for i, cp in enumerate(cpacked):
+                    col = [ygrid[k][p - i if i else 0] for k in range(sb)]
+                    yi = []
+                    for crow in cp:
+                        terms = [(c, v) for c, v in zip(crow, col)
+                                 if c and v is not None]
+                        # nonzero when any term is: the packed ints are
+                        # nonnegative and a nonzero element packs to > 0
+                        yi.append([sum([c * v[b] for c, v in terms])
+                                   for b in range(n)] if terms else None)
+                    ys.append(yi)
+                for xgrid, lx in zip(xgrids, plx):
+                    acc = [0] * n
+                    for i, yi in enumerate(ys):
+                        for j, y in enumerate(yi):
+                            xv = xgrid[j][i]
+                            if y is not None and xv is not None:
+                                _accumulate(rows, xv, y, acc)
+                    rhs = lmap.apply([unpack(t) if t else zero for t in acc])
+                    if a2._product(lx, ly) != rhs:
                         raise VerificationError(
                             "product rule fails on a basis pair in "
                             "components (%s, %s)" % (rho, sigma))

@@ -331,6 +331,39 @@ def test_row0_block_inverse_matches_full_matrix(p, n, monkeypatch):
     assert heights == [p] * len(elements + singular)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(5)", "GF(3^2)"])
+def test_full_inverse_matches_full_matrix(p, n, monkeypatch):
+    """An element off row 0 is inverted from the whole p^2 x p^2 matrix,
+    built from cyclic shifts of its rows; it agrees with the matrix of
+    quotient products u X^k Y^l."""
+    F = GF(p, n)
+    rng = random.Random(10 * p + n)
+    heights = []
+
+    def spy(rows, rhs, field):
+        heights.append(len(rows))
+        return solve(rows, rhs, field)
+
+    monkeypatch.setattr(polyring, "solve", spy)
+    ring = quotient_ring_for(p, F.random_element(rng), F.random_element(rng))
+    invertible = 0
+    for _ in range(6):
+        rows = [[F.random_element(rng) for _ in range(p)] for _ in range(p)]
+        rows[p - 1][0] = F.one      # off row 0
+        u = ring.element(rows)
+        try:
+            want = full_matrix_inverse(u)
+        except NonInvertibleError:
+            with pytest.raises(NonInvertibleError):
+                _quotient_inverse_linear(u)
+            continue
+        assert _quotient_inverse_linear(u) == want
+        invertible += 1
+    assert invertible > 0
+    assert heights == [p * p] * 6
+
+
 def test_quotient_inverse_dispatch():
     F = GF(3)
     ring = quotient_ring_for(3, F.one, F.one)  # a = b = 1: X^3 = 0, Y^3 = 0

@@ -222,6 +222,56 @@ def test_zero_products():
             assert not a * b
 
 
+@pytest.mark.parametrize("orders", [None, (1, 1), (3, 2)], ids=str)
+@pytest.mark.parametrize("F", [GF(3), GF(5, 5)], ids=repr)
+def test_zeros_that_are_not_the_ring_zero(F, orders):
+    """The kernel skips zero entries by identity with ring.zero_entry.
+    Zeros that are other objects - built by ring.element, or left by
+    from_exponents items that cancel - must pack, multiply and scale like
+    it: products against _schoolbook_product, scalar multiples against
+    entrywise products, and the Frobenius scalar against u^p."""
+    rng = random.Random(F.q)
+    p = F.p
+    ring = QuotientRing(p, constant(F, orders, "pair", rng),
+                        constant(F, orders, "pair", rng))
+
+    def other_zero():
+        if orders is None:
+            return F.from_coeffs([0])
+        return BiTruncSeries(F, orders[0], orders[1], [])
+
+    assert other_zero() is not ring.zero_entry
+    assert other_zero() == ring.zero_entry
+    u = ring.element([[other_zero() if (i + j) % 2 else
+                       entry(F, orders, "random", rng) for j in range(p)]
+                      for i in range(p)])
+    c, d = (entry(F, orders, "random", rng) for _ in range(2))
+    w = ring.from_exponents([((0, 1), c), ((2, 1), d), ((0, 1), -c),
+                             ((1, 2), d), ((2, 1), -d)])
+    for i, j in ((0, 1), (2, 1)):
+        assert w.entries[i][j] is not ring.zero_entry
+        assert not w.entries[i][j]
+    # u with its zeros replaced by the ring's own
+    same = ring.element([[e if e else ring.zero_entry for e in row]
+                         for row in u.entries])
+    for a, b in ((u, w), (w, u), (u, u), (w, w), (u, same), (same, w)):
+        assert (a * b).entries == polyring._schoolbook_product(a, b)
+    assert (u * w).entries == (same * w).entries
+    # u^p is the scalar that Frobenius computes, zeros told by identity
+    for a in (u, w, same):
+        assert a ** p == ring.monomial(0, 0, polyring._frobenius_scalar(a))
+    scalars = [0, 1, F.scalar(-1), F.random_element(rng)]
+    if orders is not None:
+        scalars.append(entry(F, orders, "random", rng))
+    for a in (u, w):
+        for s in scalars:
+            want = tuple(tuple(e * s for e in row) for row in a.entries)
+            assert (a * s).entries == want
+            # the scaled element is a valid operand
+            assert ((a * s) * w).entries == polyring._schoolbook_product(
+                a * s, w)
+
+
 def test_symbolic_entries_take_the_schoolbook_loop():
     F = GF(3)
     vars_ = ("alpha", "beta")

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from gradeswitch import cli
+from gradeswitch import cli, switch
 from gradeswitch.fields import GF, embed
 from gradeswitch.galg import (
     LinearMap, direct_sum, generalized_eigenspaces, is_grading,
@@ -11,6 +12,7 @@ from gradeswitch.galg import (
 from gradeswitch.laguerre import (
     c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
     laguerre_value, scalar_product_form, truncated_exp)
+from gradeswitch.polyring import BiTruncSeries
 from gradeswitch.switch import (
     HypothesisError, PPolynomial, Relation, VerificationError,
     _pair_coefficient_series, build_LD, build_g, h_polynomial,
@@ -460,7 +462,6 @@ def test_product_rule_pairs_outside_the_spectrum(monkeypatch, p, length,
     # xddx on tpoly(p, length, p) has eigenvalues 0 .. length-1, so some
     # sums rho + sigma are no eigenvalue; those pairs are checked by their
     # products vanishing, with no pair series
-    from gradeswitch import switch
     calls = []
     original = switch._pair_coefficient_series
 
@@ -476,6 +477,62 @@ def test_product_rule_pairs_outside_the_spectrum(monkeypatch, p, length,
                for r in values for s in values) == outside
     assert len(calls) == series == length * length - outside
     assert res.product_rule_pairs == A.dim ** 2
+
+
+# one builtin per shape of pair series: nilpotent orders 1 x 1 with two
+# eigenspace sizes, and 3 x 3
+SWEEP_CASES = [("witt:5+witt:5", "ad:1", 1), ("tpoly:3:9:3", "ddx", 3),
+               ("tpoly:5:5:5", "xddx", 1)]
+
+
+def switched_without_product_rule(spec, der):
+    A = cli._parse_builtin(spec)
+    return switch_grading(A, cli._parse_derivation(A, der, None),
+                          check_product_rule=False)
+
+
+@pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
+def test_product_rule_refuses_a_perturbed_switch_map(spec, der, order):
+    res = switched_without_product_rule(spec, der)
+    assert verify_product_rule(res) == res.algebra.dim ** 2
+    L = res.switch_map
+    F, n = L.field, L.n
+    for i, j in ((0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0)):
+        rows = [list(row) for row in L.rows]
+        rows[i][j] = rows[i][j] + F.one
+        bad = dataclasses.replace(res, switch_map=LinearMap(F, rows))
+        with pytest.raises(VerificationError, match="product rule fails"):
+            verify_product_rule(bad)
+
+
+@pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
+def test_product_rule_refuses_a_perturbed_c_value(monkeypatch, spec, der,
+                                                  order):
+    """One coefficient of one c_i is off by one in every pair series: its
+    constant term, or its highest nilpotent term, which multiplies
+    nil^(sa-1) D^i x against nil^(sb-1) D^(p-i) y."""
+    res = switched_without_product_rule(spec, der)
+    F = res.field_final
+    original = switch._pair_coefficient_series
+    orders = set()
+
+    for i in range(F.p):
+        for corner in (False, True):
+            def perturbed(*args):
+                cs = original(*args)
+                c = cs[i]
+                orders.add((c.ua, c.ub))
+                rows = [list(row) for row in c.coeffs]
+                j, k = (c.ua - 1, c.ub - 1) if corner else (0, 0)
+                rows[j][k] = rows[j][k] + F.one
+                cs[i] = BiTruncSeries(c.field, c.ua, c.ub, rows)
+                return cs
+            monkeypatch.setattr(switch, "_pair_coefficient_series",
+                                perturbed)
+            with pytest.raises(VerificationError,
+                               match="product rule fails"):
+                verify_product_rule(res)
+    assert orders == {(order, order)}
 
 
 def test_grading_modulus_constraint():
