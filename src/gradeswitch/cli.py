@@ -27,7 +27,8 @@ from .toral import RestrictedLie, compare_switch_to_toral
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 DEFAULT_DIM_CAP = 40
 # GF(p, n) searches for its modulus: up to n = 16 every p <= 13 builds in
-# under 0.4 s, GF(13, 17) takes about 2 s and some n <= 40 over 5 s
+# under 0.1 s; up to n = 40 the slowest is GF(11^32), about 2 s (2-core
+# host, Python 3.11)
 FIELD_DEGREE_CAP = 16
 
 
@@ -42,6 +43,12 @@ def _check_prime(p, cap):
                          % (p, cap))
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
+
+
+def _check_field_degree(n):
+    if n > FIELD_DEGREE_CAP:
+        raise ValueError("field degree %d exceeds the cap %d"
+                         % (n, FIELD_DEGREE_CAP))
 
 
 def _check_dim(dim, cap):
@@ -103,9 +110,7 @@ def cmd_coeffs(args):
         raise ValueError("trials must be >= 1")
     if args.field_degree < 1:
         raise ValueError("field degree must be >= 1")
-    if args.field_degree > FIELD_DEGREE_CAP:
-        raise ValueError("field degree %d exceeds the cap %d"
-                         % (args.field_degree, FIELD_DEGREE_CAP))
+    _check_field_degree(args.field_degree)
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     field = GF(p, args.field_degree)
@@ -187,13 +192,17 @@ def _load_algebra(args):
         raise ValueError("algebra JSON must be an object")
     alg_obj = obj.get("algebra", obj)
     if isinstance(alg_obj, dict):
-        # both caps before from_json allocates or tests p for primality;
-        # it refuses a dim or p that is not an integer
+        # the caps before from_json allocates, tests p for primality or
+        # searches for a modulus; it refuses a dim, p or field_degree that
+        # is not an integer
         dim, p = alg_obj.get("dim"), alg_obj.get("p")
+        n = alg_obj.get("field_degree")
         if isinstance(dim, int):
             _check_dim(dim, args.dim_cap)
         if isinstance(p, int) and not isinstance(p, bool):
             _check_prime(p, args.p_cap)
+        if isinstance(n, int) and not isinstance(n, bool):
+            _check_field_degree(n)
     return GradedAlgebra.from_json(alg_obj), obj.get("derivation")
 
 

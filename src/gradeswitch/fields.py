@@ -165,17 +165,19 @@ def _ppowmod(a, e, m, p):
 
 
 def _is_irreducible(f, p):
-    # f monic of degree n >= 1: T^{p^n} == T mod f, and for each prime l | n
-    # the polynomial T^{p^{n/l}} - T is coprime to f.
+    """Ben-Or's test of a monic f of degree n over F_p: f is irreducible
+    exactly when gcd(T^(p^k) - T, f) = 1 for every k <= n/2, since a
+    reducible f has a factor of some degree k <= n/2, which divides
+    T^(p^k) - T.  Most candidates have a small factor, so the search of
+    the default modulus rejects them after a few Frobenius steps."""
     n = len(f) - 1
     if n < 1:
         return False
     x = (0, 1)
-    if _ppowmod(x, p ** n, f, p) != _pmod(x, f, p):
-        return False
-    for l in _prime_factors(n):
-        h = _ppowmod(x, p ** (n // l), f, p)
-        if len(_pgcd(_psub(h, x, p), f, p)) - 1 != 0:
+    h = x
+    for _ in range(n // 2):
+        h = _ppowmod(h, p, f, p)  # T^(p^k) mod f
+        if len(_pgcd(_psub(h, x, p), f, p)) != 1:
             return False
     return True
 

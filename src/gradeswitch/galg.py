@@ -192,38 +192,35 @@ class LinearMap(RingElement):
                                       for i in range(k)])
 
     def minimal_polynomial(self):
-        """Least monic f with f(M) = 0: the lcm of the minimal polynomials
-        of M on the Krylov spaces of the unit vectors, by Krylov iteration.
+        """Least monic f with f(M) = 0: one Krylov sequence, refined by
+        f(M) until it vanishes.
 
-        The search stops once those spaces span everything, which they do
-        at the latest when the lcm reaches degree n (an invariant subspace
-        on which M has a minimal polynomial of degree n is the whole
-        space).  Each distinct local polynomial enters one lcm at the end.
+        f starts as the local minimal polynomial of the all-ones vector
+        (the least monic f with f(M) v = 0).  While F = f(M) is nonzero,
+        its first nonzero column u = F e_s has local minimal polynomial
+        mu_s / gcd(mu_s, f), with mu_s that of e_s, so f * mu_u =
+        lcm(f, mu_s): f stays an lcm of local minimal polynomials, hence
+        a divisor of M's, and its degree rises.  F = 0 proves that f is
+        M's, after at most n rounds.
         """
-        field, n = self.field, self.n
-        seen = Echelon()
-        local = {}
-        for s in range(n):
-            if seen.rank == n:
-                break
-            seed = tuple(field.one if i == s else field.zero for i in range(n))
-            if seen.contains(seed):
-                continue
-            krylov = []
-            local[Polynomial(field, first_dependence(
-                self._krylov(seed, krylov), field) + [field.one])] = None
-            # fold the whole Krylov space of the seed into the span: the
-            # vectors before the dependent last one
-            for v in krylov[:-1]:
-                seen.add(v)
-        f = _lcm(field, local)
-        assert f.evaluate(self).is_zero()
-        return f
-
-    def _krylov(self, v, out):
-        """v, M v, M^2 v, ..., each also appended to `out`."""
+        f = self._local_minimal_polynomial((self.field.one,) * self.n)
         while True:
-            out.append(v)
+            u = next((col for col in zip(*f.evaluate(self).rows)
+                      if any(col)), None)
+            if u is None:
+                return f
+            f = f * self._local_minimal_polynomial(u)
+
+    def _local_minimal_polynomial(self, v):
+        """Least monic f with f(M) v = 0, from the first dependence among
+        v, M v, M^2 v, ..."""
+        field = self.field
+        return Polynomial(field, first_dependence(self._krylov(v), field)
+                          + [field.one])
+
+    def _krylov(self, v):
+        """v, M v, M^2 v, ..."""
+        while True:
             yield v
             v = self.apply(v)
 
@@ -250,18 +247,6 @@ class LinearMap(RingElement):
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return "LinearMap(%r, [%s])" % (self.field, body)
-
-
-def _lcm(field, polys):
-    """The lcm of monic polynomials over `field` (1 for none), largest
-    degree first, so that a polynomial dividing the lcm so far costs one
-    division and no gcd."""
-    polys = sorted(polys, key=Polynomial.degree, reverse=True)
-    f = polys[0] if polys else Polynomial(field, [field.one])
-    for g in polys[1:]:
-        if f % g:
-            f = f * (g // g.gcd(f))
-    return f
 
 
 def kernel(M):

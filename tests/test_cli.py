@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +168,41 @@ def test_dim_cap_checked_before_reading_json_input(monkeypatch, tmp_path,
                        "--derivation", "ad:0")
     assert code == 2
     assert "dimension 1000000000 exceeds the cap" in err
+
+
+HUGE_FIELD = {"p": 11, "field_degree": 32, "dim": 1, "m": 1, "deg": [0],
+              "sc": []}
+
+
+@pytest.mark.parametrize("modulus", [None, [1] * 33])
+def test_field_degree_cap_checked_before_reading_json_input(
+        monkeypatch, tmp_path, capsys, modulus):
+    from gradeswitch import galg
+
+    def refuse(*args):
+        raise AssertionError("field built before the degree cap check")
+    doc = dict(HUGE_FIELD, modulus=modulus)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": doc, "derivation": [[0]]}))
+    monkeypatch.setattr(galg, "GF", refuse)
+    code, out, err = run(capsys, "switch", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "field degree 32 exceeds the cap 16" in err
+
+
+def test_huge_field_degree_in_json_input_is_refused_at_once(tmp_path):
+    # without the cap the modulus search of GF(11^32) runs for seconds
+    # (minutes with Rabin's test); the refusal needs only an import
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": HUGE_FIELD,
+                                "derivation": [[0]]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "gradeswitch.cli", "switch",
+                           "--input", str(path)], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "field degree 32 exceeds the cap 16" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import signal
 
@@ -102,6 +103,61 @@ def test_default_modulus_searched_once(monkeypatch):
     assert tested == []
     assert F.modulus == fields._smallest_irreducible.__wrapped__(5, 20)
     assert tested  # the uncached search does test candidates
+
+
+def rabin_is_irreducible(f, p):
+    """Rabin's test, the oracle for Ben-Or's: a monic f of degree n >= 1
+    is irreducible iff T^(p^n) = T mod f and T^(p^(n/l)) - T is coprime
+    to f for every prime l | n."""
+    n = len(f) - 1
+    if n < 1:
+        return False
+    x = (0, 1)
+    if fields._ppowmod(x, p ** n, f, p) != fields._pmod(x, f, p):
+        return False
+    for l in fields._prime_factors(n):
+        h = fields._ppowmod(x, p ** (n // l), f, p)
+        if len(fields._pgcd(fields._psub(h, x, p), f, p)) != 1:
+            return False
+    return True
+
+
+def monic_polynomials(p, n):
+    """Every monic polynomial of degree n over F_p, in the order of the
+    default modulus search."""
+    for enc in range(p ** n):
+        yield tuple(enc // p ** i % p for i in range(n)) + (1,)
+
+
+def count_irreducible(p, n):
+    """Gauss's count (1/n) sum_(d | n) mu(d) p^(n/d)."""
+    def mu(d):
+        ls = fields._prime_factors(d)
+        return 0 if math.prod(ls) != d else (-1) ** len(ls)
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1)
+               if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p, top", [(2, 5), (3, 5), (5, 3), (7, 3)])
+def test_ben_or_agrees_with_rabin_on_every_small_polynomial(p, top):
+    for n in range(top + 1):
+        found = 0
+        for f in monic_polynomials(p, n):
+            assert fields._is_irreducible(f, p) == \
+                rabin_is_irreducible(f, p), f
+            found += fields._is_irreducible(f, p)
+        assert found == (count_irreducible(p, n) if n else 0)
+
+
+@pytest.mark.parametrize("p, n", [
+    (2, 10), (2, 17), (2, 24), (3, 13), (3, 16), (5, 2), (5, 5), (5, 7),
+    (5, 20), (7, 2), (7, 9), (13, 2), (13, 10), (13, 16)])
+def test_default_modulus_is_rabins_smallest_irreducible(p, n):
+    # reports print the moduli, so the search must find the same ones
+    want = next(f for f in monic_polynomials(p, n)
+                if rabin_is_irreducible(f, p))
+    assert fields._smallest_irreducible.__wrapped__(p, n) == want
+    assert GF(p, n).modulus == want
 
 
 def test_extension_arithmetic_f27():

@@ -1,12 +1,13 @@
 """Differential tests of the row kernel behind ``Polynomial`` products,
-``Polynomial.pow_mod``, ``LinearMap`` sums and the lcm in
+``Polynomial.pow_mod`` and ``LinearMap`` sums, and of
 ``LinearMap.minimal_polynomial``.
 
 Products are compared with the schoolbook loop they replaced, which sums
 ``FqElement`` products one pair of coefficients at a time; ``pow_mod`` with
 square-and-multiply on that product followed by ``%``; map sums,
-differences and negations entry by entry; and minimal polynomials with the
-seed-by-seed lcm (``f * local // gcd``) they replaced.  The fields are
+differences and negations entry by entry; and minimal polynomials with a
+seed-by-seed lcm (``f * local // gcd``) over the unit vectors, a search
+that never starts from the all-ones vector or evaluates f(M).  The fields are
 prime fields, log-table fields and fields above the log-table cap, and
 the polynomials reach degree 120 (the identities at p = 11 reach 110).
 Polynomials and entries whose coefficients are all p - 1 fill the kernel's
@@ -21,6 +22,7 @@ st = hypothesis.strategies
 
 from gradeswitch.echelon import Echelon, first_dependence  # noqa: E402
 from gradeswitch.fields import GF, _TABLE_CAP, power  # noqa: E402
+from gradeswitch import galg  # noqa: E402
 from gradeswitch.galg import LinearMap  # noqa: E402
 from gradeswitch.polyring import Polynomial  # noqa: E402
 
@@ -179,10 +181,15 @@ def jordan(field, blocks):
     return LinearMap(field, rows)
 
 
-def conjugated(M, rng):
-    """P M P^-1 for a random invertible P."""
+def conjugated(M, rng, ones=False):
+    """P M P^-1 for a random invertible P; with `ones`, P's first column
+    is all ones, so that the all-ones vector is P e_0 (an eigenvector
+    when e_0 is, as at the head of a Jordan block)."""
     while True:
         P = matrix(M.field, M.n, rng)
+        if ones:
+            P = LinearMap(M.field, [(M.field.one,) + row[1:]
+                                    for row in P.rows])
         if P.rank() == M.n:
             return P * M * P.inverse()
 
@@ -192,7 +199,7 @@ def minpoly_cases(draw):
     F = draw(st.sampled_from(FIELDS))
     top = MAX_MINPOLY_N[F]
     kind = draw(st.sampled_from(["random", "nilpotent", "scalar",
-                                 "repeated"]))
+                                 "repeated", "ones_eigenvector"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     n = draw(st.integers(0, top))
     if kind == "random":
@@ -208,7 +215,8 @@ def minpoly_cases(draw):
         # a few eigenvalues, each on several Jordan blocks
         values = [F.random_element(rng) for _ in range(2)]
         blocks = [(values[rng.randrange(2)], k) for k in sizes]
-    return conjugated(jordan(F, blocks), rng)
+    return conjugated(jordan(F, blocks), rng,
+                      ones=kind == "ones_eigenvector")
 
 
 # -- the tests ------------------------------------------------------------------
@@ -313,3 +321,41 @@ def test_minimal_polynomial_of_special_blocks(field):
     ]
     for M in cases + [conjugated(M, rng) for M in cases]:
         assert M.minimal_polynomial() == reference_minimal_polynomial(M)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5, 5), GF(65537)],
+                         ids=repr)
+def test_minimal_polynomial_refines_a_start_that_is_not_cyclic(
+        field, monkeypatch):
+    # every map is conjugated so that the all-ones vector, where the
+    # search starts, is an eigenvector: the first Krylov sequence has
+    # degree 1, and only the rounds on the columns of f(M) reach the rest
+    rng = random.Random(field.q)
+    lam, mu = field.from_int(1), full(field)
+    cases = [
+        jordan(field, [(field.zero, 4), (field.zero, 2)]),  # nilpotent
+        jordan(field, [(lam, 1), (mu, 3), (lam, 2)]),
+        jordan(field, [(lam, 1), (field.zero, 1), (mu, 1)]),
+        jordan(field, [(mu, 2), (lam, 1), (mu, 1), (lam, 2),
+                       (field.zero, 1)]),
+    ]
+    rounds = []
+    real = galg.first_dependence
+
+    def counted(vectors, f):
+        rounds.append(f)
+        return real(vectors, f)
+    # the oracle imports first_dependence itself, so only rounds count
+    monkeypatch.setattr(galg, "first_dependence", counted)
+    for J in cases:
+        M = conjugated(J, rng, ones=True)
+        assert M.apply((field.one,) * M.n) == (J.rows[0][0],) * M.n
+        want = reference_minimal_polynomial(M)
+        rounds.clear()
+        assert M.minimal_polynomial() == want and want.degree() > 1
+        assert len(rounds) >= 2
+    # the maps of dimension 0 and 1, where the start is the whole space
+    for M in [LinearMap(field, []), LinearMap(field, [[field.zero]]),
+              LinearMap(field, [[mu]])]:
+        assert M.minimal_polynomial() == reference_minimal_polynomial(M)
+        assert M.minimal_polynomial().degree() == M.n
