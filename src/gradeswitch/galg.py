@@ -193,23 +193,26 @@ class LinearMap(RingElement):
 
     def minimal_polynomial(self):
         """Least monic f with f(M) = 0: one Krylov sequence, refined by
-        f(M) until it vanishes.
+        f(M) until it vanishes or deg f reaches n.
 
         f starts as the local minimal polynomial of the all-ones vector
         (the least monic f with f(M) v = 0).  While F = f(M) is nonzero,
         its first nonzero column u = F e_s has local minimal polynomial
         mu_s / gcd(mu_s, f), with mu_s that of e_s, so f * mu_u =
         lcm(f, mu_s): f stays an lcm of local minimal polynomials, hence
-        a divisor of M's, and its degree rises.  F = 0 proves that f is
-        M's, after at most n rounds.
+        a divisor of M's, and its degree rises.  Either of two facts
+        proves that f is M's, after at most n rounds: deg f = n, since
+        M's minimal polynomial divides its characteristic one
+        (Cayley-Hamilton), and then f(M) is never formed; or F = 0.
         """
         f = self._local_minimal_polynomial((self.field.one,) * self.n)
-        while True:
+        while f.degree() < self.n:
             u = next((col for col in zip(*f.evaluate(self).rows)
                       if any(col)), None)
             if u is None:
-                return f
+                break
             f = f * self._local_minimal_polynomial(u)
+        return f
 
     def _local_minimal_polynomial(self, v):
         """Least monic f with f(M) v = 0, from the first dependence among

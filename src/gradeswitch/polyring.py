@@ -51,7 +51,7 @@ class RingElement:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        return power(self, e, self.one())
+        return power(self, e, None) if e else self.one()
 
 
 def _row_kernel(field, length, count):
@@ -265,17 +265,26 @@ class Polynomial(RingElement):
                           self.var)
 
     def evaluate(self, x):
-        """Horner evaluation from the leading coefficient; x may be a field
-        element or any ring value that mixes with field scalars (matrix,
-        series, multipolynomial)."""
+        """Horner from the leading coefficient over the nonzero
+        coefficients only; x may be a field element or any ring value that
+        mixes with field scalars (matrix, series, multipolynomial).
+
+        Each gap g between two nonzero exponents (and from the lowest one
+        down to 0) is one x ** g by square-and-multiply, so zero
+        coefficients cost no product and no sum: T^25 takes 6 products,
+        and a dense f of degree d the d - 1 of plain Horner.
+        """
         cs = self.coeffs
         if len(cs) < 2:
             return (x ** 0) * (cs[0] if cs else self.field.zero)
-        # lead x + c_(d-1), sparing the product by `one` of monic f
-        acc = (x if cs[-1] == self.field.one else x * cs[-1]) + cs[-2]
-        for c in reversed(cs[:-2]):
-            acc = acc * x + c
-        return acc
+        # the nonzero exponents below the degree, from the top, then 0
+        lower = [i for i in range(len(cs) - 2, 0, -1) if cs[i]] + [0]
+        step = x ** (len(cs) - 1 - lower[0])
+        # the leading term, sparing the product by `one` of monic f
+        acc = step if cs[-1] == self.field.one else step * cs[-1]
+        for hi, lo in zip(lower, lower[1:]):
+            acc = (acc + cs[hi]) * x ** (hi - lo)
+        return acc + cs[0] if cs[0] else acc
 
     def map_coefficients(self, fn, field):
         return Polynomial(field, [fn(c) for c in self.coeffs], self.var)

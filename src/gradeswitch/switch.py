@@ -337,7 +337,10 @@ def special_LD(A, D):
     Uses gamma with gamma^p - gamma = 1 and the Laguerre value
     L_{p-1}^(gamma D^p)(D); gamma D^p acts as a gamma on each eigenspace
     A^(a), a in F_p.  Equivalent to build_LD with r = 1 and
-    g = gamma T^p; kept as an independent code path.
+    g = gamma T^p; kept as an independent code path.  When D^p = 0,
+    gamma D^p vanishes and gamma is not adjoined: the value is
+    L_{p-1}^(0)(D) over the start field, as with build_LD's degenerate
+    relation.
     """
     field0 = A.field
     p = field0.p
@@ -345,24 +348,28 @@ def special_LD(A, D):
     dp = D ** p
     if dp ** p != dp:
         raise HypothesisError("D^(p^2) = D^p")
-    f1, gamma = artin_schreier_root(field0, field0.one)
+    if dp:
+        f1, gamma = artin_schreier_root(field0, field0.one)
+        relation = Relation(field0, 1, 2, (field0.scalar(-1),), False)
+    else:  # build_LD's degenerate relation D^p = 0
+        f1, gamma = field0, None
+        relation = Relation(field0, 1, 1, (), True)
     d1 = D.embed_to(f1)
     f2, dec = generalized_eigenspaces(d1)
     for rho, _ in dec:
         if rho ** p != rho:
             raise VerificationError("eigenvalue outside F_p despite "
                                     "D^(p^2) = D^p")
-    gamma2 = embed(gamma, f2)
     a2 = A.change_field(f2)
     d2 = d1.embed_to(f2)
-    g = PPolynomial.make(f2, [(1, gamma2)])
-    lmap = laguerre_value(p, dp.embed_to(f2) * gamma2, d2)
+    gamma2 = embed(gamma, f2) if dp else None
+    g = PPolynomial.make(f2, [(1, gamma2)] if dp else ())
+    lmap = laguerre_value(p, dp.embed_to(f2) * (gamma2 if dp else 0), d2)
     scalars = _scalar_law(lmap, dec, g, 1)
     old_parts = tuple(a2.grading_parts())
     return SwitchResult(
         algebra=a2, derivation=d2, field_start=field0, field_final=f2,
-        r_raw=1, r=1,
-        relation=Relation(field0, 1, 2, (field0.scalar(-1),), False),
+        r_raw=1, r=1, relation=relation,
         g=g, lam=gamma2, decomposition=dec, block_scalars=scalars,
         switch_map=lmap, old_parts=old_parts,
         new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))

@@ -359,3 +359,101 @@ def test_minimal_polynomial_refines_a_start_that_is_not_cyclic(
               LinearMap(field, [[mu]])]:
         assert M.minimal_polynomial() == reference_minimal_polynomial(M)
         assert M.minimal_polynomial().degree() == M.n
+
+
+def companion(field, coeffs):
+    """The companion map of T^n + sum coeffs[i] T^i: M e_i = e_(i+1) for
+    i < n - 1, so e_0 is a cyclic vector."""
+    n = len(coeffs)
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = field.one
+    for i, c in enumerate(coeffs):
+        rows[i][n - 1] = -c
+    return LinearMap(field, rows)
+
+
+def transposed_jordan(field, blocks):
+    """jordan's transpose: e_0 generates the whole first block."""
+    return LinearMap(field, list(zip(*jordan(field, blocks).rows)))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(5, 5)], ids=repr)
+def test_minimal_polynomial_of_degree_n_forms_no_f_of_M(field, monkeypatch):
+    # f divides m_M and deg m_M <= n, so deg f = n proves f = m_M and
+    # f(M) is never formed for it; below n the proof f(M) = 0 still runs.
+    # Every map is conjugated so that the all-ones vector, where the
+    # search starts, is P e_0.  "first": e_0 is cyclic, so the first
+    # Krylov sequence reaches degree n; "refined": e_0 spans only part
+    # of the first block, so deg n comes after a round on f(M)'s columns
+    rng = random.Random(field.q + 2)
+    lam, mu = field.zero, full(field)
+    t = Polynomial.variable(field)
+    cases = {
+        "first": [
+            companion(field, ((t - lam) ** 2 * (t - mu) ** 3).coeffs[:-1]),
+            companion(field, [field.zero] * 4),  # T^4
+            companion(field, [entry(field, rng) for _ in range(6)])],
+        "refined": [
+            transposed_jordan(field, [(lam, 2), (mu, 3)]),
+            transposed_jordan(field, [(mu, 1), (lam, 2)]),
+            jordan(field, [(lam, 1), (mu, 1)])],
+        "below": [
+            transposed_jordan(field, [(lam, 2), (lam, 1), (mu, 2)]),
+            transposed_jordan(field, [(mu, 2), (mu, 2)]),
+            jordan(field, [(mu, 3), (mu, 1)]),
+            LinearMap.identity(field, 3) * mu],
+    }
+    evaluated, rounds, products = [], [], [0]
+    real_evaluate, real_mul = Polynomial.evaluate, LinearMap.__mul__
+    real_dependence = galg.first_dependence
+
+    def evaluate(f, x):
+        if isinstance(x, LinearMap):
+            evaluated.append(f)
+        return real_evaluate(f, x)
+
+    def mul(a, b):
+        products[0] += isinstance(b, LinearMap)
+        return real_mul(a, b)
+
+    def dependence(vectors, f):
+        rounds.append(f)
+        return real_dependence(vectors, f)
+
+    monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+    monkeypatch.setattr(LinearMap, "__mul__", mul)
+    # the oracle imports first_dependence itself, so only rounds count
+    monkeypatch.setattr(galg, "first_dependence", dependence)
+
+    def products_of(polys, M):
+        products[0] = 0
+        for g in polys:
+            real_evaluate(g, M)
+        return products[0]
+
+    for kind, maps in cases.items():
+        for J in maps:
+            M = conjugated(J, rng, ones=True)
+            want = reference_minimal_polynomial(M)
+            evaluated.clear()
+            rounds.clear()
+            products[0] = 0
+            f = M.minimal_polynomial()
+            proofs, spent = list(evaluated), products[0]
+            assert f == want, (kind, J)
+            # the map products are those of the listed f(M), no others
+            assert spent == products_of(proofs, M)
+            if kind == "below":
+                assert f.degree() < M.n
+                assert proofs[-1] == f
+                assert spent >= products_of([f], M) >= (f.degree() > 1)
+                continue
+            assert f.degree() == M.n
+            assert all(g.degree() < M.n for g in proofs)
+            # the proof skipped would have cost map products
+            assert products_of([f], M) >= 1
+            if kind == "first":
+                assert len(rounds) == 1 and proofs == [] and spent == 0
+            else:
+                assert len(rounds) >= 2 and proofs

@@ -37,15 +37,24 @@ def test_polynomial_basic_ops():
     assert f[2] == F.one and f[0] == F.one and f[7] == F.zero
 
 
+def square_and_multiply_products(e):
+    """Products of fields.power for x ** e, e >= 1."""
+    return e.bit_length() + bin(e).count("1") - 2
+
+
 def test_evaluate_starts_from_the_leading_coefficient(monkeypatch):
-    # Horner from the leading coefficient: a degree-d polynomial spends
-    # d - 1 matrix products, and a monic one no product by its leading 1;
-    # the value is the sum of c_i M^i either way
+    # Horner from the leading coefficient over the nonzero coefficients:
+    # each gap g between two nonzero exponents, and from the lowest one
+    # down to 0, is one M^g by square-and-multiply, and every gap after
+    # the first costs one more product; a monic f spends no product by
+    # its leading 1.  The value is the sum of c_i M^i either way
     F = GF(5)
     rng = random.Random(8)
     M = LinearMap(F, [[F.random_element(rng) for _ in range(4)]
                       for _ in range(4)])
-    powers = [M ** i for i in range(5)]
+    powers = [LinearMap.identity(F, 4)]
+    for _ in range(25):
+        powers.append(powers[-1] * M)
     products = []
     plain = LinearMap.__mul__
 
@@ -54,15 +63,30 @@ def test_evaluate_starts_from_the_leading_coefficient(monkeypatch):
         return plain(a, b)
 
     monkeypatch.setattr(LinearMap, "__mul__", counted)
+    sparse = {
+        (0,) * 25 + (1,): 6,          # T^25: 4 squarings, 2 products
+        (0, 4, 0, 0, 0, 1): 3,        # T^5 - T: M^4, then one by M
+        (3, 0, 2, 0, 0, 0, 0, 4): 5,  # 4T^7 + 2T^2 + 3: M^5, M^2, one
+        (0, 0, 0, 0, 3): 2,           # 3T^4: M^4
+    }
     for coeffs in ([], [3], [2, 1], [1, 0, 4], [4, 3, 0, 2, 1],
-                   [0, 0, 0, 0, 3]):
+                   [1, 2, 3, 4, 1, 2], *sparse):
         f = Polynomial(F, coeffs)
         want = LinearMap.zero(F, 4)
         for c, P in zip(f.coeffs, powers):
             want = want + P * c
+        stops = sorted({i for i, c in enumerate(f.coeffs) if c} | {0},
+                       reverse=True)
+        gaps = [a - b for a, b in zip(stops, stops[1:])]
         products.clear()
         assert f.evaluate(M) == want
-        assert products.count(True) == max(f.degree() - 1, 0)
+        count = products.count(True)
+        assert count == sum(map(square_and_multiply_products, gaps)) \
+            + max(len(gaps) - 1, 0)
+        if all(f.coeffs):  # dense: plain Horner's d - 1
+            assert count == max(f.degree() - 1, 0)
+        if tuple(coeffs) in sparse:
+            assert count == sparse[tuple(coeffs)]
         monic = f.degree() >= 1 and f.leading() == F.one
         assert products.count(False) == (0 if monic else 1)
         assert f.evaluate(F.scalar(3)) == sum(

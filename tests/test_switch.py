@@ -28,8 +28,8 @@ def blockwise_switch_map(res, special=False):
     restriction of D there, and V holding the eigenspace bases as columns.
 
     alpha is g(rho) - h(D|) (build_LD), or rho gamma when special
-    (special_LD).  Each block's p^r-th power must be the scalar res
-    records for rho.
+    (special_LD; 0 when D^p = 0, where no gamma is adjoined).  Each
+    block's p^r-th power must be the scalar res records for rho.
     """
     f2 = res.field_final
     p = f2.p
@@ -41,7 +41,10 @@ def blockwise_switch_map(res, special=False):
     off = 0
     for rho, space in res.decomposition:
         dres = d2.restrict_to(space)
-        alpha = rho * res.lam if special else res.g(rho) - h.eval_matrix(dres)
+        if special:
+            alpha = f2.zero if res.lam is None else rho * res.lam
+        else:
+            alpha = res.g(rho) - h.eval_matrix(dres)
         block = laguerre_value(p, alpha, dres)
         k = space.dim
         assert block.p_power(res.r) == \
@@ -79,9 +82,15 @@ def test_global_operator_matches_blockwise_oracle(spec, der, r):
     if r is None and is_special(D):
         spec_res = special_LD(A, D)
         assert spec_res.switch_map == blockwise_switch_map(spec_res, True)
-        # special_LD always adjoins gamma; build_LD may stay smaller
-        assert spec_res.switch_map == \
-            res.switch_map.embed_to(spec_res.field_final)
+        if D ** A.field.p:
+            # special_LD adjoins gamma; build_LD may stay smaller
+            assert spec_res.switch_map == \
+                res.switch_map.embed_to(spec_res.field_final)
+        else:
+            # D^p = 0 (witt:5 ad:0, witt:11 ad:0, witt:13 ad:3): no
+            # gamma, both stay over the start field
+            assert spec_res.field_final is res.field_final is A.field
+            assert spec_res.switch_map == res.switch_map
 
 
 def test_ppolynomial_is_additive():
@@ -295,6 +304,22 @@ def test_special_LD_on_ad_e0():
     gen = build_LD(W, D)
     assert spec.switch_map == gen.switch_map
     assert spec.field_final is gen.field_final
+
+
+def test_special_LD_adjoins_no_gamma_when_D_p_vanishes():
+    # ad e_{-1} on witt has D^p = 0: gamma D^p vanishes, so special_LD
+    # returns build_LD's degenerate result over the start field
+    for p in (5, 11):
+        W = witt(p)
+        D = W.left_multiplication(W.basis_vector(0))
+        assert (D ** p).is_zero()
+        spec, gen = special_LD(W, D), build_LD(W, D)
+        assert spec.field_final is gen.field_final is GF(p)
+        assert spec.relation == gen.relation and spec.relation.degenerate
+        assert spec.lam is None and spec.g.is_zero() and gen.g.is_zero()
+        assert spec.switch_map == gen.switch_map
+        assert spec.block_scalars == gen.block_scalars
+        assert spec.new_parts == gen.new_parts
 
 
 def test_scalar_law_on_blocks():
