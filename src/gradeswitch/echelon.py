@@ -7,7 +7,10 @@ dependence search behind minimal polynomials and p-power relations.
 Entries are elements of one field, or ints taken as scalars.  An element
 has a ``field`` and ``+``, ``-``, ``*``, ``inverse()`` and truthiness as a
 nonzero test; the field supplies ``zero``, ``one`` and ``dot_kernel``, the
-packed-int arithmetic that :meth:`Echelon.reduce` runs on.  The module
+packed-int arithmetic that :meth:`Echelon.reduce` runs on.  The kernel
+unpacks every zero to the field's own ``zero``, so a zero test reads
+``x is not zero and x``: identity first, truthiness only for other
+objects, such as the zeros that element arithmetic builds.  The module
 imports nothing from the package, so every layer, ``fields`` included,
 can use it.
 """
@@ -51,12 +54,12 @@ class Echelon:
         out = self._checked(v)
         if not self.rows:
             return out
-        pack, unpack = self._pack, self._unpack
+        pack, unpack, zero = self._pack, self._unpack, self.field.zero
         w = [0] * len(out)
         touched = set()
         for c, _, cols, vals in self.rows:
             f = unpack(w[c] + pack(out[c])) if w[c] else out[c]
-            if f:
+            if f is not zero and f:
                 g = pack(-f)
                 for i, x in zip(cols, vals):
                     w[i] += g * x
@@ -66,7 +69,8 @@ class Echelon:
         return out
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        zero = getattr(self.field, "zero", None)    # None: ints only
+        return not any(x is not zero and x for x in self.reduce(v))
 
     def add(self, v):
         """Store v's reduction; False (nothing stored) when v is dependent."""
@@ -100,7 +104,8 @@ class Echelon:
         """Store a reduced vector under its leading column; return that
         column, or None when w vanishes on every pivot-eligible column."""
         width = len(w) if self.width is None else self.width
-        cols = [i for i, x in enumerate(w) if x]
+        zero = getattr(self.field, "zero", None)
+        cols = [i for i, x in enumerate(w) if x is not zero and x]
         if not cols or cols[0] >= width:
             return None
         c = cols[0]

@@ -577,8 +577,12 @@ _INTERN_CAP = 1 << 12
 
 @functools.lru_cache(maxsize=None)
 def _interned(field):
-    """The elements of one field by coefficient tuple."""
-    return _Capped(functools.partial(FqElement, field))
+    """The elements of one field by coefficient tuple, seeded with the
+    field's own zero and one, so kernels return those very objects."""
+    elements = _Capped(functools.partial(FqElement, field))
+    elements[field.zero.coeffs] = field.zero
+    elements[field.one.coeffs] = field.one
+    return elements
 
 
 @functools.lru_cache(maxsize=None)
@@ -829,13 +833,27 @@ def embed(x, dst):
 
 
 def _squarefree_part(f):
+    """The product of the distinct monic irreducible factors of f, of
+    degree at least 1."""
     d = f.derivative()
     if d.is_zero():
         # f = g(T^p) = (g twisted by p-th roots)^p
         g_coeffs = [f.coeffs[i].pth_root() for i in range(0, f.degree() + 1, f.field.p)]
         from .polyring import Polynomial
         return _squarefree_part(Polynomial(f.field, g_coeffs))
-    return (f // f.gcd(d)).monic()
+    # gcd(f, f') holds a factor P^e of f as P^(e-1) when p does not divide
+    # e, but as the whole P^e when it does: f / gcd(f, f') is the product
+    # of the first kind only, and what is left of gcd(f, f') once those
+    # are divided out is a p-th power made of the second kind
+    g = f.gcd(d)
+    s = f // g
+    c = g.gcd(s)
+    while c.degree() > 0:
+        g = g // c
+        c = g.gcd(c)
+    if g.degree() > 0:
+        s = s * _squarefree_part(g)
+    return s.monic()
 
 
 def _factor_degrees(f):
@@ -919,7 +937,11 @@ def roots_in_splitting_field(f):
 
     F' is the canonical field F_{q^L} with L the lcm of the irreducible
     factor degrees; the root list is sorted by encoding and its re-expansion
-    is verified against f before returning.
+    is verified against f before returning.  When every coefficient lies
+    in F_p, the roots are found over F_p and embedded: an irreducible
+    factor of degree d over F_p splits over F_q, q = p^n, into factors of
+    degree d / gcd(d, n), so F' is F_{p^lcm(n, D)} with D the lcm of the
+    degrees d.
     """
     from .polyring import Polynomial
     if f.is_zero():
@@ -927,18 +949,41 @@ def roots_in_splitting_field(f):
     field = f.field
     if f.degree() == 0:
         return field, []
-    s = _squarefree_part(f)
-    lcm = math.lcm(*_factor_degrees(s))
+    if field.n == 1 or any(any(c.coeffs[1:]) for c in f.coeffs):
+        f2, roots = _distinct_roots(f)
+        return f2.field, _multiplicities(f2, roots)
+    prime = GF(field.p)
+    f1, roots = _distinct_roots(Polynomial(
+        prime, [prime.scalar(c.coeffs[0]) for c in f.coeffs]))
+    n = math.lcm(field.n, f1.field.n)
+    big = field if n == field.n else GF(field.p, n)
+    emb = embedding(field, big)
+    f2 = Polynomial(big, [emb(c) for c in f.coeffs])
+    return big, _multiplicities(f2, map(embedding(f1.field, big), roots))
+
+
+def _distinct_roots(f):
+    """(f over its splitting field F', the distinct roots of f in F')."""
+    from .polyring import Polynomial
+    field = f.field
+    lcm = math.lcm(*_factor_degrees(_squarefree_part(f)))
     big = field if lcm == 1 else GF(field.p, field.n * lcm)
     emb = embedding(field, big)
     f2 = Polynomial(big, [emb(c) for c in f.coeffs])
-    roots = sorted(_roots_in_field(f2), key=int)
+    return f2, _roots_in_field(f2)
+
+
+def _multiplicities(f, roots):
+    """[(root, multiplicity), ...] for the distinct roots of f, all of
+    them in its coefficient field, sorted by encoding; checked by
+    re-expanding f."""
+    from .polyring import Polynomial
     out = []
-    check = Polynomial(big, [f2.coeffs[-1]])
-    t = Polynomial.variable(big)
-    for r in roots:
+    check = Polynomial(f.field, [f.coeffs[-1]])
+    t = Polynomial.variable(f.field)
+    for r in sorted(roots, key=int):
         mult = 0
-        g = f2
+        g = f
         while True:
             q, rem = divmod(g, t - r)
             if not rem.is_zero():
@@ -948,6 +993,6 @@ def roots_in_splitting_field(f):
         out.append((r, mult))
         for _ in range(mult):
             check = check * (t - r)
-    if check != f2 or sum(m for _, m in out) != f2.degree():
+    if check != f or sum(m for _, m in out) != f.degree():
         raise AssertionError("root re-expansion failed")  # splitting defect
-    return big, out
+    return out

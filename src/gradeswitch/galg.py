@@ -77,7 +77,8 @@ class LinearMap(RingElement):
         return tuple(row[j] for row in self.rows)
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        zero = self.field.zero
+        return not any(x is not zero and x for row in self.rows for x in row)
 
     def __bool__(self):
         return not self.is_zero()
@@ -205,10 +206,11 @@ class LinearMap(RingElement):
         M's minimal polynomial divides its characteristic one
         (Cayley-Hamilton), and then f(M) is never formed; or F = 0.
         """
+        zero = self.field.zero
         f = self._local_minimal_polynomial((self.field.one,) * self.n)
         while f.degree() < self.n:
             u = next((col for col in zip(*f.evaluate(self).rows)
-                      if any(col)), None)
+                      if any(x is not zero and x for x in col)), None)
             if u is None:
                 break
             f = f * self._local_minimal_polynomial(u)
@@ -799,13 +801,15 @@ def is_grading(A, parts, add=None):
     if len(stacked) != A.dim or Echelon(stacked).rank != A.dim:
         return False
     packed = {k: [A._pack(b) for b in s.basis] for k, s in by_label.items()}
+    zero = A.field.zero
     for k, us in packed.items():
         for l, vs in packed.items():
             target = by_label.get(add(k, l))
             for pu in us:
                 for pv in vs:
                     w = A._product(pu, pv)
-                    if any(w) and (target is None or not target.contains(w)):
+                    if (any(x is not zero and x for x in w)
+                            and (target is None or not target.contains(w))):
                         return False
     return True
 

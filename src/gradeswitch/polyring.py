@@ -11,7 +11,10 @@ in which product-splitting coefficient tables are computed.  Quotient entries
 may be field elements, multivariate polynomials (symbolic runs) or truncated
 series (operator runs); all flavours share one small protocol: ring ops,
 int and field-scalar mixing, ``** k`` for k >= 0 with ``x ** 0`` the ring
-one, and truthiness as a nonzero test.
+one, and truthiness as a nonzero test.  Truthiness scans every
+coefficient, so hot loops test a zero by identity first, against the
+object their kernel returns for zero (the field's ``zero``, or a quotient
+ring's ``zero_entry``), and call truthiness only for other objects.
 
 Every flavour, quotient elements and :class:`gradeswitch.galg.LinearMap`
 included, derives from :class:`RingElement`.  A subclass writes ``+``,

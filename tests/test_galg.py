@@ -184,7 +184,7 @@ def test_minimal_polynomial_properties():
 
 def test_minimal_polynomial_applies_each_krylov_vector_once(monkeypatch):
     # a cyclic map with the all-ones vector cyclic: its Krylov sequence
-    # reaches degree n after n applies, and f(M) = 0 ends the search
+    # reaches degree n after n applies, and deg f = n ends the search
     F = GF(7)
     n = 6
     rows = [[F.zero] * n for _ in range(n)]
