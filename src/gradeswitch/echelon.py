@@ -2,8 +2,9 @@
 routines built on it.
 
 Every elimination in the package goes through :class:`Echelon`: reduced
-row echelon forms, kernels, linear solves, span membership and the
-dependence search behind minimal polynomials and p-power relations.
+row echelon forms, kernels, linear solves, span membership, span
+intersections and the dependence search behind minimal polynomials and
+p-power relations.
 Entries are elements of one field, or ints taken as scalars.  An element
 has a ``field`` and ``+``, ``-``, ``*``, ``inverse()`` and truthiness as a
 nonzero test; the field supplies ``zero``, ``one`` and ``dot_kernel``, the
@@ -183,6 +184,27 @@ def solve(rows, rhs, field):
                 acc = acc - row[i] * x[i]
         x[c] = acc
     return x
+
+
+def intersection(us, ws, n, field):
+    """Vectors spanning span(us) ∩ span(ws) in F^n, a basis when us and
+    ws are bases (Zassenhaus).
+
+    The rows (u | u) are stored with pivots in the first n columns; a
+    (w | 0) whose reduction vanishes there leaves in its last n columns a
+    combination of the u that is w minus stored w's, so lies in both
+    spans: the tail trick of :func:`first_dependence`.
+    """
+    ech = Echelon(width=n, field=field)
+    for u in us:
+        ech.add(list(u) + list(u))
+    zeros = [field.zero] * n
+    out = []
+    for w in ws:
+        r = ech.reduce(list(w) + zeros)
+        if ech._insert(r) is None:
+            out.append(tuple(r[n:]))
+    return out
 
 
 def first_dependence(vectors, field):

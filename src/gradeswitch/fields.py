@@ -33,7 +33,7 @@ import sys
 from .echelon import solve
 
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
-_EXHAUST_CAP = 10 ** 6    # root search by evaluation when q**deg <= this
+_EXHAUST_CAP = 1 << 8     # root search by evaluation when q <= this
 
 
 def is_prime(m):
@@ -834,12 +834,18 @@ def embed(x, dst):
 
 def _squarefree_part(f):
     """The product of the distinct monic irreducible factors of f, of
-    degree at least 1."""
+    degree at least 1: the polynomial 1 for a nonzero constant.  The zero
+    polynomial raises ValueError."""
+    from .polyring import Polynomial
+    if f.degree() <= 0:
+        if f.is_zero():
+            raise ValueError("the zero polynomial has no squarefree part")
+        return Polynomial(f.field, [f.field.one])
     d = f.derivative()
     if d.is_zero():
         # f = g(T^p) = (g twisted by p-th roots)^p
-        g_coeffs = [f.coeffs[i].pth_root() for i in range(0, f.degree() + 1, f.field.p)]
-        from .polyring import Polynomial
+        g_coeffs = [f.coeffs[i].pth_root()
+                    for i in range(0, f.degree() + 1, f.field.p)]
         return _squarefree_part(Polynomial(f.field, g_coeffs))
     # gcd(f, f') holds a factor P^e of f as P^(e-1) when p does not divide
     # e, but as the whole P^e when it does: f / gcd(f, f') is the product
@@ -881,11 +887,13 @@ def _factor_degrees(f):
 
 
 def _roots_in_field(f):
-    """Distinct roots of f lying in its own coefficient field."""
+    """Distinct roots of f lying in its own coefficient field: by
+    evaluation at every element when q <= _EXHAUST_CAP, so a search makes
+    at most that many evaluations, and otherwise by equal-degree
+    splitting of gcd(f, T^q - T)."""
     from .polyring import Polynomial
     field = f.field
-    deg = max(f.degree(), 1)
-    if field.q ** deg <= _EXHAUST_CAP:
+    if field.q <= _EXHAUST_CAP:
         return [x for x in field.elements() if not f.evaluate(x)]
     t = Polynomial.variable(field)
     w = f.gcd(t.pow_mod(field.q, f) - t)

@@ -286,16 +286,11 @@ class Subspace:
         return self._echelon.contains(v)
 
     def coordinates(self, v):
-        """Coefficients of v in the echelon basis (v must lie here)."""
-        coords = tuple(v[pc] for pc in self.pivots)
-        check = [self.field.zero] * self.ambient
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i in range(self.ambient):
-                    check[i] = check[i] + c * row[i]
-        if tuple(check) != tuple(v):
+        """Coefficients of v in the echelon basis (v must lie here): the
+        basis is reduced, so they are v's entries at the pivots."""
+        if not self._echelon.contains(v):
             raise ValueError("vector outside the subspace")
-        return coords
+        return tuple(v[pc] for pc in self.pivots)
 
     def image(self, M):
         """The image subspace M(self)."""
@@ -308,22 +303,8 @@ class Subspace:
 
     def intersect(self, other):
         self._compatible(other)
-        k1, k2 = self.dim, other.dim
-        if not k1 or not k2:
-            return Subspace.zero(self.field, self.ambient)
-        # solve c*B1 = d*B2: kernel of the stacked transpose
-        stacked = [[(self.basis[i][r] if i < k1 else -other.basis[i - k1][r])
-                    for i in range(k1 + k2)] for r in range(self.ambient)]
-        ker = echelon.kernel(stacked, k1 + k2, self.field)
-        vecs = []
-        for kv in ker:
-            v = [self.field.zero] * self.ambient
-            for i in range(k1):
-                if kv[i]:
-                    for r in range(self.ambient):
-                        v[r] = v[r] + kv[i] * self.basis[i][r]
-            vecs.append(tuple(v))
-        return Subspace(self.field, self.ambient, vecs)
+        return Subspace(self.field, self.ambient, echelon.intersection(
+            self.basis, other.basis, self.ambient, self.field))
 
     def map_field(self, field):
         if field is self.field:

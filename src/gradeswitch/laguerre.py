@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .fields import GF
-from .polyring import (MultiPoly, Polynomial, QuotientRing, quotient_inverse,
-                       quotient_mul)
+from .polyring import (MultiPoly, Polynomial, QuotientRing, _scalar_power,
+                       quotient_inverse, quotient_mul)
 
 
 class VerificationError(RuntimeError):
@@ -389,8 +389,8 @@ def _split_pair(p, a, b):
     one-variable ring R[Z]/(Z^p - (xc + yc)) there, and u is the image of
     u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
     QuotientRing(p, xc + yc, xc + yc); its powers and its inverse stay on
-    row 0 and spread back by :func:`_laguerre_xy_quotient`.  Both the
-    verified tables and the symbolic ones invert u this way.
+    row 0 and spread back by :func:`_laguerre_xy_quotient`.  The verified
+    tables invert u_z, and the symbolic ones power it by _scalar_power.
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
@@ -407,12 +407,12 @@ def coefficient_table(p, a, b):
 
     a and b come from one commutative ring of characteristic p: field
     elements, or truncated series for the product rule.  u is inverted in
-    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z (for
-    field entries by a linear solve of one p x p block, since u_z lies on
-    row 0; for series by the p-power closed form) and raises
-    NonInvertibleError when it has no inverse, which is exactly when u
-    has none.  The inverse w(Z) is spread to w(X+Y) and the
-    table is v * w(X+Y); the full reconstruction u * table == v and the
+    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z, which
+    lies on row 0 (for field entries by a linear solve of one p x p
+    block; for series by the p-power closed form u^(p-1) (u^p)^(-1)), and
+    raises NonInvertibleError when it has no inverse, which is exactly
+    when u has none.  The inverse w(Z) is spread to w(X+Y) and the table
+    is v * w(X+Y); the full reconstruction u * table == v and the
     vanishing of c'_{ij} for p not dividing i + j are checked here.
     """
     u, v, u_z = _split_pair(p, a, b)
@@ -476,19 +476,15 @@ def c_coefficients_symbolic(p):
     The inverse of u = L^(alpha+beta)(X+Y) does not exist in a polynomial
     ring, so both sides are cleared by s = u^p (a scalar): the table
     N = v * u^(p-1) satisfies u * N == s * v, and N/s is the rational
-    c-table.  u^(p-1) and s are taken in the Z subring of
-    :func:`_split_pair`, on p entries, and u^(p-1) is spread to X + Y.
+    c-table.  u^(p-1) and s are the _scalar_power of the p-entry u_z of
+    :func:`_split_pair`, and u^(p-1) is spread to X + Y.
     """
     field = GF(p)
     vars_ = ("alpha", "beta")
     alpha = MultiPoly.variable(field, vars_, "alpha")
     beta = MultiPoly.variable(field, vars_, "beta")
     u, v, u_z = _split_pair(p, alpha, beta)
-    upow = u_z ** (p - 1)
-    s_elt = quotient_mul(u_z, upow)
-    if not s_elt.is_scalar():
-        raise VerificationError("u^p failed to be scalar")  # char-p identity
-    s = s_elt.scalar_part
+    upow, s = _scalar_power(u_z)
     n_table = quotient_mul(
         v, _laguerre_xy_quotient(u.ring, upow.entries[0], p))
 

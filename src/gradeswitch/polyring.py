@@ -701,9 +701,10 @@ class QuotientElement(RingElement):
         self._packed = None
 
     def is_scalar(self):
-        return all(not self.entries[i][j]
-                   for i in range(self.ring.p) for j in range(self.ring.p)
-                   if i or j)
+        zero = self.ring.zero_entry
+        return not any(c is not zero and c
+                       for i, row in enumerate(self.entries)
+                       for j, c in enumerate(row) if i or j)
 
     @property
     def scalar_part(self):
@@ -874,109 +875,61 @@ def quotient_mul(u, v):
 
 
 def _quotient_inverse_linear(u):
-    """Inverse by solving u w = 1 as a linear system (field entries only).
+    """Inverse of an element on row 0 (a polynomial in Y alone) with field
+    entries, by a linear solve of one p x p block; any other element
+    raises ValueError.
 
-    An element on row 0 (a polynomial in Y alone) never folds X when it
-    multiplies, so its multiplication matrix is p identical p x p blocks
-    and its inverse, if any, is on row 0 too: the system is the one block,
-    whose columns are row 0 of u Y^l.  Any other element takes the whole
-    p^2 x p^2 multiplication matrix, whose columns are u X^k Y^l.  Each
-    column is a cyclic shift of u's rows, with no quotient product: in
-    u Y^l every row moves l places and the entries that pass Y^p wrap
-    around times yc, and in u X^k Y^l the rows of u Y^l move k places,
-    those that pass X^p times xc.
+    Such an element never folds X when it multiplies, so its inverse, if
+    any, is on row 0 too, and u w = 1 is the system whose column l is row
+    0 of u Y^l: a cyclic shift of u's row by l places, with no quotient
+    product, the entries that pass Y^p wrapped around times yc.
     """
     ring = u.ring
     p = ring.p
-    if not isinstance(ring.one_entry, FqElement):
-        raise TypeError("linear inversion needs field entries")
+    if not isinstance(ring.one_entry, FqElement) or \
+            any(any(row) for row in u.entries[1:]):
+        raise ValueError("linear inversion needs field entries on row 0")
     field = ring.one_entry.field
-    xc, yc = ring.xc, ring.yc
-    height = p if any(any(row) for row in u.entries[1:]) else 1
-    # the rows (up to `height`) of u Y^l for each l
-    ys = [[[row[t - l] * yc if t < l else row[t - l] for t in range(p)]
-           for row in u.entries[:height]] for l in range(p)]
-    cols = [[c for s in range(height)
-             for c in ([x * xc for x in rows[s - k]] if s < k
-                       else rows[s - k])]
-            for k in range(height) for rows in ys]
-    rows = list(zip(*cols))
-    sol = solve(rows, [field.one] + [field.zero] * (len(rows) - 1), field)
+    row, yc = u.entries[0], ring.yc
+    cols = [[row[t - l] * yc if t < l else row[t - l] for t in range(p)]
+            for l in range(p)]
+    sol = solve(list(zip(*cols)), [field.one] + [field.zero] * (p - 1),
+                field)
     if sol is None:
         raise NonInvertibleError("quotient element is not invertible")
-    sol += [field.zero] * (p * p - len(sol))
-    inv = ring.element([sol[k * p:(k + 1) * p] for k in range(p)])
+    inv = ring.element([sol] + [[ring.zero_entry] * p] * (p - 1))
     if u * inv != ring.one():
         raise AssertionError("inverse verification failed")  # solver defect
     return inv
 
 
-def _series_frobenius(s):
-    """s^p for a BiTruncSeries s, additively: sum c_ij^p U^(pi) V^(pj),
-    truncated.
-
-    Frobenius is additive in characteristic p, so this takes one field
-    p-th power per surviving coefficient and no series product.
-    """
-    p, field = s.field.p, s.field
-    rows = [[field.zero] * s.ub for _ in range(s.ua)]
-    for i in range(0, s.ua, p):
-        for j in range(0, s.ub, p):
-            rows[i][j] = s.coeffs[i // p][j // p] ** p
-    return BiTruncSeries._from_rows(field, s.ua, s.ub,
-                                    tuple(tuple(r) for r in rows))
-
-
-def _frobenius_scalar(u):
-    """u^p as an entry: sum_{i,j} c_ij^p xc^i yc^j.
+def _scalar_power(u):
+    """(u^(p-1), s) for the entry s = u^p, formed as u * u^(p-1).
 
     In characteristic p Frobenius is additive on the commutative quotient
-    ring, and (X^i Y^j)^p = xc^i yc^j, so u^p is this scalar.  It costs one
-    entry p-th power per entry other than ring.zero_entry (additive on
-    series entries, see :func:`_series_frobenius`) and no quotient-ring
-    product; the sum runs by Horner's rule in yc along each row, then in
-    xc over the rows, up to the highest row and column holding such an
-    entry only, so an element on row 0 (the one-variable subring) takes no
-    power of xc.  Zero entries are told by identity with ring.zero_entry,
-    as in the product kernel.
+    ring and (X^i Y^j)^p = xc^i yc^j, so u^p is a scalar: the p-power
+    inverse and the symbolic tables both take it here.
     """
-    ring = u.ring
-    p = ring.p
-
-    def frob(c):
-        return _series_frobenius(c) if isinstance(c, BiTruncSeries) \
-            else c ** p
-
-    zero = ring.zero_entry
-
-    def horner(values, x):
-        # sum values[k] x^k; no product above the highest value that is
-        # not ring.zero_entry
-        acc = zero
-        for c in reversed(values):
-            acc = c if acc is zero else acc * x + c
-        return acc
-
-    return horner([horner([c if c is zero else frob(c) for c in row],
-                          ring.yc)
-                   for row in u.entries], ring.xc)
+    upow = u ** (u.ring.p - 1)
+    up = u * upow
+    if not up.is_scalar():
+        raise AssertionError("u^p is not a scalar")  # product kernel defect
+    return upow, up.scalar_part
 
 
 def _quotient_inverse_ppower(u):
-    """Inverse via u^{-1} = u^{p-1} (u^p)^{-1}.
+    """Inverse via u^{-1} = u^{p-1} (u^p)^{-1}, with both powers from
+    :func:`_scalar_power`.
 
-    u^p is the scalar of :func:`_frobenius_scalar`, so this works whenever
-    that entry inverts; a zero field scalar, or a series scalar with zero
-    constant term, raises NonInvertibleError.  The result is verified
-    against u * inv == 1, which holds exactly when u^p equals the scalar.
+    u is invertible exactly when the scalar u^p is; a zero field scalar,
+    or a series scalar with zero constant term, raises
+    NonInvertibleError.  The result is verified against u * inv == 1.
     """
-    ring = u.ring
-    s = _frobenius_scalar(u)
+    upow, s = _scalar_power(u)
     if isinstance(s, FqElement) and not s:
         raise NonInvertibleError("quotient element is not invertible")
-    s_inv = s.inverse()  # BiTruncSeries raises NonInvertibleError itself
-    inv = (u ** (ring.p - 1)) * s_inv
-    if u * inv != ring.one():
+    inv = upow * s.inverse()  # BiTruncSeries raises NonInvertibleError
+    if u * inv != u.ring.one():
         raise NonInvertibleError("p-power inverse failed verification")
     return inv
 
@@ -984,13 +937,15 @@ def _quotient_inverse_ppower(u):
 def quotient_inverse(u):
     """Inverse in the quotient ring.
 
-    Field entries go through the linear solve of
-    :func:`_quotient_inverse_linear`, one p x p block for an element on
-    row 0 and the whole p^2 x p^2 multiplication matrix otherwise; other
-    entry rings use the p-power closed form, u^{-1} = u^{p-1} (u^p)^{-1}
-    with the scalar u^p computed by Frobenius.  Either result is verified
-    against u * inv == 1 before being returned.
+    Field entries on row 0 go through the p x p linear solve of
+    :func:`_quotient_inverse_linear`; every other element (series or
+    symbolic entries, or field entries off row 0) takes the p-power
+    closed form of :func:`_quotient_inverse_ppower`, which is complete
+    for field entries too: u is invertible exactly when the scalar u^p
+    is nonzero.  Either result is verified against u * inv == 1 before
+    being returned.
     """
-    if isinstance(u.ring.one_entry, FqElement):
+    if isinstance(u.ring.one_entry, FqElement) and \
+            not any(any(row) for row in u.entries[1:]):
         return _quotient_inverse_linear(u)
     return _quotient_inverse_ppower(u)

@@ -20,9 +20,10 @@ space.
 import math
 from dataclasses import dataclass
 
+from .echelon import kernel
 from .fields import GF, embed, embedding
 from .galg import Decomposition, Subspace, bracket_failure, \
-    generalized_eigenspaces, is_grading, kernel
+    generalized_eigenspaces, is_grading
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
     build_LD, h_polynomial
@@ -95,11 +96,12 @@ class RestrictedLie:
         return acc
 
     def center(self):
-        acc = Subspace.full(self.field, self.dim)
-        for i in range(self.dim):
-            ker = kernel(self.ad(self.algebra.basis_vector(i)))
-            acc = acc.intersect(Subspace(self.field, self.dim, ker))
-        return acc
+        """The x with [e_i, x] = 0 for every basis vector e_i: one kernel
+        of the rows of every ad e_i, stacked."""
+        rows = [row for i in range(self.dim)
+                for row in self.ad(self.algebra.basis_vector(i)).rows]
+        return Subspace(self.field, self.dim,
+                        kernel(rows, self.dim, self.field))
 
     def is_toral(self, t):
         """t^[p] == t, decided through the p-th power rule or, failing

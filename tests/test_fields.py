@@ -329,10 +329,10 @@ def absolute_trace(x):
 
 
 def test_char2_splitting_separates_equal_trace_roots():
-    # q^2 = 2^20 is above the exhaustive-search cap, so the roots come from
+    # q = 2^10 is above the exhaustive-search cap, so the roots come from
     # trace splitting, which must separate two roots of equal trace
     F = GF(2, 10)
-    assert F.q ** 2 > fields._EXHAUST_CAP
+    assert F.q > fields._EXHAUST_CAP
     x = F.from_int(3)
     y = next(z for z in F.elements()
              if z != x and absolute_trace(z) == absolute_trace(x))
@@ -347,7 +347,7 @@ def test_char2_splitting_separates_equal_trace_roots():
                                      (3, 7, 2)])
 def test_exhaustive_and_splitting_root_finding_agree(monkeypatch, p, n, deg):
     F = GF(p, n)
-    below_cap = F.q ** deg <= fields._EXHAUST_CAP
+    below_cap = F.q <= fields._EXHAUST_CAP
     assert below_cap == (F.q < 100)  # two cases on each side of the cap
     rng = random.Random(1000 * p + n)
     t = Polynomial.variable(F)
@@ -363,7 +363,44 @@ def test_exhaustive_and_splitting_root_finding_agree(monkeypatch, p, n, deg):
         with time_limit(20):
             monkeypatch.setattr(fields, "_EXHAUST_CAP", 0)
             by_splitting = fields._roots_in_field(f)
-            monkeypatch.setattr(fields, "_EXHAUST_CAP", F.q ** deg)
+            monkeypatch.setattr(fields, "_EXHAUST_CAP", F.q)
             by_search = fields._roots_in_field(f)
         assert sorted(map(int, by_splitting)) == sorted(map(int, by_search))
         assert all(not f.evaluate(x) for x in by_search)
+
+
+def test_root_search_never_enumerates_a_field_above_the_cap(monkeypatch):
+    """The search by evaluation runs on fields of at most _EXHAUST_CAP =
+    2^8 elements, whatever the degree: a linear polynomial over GF(5^7) or
+    GF(3^12), and the eigenvalue of a 1 x 1 map, come from splitting."""
+    from gradeswitch.galg import LinearMap, generalized_eigenspaces
+    plain = fields.FqField.elements
+
+    def guarded(field):
+        assert field.q <= fields._EXHAUST_CAP <= 1 << 8, field
+        return plain(field)
+
+    monkeypatch.setattr(fields.FqField, "elements", guarded)
+    rng = random.Random(17)
+    for F in (GF(5, 7), GF(3, 12)):
+        g = F.random_element(rng)
+        with time_limit(20):
+            big, roots = roots_in_splitting_field(
+                Polynomial.variable(F) - g)
+        assert big is F and roots == [(g, 1)]
+    F = GF(7, 7)
+    g = F.random_element(rng)
+    with time_limit(20):
+        big, dec = generalized_eigenspaces(LinearMap(F, [[g]]))
+    assert big is F and dec.values() == (g,) and dec.total_dim == 1
+
+
+def test_squarefree_part_of_a_constant():
+    # a constant has no irreducible factor: its squarefree part is 1; the
+    # zero polynomial has none
+    for F in (GF(3), GF(2, 4)):
+        for c in (F.one, F.scalar(-1), F.from_int(F.q - 1)):
+            got = fields._squarefree_part(Polynomial(F, [c]))
+            assert got == Polynomial(F, [F.one])
+        with pytest.raises(ValueError, match="zero polynomial"):
+            fields._squarefree_part(Polynomial(F, []))

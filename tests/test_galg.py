@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gradeswitch.echelon import rref, solve
+from gradeswitch.echelon import kernel as echelon_kernel, rref, solve
 from gradeswitch.fields import GF
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
@@ -230,6 +230,51 @@ def test_subspace_dimension_formula():
         assert U.dim + V.dim == s.dim + i.dim
         for b in i.basis:
             assert U.contains(b) and V.contains(b)
+
+
+def stacked_kernel_intersect(U, V):
+    """U ∩ V by the kernel of the stacked transpose [B1 | -B2] and
+    recombining B1 entry by entry: the reference for the Zassenhaus
+    intersection on the echelon engine."""
+    F, n = U.field, U.ambient
+    k1, k2 = U.dim, V.dim
+    if not k1 or not k2:
+        return Subspace.zero(F, n)
+    stacked = [[(U.basis[i][r] if i < k1 else -V.basis[i - k1][r])
+                for i in range(k1 + k2)] for r in range(n)]
+    vecs = []
+    for kv in echelon_kernel(stacked, k1 + k2, F):
+        v = [F.zero] * n
+        for i in range(k1):
+            for r in range(n):
+                v[r] = v[r] + kv[i] * U.basis[i][r]
+        vecs.append(tuple(v))
+    return Subspace(F, n, vecs)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (2, 5)],
+                         ids=["GF(3)", "GF(5^2)", "GF(2^5)"])
+def test_intersect_matches_stacked_kernel(p, n):
+    F = GF(p, n)
+    rng = random.Random(F.q)
+    dim = 5
+    spaces = [Subspace.zero(F, dim), Subspace.full(F, dim)]
+    common = [tuple(F.random_element(rng) for _ in range(dim))
+              for _ in range(2)]
+    for k in range(1, dim + 1):
+        vecs = [tuple(F.random_element(rng) for _ in range(dim))
+                for _ in range(k)]
+        spaces.append(Subspace(F, dim, vecs))
+        # spaces sharing a line or a plane, so that most intersections are
+        # neither zero nor a whole side
+        spaces.append(Subspace(F, dim, vecs[:k - 1] + common[:k % 3]))
+    for U in spaces:
+        for V in spaces:
+            got = U.intersect(V)
+            assert got == stacked_kernel_intersect(U, V)
+            assert U.dim + V.dim == (U + V).dim + got.dim
+    assert {U.intersect(V).dim for U in spaces for V in spaces} >= \
+        set(range(dim + 1))
 
 
 def test_subspace_coordinates_and_image():

@@ -14,9 +14,9 @@ from gradeswitch.galg import LinearMap
 from gradeswitch.laguerre import _split_pair
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
-    QuotientRing, RingElement, _frobenius_scalar, _quotient_inverse_linear,
-    _quotient_inverse_ppower, _series_frobenius, quotient_inverse,
-    quotient_mul)
+    QuotientRing, RingElement, _quotient_inverse_linear,
+    _quotient_inverse_ppower, _scalar_power, quotient_inverse, quotient_mul)
+from frobenius_oracle import frobenius_scalar, series_frobenius
 
 
 def rand_poly(field, deg, rng):
@@ -275,30 +275,36 @@ def test_ring_protocol_is_written_once():
 
 
 def test_quotient_inverse_dual_routes():
-    """The linear-solve inverse and the p-power closed form must agree on
-    every invertible element and reject the same non-invertible ones."""
+    """On row-0 elements the linear-solve inverse and the p-power closed
+    form must agree on every invertible element and reject the same
+    non-invertible ones; on full elements quotient_inverse (the p-power
+    route) must agree with the whole multiplication matrix."""
     p = 3
     F = GF(3, 2)
     rng = random.Random(5)
     a, b = F.from_int(4), F.from_int(7)
     ring = quotient_ring_for(p, a, b)
-    seen_invertible = seen_singular = 0
+    seen = {"linear": [0, 0], "full": [0, 0]}
     for _ in range(40):
-        entries = [[F.random_element(rng) for _ in range(p)]
-                   for _ in range(p)]
-        u = ring.element(entries)
-        try:
-            inv1 = _quotient_inverse_linear(u)
-        except NonInvertibleError:
-            seen_singular += 1
-            with pytest.raises(NonInvertibleError):
-                _quotient_inverse_ppower(u)
-            continue
-        seen_invertible += 1
-        inv2 = _quotient_inverse_ppower(u)
-        assert inv1 == inv2
-        assert quotient_mul(u, inv1) == ring.one()
-    assert seen_invertible > 0 and seen_singular > 0
+        full = ring.element([[F.random_element(rng) for _ in range(p)]
+                             for _ in range(p)])
+        row0 = ring.from_y_poly(full.entries[0])
+        pairs = ((row0, "linear", _quotient_inverse_linear,
+                  _quotient_inverse_ppower),
+                 (full, "full", full_matrix_inverse, quotient_inverse))
+        for u, kind, want_route, got_route in pairs:
+            try:
+                want = want_route(u)
+            except NonInvertibleError:
+                seen[kind][1] += 1
+                with pytest.raises(NonInvertibleError):
+                    got_route(u)
+                continue
+            seen[kind][0] += 1
+            assert got_route(u) == want
+            assert quotient_mul(u, want) == ring.one()
+    assert all(invertible and singular
+               for invertible, singular in seen.values()), seen
 
 
 def full_matrix_inverse(u):
@@ -358,9 +364,9 @@ def test_row0_block_inverse_matches_full_matrix(p, n, monkeypatch):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)],
                          ids=["GF(2)", "GF(3)", "GF(5)", "GF(3^2)"])
 def test_full_inverse_matches_full_matrix(p, n, monkeypatch):
-    """An element off row 0 is inverted from the whole p^2 x p^2 matrix,
-    built from cyclic shifts of its rows; it agrees with the matrix of
-    quotient products u X^k Y^l."""
+    """An element off row 0 is inverted by quotient_inverse through the
+    p-power route, with no linear solve; it agrees with the matrix of
+    quotient products u X^k Y^l.  The linear route refuses it."""
     F = GF(p, n)
     rng = random.Random(10 * p + n)
     heights = []
@@ -376,16 +382,18 @@ def test_full_inverse_matches_full_matrix(p, n, monkeypatch):
         rows = [[F.random_element(rng) for _ in range(p)] for _ in range(p)]
         rows[p - 1][0] = F.one      # off row 0
         u = ring.element(rows)
+        with pytest.raises(ValueError, match="row 0"):
+            _quotient_inverse_linear(u)
         try:
             want = full_matrix_inverse(u)
         except NonInvertibleError:
             with pytest.raises(NonInvertibleError):
-                _quotient_inverse_linear(u)
+                quotient_inverse(u)
             continue
-        assert _quotient_inverse_linear(u) == want
+        assert quotient_inverse(u) == want
         invertible += 1
     assert invertible > 0
-    assert heights == [p * p] * 6
+    assert heights == []
 
 
 def test_quotient_inverse_dispatch():
@@ -428,8 +436,9 @@ def _random_series(F, ua, ub, rng):
 
 
 def test_frobenius_scalar_matches_u_to_the_p():
-    """u^p by quotient products is the scalar that the p-power inverse
-    computes by Frobenius, for field and series entries."""
+    """u^p by quotient products is the scalar of the Frobenius formula,
+    for field and series entries, and _scalar_power returns it with
+    u^(p-1)."""
     rng = random.Random(11)
     cases = []
     for F in (GF(5), GF(3, 2)):
@@ -455,7 +464,10 @@ def test_frobenius_scalar_matches_u_to_the_p():
         for u in (full, row0):
             up = u ** p
             assert up.is_scalar()
-            assert up.scalar_part == _frobenius_scalar(u)
+            assert up.scalar_part == frobenius_scalar(u)
+            upow, s = _scalar_power(u)
+            assert upow == u ** (p - 1)
+            assert s == up.scalar_part
             try:
                 inv = _quotient_inverse_ppower(u)
             except NonInvertibleError:
@@ -472,7 +484,7 @@ def test_series_frobenius_matches_square_and_multiply(p, n, ua, ub):
     rng = random.Random(7 * p + ua + ub)
     for _ in range(4):
         s = _random_series(F, ua, ub, rng)
-        frob = _series_frobenius(s)
+        frob = series_frobenius(s)
         assert frob == power(s, p, s.one())
         if ua > p or ub > p:
             assert any(c for i, row in enumerate(frob.coeffs)
@@ -498,23 +510,24 @@ def test_ppower_inverse_refuses_series_scalar_without_constant_term():
     F = GF(5)
     ring = _series_ring(5, F, 3, 2, F.scalar(2), F.scalar(3))
     u = ring.monomial(1, 0, ring.one_entry)  # X; X^p = alpha^5 - alpha = -U
-    s = _frobenius_scalar(u)
+    s = frobenius_scalar(u)
     assert s and not s.constant_term
+    assert _scalar_power(u)[1] == s
     with pytest.raises(NonInvertibleError):
         _quotient_inverse_ppower(u)
 
 
 @pytest.mark.parametrize("p", [5, 11])
 def test_ppower_inverse_quotient_product_count(p, monkeypatch):
-    """u^(p-1) by one left-to-right square-and-multiply, plus the u * inv
-    check; u^p itself costs no quotient product."""
+    """u^(p-1) by one left-to-right square-and-multiply, then u^p as the
+    one product u * u^(p-1), then the u * inv check."""
     F = GF(p)
     rng = random.Random(p)
     ring = quotient_ring_for(p, F.scalar(2), F.scalar(3))
     while True:
         u = ring.element([[F.random_element(rng) for _ in range(p)]
                           for _ in range(p)])
-        if _frobenius_scalar(u):
+        if frobenius_scalar(u):
             break
     calls = []
     original = QuotientElement.__mul__
@@ -527,8 +540,97 @@ def test_ppower_inverse_quotient_product_count(p, monkeypatch):
     monkeypatch.setattr(QuotientElement, "__mul__", counting)
     _quotient_inverse_ppower(u)
     e = p - 1
-    assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1) + 1
-    assert len(calls) == {5: 3, 11: 5}[p]
+    assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1) + 2
+    assert len(calls) == {5: 4, 11: 6}[p]
+
+
+def _symbolic_ring(p):
+    """The entry ring of c_coefficients_symbolic: GF(p)[alpha, beta]."""
+    F = GF(p)
+    vars_ = ("alpha", "beta")
+    alpha = MultiPoly.variable(F, vars_, "alpha")
+    beta = MultiPoly.variable(F, vars_, "beta")
+    ring = QuotientRing(p, alpha ** p - alpha, beta ** p - beta)
+
+    def entry(rng):
+        return MultiPoly(F, vars_, {e: F.random_element(rng)
+                                    for e in ((0, 0), (1, 0), (0, 1))})
+    return ring, entry
+
+
+def _field_case(p, n):
+    F = GF(p, n)
+    rng = random.Random(F.q)
+    return (quotient_ring_for(p, F.random_element(rng),
+                              F.random_element(rng)), F.random_element)
+
+
+def _series_case(p, n, ua, ub):
+    F = GF(p, n)
+    rng = random.Random(F.q + ua * ub)
+    return (_series_ring(p, F, ua, ub, F.random_element(rng),
+                         F.random_element(rng)),
+            lambda r: _random_series(F, ua, ub, r))
+
+
+SCALAR_POWER_CASES = {
+    "GF(2)": lambda: _field_case(2, 1),
+    "GF(3^2)": lambda: _field_case(3, 2),
+    "GF(5^7)": lambda: _field_case(5, 7),     # above the log-table cap
+    # orders above p keep the U^(pi) V^(pj) terms of the entry powers
+    "series-GF(3)-5x7": lambda: _series_case(3, 1, 5, 7),
+    "series-GF(5)-6x11": lambda: _series_case(5, 1, 6, 11),
+    "series-GF(2^3)-3x2": lambda: _series_case(2, 3, 3, 2),
+    "symbolic-p2": lambda: _symbolic_ring(2),
+    "symbolic-p3": lambda: _symbolic_ring(3),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_POWER_CASES)
+def test_scalar_power_matches_frobenius_formula(case):
+    """u * u^(p-1), the one route to u^p, is the scalar of the Frobenius
+    formula, on full elements and on row-0 elements."""
+    assert GF(5, 7).q > fields._TABLE_CAP
+    ring, entry = SCALAR_POWER_CASES[case]()
+    p = ring.p
+    rng = random.Random(len(case))
+    for _ in range(3):
+        full = ring.element([[entry(rng) for _ in range(p)]
+                             for _ in range(p)])
+        row0 = ring.from_y_poly(full.entries[0])
+        for u in (full, row0):
+            upow, s = _scalar_power(u)
+            assert s == frobenius_scalar(u)
+            assert u * upow == ring.monomial(0, 0, s)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(5)", "GF(3^2)"])
+def test_quotient_inverse_refuses_singular_off_row0_elements(p, n,
+                                                              monkeypatch):
+    """Off row 0, quotient_inverse (the p-power route, no linear solve)
+    refuses the elements that the whole multiplication matrix finds
+    singular."""
+    F = GF(p, n)
+    rng = random.Random(p * n)
+    solves = []
+    monkeypatch.setattr(polyring, "solve", lambda *a: solves.append(a))
+    ring = quotient_ring_for(p, F.random_element(rng), F.random_element(rng))
+    # (X + lam)^p = xc + lam^p = 0 for lam the p-th root of -xc; so for Y
+    lx = ring.monomial(1, 0, 1) + (-ring.xc).pth_root()
+    ly = ring.monomial(0, 1, 1) + (-ring.yc).pth_root()
+    singular = [lx, lx * ly, lx * ring.monomial(0, 1, 1)]
+    for _ in range(3):
+        w = ring.element([[F.random_element(rng) for _ in range(p)]
+                          for _ in range(p)])
+        singular.append(w * lx)
+    for u in singular:
+        assert any(any(row) for row in u.entries[1:])
+        with pytest.raises(NonInvertibleError):
+            full_matrix_inverse(u)
+        with pytest.raises(NonInvertibleError):
+            quotient_inverse(u)
+    assert not solves
 
 
 def test_product_kernel_is_freed_with_its_ring():
