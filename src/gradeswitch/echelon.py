@@ -9,11 +9,12 @@ Entries are elements of one field, or ints taken as scalars.  An element
 has a ``field`` and ``+``, ``-``, ``*``, ``inverse()`` and truthiness as a
 nonzero test; the field supplies ``zero``, ``one`` and ``dot_kernel``, the
 packed-int arithmetic that :meth:`Echelon.reduce` runs on.  The kernel
-unpacks every zero to the field's own ``zero``, so a zero test reads
-``x is not zero and x``: identity first, truthiness only for other
-objects, such as the zeros that element arithmetic builds.  The module
-imports nothing from the package, so every layer, ``fields`` included,
-can use it.
+unpacks every zero to the field's own ``zero``, and so does element
+arithmetic on a field with log/exp tables, so a zero test reads ``x is
+not zero and x``: identity first, truthiness only for other objects, such
+as zeros built by constructors or by arithmetic above the table cap.  The
+module imports nothing from the package, so every layer, ``fields``
+included, can use it.
 """
 
 

@@ -12,9 +12,15 @@ Default moduli come from a deterministic search for the monic irreducible
 polynomial of the required degree with the smallest encoding, so the same
 field is reconstructed in every run without a Conway table.
 
-Multiplication uses discrete-log tables once a small field (q <= 2^16) is
-first multiplied in; larger fields fall back to plain polynomial arithmetic,
-and invert by the extended Euclidean algorithm against the modulus.
+A small field (q <= 2^16) builds discrete-log tables on its first
+arithmetic operation: exp[k] = g^k for a multiplicative generator g, its
+inverse log, and Zech's logarithms zech[k] = log(1 + g^k).  A product is
+then exp[log a + log b], a sum exp[la + zech[lb - la]], and a negation
+exp[la + (q-1)/2] for odd p (the identity for p = 2); a difference is one
+such sum with -b = g^(lb + (q-1)/2).  Every result is the table's own
+element, or the field's ``zero``, and so are int scalars.  Larger fields
+fall back to coefficient-wise sums and plain polynomial products, and
+invert by the extended Euclidean algorithm against the modulus.
 Dot products of whole vectors run on packed ints instead
 (:meth:`FqField.dot_kernel`), whole rows of dot products at once on wide
 ints (:meth:`FqField.row_kernel`), and so do sums of products of truncated
@@ -254,26 +260,66 @@ class FqElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FqElement(self.field, tuple((a + b) % p
-                                           for a, b in zip(self.coeffs, o.coeffs)))
+        fld = self.field
+        o = other
+        if o.__class__ is not FqElement or o.field is not fld:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        if fld._log is None:
+            fld._ensure_tables()
+        log = fld._log
+        if log is None:
+            p = fld.p
+            return FqElement(fld, tuple((a + b) % p
+                                        for a, b in zip(self.coeffs, o.coeffs)))
+        # g^la + g^lb = g^(la + zech[lb - la]); a zero is a log miss
+        exp = fld._exp
+        la, lb = log.get(self.coeffs), log.get(o.coeffs)
+        if la is None:
+            return fld.zero if lb is None else exp[lb]
+        if lb is None:
+            return exp[la]
+        z = fld._zech[lb - la]
+        return fld.zero if z is None else exp[la + z]
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
+        fld = self.field
+        if fld._log is None:
+            fld._ensure_tables()
+        log = fld._log
+        if log is None:
+            p = fld.p
+            return FqElement(fld, tuple((-a) % p for a in self.coeffs))
+        k = log.get(self.coeffs)
+        return fld.zero if k is None else fld._exp[k + fld._half]
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FqElement(self.field, tuple((a - b) % p
-                                           for a, b in zip(self.coeffs, o.coeffs)))
+        fld = self.field
+        o = other
+        if o.__class__ is not FqElement or o.field is not fld:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        if fld._log is None:
+            fld._ensure_tables()
+        log = fld._log
+        if log is None:
+            p = fld.p
+            return FqElement(fld, tuple((a - b) % p
+                                        for a, b in zip(self.coeffs, o.coeffs)))
+        # as in __add__, with -g^lb = g^(lb + _half)
+        exp = fld._exp
+        la, lb = log.get(self.coeffs), log.get(o.coeffs)
+        if lb is None:
+            return fld.zero if la is None else exp[la]
+        lb += fld._half
+        if la is None:
+            return exp[lb]
+        z = fld._zech[lb - la]
+        return fld.zero if z is None else exp[la + z]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -401,7 +447,7 @@ class FqField:
     """The field F_{p^n} presented as F_p[T]/(modulus).  Create via GF()."""
 
     __slots__ = ("p", "n", "q", "modulus", "zero", "one", "gen",
-                 "_red", "_exp", "_log")
+                 "_red", "_exp", "_log", "_zech", "_half")
 
     def __init__(self, p, n, modulus):
         object.__setattr__(self, "p", p)
@@ -411,6 +457,8 @@ class FqField:
         object.__setattr__(self, "_red", _reduction_rows(p, modulus, n - 1))
         object.__setattr__(self, "_exp", None)
         object.__setattr__(self, "_log", None)
+        object.__setattr__(self, "_zech", None)
+        object.__setattr__(self, "_half", None)
         object.__setattr__(self, "zero", FqElement(self, (0,) * n))
         object.__setattr__(self, "one", FqElement(self, (1,) + (0,) * (n - 1)))
         gen = FqElement(self, (0, 1) + (0,) * (n - 2)) if n > 1 else self.one
@@ -438,7 +486,15 @@ class FqField:
         return FqElement(self, tuple(digits))
 
     def scalar(self, c):
-        return FqElement(self, (c % self.p,) + (0,) * (self.n - 1))
+        """The int c mod p as an element: the table's own one below the
+        table cap."""
+        coeffs = (c % self.p,) + self.zero.coeffs[1:]
+        if self._log is None:
+            self._ensure_tables()
+        if self._log is not None:
+            k = self._log.get(coeffs)
+            return self.zero if k is None else self._exp[k]
+        return FqElement(self, coeffs)
 
     def elements(self):
         """All q elements in encoding order."""
@@ -527,14 +583,25 @@ class FqField:
         if self._exp is not None or self.q > _TABLE_CAP:
             return
         g = self._find_generator()
-        exp = []
-        log = {}
-        cur = self.one.coeffs
-        for k in range(self.q - 1):
+        m = self.q - 1
+        exp = [self.one]
+        log = {self.one.coeffs: 0}
+        cur = g
+        for k in range(1, m):
             exp.append(FqElement(self, cur))
             log[cur] = k
             cur = self._raw_mul(cur, g)
-        object.__setattr__(self, "_exp", tuple(exp))
+        # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0
+        p = self.p
+        zech = [log.get(((c[0] + 1) % p,) + c[1:])
+                for c in (x.coeffs for x in exp)]
+        # Both tables repeat once, so every index the operators form (a sum
+        # of two logs, or a difference of logs plus _half) reads its entry
+        # modulo q - 1 without a reduction.  g^_half = -1.  _log goes last:
+        # the operators take its presence to mean that every table is there.
+        object.__setattr__(self, "_exp", tuple(exp) * 2)
+        object.__setattr__(self, "_zech", tuple(zech) * 2)
+        object.__setattr__(self, "_half", m // 2 if p > 2 else 0)
         object.__setattr__(self, "_log", log)
 
     # -- misc ------------------------------------------------------------------

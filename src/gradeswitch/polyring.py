@@ -13,8 +13,9 @@ series (operator runs); all flavours share one small protocol: ring ops,
 int and field-scalar mixing, ``** k`` for k >= 0 with ``x ** 0`` the ring
 one, and truthiness as a nonzero test.  Truthiness scans every
 coefficient, so hot loops test a zero by identity first, against the
-object their kernel returns for zero (the field's ``zero``, or a quotient
-ring's ``zero_entry``), and call truthiness only for other objects.
+object their kernel returns for zero (the field's ``zero``, which field
+arithmetic below the log/exp table cap returns too, or a quotient ring's
+``zero_entry``), and call truthiness only for other objects.
 
 Every flavour, quotient elements and :class:`gradeswitch.galg.LinearMap`
 included, derives from :class:`RingElement`.  A subclass writes ``+``,

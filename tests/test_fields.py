@@ -255,6 +255,29 @@ def test_embedding_is_canonical_homomorphism():
     assert int(img) == min(int(x) for x in others)
 
 
+@pytest.mark.parametrize("src, dst", [
+    ((2, 1), (2, 4)), ((2, 2), (2, 6)), ((3, 1), (3, 3)), ((5, 1), (5, 5)),
+    ((7, 1), (7, 2)), ((2, 3), (2, 18))], ids=str)
+def test_embedding_is_a_homomorphism_across_field_pairs(src, dst):
+    """Sums, differences and products on seeded draws, on both sides of
+    the log/exp table cap (GF(2^18) is above it)."""
+    S, T = GF(*src), GF(*dst)
+    emb = embedding(S, T)
+    assert emb(S.zero) == T.zero and emb(S.one) == T.one
+    rng = random.Random(S.q + T.q)
+    xs = [S.zero, S.one, -S.one, S.gen] + [S.random_element(rng)
+                                           for _ in range(20)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert emb(x + y) == emb(x) + emb(y)
+        assert emb(x - y) == emb(x) - emb(y)
+        assert emb(x * y) == emb(x) * emb(y)
+        assert emb(-x) == -emb(x)
+    # injective, and onto the subfield fixed by the |S|-th power map
+    images = {emb(x) for x in S.elements()}
+    assert len(images) == S.q
+    assert all(y ** S.q == y for y in images)
+
+
 def test_embedding_requires_divisibility():
     with pytest.raises(ValueError):
         embedding(GF(3, 2), GF(3, 3))

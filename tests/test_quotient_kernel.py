@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from gradeswitch import polyring  # noqa: E402
-from gradeswitch.fields import GF, _TABLE_CAP  # noqa: E402
+from gradeswitch.fields import GF, FqElement, _TABLE_CAP  # noqa: E402
 from gradeswitch.polyring import (  # noqa: E402
     BiTruncSeries, MultiPoly, QuotientElement, QuotientRing)
 from frobenius_oracle import frobenius_scalar  # noqa: E402
@@ -227,30 +227,38 @@ def test_zero_products():
 @pytest.mark.parametrize("F", [GF(3), GF(5, 5)], ids=repr)
 def test_zeros_that_are_not_the_ring_zero(F, orders):
     """The kernel skips zero entries by identity with ring.zero_entry.
-    Zeros that are other objects - built by ring.element, or left by
-    from_exponents items that cancel - must pack, multiply and scale like
-    it: products against _schoolbook_product, scalar multiples against
-    entrywise products, and the Frobenius scalar against u^p."""
+    Zeros that are other objects - built by constructors and passed to
+    ring.element or from_exponents, or left by from_exponents items that
+    cancel in series entries - must pack, multiply and scale like it:
+    products against _schoolbook_product, scalar multiples against
+    entrywise products, and the Frobenius scalar against u^p.  Field
+    entries below the table cap cancel to the field's own zero, which is
+    ring.zero_entry."""
     rng = random.Random(F.q)
     p = F.p
     ring = QuotientRing(p, constant(F, orders, "pair", rng),
                         constant(F, orders, "pair", rng))
-
-    def other_zero():
-        if orders is None:
-            return F.from_coeffs([0])
-        return BiTruncSeries(F, orders[0], orders[1], [])
-
-    assert other_zero() is not ring.zero_entry
-    assert other_zero() == ring.zero_entry
-    u = ring.element([[other_zero() if (i + j) % 2 else
+    if orders is None:
+        zeros = [F.from_coeffs([0]), F.from_int(0), FqElement(F, (0,) * F.n)]
+    else:
+        zeros = [BiTruncSeries(F, orders[0], orders[1], [])
+                 for _ in range(3)]
+    assert len({id(z) for z in zeros + [ring.zero_entry]}) == 4
+    assert all(z == ring.zero_entry and not z for z in zeros)
+    u = ring.element([[zeros[(i + j) % 3] if (i + j) % 2 else
                        entry(F, orders, "random", rng) for j in range(p)]
                       for i in range(p)])
     c, d = (entry(F, orders, "random", rng) for _ in range(2))
     w = ring.from_exponents([((0, 1), c), ((2, 1), d), ((0, 1), -c),
-                             ((1, 2), d), ((2, 1), -d)])
+                             ((1, 2), d), ((2, 1), -d), ((1, 1), zeros[0]),
+                             ((0, 2), zeros[1]), ((2, 0), zeros[2])])
+    # a zero given to from_exponents is copied in as it is ...
+    for (i, j), z in zip(((1, 1), (0, 2), (2, 0)), zeros):
+        assert w.entries[i][j] is z
+    # ... and items that cancel leave what entry arithmetic returns
+    interned = orders is None and F.q <= _TABLE_CAP
     for i, j in ((0, 1), (2, 1)):
-        assert w.entries[i][j] is not ring.zero_entry
+        assert (w.entries[i][j] is ring.zero_entry) == interned
         assert not w.entries[i][j]
     # u with its zeros replaced by the ring's own
     same = ring.element([[e if e else ring.zero_entry for e in row]

@@ -1,9 +1,11 @@
 """Zero tests by identity first, and roots found over the prime field.
 
-Every kernel unpacks zero to the field's own ``zero`` object, so the hot
-loops test ``x is not zero and x``: identity first, truthiness only for
-other objects.  Arithmetic still builds zeros that are other objects,
-and each check here must treat them exactly as ``field.zero``.
+Every kernel unpacks zero to the field's own ``zero`` object, and so
+does element arithmetic on a field with log/exp tables, so the hot loops
+test ``x is not zero and x``: identity first, truthiness only for other
+objects.  Constructors still build zeros that are other objects, and so
+does arithmetic above the table cap; each check here must treat them
+exactly as ``field.zero``.
 
 ``roots_in_splitting_field`` finds the roots of a polynomial with
 coefficients in F_p over F_p and embeds them; the direct route over the
@@ -42,17 +44,32 @@ def field(request):
 
 
 def other_zeros(F):
-    """Three zeros of F that are not F.zero."""
-    x = F.gen
-    zs = [FqElement(F, (0,) * F.n), x - x, F.from_coeffs([0])]
+    """Zeros of F that are not F.zero: three built by constructors, and
+    above the table cap one built by arithmetic."""
+    zs = [FqElement(F, (0,) * F.n), F.from_coeffs([0]), F.from_int(0)]
+    if F.q > _TABLE_CAP:
+        zs.append(F.gen - F.gen)
     assert all(z == F.zero and z is not F.zero and not z for z in zs)
+    assert len({id(z) for z in zs}) == len(zs)
     return zs
 
 
 def disguised(v, F):
     """v with each zero entry replaced by another zero object."""
     zs = other_zeros(F)
-    return [zs[i % 3] if x == F.zero else x for i, x in enumerate(v)]
+    return [zs[i % len(zs)] if x == F.zero else x for i, x in enumerate(v)]
+
+
+def test_arithmetic_zeros_are_the_fields_own_below_the_cap(field):
+    F = field
+    x = F.gen
+    zeros = [x - x, x + (-x), -x + x, -F.zero, F.zero + F.zero,
+             F.zero - F.zero, F.one - 1, 1 - F.one, F.p + F.zero,
+             F.zero + F.p]
+    assert all(z == F.zero and not z for z in zeros)
+    below = F.q <= _TABLE_CAP
+    assert all((z is F.zero) == below for z in zeros)
+    assert (F.scalar(F.p) is F.zero) == below
 
 
 def sparse_vectors(F, n, count, rng):
@@ -116,9 +133,10 @@ def test_echelon_treats_other_zeros_as_zero(field):
 def test_linear_map_is_zero_with_other_zeros(field):
     F = field
     zs = other_zeros(F)
-    Z = LinearMap(F, [zs, zs[1:] + zs[:1], zs[2:] + zs[:2]])
-    assert Z.is_zero() and not Z and Z == LinearMap.zero(F, 3)
-    rows = [list(zs), list(zs), list(zs)]
+    k = len(zs)
+    Z = LinearMap(F, [zs[i:] + zs[:i] for i in range(k)])
+    assert Z.is_zero() and not Z and Z == LinearMap.zero(F, k)
+    rows = [list(zs) for _ in range(k)]
     rows[2][1] = F.gen
     assert not LinearMap(F, rows).is_zero()
 
