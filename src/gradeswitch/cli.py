@@ -30,6 +30,10 @@ DEFAULT_DIM_CAP = 40
 # under 0.1 s; up to n = 40 the slowest is GF(11^32), about 2 s (2-core
 # host, Python 3.11)
 FIELD_DEGREE_CAP = 16
+# a run's time grows linearly in --r (witt:5 ad:1 takes 1.6 s at r = 1000
+# on a 2-core host, Python 3.11); every semisimplicity exponent under the
+# default --dim-cap is at most 6
+R_CAP = 16
 
 
 def _digits(x):
@@ -49,6 +53,11 @@ def _check_field_degree(n):
     if n > FIELD_DEGREE_CAP:
         raise ValueError("field degree %d exceeds the cap %d"
                          % (n, FIELD_DEGREE_CAP))
+
+
+def _check_r(r):
+    if r is not None and r > R_CAP:
+        raise ValueError("r = %d exceeds the cap %d" % (r, R_CAP))
 
 
 def _check_dim(dim, cap):
@@ -249,6 +258,7 @@ def _derivation_matrix(A, json_rows):
 
 
 def cmd_switch(args):
+    _check_r(args.r)
     A, dmat = _load_algebra(args)
     D = _parse_derivation(A, args.derivation, dmat)
     res = switch_grading(A, D, r=args.r)
@@ -287,6 +297,7 @@ def _parse_x(lie, spec):
 def cmd_toral(args):
     if not args.builtin:
         raise ValueError("the toral demo runs on builtin algebras")
+    _check_r(args.r)
     lie = RestrictedLie(_load_builtin(args.builtin, args))
     tvecs = _default_torus(args.builtin, lie)
     x = _parse_x(lie, args.x)

@@ -12,9 +12,9 @@ Default moduli come from a deterministic search for the monic irreducible
 polynomial of the required degree with the smallest encoding, so the same
 field is reconstructed in every run without a Conway table.
 
-A small field (q <= 2^16) builds discrete-log tables on its first
-arithmetic operation: exp[k] = g^k for a multiplicative generator g, its
-inverse log, and Zech's logarithms zech[k] = log(1 + g^k).  A product is
+A small field (q <= 2^16) builds discrete-log tables when it is
+constructed: exp[k] = g^k for a multiplicative generator g, its inverse
+log, and Zech's logarithms zech[k] = log(1 + g^k).  A product is
 then exp[log a + log b], a sum exp[la + zech[lb - la]], and a negation
 exp[la + (q-1)/2] for odd p (the identity for p = 2); a difference is one
 such sum with -b = g^(lb + (q-1)/2).  Every result is the table's own
@@ -266,8 +266,6 @@ class FqElement:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        if fld._log is None:
-            fld._ensure_tables()
         log = fld._log
         if log is None:
             p = fld.p
@@ -287,8 +285,6 @@ class FqElement:
 
     def __neg__(self):
         fld = self.field
-        if fld._log is None:
-            fld._ensure_tables()
         log = fld._log
         if log is None:
             p = fld.p
@@ -303,8 +299,6 @@ class FqElement:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        if fld._log is None:
-            fld._ensure_tables()
         log = fld._log
         if log is None:
             p = fld.p
@@ -335,8 +329,6 @@ class FqElement:
         a, b = self.coeffs, o.coeffs
         if not any(a) or not any(b):
             return fld.zero
-        if fld._log is None:
-            fld._ensure_tables()
         if fld._log is not None:
             return fld._exp[(fld._log[a] + fld._log[b]) % (fld.q - 1)]
         return FqElement(fld, fld._raw_mul(a, b))
@@ -355,8 +347,6 @@ class FqElement:
             raise ZeroDivisionError("0 has no negative power")
         if e < 0:
             return self.inverse() ** (-e)
-        if fld._log is None:
-            fld._ensure_tables()
         if fld._log is not None:
             return fld._exp[(fld._log[self.coeffs] * e) % (fld.q - 1)]
         return power(self, e, fld.one)
@@ -365,8 +355,6 @@ class FqElement:
         fld = self.field
         if not self:
             raise ZeroDivisionError("0 is not invertible")
-        if fld._log is None:
-            fld._ensure_tables()
         if fld._log is not None:
             return fld._exp[(-fld._log[self.coeffs]) % (fld.q - 1)]
         inv = _pinverse(self.coeffs, fld.modulus, fld.p)
@@ -447,7 +435,7 @@ class FqField:
     """The field F_{p^n} presented as F_p[T]/(modulus).  Create via GF()."""
 
     __slots__ = ("p", "n", "q", "modulus", "zero", "one", "gen",
-                 "_red", "_exp", "_log", "_zech", "_half")
+                 "_red", "_exp", "_log", "_zech", "_half", "_scalars")
 
     def __init__(self, p, n, modulus):
         object.__setattr__(self, "p", p)
@@ -455,14 +443,14 @@ class FqField:
         object.__setattr__(self, "q", p ** n)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_red", _reduction_rows(p, modulus, n - 1))
-        object.__setattr__(self, "_exp", None)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_zech", None)
-        object.__setattr__(self, "_half", None)
         object.__setattr__(self, "zero", FqElement(self, (0,) * n))
         object.__setattr__(self, "one", FqElement(self, (1,) + (0,) * (n - 1)))
         gen = FqElement(self, (0, 1) + (0,) * (n - 2)) if n > 1 else self.one
         object.__setattr__(self, "gen", gen)
+        if self.q <= _TABLE_CAP:
+            self._build_tables()
+        else:
+            object.__setattr__(self, "_log", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FqField is immutable")
@@ -488,13 +476,9 @@ class FqField:
     def scalar(self, c):
         """The int c mod p as an element: the table's own one below the
         table cap."""
-        coeffs = (c % self.p,) + self.zero.coeffs[1:]
-        if self._log is None:
-            self._ensure_tables()
         if self._log is not None:
-            k = self._log.get(coeffs)
-            return self.zero if k is None else self._exp[k]
-        return FqElement(self, coeffs)
+            return self._scalars[c % self.p]
+        return FqElement(self, (c % self.p,) + self.zero.coeffs[1:])
 
     def elements(self):
         """All q elements in encoding order."""
@@ -567,21 +551,17 @@ class FqField:
         """
         return _series_kernel(self, ua, ub, length, factors)
 
-    def _raw_pow(self, a, e):
-        return power(a, e, self.one.coeffs, self._raw_mul)
-
     def _find_generator(self):
         factors = _prime_factors(self.q - 1)
+        one = self.one.coeffs
         for enc in range(1, self.q):
             cand = self.from_int(enc).coeffs
-            if all(self._raw_pow(cand, (self.q - 1) // l) != self.one.coeffs
+            if all(power(cand, (self.q - 1) // l, None, self._raw_mul) != one
                    for l in factors):
                 return cand
         raise AssertionError("no multiplicative generator found")  # unreachable
 
-    def _ensure_tables(self):
-        if self._exp is not None or self.q > _TABLE_CAP:
-            return
+    def _build_tables(self):
         g = self._find_generator()
         m = self.q - 1
         exp = [self.one]
@@ -597,12 +577,14 @@ class FqField:
                 for c in (x.coeffs for x in exp)]
         # Both tables repeat once, so every index the operators form (a sum
         # of two logs, or a difference of logs plus _half) reads its entry
-        # modulo q - 1 without a reduction.  g^_half = -1.  _log goes last:
-        # the operators take its presence to mean that every table is there.
+        # modulo q - 1 without a reduction.  g^_half = -1.
         object.__setattr__(self, "_exp", tuple(exp) * 2)
         object.__setattr__(self, "_zech", tuple(zech) * 2)
         object.__setattr__(self, "_half", m // 2 if p > 2 else 0)
         object.__setattr__(self, "_log", log)
+        # _scalars[c] is the element c of the prime field
+        object.__setattr__(self, "_scalars", (self.zero,) + tuple(
+            exp[log[(c,) + self.zero.coeffs[1:]]] for c in range(1, p)))
 
     # -- misc ------------------------------------------------------------------
 

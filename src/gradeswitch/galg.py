@@ -873,10 +873,3 @@ def direct_sum(A, B):
         pmap = [list(row) + [z] * B.dim for row in A.pmap]
         pmap += [[z] * da + list(row) for row in B.pmap]
     return GradedAlgebra(A.field, A.m, degrees, prods, pmap)
-
-
-def torus_line(p, m):
-    """One-dimensional trivial algebra whose generator is its own p-th
-    power: a line of toral elements for direct sums."""
-    field = GF(p)
-    return GradedAlgebra(field, m, [0], {}, [[field.one]])

@@ -215,6 +215,36 @@ def test_negative_r_is_config_error(capsys, argv):
     assert "r must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "witt:5", "--derivation", "ad:1",
+     "--r", "1000000"),
+    ("toral", "--builtin", "witt:5", "--r", "1000000"),
+])
+def test_r_cap_checked_before_building(monkeypatch, capsys, argv):
+    # a run's time grows linearly in r: r = 5000 takes seconds on witt:5
+    from gradeswitch import cli, switch, toral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("algebra or operator built before the cap check")
+    monkeypatch.setattr(cli, "witt", refuse)
+    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    monkeypatch.setattr(switch, "build_LD", refuse)
+    monkeypatch.setattr(toral, "build_LD", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "r = 1000000 exceeds the cap %d" % cli.R_CAP in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "witt:5", "--derivation", "ad:1", "--r"),
+    ("toral", "--builtin", "witt:5", "--r"),
+])
+def test_r_at_the_cap_passes(capsys, argv):
+    from gradeswitch.cli import R_CAP
+    code, _, _ = run(capsys, *argv, str(R_CAP))
+    assert code == 0
+
+
 def test_coeffs_deterministic(capsys):
     args = ("coeffs", "--p", "3", "--trials", "6", "--output", "json")
     code1, out1, _ = run(capsys, *args)

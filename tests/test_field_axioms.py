@@ -118,16 +118,55 @@ def test_results_are_interned_below_the_cap(F):
     assert (F.scalar(1) is F.one) == below
 
 
+FIRSTS = [lambda x: x + x, lambda x: x - x, lambda x: -x,
+          lambda x: x * x, lambda x: x ** 3, lambda x: x.inverse(),
+          lambda x: 1 - x, lambda x: 3 * x, lambda x: x.field.scalar(-1)]
+
+
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (3, 2), (2, 4), (5, 3)])
 def test_first_operation_builds_the_tables(p, n):
-    """Interning depends on q alone: the first sum, difference, negation
-    or scalar of a field that has not multiplied yet builds the tables and
+    """A field builds its tables when it is constructed, so interning
+    depends on q alone: a fresh field object has them before any
+    operation, and whichever operation comes first, in whichever order,
     returns the table's own element."""
-    firsts = [lambda x: x + x, lambda x: x - x, lambda x: -x,
-              lambda x: x.field.scalar(p - 1)]
-    for first in firsts:
-        # a field object of its own, so no earlier test built its tables
-        F = fields.FqField(p, n, GF(p, n).modulus)
-        assert F._log is None
-        assert own(F, first(F.gen))
+    modulus = GF(p, n).modulus
+    F = fields.FqField(p, n, modulus)
+    for table in ("_log", "_exp", "_zech", "_scalars"):
+        assert getattr(F, table) is not None
+    expected = [first(F.gen).coeffs for first in FIRSTS]
+    rng = random.Random(p * n)
+    for _ in range(4):
+        order = list(range(len(FIRSTS)))
+        rng.shuffle(order)
+        # a field object of its own for every order
+        F = fields.FqField(p, n, modulus)
+        for i in order:
+            x = FIRSTS[i](F.gen)
+            assert own(F, x)
+            assert x.coeffs == expected[i]
         assert F.gen + F.gen is F.gen * 2
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (5, 3), (2, 10), (5, 5), (5, 7)])
+def test_construction_neither_multiplies_nor_inverts(p, n, monkeypatch):
+    """Building a field's tables runs on coefficient tuples, so a traced
+    count of element products and inverses never includes a field built
+    inside the traced code."""
+    calls = []
+
+    def counted(name):
+        method = getattr(fields.FqElement, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    modulus = GF(p, n).modulus
+    for name in ("__mul__", "__rmul__", "inverse"):
+        monkeypatch.setattr(fields.FqElement, name, counted(name))
+    F = fields.FqField(p, n, modulus)
+    assert calls == []
+    assert (F._log is None) == (F.q > _TABLE_CAP)
+    F.gen * F.gen
+    assert calls == ["__mul__"]

@@ -8,8 +8,9 @@ from gradeswitch.fields import GF
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
     direct_sum, generalized_eigenspaces, is_derivation, is_grading, kernel,
-    torus_line, truncated_poly, truncated_poly_derivation, witt)
+    truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.polyring import Polynomial
+from algebra_builders import torus_line
 
 
 def rand_map(field, n, rng):

@@ -4,13 +4,14 @@ import pytest
 
 from gradeswitch.echelon import solve
 from gradeswitch.fields import GF
-from gradeswitch.galg import Subspace, direct_sum, torus_line, truncated_poly, witt
+from gradeswitch.galg import Subspace, direct_sum, truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
 from gradeswitch.switch import HypothesisError, SwitchResult
 from gradeswitch.toral import (
     RefinedSwitch, RestrictedLie, ToralComparison, Torus,
     compare_switch_to_toral, refine_grading, root_decomposition, strade_map,
     switch_torus)
+from algebra_builders import torus_line
 
 
 def witt_lie(p):
