@@ -760,7 +760,7 @@ def _series_kernel(field, ua, ub, length, factors):
 
     def pack(rows):
         return sum([pack_e(c) << sh for row, shs in zip(rows, offsets)
-                    for c, sh in zip(row, shs) if c])
+                    for c, sh in zip(row, shs)])
 
     def unpack(s):
         return tuple([tuple([unpack_e((s >> sh) & mask) for sh in shs])

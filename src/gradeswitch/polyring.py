@@ -486,7 +486,11 @@ class BiTruncSeries(RingElement):
     """Element of F[U,V]/(U^ua, V^ub): series in two commuting nilpotents,
     truncated independently in each variable.  Coefficient [i][j] multiplies
     U^i V^j.  A product is one int multiply on the field's packed series
-    kernel (:meth:`gradeswitch.fields.FqField.series_kernel`)."""
+    kernel (:meth:`gradeswitch.fields.FqField.series_kernel`).
+
+    At order (1, 1) the ring is F itself: a sum, a product, a negation or
+    a scalar multiple is one field operation on the one coefficient, and
+    an int or field scalar becomes a 1 x 1 row directly."""
 
     __slots__ = ("field", "ua", "ub", "coeffs")
 
@@ -544,6 +548,9 @@ class BiTruncSeries(RingElement):
                 raise ValueError("series over different rings")
             return other
         if isinstance(other, (int, FqElement)):
+            if self.ua == self.ub == 1:
+                return BiTruncSeries._from_rows(
+                    self.field, 1, 1, ((_as_field_elt(self.field, other),),))
             return BiTruncSeries.constant(self.field, self.ua, self.ub, other)
         return None
 
@@ -551,33 +558,44 @@ class BiTruncSeries(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.ua == self.ub == 1:
+            return BiTruncSeries._from_rows(
+                self.field, 1, 1, ((self.coeffs[0][0] + o.coeffs[0][0],),))
         return BiTruncSeries._from_rows(
             self.field, self.ua, self.ub,
             tuple(tuple(a + b for a, b in zip(r1, r2))
                   for r1, r2 in zip(self.coeffs, o.coeffs)))
 
     def __neg__(self):
+        if self.ua == self.ub == 1:
+            return BiTruncSeries._from_rows(self.field, 1, 1,
+                                            ((-self.coeffs[0][0],),))
         return BiTruncSeries._from_rows(
             self.field, self.ua, self.ub,
             tuple(tuple(-c for c in row) for row in self.coeffs))
 
     def one(self):
-        return BiTruncSeries.constant(self.field, self.ua, self.ub, 1)
+        return self._coerce(1)
 
     def __mul__(self, other):
+        field, ua, ub = self.field, self.ua, self.ub
         if isinstance(other, (int, FqElement)):
             # a field scalar scales entry by entry, with no kernel product
-            s = _as_field_elt(self.field, other)
-            return BiTruncSeries._from_rows(
-                self.field, self.ua, self.ub,
-                tuple(tuple(c * s for c in row) for row in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        pack, unpack, _ = self.field.series_kernel(self.ua, self.ub, 1, 2)
-        return BiTruncSeries._from_rows(
-            self.field, self.ua, self.ub,
-            unpack(pack(self.coeffs) * pack(o.coeffs)))
+            s = _as_field_elt(field, other)
+            if ua == ub == 1:
+                rows = ((self.coeffs[0][0] * s,),)
+            else:
+                rows = tuple(tuple(c * s for c in row) for row in self.coeffs)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            if ua == ub == 1:
+                rows = ((self.coeffs[0][0] * o.coeffs[0][0],),)
+            else:
+                pack, unpack, _ = field.series_kernel(ua, ub, 1, 2)
+                rows = unpack(pack(self.coeffs) * pack(o.coeffs))
+        return BiTruncSeries._from_rows(field, ua, ub, rows)
 
     __rmul__ = __mul__
 
@@ -810,7 +828,8 @@ def _packed_product(ring):
     truncated-series entries.
 
     Kronecker layout: entry [i][j] is the entry kernel's block (field
-    digits, and for series the U^a V^b cells around them) at block
+    digits, and for series above order (1, 1) the U^a V^b cells around
+    them; an order-(1, 1) series packs as its one coefficient) at block
     i (2p - 1) + j, so X and Y are the outer axes with 2p - 1 blocks each,
     room for the product of two elements.  A product is one int multiply;
     Y^p = yc is folded by masking the blocks t >= p of every X row and
@@ -829,7 +848,19 @@ def _packed_product(ring):
     p = ring.p
     one = ring.one_entry
     field = one.field
-    if isinstance(one, BiTruncSeries):
+    if not isinstance(one, BiTruncSeries):
+        pack_entry, unpack_entry, bits = field.dot_kernel(p * p, 4)
+    elif one.ua == one.ub == 1:
+        # order (1, 1): the one coefficient on the element kernel, the
+        # same layout as series_kernel(1, 1, p * p, 4)
+        epack, eunpack, bits = field.dot_kernel(p * p, 4)
+
+        def pack_entry(c):
+            return epack(c.coeffs[0][0])
+
+        def unpack_entry(s):
+            return BiTruncSeries._from_rows(field, 1, 1, ((eunpack(s),),))
+    else:
         ua, ub = one.ua, one.ub
         spack, sunpack, bits = field.series_kernel(ua, ub, p * p, 4)
 
@@ -838,8 +869,6 @@ def _packed_product(ring):
 
         def unpack_entry(s):
             return BiTruncSeries._from_rows(field, ua, ub, sunpack(s))
-    else:
-        pack_entry, unpack_entry, bits = field.dot_kernel(p * p, 4)
     m = 2 * p - 1
     row_bits = m * bits
     offsets = tuple(tuple((i * m + j) * bits for j in range(p))

@@ -235,6 +235,72 @@ def test_bitrunc_degenerate_orders():
     assert c * c == BiTruncSeries.constant(F, 1, 1, F.one)
 
 
+ORDER_ONE_FIELDS = [(2, 1), (5, 1), (3, 3), (2, 17)]
+ORDER_ONE_IDS = ["GF(%d)" % p if n == 1 else "GF(%d^%d)" % (p, n)
+                 for p, n in ORDER_ONE_FIELDS]
+
+
+def _lift(s, rng):
+    """A series of order (2, 2) whose truncation to order (1, 1) is s."""
+    F = s.field
+    return BiTruncSeries(F, 2, 2, [[s.constant_term, F.random_element(rng)],
+                                   [F.random_element(rng),
+                                    F.random_element(rng)]])
+
+
+@pytest.mark.parametrize("p,n", ORDER_ONE_FIELDS, ids=ORDER_ONE_IDS)
+def test_order_one_series_arithmetic_matches_the_series_kernel(p, n):
+    """Order (1, 1) computes on its one coefficient.  Truncation to order
+    (1, 1) is a ring map, so every result must be the truncation of the
+    same arithmetic at order (2, 2), whose products run on the series
+    kernel; a product must also be the kernel's own (1, 1) product."""
+    F = GF(p, n)
+    rng = random.Random(50 * p + n)
+    pack, unpack, _ = F.series_kernel(1, 1, 1, 2)
+
+    def low(big):
+        return BiTruncSeries.constant(F, 1, 1, big.constant_term)
+
+    for _ in range(8):
+        s = BiTruncSeries.constant(F, 1, 1, F.random_element(rng))
+        t = BiTruncSeries.constant(F, 1, 1, F.random_element(rng))
+        S, T = _lift(s, rng), _lift(t, rng)
+        c = F.random_element(rng)
+        cases = [(s + t, S + T), (s - t, S - T), (s * t, S * T),
+                 (s - 1, S - 1), (1 - s, 1 - S), (3 * s, 3 * S),
+                 (s * c, S * c), (c + s, c + S), (s ** 0, S ** 0),
+                 (-s, -S), (s ** 3, S ** 3), (s.one(), S.one())]
+        if s.constant_term:
+            cases.append((s.inverse(), S.inverse()))
+        for got, want in cases:
+            assert (got.ua, got.ub) == (1, 1)
+            assert got == low(want)
+        assert (s * t).coeffs == unpack(pack(s.coeffs) * pack(t.coeffs))
+        assert (s == t) == (s.constant_term == t.constant_term)
+        assert s == s.constant_term and s * 0 == 0
+    zero = BiTruncSeries.constant(F, 1, 1, 0)
+    for z in (zero, _lift(zero, rng)):
+        with pytest.raises(NonInvertibleError):
+            z.inverse()
+
+
+@pytest.mark.parametrize("p,n", ORDER_ONE_FIELDS, ids=ORDER_ONE_IDS)
+def test_order_one_series_refuse_other_rings(p, n):
+    F = GF(p, n)
+    other = GF(7) if p != 7 else GF(5)
+    s = BiTruncSeries.constant(F, 1, 1, F.gen)
+    refused = [other.one, BiTruncSeries.constant(other, 1, 1, 1),
+               BiTruncSeries.constant(F, 1, 2, 1),
+               BiTruncSeries.constant(F, 2, 1, F.gen)]
+    for bad in refused:
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y):
+            with pytest.raises(ValueError):
+                op(s, bad)
+            with pytest.raises(ValueError):
+                op(bad, s)
+
+
 def quotient_ring_for(p, a, b):
     return QuotientRing(p, a ** p - a, b ** p - b)
 

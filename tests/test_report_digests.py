@@ -26,6 +26,10 @@ REPORTS = [
      "fd8b78610d387349ed1121aa17316dbdc2a16524b6a2c1777dcf82483a575749"),
     (["switch", "--builtin", "witt:7", "--derivation", "ad:1", "--r", "2"],
      "251be73749dc99809092c4df84fce9c88e61dd0e87668254d3ab5ec926cffba4"),
+    (["switch", "--builtin", "witt:11", "--derivation", "ad:0"],
+     "59bd92840ad1cc909c927a30719d31a57f1f6beaf45919c2b94c72e86eb9c148"),
+    (["switch", "--builtin", "tpoly:2:8:2", "--derivation", "xddx"],
+     "52645855b360569b6332370a96d3aa15f891010db0efa72cc071f02dbede9f46"),
     (["toral", "--builtin", "witt:5+witt:5"],
      "cd04e2fddfce87f2b6acc1e6066ec72daceefaa368e9727655ae98c77ee4b3b8"),
 ]
