@@ -16,11 +16,12 @@ A small field (q <= 2^16) builds discrete-log tables when it is
 constructed: exp[k] = g^k for a multiplicative generator g, its inverse
 log, and Zech's logarithms zech[k] = log(1 + g^k).  A product is
 then exp[log a + log b], a sum exp[la + zech[lb - la]], and a negation
-exp[la + (q-1)/2] for odd p (the identity for p = 2); a difference is one
-such sum with -b = g^(lb + (q-1)/2).  Every result is the table's own
-element, or the field's ``zero``, and so are int scalars.  Larger fields
-fall back to coefficient-wise sums and plain polynomial products, and
-invert by the extended Euclidean algorithm against the modulus.
+exp[la + (q-1)/2] for odd p (the identity for p = 2); a difference
+a - b is the sum a + (-b), at every field size.  Every result is the
+table's own element, or the field's ``zero``, and so are int scalars.
+Larger fields fall back to coefficient-wise sums and plain polynomial
+products, and invert by the extended Euclidean algorithm against the
+modulus.
 Dot products of whole vectors run on packed ints instead
 (:meth:`FqField.dot_kernel`), whole rows of dot products at once on wide
 ints (:meth:`FqField.row_kernel`), and so do sums of products of truncated
@@ -293,33 +294,10 @@ class FqElement:
         return fld.zero if k is None else fld._exp[k + fld._half]
 
     def __sub__(self, other):
-        fld = self.field
-        o = other
-        if o.__class__ is not FqElement or o.field is not fld:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-        log = fld._log
-        if log is None:
-            p = fld.p
-            return FqElement(fld, tuple((a - b) % p
-                                        for a, b in zip(self.coeffs, o.coeffs)))
-        # as in __add__, with -g^lb = g^(lb + _half)
-        exp = fld._exp
-        la, lb = log.get(self.coeffs), log.get(o.coeffs)
-        if lb is None:
-            return fld.zero if la is None else exp[la]
-        lb += fld._half
-        if la is None:
-            return exp[lb]
-        z = fld._zech[lb - la]
-        return fld.zero if z is None else exp[la + z]
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -576,7 +554,7 @@ class FqField:
         zech = [log.get(((c[0] + 1) % p,) + c[1:])
                 for c in (x.coeffs for x in exp)]
         # Both tables repeat once, so every index the operators form (a sum
-        # of two logs, or a difference of logs plus _half) reads its entry
+        # or a difference of two logs, or a log plus _half) reads its entry
         # modulo q - 1 without a reduction.  g^_half = -1.
         object.__setattr__(self, "_exp", tuple(exp) * 2)
         object.__setattr__(self, "_zech", tuple(zech) * 2)

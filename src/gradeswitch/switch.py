@@ -221,6 +221,7 @@ class SwitchResult:
     decomposition: object
     block_scalars: tuple
     switch_map: object
+    alpha: object            # switch_map = L_{p-1}^(alpha)(derivation)
     old_parts: tuple
     new_parts: tuple
     degree: int = None               # set by switch_grading
@@ -264,14 +265,11 @@ def build_LD(A, D, r=None):
     Steps: semisimplicity exponent (a supplied r must be at least it, as
     p-th powers of a semisimple map stay semisimple), minimal
     p-power relation, additive polynomial g (enlarging the field as
-    needed) with G = g(D) checked against G^p - G = D^(p^r), generalized
-    eigenspaces (ditto), then the one Laguerre value
-    L = L_{p-1}^(G - h(D))(D) and its scalar law on each eigenspace.
+    needed) with G = g(D) checked against G^p - G = D^(p^r), then
+    alpha = G - h(D) and the result built from it by :func:`_result`.
     """
-    field0 = A.field
     _check_acts(A, D)
     _check_r(r)
-    p = field0.p
     r_raw = semisimple_exponent(D)
     if r is None:
         r = r_raw
@@ -280,25 +278,33 @@ def build_LD(A, D, r=None):
                               "supplied r = %d fails" % r)
     r_eff = max(r, 1)
     relation = p_power_relation(D, r_eff)
-    f1, g, lam_val = build_g(relation)
+    f1, g, lam = build_g(relation)
     d1 = D.embed_to(f1)
     gd = g.eval_matrix(d1)
-    if gd ** p - gd != d1.p_power(r_eff):
+    if gd ** f1.p - gd != d1.p_power(r_eff):
         raise VerificationError("g(D)^p - g(D) != D^(p^r)")
+    alpha = gd - h_polynomial(f1, r_eff).eval_matrix(d1)
+    return _result(A, d1, alpha, g, lam, r_raw, r_eff, relation)
+
+
+def _result(A, d1, alpha, g, lam, r_raw, r, relation):
+    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D = d1, over the
+    field where D splits: generalized eigenspaces, the one Laguerre value,
+    its scalar law through g on each eigenspace and the switched parts.
+    alpha, g and lam come over d1's field (lam may be None)."""
     f2, dec = generalized_eigenspaces(d1)
     a2 = A.change_field(f2)
     d2 = d1.embed_to(f2)
     g2 = g.embed_to(f2)
-    lam2 = embed(lam_val, f2) if lam_val is not None else None
-    alpha = gd.embed_to(f2) - h_polynomial(f2, r_eff).eval_matrix(d2)
-    lmap = laguerre_value(p, alpha, d2)
-    scalars = _scalar_law(lmap, dec, g2, r_eff)
+    alpha = alpha.embed_to(f2)
+    lmap = laguerre_value(f2.p, alpha, d2)
     old_parts = tuple(a2.grading_parts())
     return SwitchResult(
-        algebra=a2, derivation=d2, field_start=field0, field_final=f2,
-        r_raw=r_raw, r=r_eff, relation=relation, g=g2, lam=lam2,
-        decomposition=dec, block_scalars=scalars, switch_map=lmap,
-        old_parts=old_parts,
+        algebra=a2, derivation=d2, field_start=A.field, field_final=f2,
+        r_raw=r_raw, r=r, relation=relation, g=g2,
+        lam=None if lam is None else embed(lam, f2), decomposition=dec,
+        block_scalars=_scalar_law(lmap, dec, g2, r), switch_map=lmap,
+        alpha=alpha, old_parts=old_parts,
         new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
 
 
@@ -334,11 +340,10 @@ def _scalar_law(lmap, dec, g, r):
 def special_LD(A, D):
     """The switching operator in the special case D^(p^2) = D^p.
 
-    Uses gamma with gamma^p - gamma = 1 and the Laguerre value
-    L_{p-1}^(gamma D^p)(D); gamma D^p acts as a gamma on each eigenspace
-    A^(a), a in F_p.  Equivalent to build_LD with r = 1 and
-    g = gamma T^p; kept as an independent code path.  When D^p = 0,
-    gamma D^p vanishes and gamma is not adjoined: the value is
+    Uses gamma with gamma^p - gamma = 1 and alpha = gamma D^p, which acts
+    as a gamma on each eigenspace A^(a), a in F_p.  Equivalent to build_LD
+    with r = 1 and g = gamma T^p; kept as an independent route to alpha.
+    When D^p = 0, alpha vanishes and gamma is not adjoined: the value is
     L_{p-1}^(0)(D) over the start field, as with build_LD's degenerate
     relation.
     """
@@ -354,25 +359,14 @@ def special_LD(A, D):
     else:  # build_LD's degenerate relation D^p = 0
         f1, gamma = field0, None
         relation = Relation(field0, 1, 1, (), True)
-    d1 = D.embed_to(f1)
-    f2, dec = generalized_eigenspaces(d1)
-    for rho, _ in dec:
+    g = PPolynomial.make(f1, [(1, gamma)] if dp else ())
+    alpha = dp.embed_to(f1) * gamma if dp else dp
+    res = _result(A, D.embed_to(f1), alpha, g, gamma, 1, 1, relation)
+    for rho, _ in res.decomposition:
         if rho ** p != rho:
             raise VerificationError("eigenvalue outside F_p despite "
                                     "D^(p^2) = D^p")
-    a2 = A.change_field(f2)
-    d2 = d1.embed_to(f2)
-    gamma2 = embed(gamma, f2) if dp else None
-    g = PPolynomial.make(f2, [(1, gamma2)] if dp else ())
-    lmap = laguerre_value(p, dp.embed_to(f2) * (gamma2 if dp else 0), d2)
-    scalars = _scalar_law(lmap, dec, g, 1)
-    old_parts = tuple(a2.grading_parts())
-    return SwitchResult(
-        algebra=a2, derivation=d2, field_start=field0, field_final=f2,
-        r_raw=1, r=1, relation=relation,
-        g=g, lam=gamma2, decomposition=dec, block_scalars=scalars,
-        switch_map=lmap, old_parts=old_parts,
-        new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
+    return res
 
 
 def switch_grading(A, D, r=None, check_product_rule=True):
@@ -396,15 +390,6 @@ def switch_grading(A, D, r=None, check_product_rule=True):
 
 # ---------------------------------------------------------------------------
 # the two-sided product rule
-
-
-def _nilpotency_index(N, cap):
-    M = N
-    for s in range(1, cap + 1):
-        if M.is_zero():
-            return s
-        M = M * N
-    raise VerificationError("restricted map not nilpotent on eigenspace")
 
 
 def _pair_coefficient_series(p, field, a0, b0, sa, sb):
@@ -431,12 +416,14 @@ def verify_product_rule(result):
     """Check L_D x * L_D y == L_D(c_0(xy) + sum_i c_i(D^i x, D^(p-i) y)) on
     every pair of eigen-basis vectors.
 
-    The coefficients c_i are evaluated at alpha = g(rho) - h(D) acting on
-    the left factor and beta = g(sigma) - h(D) acting on the right factor,
-    the way the operator identity behind the switched grading composes with
-    the multiplication map.  Returns the number of pairs checked.
+    The coefficients c_i are evaluated at the result's own alpha acting on
+    the left factor and again on the right factor, the way the operator
+    identity behind the switched grading composes with the multiplication
+    map.  On A^(rho), alpha is the scalar a0 = g(rho) - h(rho) plus
+    nil = alpha - a0, nilpotent and commuting with D.  Returns the number
+    of pairs checked.
 
-    The sweep runs on packed ints.  Each grid vector nil^j D^i x, each
+    The sweep runs on packed ints.  Each grid vector D^i nil^j x, each
     L x and each L y is packed once.  By bilinearity the inner argument is
     sum_(i,j) (nil^j D^i x) Y_ij with Y_ij = sum_k c_ijk nil^k D^(p-i) y
     (c_ijk the coefficient [j][k] of the series c_i, D^0 y for i = 0),
@@ -447,28 +434,41 @@ def verify_product_rule(result):
     """
     a2 = result.algebra
     d2 = result.derivation
-    g2 = result.g
     f2 = d2.field
     p = f2.p
     n = a2.dim
     h = h_polynomial(f2, result.r)
     dec = result.decomposition
     lmap = result.switch_map
-    hmat = h.eval_matrix(d2)
     zero = f2.zero
     zero_vec = (zero,) * n
 
-    # Per eigenvalue: the nilpotent part nil = h(rho) - h(D) of the
-    # coefficient operator and its order on the eigenspace.
-    nils = []
+    # Per eigenvalue: a0, and for each basis vector x the grid of
+    # D^i nil^j x, its rows j running until nil^j x = 0.  The longest grid
+    # is the order sa of nil on the eigenspace; a grid longer than the
+    # eigenspace means nil is not nilpotent.
+    eigen = []
     for rho, space in dec:
-        nil = LinearMap.identity(f2, n) * h(rho) - hmat
-        nils.append((nil, _nilpotency_index(nil.restrict_to(space),
-                                            space.dim + 1)))
+        a0 = result.g(rho) - h(rho)
+        nil = result.alpha - a0
+        grids = []
+        for v in space.basis:
+            grid = []
+            while any(v):
+                if len(grid) == space.dim:
+                    raise VerificationError("alpha - a0 not nilpotent on "
+                                            "the eigenspace of %s" % (rho,))
+                dcol = [v]
+                for _ in range(p - 1):
+                    dcol.append(d2.apply(dcol[-1]))
+                grid.append(dcol)
+                v = nil.apply(v)
+            grids.append(grid)
+        eigen.append((rho, space, a0, max(map(len, grids)), grids))
 
     # One kernel for every inner argument: per structure constant hitting
     # a slot, p sa sb terms of four packed factors.
-    smax = max(sa for _, sa in nils)
+    smax = max(sa for _, _, _, sa, _ in eigen)
     pack, unpack, _ = f2.dot_kernel(
         max(a2._slot_terms(), 1) * p * smax * smax, 4)
     rows = a2._structure_rows(pack)
@@ -477,22 +477,14 @@ def verify_product_rule(result):
         pv = [pack(c) for c in v]
         return pv if any(pv) else None
 
-    # Per eigenvalue: the scalar part a0 = g(rho) - h(rho), the order sa,
-    # for each basis vector x the grid nil^j D^i x packed (None where it
-    # vanishes), and L x packed for the algebra's own product.
-    info = []
-    for (rho, space), (nil, sa) in zip(dec, nils):
-        grids = []
-        for x in space.basis:
-            dcol = [x]
-            for _ in range(p - 1):
-                dcol.append(d2.apply(dcol[-1]))
-            grid = [dcol]
-            for _ in range(sa - 1):
-                grid.append([nil.apply(v) for v in grid[-1]])
-            grids.append([[packed(v) for v in row] for row in grid])
-        info.append((rho, space, g2(rho) - h(rho), sa, grids,
-                     [a2._pack(lmap.apply(x)) for x in space.basis]))
+    # Per eigenvalue: the grids packed (None where a vector vanishes, and
+    # for the rows from the grid's end to sa), and L x packed for the
+    # algebra's own product.
+    info = [(rho, space, a0, sa,
+             [[[packed(v) for v in row] for row in grid]
+              + [[None] * p] * (sa - len(grid)) for grid in grids],
+             [a2._pack(lmap.apply(x)) for x in space.basis])
+            for rho, space, a0, sa, grids in eigen]
 
     pairs = 0
     for rho, vspace, a0, sa, xgrids, plx in info:

@@ -26,7 +26,7 @@ from .galg import Decomposition, Subspace, bracket_failure, \
     generalized_eigenspaces, is_grading
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
-    build_LD, h_polynomial
+    build_LD
 
 
 def _vec_add(u, v):
@@ -254,13 +254,11 @@ def switch_torus(lie, torus, x, r):
 
 
 def strade_map(result):
-    """The switching operator rebuilt as one global operator product:
-    -sum_{i<p} (prod_{k=i+1}^{p-1} (g(D) - h(D) + k)) D^i."""
-    d2 = result.derivation
-    f2 = d2.field
-    gd = result.g.eval_matrix(d2)
-    hd = h_polynomial(f2, result.r).eval_matrix(d2)
-    return -descending_form(f2.p, gd - hd, d2)
+    """The switching operator rebuilt as one global operator product
+    -sum_{i<p} (prod_{k=i+1}^{p-1} (alpha + k)) D^i, at the alpha the
+    result's switch_map was built from."""
+    return -descending_form(result.field_final.p, result.alpha,
+                            result.derivation)
 
 
 @dataclass

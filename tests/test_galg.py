@@ -206,8 +206,8 @@ def test_minimal_polynomial_applies_each_krylov_vector_once(monkeypatch):
     assert f.degree() == n and len(applies) == n
     # no unit vector reaches this map's minimal polynomial alone, but the
     # all-ones vector does: its Krylov sequence has degree 3 (2 on the
-    # Jordan block of 2, 1 on the eigenspace of 5), so one round ends
-    # the search
+    # Jordan block of 2, 1 on the eigenspace of 5), below n = 4, so f(M)
+    # is formed once and its vanishing ends the search
     D = LinearMap(F, [[F.scalar(2), F.one, F.zero, F.zero],
                       [F.zero, F.scalar(2), F.zero, F.zero],
                       [F.zero, F.zero, F.scalar(5), F.zero],

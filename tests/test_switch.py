@@ -18,6 +18,7 @@ from gradeswitch.switch import (
     _pair_coefficient_series, build_LD, build_g, h_polynomial,
     p_power_relation, semisimple_exponent, special_LD, switch_grading,
     verify_product_rule)
+from gradeswitch.toral import strade_map
 
 
 # -- the blockwise build, kept as the oracle of the global operator ---------
@@ -322,6 +323,52 @@ def test_special_LD_adjoins_no_gamma_when_D_p_vanishes():
         assert spec.new_parts == gen.new_parts
 
 
+# -- alpha, carried on the result -------------------------------------------
+
+# the switch builtins of tests/test_report_digests.py, with their r
+DIGEST_SWITCHES = [
+    ("witt:5+witt:5", "ad:1", None), ("tpoly:3:9:3", "ddx", None),
+    ("tpoly:5:5:5", "xddx", None), ("witt:7", "ad:1", 2),
+    ("witt:11", "ad:0", None), ("tpoly:2:8:2", "xddx", None)]
+
+
+def _results_of(spec, der, r):
+    """build_LD's result and, when D^(p^2) = D^p and r is not supplied,
+    special_LD's."""
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    out = [build_LD(A, D, r)]
+    if r is None and is_special(D):
+        out.append(special_LD(A, D))
+    return out
+
+
+@pytest.mark.parametrize("spec,der,r", DIGEST_SWITCHES,
+                         ids=["%s-%s-%s" % c for c in DIGEST_SWITCHES])
+def test_switch_map_is_the_laguerre_value_at_alpha(spec, der, r):
+    for res in _results_of(spec, der, r):
+        alpha, D = res.alpha, res.derivation
+        assert alpha.field is D.field is res.field_final
+        assert res.switch_map == laguerre_value(D.field.p, alpha, D)
+        assert alpha * D == D * alpha
+        assert "alpha" not in res.to_json()
+
+
+@pytest.mark.parametrize("spec,der", [
+    ("witt:5", "ad:1"), ("witt:5+witt:5", "ad:1"), ("tpoly:5:5:5", "xddx"),
+    ("tpoly:2:8:2", "xddx"), ("witt:5", "ad:0"), ("witt:11", "ad:0")])
+def test_special_alpha_is_gamma_times_D_to_the_p(spec, der):
+    A = cli._parse_builtin(spec)
+    res = special_LD(A, cli._parse_derivation(A, der, None))
+    dp = res.derivation.p_power(1)
+    if dp:
+        assert res.alpha == dp * res.lam
+    else:
+        # witt ad:0 has D^p = 0: no gamma, the zero map
+        assert res.lam is None
+        assert res.alpha == LinearMap.zero(res.field_final, A.dim)
+
+
 def test_scalar_law_on_blocks():
     # (restriction of L to each eigenspace)^(p^r) is the predicted scalar
     cases = []
@@ -558,6 +605,28 @@ def test_product_rule_refuses_a_perturbed_c_value(monkeypatch, spec, der,
                                match="product rule fails"):
                 verify_product_rule(res)
     assert orders == {(order, order)}
+
+
+@pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
+def test_product_rule_and_strade_map_refuse_alpha_plus_one(spec, der, order):
+    # nil = alpha + 1 - a0 is not nilpotent on any eigenspace
+    res = switched_without_product_rule(spec, der)
+    bad = dataclasses.replace(res, alpha=res.alpha + 1)
+    with pytest.raises(VerificationError, match="not nilpotent"):
+        verify_product_rule(bad)
+    assert strade_map(bad) != res.switch_map
+
+
+def test_product_rule_refuses_a_nilpotent_perturbation_of_alpha():
+    # tpoly:3:9:3 ddx has alpha = -D^3; alpha + D keeps nil nilpotent and
+    # commuting with D, so only the product rule itself can refuse it
+    res = switched_without_product_rule("tpoly:3:9:3", "ddx")
+    D = res.derivation
+    assert res.alpha == -D.p_power(1)
+    bad = dataclasses.replace(res, alpha=res.alpha + D)
+    with pytest.raises(VerificationError, match="product rule fails"):
+        verify_product_rule(bad)
+    assert strade_map(bad) != res.switch_map
 
 
 def test_grading_modulus_constraint():
