@@ -5,7 +5,7 @@ Every elimination in the package goes through :class:`Echelon`: reduced
 row echelon forms, kernels, linear solves, span membership, span
 intersections and the dependence search behind minimal polynomials and
 p-power relations.
-Entries are elements of one field, or ints taken as scalars.  An element
+Entries are elements of one field, or ints taken as scalars of it.  An element
 has a ``field`` and ``+``, ``-``, ``*``, ``inverse()`` and truthiness as a
 nonzero test; the field supplies ``zero``, ``one`` and ``dot_kernel``, the
 packed-int arithmetic that :meth:`Echelon.reduce` runs on.  The kernel
@@ -26,8 +26,8 @@ class Echelon:
     columns (all by default) may hold pivots; later columns ride along, so
     a right-hand side or a combination of the inputs is reduced with them.
     All vectors have one length.  The field is `field`, or else that of
-    the first element seen; an entry from another field is refused with
-    ``ValueError``.
+    the first vector's elements; an entry from another field, and ints
+    while no field is known, are refused with ``ValueError``.
     """
 
     __slots__ = ("width", "field", "rows", "_pack", "_unpack")
@@ -71,17 +71,18 @@ class Echelon:
         return out
 
     def contains(self, v):
-        zero = getattr(self.field, "zero", None)    # None: ints only
-        return not any(x is not zero and x for x in self.reduce(v))
+        out = self.reduce(v)
+        zero = self.field.zero
+        return not any(x is not zero and x for x in out)
 
     def add(self, v):
         """Store v's reduction; False (nothing stored) when v is dependent."""
         return self._insert(self.reduce(v)) is not None
 
     def _checked(self, v):
-        """v as a list of elements, ints taken as scalars (left as they are
-        while no field is known).  Refuses an entry from another field;
-        fixes the field and its kernel on first use."""
+        """v as a list of elements, ints taken as scalars.  Refuses an
+        entry from another field, and a vector that names no field while
+        none is known; fixes the field and its kernel on first use."""
         try:
             named = {x.field for x in v}
             ints = False
@@ -93,7 +94,7 @@ class Echelon:
         elif named and named != {self.field}:
             raise ValueError("elements of different fields")
         if self.field is None:
-            return list(v)
+            raise ValueError("no field for these entries: pass field=")
         if self._pack is None:
             width = len(v) if self.width is None else self.width
             self._pack, self._unpack, _ = self.field.dot_kernel(width + 1)
@@ -106,7 +107,7 @@ class Echelon:
         """Store a reduced vector under its leading column; return that
         column, or None when w vanishes on every pivot-eligible column."""
         width = len(w) if self.width is None else self.width
-        zero = getattr(self.field, "zero", None)
+        zero = self.field.zero
         cols = [i for i, x in enumerate(w) if x is not zero and x]
         if not cols or cols[0] >= width:
             return None

@@ -37,6 +37,13 @@ def test_nonprime_p_is_config_error(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_identities_refuses_p_below_two(capsys, p):
+    code, out, err = run(capsys, "identities", "--p", p)
+    assert code == 2 and out == ""
+    assert "p = %s is not prime" % p in err
+
+
 def test_p_cap_enforced(capsys):
     code, _, err = run(capsys, "identities", "--p", "17")
     assert code == 2
@@ -263,15 +270,41 @@ def test_coeffs_seed_changes_draws(capsys):
     assert a != b
 
 
-def test_coeffs_jobs_do_not_change_results(capsys):
-    _, out1, _ = run(capsys, "coeffs", "--p", "3", "--trials", "6",
-                     "--output", "json")
-    _, out2, _ = run(capsys, "coeffs", "--p", "3", "--trials", "6",
-                     "--jobs", "2", "--output", "json")
-    a = json.loads(out1)
-    b = json.loads(out2)
-    assert a["results"] == b["results"]
-    assert a["verdict"] == b["verdict"] == "pass"
+def test_coeffs_jobs_one_matches_the_default(capsys):
+    args = ("coeffs", "--p", "3", "--trials", "6", "--output", "json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--jobs", "1")
+    assert code1 == code2 == 0
+    assert out1 == out2  # byte-identical, config.jobs included
+    assert json.loads(out1)["config"]["jobs"] == 1
+
+
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_coeffs_refuses_jobs_other_than_one_before_building(
+        monkeypatch, capsys, jobs):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("field built before the --jobs check")
+    monkeypatch.setattr(cli, "GF", refuse)
+    code, out, err = run(capsys, "coeffs", "--p", "3", "--trials", "2",
+                         "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "configuration error: coeffs runs in one process: --jobs must " \
+           "be 1" in err
+
+
+def test_coeffs_text_report_lists_every_trial(capsys):
+    code, out, _ = run(capsys, "coeffs", "--p", "5", "--trials", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "command: coeffs",
+        "  trial 0: pass",
+        "  trial 1: pass",
+        "  trial 2: pass",
+        "  trial zero_pair: pass",
+        "verdict: pass",
+    ]
 
 
 def test_coeffs_zero_pair_row(capsys):

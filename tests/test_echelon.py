@@ -57,6 +57,22 @@ def test_rref_and_kernel_of_empty_and_zero_input():
     assert kernel([], 2, F) == ((F.one, F.zero), (F.zero, F.one))
 
 
+def test_ints_without_a_field_are_refused():
+    # ints are scalars only of a field named by field= or by an element
+    for vectors in ([[1, 2], [3, 4]], [[0, 0]], [[]]):
+        with pytest.raises(ValueError, match="field="):
+            rref(vectors)
+    with pytest.raises(ValueError, match="field="):
+        Echelon().contains((1, 0))
+    F = GF(5)
+    s = F.scalar
+    assert Echelon([[1, 2], [3, 4]], field=F).rref() == (
+        ((F.one, F.zero), (F.zero, F.one)), (0, 1))
+    assert rref([[s(1), 2], [3, 4]]) == (
+        ((F.one, F.zero), (F.zero, F.one)), (0, 1))
+    assert rref([[s(2), 4]]) == (((F.one, s(2)),), (0,))
+
+
 def test_kernel_of_rectangular_rows():
     F = GF(5)
     s = F.scalar

@@ -361,3 +361,15 @@ def test_strade_operator_form():
                                       for _ in range(ua)])
         alpha = a0 + BiTruncSeries.shift_u(F, ua, ub)
         assert laguerre_value(p, alpha, x) == -descending_form(p, alpha, x)
+
+
+def test_failing_identity_reports_its_difference():
+    # a wrong value of L_1^(alpha+1)(X) breaks the step identity at n = 1
+    # by -X, printed by MultiPoly.__str__ over GF(5)
+    alpha, x = laguerre._symbols(5)
+    wrong = laguerre_value(5, alpha + 1, x, 1) + x
+    rep = laguerre._check_identity("step", 5, {(1, 1): wrong})
+    assert rep.name == "step[p=5]"
+    assert rep.passed is False
+    assert rep.detail == "fails at n=1: 4*X"
+    assert laguerre._check_identity("step", 5, {}).passed

@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and its
-elimination layer imports nothing from the package."""
+"""The package imports nothing outside the standard library, nothing that
+starts processes or opens sockets, and its elimination layer imports
+nothing from the package."""
 
 import ast
 import json
@@ -10,17 +11,19 @@ import sys
 import gradeswitch
 
 # Modules loaded at start-up (site hooks of the environment included) are
-# recorded first, so only what importing the package adds is checked;
-# multiprocessing's alias of __main__ is not an import.
+# recorded first, so only what importing the package adds is checked.
 _PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import gradeswitch, gradeswitch.cli
-added = {m.split(".")[0] for m in set(sys.modules) - before
-         if sys.modules[m] is not sys.modules["__main__"]}
+added = {m.split(".")[0] for m in set(sys.modules) - before}
 print(json.dumps(sorted(added)))
 """
+
+# the package runs in one process: no pool, no child processes, no sockets
+_PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess", "socket",
+                    "selectors"}
 
 
 def test_import_needs_only_the_standard_library():
@@ -32,6 +35,7 @@ def test_import_needs_only_the_standard_library():
     foreign = [m for m in added
                if m != "gradeswitch" and m not in sys.stdlib_module_names]
     assert foreign == []
+    assert sorted(_PROCESS_MODULES.intersection(added)) == []
 
 
 def test_echelon_imports_nothing_from_the_package():
