@@ -258,12 +258,7 @@ def lemma_eval(p):
 
 def lemma_product(p):
     """prod_{i=1}^{p-1} (1 + Z/i)^i over GF(p)."""
-    field = GF(p)
-    z = Polynomial.variable(field, "Z")
-    acc = Polynomial(field, [field.one], "Z")
-    for i in range(1, p):
-        acc = acc * (1 + field.scalar(i).inverse() * z) ** i
-    return acc
+    return scalar_product_form(p, Polynomial.variable(GF(p), "Z"))
 
 
 def lemma_binomial(p):
@@ -311,16 +306,16 @@ def check_lemma_product_identity(p):
 
 
 def scalar_product_form(p, x):
-    """prod_{i=1}^{p-1} (1 + x/i)^i for a field element x.
+    """prod_{i=1}^{p-1} (1 + x/i)^i for a field element or a polynomial x.
 
-    This is the value L_{p-1}^(x^p)(x^p - x); it vanishes exactly when
-    x is in F_p^*.
+    This is the value L_{p-1}^(x^p)(x^p - x); at a field element it
+    vanishes exactly when x is in F_p^*.
     """
     field = x.field
     _check_p(p, field)
-    acc = field.one
+    acc = x ** 0
     for i in range(1, p):
-        acc = acc * (field.one + x / i) ** i
+        acc = acc * (1 + field.scalar(i).inverse() * x) ** i
     return acc
 
 
@@ -488,15 +483,11 @@ def c_coefficients_symbolic(p):
     n_table = quotient_mul(
         v, _laguerre_xy_quotient(u.ring, upow.entries[0], p))
 
-    s_expected = alpha ** 0
-    for i in range(1, p):
-        s_expected = s_expected * (1 + field.scalar(i).inverse() * (alpha + beta)) ** i
-
     vanishing_ok = not _vanishing_violations(p, n_table.entries)
     reconstruction_ok = quotient_mul(u, n_table) == v * s
     return SymbolicCoefficientReport(
         p, n_table.entries, s, vanishing_ok, reconstruction_ok,
-        s == s_expected)
+        s == scalar_product_form(p, alpha + beta))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Pipeline: find the least r with D^(p^r) semisimple, the minimal relation
 D^(p^n) + a_{n-1} D^(p^(n-1)) + ... + a_r D^(p^r) = 0, and an additive
-polynomial g with g(D)^p - g(D) = D^(p^r).  The switching operator is the
-Laguerre value
+polynomial g such that alpha = (g - h)(D), h(T) = sum_{1<=i<r} T^(p^i),
+obeys the switching law alpha^p - alpha = D^p.  The switching operator is
 
-    L_D = L_{p-1}^(g(D) - h(D))(D),      h(T) = sum_{1<=i<r} T^(p^i),
+    L_D = L_{p-1}^(alpha)(D),
 
 an invertible map.  g(D) acts on each generalized eigenspace A^(rho) of D
 as the scalar g(rho), and there L_D^(p^r) is the nonzero scalar
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .echelon import first_dependence
 from .fields import artin_schreier_root, embed, embedding, \
     roots_in_splitting_field
-from .galg import LinearMap, _accumulate, _check_acts, \
+from .galg import _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
@@ -55,19 +55,19 @@ class PPolynomial:
         return not self.terms
 
     def __call__(self, x):
-        acc = self.field.zero
+        """sum_i b_i x^(p^i) at a scalar or a map x, on one p-power chain."""
+        acc, k = x * self.field.zero, 0
         for i, b in self.terms:
-            acc = acc + b * x ** (self.field.p ** i)
+            for _ in range(i - k):
+                x = x ** self.field.p
+            acc, k = acc + x * b, i
         return acc
 
-    def eval_matrix(self, M):
-        """sum_i b_i M^(p^i), walking M, M^p, M^(p^2), ... once."""
-        acc = LinearMap.zero(M.field, M.n)
-        power, k = M, 0
-        for i, b in self.terms:
-            power, k = power.p_power(i - k), i
-            acc = acc + power * b
-        return acc
+    def __sub__(self, other):
+        coeffs = dict(self.terms)
+        for i, b in other.terms:
+            coeffs[i] = coeffs.get(i, self.field.zero) - b
+        return PPolynomial.make(self.field, coeffs.items())
 
     def embed_to(self, field):
         if field is self.field:
@@ -77,12 +77,6 @@ class PPolynomial:
 
     def to_json(self):
         return [[i, list(b.coeffs)] for i, b in self.terms]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        p = self.field.p
-        return " + ".join("(%s)*T^%d" % (b, p ** i) for i, b in self.terms)
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,9 @@ class Relation:
 
     def verify(self, D):
         """The relation holds at D (the degenerate one reads D^(p^r))."""
-        top = (self.n, self.field.one)
-        poly = PPolynomial.make(self.field,
-                                [*enumerate(self.coeffs, self.r), top])
-        return poly.eval_matrix(D).is_zero()
+        poly = PPolynomial.make(self.field, [*enumerate(self.coeffs, self.r),
+                                             (self.n, self.field.one)])
+        return poly(D).is_zero()
 
     def to_json(self):
         return {"r": self.r, "n": self.n, "degenerate": self.degenerate,
@@ -164,8 +157,9 @@ def _flat_p_powers(S):
 
 def build_g(relation, lam=None):
     """(F', g, lambda) with g an additive polynomial supported on exponents
-    r..n-1 satisfying g(D)^p - g(D) = D^(p^r) (build_LD verifies this at
-    D).
+    r..n-1 for which alpha = (g - h)(D) obeys alpha^p - alpha = D^p, as
+    :func:`_result` checks at D.  Since h(D)^p - h(D) = D^(p^r) - D^p
+    telescopes, this makes g(D) an Artin-Schreier root of D^(p^r).
 
     lambda is a root of the constraint polynomial
     1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)); by default the
@@ -264,9 +258,8 @@ def build_LD(A, D, r=None):
 
     Steps: semisimplicity exponent (a supplied r must be at least it, as
     p-th powers of a semisimple map stay semisimple), minimal
-    p-power relation, additive polynomial g (enlarging the field as
-    needed) with G = g(D) checked against G^p - G = D^(p^r), then
-    alpha = G - h(D) and the result built from it by :func:`_result`.
+    p-power relation and additive polynomial g (enlarging the field as
+    needed); :func:`_result` forms alpha from g and checks its law.
     """
     _check_acts(A, D)
     _check_r(r)
@@ -279,19 +272,19 @@ def build_LD(A, D, r=None):
     r_eff = max(r, 1)
     relation = p_power_relation(D, r_eff)
     f1, g, lam = build_g(relation)
-    d1 = D.embed_to(f1)
-    gd = g.eval_matrix(d1)
-    if gd ** f1.p - gd != d1.p_power(r_eff):
-        raise VerificationError("g(D)^p - g(D) != D^(p^r)")
-    alpha = gd - h_polynomial(f1, r_eff).eval_matrix(d1)
-    return _result(A, d1, alpha, g, lam, r_raw, r_eff, relation)
+    return _result(A, D.embed_to(f1), g, lam, r_raw, r_eff, relation)
 
 
-def _result(A, d1, alpha, g, lam, r_raw, r, relation):
-    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D = d1, over the
-    field where D splits: generalized eigenspaces, the one Laguerre value,
-    its scalar law through g on each eigenspace and the switched parts.
-    alpha, g and lam come over d1's field (lam may be None)."""
+def _result(A, d1, g, lam, r_raw, r, relation):
+    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D = d1, with g and
+    lam over d1's field (lam may be None): alpha = (g - h)(D) checked
+    against the switching law alpha^p - alpha = D^p, then over the field
+    where D splits the generalized eigenspaces, the one Laguerre value, its
+    scalar law through g on each eigenspace and the switched parts."""
+    f1 = d1.field
+    alpha = (g - h_polynomial(f1, r))(d1)
+    if alpha ** f1.p - alpha != d1 ** f1.p:
+        raise VerificationError("alpha^p - alpha != D^p")
     f2, dec = generalized_eigenspaces(d1)
     a2 = A.change_field(f2)
     d2 = d1.embed_to(f2)
@@ -340,10 +333,11 @@ def _scalar_law(lmap, dec, g, r):
 def special_LD(A, D):
     """The switching operator in the special case D^(p^2) = D^p.
 
-    Uses gamma with gamma^p - gamma = 1 and alpha = gamma D^p, which acts
-    as a gamma on each eigenspace A^(a), a in F_p.  Equivalent to build_LD
-    with r = 1 and g = gamma T^p; kept as an independent route to alpha.
-    When D^p = 0, alpha vanishes and gamma is not adjoined: the value is
+    Uses g = gamma T^p with gamma^p - gamma = 1, so alpha = gamma D^p,
+    which acts as a gamma on each eigenspace A^(a), a in F_p.  Equivalent
+    to build_LD with r = 1; kept as an independent route to g, with gamma
+    from a linear solve where build_LD finds its root by root finding.
+    When D^p = 0, g and alpha vanish and gamma is not adjoined: the value is
     L_{p-1}^(0)(D) over the start field, as with build_LD's degenerate
     relation.
     """
@@ -360,8 +354,7 @@ def special_LD(A, D):
         f1, gamma = field0, None
         relation = Relation(field0, 1, 1, (), True)
     g = PPolynomial.make(f1, [(1, gamma)] if dp else ())
-    alpha = dp.embed_to(f1) * gamma if dp else dp
-    res = _result(A, D.embed_to(f1), alpha, g, gamma, 1, 1, relation)
+    res = _result(A, D.embed_to(f1), g, gamma, 1, 1, relation)
     for rho, _ in res.decomposition:
         if rho ** p != rho:
             raise VerificationError("eigenvalue outside F_p despite "
@@ -437,7 +430,7 @@ def verify_product_rule(result):
     f2 = d2.field
     p = f2.p
     n = a2.dim
-    h = h_polynomial(f2, result.r)
+    gh = result.g - h_polynomial(f2, result.r)
     dec = result.decomposition
     lmap = result.switch_map
     zero = f2.zero
@@ -449,7 +442,7 @@ def verify_product_rule(result):
     # eigenspace means nil is not nilpotent.
     eigen = []
     for rho, space in dec:
-        a0 = result.g(rho) - h(rho)
+        a0 = gh(rho)
         nil = result.alpha - a0
         grids = []
         for v in space.basis:

@@ -251,7 +251,7 @@ def test_criterion_09_g_construction():
         lam = res.lam
         f2 = res.field_final
         ok = ok and 1 + lam - lam ** p == f2.zero  # root polynomial kills it
-        gD = res.g.eval_matrix(res.derivation)
+        gD = res.g(res.derivation)
         ok = ok and gD ** p - gD == res.derivation.p_power(1)
     _verdict(9, ok, "1 + T - T^p annihilates lambda; g(D)^p - g(D) == D^p")
 

@@ -342,6 +342,37 @@ def test_field_degree_at_the_cap_is_accepted(capsys):
     assert json.loads(out)["config"]["field_degree"] == 16
 
 
+@pytest.mark.parametrize("trials", ["1001", str(10 ** 9)])
+def test_trials_cap_checked_before_building(monkeypatch, capsys, trials):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("p checked or field built before the trials "
+                             "cap check")
+    monkeypatch.setattr(cli, "is_prime", refuse)
+    monkeypatch.setattr(cli, "GF", refuse)
+    code, out, err = run(capsys, "coeffs", "--p", "13", "--trials", trials)
+    assert code == 2 and out == ""
+    assert "trials = %s exceeds the cap 1000" % trials in err
+
+
+def test_trials_at_the_cap_is_accepted(monkeypatch, capsys):
+    # the trial loop is stubbed down to one drawn pair: a real run at the
+    # cap is many seconds at p = 13
+    from gradeswitch import cli
+    real = cli._draw_pairs
+    asked = []
+
+    def one_pair(field, trials, seed):
+        asked.append(trials)
+        return real(field, 1, seed)
+    monkeypatch.setattr(cli, "_draw_pairs", one_pair)
+    code, out, _ = run(capsys, "coeffs", "--p", "13", "--trials", "1000",
+                       "--output", "json")
+    assert code == 0 and asked == [1000]
+    assert json.loads(out)["config"]["trials"] == 1000
+
+
 def test_switch_builtin_witt(capsys):
     code, out, _ = run(capsys, "switch", "--builtin", "witt:5",
                        "--derivation", "ad:0", "--output", "json")

@@ -237,6 +237,29 @@ def test_artin_schreier_smallest_root():
         assert min(int(x) for x in roots) == int(r)
 
 
+AS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2),
+             (2, 4)]
+
+
+@pytest.mark.parametrize("p,n", AS_FIELDS,
+                         ids=["GF(%d^%d)" % f for f in AS_FIELDS])
+def test_artin_schreier_root_matches_root_finding(p, n):
+    # special_LD takes gamma from artin_schreier_root, a linear solve;
+    # build_LD finds its roots with roots_in_splitting_field.  For every c
+    # both routes give the identical field and the same smallest root of
+    # T^p - T - c, which has p simple roots.  The splitting fields GF(5^5),
+    # GF(7^7), GF(3^6) and GF(5^10) lie above _EXHAUST_CAP, so root finding
+    # splits by equal degrees there.
+    F = GF(p, n)
+    t = Polynomial.variable(F)
+    for c in F.elements():
+        big, gamma = artin_schreier_root(F, c)
+        split, roots = roots_in_splitting_field(t ** p - t - c)
+        assert split is big
+        assert roots[0][0] == gamma
+        assert len(roots) == p and all(m == 1 for _, m in roots)
+
+
 def test_embedding_is_canonical_homomorphism():
     F3, F27 = GF(3), GF(3, 3)
     emb = embedding(F3, F27)

@@ -194,6 +194,20 @@ def test_scalar_product_form_is_laguerre_value():
         assert lhs == scalar_product_form(p, x)
 
 
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
+def test_scalar_product_form_at_Z_evaluates_to_its_values(p, n):
+    # one formula for field elements and polynomials: its value at Z,
+    # evaluated at x, is its value at x; over GF(p) the value at Z is
+    # lemma_product
+    F = GF(p, n)
+    at_z = scalar_product_form(p, Polynomial.variable(F, "Z"))
+    assert at_z.degree() == p * (p - 1) // 2
+    for x in F.elements():
+        assert at_z.evaluate(x) == scalar_product_form(p, x)
+    if n == 1:
+        assert at_z == lemma_product(p)
+
+
 def test_zero_pair_closed_form_values():
     assert [int(c) for c in zero_pair_closed_form(5)] == [1, 4, 3, 3, 4]
     F = GF(3)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gradeswitch import cli, switch
-from gradeswitch.fields import GF, embed
+from gradeswitch.fields import GF, FqElement, embed
 from gradeswitch.galg import (
     LinearMap, direct_sum, generalized_eigenspaces, is_grading,
     truncated_poly, truncated_poly_derivation, witt)
@@ -45,7 +45,7 @@ def blockwise_switch_map(res, special=False):
         if special:
             alpha = f2.zero if res.lam is None else rho * res.lam
         else:
-            alpha = res.g(rho) - h.eval_matrix(dres)
+            alpha = res.g(rho) - h(dres)
         block = laguerre_value(p, alpha, dres)
         k = space.dim
         assert block.p_power(res.r) == \
@@ -105,14 +105,14 @@ def test_ppolynomial_is_additive():
     assert PPolynomial.make(F, [(1, F.zero)]).is_zero()
 
 
-def test_ppolynomial_eval_matrix():
+def test_ppolynomial_at_a_map():
     F = GF(3)
     M = LinearMap(F, [[F.one, F.one], [F.zero, F.one]])
     g = PPolynomial.make(F, [(0, F.scalar(2)), (1, F.one)])
-    assert g.eval_matrix(M) == M * 2 + M.p_power(1)
+    assert g(M) == M * 2 + M.p_power(1)
 
 
-def test_eval_matrix_walks_one_p_power_chain(monkeypatch):
+def test_ppolynomial_walks_one_p_power_chain(monkeypatch):
     # h has the terms T^(p^i) for i = 1..39: one chain M, M^p, ...,
     # M^(p^39) takes 39 p-th powers, where one chain per term takes 780
     F = GF(5)
@@ -132,8 +132,24 @@ def test_eval_matrix_walks_one_p_power_chain(monkeypatch):
     monkeypatch.setattr(LinearMap, "__mul__", counting)
     M ** F.p
     per_power, products[0] = products[0], 0
-    assert h_polynomial(F, 40).eval_matrix(M) == want
+    assert h_polynomial(F, 40)(M) == want
     assert products[0] <= 39 * per_power
+
+    # a field element walks the same chain: 39 powers, each to the p-th
+    E = GF(5, 3)
+    x = E.random_element(rng)
+    want = E.zero
+    for i in range(1, 40):
+        want = want + x ** (5 ** i)
+    real_pow = FqElement.__pow__
+    exponents = []
+
+    def recording(self, e):
+        exponents.append(e)
+        return real_pow(self, e)
+    monkeypatch.setattr(FqElement, "__pow__", recording)
+    assert h_polynomial(E, 40)(x) == want
+    assert exponents == [5] * 39
 
 
 def test_semisimple_exponent():
@@ -182,7 +198,7 @@ def test_build_g_companion_case():
     assert big.n == 6
     assert lam ** 9 == 1 + lam
     assert g.terms == ((1, lam.pth_root()), (2, lam))
-    gD = g.eval_matrix(D.embed_to(big))
+    gD = g(D.embed_to(big))
     assert gD ** 3 - gD == D.embed_to(big).p_power(1)
 
 
@@ -206,7 +222,7 @@ def test_build_g_accepts_each_constraint_root():
     for lam, _ in roots[:3]:
         _, g, lam_out = build_g(rel, lam=lam)
         assert lam_out == lam
-        gD = g.eval_matrix(D.embed_to(big))
+        gD = g(D.embed_to(big))
         assert gD ** 3 - gD == D.embed_to(big).p_power(1)
 
 
@@ -218,7 +234,7 @@ def test_h_polynomial_telescopes():
                       for _ in range(4)])
     for r in (1, 2, 3):
         h = h_polynomial(F, r)
-        hm = h.eval_matrix(M)
+        hm = h(M)
         assert hm ** 3 - hm == M.p_power(r) - M.p_power(1)
     assert h_polynomial(F, 1).is_zero()
 
@@ -281,7 +297,7 @@ def test_xddx_relation_and_g():
         assert res.relation.coeffs == (GF(p).scalar(-1),)
         lam = res.lam
         assert 1 + lam - lam ** p == res.field_final.zero
-        gD = res.g.eval_matrix(res.derivation)
+        gD = res.g(res.derivation)
         assert gD ** p - gD == res.derivation.p_power(1)
 
 
@@ -351,6 +367,9 @@ def test_switch_map_is_the_laguerre_value_at_alpha(spec, der, r):
         assert alpha.field is D.field is res.field_final
         assert res.switch_map == laguerre_value(D.field.p, alpha, D)
         assert alpha * D == D * alpha
+        # the switching law; special_LD is among the results wherever
+        # D^(p^2) = D^p
+        assert alpha ** D.field.p - alpha == D ** D.field.p
         assert "alpha" not in res.to_json()
 
 
@@ -367,6 +386,119 @@ def test_special_alpha_is_gamma_times_D_to_the_p(spec, der):
         # witt ad:0 has D^p = 0: no gamma, the zero map
         assert res.lam is None
         assert res.alpha == LinearMap.zero(res.field_final, A.dim)
+
+
+@pytest.mark.parametrize("spec,der", [
+    ("witt:5", "ad:1"), ("witt:5+witt:5", "ad:1"), ("tpoly:5:5:5", "xddx"),
+    ("tpoly:2:8:2", "xddx")])
+def test_special_LD_refuses_gamma_off_the_law(monkeypatch, spec, der):
+    # (gamma + delta)^p - (gamma + delta) = 1 + delta^p - delta, which is
+    # not 1 for delta outside F_p, so alpha^p - alpha misses D^p != 0
+    real = switch.artin_schreier_root
+
+    def shifted(field, c):
+        big, gamma = real(field, c)
+        delta = big.gen
+        assert delta ** big.p != delta
+        return big, gamma + delta
+    monkeypatch.setattr(switch, "artin_schreier_root", shifted)
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    assert D ** A.field.p
+    with pytest.raises(VerificationError, match=r"alpha\^p - alpha != D\^p"):
+        special_LD(A, D)
+
+
+def _companion_case():
+    """A 3-dim D over F_3 with D^2 = D + 1 on a 2-dim block and the
+    eigenvalue 1 on the third vector: its relation is D^27 = D^3, where
+    D^9 != D^3, and g = b_1 T^3 + b_2 T^9 over GF(3^6)."""
+    F3 = GF(3)
+    A = truncated_poly(3, 3, 3).change_field(F3)
+    D = LinearMap(F3, [[F3.zero, F3.one, F3.zero],
+                       [F3.one, F3.one, F3.zero],
+                       [F3.zero, F3.zero, F3.one]])
+    return A, D
+
+
+def _law_cases():
+    out = []
+    for spec, der in (("witt:5", "ad:1"), ("witt:5+witt:5", "ad:1"),
+                      ("tpoly:5:5:5", "xddx"), ("tpoly:2:8:2", "xddx")):
+        A = cli._parse_builtin(spec)
+        out.append((A, cli._parse_derivation(A, der, None)))
+    out.append(_companion_case())
+    return out
+
+
+def test_build_LD_refuses_g_off_the_law(monkeypatch):
+    # Scaling the lowest coefficient b of g by c moves alpha by
+    # e D^(p^r), e = (c - 1) b, and alpha^p - alpha by
+    # e^p D^(p^(r+1)) - e D^(p^r).  That vanishes where e is in F_p and
+    # D^(p^(r+1)) = D^(p^r), the Artin-Schreier ambiguity of the next
+    # test, so c is taken outside F_p with e outside F_p too.
+    real = switch.build_g
+
+    def scaled(relation, lam=None):
+        big, g, lam = real(relation, lam)
+        (i, b), *rest = g.terms
+        assert big.n > 1  # gen and gen + 1 lie outside F_p
+        c = next(c for c in (big.gen, big.gen + 1)
+                 if ((c - 1) * b) ** big.p != (c - 1) * b)
+        return big, PPolynomial.make(big, [(i, b * c), *rest]), lam
+    cases = _law_cases()
+    for A, D in cases:
+        assert build_LD(A, D).g.terms  # the unpatched g is accepted
+    monkeypatch.setattr(switch, "build_g", scaled)
+    for A, D in cases:
+        with pytest.raises(VerificationError,
+                           match=r"alpha\^p - alpha != D\^p"):
+            build_LD(A, D)
+
+
+def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
+    # Adding k T^(p^r), k in F_p, to g is not refused where
+    # D^(p^(r+1)) = D^(p^r): alpha gains k D^(p^r), and alpha^p - alpha
+    # gains k (D^(p^(r+1)) - D^(p^r)) = 0.  The law fixes g(D) only up to
+    # F_p, like the root of gamma^p - gamma = 1; here the shifted g is
+    # the g of the constraint root lambda + k.
+    real = switch.build_g
+    shifts = []
+
+    def shifted(relation, lam=None):
+        big, g, lam = real(relation, lam)
+        k = big.scalar(2)
+        shifts.append((relation, lam + k))
+        moved = dict(g.terms)
+        moved[relation.r] = moved[relation.r] + k
+        return big, PPolynomial.make(big, moved.items()), lam
+    monkeypatch.setattr(switch, "build_g", shifted)
+    W = witt(5)
+    D = W.left_multiplication(W.basis_vector(1))  # ad e_0: D^5 = D
+    assert D.p_power(2) == D.p_power(1)
+    res = build_LD(W, D)
+    (relation, lam_k), = shifts
+    assert res.g == real(relation, lam_k)[1]
+    assert res.alpha ** 5 - res.alpha == res.derivation ** 5
+
+
+def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
+    # alpha = (g - h)(D) is one p-power chain up to D^(5^16) and the law
+    # needs only D^5; walking h(D) along a second chain and forming
+    # D^(5^16) again for a check of g(D) made 250 products
+    real = LinearMap.__mul__
+    products = [0]
+
+    def counting(self, other):
+        if isinstance(other, LinearMap):
+            products[0] += 1
+        return real(self, other)
+    monkeypatch.setattr(LinearMap, "__mul__", counting)
+    code = cli.main(["switch", "--builtin", "witt:5", "--derivation", "ad:1",
+                     "--r", "16", "--output", "json"])
+    capsys.readouterr()
+    assert code == 0
+    assert products[0] <= 160
 
 
 def test_scalar_law_on_blocks():
