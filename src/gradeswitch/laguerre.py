@@ -379,7 +379,9 @@ def _split_pair(p, a, b):
     characteristic p.
 
     v = L^(a)(X) L^(b)(Y) and u = L^(a+b)(X+Y) live in the quotient ring
-    R[X,Y]/(X^p - xc, Y^p - yc), xc = a^p - a and yc = b^p - b.  Since
+    R[X,Y]/(X^p - xc, Y^p - yc), xc = a^p - a and yc = b^p - b; v has
+    degree below p in X and in Y, so it is the outer product of the two
+    coefficient lists, with no quotient product.  Since
     (X+Y)^p = X^p + Y^p = xc + yc, the map Z -> X + Y embeds the
     one-variable ring R[Z]/(Z^p - (xc + yc)) there, and u is the image of
     u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
@@ -389,8 +391,7 @@ def _split_pair(p, a, b):
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
-    v = quotient_mul(ring.from_x_poly(laguerre_coeffs(p, a)),
-                     ring.from_y_poly(laguerre_coeffs(p, b)))
+    v = ring.outer_product(laguerre_coeffs(p, a), laguerre_coeffs(p, b))
     l_ab = laguerre_coeffs(p, a + b)
     u = _laguerre_xy_quotient(ring, l_ab, p)
     u_z = QuotientRing(p, xc + yc, xc + yc).from_y_poly(l_ab)

@@ -29,6 +29,7 @@ from .echelon import solve
 from .fields import FqElement, _as_field_elt, power
 
 _COEFFS = operator.attrgetter("coeffs")
+_ADD = operator.add
 
 
 class NonInvertibleError(ValueError):
@@ -169,24 +170,35 @@ class Polynomial(RingElement):
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """Long division.  Coefficient k of the remainder is read once, when
+        the loop reaches it, and cancelled by the quotient's coefficient
+        k - d, so it is never written back; a monic divisor is not scaled
+        by its leading inverse.  Dividing by T + c thus costs one product
+        and one sum per coefficient."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        field = self.field
         rem = list(self.coeffs)
-        quo = [self.field.zero] * max(len(rem) - len(o.coeffs) + 1, 0)
-        inv = o.leading().inverse()
         d = o.degree()
+        low = o.coeffs[:-1]
+        lead = o.coeffs[-1]
+        inv = None if lead == field.one else lead.inverse()
+        quo = [field.zero] * max(len(rem) - d, 0)
         for k in range(len(rem) - 1, d - 1, -1):
             c = rem[k]
             if c:
-                f = c * inv
+                f = c if inv is None else c * inv
                 quo[k - d] = f
-                for j in range(d + 1):
-                    rem[k - d + j] = rem[k - d + j] - f * o.coeffs[j]
-        return (Polynomial(self.field, quo, self.var),
-                Polynomial(self.field, rem, self.var))
+                for j, b in enumerate(low, k - d):
+                    rem[j] = rem[j] - f * b
+        del rem[d:]
+        while rem and not rem[-1]:
+            rem.pop()
+        return (Polynomial._trusted(field, tuple(quo), self.var),
+                Polynomial._trusted(field, tuple(rem), self.var))
 
     def __floordiv__(self, other):
         r = divmod(self, other)
@@ -361,6 +373,18 @@ class MultiPoly(RingElement):
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, field, vars_, terms):
+        """The polynomial with `terms`, a dict from exponent tuples of
+        length len(vars_) (a tuple) to nonzero elements of `field`,
+        unchecked.  Ring operations on checked operands build their results
+        here."""
+        f = object.__new__(cls)
+        f.field = field
+        f.vars = vars_
+        f.terms = terms
+        return f
+
+    @classmethod
     def constant(cls, field, vars_, c):
         return cls(field, vars_, {(0,) * len(vars_): _as_field_elt(field, c)})
 
@@ -386,7 +410,9 @@ class MultiPoly(RingElement):
                 raise ValueError("multipolynomials over different rings")
             return other
         if isinstance(other, (int, FqElement)):
-            return MultiPoly.constant(self.field, self.vars, other)
+            c = _as_field_elt(self.field, other)
+            return MultiPoly._trusted(self.field, self.vars,
+                                      {(0,) * len(self.vars): c} if c else {})
         return None
 
     def __add__(self, other):
@@ -396,36 +422,54 @@ class MultiPoly(RingElement):
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
+            if s is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return MultiPoly(self.field, self.vars, out)
+                s = s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return MultiPoly._trusted(self.field, self.vars, out)
 
     def __neg__(self):
-        return MultiPoly(self.field, self.vars,
-                         {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.field, self.vars,
+                                  {e: -c for e, c in self.terms.items()})
 
     def one(self):
         return MultiPoly.constant(self.field, self.vars, 1)
 
     def __mul__(self, other):
+        """Schoolbook product, the factor with fewer terms outside.  Its
+        first term times the other factor gives distinct exponents and
+        nonzero coefficients (F has no zero divisors), so that row is
+        stored with no lookup; only the later rows add up.  A one-term
+        factor (a monomial, a scalar) thus costs one entry product and one
+        store per term of the other."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+        small, big = self.terms, o.terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return MultiPoly._trusted(self.field, self.vars, {})
+        rows = iter(small.items())
+        e1, c1 = next(rows)
+        out = {tuple(map(_ADD, e1, e2)): c1 * c2 for e2, c2 in big.items()}
+        for e1, c1 in rows:
+            for e2, c2 in big.items():
+                e = tuple(map(_ADD, e1, e2))
                 s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out.pop(e, None)
-        return MultiPoly(self.field, self.vars, out)
+                    s = s + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return MultiPoly._trusted(self.field, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -706,6 +750,23 @@ class QuotientRing:
 
     def from_y_poly(self, coeffs):
         return self.from_exponents((((0, k), c) for k, c in enumerate(coeffs)))
+
+    def outer_product(self, xs, ys):
+        """(sum xs[i] X^i) (sum ys[j] Y^j) for at most p entries each, from
+        the entry ring.  No exponent reaches p, so entry [i][j] is
+        xs[i] ys[j]: p^2 entry products and no fold.  A row or column of a
+        zero factor (ring.zero_entry, or any zero) is zero_entry itself,
+        with no product."""
+        p = self.p
+        if len(xs) > p or len(ys) > p:
+            raise ValueError("degrees must be below p")
+        zero = self.zero_entry
+        cols = [c if c is not zero and c else None for c in ys]
+        cols += [None] * (p - len(cols))
+        rows = [tuple([zero if c2 is None else c1 * c2 for c2 in cols])
+                if c1 is not zero and c1 else (zero,) * p for c1 in xs]
+        rows += [(zero,) * p] * (p - len(rows))
+        return QuotientElement(self, tuple(rows))
 
 
 class QuotientElement(RingElement):

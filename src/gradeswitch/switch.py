@@ -48,8 +48,14 @@ class PPolynomial:
 
     @classmethod
     def make(cls, field, pairs):
-        terms = tuple(sorted((int(i), c) for i, c in pairs if c))
-        return cls(field, terms)
+        """sum_i b_i T^(p^i) from (i, b_i) pairs; the coefficients of a
+        repeated exponent add up, and zero sums are dropped."""
+        coeffs = {}
+        for i, c in pairs:
+            i = int(i)
+            coeffs[i] = coeffs[i] + c if i in coeffs else c
+        return cls(field, tuple((i, coeffs[i]) for i in sorted(coeffs)
+                                if coeffs[i]))
 
     def is_zero(self):
         return not self.terms
@@ -64,10 +70,8 @@ class PPolynomial:
         return acc
 
     def __sub__(self, other):
-        coeffs = dict(self.terms)
-        for i, b in other.terms:
-            coeffs[i] = coeffs.get(i, self.field.zero) - b
-        return PPolynomial.make(self.field, coeffs.items())
+        return PPolynomial.make(self.field, self.terms
+                                + tuple((i, -b) for i, b in other.terms))
 
     def embed_to(self, field):
         if field is self.field:
@@ -282,8 +286,12 @@ def _result(A, d1, g, lam, r_raw, r, relation):
     where D splits the generalized eigenspaces, the one Laguerre value, its
     scalar law through g on each eigenspace and the switched parts."""
     f1 = d1.field
-    alpha = (g - h_polynomial(f1, r))(d1)
-    if alpha ** f1.p - alpha != d1 ** f1.p:
+    # every exponent of g - h is at least 1, so its p-power chain can start
+    # at D^p, the one power of D the law needs
+    dp = d1 ** f1.p
+    alpha = PPolynomial.make(f1, [(i - 1, b) for i, b in
+                                  (g - h_polynomial(f1, r)).terms])(dp)
+    if alpha ** f1.p - alpha != dp:
         raise VerificationError("alpha^p - alpha != D^p")
     f2, dec = generalized_eigenspaces(d1)
     a2 = A.change_field(f2)

@@ -344,6 +344,49 @@ def test_table_inverts_only_one_variable_elements(monkeypatch):
     assert len(seen) == 4
 
 
+def outer_v_cases():
+    """(p, a, b) over every entry kind: field elements below and above the
+    log/exp cap (a in F_p makes all but one Laguerre coefficient zero),
+    series of orders (1, 1) and (3, 2), with a mixed pair whose factors
+    share a nilpotent, and symbolic MultiPoly entries."""
+    cases = []
+    for p, n in ((7, 1), (7, 2), (5, 7)):
+        F = GF(p, n)
+        rng = random.Random(17 * p + n)
+        cases += [(p, F.random_element(rng), F.random_element(rng))
+                  for _ in range(2)]
+        cases += [(p, F.zero, F.zero), (p, F.one, F.scalar(2))]
+    F = GF(7)
+    for ua, ub in ((1, 1), (3, 2)):
+        u, v = BiTruncSeries.shift_u(F, ua, ub), BiTruncSeries.shift_v(F, ua, ub)
+        cases += [(7, F.scalar(3) + u, F.scalar(5) + v),
+                  (7, F.one + u, F.zero + v),
+                  (7, F.scalar(2) + u + v, F.scalar(4) + u)]
+    for p in (3, 5):
+        vars_ = ("alpha", "beta")
+        cases.append((p, MultiPoly.variable(GF(p), vars_, "alpha"),
+                      MultiPoly.variable(GF(p), vars_, "beta")))
+    return cases
+
+
+@pytest.mark.parametrize("p,a,b", outer_v_cases())
+def test_split_pair_v_is_the_kernel_product(p, a, b):
+    """v = L^(a)(X) L^(b)(Y) as an outer product of the two coefficient
+    lists equals the quotient product of the two one-variable elements."""
+    u, v, _ = _split_pair(p, a, b)
+    ring = u.ring
+    want = quotient_mul(ring.from_x_poly(laguerre_coeffs(p, a)),
+                        ring.from_y_poly(laguerre_coeffs(p, b)))
+    assert v.ring is ring
+    assert v == want
+    zero = ring.zero_entry
+    for row, want_row in zip(v.entries, want.entries):
+        for c, w in zip(row, want_row):
+            assert type(c) is type(zero)
+            if c is zero:
+                assert not w
+
+
 def test_symbolic_tables():
     for p in (2, 3, 5):
         rep = c_coefficients_symbolic(p)

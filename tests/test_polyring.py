@@ -716,3 +716,20 @@ def test_product_kernel_is_freed_with_its_ring():
         del ring, u, v
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_outer_product_pads_and_refuses_degree_p():
+    """Short coefficient lists are padded with zero_entry; p or more
+    coefficients are refused, since X^p or Y^p would need a fold."""
+    F = GF(5)
+    ring = QuotientRing(5, F.scalar(2), F.scalar(3))
+    xs, ys = [F.scalar(1), F.zero, F.scalar(4)], [F.scalar(2), F.scalar(3)]
+    got = ring.outer_product(xs, ys)
+    assert got == quotient_mul(ring.from_x_poly(xs), ring.from_y_poly(ys))
+    assert got.entries[1] == (ring.zero_entry,) * 5
+    assert got.entries[0][1] == F.scalar(3) and got.entries[2][0] == F.scalar(3)
+    assert ring.outer_product([], ys).entries == ((ring.zero_entry,) * 5,) * 5
+    with pytest.raises(ValueError):
+        ring.outer_product([F.one] * 6, ys)
+    with pytest.raises(ValueError):
+        ring.outer_product(xs, [F.one] * 6)
