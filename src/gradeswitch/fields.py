@@ -37,7 +37,7 @@ import random
 import struct
 import sys
 
-from .echelon import solve
+from .echelon import Echelon, first_dependence
 
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
 _EXHAUST_CAP = 1 << 8     # root search by evaluation when q <= this
@@ -466,10 +466,6 @@ class FqField:
     def random_element(self, rng):
         return self.from_int(rng.randrange(self.q))
 
-    def extension(self, k):
-        """The canonical field F_{p^(n*k)}."""
-        return GF(self.p, self.n * k)
-
     # -- internal multiplication ----------------------------------------------
 
     def _raw_mul(self, a, b):
@@ -773,61 +769,170 @@ def GF(p, n=1, modulus=None):
 # module-level operations
 
 
-def _artin_schreier_in(field, c):
-    """Smallest root of y^p - y = c inside `field`, or None.
+def _frobenius_columns(field, k):
+    """The images of the digit basis g^i, i < n, under x -> x^(p^k), an
+    F_p-linear map: (g^i)^(p^k) = h^i with h = g^(p^k), one product
+    each."""
+    if k == 0:
+        return [FqElement(field, (0,) * i + (1,) + (0,) * (field.n - 1 - i))
+                for i in range(field.n)]
+    h = field.gen ** (field.p ** k)
+    cols = [field.one]
+    for _ in range(field.n - 1):
+        cols.append(cols[-1] * h)
+    return cols
 
-    y -> y^p - y is F_p-linear, so this is a linear solve over F_p; the
-    solution set, when nonempty, is gamma + F_p.
+
+def _affine_solutions(images, rhs):
+    """(x0, kernel) for the F_p-linear map L of a field of degree n with
+    L(g^i) = images[i]: x0 the digits of one x with L(x) = rhs, None when
+    there is none (or rhs is None), and kernel a basis of ker L, as digit
+    lists over GF(p).
+
+    The rows (L(g^i) | e_i) span the graph of L.  A row whose first n
+    entries reduce to zero leaves a kernel vector in its tail, and
+    (rhs | 0) reduces to (0 | -x0) when rhs is in the image.
     """
-    n = field.n
-    prime = GF(field.p)
-    cols = []
-    for i in range(n):
-        gi = field.from_coeffs([0] * i + [1])
-        cols.append((gi.frobenius() - gi).coeffs)
-    rows = [[prime.scalar(cols[j][i]) for j in range(n)] for i in range(n)]
-    sol = solve(rows, [prime.scalar(x) for x in c.coeffs], prime)
-    if sol is None:
-        return None
-    base = field.from_coeffs([int(x) for x in sol])
-    return min((base + k for k in range(field.p)), key=int)
+    field = images[0].field
+    n = len(images)
+    ech = Echelon(width=n, field=GF(field.p))
+    kernel = []
+    for i, y in enumerate(images):
+        w = ech.reduce(y.coeffs + (0,) * i + (1,) + (0,) * (n - 1 - i))
+        if ech._insert(w) is None:
+            kernel.append(w[n:])
+    if rhs is None:
+        return None, kernel
+    w = ech.reduce(rhs.coeffs + (0,) * n)
+    if any(w[:n]):
+        return None, kernel
+    return [-x for x in w[n:]], kernel
+
+
+def additive_root(f):
+    """(F', x) for an affine additive polynomial
+    f = c + sum_j b_j T^(p^j) over F: F' the canonical splitting field of
+    f and x its smallest root there by encoding.
+
+    The degree of F' over F is the lcm of the irreducible factor degrees
+    of f over F (distinct-degree factorization, as for
+    :func:`roots_in_splitting_field`).  L(T) = sum_j b_j T^(p^j) is
+    F_p-linear on F', so the roots are x0 + ker L, with x0 one solution
+    of L(x) = -c: one elimination over GF(p) on the digits of F'
+    (Lidl-Niederreiter, Finite Fields, 3.4).  The smallest root is x0
+    reduced against an echelon basis of ker L whose pivots are the
+    highest digits; it is checked against f.  A polynomial with a
+    nonzero coefficient at a degree that is not a power of p raises
+    ValueError, and so does a constant.
+    """
+    field = f.field
+    p = field.p
+    powers = {p ** j: j for j in range(f.degree().bit_length())}
+    terms = {}
+    for e, b in enumerate(f.coeffs):
+        if e and b:
+            if e not in powers:
+                raise ValueError("not an affine additive polynomial: "
+                                 "T^%d has a nonzero coefficient" % e)
+            terms[powers[e]] = b
+    if not terms:
+        raise ValueError("a constant has no root to find")
+    degree = math.lcm(*_factor_degrees(_squarefree_part(f)))
+    big = field if degree == 1 else GF(p, field.n * degree)
+    emb = embedding(field, big)
+    terms = {j: emb(b) for j, b in terms.items()}
+    c = emb(f.coeffs[0])
+    images = [big.zero] * big.n
+    for j, b in terms.items():
+        images = [y + b * x
+                  for y, x in zip(images, _frobenius_columns(big, j))]
+    x0, kernel = _affine_solutions(images, -c)
+    if x0 is None:
+        raise AssertionError("no root in the splitting field")  # unreachable
+    # the kernel reversed, so that each pivot is a highest digit
+    low = Echelon([v[::-1] for v in kernel], field=GF(p)).reduce(x0[::-1])
+    x = big.from_coeffs([int(d) for d in reversed(low)])
+    value, y, k = c, x, 0
+    for j in sorted(terms):
+        for _ in range(j - k):
+            y = y ** p
+        value, k = value + terms[j] * y, j
+    if value:
+        raise AssertionError("additive root fails f")  # elimination defect
+    return big, x
 
 
 def artin_schreier_root(field, c):
-    """(F', gamma) with gamma^p - gamma == c, enlarging to F_{q^p} if needed.
+    """(F', gamma) with gamma^p - gamma == c: the smallest root of
+    T^p - T - c by encoding, and F' its canonical splitting field, by
+    :func:`additive_root`.
 
-    The degree-p extension always suffices: Tr_{F'/F}(c) = p*c = 0 there.
-    Among the p roots gamma + F_p the one with smallest encoding is chosen.
+    F' is F or its degree-p extension: Tr_{F'/F}(c) = p*c = 0 there.
+    The p roots are gamma + F_p.
     """
     if not isinstance(c, FqElement) or c.field is not field:
         raise ValueError("c must be an element of the given field")
-    root = _artin_schreier_in(field, c)
-    if root is not None:
-        return field, root
-    big = field.extension(field.p)
-    root = _artin_schreier_in(big, embed(c, big))
-    if root is None:
-        raise AssertionError("Artin-Schreier equation unsolvable in degree-p "
-                             "extension")  # unreachable
-    return big, root
+    from .polyring import Polynomial
+    return additive_root(Polynomial(
+        field, [-c, -field.one] + [field.zero] * (field.p - 2) + [field.one]))
 
 
 @functools.lru_cache(maxsize=None)
 def _generator_image(src, dst):
-    """Coefficient tuple of the canonical image of src.gen inside dst."""
+    """Coefficient tuple of the canonical image of src.gen inside dst: the
+    smallest root of src's modulus f there.
+
+    The d = src.n roots of f lie in the subfield K = ker(Frob^d - 1) of
+    dst, a kernel over GF(p).  An element z of K of degree d over F_p
+    generates K.  Its minimal polynomial m_z, read off the first
+    dependence among its powers, splits in src, and each root w of m_z
+    gives the isomorphism w -> z of src onto K.  That sends
+    src.gen = sum_k c_k w^k, the c_k from one elimination over GF(p), to
+    sum_k c_k z^k.  So the d roots of m_z, found in src rather than in
+    dst, give the d roots of f in dst; the smallest is checked against f.
+    """
     from .polyring import Polynomial
-    f = Polynomial(dst, [dst.scalar(c) for c in src.modulus])
-    roots = _roots_in_field(f)
-    if not roots:
-        raise AssertionError("no embedding found")  # degrees were checked
-    return min(roots, key=int).coeffs
+    p, d = dst.p, src.n
+    prime = GF(p)
+    _, basis = _affine_solutions([y - x for y, x in zip(
+        _frobenius_columns(dst, d), _frobenius_columns(dst, 0))], None)
+    rng = random.Random(0xC0FFEE ^ dst.q)
+    while True:
+        ts = [rng.randrange(p) for _ in basis]
+        z = dst.from_coeffs([sum(map(operator.mul, ts, map(int, col)))
+                             for col in zip(*basis)])
+        zs = [dst.one]
+        for _ in range(d):
+            zs.append(zs[-1] * z)
+        rel = first_dependence([x.coeffs for x in zs], prime)
+        if len(rel) == d:
+            break
+    ws = _roots_in_field(Polynomial(src, [src.scalar(int(a)) for a in rel]
+                                    + [src.one]))
+    if len(ws) != d:
+        raise AssertionError("minimal polynomial does not split")
+    cols = list(zip(*[x.coeffs for x in zs[:d]]))
+    images = []
+    for w in ws:
+        powers = [src.one]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * w)
+        c, _ = _affine_solutions(powers, src.gen)
+        images.append(dst.from_coeffs(
+            [sum(map(operator.mul, map(int, c), col)) for col in cols]))
+    img = min(images, key=int)
+    if Polynomial(dst, [dst.scalar(a) for a in src.modulus]).evaluate(img):
+        raise AssertionError("no embedding found")  # embedding defect
+    return img.coeffs
 
 
 def embedding(src, dst):
     """The canonical field homomorphism src -> dst as a callable.
 
     Canonical means: the generator of src maps to the smallest root (by
-    encoding) of src's modulus in dst.  Requires src.n | dst.n and equal p.
+    encoding) of src's modulus in dst, found in the subfield of dst of
+    src's size (:func:`_generator_image`).  Requires src.n | dst.n and
+    equal p.
     """
     if src.p != dst.p:
         raise ValueError("different characteristics")

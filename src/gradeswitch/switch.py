@@ -20,8 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .echelon import first_dependence
-from .fields import artin_schreier_root, embed, embedding, \
-    roots_in_splitting_field
+from .fields import additive_root, artin_schreier_root, embed, embedding
 from .galg import _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
@@ -166,8 +165,11 @@ def build_g(relation, lam=None):
     telescopes, this makes g(D) an Artin-Schreier root of D^(p^r).
 
     lambda is a root of the constraint polynomial
-    1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)); by default the
-    smallest root in the canonical splitting field.
+    1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)), an affine additive
+    polynomial; by default its smallest root in the canonical splitting
+    field, found by :func:`additive_root` as a linear solve over F_p.  The
+    coefficients b_i of g follow from lambda by a recursion, checked at
+    its last step.
     """
     field = relation.field
     if relation.degenerate:
@@ -180,8 +182,7 @@ def build_g(relation, lam=None):
         a = relation.coefficient(k)
         constraint = constraint + a ** (p ** (n - 1 - k)) * tvar ** (p ** (n - k))
     if lam is None:
-        big, roots = roots_in_splitting_field(constraint)
-        lam = roots[0][0]  # sorted: canonical smallest
+        big, lam = additive_root(constraint)
     else:
         big = lam.field
         check = constraint.map_coefficients(embedding(field, big), big)
@@ -344,7 +345,8 @@ def special_LD(A, D):
     Uses g = gamma T^p with gamma^p - gamma = 1, so alpha = gamma D^p,
     which acts as a gamma on each eigenspace A^(a), a in F_p.  Equivalent
     to build_LD with r = 1; kept as an independent route to g, with gamma
-    from a linear solve where build_LD finds its root by root finding.
+    the root of T^p - T - 1 where build_LD recurses from a root of its
+    constraint polynomial.
     When D^p = 0, g and alpha vanish and gamma is not adjoined: the value is
     L_{p-1}^(0)(D) over the start field, as with build_LD's degenerate
     relation.

@@ -1,7 +1,5 @@
-import contextlib
 import math
 import random
-import signal
 
 import pytest
 
@@ -10,6 +8,7 @@ from gradeswitch.fields import (
     GF, FqElement, artin_schreier_root, embed, embedding, is_prime,
     roots_in_splitting_field)
 from gradeswitch.polyring import Polynomial
+from time_budget import time_limit
 
 
 def test_is_prime():
@@ -350,23 +349,6 @@ def test_element_hash_and_pickle_roundtrip():
     assert len({F.from_int(5), x}) == 1
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the body runs longer than `seconds`."""
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("needs POSIX interval timers")
-
-    def expire(*_):
-        raise TimeoutError("still running after %s s" % seconds)
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def absolute_trace(x):
     acc, y = x.field.zero, x
     for _ in range(x.field.n):
@@ -413,6 +395,30 @@ def test_exhaustive_and_splitting_root_finding_agree(monkeypatch, p, n, deg):
             by_search = fields._roots_in_field(f)
         assert sorted(map(int, by_splitting)) == sorted(map(int, by_search))
         assert all(not f.evaluate(x) for x in by_search)
+
+
+# (p, n): GF(2^k) runs Berlekamp's trace splitting, odd p the power
+# (t + a)^((q-1)/2); GF(2^9) and GF(3^6) lie above _EXHAUST_CAP
+ROOT_FIELDS = [(2, 3), (2, 5), (2, 9), (3, 2), (3, 5), (3, 6), (5, 2)]
+
+
+@pytest.mark.parametrize("p, n", ROOT_FIELDS,
+                         ids=["GF(%d^%d)" % f for f in ROOT_FIELDS])
+def test_roots_in_field_routes_find_known_roots(monkeypatch, p, n):
+    F = GF(p, n)
+    t = Polynomial.variable(F)
+    rng = random.Random(31 * p + n)
+    for deg in (0, 1, 2, 3, 5):
+        known = rng.sample(range(F.q), deg)
+        f = Polynomial(F, [F.from_int(rng.randrange(1, F.q))])
+        for enc in known:
+            f = f * (t - F.from_int(enc))
+        # equal-degree splitting, then evaluation at every element
+        for cap in (0, F.q):
+            monkeypatch.setattr(fields, "_EXHAUST_CAP", cap)
+            with time_limit(20):
+                got = fields._roots_in_field(f)
+            assert sorted(map(int, got)) == sorted(known)
 
 
 def test_root_search_never_enumerates_a_field_above_the_cap(monkeypatch):

@@ -4,10 +4,12 @@ switching operator are computed must leave every reported value, and its
 formatting, as it was."""
 
 import hashlib
+import json
 
 import pytest
 
 from gradeswitch.cli import main
+from time_budget import time_limit
 
 REPORTS = [
     (["identities", "--p", "11"],
@@ -41,3 +43,24 @@ def test_json_report_is_byte_identical(capsys, argv, sha256):
     assert main(argv + ["--output", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_switch_over_gf7_7_input_within_budget(monkeypatch, tmp_path,
+                                               capsys):
+    """The 1-dim zero-product algebra over GF(7^7) with D = [g], g with
+    digits 1,2,3,6,5,0,2: its constraint 1 + T + a T^7 splits only over
+    GF(7^49), where root finding and the canonical embedding once took
+    about 10 s.  The budget includes the modulus search of GF(7^49).  The
+    report names its input file, so the file is read by a relative
+    path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gf7_7.json").write_text(json.dumps({
+        "algebra": {"p": 7, "field_degree": 7, "dim": 1, "m": 1,
+                    "deg": [0], "sc": []},
+        "derivation": [["1,2,3,6,5,0,2"]]}))
+    with time_limit(3):
+        assert main(["switch", "--input", "gf7_7.json",
+                     "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "34064230bd679c17c8050f046c6bf59be7a7b5fd95d1d58957eb50cad99147be"
