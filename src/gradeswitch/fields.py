@@ -300,15 +300,23 @@ class FqElement:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         fld = self.field
+        o = other
+        if o.__class__ is not FqElement or o.field is not fld:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        log = fld._log
+        if log is not None:
+            # g^la g^lb = exp[la + lb] on the doubled table; a zero is a
+            # log miss
+            la, lb = log.get(self.coeffs), log.get(o.coeffs)
+            if la is None or lb is None:
+                return fld.zero
+            return fld._exp[la + lb]
         a, b = self.coeffs, o.coeffs
         if not any(a) or not any(b):
             return fld.zero
-        if fld._log is not None:
-            return fld._exp[(fld._log[a] + fld._log[b]) % (fld.q - 1)]
         return FqElement(fld, fld._raw_mul(a, b))
 
     __rmul__ = __mul__
@@ -537,18 +545,26 @@ class FqField:
 
     def _build_tables(self):
         g = self._find_generator()
-        m = self.q - 1
-        exp = [self.one]
-        log = {self.one.coeffs: 0}
+        p, n, m = self.p, self.n, self.q - 1
+        # x -> x g is F_p-linear: with row i the packed digits of g^i g,
+        # the next power of g is the sum of its digits times the n rows,
+        # each slot at most n (p-1)^2
+        width, digits = _slots((n * (p - 1) ** 2).bit_length(), n)
+        slots = range(0, n * width, width)
+        rows = [sum(map(operator.lshift, self._raw_mul(e, g), slots))
+                for e in ((0,) * i + (1,) + (0,) * (n - 1 - i)
+                          for i in range(n))]
+        mul, reduce = operator.mul, p.__rmod__
+        powers = [self.one.coeffs]
         cur = g
-        for k in range(1, m):
-            exp.append(FqElement(self, cur))
-            log[cur] = k
-            cur = self._raw_mul(cur, g)
+        for _ in range(1, m):
+            powers.append(cur)
+            cur = tuple(map(reduce, digits(sum(map(mul, cur, rows)))))
+        exp = [self.one]
+        exp += map(functools.partial(FqElement, self), powers[1:])
+        log = dict(zip(powers, range(m)))
         # Zech logarithms: zech[k] = log(1 + g^k), None where 1 + g^k = 0
-        p = self.p
-        zech = [log.get(((c[0] + 1) % p,) + c[1:])
-                for c in (x.coeffs for x in exp)]
+        zech = [log.get(((c[0] + 1) % p,) + c[1:]) for c in powers]
         # Both tables repeat once, so every index the operators form (a sum
         # or a difference of two logs, or a log plus _half) reads its entry
         # modulo q - 1 without a reduction.  g^_half = -1.
@@ -657,6 +673,22 @@ def _dot_kernel(field, length, factors):
     return pack, unpack, top * width
 
 
+def _slots(bits, count):
+    """(width, digits) for ints of `count` slots that hold values of up to
+    `bits` bits: slots of 8, 16, 32 or 64 bits where that is enough, read
+    straight from the int's bytes through a memoryview, and `bits` wide
+    slots read by shifting otherwise; digits(s) gives the slots of s,
+    lowest first."""
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), None)
+    if size is None:
+        mask = (1 << bits) - 1
+        every = tuple(range(0, count * bits, bits))
+        return bits, lambda s: [(s >> sh) & mask for sh in every]
+    code = next(c for c in "BHILQ" if struct.calcsize(c) == size)
+    nbytes, order = count * size, sys.byteorder
+    return 8 * size, lambda s: memoryview(s.to_bytes(nbytes, order)).cast(code)
+
+
 @functools.lru_cache(maxsize=None)
 def _row_kernel(field, length, count):
     # Kronecker substitution as in _dot_kernel, with entry j of a wide int
@@ -669,33 +701,15 @@ def _row_kernel(field, length, count):
     # slot j of the same block.  A low slot then holds its own sum plus
     # n - 1 terms hi_k r_kj, each at most length n (p-1)^2 (p-1), so every
     # slot stays at most length n (p-1)^2 (1 + (n-1)(p-1)) and w is sized
-    # for that bound: the fold never carries between slots.  Slots of 8,
-    # 16, 32 or 64 bits are read straight from the int's bytes through a
-    # memoryview, wider ones by shifting; slot i of every block is then
-    # one strided slice, reduced mod p, and zipping the n slices gives the
-    # coefficient tuples of the whole row.
+    # for that bound: the fold never carries between slots.  The slots
+    # are read by _slots; slot i of every block is then one strided slice,
+    # reduced mod p, and zipping the n slices gives the coefficient tuples
+    # of the whole row.
     p, n = field.p, field.n
     bound = length * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
-    bits = bound.bit_length() or 1
-    size = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), None)
-    width = 8 * size if size else bits
     span = 2 * n - 1
+    width, digits = _slots(bound.bit_length() or 1, count * span)
     offsets = tuple(range(0, count * span * width, span * width))
-
-    if size:
-        code = next(c for c in "BHILQ" if struct.calcsize(c) == size)
-        nbytes = count * span * size
-        order = sys.byteorder
-
-        def digits(s):
-            return memoryview(s.to_bytes(nbytes, order)).cast(code)
-    else:
-        mask = (1 << width) - 1
-        every = tuple(range(0, count * span * width, width))
-
-        def digits(s):
-            return [(s >> sh) & mask for sh in every]
-
     packed = _packed(field, width)
     every_block = sum(1 << sh for sh in offsets)
     low = ((1 << (n * width)) - 1) * every_block
@@ -957,6 +971,28 @@ def embedding(src, dst):
 def embed(x, dst):
     """Image of x under the canonical embedding of its field into dst."""
     return embedding(x.field, dst)(x)
+
+
+def embedding_over(src, dst, sub, sub_map):
+    """The embedding src -> dst that agrees with sub_map on sub, a subfield
+    of src under its canonical embedding.
+
+    Canonical embeddings need not compose to canonical ones, but any two
+    embeddings of sub into dst differ by a power of Frobenius: this is
+    the canonical src -> dst followed by the power x -> x^(p^k), k < sub.n,
+    that sends the image of sub.gen to sub_map(sub.gen).
+    """
+    emb = embedding(src, dst)
+    x = emb(embed(sub.gen, src))
+    target = sub_map(sub.gen)
+    for k in range(sub.n):
+        if x == target:
+            if k == 0:
+                return emb
+            e = dst.p ** k
+            return lambda y: emb(y) ** e
+        x = x ** dst.p
+    raise ValueError("sub_map does not embed %r into %r" % (sub, dst))
 
 
 # ---------------------------------------------------------------------------

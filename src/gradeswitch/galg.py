@@ -35,7 +35,8 @@ class LinearMap(RingElement):
     reduced to field elements in one pass over the whole row.
     """
 
-    __slots__ = ("field", "n", "rows", "_prows", "_wrows", "_wcols")
+    __slots__ = ("field", "n", "rows", "_prows", "_wrows", "_wcols",
+                 "_chain")
 
     def __init__(self, field, rows):
         rs = tuple(tuple(_as_field_elt(field, x) for x in row) for row in rows)
@@ -45,7 +46,7 @@ class LinearMap(RingElement):
         self.field = field
         self.n = n
         self.rows = rs
-        self._prows = self._wrows = self._wcols = None
+        self._prows = self._wrows = self._wcols = self._chain = None
 
     @classmethod
     def _trusted(cls, field, rows):
@@ -55,7 +56,7 @@ class LinearMap(RingElement):
         M.field = field
         M.n = len(rows)
         M.rows = rows
-        M._prows = M._wrows = M._wcols = None
+        M._prows = M._wrows = M._wcols = M._chain = None
         return M
 
     @classmethod
@@ -156,11 +157,17 @@ class LinearMap(RingElement):
         return self * s
 
     def p_power(self, k):
-        """M^(p^k)."""
-        out = self
-        for _ in range(k):
-            out = out ** self.field.p
-        return out
+        """M^(p^k), from the chain M^p, M^(p^2), ... this map keeps: each
+        power is formed once, and a repeated call returns the same
+        object."""
+        if k == 0:
+            return self
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = [self ** self.field.p]
+        while len(chain) < k:
+            chain.append(chain[-1] ** self.field.p)
+        return chain[k - 1]
 
     def apply(self, v):
         if len(v) != self.n:
@@ -306,10 +313,13 @@ class Subspace:
         return Subspace(self.field, self.ambient, echelon.intersection(
             self.basis, other.basis, self.ambient, self.field))
 
-    def map_field(self, field):
-        if field is self.field:
-            return self
-        emb = embedding(self.field, field)
+    def map_field(self, field, emb=None):
+        """This subspace over `field`, its basis mapped by the embedding
+        emb, by default the canonical one."""
+        if emb is None:
+            if field is self.field:
+                return self
+            emb = embedding(self.field, field)
         return Subspace(field, self.ambient,
                         [tuple(emb(x) for x in b) for b in self.basis])
 

@@ -16,12 +16,13 @@ combination of xy and D^i x * D^(p-i) y, with coefficients taken from the
 product-splitting tables evaluated at commuting operators.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .echelon import first_dependence
-from .fields import additive_root, artin_schreier_root, embed, embedding
-from .galg import _accumulate, _check_acts, \
+from .fields import GF, additive_root, artin_schreier_root, embed, \
+    embedding, embedding_over
+from .galg import Decomposition, LinearMap, _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
@@ -110,17 +111,15 @@ class Relation:
 def semisimple_exponent(D):
     """Least r such that D^(p^r) has a squarefree minimal polynomial."""
     p = D.field.p
-    M = D
     r = 0
     bound = 1
     while p ** bound < max(D.n, 2):
         bound += 1
     while True:
-        if M.minimal_polynomial().squarefree_is():
+        if D.p_power(r).minimal_polynomial().squarefree_is():
             return r
         if r > bound:
             raise AssertionError("no semisimple p-power iterate found")
-        M = M ** p
         r += 1
 
 
@@ -141,8 +140,9 @@ def p_power_relation(D, r):
         return Relation(field, r, r, (), True)
     # first dependence among the flattened iterates; the space of
     # matrices has dimension n^2, so n^2 + 1 iterates always suffice
-    rep = first_dependence(itertools.islice(_flat_p_powers(S), D.n * D.n + 1),
-                           field)
+    rep = first_dependence(
+        ([x for row in D.p_power(k).rows for x in row]
+         for k in range(r, r + D.n * D.n + 1)), field)
     if rep is None:
         raise AssertionError("no p-power relation found")  # unreachable
     # S^(p^t) = -sum_{k<t} rep[k] S^(p^k)
@@ -150,12 +150,6 @@ def p_power_relation(D, r):
         raise HypothesisError("D^(p^r) semisimple",
                               "r = %d gives a non-semisimple power" % r)
     return Relation(field, r, r + len(rep), tuple(rep), False)
-
-
-def _flat_p_powers(S):
-    while True:
-        yield [x for row in S.rows for x in row]
-        S = S ** S.field.p
 
 
 def build_g(relation, lam=None):
@@ -276,30 +270,48 @@ def build_LD(A, D, r=None):
                               "supplied r = %d fails" % r)
     r_eff = max(r, 1)
     relation = p_power_relation(D, r_eff)
-    f1, g, lam = build_g(relation)
-    return _result(A, D.embed_to(f1), g, lam, r_raw, r_eff, relation)
+    _, g, lam = build_g(relation)
+    return _result(A, D, g, lam, r_raw, r_eff, relation)
 
 
-def _result(A, d1, g, lam, r_raw, r, relation):
-    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D = d1, with g and
-    lam over d1's field (lam may be None): alpha = (g - h)(D) checked
-    against the switching law alpha^p - alpha = D^p, then over the field
-    where D splits the generalized eigenspaces, the one Laguerre value, its
-    scalar law through g on each eigenspace and the switched parts."""
-    f1 = d1.field
-    # every exponent of g - h is at least 1, so its p-power chain can start
-    # at D^p, the one power of D the law needs
-    dp = d1 ** f1.p
-    alpha = PPolynomial.make(f1, [(i - 1, b) for i, b in
-                                  (g - h_polynomial(f1, r)).terms])(dp)
-    if alpha ** f1.p - alpha != dp:
+def _result(A, D, g, lam, r_raw, r, relation):
+    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D over A's field F,
+    with g and lam over the field F' that :func:`build_g` reached (lam
+    may be None).
+
+    alpha = (g - h)(D) is formed over F' from D's own p-power chain, each
+    D^(p^i) embedded there, and checked against the switching law
+    alpha^p - alpha = D^p.  The generalized eigenspaces of D are found
+    over the field E where D splits, and the two fields meet in F'', F'
+    itself when E embeds in it and GF(p, lcm) otherwise.  A and D reach
+    F'' through F', like alpha, and the eigenspaces through the
+    embedding of E that agrees with that route on F.  Over F'': the one
+    Laguerre value, its scalar law through g on each eigenspace and the
+    switched parts."""
+    f1 = g.field
+    p = f1.p
+    # every exponent of g - h is at least 1, and D^p is the one power of
+    # D the law needs
+    dp = D.p_power(1).embed_to(f1)
+    alpha = LinearMap.zero(f1, D.n)
+    for i, b in (g - h_polynomial(f1, r)).terms:
+        alpha = alpha + (dp if i == 1 else D.p_power(i).embed_to(f1)) * b
+    if alpha ** p - alpha != dp:
         raise VerificationError("alpha^p - alpha != D^p")
-    f2, dec = generalized_eigenspaces(d1)
-    a2 = A.change_field(f2)
-    d2 = d1.embed_to(f2)
+    big, dec = generalized_eigenspaces(D)
+    n2 = math.lcm(f1.n, big.n)
+    f2 = f1 if n2 == f1.n else GF(p, n2)
+    into = embedding_over(big, f2, A.field,
+                          lambda x: embed(embed(x, f1), f2))
+    if big is not f2 or into(f2.gen) != f2.gen:
+        dec = Decomposition(f2, sorted(
+            [(into(rho), space.map_field(f2, into)) for rho, space in dec],
+            key=lambda entry: int(entry[0])))
+    a2 = A.change_field(f1).change_field(f2)
+    d2 = D.embed_to(f1).embed_to(f2)
     g2 = g.embed_to(f2)
     alpha = alpha.embed_to(f2)
-    lmap = laguerre_value(f2.p, alpha, d2)
+    lmap = laguerre_value(p, alpha, d2)
     old_parts = tuple(a2.grading_parts())
     return SwitchResult(
         algebra=a2, derivation=d2, field_start=A.field, field_final=f2,
@@ -354,8 +366,8 @@ def special_LD(A, D):
     field0 = A.field
     p = field0.p
     _check_acts(A, D)
-    dp = D ** p
-    if dp ** p != dp:
+    dp = D.p_power(1)
+    if D.p_power(2) != dp:
         raise HypothesisError("D^(p^2) = D^p")
     if dp:
         f1, gamma = artin_schreier_root(field0, field0.one)
@@ -364,7 +376,7 @@ def special_LD(A, D):
         f1, gamma = field0, None
         relation = Relation(field0, 1, 1, (), True)
     g = PPolynomial.make(f1, [(1, gamma)] if dp else ())
-    res = _result(A, D.embed_to(f1), g, gamma, 1, 1, relation)
+    res = _result(A, D, g, gamma, 1, 1, relation)
     for rho, _ in res.decomposition:
         if rho ** p != rho:
             raise VerificationError("eigenvalue outside F_p despite "

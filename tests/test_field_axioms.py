@@ -170,3 +170,71 @@ def test_construction_neither_multiplies_nor_inverts(p, n, monkeypatch):
     assert (F._log is None) == (F.q > _TABLE_CAP)
     F.gen * F.gen
     assert calls == ["__mul__"]
+
+
+@pytest.mark.parametrize("F", ALL, ids=repr)
+def test_products_match_the_reference(F):
+    """A product is the schoolbook product of the coefficient tuples,
+    the table's own element below the cap, and F.zero at every size when
+    a factor is 0; int factors are scalars, and elements of two fields do
+    not mix."""
+    below = F.q <= _TABLE_CAP
+    for x, y in pairs(F):
+        want = F._raw_mul(x.coeffs, y.coeffs)
+        assert (x * y).coeffs == want
+        if below:
+            assert own(F, x * y)
+        if not (x and y):
+            assert x * y is F.zero
+    x = draws(F, 1)[-1]
+    assert (x * (F.p + 2)).coeffs == (x * F.scalar(2)).coeffs
+    other = GF(F.p, F.n + 1)
+    with pytest.raises(ValueError):
+        x * other.one
+    with pytest.raises(TypeError):
+        x * "2"
+
+
+def schoolbook_powers(F):
+    """g^0, ..., g^(q-2) as coefficient tuples for the field's generator
+    g, one general product per power: the oracle of the table builder."""
+    g = F._find_generator()
+    powers, cur = [F.one.coeffs], g
+    for _ in range(F.q - 2):
+        powers.append(cur)
+        cur = F._raw_mul(cur, g)
+    assert cur == F.one.coeffs
+    return powers
+
+
+def slot_bits(p, n):
+    """The slot width the table builder packs each digit sum into."""
+    return next(8 * s for s in (1, 2, 4, 8)
+                if 8 * s >= (n * (p - 1) ** 2).bit_length())
+
+
+# (p, n, modulus): slots of 8 bits (GF(5^5), whose generator is 2T, not T;
+# GF(2^9); GF(3^2) with a non-default modulus; GF(2)), 16 bits (GF(13^3);
+# GF(251), whose sums reach (p-1) g with g = 6) and 32 bits (GF(251^2))
+TABLE_FIELDS = [(5, 5, None), (13, 3, None), (251, 2, None), (251, 1, None),
+                (2, 9, None), (2, 1, None), (3, 2, (2, 1, 1))]
+
+
+def test_table_fields_cover_every_slot_width_and_generator():
+    assert {slot_bits(p, n) for p, n, _ in TABLE_FIELDS} == {8, 16, 32}
+    assert GF(5, 5)._find_generator() == (0, 2, 0, 0, 0)
+
+
+@pytest.mark.parametrize("p, n, modulus", TABLE_FIELDS)
+def test_tables_match_the_schoolbook_builder(p, n, modulus):
+    """exp, log and Zech tables built by packed F_p-linear steps equal
+    the tables of the schoolbook loop, entry by entry."""
+    F = GF(p, n, modulus)
+    powers = schoolbook_powers(F)
+    m = F.q - 1
+    assert len(F._exp) == len(F._zech) == 2 * m
+    assert [x.coeffs for x in F._exp] == powers * 2
+    assert F._exp[0] is F.one and F._exp[m] is F.one
+    assert F._log == {c: k for k, c in enumerate(powers)}
+    zech = [F._log.get(((c[0] + 1) % F.p,) + c[1:]) for c in powers]
+    assert list(F._zech) == zech * 2

@@ -499,10 +499,12 @@ def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
 
 
 def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
-    # alpha = (g - h)(D) is one p-power chain from D^5 up to D^(5^16), and
-    # the law reuses that D^5; walking h(D) along a second chain and forming
-    # D^(5^16) again for a check of g(D) made 250 products, and forming D^5
-    # once more for the law 160
+    # D^5, ..., D^(5^17) are formed once, on D's own p-power chain over the
+    # start field: p_power_relation walks it, and alpha = (g - h)(D) and
+    # the law alpha^5 - alpha = D^5 embed its terms.  Walking h(D) along a
+    # second chain and forming D^(5^16) again for a check of g(D) made 250
+    # products, forming D^5 once more for the law 160, and a second chain
+    # from D^5 to D^(5^16) over the enlarged field for alpha 157
     real = LinearMap.__mul__
     products = [0]
 
@@ -515,7 +517,7 @@ def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
                      "--r", "16", "--output", "json"])
     capsys.readouterr()
     assert code == 0
-    assert products[0] == 157
+    assert products[0] == 109
 
 
 def test_scalar_law_on_blocks():
