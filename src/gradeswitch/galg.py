@@ -791,7 +791,9 @@ def is_grading(A, parts, add=None):
     stacked = [b for s in by_label.values() for b in s.basis]
     if len(stacked) != A.dim or Echelon(stacked).rank != A.dim:
         return False
-    packed = {k: [A._pack(b) for b in s.basis] for k, s in by_label.items()}
+    # pairs of nonempty components only: of the m^2, most can be empty
+    packed = {k: [A._pack(b) for b in s.basis]
+              for k, s in by_label.items() if s.basis}
     zero = A.field.zero
     for k, us in packed.items():
         for l, vs in packed.items():

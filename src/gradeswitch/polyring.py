@@ -302,9 +302,6 @@ class Polynomial(RingElement):
             acc = (acc + cs[hi]) * x ** (hi - lo)
         return acc + cs[0] if cs[0] else acc
 
-    def map_coefficients(self, fn, field):
-        return Polynomial(field, [fn(c) for c in self.coeffs], self.var)
-
     def squarefree_is(self):
         """True iff self has no repeated roots (gcd with derivative trivial).
 

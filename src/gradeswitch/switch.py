@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .echelon import first_dependence
-from .fields import GF, additive_root, artin_schreier_root, embed, \
-    embedding, embedding_over
+from .fields import DEGREE_CAP, GF, additive_root, artin_schreier_root, \
+    embed, embedding, embedding_over
 from .galg import Decomposition, LinearMap, _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
-from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
+from .polyring import BiTruncSeries, NonInvertibleError
 
 
 class HypothesisError(RuntimeError):
@@ -160,29 +160,25 @@ def build_g(relation, lam=None):
 
     lambda is a root of the constraint polynomial
     1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)), an affine additive
-    polynomial; by default its smallest root in the canonical splitting
-    field, found by :func:`additive_root` as a linear solve over F_p.  The
-    coefficients b_i of g follow from lambda by a recursion, checked at
-    its last step.
+    polynomial kept as its terms; by default its smallest root in the
+    canonical splitting field, found by :func:`additive_root` as a linear
+    solve over F_p.  The coefficients b_i of g follow from lambda by a
+    recursion, checked at its last step.
     """
     field = relation.field
     if relation.degenerate:
         return field, PPolynomial.make(field, ()), None
     r, n = relation.r, relation.n
     p = field.p
-    tvar = Polynomial.variable(field)
-    constraint = 1 + tvar
-    for k in range(r, n):
-        a = relation.coefficient(k)
-        constraint = constraint + a ** (p ** (n - 1 - k)) * tvar ** (p ** (n - k))
+    terms = [(0, field.one)] + [
+        (n - k, relation.coefficient(k) ** (p ** (n - 1 - k)))
+        for k in range(r, n)]
     if lam is None:
-        big, lam = additive_root(constraint)
-    else:
-        big = lam.field
-        check = constraint.map_coefficients(embedding(field, big), big)
-        if check.evaluate(lam):
-            raise HypothesisError("lambda solves the constraint polynomial")
+        _, lam = additive_root(field.one, terms)
+    big = lam.field
     emb = embedding(field, big)
+    if big.one + PPolynomial.make(big, [(j, emb(b)) for j, b in terms])(lam):
+        raise HypothesisError("lambda solves the constraint polynomial")
     a_big = {k: emb(relation.coefficient(k)) for k in range(r, n)}
     b = {n - 1: lam}
     for h in range(n - 2, r - 1, -1):
@@ -287,7 +283,8 @@ def _result(A, D, g, lam, r_raw, r, relation):
     F'' through F', like alpha, and the eigenspaces through the
     embedding of E that agrees with that route on F.  Over F'': the one
     Laguerre value, its scalar law through g on each eigenspace and the
-    switched parts."""
+    switched parts.  An F'' of degree above DEGREE_CAP over GF(p) raises
+    ValueError."""
     f1 = g.field
     p = f1.p
     # every exponent of g - h is at least 1, and D^p is the one power of
@@ -300,6 +297,9 @@ def _result(A, D, g, lam, r_raw, r, relation):
         raise VerificationError("alpha^p - alpha != D^p")
     big, dec = generalized_eigenspaces(D)
     n2 = math.lcm(f1.n, big.n)
+    if n2 > f1.n and n2 > DEGREE_CAP:
+        raise ValueError("the compositum GF(%d^%d) exceeds the degree cap %d"
+                         % (p, n2, DEGREE_CAP))
     f2 = f1 if n2 == f1.n else GF(p, n2)
     into = embedding_over(big, f2, A.field,
                           lambda x: embed(embed(x, f1), f2))
@@ -483,7 +483,7 @@ def verify_product_rule(result):
 
     # One kernel for every inner argument: per structure constant hitting
     # a slot, p sa sb terms of four packed factors.
-    smax = max(sa for _, _, _, sa, _ in eigen)
+    smax = max((sa for _, _, _, sa, _ in eigen), default=0)
     pack, unpack, _ = f2.dot_kernel(
         max(a2._slot_terms(), 1) * p * smax * smax, 4)
     rows = a2._structure_rows(pack)

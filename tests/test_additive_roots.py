@@ -1,27 +1,34 @@
 """The linear-algebra routes of `fields` against root finding.
 
-`additive_root` finds the smallest root of an affine additive polynomial
-by one elimination over GF(p), and `_generator_image` finds the canonical
-image of a generator in the subfield of the target field.  Both replace
-equal-degree splitting in the large field, which stays their oracle:
-`roots_in_splitting_field` for the roots, and `_roots_in_field` over the
-target field for the images.
+`additive_root` takes an affine additive polynomial as its terms, reads
+its splitting degree off the p-power residues of T modulo the separable
+part, and finds the smallest root by one elimination over GF(p);
+`_generator_image` finds the canonical image of a generator in the
+subfield of the target field.  Both replace equal-degree splitting in the
+large field, which stays their oracle: `roots_in_splitting_field` on the
+dense polynomial for the roots, and `_roots_in_field` over the target
+field for the images.  Fields the package picks on its own stop at
+`fields.DEGREE_CAP` over GF(p).
 """
 
+import json
 import random
 
 import pytest
 
-from gradeswitch import fields
+from algebra_builders import companion_blocks
+from gradeswitch import fields, switch
+from gradeswitch.cli import main
 from gradeswitch.fields import (
-    GF, additive_root, roots_in_splitting_field)
+    DEGREE_CAP, GF, additive_root, roots_in_splitting_field)
 from gradeswitch.polyring import Polynomial
-from gradeswitch.switch import Relation, build_g
+from gradeswitch.switch import Relation, build_g, build_LD, switch_grading
 from time_budget import time_limit
 
 
 def affine_additive(F, c, bs):
-    """c + sum_j bs[j] T^(p^j) over F."""
+    """c + sum_j bs[j] T^(p^j) over F, dense: the root-finding oracle's
+    form of what additive_root takes as c and enumerate(bs)."""
     coeffs = [F.zero] * (F.p ** (len(bs) - 1) + 1)
     coeffs[0] = c
     for j, b in enumerate(bs):
@@ -30,22 +37,24 @@ def affine_additive(F, c, bs):
 
 
 def drawn(F, seed, s):
-    """A seeded c + sum_{j<=s} b_j T^(p^j) with b_s != 0: s is the span
-    n - r of a switching constraint, whose degree is p^(n-r)."""
+    """A seeded (c, [b_0, ..., b_s]) with b_s != 0: s is the span n - r
+    of a switching constraint, whose degree is p^(n-r)."""
     rng = random.Random(seed)
     bs = [F.random_element(rng) for _ in range(s)]
     bs.append(F.from_int(rng.randrange(1, F.q)))
-    return affine_additive(F, F.random_element(rng), bs)
+    return F.random_element(rng), bs
 
 
 # (p, n, span s, seed, degree of the splitting field over GF(p^n)): the
 # splitting fields lie below _EXHAUST_CAP, between it and _TABLE_CAP, and
-# above _TABLE_CAP, for p = 2 and odd p
+# above _TABLE_CAP, for p = 2 and odd p; spans 0 to 6
 ADDITIVE_CASES = [
     (2, 1, 3, 0, 7), (2, 2, 2, 0, 4), (2, 3, 3, 0, 3), (2, 5, 3, 0, 4),
     (2, 9, 2, 2, 2), (3, 1, 2, 0, 3), (3, 1, 3, 9, 4), (3, 2, 2, 2, 3),
     (3, 2, 2, 0, 6), (3, 3, 1, 0, 2), (5, 1, 1, 0, 4), (5, 3, 1, 0, 4),
-    (7, 1, 1, 0, 3), (7, 2, 1, 1, 3), (11, 1, 1, 0, 10),
+    (7, 1, 1, 0, 3), (7, 2, 1, 1, 3), (11, 1, 1, 0, 10), (5, 2, 0, 0, 1),
+    (2, 1, 4, 0, 12), (2, 2, 4, 1, 15), (3, 1, 4, 2, 2), (2, 1, 5, 3, 7),
+    (2, 1, 6, 1, 14),
 ]
 
 
@@ -54,7 +63,7 @@ def test_additive_cases_cover_both_caps():
     assert any(q <= fields._EXHAUST_CAP for q in sizes)
     assert any(fields._EXHAUST_CAP < q <= fields._TABLE_CAP for q in sizes)
     assert any(q > fields._TABLE_CAP for q in sizes)
-    assert {s for _, _, s, _, _ in ADDITIVE_CASES} == {1, 2, 3}
+    assert {s for _, _, s, _, _ in ADDITIVE_CASES} == set(range(7))
     assert any(p == 2 and q > fields._TABLE_CAP
                for (p, *_), q in zip(ADDITIVE_CASES, sizes))
 
@@ -66,18 +75,23 @@ def test_additive_root_matches_root_finding(p, n, s, seed, k):
     F = GF(p, n)
     # the switching constraint's shape 1 + T + ..., and any c and b_0
     rng = random.Random(seed)
-    constraint = affine_additive(F, F.one, [F.one] + [
-        F.random_element(rng) for _ in range(s - 1)] + [F.from_int(
-            rng.randrange(1, F.q))])
-    for f in (constraint, drawn(F, seed, s)):
+    constraint = [F.one] + ([F.random_element(rng) for _ in range(s - 1)]
+                            + [F.from_int(rng.randrange(1, F.q))] if s else [])
+    for c, bs in ((F.one, constraint), drawn(F, seed, s)):
         with time_limit(20):
-            big, x = additive_root(f)
-            split, roots = roots_in_splitting_field(f)
+            big, x = additive_root(c, enumerate(bs))
+            split, roots = roots_in_splitting_field(affine_additive(F, c, bs))
         assert split is big and x == roots[0][0]
         # a coset of ker L, every root of one multiplicity (1 when b_0 != 0)
         mults = {m for _, m in roots}
         assert len(mults) == 1 and len(roots) * mults.pop() == p ** s
-    assert all(m == 1 for _, m in roots_in_splitting_field(constraint)[1])
+        if bs is constraint:
+            assert all(m == 1 for _, m in roots)
+        # shifted up one exponent, f(T^p): an inseparable polynomial with
+        # no T term, the same splitting field and the p-th roots of the
+        # roots of f as its roots
+        assert additive_root(c, enumerate(bs, 1)) == (
+            big, min((r.pth_root() for r, _ in roots), key=int))
     # the drawn polynomial splits in the field the case table names
     assert big.n == n * k
 
@@ -89,22 +103,19 @@ def test_additive_root_of_an_inseparable_polynomial():
     rng = random.Random(5)
     for _ in range(4):
         c, b = F.random_element(rng), F.from_int(rng.randrange(1, F.q))
-        for f in (affine_additive(F, c, [F.zero, b]),
-                  affine_additive(F, c, [F.zero, b, F.one])):
-            big, x = additive_root(f)
-            split, roots = roots_in_splitting_field(f)
+        for bs in ([F.zero, b], [F.zero, b, F.one]):
+            big, x = additive_root(c, [(j, a) for j, a in enumerate(bs)
+                                       if a])
+            split, roots = roots_in_splitting_field(affine_additive(F, c, bs))
             assert split is big and x == roots[0][0]
             assert all(m == 3 for _, m in roots)
 
 
 def test_additive_root_refuses_other_polynomials():
     F = GF(5)
-    t = Polynomial.variable(F)
-    with pytest.raises(ValueError, match="not an affine additive"):
-        additive_root(t ** 5 + t ** 2 + 1)
-    for f in (Polynomial(F, [F.one]), Polynomial(F, [])):
+    for terms in ([], [(0, F.zero)], [(1, F.zero), (3, F.zero)]):
         with pytest.raises(ValueError, match="constant"):
-            additive_root(f)
+            additive_root(F.one, terms)
 
 
 @pytest.mark.parametrize("field, span", [((3, 2), 1), ((3, 2), 2),
@@ -147,3 +158,63 @@ def test_generator_image_matches_root_finding(src, dst):
             Polynomial(T, [T.scalar(c) for c in S.modulus]))
     assert image == min(roots, key=int).coeffs
     assert len(roots) == S.n
+
+
+@pytest.mark.parametrize("p, t", [(2, 13), (5, 6), (7, 5)], ids=str)
+def test_companion_switches_stay_fast(p, t):
+    # D is one companion block of degree t, so its p-power relation spans
+    # t steps and build_g's constraint has degree p^(t-1); written out as
+    # a dense polynomial, it kept build_LD busy for over 30 s
+    A, D = companion_blocks(p, [t])
+    with time_limit(2):
+        res = switch_grading(A, D)
+    assert res.relation.n - res.relation.r == t - 1
+    assert res.field_final is GF(p, t) and res.grading_ok
+    assert res.product_rule_pairs == t * t
+
+
+def test_additive_root_refuses_a_splitting_field_above_the_cap():
+    # a root x of T^(2^k) - T - 1 over GF(2) has x^(2^k) = x + 1 and
+    # x^(2^(2k)) = x: it splits over GF(2^10) at k = 5 and over GF(2^66)
+    # at k = 33, where the search stops after DEGREE_CAP p-power steps
+    F = GF(2)
+    assert additive_root(F.one, [(0, F.one), (5, F.one)])[0] is GF(2, 10)
+    with time_limit(2), pytest.raises(ValueError, match="exceeds the "
+                                      "degree cap %d" % DEGREE_CAP):
+        additive_root(F.one, [(0, F.one), (33, F.one)])
+
+
+DEGREE_2310 = [2, 3, 5, 7, 11]
+
+
+def test_a_splitting_degree_of_2310_is_refused_at_once(tmp_path, capsys):
+    # companion blocks of degrees 2, 3, 5, 7 and 11 over GF(5): D splits
+    # over GF(5^2310), and so does build_g's constraint, which as a dense
+    # polynomial kept the run busy for over 120 s
+    A, D = companion_blocks(5, DEGREE_2310)
+    path = tmp_path / "deg2310.json"
+    path.write_text(json.dumps({
+        "algebra": A.to_json(),
+        "derivation": [[int(x) for x in row] for row in D.rows]}))
+    with time_limit(2):
+        code = main(["switch", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "exceeds the degree cap %d" % DEGREE_CAP in err
+    with time_limit(2), pytest.raises(ValueError, match="degree cap"):
+        build_LD(A, D)
+    with time_limit(2), pytest.raises(
+            ValueError, match=r"GF\(5\^2310\) exceeds the degree cap"):
+        roots_in_splitting_field(D.minimal_polynomial())
+
+
+def test_a_compositum_above_the_cap_is_refused_before_it_is_built(
+        monkeypatch):
+    # g of this D lives over GF(2^4); an eigenvalue field of degree 17
+    # would make the compositum GF(2^68)
+    A, D = companion_blocks(2, [2])
+    assert build_LD(A, D).field_final is GF(2, 4)
+    monkeypatch.setattr(switch, "generalized_eigenspaces",
+                        lambda D: (GF(2, 17), None))
+    monkeypatch.setattr(switch, "GF", None)  # not called
+    with pytest.raises(ValueError, match=r"GF\(2\^68\) exceeds the degree"):
+        build_LD(A, D)

@@ -177,6 +177,76 @@ def test_dim_cap_checked_before_reading_json_input(monkeypatch, tmp_path,
     assert "dimension 1000000000 exceeds the cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("switch", "--builtin", "tpoly:5:5:1001", "--derivation", "xddx"),
+    ("switch", "--builtin", "witt:5+tpoly:5:5:100000", "--derivation",
+     "ad:0"),
+    ("switch", "--builtin", "witt:1009", "--derivation", "ad:0",
+     "--p-cap", "2000", "--dim-cap", "2000"),
+    ("toral", "--builtin", "witt:1009", "--p-cap", "2000",
+     "--dim-cap", "2000"),
+])
+def test_grading_modulus_cap_checked_before_building(monkeypatch, capsys,
+                                                     argv):
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("builtin built before the cap check")
+    monkeypatch.setattr(cli, "witt", refuse)
+    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the cap %d" % cli.M_CAP in err
+
+
+def test_grading_modulus_cap_checked_before_reading_json_input(
+        monkeypatch, tmp_path, capsys):
+    from gradeswitch import cli
+    from gradeswitch.galg import truncated_poly
+
+    def refuse(obj):
+        raise AssertionError("algebra JSON read before the cap check")
+    doc = truncated_poly(5, 5, 5).to_json()
+    doc["m"] = 1001
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": doc}))
+    monkeypatch.setattr(cli.GradedAlgebra, "from_json", refuse)
+    code, _, err = run(capsys, "switch", "--input", str(path),
+                       "--derivation", "xddx")
+    assert code == 2
+    assert "grading modulus m = 1001 exceeds the cap 1000" in err
+
+
+def test_grading_modulus_at_the_cap_is_fast(capsys):
+    # the grading check once paired all m^2 labels, nearly all of them
+    # empty: m = 10000 took 17.5 s
+    from gradeswitch.cli import M_CAP
+    from gradeswitch.galg import truncated_poly, truncated_poly_derivation
+    from gradeswitch.switch import switch_grading
+    from time_budget import time_limit
+    with time_limit(2):
+        code, out, _ = run(capsys, "switch", "--builtin",
+                           "tpoly:5:5:%d" % M_CAP, "--derivation", "xddx",
+                           "--output", "json")
+    assert code == 0 and len(json.loads(out)["results"][0]["new_parts"]) \
+        == M_CAP
+    A = truncated_poly(5, 5, 10 * M_CAP)
+    with time_limit(3):
+        res = switch_grading(A, truncated_poly_derivation(A, "xddx"))
+    assert res.grading_ok and res.product_rule_pairs == 25
+
+
+def test_switch_on_an_algebra_of_dimension_zero(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "algebra": {"p": 5, "dim": 0, "m": 1, "deg": [], "sc": []},
+        "derivation": []}))
+    code, out, _ = run(capsys, "switch", "--input", str(path))
+    assert code == 0
+    assert "blocks: 0, dims []" in out
+    assert "product rule: 0 basis pairs" in out
+
+
 HUGE_FIELD = {"p": 11, "field_degree": 32, "dim": 1, "m": 1, "deg": [0],
               "sc": []}
 

@@ -7,7 +7,7 @@ import pytest
 from gradeswitch import cli, switch
 from gradeswitch.fields import GF, FqElement, embed
 from gradeswitch.galg import (
-    LinearMap, direct_sum, generalized_eigenspaces, is_grading,
+    GradedAlgebra, LinearMap, direct_sum, generalized_eigenspaces, is_grading,
     truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.laguerre import (
     c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
@@ -240,6 +240,15 @@ def test_build_g_accepts_each_constraint_root():
         assert lam_out == lam
         gD = g(D.embed_to(big))
         assert gD ** 3 - gD == D.embed_to(big).p_power(1)
+
+
+def test_switch_on_an_algebra_of_dimension_zero():
+    # no eigenvalue, so no eigenspace for the product rule's longest grid
+    F = GF(5)
+    A = GradedAlgebra(F, 1, [], {})
+    res = switch_grading(A, LinearMap(F, []))
+    assert res.grading_ok and res.product_rule_pairs == 0
+    assert len(res.decomposition) == 0 and res.field_final is F
 
 
 def test_h_polynomial_telescopes():
