@@ -41,8 +41,9 @@ from .echelon import Echelon, first_dependence
 
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
 _EXHAUST_CAP = 1 << 8     # root search by evaluation when q <= this
-# largest degree over GF(p) of a splitting field or compositum the package
-# picks: GF(p^64) builds in <= 0.7 s for p <= 13, GF(11^128) in 18.6 s
+# largest degree over GF(p) of any field GF builds, and so of a splitting
+# field or compositum the package picks: GF(p^64) builds in <= 0.7 s for
+# p <= 13, GF(11^128) in 18.6 s
 DEGREE_CAP = 64
 
 
@@ -765,12 +766,17 @@ def GF(p, n=1, modulus=None):
 
     modulus: optional monic irreducible of degree n over F_p, as a
     little-endian int sequence of length n+1.  Defaults to the irreducible
-    polynomial with the smallest integer encoding.
+    polynomial with the smallest integer encoding.  A degree n above
+    DEGREE_CAP raises ValueError before any modulus search or
+    irreducibility test.
     """
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     if n < 1:
         raise ValueError("extension degree must be >= 1")
+    if n > DEGREE_CAP:
+        raise ValueError("GF(%d^%d) exceeds the degree cap %d"
+                         % (p, n, DEGREE_CAP))
     if modulus is None:
         modulus = _smallest_irreducible(p, n)
     else:

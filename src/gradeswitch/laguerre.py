@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .fields import GF
 from .polyring import (MultiPoly, Polynomial, QuotientRing, _scalar_power,
-                       quotient_inverse, quotient_mul)
+                       quotient_inverse, quotient_mul, quotient_mul_cells)
 
 
 class VerificationError(RuntimeError):
@@ -351,7 +351,8 @@ class CoefficientTable:
     (mod X^p - (a^p - a), Y^p - (b^p - b)) after dividing by L^(a+b)(X+Y).
 
     c0 = c'_{00} and c(i) = c'_{i,p-i} are the only entries that can be
-    nonzero; the reconstruction u * table == v is verified on build.
+    nonzero (:func:`_admissible_cells`); the reconstruction u * table == v
+    is verified on build.
     """
     p: int
     a: object
@@ -372,6 +373,13 @@ class CoefficientTable:
 
     def values(self):
         return (self.c0,) + tuple(self.c(i) for i in range(1, self.p))
+
+
+@functools.lru_cache(maxsize=None)
+def _admissible_cells(p):
+    """The cells (0, 0) and (i, p - i), 0 < i < p, of a coefficient table:
+    the only (i, j) with 0 <= i, j < p and p dividing i + j."""
+    return ((0, 0),) + tuple((i, p - i) for i in range(1, p))
 
 
 def _split_pair(p, a, b):
@@ -407,21 +415,26 @@ def coefficient_table(p, a, b):
     lies on row 0 (for field entries by a linear solve of one p x p
     block; for series by the p-power closed form u^(p-1) (u^p)^(-1)), and
     raises NonInvertibleError when it has no inverse, which is exactly
-    when u has none.  The inverse w(Z) is spread to w(X+Y) and the table
-    is v * w(X+Y); the full reconstruction u * table == v and the
-    vanishing of c'_{ij} for p not dividing i + j are checked here.
+    when u has none.  The inverse w(Z) is spread to w(X+Y).
+
+    The table T holds the p admissible cells of v * w(X+Y), (0, 0) and
+    (i, p - i), read from the packed product by
+    :func:`quotient_mul_cells`; every other entry is ring.zero_entry.
+    One check over all p^2 cells, u * T == v, then proves the whole
+    table.  quotient_inverse has verified u_z w_z == 1, and Z -> X + Y is
+    a ring map, since (X+Y)^p = xc + yc, so u w(X+Y) == 1 and u is a
+    unit.  u * T == v thus gives T = v u^(-1): the admissible cells are
+    right, and c'_{ij} = 0 for p not dividing i + j, which T holds by
+    construction.  A table that fails the check raises
+    VerificationError.
     """
     u, v, u_z = _split_pair(p, a, b)
     w = _laguerre_xy_quotient(u.ring, quotient_inverse(u_z).entries[0], p)
-    table = quotient_mul(v, w)
+    table = quotient_mul_cells(v, w, _admissible_cells(p))
     if quotient_mul(u, table) != v:
-        raise VerificationError("coefficient table reconstruction failed")
-    out = CoefficientTable(p, a, b, table.entries)
-    bad = out.vanishing_violations()
-    if bad:
-        raise VerificationError("nonzero c'_{ij} with p not dividing i+j "
-                                "at %r" % (bad,))
-    return out
+        raise VerificationError("coefficient table reconstruction failed: "
+                                "u * table != v")
+    return CoefficientTable(p, a, b, table.entries)
 
 
 def c_coefficients(p, a, b):

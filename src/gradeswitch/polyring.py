@@ -23,6 +23,7 @@ unary ``-``, ``*`` and ``one()``; the base derives reflected ``+``, both
 subtractions and ``** k`` from them.
 """
 
+import functools
 import operator
 
 from .echelon import solve
@@ -881,9 +882,31 @@ def _schoolbook_product(u, v):
     return tuple(tuple(r[:p]) for r in acc[:p])
 
 
+@functools.lru_cache(maxsize=None)
+def _quotient_layout(p, bits):
+    """(offsets, low_t, high_t, low_s) of the Kronecker layout of
+    :func:`_packed_product` for entry blocks of `bits` bits.
+
+    offsets[i][j] is the shift of entry [i][j]; low_t and high_t mask the
+    blocks t < p and t < p - 1 of each of the 2p - 1 X rows, and low_s the
+    rows s < p.  They depend on p and the block width alone, so every ring
+    with that pair shares one layout (ints and tuples, no ring and no
+    element)."""
+    m = 2 * p - 1
+    row_bits = m * bits
+    offsets = tuple(tuple((i * m + j) * bits for j in range(p))
+                    for i in range(p))
+    low_t = sum(((1 << (p * bits)) - 1) << (s * row_bits) for s in range(m))
+    high_t = sum(((1 << ((p - 1) * bits)) - 1) << (s * row_bits)
+                 for s in range(m))
+    low_s = (1 << (p * row_bits)) - 1
+    return offsets, low_t, high_t, low_s
+
+
 def _packed_product(ring):
     """The packed-int product kernel of a ring with field or
-    truncated-series entries.
+    truncated-series entries: a function (u, v, cells=None) -> entry rows
+    of u v.
 
     Kronecker layout: entry [i][j] is the entry kernel's block (field
     digits, and for series above order (1, 1) the U^a V^b cells around
@@ -896,6 +919,14 @@ def _packed_product(ring):
     of p^2 products of at most four entries (c1 c2 yc xc), which is what
     the entry kernel's slots are sized for, and is unpacked once: U and V
     truncated, field digits folded through the reduction rows, one mod p.
+    With `cells`, an iterable of (i, j), only those entries are unpacked
+    and every other one is ring.zero_entry.
+
+    The layout (:func:`_quotient_layout`, kept as the kernel's `layout`)
+    is built once per p and block width and shared; what is the ring's
+    own is built here, once per ring: the entry kernel, asked of the
+    field, and packed xc and yc.  The kernel lives on its ring, so no
+    cache keeps a ring or an element.
 
     Zero entries are skipped by identity with ring.zero_entry, never by
     the truthiness of an entry (for a series, a scan of every
@@ -927,16 +958,10 @@ def _packed_product(ring):
 
         def unpack_entry(s):
             return BiTruncSeries._from_rows(field, ua, ub, sunpack(s))
-    m = 2 * p - 1
-    row_bits = m * bits
-    offsets = tuple(tuple((i * m + j) * bits for j in range(p))
-                    for i in range(p))
+    layout = _quotient_layout(p, bits)
+    offsets, low_t, high_t, low_s = layout
+    shift_t, shift_s = p * bits, p * (2 * p - 1) * bits
     mask = (1 << bits) - 1
-    # blocks t < p, and blocks t < p - 1, of each of the 2p - 1 rows
-    low_t = sum(((1 << (p * bits)) - 1) << (s * row_bits) for s in range(m))
-    high_t = sum(((1 << ((p - 1) * bits)) - 1) << (s * row_bits)
-                 for s in range(m))
-    low_s = (1 << (p * row_bits)) - 1
     xc, yc = pack_entry(ring.xc), pack_entry(ring.yc)
     zero = ring.zero_entry
 
@@ -947,19 +972,38 @@ def _packed_product(ring):
                              for c, sh in zip(row, shs) if c is not zero])
         return u._packed
 
-    def product(u, v):
+    def product(u, v, cells=None):
         s = packed(u) * packed(v)
-        s = (s & low_t) + ((s >> (p * bits)) & high_t) * yc
-        s = (s & low_s) + (s >> (p * row_bits)) * xc
-        return tuple([tuple([unpack_entry(b) if b else zero
-                             for b in [(s >> sh) & mask for sh in shs]])
-                      for shs in offsets])
+        s = (s & low_t) + ((s >> shift_t) & high_t) * yc
+        s = (s & low_s) + (s >> shift_s) * xc
+        if cells is None:
+            return tuple([tuple([unpack_entry(b) if b else zero
+                                 for b in [(s >> sh) & mask for sh in shs]])
+                          for shs in offsets])
+        rows = [[zero] * p for _ in range(p)]
+        for i, j in cells:
+            b = (s >> offsets[i][j]) & mask
+            if b:
+                rows[i][j] = unpack_entry(b)
+        return tuple(map(tuple, rows))
+    product.layout = layout
     return product
 
 
 def quotient_mul(u, v):
     """Product in the quotient ring, by the ring's product kernel."""
     return u * v
+
+
+def quotient_mul_cells(u, v, cells):
+    """The entries of u v at `cells`, an iterable of (i, j), as an element
+    whose every other entry is ring.zero_entry, for a ring with field or
+    truncated-series entries: only those entries are unpacked from the
+    packed product of :func:`_packed_product`."""
+    ring = u.ring
+    if v.ring is not ring:
+        raise ValueError("elements of different quotient rings")
+    return QuotientElement(ring, ring._product_kernel()(u, v, cells))
 
 
 def _quotient_inverse_linear(u):

@@ -436,7 +436,8 @@ def verify_product_rule(result):
     identity behind the switched grading composes with the multiplication
     map.  On A^(rho), alpha is the scalar a0 = g(rho) - h(rho) plus
     nil = alpha - a0, nilpotent and commuting with D.  Returns the number
-    of pairs checked.
+    of pairs checked.  A VerificationError of a pair series is raised
+    again naming its components (rho, sigma), its message kept.
 
     The sweep runs on packed ints.  Each grid vector D^i nil^j x, each
     L x and each L y is packed once.  By bilinearity the inner argument is
@@ -517,7 +518,12 @@ def verify_product_rule(result):
                                 "switched product outside the eigenspace sum")
                 pairs += len(vspace.basis) * len(wspace.basis)
                 continue
-            cseries = _pair_coefficient_series(p, f2, a0, b0, sa, sb)
+            try:
+                cseries = _pair_coefficient_series(p, f2, a0, b0, sa, sb)
+            except VerificationError as exc:
+                raise VerificationError(
+                    "pair series of components (%s, %s): %s"
+                    % (rho, sigma, exc)) from exc
             cpacked = [[[pack(c) for c in row] for row in ser.coeffs]
                        for ser in cseries]
             for ygrid, ly in zip(ygrids, ply):

@@ -456,3 +456,15 @@ def test_squarefree_part_of_a_constant():
             assert got == Polynomial(F, [F.one])
         with pytest.raises(ValueError, match="zero polynomial"):
             fields._squarefree_part(Polynomial(F, []))
+
+
+def test_gf_refuses_a_degree_above_the_cap():
+    """GF itself refuses n > DEGREE_CAP, naming the cap, before any
+    modulus search or irreducibility test; the cap itself still builds."""
+    with time_limit(1):
+        with pytest.raises(ValueError, match="degree cap %d"
+                           % fields.DEGREE_CAP):
+            fields.GF(2, fields.DEGREE_CAP + 1)
+        with pytest.raises(ValueError, match="degree cap"):
+            fields.GF(3, 10 ** 6, modulus=[1] * (10 ** 6 + 1))
+    assert fields.GF(2, fields.DEGREE_CAP).n == fields.DEGREE_CAP

@@ -344,6 +344,65 @@ def test_table_inverts_only_one_variable_elements(monkeypatch):
     assert len(seen) == 4
 
 
+def refusal_pairs():
+    """(p, a, b) with a + b off the excluded locus: over GF(5), over
+    GF(7^2), and a series pair of orders (2, 3) over GF(5)."""
+    cases = []
+    for p, n in ((5, 1), (7, 2)):
+        F = GF(p, n)
+        rng = random.Random(41 * p + n)
+        a, b = F.random_element(rng), F.random_element(rng)
+        while in_prime_star(a + b):
+            b = F.random_element(rng)
+        cases.append((p, a, b))
+    F = GF(5)
+    # a0 + b0 = 0, the one sum in GF(5) outside F_5^*
+    cases.append((5, F.scalar(2) + BiTruncSeries.shift_u(F, 2, 3),
+                  F.scalar(3) + BiTruncSeries.shift_v(F, 2, 3)))
+    return cases
+
+
+REFUSAL_IDS = ["GF(5)", "GF(7^2)", "series(2,3)"]
+
+
+@pytest.mark.parametrize("p,a,b", refusal_pairs(), ids=REFUSAL_IDS)
+def test_table_refuses_a_nonzero_non_admissible_cell(monkeypatch, p, a, b):
+    """One Laguerre coefficient of L^(a) off by one makes v u^(-1) nonzero
+    at some cell (i, j) with p not dividing i + j.  The table holds the
+    admissible cells only, so the reconstruction u * table == v fails."""
+    coefficient_table(p, a, b)
+    original = laguerre.laguerre_coeffs
+
+    def perturbed(q, alpha, n=None):
+        cs = original(q, alpha, n)
+        return (cs[0], cs[1] + 1) + cs[2:] if alpha is a else cs
+    monkeypatch.setattr(laguerre, "laguerre_coeffs", perturbed)
+    u, v, _ = _split_pair(p, a, b)
+    full = quotient_mul(v, quotient_inverse(u))
+    assert laguerre._vanishing_violations(p, full.entries)
+    with pytest.raises(laguerre.VerificationError,
+                       match="reconstruction failed"):
+        coefficient_table(p, a, b)
+
+
+@pytest.mark.parametrize("p,a,b", refusal_pairs(), ids=REFUSAL_IDS)
+def test_table_refuses_a_perturbed_admissible_cell(monkeypatch, p, a, b):
+    """c_1 = c'_{1,p-1} off by one, as read from the cell product, fails
+    the reconstruction."""
+    coefficient_table(p, a, b)
+    original = laguerre.quotient_mul_cells
+
+    def perturbed(u, v, cells):
+        t = original(u, v, cells)
+        rows = [list(row) for row in t.entries]
+        rows[1][p - 1] = rows[1][p - 1] + 1
+        return t.ring.element(rows)
+    monkeypatch.setattr(laguerre, "quotient_mul_cells", perturbed)
+    with pytest.raises(laguerre.VerificationError,
+                       match="reconstruction failed"):
+        coefficient_table(p, a, b)
+
+
 def outer_v_cases():
     """(p, a, b) over every entry kind: field elements below and above the
     log/exp cap (a in F_p makes all but one Laguerre coefficient zero),

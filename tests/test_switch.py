@@ -789,6 +789,34 @@ def test_product_rule_refuses_a_nilpotent_perturbation_of_alpha():
     assert strade_map(bad) != res.switch_map
 
 
+@pytest.mark.parametrize("fail_at", [0, 6])
+def test_pair_series_failure_names_its_components(monkeypatch, capsys,
+                                                  fail_at):
+    """A VerificationError from a pair series reaches the CLI naming the
+    eigenvalue pair (rho, sigma) whose series failed, its own message
+    kept."""
+    res = switched_without_product_rule("witt:5+witt:5", "ad:1")
+    dec = res.decomposition
+    pairs = [(rho, sigma) for rho, _ in dec for sigma, _ in dec
+             if dec.find(rho + sigma) is not None]
+    calls = []
+    original = switch.coefficient_table
+
+    def failing(p, a, b):
+        calls.append((a, b))
+        if len(calls) > fail_at:
+            raise VerificationError("table defect in call %d" % len(calls))
+        return original(p, a, b)
+    monkeypatch.setattr(switch, "coefficient_table", failing)
+    code = cli.main(["switch", "--builtin", "witt:5+witt:5",
+                     "--derivation", "ad:1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(calls) == fail_at + 1
+    assert "pair series of components (%s, %s): table defect in call %d" \
+        % (pairs[fail_at] + (fail_at + 1,)) in err
+
+
 def test_grading_modulus_constraint():
     # switching requires m | p*d; tpoly(3, 9, 9) with ddx has
     # d = -1 mod 9 and p*d = 24, which 9 does not divide
