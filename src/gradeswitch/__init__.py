@@ -23,7 +23,7 @@ from .polyring import MultiPoly, NonInvertibleError, Polynomial, \
     QuotientRing
 from .switch import HypothesisError, PPolynomial, Relation, SwitchResult, \
     VerificationError, build_LD, build_g, p_power_relation, \
-    semisimple_exponent, special_LD, switch_grading, verify_product_rule
+    semisimple_exponent, switch_grading, verify_product_rule
 from .toral import RestrictedLie, Torus, compare_switch_to_toral, \
     refine_grading, root_decomposition, strade_map, switch_torus
 
@@ -44,8 +44,7 @@ __all__ = [
     "MultiPoly", "NonInvertibleError", "Polynomial", "QuotientRing",
     "HypothesisError", "PPolynomial", "Relation", "SwitchResult",
     "VerificationError", "build_LD", "build_g", "p_power_relation",
-    "semisimple_exponent", "special_LD", "switch_grading",
-    "verify_product_rule",
+    "semisimple_exponent", "switch_grading", "verify_product_rule",
     "RestrictedLie", "Torus", "compare_switch_to_toral",
     "refine_grading", "root_decomposition", "strade_map", "switch_torus",
     "__version__",

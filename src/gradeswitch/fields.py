@@ -41,8 +41,8 @@ from .echelon import Echelon, first_dependence
 
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
 _EXHAUST_CAP = 1 << 8     # root search by evaluation when q <= this
-# largest degree over GF(p) of any field GF builds, and so of a splitting
-# field or compositum the package picks: GF(p^64) builds in <= 0.7 s for
+# largest degree over GF(p) of any field GF builds, and so of any
+# splitting field the package picks: GF(p^64) builds in <= 0.7 s for
 # p <= 13, GF(11^128) in 18.6 s
 DEGREE_CAP = 64
 
@@ -988,18 +988,18 @@ def embed(x, dst):
     return embedding(x.field, dst)(x)
 
 
-def embedding_over(src, dst, sub, sub_map):
-    """The embedding src -> dst that agrees with sub_map on sub, a subfield
-    of src under its canonical embedding.
+def embedding_over(src, dst, sub):
+    """The embedding src -> dst that agrees with the canonical sub -> dst
+    on sub, a subfield of src under its canonical embedding.
 
     Canonical embeddings need not compose to canonical ones, but any two
     embeddings of sub into dst differ by a power of Frobenius: this is
     the canonical src -> dst followed by the power x -> x^(p^k), k < sub.n,
-    that sends the image of sub.gen to sub_map(sub.gen).
+    that sends the image of sub.gen to its canonical image.
     """
     emb = embedding(src, dst)
     x = emb(embed(sub.gen, src))
-    target = sub_map(sub.gen)
+    target = embed(sub.gen, dst)
     for k in range(sub.n):
         if x == target:
             if k == 0:
@@ -1007,7 +1007,7 @@ def embedding_over(src, dst, sub, sub_map):
             e = dst.p ** k
             return lambda y: emb(y) ** e
         x = x ** dst.p
-    raise ValueError("sub_map does not embed %r into %r" % (sub, dst))
+    raise AssertionError("no Frobenius power matches")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -1120,18 +1120,14 @@ def roots_in_splitting_field(f):
     factor degrees (F itself when L = 1); the root list is sorted by
     encoding and its re-expansion is verified against f before
     returning.  A splitting field of degree above DEGREE_CAP over GF(p)
-    raises ValueError.
+    raises ValueError in :func:`GF`.
     """
     from .polyring import Polynomial
     if f.is_zero():
         raise ValueError("the zero polynomial has no splitting field")
     field = f.field
     lcm = math.lcm(*_factor_degrees(_squarefree_part(f)))
-    n = field.n * lcm
-    if lcm > 1 and n > DEGREE_CAP:
-        raise ValueError("the splitting field GF(%d^%d) exceeds the degree "
-                         "cap %d" % (field.p, n, DEGREE_CAP))
-    big = field if lcm == 1 else GF(field.p, n)
+    big = field if lcm == 1 else GF(field.p, field.n * lcm)
     emb = embedding(field, big)
     f2 = Polynomial(big, [emb(c) for c in f.coeffs])
     return big, _multiplicities(f2, _roots_in_field(f2))

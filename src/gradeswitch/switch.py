@@ -14,14 +14,16 @@ a derivation of degree d with m | p d yields a new grading; the two-sided
 product rule expresses L_D x * L_D y through L_D applied to a fixed
 combination of xy and D^i x * D^(p-i) y, with coefficients taken from the
 product-splitting tables evaluated at commuting operators.
+
+One builder, :func:`build_LD`, takes (A, D) to a SwitchResult over the
+field F' of g, where the eigenvalues of D always lie; where D^(p^2) = D^p
+its g is gamma T^p with gamma^p - gamma = 1 (0 when D^p = 0).
 """
 
-import math
 from dataclasses import dataclass
 
 from .echelon import first_dependence
-from .fields import DEGREE_CAP, GF, additive_root, artin_schreier_root, \
-    embed, embedding, embedding_over
+from .fields import additive_root, embedding, embedding_over
 from .galg import Decomposition, LinearMap, _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
@@ -72,12 +74,6 @@ class PPolynomial:
     def __sub__(self, other):
         return PPolynomial.make(self.field, self.terms
                                 + tuple((i, -b) for i, b in other.terms))
-
-    def embed_to(self, field):
-        if field is self.field:
-            return self
-        emb = embedding(self.field, field)
-        return PPolynomial.make(field, [(i, emb(b)) for i, b in self.terms])
 
     def to_json(self):
         return [[i, list(b.coeffs)] for i, b in self.terms]
@@ -155,7 +151,7 @@ def p_power_relation(D, r):
 def build_g(relation, lam=None):
     """(F', g, lambda) with g an additive polynomial supported on exponents
     r..n-1 for which alpha = (g - h)(D) obeys alpha^p - alpha = D^p, as
-    :func:`_result` checks at D.  Since h(D)^p - h(D) = D^(p^r) - D^p
+    :func:`build_LD` checks at D.  Since h(D)^p - h(D) = D^(p^r) - D^p
     telescopes, this makes g(D) an Artin-Schreier root of D^(p^r).
 
     lambda is a root of the constraint polynomial
@@ -249,12 +245,31 @@ def _check_r(r):
 
 
 def build_LD(A, D, r=None):
-    """The switching operator of D on A, with every scalar law verified.
+    """The switching operator L = L_{p-1}^(alpha)(D) of D on A, with every
+    scalar law verified.
 
-    Steps: semisimplicity exponent (a supplied r must be at least it, as
-    p-th powers of a semisimple map stay semisimple), minimal
-    p-power relation and additive polynomial g (enlarging the field as
-    needed); :func:`_result` forms alpha from g and checks its law.
+    A supplied r must be at least the semisimplicity exponent, as p-th
+    powers of a semisimple map stay semisimple.  alpha = (g - h)(D) is
+    formed over the field F' of g from D's own p-power chain and checked
+    against the switching law alpha^p - alpha = D^p.  The generalized
+    eigenspaces of D, found over the field E where D splits, reach F'
+    through the embedding that agrees with the canonical one on A's field
+    F.  Over F': the one Laguerre value, its scalar law through g on each
+    eigenspace and the switched parts.
+
+    E always embeds in F', so an E whose degree does not divide that of
+    F' raises VerificationError (Lidl-Niederreiter, Finite Fields, 3.4).
+    With S = D^(p^r), m = n - r and the relation's a_k:
+    - the eigenvalues rho^(p^r) of S are roots of the separable
+      P(U) = U^(p^m) + sum_k a_k U^(p^(k-r)), as P(S) = 0, and
+      F(rho) = F(rho^(p^r)); so E lies in the splitting field of P (a
+      degenerate relation has S = 0, so E = F = F');
+    - F' splits 1 + Q, Q(T) = T + sum_k a_k^(p^(n-1-k)) T^(p^(n-k)), whose
+      roots are one root plus the roots of Q; so F' splits Q;
+    - on any finite K containing F, Q(y)^p = P*(y^p)^(p^m), where P* is
+      the adjoint of P under the trace form Tr_{K/F_p}(x y).  Adjoint
+      maps have equal rank, so the separable P and Q, both of p-degree
+      m, split over the same fields.
     """
     _check_acts(A, D)
     _check_r(r)
@@ -264,28 +279,9 @@ def build_LD(A, D, r=None):
     elif r < r_raw:
         raise HypothesisError("D^(p^r) semisimple",
                               "supplied r = %d fails" % r)
-    r_eff = max(r, 1)
-    relation = p_power_relation(D, r_eff)
-    _, g, lam = build_g(relation)
-    return _result(A, D, g, lam, r_raw, r_eff, relation)
-
-
-def _result(A, D, g, lam, r_raw, r, relation):
-    """The SwitchResult of L = L_{p-1}^(alpha)(D) for D over A's field F,
-    with g and lam over the field F' that :func:`build_g` reached (lam
-    may be None).
-
-    alpha = (g - h)(D) is formed over F' from D's own p-power chain, each
-    D^(p^i) embedded there, and checked against the switching law
-    alpha^p - alpha = D^p.  The generalized eigenspaces of D are found
-    over the field E where D splits, and the two fields meet in F'', F'
-    itself when E embeds in it and GF(p, lcm) otherwise.  A and D reach
-    F'' through F', like alpha, and the eigenspaces through the
-    embedding of E that agrees with that route on F.  Over F'': the one
-    Laguerre value, its scalar law through g on each eigenspace and the
-    switched parts.  An F'' of degree above DEGREE_CAP over GF(p) raises
-    ValueError."""
-    f1 = g.field
+    r = max(r, 1)
+    relation = p_power_relation(D, r)
+    f1, g, lam = build_g(relation)
     p = f1.p
     # every exponent of g - h is at least 1, and D^p is the one power of
     # D the law needs
@@ -296,29 +292,23 @@ def _result(A, D, g, lam, r_raw, r, relation):
     if alpha ** p - alpha != dp:
         raise VerificationError("alpha^p - alpha != D^p")
     big, dec = generalized_eigenspaces(D)
-    n2 = math.lcm(f1.n, big.n)
-    if n2 > f1.n and n2 > DEGREE_CAP:
-        raise ValueError("the compositum GF(%d^%d) exceeds the degree cap %d"
-                         % (p, n2, DEGREE_CAP))
-    f2 = f1 if n2 == f1.n else GF(p, n2)
-    into = embedding_over(big, f2, A.field,
-                          lambda x: embed(embed(x, f1), f2))
-    if big is not f2 or into(f2.gen) != f2.gen:
-        dec = Decomposition(f2, sorted(
-            [(into(rho), space.map_field(f2, into)) for rho, space in dec],
+    if f1.n % big.n:
+        raise VerificationError("eigenvalue field %r does not embed in %r"
+                                % (big, f1))
+    if big is not f1:
+        into = embedding_over(big, f1, A.field)
+        dec = Decomposition(f1, sorted(
+            [(into(rho), space.map_field(f1, into)) for rho, space in dec],
             key=lambda entry: int(entry[0])))
-    a2 = A.change_field(f1).change_field(f2)
-    d2 = D.embed_to(f1).embed_to(f2)
-    g2 = g.embed_to(f2)
-    alpha = alpha.embed_to(f2)
-    lmap = laguerre_value(p, alpha, d2)
-    old_parts = tuple(a2.grading_parts())
+    a1 = A.change_field(f1)
+    d1 = D.embed_to(f1)
+    lmap = laguerre_value(p, alpha, d1)
+    old_parts = tuple(a1.grading_parts())
     return SwitchResult(
-        algebra=a2, derivation=d2, field_start=A.field, field_final=f2,
-        r_raw=r_raw, r=r, relation=relation, g=g2,
-        lam=None if lam is None else embed(lam, f2), decomposition=dec,
-        block_scalars=_scalar_law(lmap, dec, g2, r), switch_map=lmap,
-        alpha=alpha, old_parts=old_parts,
+        algebra=a1, derivation=d1, field_start=A.field, field_final=f1,
+        r_raw=r_raw, r=r, relation=relation, g=g, lam=lam,
+        decomposition=dec, block_scalars=_scalar_law(lmap, dec, g, r),
+        switch_map=lmap, alpha=alpha, old_parts=old_parts,
         new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
 
 
@@ -349,39 +339,6 @@ def _scalar_law(lmap, dec, g, r):
                                         "scalar at rho = %s" % (rho,))
         scalars.append((rho, s_lag))
     return tuple(scalars)
-
-
-def special_LD(A, D):
-    """The switching operator in the special case D^(p^2) = D^p.
-
-    Uses g = gamma T^p with gamma^p - gamma = 1, so alpha = gamma D^p,
-    which acts as a gamma on each eigenspace A^(a), a in F_p.  Equivalent
-    to build_LD with r = 1; kept as an independent route to g, with gamma
-    the root of T^p - T - 1 where build_LD recurses from a root of its
-    constraint polynomial.
-    When D^p = 0, g and alpha vanish and gamma is not adjoined: the value is
-    L_{p-1}^(0)(D) over the start field, as with build_LD's degenerate
-    relation.
-    """
-    field0 = A.field
-    p = field0.p
-    _check_acts(A, D)
-    dp = D.p_power(1)
-    if D.p_power(2) != dp:
-        raise HypothesisError("D^(p^2) = D^p")
-    if dp:
-        f1, gamma = artin_schreier_root(field0, field0.one)
-        relation = Relation(field0, 1, 2, (field0.scalar(-1),), False)
-    else:  # build_LD's degenerate relation D^p = 0
-        f1, gamma = field0, None
-        relation = Relation(field0, 1, 1, (), True)
-    g = PPolynomial.make(f1, [(1, gamma)] if dp else ())
-    res = _result(A, D, g, gamma, 1, 1, relation)
-    for rho, _ in res.decomposition:
-        if rho ** p != rho:
-            raise VerificationError("eigenvalue outside F_p despite "
-                                    "D^(p^2) = D^p")
-    return res
 
 
 def switch_grading(A, D, r=None, check_product_rule=True):

@@ -22,7 +22,8 @@ from gradeswitch.cli import main
 from gradeswitch.fields import (
     DEGREE_CAP, GF, additive_root, roots_in_splitting_field)
 from gradeswitch.polyring import Polynomial
-from gradeswitch.switch import Relation, build_g, build_LD, switch_grading
+from gradeswitch.switch import Relation, VerificationError, build_g, \
+    build_LD, switch_grading
 from time_budget import time_limit
 
 
@@ -207,14 +208,15 @@ def test_a_splitting_degree_of_2310_is_refused_at_once(tmp_path, capsys):
         roots_in_splitting_field(D.minimal_polynomial())
 
 
-def test_a_compositum_above_the_cap_is_refused_before_it_is_built(
-        monkeypatch):
-    # g of this D lives over GF(2^4); an eigenvalue field of degree 17
-    # would make the compositum GF(2^68)
+def test_an_eigenvalue_field_outside_g_field_is_refused(monkeypatch):
+    # g of this D lives over GF(2^4).  D's eigenvalues always lie in g's
+    # field, so a substituted eigenvalue field of degree 17 is refused as
+    # a defect before any eigenspace is embedded
     A, D = companion_blocks(2, [2])
     assert build_LD(A, D).field_final is GF(2, 4)
     monkeypatch.setattr(switch, "generalized_eigenspaces",
                         lambda D: (GF(2, 17), None))
-    monkeypatch.setattr(switch, "GF", None)  # not called
-    with pytest.raises(ValueError, match=r"GF\(2\^68\) exceeds the degree"):
+    monkeypatch.setattr(switch, "Decomposition", None)  # not called
+    with pytest.raises(VerificationError, match=r"GF\(2\^17\) does not "
+                       r"embed in GF\(2\^4\)"):
         build_LD(A, D)

@@ -1,12 +1,13 @@
 """D's eigenspaces over D's own field, against the route they replaced.
 
-:func:`switch._result` finds the generalized eigenspaces of D over the
-field E where D splits and embeds them into the final field, and forms
+:func:`switch.build_LD` finds the generalized eigenspaces of D over the
+field E where D splits and embeds them into the field F' of g, and forms
 alpha from D's own p-power chain over the start field.  The route it
-replaced embedded D into the field F' of g first and did both there; it is
-kept here as the oracle.  Both must give the same final field object, the
-same eigenvalues in the same order, the same subspaces, the same alpha and
-the same switching operator.
+replaced embedded D into F' first and did both there; it is kept here as
+the oracle.  Both must give the same final field object, the same
+eigenvalues in the same order, the same subspaces, the same alpha and the
+same switching operator.  Where D^(p^2) = D^p, build_LD must also take
+its closed form.
 """
 
 import json
@@ -16,19 +17,21 @@ import pytest
 
 from gradeswitch import cli
 from gradeswitch.cli import DEFAULT_DIM_CAP, DEFAULT_PRIMES
-from gradeswitch.fields import GF, artin_schreier_root, embed, embedding, \
-    embedding_over
+from gradeswitch.fields import GF, embed, embedding_over
 from gradeswitch.galg import GradedAlgebra, LinearMap, \
     generalized_eigenspaces, witt
 from gradeswitch.laguerre import laguerre_value
-from gradeswitch.switch import PPolynomial, build_g, build_LD, \
-    h_polynomial, p_power_relation, semisimple_exponent, special_LD
+from gradeswitch.switch import build_g, build_LD, h_polynomial, \
+    p_power_relation, semisimple_exponent
+from test_switch import assert_special_closed_form, is_special
+from time_budget import time_limit
 
 
 def old_route(D, g, r):
     """(F'', decomposition, alpha, switch map) with D embedded into g's
     field F' first: alpha = (g - h)(D) powered there, and the eigenspaces
-    of D over F' found over its splitting field."""
+    of D over F' found over its splitting field F'', which is F' itself
+    when D's eigenvalues lie in F'."""
     f1 = g.field
     d1 = D.embed_to(f1)
     alpha = (g - h_polynomial(f1, r))(d1)
@@ -43,15 +46,6 @@ def build_LD_g(D):
     return build_g(p_power_relation(D, r))[1], r
 
 
-def special_g(D):
-    """(g over F', 1) as :func:`special_LD` forms them."""
-    field = D.field
-    if not D.p_power(1):
-        return PPolynomial.make(field, ()), 1
-    f1, gamma = artin_schreier_root(field, field.one)
-    return PPolynomial.make(f1, [(1, gamma)]), 1
-
-
 def assert_same_route(res, old):
     f2, dec, alpha, lmap = old
     assert res.field_final is f2
@@ -63,12 +57,13 @@ def assert_same_route(res, old):
 
 
 def check_both_routes(A, D):
-    """build_LD, and special_LD where D^(p^2) = D^p, against the old
-    route; returns g's field for build_LD."""
+    """build_LD against the old route, and where D^(p^2) = D^p against its
+    closed form; returns g's field."""
     g, r = build_LD_g(D)
-    assert_same_route(build_LD(A, D), old_route(D, g, r))
-    if D.p_power(2) == D.p_power(1):
-        assert_same_route(special_LD(A, D), old_route(D, *special_g(D)))
+    res = build_LD(A, D)
+    assert_same_route(res, old_route(D, g, r))
+    if is_special(D):
+        assert_special_closed_form(res, D)
     return g.field
 
 
@@ -120,6 +115,32 @@ def test_random_matrices_with_an_enlarged_field(p, n, modulus):
     assert enlarged >= 6
 
 
+# start fields of the embedding property: prime fields and two of degree 2
+EMBED_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+
+
+def test_eigenvalue_field_embeds_in_g_field():
+    """The field E where D splits divides the field F' of g, for every r
+    from max(r_raw, 1) to two above it, so build_LD ends over F' itself:
+    8 seeded random maps of a 1- to 5-dimensional space per start field,
+    120 cases, some with E = GF(3^12) and F' = GF(3^36)."""
+    with time_limit(5):
+        for p, n in EMBED_FIELDS:
+            F = GF(p, n)
+            rng = random.Random(100 * p + n)
+            for _ in range(8):
+                dim = rng.randint(1, 5)
+                A = GradedAlgebra(F, 1, [0] * dim, {})
+                D = LinearMap(F, [[F.random_element(rng) for _ in range(dim)]
+                                  for _ in range(dim)])
+                big, _ = generalized_eigenspaces(D)
+                low = max(semisimple_exponent(D), 1)
+                for r in range(low, low + 3):
+                    f1 = build_g(p_power_relation(D, r))[0]
+                    assert f1.n % big.n == 0
+                    assert build_LD(A, D, r).field_final is f1
+
+
 def witt_json(modulus):
     """W(1;1) over GF(3^2) with the given modulus, graded trivially (so
     every derivation is graded), as an algebra JSON object."""
@@ -159,23 +180,27 @@ def test_json_input_over_gf9_with_a_non_default_modulus(tmp_path, capsys):
 def test_eigenvalues_reach_the_final_field_through_g_field():
     """Over GF(3^2) with modulus T^2 + 1, the canonical embeddings
     GF(3^2) -> GF(3^4) -> GF(3^12) and GF(3^2) -> GF(3^12) differ, and
-    embedding_over fixes the first route on the start field."""
+    embedding_over fixes the second on the start field."""
     F, mid, big = GF(3, 2, (1, 0, 1)), GF(3, 4), GF(3, 12)
 
     def through(x):
         return embed(embed(x, mid), big)
     assert through(F.gen) != embed(F.gen, big)
-    emb = embedding_over(mid, big, F, through)
-    assert emb(embed(F.gen, mid)) == through(F.gen)
+    emb = embedding_over(mid, big, F)
+    assert emb(embed(F.gen, mid)) == embed(F.gen, big)
     rng = random.Random(4)
+    moved = 0
     for _ in range(8):
         x, y = mid.random_element(rng), mid.random_element(rng)
         assert emb(x * y) == emb(x) * emb(y)
         assert emb(x + y) == emb(x) + emb(y)
-    assert embedding_over(mid, big, F, embedding(F, big))(
-        embed(F.gen, mid)) == embed(F.gen, big)
-    with pytest.raises(ValueError):
-        embedding_over(mid, big, F, lambda x: big.zero)
+        moved += emb(x) != embed(x, big)
+    assert moved  # not the canonical GF(3^4) -> GF(3^12)
+    # where the canonical embeddings compose, it is the canonical one
+    assert all(embedding_over(mid, big, GF(3))(x) == embed(x, big)
+               for x in (mid.gen, mid.gen + 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        embedding_over(mid, GF(3, 6), F)
 
 
 def test_p_power_keeps_one_chain():

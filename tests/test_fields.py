@@ -243,10 +243,10 @@ AS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2),
 @pytest.mark.parametrize("p,n", AS_FIELDS,
                          ids=["GF(%d^%d)" % f for f in AS_FIELDS])
 def test_artin_schreier_root_matches_root_finding(p, n):
-    # special_LD takes gamma from artin_schreier_root, a linear solve;
-    # build_LD finds its roots with roots_in_splitting_field.  For every c
-    # both routes give the identical field and the same smallest root of
-    # T^p - T - c, which has p simple roots.  The splitting fields GF(5^5),
+    # artin_schreier_root takes gamma from additive_root, a linear solve;
+    # roots_in_splitting_field factors and splits the dense polynomial.
+    # For every c both routes give the identical field and the same
+    # smallest root of T^p - T - c, which has p simple roots.  The splitting fields GF(5^5),
     # GF(7^7), GF(3^6) and GF(5^10) lie above _EXHAUST_CAP, so root finding
     # splits by equal degrees there.
     F = GF(p, n)

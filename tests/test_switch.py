@@ -1,22 +1,23 @@
 import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
 
 from gradeswitch import cli, switch
-from gradeswitch.fields import GF, FqElement, embed
+from gradeswitch.fields import GF, FqElement, roots_in_splitting_field
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, direct_sum, generalized_eigenspaces, is_grading,
     truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.laguerre import (
     c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
     laguerre_value, scalar_product_form, truncated_exp)
-from gradeswitch.polyring import BiTruncSeries
+from gradeswitch.polyring import BiTruncSeries, Polynomial
 from gradeswitch.switch import (
     HypothesisError, PPolynomial, Relation, VerificationError,
     _pair_coefficient_series, build_LD, build_g, h_polynomial,
-    p_power_relation, semisimple_exponent, special_LD, switch_grading,
+    p_power_relation, semisimple_exponent, switch_grading,
     verify_product_rule)
 from gradeswitch.toral import strade_map
 
@@ -28,9 +29,9 @@ def blockwise_switch_map(res, special=False):
     L_{p-1}^(alpha)(D|) per generalized eigenspace A^(rho), with D| the
     restriction of D there, and V holding the eigenspace bases as columns.
 
-    alpha is g(rho) - h(D|) (build_LD), or rho gamma when special
-    (special_LD; 0 when D^p = 0, where no gamma is adjoined).  Each
-    block's p^r-th power must be the scalar res records for rho.
+    alpha is g(rho) - h(D|), or rho gamma when special (D^(p^2) = D^p,
+    where alpha = gamma D^p; 0 when D^p = 0, where no gamma is adjoined).
+    Each block's p^r-th power must be the scalar res records for rho.
     """
     f2 = res.field_final
     p = f2.p
@@ -59,9 +60,38 @@ def blockwise_switch_map(res, special=False):
 
 
 def is_special(D):
-    """D^(p^2) = D^p, the hypothesis of special_LD."""
+    """D^(p^2) = D^p, the special case of the switching operator."""
     dp = D ** D.field.p
     return dp ** D.field.p == dp
+
+
+@functools.lru_cache(maxsize=None)
+def artin_schreier_gamma(field):
+    """(F', gamma): the smallest root of T^p - T - 1 over field and its
+    splitting field, by root finding rather than by a linear solve."""
+    t = Polynomial.variable(field)
+    big, roots = roots_in_splitting_field(t ** field.p - t - 1)
+    return big, roots[0][0]
+
+
+def assert_special_closed_form(res, D):
+    """build_LD's result where D^(p^2) = D^p and r is not supplied: the
+    relation D^(p^2) = D^p, g = gamma T^p and alpha = gamma D^p, with
+    gamma from :func:`artin_schreier_gamma`; or, when D^p = 0, the
+    degenerate relation and g = 0 over the start field."""
+    F = D.field
+    dp = D.p_power(1)
+    assert res.r == 1
+    if not dp:
+        assert res.relation == Relation(F, 1, 1, (), True)
+        assert res.field_final is F and res.lam is None
+        assert res.g.is_zero() and res.alpha.is_zero()
+        return
+    big, gamma = artin_schreier_gamma(F)
+    assert res.relation == Relation(F, 1, 2, (F.scalar(-1),), False)
+    assert res.field_final is big and res.lam == gamma
+    assert res.g == PPolynomial.make(big, [(1, gamma)])
+    assert res.alpha == dp.embed_to(big) * gamma
 
 
 BLOCKWISE_CASES = [
@@ -81,17 +111,10 @@ def test_global_operator_matches_blockwise_oracle(spec, der, r):
     res = build_LD(A, D, r)
     assert res.switch_map == blockwise_switch_map(res)
     if r is None and is_special(D):
-        spec_res = special_LD(A, D)
-        assert spec_res.switch_map == blockwise_switch_map(spec_res, True)
-        if D ** A.field.p:
-            # special_LD adjoins gamma; build_LD may stay smaller
-            assert spec_res.switch_map == \
-                res.switch_map.embed_to(spec_res.field_final)
-        else:
-            # D^p = 0 (witt:5 ad:0, witt:11 ad:0, witt:13 ad:3): no
-            # gamma, both stay over the start field
-            assert spec_res.field_final is res.field_final is A.field
-            assert spec_res.switch_map == res.switch_map
+        # D^p = 0 (witt:5 ad:0, witt:11 ad:0, witt:13 ad:3) adjoins no
+        # gamma and stays over the start field
+        assert_special_closed_form(res, D)
+        assert res.switch_map == blockwise_switch_map(res, True)
 
 
 def test_ppolynomial_is_additive():
@@ -296,20 +319,18 @@ def test_xddx_special_matches_general():
         A = truncated_poly(p, p, p)
         D = truncated_poly_derivation(A, "xddx")
         assert D.p_power(2) == D.p_power(1)
-        spec = special_LD(A, D)
         gen = switch_grading(A, D)
-        assert spec.field_final is gen.field_final
-        assert spec.switch_map == gen.switch_map
+        assert_special_closed_form(gen, D)
         assert gen.grading_ok
-        f2 = spec.field_final
-        gamma = spec.lam
+        f2 = gen.field_final
+        gamma = gen.lam
         assert gamma ** p - gamma == f2.one
-        for rho, space in spec.decomposition:
+        for rho, space in gen.decomposition:
             assert space.dim == 1
             expect = laguerre_at(p, rho * gamma).evaluate(rho)
             v = space.basis[0]
-            assert spec.switch_map.apply(v) == tuple(expect * c for c in v)
-            stored = dict((r2.coeffs, s) for r2, s in spec.block_scalars)
+            assert gen.switch_map.apply(v) == tuple(expect * c for c in v)
+            stored = dict((r2.coeffs, s) for r2, s in gen.block_scalars)
             assert stored[rho.coeffs] == expect ** p
 
 
@@ -326,42 +347,50 @@ def test_xddx_relation_and_g():
         assert gD ** p - gD == res.derivation.p_power(1)
 
 
+# -- the special L_D: the switching operator where D^(p^2) = D^p ----------
+
+
 def test_special_LD_requires_the_relation():
-    # D with D^2 = D + 1 over F_3 has D^9 != D^3
+    # D with D^2 = D + 1 over F_3 has D^9 != D^3, and there the closed
+    # form alpha = gamma D^p misses the law: with gamma^p - gamma = 1,
+    # alpha^p - alpha = gamma^p (D^(p^2) - D^p) + D^p.  build_LD takes
+    # the relation D^27 = D^3 and a g of two terms instead.
     F3 = GF(3)
     A = truncated_poly(3, 3, 3).change_field(F3)
     D = LinearMap(F3, [[F3.zero, F3.one, F3.zero],
                        [F3.one, F3.one, F3.zero],
                        [F3.zero, F3.zero, F3.one]])
     assert D.p_power(2) != D.p_power(1)
-    with pytest.raises(HypothesisError):
-        special_LD(A, D)
+    big, gamma = artin_schreier_gamma(F3)
+    closed = D.p_power(1).embed_to(big) * gamma
+    assert closed ** 3 - closed != D.p_power(1).embed_to(big)
+    res = build_LD(A, D)
+    assert (res.relation.r, res.relation.n) == (1, 3)
+    assert len(res.g.terms) == 2
+    assert res.alpha ** 3 - res.alpha == res.derivation.p_power(1)
 
 
 def test_special_LD_on_ad_e0():
-    # ad e_0 on witt satisfies D^p = D, so D^(p^2) = D^p holds
+    # ad e_0 on witt satisfies D^p = D, so D^(p^2) = D^p holds; D is
+    # semisimple, so r is raised from r_raw = 0 to 1
     W = witt(5)
     D = W.left_multiplication(W.basis_vector(1))
-    spec = special_LD(W, D)
-    gen = build_LD(W, D)
-    assert spec.switch_map == gen.switch_map
-    assert spec.field_final is gen.field_final
+    res = build_LD(W, D)
+    assert_special_closed_form(res, D)
+    assert (res.r_raw, res.r) == (0, 1)
 
 
 def test_special_LD_adjoins_no_gamma_when_D_p_vanishes():
-    # ad e_{-1} on witt has D^p = 0: gamma D^p vanishes, so special_LD
-    # returns build_LD's degenerate result over the start field
+    # ad e_{-1} on witt has D^p = 0: gamma D^p vanishes, and build_LD
+    # returns the degenerate result L_{p-1}^(0)(D) over the start field
     for p in (5, 11):
         W = witt(p)
         D = W.left_multiplication(W.basis_vector(0))
         assert (D ** p).is_zero()
-        spec, gen = special_LD(W, D), build_LD(W, D)
-        assert spec.field_final is gen.field_final is GF(p)
-        assert spec.relation == gen.relation and spec.relation.degenerate
-        assert spec.lam is None and spec.g.is_zero() and gen.g.is_zero()
-        assert spec.switch_map == gen.switch_map
-        assert spec.block_scalars == gen.block_scalars
-        assert spec.new_parts == gen.new_parts
+        res = build_LD(W, D)
+        assert_special_closed_form(res, D)
+        assert res.field_final is GF(p) and res.relation.degenerate
+        assert res.switch_map == laguerre_value(p, res.alpha, D)
 
 
 # -- alpha, carried on the result -------------------------------------------
@@ -373,44 +402,29 @@ DIGEST_SWITCHES = [
     ("witt:11", "ad:0", None), ("tpoly:2:8:2", "xddx", None)]
 
 
-def _results_of(spec, der, r):
-    """build_LD's result and, when D^(p^2) = D^p and r is not supplied,
-    special_LD's."""
-    A = cli._parse_builtin(spec)
-    D = cli._parse_derivation(A, der, None)
-    out = [build_LD(A, D, r)]
-    if r is None and is_special(D):
-        out.append(special_LD(A, D))
-    return out
-
-
 @pytest.mark.parametrize("spec,der,r", DIGEST_SWITCHES,
                          ids=["%s-%s-%s" % c for c in DIGEST_SWITCHES])
 def test_switch_map_is_the_laguerre_value_at_alpha(spec, der, r):
-    for res in _results_of(spec, der, r):
-        alpha, D = res.alpha, res.derivation
-        assert alpha.field is D.field is res.field_final
-        assert res.switch_map == laguerre_value(D.field.p, alpha, D)
-        assert alpha * D == D * alpha
-        # the switching law; special_LD is among the results wherever
-        # D^(p^2) = D^p
-        assert alpha ** D.field.p - alpha == D ** D.field.p
-        assert "alpha" not in res.to_json()
+    A = cli._parse_builtin(spec)
+    res = build_LD(A, cli._parse_derivation(A, der, None), r)
+    alpha, D = res.alpha, res.derivation
+    assert alpha.field is D.field is res.field_final
+    assert res.switch_map == laguerre_value(D.field.p, alpha, D)
+    assert alpha * D == D * alpha
+    # the switching law
+    assert alpha ** D.field.p - alpha == D ** D.field.p
+    assert "alpha" not in res.to_json()
 
 
 @pytest.mark.parametrize("spec,der", [
     ("witt:5", "ad:1"), ("witt:5+witt:5", "ad:1"), ("tpoly:5:5:5", "xddx"),
     ("tpoly:2:8:2", "xddx"), ("witt:5", "ad:0"), ("witt:11", "ad:0")])
 def test_special_alpha_is_gamma_times_D_to_the_p(spec, der):
+    # witt ad:0 has D^p = 0: no gamma, the zero map
     A = cli._parse_builtin(spec)
-    res = special_LD(A, cli._parse_derivation(A, der, None))
-    dp = res.derivation.p_power(1)
-    if dp:
-        assert res.alpha == dp * res.lam
-    else:
-        # witt ad:0 has D^p = 0: no gamma, the zero map
-        assert res.lam is None
-        assert res.alpha == LinearMap.zero(res.field_final, A.dim)
+    D = cli._parse_derivation(A, der, None)
+    assert is_special(D)
+    assert_special_closed_form(build_LD(A, D), D)
 
 
 @pytest.mark.parametrize("spec,der", [
@@ -418,20 +432,22 @@ def test_special_alpha_is_gamma_times_D_to_the_p(spec, der):
     ("tpoly:2:8:2", "xddx")])
 def test_special_LD_refuses_gamma_off_the_law(monkeypatch, spec, der):
     # (gamma + delta)^p - (gamma + delta) = 1 + delta^p - delta, which is
-    # not 1 for delta outside F_p, so alpha^p - alpha misses D^p != 0
-    real = switch.artin_schreier_root
+    # not 1 for delta outside F_p, so alpha = (gamma + delta) D^p misses
+    # alpha^p - alpha = D^p != 0
+    real = switch.build_g
 
-    def shifted(field, c):
-        big, gamma = real(field, c)
+    def shifted(relation, lam=None):
+        big, g, lam = real(relation, lam)
+        (i, gamma), = g.terms
         delta = big.gen
-        assert delta ** big.p != delta
-        return big, gamma + delta
-    monkeypatch.setattr(switch, "artin_schreier_root", shifted)
+        assert i == 1 and delta ** big.p != delta
+        return big, PPolynomial.make(big, [(1, gamma + delta)]), lam
+    monkeypatch.setattr(switch, "build_g", shifted)
     A = cli._parse_builtin(spec)
     D = cli._parse_derivation(A, der, None)
     assert D ** A.field.p
     with pytest.raises(VerificationError, match=r"alpha\^p - alpha != D\^p"):
-        special_LD(A, D)
+        build_LD(A, D)
 
 
 def _companion_case():
@@ -538,11 +554,10 @@ def test_scalar_law_on_blocks():
     W = witt(5)
     cases.append((5, build_LD(W, W.left_multiplication(W.basis_vector(0)))))
     for p, res in cases:
-        g2 = res.g.embed_to(res.field_final)
         r_eff = max(res.r, 1)
         for rho, space in res.decomposition:
             block = res.switch_map.restrict_to(space)
-            grho = g2(rho)
+            grho = res.g(rho)
             scalar = laguerre_at(p, grho ** p).evaluate(grho ** p - grho)
             assert scalar == scalar_product_form(p, grho)
             assert scalar
