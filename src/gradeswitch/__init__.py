@@ -9,43 +9,42 @@ the switching operator and its verification (`switch`), and tori of
 restricted Lie algebras (`toral`).
 """
 
-from .fields import GF, FqElement, artin_schreier_root, embed, embedding, \
+from .fields import GF, FqElement, embed, embedding, \
     roots_in_splitting_field
 from .galg import Decomposition, GradedAlgebra, LinearMap, Subspace, \
     derivation_degree, direct_sum, generalized_eigenspaces, is_derivation, \
     is_grading, truncated_poly, truncated_poly_derivation, witt
 from .laguerre import CoefficientTable, c_coefficients, \
-    c_coefficients_symbolic, check_all_identities, check_identity, \
-    check_lemma_forms, check_lemma_product_identity, laguerre_at, \
-    laguerre_symbolic, laguerre_value, scalar_product_form, \
-    strade_operator_form_check, truncated_exp, zero_pair_closed_form
+    c_coefficients_symbolic, check_all_identities, check_lemma_forms, \
+    check_lemma_product_identity, laguerre_at, laguerre_value, \
+    scalar_product_form, strade_operator_form_check, truncated_exp, \
+    zero_pair_closed_form
 from .polyring import MultiPoly, NonInvertibleError, Polynomial, \
     QuotientRing
 from .switch import HypothesisError, PPolynomial, Relation, SwitchResult, \
     VerificationError, build_LD, build_g, p_power_relation, \
     semisimple_exponent, switch_grading, verify_product_rule
 from .toral import RestrictedLie, Torus, compare_switch_to_toral, \
-    refine_grading, root_decomposition, strade_map, switch_torus
+    root_decomposition, strade_map, switch_torus
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "GF", "FqElement", "artin_schreier_root", "embed", "embedding",
-    "roots_in_splitting_field",
+    "GF", "FqElement", "embed", "embedding", "roots_in_splitting_field",
     "Decomposition", "GradedAlgebra", "LinearMap", "Subspace",
     "derivation_degree", "direct_sum", "generalized_eigenspaces",
     "is_derivation", "is_grading", "truncated_poly",
     "truncated_poly_derivation", "witt",
     "CoefficientTable", "c_coefficients", "c_coefficients_symbolic",
-    "check_all_identities", "check_identity", "check_lemma_forms",
-    "check_lemma_product_identity", "laguerre_at", "laguerre_symbolic",
-    "laguerre_value", "scalar_product_form", "strade_operator_form_check",
-    "truncated_exp", "zero_pair_closed_form",
+    "check_all_identities", "check_lemma_forms",
+    "check_lemma_product_identity", "laguerre_at", "laguerre_value",
+    "scalar_product_form", "strade_operator_form_check", "truncated_exp",
+    "zero_pair_closed_form",
     "MultiPoly", "NonInvertibleError", "Polynomial", "QuotientRing",
     "HypothesisError", "PPolynomial", "Relation", "SwitchResult",
     "VerificationError", "build_LD", "build_g", "p_power_relation",
     "semisimple_exponent", "switch_grading", "verify_product_rule",
     "RestrictedLie", "Torus", "compare_switch_to_toral",
-    "refine_grading", "root_decomposition", "strade_map", "switch_torus",
+    "root_decomposition", "strade_map", "switch_torus",
     "__version__",
 ]

@@ -77,6 +77,15 @@ def _check_dim(dim, cap):
                          % (dim, cap))
 
 
+def _spec_int(flag, spec, text):
+    """int(text), refused with a message that names the flag and its spec."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s %r: %r is not an integer"
+                         % (flag, spec, text)) from None
+
+
 # ---------------------------------------------------------------------------
 # identities
 
@@ -159,7 +168,8 @@ def _builtin_parts(spec):
         if (name, len(bits)) not in (("witt", 1), ("tpoly", 3)):
             raise ValueError("unknown builtin %r (use witt:P or "
                              "tpoly:P:LEN:M, joined with +)" % part)
-        parts.append((name, [int(b) for b in bits]))
+        parts.append((name, [_spec_int("--builtin", spec, b)
+                             for b in bits]))
     return parts
 
 
@@ -230,7 +240,7 @@ def _parse_derivation(A, spec, json_rows):
             raise ValueError("input file carries no derivation matrix")
         return _derivation_matrix(A, json_rows)
     if spec.startswith("ad:"):
-        i = int(spec[3:])
+        i = _spec_int("--derivation", spec, spec[3:])
         if not 0 <= i < A.dim:
             raise ValueError("basis slot out of range")
         return A.left_multiplication(A.basis_vector(i))
@@ -276,11 +286,10 @@ def cmd_switch(args):
 
 
 def _default_torus(spec, lie):
-    """e_0 of every Witt summand of the builtin."""
+    """e_0 of every summand of the builtin, all Witt: the other builtins
+    have no p-map, so RestrictedLie has refused them."""
     vecs, off = [], 0
-    for name, bits in _builtin_parts(spec):
-        if name != "witt":
-            raise ValueError("the toral demo needs witt summands")
+    for _, bits in _builtin_parts(spec):
         vecs.append(lie.basis_vector(off + 1))
         off += bits[0]
     return vecs
@@ -289,9 +298,9 @@ def _default_torus(spec, lie):
 def _parse_x(lie, spec):
     bits = spec.split(":")
     if len(bits) == 2 and bits[0] == "e":
-        slot = int(bits[1]) + 1
+        slot = _spec_int("--x", spec, bits[1]) + 1
     elif len(bits) == 2 and bits[0] == "slot":
-        slot = int(bits[1])
+        slot = _spec_int("--x", spec, bits[1])
     else:
         raise ValueError("x must look like e:-1 (witt label) or slot:0")
     if not 0 <= slot < lie.dim:

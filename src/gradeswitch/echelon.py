@@ -146,11 +146,6 @@ class Echelon:
                 tuple(c for c, _, _, _ in rows))
 
 
-def rref(vectors):
-    """Reduced row echelon form of the span; (nonzero rows, pivot columns)."""
-    return Echelon(vectors).rref()
-
-
 def kernel(rows, n, field):
     """Basis of {x in F^n : rows * x = 0}, one vector per free column."""
     red, piv = Echelon(rows, field=field).rref()

@@ -382,10 +382,6 @@ class FqElement:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
-    def __reduce__(self):
-        return (_rebuild_element,
-                (self.field.p, self.field.n, self.field.modulus, self.coeffs))
-
     def __str__(self):
         if self.field.n == 1:
             return str(self.coeffs[0])
@@ -415,10 +411,6 @@ def _as_field_elt(field, c):
     if isinstance(c, int):
         return field.scalar(c)
     raise TypeError("cannot use %r as a coefficient" % (c,))
-
-
-def _rebuild_element(p, n, modulus, coeffs):
-    return FqElement(GF(p, n, modulus), coeffs)
 
 
 class FqField:
@@ -584,9 +576,6 @@ class FqField:
 
     def to_json(self):
         return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
-
-    def __reduce__(self):
-        return (GF, (self.p, self.n, self.modulus))
 
     def __repr__(self):
         if self.n == 1:
@@ -891,19 +880,6 @@ def additive_root(c, terms):
     if c + sum((b * x.frobenius(j) for j, b in terms.items()), big.zero):
         raise AssertionError("additive root fails f")  # elimination defect
     return big, x
-
-
-def artin_schreier_root(field, c):
-    """(F', gamma) with gamma^p - gamma == c: the smallest root of
-    T^p - T - c by encoding, and F' its canonical splitting field, by
-    :func:`additive_root`.
-
-    F' is F or its degree-p extension: Tr_{F'/F}(c) = p*c = 0 there.
-    The p roots are gamma + F_p.
-    """
-    if not isinstance(c, FqElement) or c.field is not field:
-        raise ValueError("c must be an element of the given field")
-    return additive_root(-c, [(0, -field.one), (1, field.one)])
 
 
 @functools.lru_cache(maxsize=None)

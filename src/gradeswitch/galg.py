@@ -69,11 +69,6 @@ class LinearMap(RingElement):
     def zero(cls, field, n):
         return cls._trusted(field, ((field.zero,) * n,) * n)
 
-    @classmethod
-    def from_columns(cls, field, cols):
-        return cls(field, [[col[i] for col in cols]
-                           for i in range(len(cols[0]))]) if cols else cls(field, [])
-
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -180,24 +175,6 @@ class LinearMap(RingElement):
 
     def rank(self):
         return Echelon(self.rows).rank
-
-    def inverse(self):
-        n = self.n
-        aug = [list(row) + [self.field.one if i == j else self.field.zero
-                            for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        rows, piv = echelon.rref(aug)
-        if len(rows) < n or piv != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return LinearMap(self.field, [row[n:] for row in rows])
-
-    def restrict_to(self, subspace):
-        """Matrix of this map in the basis of an invariant subspace."""
-        imgs = [self.apply(b) for b in subspace.basis]
-        coords = [subspace.coordinates(w) for w in imgs]
-        k = subspace.dim
-        return LinearMap(self.field, [[coords[j][i] for j in range(k)]
-                                      for i in range(k)])
 
     def minimal_polynomial(self):
         """Least monic f with f(M) = 0: one Krylov sequence, refined by

@@ -118,12 +118,6 @@ def _symbols(p):
             MultiPoly.variable(field, vars_, "X"))
 
 
-def laguerre_symbolic(p, n=None):
-    """L_n^(alpha)(X) as a MultiPoly over GF(p) in (alpha, X)."""
-    alpha, x = _symbols(p)
-    return laguerre_value(p, alpha, x, n)
-
-
 def truncated_exp(p, field=None):
     """E(X) = sum_{k<p} X^k / k! = L_{p-1}^(0)(X)."""
     field = field or GF(p)
@@ -151,23 +145,9 @@ IDENTITY_NAMES = ("step", "three_term", "derivative", "low_terms",
                   "p_power", "euler", "exp_diff")
 
 
-def check_identity(name, p):
-    """Verify one symbolic identity of the suite; see IDENTITY_NAMES.
-
-    step        L_n^(a) = L_n^(a+1) - L_{n-1}^(a+1)                (all n < p)
-    three_term  n L_n^(a+1) = (n - X) L_{n-1}^(a+1) + (n + a) L_{n-1}^(a)
-    derivative  d/dX L_n^(a) = -L_{n-1}^(a+1) = L_n^(a) - L_n^(a+1)
-    low_terms   denominator-cleared expansion of L_{p-1}^(a) in rising
-                products (a+1)...(a+k)
-    p_power     X^p - (a^p - a) = -X L_{p-1}^(a+1) + a L_{p-1}^(a)
-    euler       X dL/dX = (X - a) L + X^p - (a^p - a),  L = L_{p-1}^(a)
-    exp_diff    X E'(X) = X E(X) + X^p
-    """
-    return _check_identity(name, p, {})
-
-
 def _check_identity(name, p, values):
-    """:func:`check_identity` with `values` as the map (n, shift) ->
+    """The report of one identity of the suite (see
+    :func:`check_all_identities`), with `values` as the map (n, shift) ->
     L_n^(alpha + shift)(X), filled by :func:`laguerre_value` on first use."""
     alpha, x = _symbols(p)
 
@@ -236,7 +216,16 @@ def _check_identity(name, p, values):
 
 
 def check_all_identities(p):
-    """The reports of every identity in IDENTITY_NAMES, in that order.
+    """The reports of every identity in IDENTITY_NAMES, in that order:
+
+    step        L_n^(a) = L_n^(a+1) - L_{n-1}^(a+1)                (all n < p)
+    three_term  n L_n^(a+1) = (n - X) L_{n-1}^(a+1) + (n + a) L_{n-1}^(a)
+    derivative  d/dX L_n^(a) = -L_{n-1}^(a+1) = L_n^(a) - L_n^(a+1)
+    low_terms   denominator-cleared expansion of L_{p-1}^(a) in rising
+                products (a+1)...(a+k)
+    p_power     X^p - (a^p - a) = -X L_{p-1}^(a+1) + a L_{p-1}^(a)
+    euler       X dL/dX = (X - a) L + X^p - (a^p - a),  L = L_{p-1}^(a)
+    exp_diff    X E'(X) = X E(X) + X^p
 
     The checks share one map of Laguerre values for this call, so each
     L_n^(alpha + shift)(X) is built once (at most 2p values, shift 0 or 1)

@@ -471,26 +471,6 @@ class MultiPoly(RingElement):
 
     __rmul__ = __mul__
 
-    def evaluate(self, values):
-        """Value at a scalar point {var: FqElement}."""
-        total = self.field.zero
-        cache = {v: [self.field.one] for v in self.vars}
-
-        def power(v, e):
-            c = cache[v]
-            x = _as_field_elt(self.field, values[v])
-            while len(c) <= e:
-                c.append(c[-1] * x)
-            return c[e]
-
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * power(v, e)
-            total = total + term
-        return total
-
     def __eq__(self, other):
         if isinstance(other, (int, FqElement)):
             other = self._coerce(other)

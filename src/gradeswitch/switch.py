@@ -93,12 +93,6 @@ class Relation:
     def coefficient(self, i):
         return self.coeffs[i - self.r]
 
-    def verify(self, D):
-        """The relation holds at D (the degenerate one reads D^(p^r))."""
-        poly = PPolynomial.make(self.field, [*enumerate(self.coeffs, self.r),
-                                             (self.n, self.field.one)])
-        return poly(D).is_zero()
-
     def to_json(self):
         return {"r": self.r, "n": self.n, "degenerate": self.degenerate,
                 "coeffs": [list(a.coeffs) for a in self.coeffs]}

@@ -25,6 +25,7 @@ from gradeswitch.polyring import QuotientRing, quotient_mul
 from gradeswitch.switch import (
     build_LD, h_polynomial, switch_grading, verify_product_rule)
 from gradeswitch.toral import RestrictedLie, compare_switch_to_toral
+from oracles import restrict_to
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -195,7 +196,7 @@ def test_criterion_06_bijectivity_scalar_cross_check():
         p = res.field_final.p
         r_eff = max(res.r, 1)
         for rho, space in res.decomposition:
-            block = res.switch_map.restrict_to(space)
+            block = restrict_to(res.switch_map, space)
             grho = res.g(rho)
             scalar = laguerre_at(p, grho ** p).evaluate(grho ** p - grho)
             product_form = scalar_product_form(p, grho)

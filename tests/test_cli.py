@@ -612,6 +612,32 @@ def test_toral_bad_x_is_hypothesis_error(capsys):
     assert "root" in err
 
 
+@pytest.mark.parametrize("argv, flag, spec", [
+    (("switch", "--builtin", "witt:x", "--derivation", "ad:1"),
+     "--builtin", "witt:x"),
+    (("switch", "--builtin", "witt:5", "--derivation", "ad:x"),
+     "--derivation", "ad:x"),
+    (("toral", "--builtin", "witt:5", "--x", "e:x"), "--x", "e:x"),
+], ids=["builtin", "derivation", "x"])
+def test_non_integer_in_a_spec_names_the_flag_and_the_spec(capsys, argv,
+                                                           flag, spec):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "configuration error: %s '%s': 'x' is not an integer\n" \
+        % (flag, spec)
+
+
+@pytest.mark.parametrize("spec", ["tpoly:5:5:5", "witt:5+tpoly:5:5:5",
+                                  "tpoly:5:5:5+witt:5"])
+def test_toral_refuses_a_builtin_without_a_p_map(capsys, spec):
+    # only Witt summands carry p-th power rows, so every builtin with a
+    # tpoly summand is refused before a torus is chosen
+    code, out, err = run(capsys, "toral", "--builtin", spec)
+    assert code == 2 and out == ""
+    assert err == "configuration error: a restricted Lie algebra needs " \
+        "p-th power rows\n"
+
+
 def test_toral_deterministic(capsys):
     args = ("toral", "--builtin", "witt:5", "--output", "json")
     _, out1, _ = run(capsys, *args)

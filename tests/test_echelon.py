@@ -1,7 +1,7 @@
 import pytest
 
 from gradeswitch.echelon import (
-    Echelon, first_dependence, kernel, rref, solve)
+    Echelon, first_dependence, kernel, solve)
 from gradeswitch.fields import GF
 
 
@@ -52,8 +52,8 @@ def test_echelon_add_reduce_contains():
 
 def test_rref_and_kernel_of_empty_and_zero_input():
     F = GF(5)
-    assert rref([]) == ((), ())
-    assert rref([(F.zero, F.zero)]) == ((), ())
+    assert Echelon([]).rref() == ((), ())
+    assert Echelon([(F.zero, F.zero)]).rref() == ((), ())
     assert kernel([], 2, F) == ((F.one, F.zero), (F.zero, F.one))
 
 
@@ -61,16 +61,16 @@ def test_ints_without_a_field_are_refused():
     # ints are scalars only of a field named by field= or by an element
     for vectors in ([[1, 2], [3, 4]], [[0, 0]], [[]]):
         with pytest.raises(ValueError, match="field="):
-            rref(vectors)
+            Echelon(vectors).rref()
     with pytest.raises(ValueError, match="field="):
         Echelon().contains((1, 0))
     F = GF(5)
     s = F.scalar
     assert Echelon([[1, 2], [3, 4]], field=F).rref() == (
         ((F.one, F.zero), (F.zero, F.one)), (0, 1))
-    assert rref([[s(1), 2], [3, 4]]) == (
+    assert Echelon([[s(1), 2], [3, 4]]).rref() == (
         ((F.one, F.zero), (F.zero, F.one)), (0, 1))
-    assert rref([[s(2), 4]]) == (((F.one, s(2)),), (0,))
+    assert Echelon([[s(2), 4]]).rref() == (((F.one, s(2)),), (0,))
 
 
 def test_kernel_of_rectangular_rows():

@@ -25,6 +25,7 @@ from gradeswitch.fields import GF, _TABLE_CAP, power  # noqa: E402
 from gradeswitch import galg  # noqa: E402
 from gradeswitch.galg import LinearMap  # noqa: E402
 from gradeswitch.polyring import Polynomial  # noqa: E402
+from oracles import inverse  # noqa: E402
 
 FIELDS = [GF(2), GF(3), GF(2, 10), GF(5, 5), GF(5, 7), GF(2, 17),
           GF(65537)]
@@ -191,7 +192,7 @@ def conjugated(M, rng, ones=False):
             P = LinearMap(M.field, [(M.field.one,) + row[1:]
                                     for row in P.rows])
         if P.rank() == M.n:
-            return P * M * P.inverse()
+            return P * M * inverse(P)
 
 
 @st.composite

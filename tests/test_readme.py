@@ -1,0 +1,26 @@
+"""The README's "Library use" snippet runs, and the claims in its
+comments hold: it is the one code sample a reader copies."""
+
+import pathlib
+import re
+
+from gradeswitch import truncated_exp
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_snippet():
+    """The python block under the README's `## Library use` heading."""
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_snippet_runs_as_its_comments_say():
+    names = {}
+    exec(compile(library_snippet(), str(README), "exec"), names)
+    res, D = names["res"], names["D"]
+    assert res.r == 1
+    assert res.switch_map == truncated_exp(5).evaluate(D)
+    assert res.grading_ok is True
+    assert isinstance(res.to_json(), dict)

@@ -8,10 +8,10 @@ from gradeswitch.galg import Subspace, direct_sum, truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
 from gradeswitch.switch import HypothesisError, SwitchResult
 from gradeswitch.toral import (
-    RefinedSwitch, RestrictedLie, ToralComparison, Torus,
-    compare_switch_to_toral, refine_grading, root_decomposition, strade_map,
-    switch_torus)
+    RestrictedLie, ToralComparison, Torus, compare_switch_to_toral,
+    root_decomposition, strade_map, switch_torus)
 from algebra_builders import torus_line
+from refine_oracle import RefinedSwitch, refine_grading
 
 
 def witt_lie(p):

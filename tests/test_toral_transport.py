@@ -18,6 +18,7 @@ from gradeswitch import cli
 from gradeswitch.galg import GradedAlgebra, LinearMap
 from gradeswitch.toral import RestrictedLie, compare_switch_to_toral, \
     strade_map
+from oracles import inverse
 
 
 def carried(A, s):
@@ -86,7 +87,7 @@ def test_toral_switch_commutes_with_diagonal_rescaling(spec, torus, slot,
 
     res, ref = got.switch, want.switch
     assert res.field_final is ref.field_final is F
-    inv = phi.inverse()
+    inv = inverse(phi)
     assert res.switch_map == phi * ref.switch_map * inv
     assert res.alpha == phi * ref.alpha * inv
     assert strade_map(res) == phi * strade_map(ref) * inv
