@@ -10,6 +10,7 @@ for usage and configuration errors.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -84,6 +85,16 @@ def _spec_int(flag, spec, text):
     except ValueError:
         raise ValueError("%s %r: %r is not an integer"
                          % (flag, spec, text)) from None
+
+
+def _spec_slot(flag, spec, slot, dim):
+    """slot, refused unless it is a basis slot of an algebra of dimension
+    dim, with a message that names the flag, its spec and the valid slots."""
+    if not 0 <= slot < dim:
+        valid = "0 to %d" % (dim - 1) if dim else "none in dimension 0"
+        raise ValueError("%s %r: basis slot %d is out of range (valid "
+                         "slots: %s)" % (flag, spec, slot, valid))
+    return slot
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +251,8 @@ def _parse_derivation(A, spec, json_rows):
             raise ValueError("input file carries no derivation matrix")
         return _derivation_matrix(A, json_rows)
     if spec.startswith("ad:"):
-        i = _spec_int("--derivation", spec, spec[3:])
-        if not 0 <= i < A.dim:
-            raise ValueError("basis slot out of range")
+        i = _spec_slot("--derivation", spec,
+                       _spec_int("--derivation", spec, spec[3:]), A.dim)
         return A.left_multiplication(A.basis_vector(i))
     if spec in ("ddx", "xddx"):
         return truncated_poly_derivation(A, spec)
@@ -302,10 +312,9 @@ def _parse_x(lie, spec):
     elif len(bits) == 2 and bits[0] == "slot":
         slot = _spec_int("--x", spec, bits[1])
     else:
-        raise ValueError("x must look like e:-1 (witt label) or slot:0")
-    if not 0 <= slot < lie.dim:
-        raise ValueError("x slot out of range")
-    return lie.basis_vector(slot)
+        raise ValueError("--x %r: expected e:K (witt label) or slot:I"
+                         % spec)
+    return lie.basis_vector(_spec_slot("--x", spec, slot, lie.dim))
 
 
 def cmd_toral(args):
@@ -467,8 +476,15 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser `main` parses with: built on its first call, then reused
+    for every later call in the process (building one takes about 1 ms)."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     doc = {"schema": 1, "command": args.command, "config": _config(args)}
     try:
         doc.update(COMMANDS[args.command](args))

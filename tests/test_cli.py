@@ -245,6 +245,11 @@ def test_switch_on_an_algebra_of_dimension_zero(tmp_path, capsys):
     assert code == 0
     assert "blocks: 0, dims []" in out
     assert "product rule: 0 basis pairs" in out
+    code, out, err = run(capsys, "switch", "--input", str(path),
+                         "--derivation", "ad:0")
+    assert code == 2 and out == ""
+    assert "'ad:0': basis slot 0 is out of range (valid slots: none in " \
+        "dimension 0)" in err
 
 
 HUGE_FIELD = {"p": 11, "field_degree": 32, "dim": 1, "m": 1, "deg": [0],
@@ -627,6 +632,22 @@ def test_non_integer_in_a_spec_names_the_flag_and_the_spec(capsys, argv,
         % (flag, spec)
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("switch", "--builtin", "witt:5", "--derivation", "ad:9"),
+     "--derivation 'ad:9': basis slot 9 is out of range "
+     "(valid slots: 0 to 4)"),
+    (("toral", "--builtin", "witt:5", "--x", "slot:9"),
+     "--x 'slot:9': basis slot 9 is out of range (valid slots: 0 to 4)"),
+    (("toral", "--builtin", "witt:5", "--x", "q:1"),
+     "--x 'q:1': expected e:K (witt label) or slot:I"),
+], ids=["derivation-slot", "x-slot", "x-form"])
+def test_a_spec_out_of_range_or_form_names_the_flag_and_the_spec(
+        capsys, argv, detail):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "configuration error: %s\n" % detail
+
+
 @pytest.mark.parametrize("spec", ["tpoly:5:5:5", "witt:5+tpoly:5:5:5",
                                   "tpoly:5:5:5+witt:5"])
 def test_toral_refuses_a_builtin_without_a_p_map(capsys, spec):
@@ -649,3 +670,53 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from gradeswitch import cli
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (("identities", "--p", "4"), ("identities", "--p", "2"),
+                 ("coeffs", "--p", "4"), ("identities", "--p", "4"),
+                 ("coeffs", "--p", "2", "--trials", "1")):
+        outcome(capsys, argv)
+    assert len(built) == 1
+    # build_parser still hands every caller a parser of its own
+    assert build_parser() is not build_parser()
+
+
+REUSE_ARGV = [
+    ("coeffs", "--p", "x"),
+    ("identities", "--p", "4"),
+    ("switch", "--help"),
+    ("identities", "--p", "3", "--output", "json"),
+    ("coeffs", "--p", "3", "--trials", "2", "--output", "json"),
+    ("switch", "--builtin", "witt:5", "--derivation", "ad:1",
+     "--output", "json"),
+    ("toral", "--builtin", "witt:5", "--output", "json"),
+]
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    from gradeswitch import cli
+    cli._parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in REUSE_ARGV]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [outcome(capsys, argv) for argv in REUSE_ARGV]
+    assert [r[0] for r in reused] == [2, 2, 0, 0, 0, 0, 0]
+    assert reused == fresh
