@@ -10,6 +10,7 @@ for usage and configuration errors.
 """
 
 import argparse
+import collections
 import functools
 import json
 import random
@@ -46,36 +47,21 @@ def _digits(x):
     return list(x.coeffs)
 
 
-def _check_prime(p, cap):
-    # the cap first: trial division of a huge p runs for minutes
-    if p > cap:
-        raise ValueError("p = %d exceeds the cap %d (raise --p-cap)"
-                         % (p, cap))
+def _check_cap(what, value, cap, flag=None):
+    """Refuse a value above its cap, naming the flag that raises the cap;
+    None is an absent value."""
+    if value is not None and value > cap:
+        raise ValueError("%s %d exceeds the cap %d%s" % (
+            what, value, cap, " (raise %s)" % flag if flag else ""))
+
+
+def _prime(p, cap):
+    """p, refused above --p-cap and then unless prime: the cap first, since
+    trial division of a huge p runs for minutes."""
+    _check_cap("p =", p, cap, "--p-cap")
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
-
-
-def _check_field_degree(n):
-    if n > FIELD_DEGREE_CAP:
-        raise ValueError("field degree %d exceeds the cap %d"
-                         % (n, FIELD_DEGREE_CAP))
-
-
-def _check_r(r):
-    if r is not None and r > R_CAP:
-        raise ValueError("r = %d exceeds the cap %d" % (r, R_CAP))
-
-
-def _check_m(m):
-    if m > M_CAP:
-        raise ValueError("grading modulus m = %d exceeds the cap %d"
-                         % (m, M_CAP))
-
-
-def _check_dim(dim, cap):
-    if dim > cap:
-        raise ValueError("dimension %d exceeds the cap %d (raise --dim-cap)"
-                         % (dim, cap))
+    return p
 
 
 def _spec_int(flag, spec, text):
@@ -106,7 +92,7 @@ def cmd_identities(args):
         [q for q in DEFAULT_PRIMES if q <= args.p_cap]
     results = []
     for p in ps:
-        _check_prime(p, args.p_cap)
+        _prime(p, args.p_cap)
         reports = list(check_all_identities(p))
         reports.append(check_lemma_forms(p))
         reports.append(check_lemma_product_identity(p))
@@ -134,18 +120,15 @@ def _draw_pairs(field, trials, seed):
 
 
 def cmd_coeffs(args):
-    p = args.p
     if args.jobs != 1:
         raise ValueError("coeffs runs in one process: --jobs must be 1")
-    if args.trials > TRIALS_CAP:
-        raise ValueError("trials = %d exceeds the cap %d"
-                         % (args.trials, TRIALS_CAP))
-    _check_prime(p, args.p_cap)
+    _check_cap("trials =", args.trials, TRIALS_CAP)
+    p = _prime(args.p, args.p_cap)
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     if args.field_degree < 1:
         raise ValueError("field degree must be >= 1")
-    _check_field_degree(args.field_degree)
+    _check_cap("field degree", args.field_degree, FIELD_DEGREE_CAP)
     field = GF(p, args.field_degree)
     pairs = _draw_pairs(field, args.trials, args.seed)
     results = [{"trial": i, "a": _digits(a), "b": _digits(b),
@@ -170,41 +153,53 @@ def cmd_coeffs(args):
 # algebra and derivation plumbing
 
 
+# A builtin family: its spec form, whose colons give the arity; its
+# builder; the (prime, dimension, grading modulus) of what a spec's integers
+# build, which the caps read before anything is built; and the basis slot
+# of e_0, the default torus of `toral`, or None without a p-map.
+Family = collections.namedtuple("Family", "form build shape torus")
+FAMILIES = {
+    "witt": Family("witt:P", witt, lambda p: (p, p, p), 1),
+    "tpoly": Family("tpoly:P:LEN:M", truncated_poly,
+                    lambda p, length, m: (p, length, m), None),
+}
+
+
 def _builtin_parts(spec):
-    """(name, integer arguments) for each summand of a builtin spec; the
-    first argument is the prime.  Nothing is built here."""
+    """(family, integer arguments) for each summand of a builtin spec.
+    Nothing is built here."""
     parts = []
     for part in spec.split("+"):
         name, *bits = part.split(":")
-        if (name, len(bits)) not in (("witt", 1), ("tpoly", 3)):
-            raise ValueError("unknown builtin %r (use witt:P or "
-                             "tpoly:P:LEN:M, joined with +)" % part)
-        parts.append((name, [_spec_int("--builtin", spec, b)
-                             for b in bits]))
+        family = FAMILIES.get(name)
+        if family is None or len(bits) != family.form.count(":"):
+            raise ValueError("unknown builtin %r (use %s, joined with +)" % (
+                part, " or ".join(f.form for f in FAMILIES.values())))
+        parts.append((family, [_spec_int("--builtin", spec, b)
+                               for b in bits]))
     return parts
 
 
 def _parse_builtin(spec):
-    algs = [witt(*bits) if name == "witt" else truncated_poly(*bits)
-            for name, bits in _builtin_parts(spec)]
-    acc = algs[0]
-    for other in algs[1:]:
-        acc = direct_sum(acc, other)
-    return acc
+    return functools.reduce(direct_sum, [family.build(*ints) for family, ints
+                                         in _builtin_parts(spec)])
 
 
 def _load_builtin(spec, args):
-    """The builtin algebra, built only once every summand's prime passed
-    --p-cap, its grading modulus M_CAP and the summands' total dimension
-    --dim-cap (a large one takes seconds to build)."""
-    parts = _builtin_parts(spec)
-    for name, bits in parts:
-        _check_prime(bits[0], args.p_cap)
-        # witt:P is graded mod P, tpoly:P:LEN:M mod M
-        _check_m(bits[0] if name == "witt" else bits[2])
-    # witt:P has dimension P, tpoly:P:LEN:M has dimension LEN
-    _check_dim(sum(bits[0] if name == "witt" else bits[1]
-                   for name, bits in parts), args.dim_cap)
+    """The builtin algebra, built only once each summand's p passed --p-cap
+    and its m M_CAP, their total dimension --dim-cap (a large one takes
+    seconds to build), and the summands agree on p and m."""
+    shapes = [family.shape(*ints) for family, ints in _builtin_parts(spec)]
+    for p, _, m in shapes:
+        _prime(p, args.p_cap)
+        _check_cap("grading modulus m =", m, M_CAP)
+    ps, dims, ms = zip(*shapes)
+    _check_cap("dimension", sum(dims), args.dim_cap, "--dim-cap")
+    for what, values in (("over different primes", ps),
+                         ("with different grading moduli", ms)):
+        if len(set(values)) > 1:
+            raise ValueError("--builtin %r: summands %s %s"
+                             % (spec, what, values))
     return _parse_builtin(spec)
 
 
@@ -228,16 +223,12 @@ def _load_algebra(args):
         # the caps before from_json allocates, tests p for primality or
         # searches for a modulus; it refuses a dim, m, p or field_degree
         # that is not an integer
-        dim, p = alg_obj.get("dim"), alg_obj.get("p")
-        n, m = alg_obj.get("field_degree"), alg_obj.get("m")
-        if isinstance(dim, int):
-            _check_dim(dim, args.dim_cap)
-        if isinstance(m, int):
-            _check_m(m)
-        if isinstance(p, int) and not isinstance(p, bool):
-            _check_prime(p, args.p_cap)
-        if isinstance(n, int) and not isinstance(n, bool):
-            _check_field_degree(n)
+        ints = {k: v for k, v in alg_obj.items() if type(v) is int}
+        _check_cap("dimension", ints.get("dim"), args.dim_cap, "--dim-cap")
+        _check_cap("grading modulus m =", ints.get("m"), M_CAP)
+        if "p" in ints:
+            _prime(ints["p"], args.p_cap)
+        _check_cap("field degree", ints.get("field_degree"), FIELD_DEGREE_CAP)
     return GradedAlgebra.from_json(alg_obj), obj.get("derivation")
 
 
@@ -283,7 +274,7 @@ def _derivation_matrix(A, json_rows):
 
 
 def cmd_switch(args):
-    _check_r(args.r)
+    _check_cap("r =", args.r, R_CAP)
     A, dmat = _load_algebra(args)
     D = _parse_derivation(A, args.derivation, dmat)
     res = switch_grading(A, D, r=args.r)
@@ -296,12 +287,12 @@ def cmd_switch(args):
 
 
 def _default_torus(spec, lie):
-    """e_0 of every summand of the builtin, all Witt: the other builtins
-    have no p-map, so RestrictedLie has refused them."""
+    """e_0 of every summand of the builtin: RestrictedLie has refused the
+    families without a p-map, which have no e_0 slot."""
     vecs, off = [], 0
-    for _, bits in _builtin_parts(spec):
-        vecs.append(lie.basis_vector(off + 1))
-        off += bits[0]
+    for family, ints in _builtin_parts(spec):
+        vecs.append(lie.basis_vector(off + family.torus))
+        off += family.shape(*ints)[1]
     return vecs
 
 
@@ -320,7 +311,7 @@ def _parse_x(lie, spec):
 def cmd_toral(args):
     if not args.builtin:
         raise ValueError("the toral demo runs on builtin algebras")
-    _check_r(args.r)
+    _check_cap("r =", args.r, R_CAP)
     lie = RestrictedLie(_load_builtin(args.builtin, args))
     tvecs = _default_torus(args.builtin, lie)
     x = _parse_x(lie, args.x)
@@ -445,8 +436,8 @@ def build_parser():
 
     sp = sub.add_parser("switch",
                         help="switch a grading along a derivation")
-    sp.add_argument("--builtin",
-                    help="witt:P | tpoly:P:LEN:M, joined with +")
+    sp.add_argument("--builtin", help=" | ".join(
+        f.form for f in FAMILIES.values()) + ", joined with +")
     sp.add_argument("--input", help="algebra JSON file")
     sp.add_argument("--derivation",
                     help="ad:I | ddx | xddx | json (matrix from --input)")
@@ -484,7 +475,10 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # an argparse usage error, or --help
+        return exc.code
     doc = {"schema": 1, "command": args.command, "config": _config(args)}
     try:
         doc.update(COMMANDS[args.command](args))

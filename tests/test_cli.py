@@ -5,13 +5,25 @@ import sys
 
 import pytest
 
+from gradeswitch import cli
 from gradeswitch.cli import build_parser, main
+from gradeswitch.galg import LinearMap, witt
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refuse_to_build(monkeypatch):
+    """Make every builtin family's builder fail the test when called."""
+    from gradeswitch import cli
+
+    def refuse(*args):
+        raise AssertionError("builtin built before the cap check")
+    for name, family in list(cli.FAMILIES.items()):
+        monkeypatch.setitem(cli.FAMILIES, name, family._replace(build=refuse))
 
 
 def test_identities_pass(capsys):
@@ -69,12 +81,7 @@ def test_p_cap_enforced_on_algebras(capsys, argv):
     ("toral", "--builtin", "witt:5+witt:1009"),
 ])
 def test_p_cap_checked_before_building(monkeypatch, capsys, argv):
-    from gradeswitch import cli
-
-    def refuse(*args):
-        raise AssertionError("builtin built before the cap check")
-    monkeypatch.setattr(cli, "witt", refuse)
-    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    refuse_to_build(monkeypatch)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "cap" in err
@@ -142,12 +149,7 @@ def test_deeply_nested_json_input_is_config_error(tmp_path, capsys):
     ("toral", "--builtin", "witt:5+witt:5", "--dim-cap", "9"),
 ])
 def test_dim_cap_checked_before_building(monkeypatch, capsys, argv):
-    from gradeswitch import cli
-
-    def refuse(*args):
-        raise AssertionError("builtin built before the cap check")
-    monkeypatch.setattr(cli, "witt", refuse)
-    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    refuse_to_build(monkeypatch)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "exceeds the cap" in err and "--dim-cap" in err
@@ -189,11 +191,7 @@ def test_dim_cap_checked_before_reading_json_input(monkeypatch, tmp_path,
 def test_grading_modulus_cap_checked_before_building(monkeypatch, capsys,
                                                      argv):
     from gradeswitch import cli
-
-    def refuse(*args):
-        raise AssertionError("builtin built before the cap check")
-    monkeypatch.setattr(cli, "witt", refuse)
-    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    refuse_to_build(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "exceeds the cap %d" % cli.M_CAP in err
@@ -308,8 +306,7 @@ def test_r_cap_checked_before_building(monkeypatch, capsys, argv):
 
     def refuse(*args, **kwargs):
         raise AssertionError("algebra or operator built before the cap check")
-    monkeypatch.setattr(cli, "witt", refuse)
-    monkeypatch.setattr(cli, "truncated_poly", refuse)
+    refuse_to_build(monkeypatch)
     monkeypatch.setattr(switch, "build_LD", refuse)
     monkeypatch.setattr(toral, "build_LD", refuse)
     code, _, err = run(capsys, *argv)
@@ -672,16 +669,6 @@ def test_parser_requires_subcommand():
     assert exc.value.code == 2
 
 
-def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     from gradeswitch import cli
     built = []
@@ -694,7 +681,7 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     for argv in (("identities", "--p", "4"), ("identities", "--p", "2"),
                  ("coeffs", "--p", "4"), ("identities", "--p", "4"),
                  ("coeffs", "--p", "2", "--trials", "1")):
-        outcome(capsys, argv)
+        run(capsys, *argv)
     assert len(built) == 1
     # build_parser still hands every caller a parser of its own
     assert build_parser() is not build_parser()
@@ -715,8 +702,139 @@ REUSE_ARGV = [
 def test_a_reused_parser_answers_as_a_fresh_one(monkeypatch, capsys):
     from gradeswitch import cli
     cli._parser.cache_clear()
-    reused = [outcome(capsys, argv) for argv in REUSE_ARGV]
+    reused = [run(capsys, *argv) for argv in REUSE_ARGV]
     monkeypatch.setattr(cli, "_parser", build_parser)
-    fresh = [outcome(capsys, argv) for argv in REUSE_ARGV]
+    fresh = [run(capsys, *argv) for argv in REUSE_ARGV]
     assert [r[0] for r in reused] == [2, 2, 0, 0, 0, 0, 0]
     assert reused == fresh
+
+
+def test_main_returns_the_exit_code_of_an_argparse_exit(capsys):
+    code, out, err = run(capsys, "coeffs", "--p", "x")
+    assert code == 2 and out == ""
+    assert err.endswith("gradeswitch coeffs: error: argument --p: invalid "
+                        "int value: 'x'\n")
+    code, out, err = run(capsys, "switch", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: gradeswitch switch ")
+
+
+def test_an_argparse_error_still_exits_2_from_the_command_line():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "gradeswitch.cli", "coeffs",
+                           "--p", "x"], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --p: invalid int value: 'x'" in proc.stderr
+
+
+# (argv, the --input algebra as changes to witt(5)'s JSON or None, the
+# refusal); INPUT stands for the path of that algebra's file
+INPUT = object()
+CAP_REFUSALS = {
+    "p-coeffs": (("coeffs", "--p", "17"), None,
+                 "p = 17 exceeds the cap 13 (raise --p-cap)"),
+    "p-builtin": (("switch", "--builtin", "witt:5+witt:17", "--derivation",
+                   "ad:0"), None, "p = 17 exceeds the cap 13 (raise --p-cap)"),
+    "p-input": (("switch", "--input", INPUT, "--derivation", "ad:0"),
+                {"p": 17}, "p = 17 exceeds the cap 13 (raise --p-cap)"),
+    "p-toral": (("toral", "--builtin", "witt:17"), None,
+                "p = 17 exceeds the cap 13 (raise --p-cap)"),
+    "field-degree-coeffs": (("coeffs", "--field-degree", "17"), None,
+                            "field degree 17 exceeds the cap 16"),
+    "field-degree-input": (("switch", "--input", INPUT), {"field_degree": 32},
+                           "field degree 32 exceeds the cap 16"),
+    "r-builtin": (("switch", "--builtin", "witt:5", "--derivation", "ad:1",
+                   "--r", "17"), None, "r = 17 exceeds the cap 16"),
+    "r-input": (("switch", "--input", INPUT, "--derivation", "ad:1", "--r",
+                 "17"), {}, "r = 17 exceeds the cap 16"),
+    "r-toral": (("toral", "--builtin", "witt:5", "--r", "17"), None,
+                "r = 17 exceeds the cap 16"),
+    "m-builtin": (("switch", "--builtin", "tpoly:5:5:1001", "--derivation",
+                   "ddx"), None,
+                  "grading modulus m = 1001 exceeds the cap 1000"),
+    "m-witt": (("switch", "--builtin", "witt:1009", "--p-cap", "2000",
+                "--derivation", "ad:0"), None,
+               "grading modulus m = 1009 exceeds the cap 1000"),
+    "m-input": (("switch", "--input", INPUT, "--derivation", "ad:0"),
+                {"m": 1001}, "grading modulus m = 1001 exceeds the cap 1000"),
+    "dim-builtin": (("switch", "--builtin", "tpoly:5:50:5", "--derivation",
+                     "ddx"), None,
+                    "dimension 50 exceeds the cap 40 (raise --dim-cap)"),
+    "dim-input": (("switch", "--input", INPUT, "--derivation", "ad:0"),
+                  {"dim": 10 ** 9}, "dimension 1000000000 exceeds the cap 40 "
+                  "(raise --dim-cap)"),
+    "dim-toral": (("toral", "--builtin", "witt:5+witt:5", "--dim-cap", "9"),
+                  None, "dimension 10 exceeds the cap 9 (raise --dim-cap)"),
+    "trials": (("coeffs", "--trials", "1001"), None,
+               "trials = 1001 exceeds the cap 1000"),
+}
+
+
+@pytest.mark.parametrize("argv, changes, refusal", CAP_REFUSALS.values(),
+                         ids=CAP_REFUSALS.keys())
+def test_every_cap_refusal_is_one_exact_line(monkeypatch, tmp_path, capsys,
+                                             argv, changes, refusal):
+    def refuse(*args):
+        raise AssertionError("built before the cap check")
+    if changes is not None:
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"algebra": dict(
+            witt(5).to_json(), **changes)}))
+        argv = tuple(str(path) if a is INPUT else a for a in argv)
+    refuse_to_build(monkeypatch)
+    monkeypatch.setattr(cli.GradedAlgebra, "from_json", refuse)
+    monkeypatch.setattr(cli, "GF", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "configuration error: %s\n" % refusal)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("switch", "--builtin", "witt:5+tpoly:3:3:3", "--derivation", "ad:0"),
+     "--builtin 'witt:5+tpoly:3:3:3': summands over different primes "
+     "(5, 3)"),
+    (("switch", "--builtin", "witt:5+tpoly:5:5:1", "--derivation", "ad:0"),
+     "--builtin 'witt:5+tpoly:5:5:1': summands with different grading "
+     "moduli (5, 1)"),
+    (("toral", "--builtin", "witt:5+witt:5+witt:7"),
+     "--builtin 'witt:5+witt:5+witt:7': summands over different primes "
+     "(5, 5, 7)"),
+], ids=["primes", "moduli", "toral"])
+def test_a_builtin_sum_mixing_p_or_m_is_refused_before_building(
+        monkeypatch, capsys, argv, detail):
+    refuse_to_build(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "configuration error: %s\n" % detail)
+
+
+FAMILY_ARGS = {
+    "witt": [(2,), (3,), (5,), (7,)],
+    "tpoly": [(2, 1, 1), (3, 9, 3), (5, 4, 7), (7, 3, 2)],
+}
+
+
+def test_every_family_has_shape_cases():
+    assert FAMILY_ARGS.keys() == cli.FAMILIES.keys()
+
+
+@pytest.mark.parametrize("name, ints", [
+    (name, ints) for name, cases in FAMILY_ARGS.items() for ints in cases])
+def test_a_family_shape_is_what_its_builder_builds(name, ints):
+    # the caps read the shape instead of the built algebra
+    family = cli.FAMILIES[name]
+    A = family.build(*ints)
+    assert (A.field.p, A.dim, A.m) == family.shape(*ints)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_witt_torus_slot_is_e0(p):
+    # e_0 is the one vector with [e_0, e_b] = b e_b and e_0^[p] = e_0
+    family = cli.FAMILIES["witt"]
+    A = family.build(p)
+    F, e0 = A.field, A.basis_vector(family.torus)
+    degrees = LinearMap(F, [[F.scalar(d) if i == j else F.zero
+                             for j in range(A.dim)]
+                            for i, d in enumerate(A.degrees)])
+    assert A.left_multiplication(e0) == degrees
+    assert A.pmap[family.torus] == e0
