@@ -448,8 +448,9 @@ def build_parser():
 
     sp = sub.add_parser("toral",
                         help="torus replacement along a root vector")
-    sp.add_argument("--builtin", required=True,
-                    help="witt:P, or witt sums joined with +")
+    sp.add_argument("--builtin", required=True, help=" | ".join(
+        f.form for f in FAMILIES.values() if f.torus is not None)
+        + ", joined with +")
     sp.add_argument("--x", default="e:-1",
                     help="root vector: e:K (witt label) or slot:I")
     sp.add_argument("--r", type=int, default=None,

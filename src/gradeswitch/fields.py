@@ -37,7 +37,7 @@ import random
 import struct
 import sys
 
-from .echelon import Echelon, first_dependence
+from .echelon import Echelon, first_dependence, kernel, solve
 
 _TABLE_CAP = 1 << 16      # build log/exp tables when q <= this
 _EXHAUST_CAP = 1 << 8     # root search by evaluation when q <= this
@@ -48,14 +48,7 @@ DEGREE_CAP = 64
 
 
 def is_prime(m):
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m >= 2 and _prime_factors(m) == [m]
 
 
 def _prime_factors(m):
@@ -76,6 +69,15 @@ def _prime_factors(m):
 # small helpers on F_p[T] with plain int coefficients (little-endian tuples,
 # no trailing zeros); used to search and validate moduli and to invert
 # elements of fields above the log/exp table cap.
+
+def _digits(enc, p, n):
+    """The n base-p digits of enc, lowest first."""
+    out = []
+    for _ in range(n):
+        out.append(enc % p)
+        enc //= p
+    return tuple(out)
+
 
 def _trim(c):
     c = list(c)
@@ -197,12 +199,7 @@ def _is_irreducible(f, p):
 def _smallest_irreducible(p, n):
     """The default modulus of GF(p, n), searched once per (p, n)."""
     for enc in range(p ** n):
-        digits = []
-        e = enc
-        for _ in range(n):
-            digits.append(e % p)
-            e //= p
-        f = tuple(digits) + (1,)
+        f = _digits(enc, p, n) + (1,)
         if _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -449,11 +446,7 @@ class FqField:
     def from_int(self, enc):
         if not 0 <= enc < self.q:
             raise ValueError("encoding out of range")
-        digits = []
-        for _ in range(self.n):
-            digits.append(enc % self.p)
-            enc //= self.p
-        return FqElement(self, tuple(digits))
+        return FqElement(self, _digits(enc, self.p, self.n))
 
     def scalar(self, c):
         """The int c mod p as an element: the table's own one below the
@@ -795,32 +788,6 @@ def _frobenius_columns(field, k):
     return cols
 
 
-def _affine_solutions(images, rhs):
-    """(x0, kernel) for the F_p-linear map L of a field of degree n with
-    L(g^i) = images[i]: x0 the digits of one x with L(x) = rhs, None when
-    there is none (or rhs is None), and kernel a basis of ker L, as digit
-    lists over GF(p).
-
-    The rows (L(g^i) | e_i) span the graph of L.  A row whose first n
-    entries reduce to zero leaves a kernel vector in its tail, and
-    (rhs | 0) reduces to (0 | -x0) when rhs is in the image.
-    """
-    field = images[0].field
-    n = len(images)
-    ech = Echelon(width=n, field=GF(field.p))
-    kernel = []
-    for i, y in enumerate(images):
-        w = ech.reduce(y.coeffs + (0,) * i + (1,) + (0,) * (n - 1 - i))
-        if ech._insert(w) is None:
-            kernel.append(w[n:])
-    if rhs is None:
-        return None, kernel
-    w = ech.reduce(rhs.coeffs + (0,) * n)
-    if any(w[:n]):
-        return None, kernel
-    return [-x for x in w[n:]], kernel
-
-
 def additive_root(c, terms):
     """(F', x) for f = c + sum_j b_j T^(p^j) over F, given as c and its
     (j, b_j) pairs with distinct j: F' the canonical splitting field of f
@@ -836,10 +803,11 @@ def additive_root(c, terms):
     constant f, ValueError is raised.
 
     L(T) = sum_j b_j T^(p^j) is F_p-linear on F', so the roots are
-    x0 + ker L, x0 one solution of L(x) = -c: one elimination over GF(p)
-    (Lidl-Niederreiter, Finite Fields, 3.4).  The smallest root is x0
-    reduced against an echelon basis of ker L whose pivots are the
-    highest digits; it is checked against f.
+    x0 + ker L, x0 one solution of L(x) = -c (Lidl-Niederreiter, Finite
+    Fields, 3.4): :func:`solve` and :func:`kernel` over GF(p) on the
+    digit rows of L.  The smallest root is x0 reduced against an echelon
+    basis of ker L whose pivots are the highest digits, which depend
+    only on ker L; it is checked against f.
     """
     field = c.field
     p, zero = field.p, field.zero
@@ -871,11 +839,14 @@ def additive_root(c, terms):
     for j, b in terms.items():
         images = [y + b * x
                   for y, x in zip(images, _frobenius_columns(big, j))]
-    x0, kernel = _affine_solutions(images, -c)
+    prime = GF(p)
+    rows = list(zip(*[y.coeffs for y in images]))
+    x0 = solve(rows, (-c).coeffs, prime)
     if x0 is None:
         raise AssertionError("no root in the splitting field")  # unreachable
     # the kernel reversed, so that each pivot is a highest digit
-    digits = Echelon([v[::-1] for v in kernel], field=GF(p)).reduce(x0[::-1])
+    digits = Echelon([v[::-1] for v in kernel(rows, big.n, prime)],
+                     field=prime).reduce(x0[::-1])
     x = big.from_coeffs([int(d) for d in reversed(digits)])
     if c + sum((b * x.frobenius(j) for j, b in terms.items()), big.zero):
         raise AssertionError("additive root fails f")  # elimination defect
@@ -899,8 +870,9 @@ def _generator_image(src, dst):
     from .polyring import Polynomial
     p, d = dst.p, src.n
     prime = GF(p)
-    _, basis = _affine_solutions([y - x for y, x in zip(
-        _frobenius_columns(dst, d), _frobenius_columns(dst, 0))], None)
+    basis = kernel(list(zip(*[(y - x).coeffs for y, x in zip(
+        _frobenius_columns(dst, d), _frobenius_columns(dst, 0))])),
+        dst.n, prime)
     rng = random.Random(0xC0FFEE ^ dst.q)
     while True:
         ts = [rng.randrange(p) for _ in basis]
@@ -922,7 +894,8 @@ def _generator_image(src, dst):
         powers = [src.one]
         for _ in range(d - 1):
             powers.append(powers[-1] * w)
-        c, _ = _affine_solutions(powers, src.gen)
+        c = solve(list(zip(*[x.coeffs for x in powers])), src.gen.coeffs,
+                  prime)
         images.append(dst.from_coeffs(
             [sum(map(operator.mul, map(int, c), col)) for col in cols]))
     img = min(images, key=int)
@@ -989,36 +962,6 @@ def embedding_over(src, dst, sub):
 # ---------------------------------------------------------------------------
 # polynomial root finding (the Polynomial type lives in polyring; imported
 # lazily to keep this module at the bottom of the layering)
-
-
-def _squarefree_part(f):
-    """The product of the distinct monic irreducible factors of f, of
-    degree at least 1: the polynomial 1 for a nonzero constant.  The zero
-    polynomial raises ValueError."""
-    from .polyring import Polynomial
-    if f.degree() <= 0:
-        if f.is_zero():
-            raise ValueError("the zero polynomial has no squarefree part")
-        return Polynomial(f.field, [f.field.one])
-    d = f.derivative()
-    if d.is_zero():
-        # f = g(T^p) = (g twisted by p-th roots)^p
-        g_coeffs = [f.coeffs[i].pth_root()
-                    for i in range(0, f.degree() + 1, f.field.p)]
-        return _squarefree_part(Polynomial(f.field, g_coeffs))
-    # gcd(f, f') holds a factor P^e of f as P^(e-1) when p does not divide
-    # e, but as the whole P^e when it does: f / gcd(f, f') is the product
-    # of the first kind only, and what is left of gcd(f, f') once those
-    # are divided out is a p-th power made of the second kind
-    g = f.gcd(d)
-    s = f // g
-    c = g.gcd(s)
-    while c.degree() > 0:
-        g = g // c
-        c = g.gcd(c)
-    if g.degree() > 0:
-        s = s * _squarefree_part(g)
-    return s.monic()
 
 
 def _factor_degrees(f):
@@ -1102,7 +1045,7 @@ def roots_in_splitting_field(f):
     if f.is_zero():
         raise ValueError("the zero polynomial has no splitting field")
     field = f.field
-    lcm = math.lcm(*_factor_degrees(_squarefree_part(f)))
+    lcm = math.lcm(*_factor_degrees(f.squarefree_part()))
     big = field if lcm == 1 else GF(field.p, field.n * lcm)
     emb = embedding(field, big)
     f2 = Polynomial(big, [emb(c) for c in f.coeffs])

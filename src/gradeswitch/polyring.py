@@ -303,19 +303,38 @@ class Polynomial(RingElement):
             acc = (acc + cs[hi]) * x ** (hi - lo)
         return acc + cs[0] if cs[0] else acc
 
-    def squarefree_is(self):
-        """True iff self has no repeated roots (gcd with derivative trivial).
-
-        A vanishing derivative means self is a p-th power, hence squarefull.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        if self.degree() == 0:
-            return True
+    def squarefree_part(self):
+        """The product of the distinct monic irreducible factors of self:
+        the polynomial 1 for a nonzero constant.  The zero polynomial
+        raises ValueError."""
+        if self.degree() <= 0:
+            if self.is_zero():
+                raise ValueError("the zero polynomial has no squarefree part")
+            return self.one()
         d = self.derivative()
         if d.is_zero():
-            return False
-        return self.gcd(d).degree() == 0
+            # self = g(T^p) = (g twisted by p-th roots)^p
+            root = [c.pth_root() for c in self.coeffs[::self.field.p]]
+            return Polynomial(self.field, root, self.var).squarefree_part()
+        g = self.gcd(d)
+        if g.degree() == 0:
+            return self.monic()
+        # gcd(f, f') holds a factor P^e of f as P^(e-1) when p does not
+        # divide e, as P^e when it does: f / gcd(f, f') is the product of
+        # the first kind, and gcd(f, f') without them a p-th power
+        s = self // g
+        c = g.gcd(s)
+        while c.degree() > 0:
+            g = g // c
+            c = g.gcd(c)
+        if g.degree() > 0:
+            s = s * g.squarefree_part()
+        return s.monic()
+
+    def squarefree_is(self):
+        """True iff self has no repeated roots: its squarefree part keeps
+        its degree.  The zero polynomial raises ValueError."""
+        return self.squarefree_part().degree() == self.degree()
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElement)):

@@ -838,3 +838,27 @@ def test_the_witt_torus_slot_is_e0(p):
                             for i, d in enumerate(A.degrees)])
     assert A.left_multiplication(e0) == degrees
     assert A.pmap[family.torus] == e0
+
+
+def builtin_help(capsys, command):
+    """The help of a fresh parser's `command`, which reads FAMILIES as it
+    is now, with its line wrapping undone."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_toral_help_names_exactly_the_families_with_a_torus(monkeypatch,
+                                                            capsys):
+    # a second family with a torus slot, and one without, reach the help
+    # through the table alone
+    monkeypatch.setitem(cli.FAMILIES, "tor", cli.Family("tor:P:N", None,
+                                                        None, 0))
+    monkeypatch.setitem(cli.FAMILIES, "flat", cli.Family("flat:P", None,
+                                                         None, None))
+    for command in ("toral", "switch"):
+        out = builtin_help(capsys, command)
+        for family in cli.FAMILIES.values():
+            named = family.torus is not None or command == "switch"
+            assert (family.form in out) == named, (command, family.form)
+    assert "witt:P | tor:P:N, joined with +" in builtin_help(capsys, "toral")

@@ -455,10 +455,10 @@ def test_squarefree_part_of_a_constant():
     # zero polynomial has none
     for F in (GF(3), GF(2, 4)):
         for c in (F.one, F.scalar(-1), F.from_int(F.q - 1)):
-            got = fields._squarefree_part(Polynomial(F, [c]))
+            got = Polynomial(F, [c]).squarefree_part()
             assert got == Polynomial(F, [F.one])
         with pytest.raises(ValueError, match="zero polynomial"):
-            fields._squarefree_part(Polynomial(F, []))
+            Polynomial(F, []).squarefree_part()
 
 
 def test_gf_refuses_a_degree_above_the_cap():

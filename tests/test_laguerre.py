@@ -7,15 +7,16 @@ from gradeswitch import laguerre
 from gradeswitch.fields import GF
 from gradeswitch.galg import LinearMap
 from gradeswitch.laguerre import (
-    CheckReport, _split_pair, c_coefficients, c_coefficients_symbolic,
-    check_all_identities, check_lemma_forms, check_lemma_product_identity,
-    coefficient_table, descending_form, in_prime_star, laguerre_at,
-    laguerre_coeffs, laguerre_value, lemma_binomial, lemma_eval,
-    lemma_product, scalar_product_form, strade_operator_form_check,
-    truncated_exp, zero_pair_closed_form)
+    CheckReport, _admissible_cells, _split_pair, c_coefficients,
+    c_coefficients_symbolic, check_all_identities, check_lemma_forms,
+    check_lemma_product_identity, coefficient_table, descending_form,
+    in_prime_star, laguerre_at, laguerre_coeffs, laguerre_value,
+    lemma_binomial, lemma_eval, lemma_product, scalar_product_form,
+    strade_operator_form_check, truncated_exp, zero_pair_closed_form)
 from gradeswitch.polyring import (BiTruncSeries, MultiPoly, NonInvertibleError,
                                   Polynomial, quotient_inverse, quotient_mul)
 from oracles import multipoly_value
+from time_budget import time_limit
 
 
 def test_laguerre_at_matches_binomial_formula():
@@ -454,6 +455,43 @@ def test_symbolic_tables():
             for j in range(p):
                 if (i + j) % p:
                     assert rep.table[i][j].is_zero()
+
+
+def closed_form_numerators(p, alpha, beta):
+    """c_i den for i < p, den = (alpha+beta)^(p-1) - 1: c_0 den =
+    -(alpha^(p-1) - 1)(beta^(p-1) - 1), and c_i den = -prod_{k=i+1}^{p-1}
+    (alpha+k) prod_{k=p-i+1}^{p-1} (beta+k)."""
+    def rising(x, ks):
+        acc = x ** 0
+        for k in ks:
+            acc = acc * (x + k)
+        return acc
+    return [-(alpha ** (p - 1) - 1) * (beta ** (p - 1) - 1)] + [
+        -rising(alpha, range(i + 1, p)) * rising(beta, range(p - i + 1, p))
+        for i in range(1, p)]
+
+
+def test_closed_form_coefficients_satisfy_the_congruence():
+    # u * T == den * v over GF(p)[alpha, beta][X, Y] / (X^p - (alpha^p -
+    # alpha), Y^p - (beta^p - beta)) with T the numerators on the
+    # admissible cells: u^p is a nonzero scalar, so this proves the
+    # closed form c_i = numerator / den for each p.  A numerator off by
+    # alpha fails.
+    vars_ = ("alpha", "beta")
+    with time_limit(10):
+        for p in (2, 3, 5, 7, 11, 13):
+            field = GF(p)
+            alpha = MultiPoly.variable(field, vars_, "alpha")
+            beta = MultiPoly.variable(field, vars_, "beta")
+            u, v, _ = _split_pair(p, alpha, beta)
+            den_v = v * ((alpha + beta) ** (p - 1) - 1)
+            nums = closed_form_numerators(p, alpha, beta)
+            cells = _admissible_cells(p)
+            assert u * u.ring.from_exponents(zip(cells, nums)) == den_v
+            for i in range(p if p <= 7 else 0):
+                wrong = list(nums)
+                wrong[i] = wrong[i] + alpha
+                assert u * u.ring.from_exponents(zip(cells, wrong)) != den_v
 
 
 def test_strade_operator_form():

@@ -9,6 +9,8 @@ import json
 import pytest
 
 from gradeswitch.cli import main
+from gradeswitch.fields import GF
+from gradeswitch.galg import truncated_poly
 from time_budget import time_limit
 
 REPORTS = [
@@ -64,3 +66,25 @@ def test_switch_over_gf7_7_input_within_budget(monkeypatch, tmp_path,
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "34064230bd679c17c8050f046c6bf59be7a7b5fd95d1d58957eb50cad99147be"
+
+
+def test_switch_over_gf9_input_through_the_embeddings(monkeypatch, tmp_path,
+                                                      capsys):
+    """truncated_poly(3, 3, 3) over GF(3^2) with modulus (2, 2, 1), D =
+    diag(0, g, 2g) for the field generator g: its constraint splits over
+    GF(3^6), so the run reaches the canonical embedding of GF(3^2) there
+    and an additive root over an extension, which no builtin reaches.
+    The report names its input file, so the file is read by a relative
+    path."""
+    F = GF(3, 2, modulus=(2, 2, 1))
+    A = truncated_poly(3, 3, 3).change_field(F)
+    rows = [[",".join(map(str, (F.gen * j).coeffs)) if i == j else "0"
+             for j in range(3)] for i in range(3)]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tpoly3_gf9.json").write_text(json.dumps({
+        "algebra": A.to_json(), "derivation": rows}))
+    assert main(["switch", "--input", "tpoly3_gf9.json",
+                 "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "de06371c0b4baf5f38c184118d4ffad65b735a02a5e0a17afe2386eb877bff74"
