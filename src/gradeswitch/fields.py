@@ -48,21 +48,23 @@ DEGREE_CAP = 64
 
 
 def is_prime(m):
-    return m >= 2 and _prime_factors(m) == [m]
+    """True iff m is prime: the first prime factor of m >= 2 is m itself,
+    so a composite is refused at its smallest factor."""
+    return m >= 2 and next(_prime_factors(m)) == m
 
 
 def _prime_factors(m):
-    out = []
+    """The distinct prime factors of m >= 1 in increasing order, each
+    yielded as soon as trial division finds it."""
     d = 2
     while d * d <= m:
         if m % d == 0:
-            out.append(d)
+            yield d
             while m % d == 0:
                 m //= d
         d += 1
     if m > 1:
-        out.append(m)
-    return out
+        yield m
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +368,17 @@ class FqElement:
         return self ** (self.field.p ** k)
 
     def pth_root(self):
-        """The unique y with y^p == x (Frobenius is bijective)."""
-        return self ** (self.field.p ** (self.field.n - 1))
+        """The unique y with y^p == x (Frobenius is bijective).
+
+        Below the log/exp table cap, and over GF(p), it is x^(p^(n-1)).
+        Above the cap it is the F_p-linear map x -> sum x_i (g^i)^(1/p),
+        one packed dot product of the digits with the field's columns
+        (:func:`_pth_root_map`)."""
+        fld = self.field
+        if fld._log is not None or fld.n == 1:
+            return self ** (fld.p ** (fld.n - 1))
+        cols, unpack = _pth_root_map(fld)
+        return unpack(sum(map(operator.mul, self.coeffs, cols)))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -523,7 +534,7 @@ class FqField:
         return _series_kernel(self, ua, ub, length, factors)
 
     def _find_generator(self):
-        factors = _prime_factors(self.q - 1)
+        factors = list(_prime_factors(self.q - 1))
         one = self.one.coeffs
         for enc in range(1, self.q):
             cand = self.from_int(enc).coeffs
@@ -786,6 +797,17 @@ def _frobenius_columns(field, k):
     for _ in range(field.n - 1):
         cols.append(cols[-1] * h)
     return cols
+
+
+@functools.lru_cache(maxsize=None)
+def _pth_root_map(field):
+    """(columns, unpack) of x -> x^(1/p) = x^(p^(n-1)) on `field`: the
+    images (g^i)^(1/p) of the digit basis, packed on the field's dot
+    kernel for n products, so the root of x is unpack of the sum of its
+    digits times the columns."""
+    pack, unpack, _ = _dot_kernel(field, field.n, 2)
+    cols = tuple(map(pack, _frobenius_columns(field, field.n - 1)))
+    return cols, unpack
 
 
 def additive_root(c, terms):

@@ -19,6 +19,7 @@ bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)).
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .fields import GF
@@ -53,6 +54,16 @@ def inverse_factorials(field):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _laguerre_scalars(field, n):
+    """((-1)^k / (k! (n - k)!) for k = 0..n) in the given field: the
+    scalar of the falling factorial in the X^k coefficient of
+    L_n^(alpha)(X)."""
+    inv = inverse_factorials(field)
+    return tuple(-c if k % 2 else c
+                 for k, c in enumerate(map(operator.mul, inv[n::-1], inv)))
+
+
 def _check_p(p, field):
     if field.p != p:
         raise ValueError("field has characteristic %d, expected %d"
@@ -65,7 +76,8 @@ def laguerre_coeffs(p, alpha, n=None):
     The X^k coefficient is binom(alpha + n, n - k) (-1)^k / k!.  The
     falling factorials (alpha + n) (alpha + n - 1) ... (alpha + k + 1)
     are built once, one ring product each, so the whole list costs n - 1
-    ring products (none for n = 0) and n + 1 scalar multiplies.  alpha may be a field
+    ring products (none for n = 0) and n + 1 scalar multiplies by the
+    field's cached (-1)^k / (k! (n - k)!).  alpha may be a field
     element or any ring value that mixes with field scalars: a Polynomial
     or MultiPoly (symbolic alpha), a BiTruncSeries or a LinearMap
     (operator alpha).
@@ -78,13 +90,12 @@ def laguerre_coeffs(p, alpha, n=None):
         n = p - 1
     if not 0 <= n < p:
         raise ValueError("degree must satisfy 0 <= n < p")
-    inv = inverse_factorials(field)
     t = alpha + n
     falling = [t ** 0, t]       # falling[m] = t (t-1) ... (t-m+1)
     for i in range(1, n):
         falling.append(falling[-1] * (t - i))
-    return tuple(falling[n - k] * ((-1) ** k * inv[n - k] * inv[k])
-                 for k in range(n + 1))
+    return tuple(map(operator.mul, falling[n::-1],
+                     _laguerre_scalars(field, n)))
 
 
 def laguerre_at(p, alpha, n=None):
@@ -384,7 +395,9 @@ def _split_pair(p, a, b):
     u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
     QuotientRing(p, xc + yc, xc + yc); its powers and its inverse stay on
     row 0 and spread back by :func:`_laguerre_xy_quotient`.  The verified
-    tables invert u_z, and the symbolic ones power it by _scalar_power.
+    tables invert u_z (over a field, in the local ring
+    F[Z]/((Z - c^(1/p))^p), c = xc + yc, by forward substitution), and
+    the symbolic ones power it by _scalar_power.
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
@@ -401,10 +414,12 @@ def coefficient_table(p, a, b):
     a and b come from one commutative ring of characteristic p: field
     elements, or truncated series for the product rule.  u is inverted in
     the Z subring: :func:`quotient_inverse` inverts the p-entry u_z, which
-    lies on row 0 (for field entries by a linear solve of one p x p
-    block; for series by the p-power closed form u^(p-1) (u^p)^(-1)), and
-    raises NonInvertibleError when it has no inverse, which is exactly
-    when u has none.  The inverse w(Z) is spread to w(X+Y).
+    lies on row 0 (for field entries by forward substitution in the
+    local ring F[Z]/(Z^p - c) = F[W]/(W^p), W = Z - c^(1/p), where u_z
+    is a unit exactly when u_z(c^(1/p)) is nonzero; for series by the
+    p-power closed form u^(p-1) (u^p)^(-1)), and raises
+    NonInvertibleError when it has no inverse, which is exactly when u
+    has none.  The inverse w(Z) is spread to w(X+Y).
 
     The table T holds the p admissible cells of v * w(X+Y), (0, 0) and
     (i, p - i), read from the packed product by

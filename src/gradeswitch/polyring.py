@@ -24,9 +24,9 @@ subtractions and ``** k`` from them.
 """
 
 import functools
+import math
 import operator
 
-from .echelon import solve
 from .fields import FqElement, _as_field_elt, power
 
 _COEFFS = operator.attrgetter("coeffs")
@@ -1005,15 +1005,36 @@ def quotient_mul_cells(u, v, cells):
     return QuotientElement(ring, ring._product_kernel()(u, v, cells))
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_weights(p, sign):
+    """rows[j][k - j] = binom(k, j) sign^(k - j) mod p for j <= k < p: the
+    W^j coefficient of f(W + sign g) is the sum over k of rows[j][k - j]
+    f_k g^(k - j)."""
+    return tuple(tuple(math.comb(k, j) * sign ** (k - j) % p
+                       for k in range(j, p)) for j in range(p))
+
+
 def _quotient_inverse_linear(u):
     """Inverse of an element on row 0 (a polynomial in Y alone) with field
-    entries, by a linear solve of one p x p block; any other element
+    entries, by forward substitution in a local ring; any other element
     raises ValueError.
 
     Such an element never folds X when it multiplies, so its inverse, if
-    any, is on row 0 too, and u w = 1 is the system whose column l is row
-    0 of u Y^l: a cyclic shift of u's row by l places, with no quotient
-    product, the entries that pass Y^p wrapped around times yc.
+    any, is on row 0 too: the inverse of u(Y) in F[Y]/(Y^p - yc).  The
+    Frobenius map of F is bijective, so Y^p - yc = (Y - g)^p with
+    g = yc^(1/p) (Lidl and Niederreiter, Finite Fields, 2.8 and 3.4),
+    and in W = Y - g that ring is F[W]/(W^p), local with maximal ideal
+    (W).  Write u(W + g) = sum t_j W^j (a Taylor shift):
+    u is a unit exactly when t_0 = u(g) is nonzero, and multiplication
+    by u is then lower-triangular Toeplitz in the W basis with diagonal
+    t_0, so the W coefficients of the inverse follow by forward
+    substitution, w_0 = 1/t_0 and w_k = sum_{j=1..k} s_j w_(k-j) with
+    s_j = -t_j / t_0.  A shift by -g brings them back to the Y basis.
+
+    Each t_0, s_j, w_k and coefficient of the result is one dot product
+    on the field's packed ints, unpacked once; besides those, the
+    inverse takes a p-th root, p - 2 field products for the powers of g
+    and one field inverse, and solves no linear system.
     """
     ring = u.ring
     p = ring.p
@@ -1021,16 +1042,32 @@ def _quotient_inverse_linear(u):
             any(any(row) for row in u.entries[1:]):
         raise ValueError("linear inversion needs field entries on row 0")
     field = ring.one_entry.field
-    row, yc = u.entries[0], ring.yc
-    cols = [[row[t - l] * yc if t < l else row[t - l] for t in range(p)]
-            for l in range(p)]
-    sol = solve(list(zip(*cols)), [field.one] + [field.zero] * (p - 1),
-                field)
-    if sol is None:
+    # each sum below has at most p terms of an int weight below p times
+    # at most three elements
+    pack, unpack, _ = field.dot_kernel(p * (p - 1), 3)
+    mul = operator.mul
+    g = ring.yc.pth_root()
+    powers = [field.one, g]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * g)
+    gs = list(map(pack, powers))
+    us = list(map(pack, u.entries[0]))
+    t0 = unpack(sum(map(mul, us, gs)))
+    if not t0:
         raise NonInvertibleError("quotient element is not invertible")
-    inv = ring.element([sol] + [[ring.zero_entry] * p] * (p - 1))
+    inv_t0 = t0.inverse()
+    scale = pack(-inv_t0)
+    up, down = _shift_weights(p, 1), _shift_weights(p, -1)
+    s = [pack(unpack(scale * sum(map(mul, map(mul, us[j:], up[j]), gs))))
+         for j in range(1, p)]
+    ws = [pack(inv_t0)]
+    for k in range(1, p):
+        ws.append(pack(unpack(sum(map(mul, s[:k], reversed(ws))))))
+    row = [unpack(sum(map(mul, map(mul, ws[j:], down[j]), gs)))
+           for j in range(p)]
+    inv = ring.element([row] + [[ring.zero_entry] * p] * (p - 1))
     if u * inv != ring.one():
-        raise AssertionError("inverse verification failed")  # solver defect
+        raise AssertionError("inverse verification failed")  # kernel defect
     return inv
 
 
@@ -1068,8 +1105,8 @@ def _quotient_inverse_ppower(u):
 def quotient_inverse(u):
     """Inverse in the quotient ring.
 
-    Field entries on row 0 go through the p x p linear solve of
-    :func:`_quotient_inverse_linear`; every other element (series or
+    Field entries on row 0 go through the forward substitution in a local
+    ring of :func:`_quotient_inverse_linear`; every other element (series or
     symbolic entries, or field entries off row 0) takes the p-power
     closed form of :func:`_quotient_inverse_ppower`, which is complete
     for field entries too: u is invertible exactly when the scalar u^p

@@ -24,6 +24,31 @@ def test_is_prime():
     assert not is_prime(0)
 
 
+def test_is_prime_stops_at_the_first_factor():
+    # 2^61 - 1 is prime: its own trial division runs to about 1.5e9, while
+    # twice it is refused at the factor 2
+    mersenne = (1 << 61) - 1
+    with time_limit(2):
+        assert not is_prime(2 * mersenne)
+        assert not is_prime(3 * mersenne)
+        assert next(fields._prime_factors(2 * mersenne)) == 2
+    assert list(fields._prime_factors(2 * 3 ** 4 * 7)) == [2, 3, 7]
+
+
+@pytest.mark.parametrize("p,n", [(5, 7), (5, 20), (3, 40), (2, 64)],
+                         ids=["GF(5^7)", "GF(5^20)", "GF(3^40)", "GF(2^64)"])
+def test_pth_root_above_the_table_cap(p, n):
+    # the packed linear map agrees with the power x^(p^(n-1)) and inverts
+    # Frobenius
+    F = GF(p, n)
+    rng = random.Random(p + n)
+    for x in [F.zero, F.one, F.gen] + [F.random_element(rng)
+                                       for _ in range(4)]:
+        root = x.pth_root()
+        assert root == x ** (p ** (n - 1))
+        assert root.frobenius() == x
+
+
 def test_prime_field_arithmetic():
     F = GF(7)
     a, b = F.scalar(3), F.scalar(5)
@@ -137,7 +162,7 @@ def monic_polynomials(p, n):
 def count_irreducible(p, n):
     """Gauss's count (1/n) sum_(d | n) mu(d) p^(n/d)."""
     def mu(d):
-        ls = fields._prime_factors(d)
+        ls = list(fields._prime_factors(d))
         return 0 if math.prod(ls) != d else (-1) ** len(ls)
     return sum(mu(d) * p ** (n // d) for d in range(1, n + 1)
                if n % d == 0) // n

@@ -494,6 +494,35 @@ def test_closed_form_coefficients_satisfy_the_congruence():
                 assert u * u.ring.from_exponents(zip(cells, wrong)) != den_v
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (5, 7), (7, 2),
+                                 (13, 2)],
+                         ids=["GF(2)", "GF(2^5)", "GF(3^3)", "GF(5^7)",
+                              "GF(7^2)", "GF(13^2)"])
+def test_c_coefficients_match_the_closed_form(p, n):
+    # the tables at field elements against closed_form_numerators / den,
+    # den = (a+b)^(p-1) - 1: nonzero exactly on the admissible pairs; on
+    # the excluded locus a + b in F_p^* c_coefficients refuses
+    F = GF(p, n)
+    rng = random.Random(1000 * p + n)
+    pairs = [(F.zero, F.zero)] + [(a, -a) for a in (F.one, F.gen)]
+    pairs += [(F.random_element(rng), F.random_element(rng))
+              for _ in range(4)]
+    excluded = [(a, F.scalar(k) - a) for k in range(1, p)[:2]
+                for a in (F.zero, F.random_element(rng))]
+    admissible = 0
+    for a, b in pairs + excluded:
+        den = (a + b) ** (p - 1) - 1
+        if not den:
+            assert in_prime_star(a + b)
+            with pytest.raises(NonInvertibleError):
+                c_coefficients(p, a, b)
+            continue
+        want = tuple(c / den for c in closed_form_numerators(p, a, b))
+        assert c_coefficients(p, a, b).values() == want
+        admissible += 1
+    assert admissible >= 3
+
+
 def test_strade_operator_form():
     for p in (2, 3, 5, 7):
         assert strade_operator_form_check(p).passed

@@ -6,9 +6,9 @@ import weakref
 
 import pytest
 
-from gradeswitch import fields, polyring
+from gradeswitch import fields
 from gradeswitch.cli import main
-from gradeswitch.echelon import solve
+from gradeswitch.echelon import Echelon, solve
 from gradeswitch.fields import GF, power
 from gradeswitch.galg import LinearMap
 from gradeswitch.laguerre import _split_pair
@@ -342,36 +342,62 @@ def test_ring_protocol_is_written_once():
 
 
 def test_quotient_inverse_dual_routes():
-    """On row-0 elements the linear-solve inverse and the p-power closed
-    form must agree on every invertible element and reject the same
+    """On row-0 elements the forward-substitution inverse and the p-power
+    closed form must agree on every invertible element and reject the same
     non-invertible ones; on full elements quotient_inverse (the p-power
-    route) must agree with the whole multiplication matrix."""
-    p = 3
-    F = GF(3, 2)
-    rng = random.Random(5)
-    a, b = F.from_int(4), F.from_int(7)
-    ring = quotient_ring_for(p, a, b)
-    seen = {"linear": [0, 0], "full": [0, 0]}
-    for _ in range(40):
-        full = ring.element([[F.random_element(rng) for _ in range(p)]
-                             for _ in range(p)])
-        row0 = ring.from_y_poly(full.entries[0])
-        pairs = ((row0, "linear", _quotient_inverse_linear,
-                  _quotient_inverse_ppower),
-                 (full, "full", full_matrix_inverse, quotient_inverse))
-        for u, kind, want_route, got_route in pairs:
-            try:
-                want = want_route(u)
-            except NonInvertibleError:
-                seen[kind][1] += 1
-                with pytest.raises(NonInvertibleError):
-                    got_route(u)
-                continue
-            seen[kind][0] += 1
-            assert got_route(u) == want
-            assert quotient_mul(u, want) == ring.one()
-    assert all(invertible and singular
-               for invertible, singular in seen.values()), seen
+    route) must agree with the whole multiplication matrix, which is
+    built for p <= 5.  Each random element is also tried times the
+    nilpotent Y + (-yc)^(1/p) (X + (-xc)^(1/p) off row 0), a non-unit:
+    random draws over the larger fields are almost never one."""
+    cases = ((GF(3, 2), 4, 7, 40), (GF(2, 5), 9, 22, 10),
+             (GF(5, 7), 1234, 56789, 4), (GF(13, 2), 31, 100, 4))
+    for F, a, b, trials in cases:
+        p = F.p
+        rng = random.Random(5)
+        ring = quotient_ring_for(p, F.from_int(a), F.from_int(b))
+        lx = ring.monomial(1, 0, 1) + (-ring.xc).pth_root()
+        ly = ring.monomial(0, 1, 1) + (-ring.yc).pth_root()
+        routes = {"linear": (_quotient_inverse_linear,
+                             _quotient_inverse_ppower)}
+        if p <= 5:
+            routes["full"] = (full_matrix_inverse, quotient_inverse)
+        seen = {kind: [0, 0] for kind in routes}
+        for _ in range(trials):
+            full = ring.element([[F.random_element(rng) for _ in range(p)]
+                                 for _ in range(p)])
+            row0 = ring.from_y_poly(full.entries[0])
+            pairs = [(row0, "linear"), (row0 * ly, "linear")]
+            if "full" in routes:
+                pairs += [(full, "full"), (full * lx, "full")]
+            for u, kind in pairs:
+                want_route, got_route = routes[kind]
+                try:
+                    want = want_route(u)
+                except NonInvertibleError:
+                    seen[kind][1] += 1
+                    with pytest.raises(NonInvertibleError):
+                        got_route(u)
+                    continue
+                seen[kind][0] += 1
+                assert got_route(u) == want
+                assert quotient_mul(u, want) == ring.one()
+        assert all(invertible and singular
+                   for invertible, singular in seen.values()), (F, seen)
+
+
+@contextlib.contextmanager
+def echelons_built():
+    """A list with one entry per Echelon built in the body: every
+    elimination of the package, a linear solve included, builds one."""
+    built = []
+    init = Echelon.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Echelon, "__init__", spy)
+        yield built
 
 
 def full_matrix_inverse(u):
@@ -395,18 +421,12 @@ def full_matrix_inverse(u):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (7, 1), (7, 2), (5, 7)],
                          ids=["GF(2)", "GF(3)", "GF(7)", "GF(7^2)", "GF(5^7)"])
-def test_row0_block_inverse_matches_full_matrix(p, n, monkeypatch):
-    """A row-0 element is inverted from one p x p block; the inverse, and
-    the refusal of a singular element, agree with the whole matrix."""
+def test_row0_block_inverse_matches_full_matrix(p, n):
+    """A row-0 element is inverted by forward substitution, with no linear
+    system solved; the inverse, and the refusal of a singular element,
+    agree with the whole matrix."""
     F = GF(p, n)
     rng = random.Random(100 * p + n)
-    heights = []
-
-    def spy(rows, rhs, field):
-        heights.append(len(rows))
-        return solve(rows, rhs, field)
-
-    monkeypatch.setattr(polyring, "solve", spy)
     a, b = F.random_element(rng), F.random_element(rng)
     rings = [quotient_ring_for(p, a, b), quotient_ring_for(p, a, F.zero)]
     elements = [ring.from_y_poly([F.random_element(rng) for _ in range(p)])
@@ -418,31 +438,28 @@ def test_row0_block_inverse_matches_full_matrix(p, n, monkeypatch):
         try:
             want = full_matrix_inverse(u)
         except NonInvertibleError:
-            with pytest.raises(NonInvertibleError):
+            with echelons_built() as built, \
+                    pytest.raises(NonInvertibleError):
                 _quotient_inverse_linear(u)
+            assert not built
             continue
         assert u not in singular
-        assert _quotient_inverse_linear(u) == want
+        with echelons_built() as built:
+            got = _quotient_inverse_linear(u)
+        assert not built
+        assert got == want
         invertible += 1
     assert invertible > 0
-    assert heights == [p] * len(elements + singular)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)],
                          ids=["GF(2)", "GF(3)", "GF(5)", "GF(3^2)"])
-def test_full_inverse_matches_full_matrix(p, n, monkeypatch):
+def test_full_inverse_matches_full_matrix(p, n):
     """An element off row 0 is inverted by quotient_inverse through the
     p-power route, with no linear solve; it agrees with the matrix of
     quotient products u X^k Y^l.  The linear route refuses it."""
     F = GF(p, n)
     rng = random.Random(10 * p + n)
-    heights = []
-
-    def spy(rows, rhs, field):
-        heights.append(len(rows))
-        return solve(rows, rhs, field)
-
-    monkeypatch.setattr(polyring, "solve", spy)
     ring = quotient_ring_for(p, F.random_element(rng), F.random_element(rng))
     invertible = 0
     for _ in range(6):
@@ -454,13 +471,17 @@ def test_full_inverse_matches_full_matrix(p, n, monkeypatch):
         try:
             want = full_matrix_inverse(u)
         except NonInvertibleError:
-            with pytest.raises(NonInvertibleError):
+            with echelons_built() as built, \
+                    pytest.raises(NonInvertibleError):
                 quotient_inverse(u)
+            assert not built
             continue
-        assert quotient_inverse(u) == want
+        with echelons_built() as built:
+            got = quotient_inverse(u)
+        assert not built
+        assert got == want
         invertible += 1
     assert invertible > 0
-    assert heights == []
 
 
 def test_quotient_inverse_dispatch():
@@ -673,15 +694,12 @@ def test_scalar_power_matches_frobenius_formula(case):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2)],
                          ids=["GF(2)", "GF(3)", "GF(5)", "GF(3^2)"])
-def test_quotient_inverse_refuses_singular_off_row0_elements(p, n,
-                                                              monkeypatch):
+def test_quotient_inverse_refuses_singular_off_row0_elements(p, n):
     """Off row 0, quotient_inverse (the p-power route, no linear solve)
     refuses the elements that the whole multiplication matrix finds
     singular."""
     F = GF(p, n)
     rng = random.Random(p * n)
-    solves = []
-    monkeypatch.setattr(polyring, "solve", lambda *a: solves.append(a))
     ring = quotient_ring_for(p, F.random_element(rng), F.random_element(rng))
     # (X + lam)^p = xc + lam^p = 0 for lam the p-th root of -xc; so for Y
     lx = ring.monomial(1, 0, 1) + (-ring.xc).pth_root()
@@ -695,9 +713,9 @@ def test_quotient_inverse_refuses_singular_off_row0_elements(p, n,
         assert any(any(row) for row in u.entries[1:])
         with pytest.raises(NonInvertibleError):
             full_matrix_inverse(u)
-        with pytest.raises(NonInvertibleError):
+        with echelons_built() as built, pytest.raises(NonInvertibleError):
             quotient_inverse(u)
-    assert not solves
+        assert not built
 
 
 def test_product_kernel_is_freed_with_its_ring():
