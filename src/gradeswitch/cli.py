@@ -156,7 +156,8 @@ def cmd_coeffs(args):
 # A builtin family: its spec form, whose colons give the arity; its
 # builder; the (prime, dimension, grading modulus) of what a spec's integers
 # build, which the caps read before anything is built; and the basis slot
-# of e_0, the default torus of `toral`, or None without a p-map.
+# of e_0, the default torus of `toral`, or None for a family that is not
+# a Lie algebra.
 Family = collections.namedtuple("Family", "form build shape torus")
 FAMILIES = {
     "witt": Family("witt:P", witt, lambda p: (p, p, p), 1),
@@ -288,7 +289,7 @@ def cmd_switch(args):
 
 def _default_torus(spec, lie):
     """e_0 of every summand of the builtin: RestrictedLie has refused the
-    families without a p-map, which have no e_0 slot."""
+    families that are not Lie algebras, which have no e_0 slot."""
     vecs, off = [], 0
     for family, ints in _builtin_parts(spec):
         vecs.append(lie.basis_vector(off + family.torus))

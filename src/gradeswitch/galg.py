@@ -378,9 +378,10 @@ class GradedAlgebra:
     degrees[i] is the residue of basis vector e_i; products[(i, j)] lists
     the nonzero (k, coeff) of e_i e_j, each k once (constants given more
     than once for one (i, j, k) are summed); pmap, when present, gives
-    e_i^[p] as a vector.  Products and the checks below run on the structure
-    constants packed for the field's three-factor dot kernel, built once
-    (the algebra is immutable).
+    e_i^[p] as a vector, which toral.RestrictedLie checks against the
+    p-map it derives from ad.  Products and the checks below run on the
+    structure constants packed for the field's three-factor dot kernel,
+    built once (the algebra is immutable).
     """
 
     __slots__ = ("field", "m", "degrees", "products", "pmap", "_sc")
@@ -790,8 +791,9 @@ def is_grading(A, parts, add=None):
 
 def witt(p):
     """The Witt algebra W(1;1) over GF(p): basis e_{-1}, ..., e_{p-2} with
-    [e_a, e_b] = (b - a) e_{a+b}, graded by index mod p, restricted by
-    e_0^[p] = e_0 and e_a^[p] = 0 otherwise.  Index a is basis slot a+1."""
+    [e_a, e_b] = (b - a) e_{a+b}, graded by index mod p.  Index a is basis
+    slot a+1.  No p-map is stored: toral.RestrictedLie derives its
+    e_0^[p] = e_0 and e_a^[p] = 0 otherwise from ad."""
     field = GF(p)
     dim = p
     entries = []
@@ -801,9 +803,7 @@ def witt(p):
             if c and -1 <= a + b <= p - 2:
                 entries.append((a + 1, b + 1, a + b + 1, c))
     degrees = [(t - 1) % p for t in range(dim)]
-    pmap = [[0] * dim for _ in range(dim)]
-    pmap[1][1] = 1
-    return GradedAlgebra.from_entries(field, p, degrees, entries, pmap)
+    return GradedAlgebra.from_entries(field, p, degrees, entries)
 
 
 def truncated_poly(p, length, m):
@@ -843,7 +843,8 @@ def truncated_poly_derivation(A, which):
 
 
 def direct_sum(A, B):
-    """Direct sum of algebras over the same field with equal m."""
+    """Direct sum of algebras over the same field with equal m.  It
+    carries no p-map: toral.RestrictedLie derives the sum's from ad."""
     if A.field is not B.field:
         raise ValueError("summands over different fields")
     if A.m != B.m:
@@ -854,11 +855,4 @@ def direct_sum(A, B):
         prods[(i, j)] = terms
     for (i, j), terms in B.products.items():
         prods[(i + da, j + da)] = tuple((k + da, c) for k, c in terms)
-    degrees = A.degrees + B.degrees
-    pmap = None
-    if A.pmap is not None and B.pmap is not None:
-        z = A.field.zero
-        dim = da + B.dim
-        pmap = [list(row) + [z] * B.dim for row in A.pmap]
-        pmap += [[z] * da + list(row) for row in B.pmap]
-    return GradedAlgebra(A.field, A.m, degrees, prods, pmap)
+    return GradedAlgebra(A.field, A.m, A.degrees + B.degrees, prods)

@@ -17,7 +17,7 @@ is that same operator written as one global polynomial in commuting maps.
 import math
 from dataclasses import dataclass
 
-from .echelon import kernel
+from .echelon import Echelon
 from .fields import GF, embed
 from .galg import Decomposition, Subspace, bracket_failure, \
     generalized_eigenspaces
@@ -38,17 +38,25 @@ def _vec_is_zero(v):
     return not any(v)
 
 
-class RestrictedLie:
-    """A graded algebra validated to be a restricted Lie algebra.
+def _flat(M):
+    """The entries of a LinearMap, row by row."""
+    return [x for row in M.rows for x in row]
 
-    Checks alternating and antisymmetric brackets, the Jacobi identity on
-    all basis triples (galg.bracket_failure), and ad(e_i)^p == ad(e_i^[p])
-    against the stored p-th power rows.
+
+class RestrictedLie:
+    """A graded algebra validated to be a restricted Lie algebra, with its
+    p-map derived from ad.
+
+    Checks alternating and antisymmetric brackets and the Jacobi identity
+    on all basis triples (galg.bracket_failure).  On a centerless Lie
+    algebra ad is injective, so x^[p] is the one z with ad z = (ad x)^p,
+    and a p-map exists exactly when every (ad e_i)^p is inner (Jacobson's
+    criterion).  Refuses an algebra with a center, one where some
+    (ad e_i)^p is not inner, and a given algebra.pmap that differs from
+    the derived map.
     """
 
     def __init__(self, algebra):
-        if algebra.pmap is None:
-            raise ValueError("a restricted Lie algebra needs p-th power rows")
         self.algebra = algebra
         self.field = algebra.field
         self.p = algebra.field.p
@@ -56,10 +64,23 @@ class RestrictedLie:
         failure = bracket_failure(algebra)
         if failure:
             raise ValueError(failure)
+        # the rows (flat(ad e_i) | e_i): a dependent one is a nonzero
+        # element of the center
+        self._ad = Echelon(width=self.dim ** 2, field=self.field)
         for i in range(self.dim):
-            adi = algebra.left_multiplication(algebra.basis_vector(i))
-            if adi.p_power(1) != algebra.left_multiplication(algebra.pmap[i]):
-                raise ValueError("ad(e_%d)^p differs from ad(e_%d^[p])" % (i, i))
+            e = self.basis_vector(i)
+            if not self._ad.add(_flat(self.ad(e)) + list(e)):
+                raise ValueError("center is nontrivial; ad does not "
+                                 "determine elements")
+        for i in range(self.dim):
+            try:
+                z = self.pth_power(self.basis_vector(i))
+            except ValueError:
+                raise ValueError("ad(e_%d)^p is not inner: no p-map" % i) \
+                    from None
+            if algebra.pmap is not None and algebra.pmap[i] != z:
+                raise ValueError("ad(e_%d)^p differs from ad(e_%d^[p])"
+                                 % (i, i))
 
     def bracket(self, x, y):
         return self.algebra.product(x, y)
@@ -70,48 +91,24 @@ class RestrictedLie:
     def basis_vector(self, i):
         return self.algebra.basis_vector(i)
 
-    def supports_commute(self, x):
-        """True when the basis vectors carrying x pairwise commute."""
-        sup = [i for i, c in enumerate(x) if c]
-        basis = self.algebra.basis_vector
-        return all(_vec_is_zero(self.bracket(basis(i), basis(j)))
-                   for a, i in enumerate(sup) for j in sup[a + 1:])
-
     def pth_power(self, x):
-        """x^[p] through linearity over a pairwise-commuting support.
+        """x^[p], the z with ad z = (ad x)^p.
 
-        For x = sum c_i e_i with [e_i, e_j] = 0 on the support, the p-th
-        power is sum c_i^p e_i^[p].  Raises ValueError otherwise.
+        (flat((ad x)^p) | 0) reduced against the rows (flat(ad e_i) | e_i)
+        vanishes on its head exactly when (ad x)^p is inner, and then its
+        tail is -z: the tail trick of echelon.first_dependence.  Raises
+        ValueError when (ad x)^p is not inner, which construction rules
+        out.
         """
-        if not self.supports_commute(x):
-            raise ValueError("support does not commute; p-th power rule "
-                             "unavailable")
-        acc = (self.field.zero,) * self.dim
-        for i, c in enumerate(x):
-            if c:
-                acc = _vec_add(acc, _vec_scale(self.algebra.pmap[i], c ** self.p))
-        return acc
-
-    def center(self):
-        """The x with [e_i, x] = 0 for every basis vector e_i: one kernel
-        of the rows of every ad e_i, stacked."""
-        rows = [row for i in range(self.dim)
-                for row in self.ad(self.algebra.basis_vector(i)).rows]
-        return Subspace(self.field, self.dim,
-                        kernel(rows, self.dim, self.field))
+        n2, zero = self.dim ** 2, self.field.zero
+        w = self._ad.reduce(_flat(self.ad(x).p_power(1)) + [zero] * self.dim)
+        if any(c is not zero and c for c in w[:n2]):
+            raise ValueError("ad(x)^p is not inner")
+        return tuple(-c for c in w[n2:])
 
     def is_toral(self, t):
-        """t^[p] == t, decided through the p-th power rule or, failing
-        that, on a centerless algebra: there ad is injective and
-        ad(t^[p]) = ad(t)^p, so t^[p] == t iff ad(t)^p == ad(t)."""
-        try:
-            return self.pth_power(t) == tuple(t)
-        except ValueError:
-            if self.center().dim:
-                raise ValueError("center is nontrivial; ad does not "
-                                 "determine elements")
-            adt = self.ad(t)
-            return adt.p_power(1) == adt
+        """t^[p] == t."""
+        return self.pth_power(t) == tuple(t)
 
     def change_field(self, field):
         return RestrictedLie(self.algebra.change_field(field))
@@ -273,18 +270,18 @@ class ToralComparison:
     switch: object
     strade_agrees: bool
     spaces_match: bool
-    torus_x_toral: object   # None when undecidable
+    torus_x_toral: bool
 
 
 def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     """Replace the torus along x and check the two descriptions of the new
     root spaces against each other.
 
-    Verifies: T_x is a torus (commuting, semisimple, toral generators when
-    decidable); the switching operator of D = ad x maps each old root
-    space onto a new one (equal multisets of subspaces); and the
-    descending operator-product form of the connecting map equals the
-    switching operator build_LD evaluates by Horner's rule, exactly.
+    Verifies: T_x is a torus (commuting, semisimple, toral generators);
+    the switching operator of D = ad x maps each old root space onto a
+    new one (equal multisets of subspaces); and the descending
+    operator-product form of the connecting map equals the switching
+    operator build_LD evaluates by Horner's rule, exactly.
     """
     _check_r(r)
     lie, torus, old = root_decomposition(Torus(lie, torus_vectors))
@@ -294,10 +291,7 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     res = build_LD(lie.algebra, lie.ad(x), r=r)
     r = res.r
     torus_x, beta, w = switch_torus(lie, torus, x, r)
-    try:
-        toral_x = all(lie.is_toral(t) for t in torus_x.basis)
-    except ValueError:
-        toral_x = None  # undecidable without a usable p-th power
+    toral_x = all(lie.is_toral(t) for t in torus_x.basis)
 
     lie2, _, new = root_decomposition(torus_x)
 

@@ -1,10 +1,11 @@
 """Reference routines that only the tests call: the inverse of a linear
 map, its matrix on an invariant subspace, a map from its columns, a
-MultiPoly's value at a scalar point, and the check that a p-power
-relation holds at D.  The package has no caller for them, so they live
+MultiPoly's value at a scalar point, the check that a p-power relation
+holds at D, and the p-map tables and p-th power rule that the Witt
+builders once stored.  The package has no caller for them, so they live
 here, next to the tests that use them."""
 
-from gradeswitch.echelon import Echelon
+from gradeswitch.echelon import Echelon, kernel
 from gradeswitch.fields import _as_field_elt
 from gradeswitch.galg import LinearMap
 from gradeswitch.switch import PPolynomial
@@ -66,3 +67,44 @@ def relation_holds(rel, D):
     poly = PPolynomial.make(rel.field, [*enumerate(rel.coeffs, rel.r),
                                         (rel.n, rel.field.one)])
     return poly(D).is_zero()
+
+
+def witt_pmap(field, sizes):
+    """The p-map table once stored for the sum of witt(p) over p in
+    sizes, over `field`: e_0^[p] = e_0 and e_a^[p] = 0 otherwise in each
+    summand (e_0 is slot 1 of its summand), block diagonal over the
+    sum."""
+    dim = sum(sizes)
+    rows = [[field.zero] * dim for _ in range(dim)]
+    off = 0
+    for p in sizes:
+        rows[off + 1][off + 1] = field.one
+        off += p
+    return [tuple(row) for row in rows]
+
+
+def supports_commute(A, x):
+    """True when the basis vectors carrying x pairwise commute in A."""
+    sup = [i for i, c in enumerate(x) if c]
+    return all(not any(A.product(A.basis_vector(i), A.basis_vector(j)))
+               for a, i in enumerate(sup) for j in sup[a + 1:])
+
+
+def semilinear_pth_power(table, x):
+    """sum c_i^p e_i^[p] for x = sum c_i e_i, from a p-map table: the
+    p-th power of x when its support pairwise commutes."""
+    field = x[0].field
+    acc = [field.zero] * len(x)
+    for c, row in zip(x, table):
+        if c:
+            cp = c ** field.p
+            acc = [a + cp * b for a, b in zip(acc, row)]
+    return tuple(acc)
+
+
+def center(A):
+    """A basis of {x : e_i x = 0 for every i}: one kernel of the rows of
+    every left multiplication, stacked."""
+    rows = [row for i in range(A.dim)
+            for row in A.left_multiplication(A.basis_vector(i)).rows]
+    return kernel(rows, A.dim, A.field)

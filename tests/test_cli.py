@@ -8,6 +8,7 @@ import pytest
 from gradeswitch import cli
 from gradeswitch.cli import build_parser, main
 from gradeswitch.galg import LinearMap, witt
+from gradeswitch.toral import RestrictedLie
 
 
 def run(capsys, *argv):
@@ -648,12 +649,11 @@ def test_a_spec_out_of_range_or_form_names_the_flag_and_the_spec(
 @pytest.mark.parametrize("spec", ["tpoly:5:5:5", "witt:5+tpoly:5:5:5",
                                   "tpoly:5:5:5+witt:5"])
 def test_toral_refuses_a_builtin_without_a_p_map(capsys, spec):
-    # only Witt summands carry p-th power rows, so every builtin with a
-    # tpoly summand is refused before a torus is chosen
+    # a tpoly summand is commutative, not a Lie algebra, so every builtin
+    # with one is refused before a torus is chosen
     code, out, err = run(capsys, "toral", "--builtin", spec)
     assert code == 2 and out == ""
-    assert err == "configuration error: a restricted Lie algebra needs " \
-        "p-th power rows\n"
+    assert err == "configuration error: bracket is not alternating\n"
 
 
 def test_toral_deterministic(capsys):
@@ -837,7 +837,7 @@ def test_the_witt_torus_slot_is_e0(p):
                              for j in range(A.dim)]
                             for i, d in enumerate(A.degrees)])
     assert A.left_multiplication(e0) == degrees
-    assert A.pmap[family.torus] == e0
+    assert RestrictedLie(A).pth_power(e0) == e0
 
 
 def builtin_help(capsys, command):

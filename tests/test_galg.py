@@ -10,8 +10,9 @@ from gradeswitch.galg import (
     direct_sum, generalized_eigenspaces, is_derivation, is_grading, kernel,
     truncated_poly, truncated_poly_derivation, witt)
 from gradeswitch.polyring import Polynomial
+from gradeswitch.toral import RestrictedLie
 from algebra_builders import torus_line
-from oracles import from_columns, inverse
+from oracles import from_columns, inverse, witt_pmap
 
 
 def rand_map(field, n, rng):
@@ -357,8 +358,12 @@ def test_witt_structure_constants():
     assert W.product(e[2], e[1]) == tuple(-c for c in e[2])
     # [e_2, e_3] falls out of range (index 5): zero
     assert not any(W.product(e[3], e[4]))
-    # restricted structure: only e_0 has a nonzero p-th power
-    assert W.pmap[1] == list(e[1]) or tuple(W.pmap[1]) == e[1]
+    # restricted structure, derived from ad: only e_0 has a nonzero p-th
+    # power; the builtin stores no table
+    assert W.pmap is None
+    zero = (F.zero,) * 5
+    assert [RestrictedLie(W).pth_power(v) for v in e] == \
+        [zero, e[1], zero, zero, zero]
     assert W.degrees == tuple((i - 1) % 5 for i in range(5))
 
 
@@ -392,8 +397,11 @@ def test_is_grading_rejects_wrong_parts():
 
 
 def test_json_roundtrip():
-    for A in (witt(5), truncated_poly(3, 9, 3),
-              witt(3).change_field(GF(3, 2))):
+    W = witt(5)
+    tabled = GradedAlgebra(W.field, W.m, W.degrees, W.products,
+                           witt_pmap(W.field, [5]))
+    for A in (W, truncated_poly(3, 9, 3), witt(3).change_field(GF(3, 2)),
+              tabled):
         B = GradedAlgebra.from_json(A.to_json())
         assert B == A
         assert B.pmap == A.pmap
@@ -417,7 +425,7 @@ def test_json_rejects_non_integer_sizes():
 def test_json_rejects_pmap_index_out_of_range():
     for bad in (-1, 5):
         obj = witt(5).to_json()
-        obj["pmap"].append([bad, ["1"] * 5])
+        obj["pmap"] = [[1, ["0", "1", "0", "0", "0"]], [bad, ["1"] * 5]]
         with pytest.raises(ValueError, match="malformed algebra JSON"):
             GradedAlgebra.from_json(obj)
 
@@ -451,8 +459,11 @@ def test_direct_sum_structure():
     e = [A.basis_vector(i) for i in range(6)]
     assert not any(A.product(e[0], e[5]))
     assert A.product(e[1], e[2]) == e[2]
-    # the extra line is toral
-    assert tuple(A.pmap[5]) == e[5]
+    # the sum stores no p-map table: each Witt summand's e_0 is toral
+    # under the map derived from ad
+    assert A.pmap is None
+    L = RestrictedLie(direct_sum(witt(5), witt(5)))
+    assert L.is_toral(L.basis_vector(1)) and L.is_toral(L.basis_vector(6))
     with pytest.raises(ValueError):
         direct_sum(witt(5), witt(3))
 

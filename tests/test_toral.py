@@ -1,16 +1,20 @@
+import functools
 import random
 
 import pytest
 
 from gradeswitch.echelon import solve
 from gradeswitch.fields import GF
-from gradeswitch.galg import Subspace, direct_sum, truncated_poly, witt
+from gradeswitch.galg import GradedAlgebra, Subspace, direct_sum, \
+    truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
 from gradeswitch.switch import HypothesisError, SwitchResult
 from gradeswitch.toral import (
     RestrictedLie, ToralComparison, Torus, compare_switch_to_toral,
     root_decomposition, strade_map, switch_torus)
 from algebra_builders import torus_line
+from oracles import center, semilinear_pth_power, supports_commute, \
+    witt_pmap
 from refine_oracle import RefinedSwitch, refine_grading
 
 
@@ -21,7 +25,7 @@ def witt_lie(p):
 def test_restricted_lie_validation():
     L = witt_lie(5)
     assert L.dim == 5
-    assert L.center().dim == 0
+    assert center(L.algebra) == ()
     with pytest.raises(ValueError):
         RestrictedLie(truncated_poly(3, 3, 3))  # not a Lie bracket
 
@@ -34,12 +38,89 @@ def test_pth_power_rules():
     assert not any(L.pth_power(e[0]))      # e_{-1}^[p] = 0
     assert L.is_toral(e[1])
     assert not L.is_toral(e[0])
-    # a non-commuting support falls back to ad(t)^p == ad(t) on a
-    # centerless algebra
+    # a non-commuting support has no p-th power rule from the table, but
+    # the derived map needs none
     x = tuple(F.scalar(c) for c in (1, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        L.pth_power(x)
-    assert L.is_toral(x)  # e_0 + e_{-1} is toral: decided through ad
+    assert not supports_commute(L.algebra, x)
+    assert L.pth_power(x) == x
+    assert L.is_toral(x)  # e_0 + e_{-1} is toral
+    assert L.ad(x).p_power(1) == L.ad(x)
+
+
+def heisenberg(p):
+    """[e_0, e_1] = e_2 over GF(p), graded trivially: e_2 spans the
+    center."""
+    F = GF(p)
+    return GradedAlgebra(F, 1, [0, 0, 0], {(0, 1): [(2, 1)],
+                                            (1, 0): [(2, -1)]})
+
+
+def test_an_algebra_with_a_center_is_refused():
+    for A in (heisenberg(5), direct_sum(witt(5), torus_line(5, 5))):
+        assert center(A) != ()
+        with pytest.raises(ValueError, match="center is nontrivial"):
+            RestrictedLie(A)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_an_algebra_without_a_p_map_is_refused_naming_e0(p):
+    # [e_0, e_1] = e_1, [e_0, e_2] = e_1 + e_2 is centerless, and
+    # (ad e_0)^p is the identity on <e_1, e_2>, which no ad z is
+    F = GF(p)
+    A = GradedAlgebra(F, 1, [0, 0, 0], {
+        (0, 1): [(1, 1)], (1, 0): [(1, -1)],
+        (0, 2): [(1, 1), (2, 1)], (2, 0): [(1, -1), (2, -1)]})
+    assert center(A) == ()
+    with pytest.raises(ValueError, match=r"ad\(e_0\)\^p is not inner"):
+        RestrictedLie(A)
+
+
+# sums of Witt algebras, as the summands' sizes
+WITT_SUMS = [(2,), (3,), (5,), (7,), (11,), (13,), (5, 5), (7, 7),
+             (3, 3, 3)]
+
+
+def witt_sum(sizes):
+    return functools.reduce(direct_sum, map(witt, sizes))
+
+
+@pytest.mark.parametrize("sizes", WITT_SUMS,
+                         ids=["+".join("witt:%d" % p for p in s)
+                              for s in WITT_SUMS])
+def test_derived_p_map_is_the_old_table(sizes):
+    A = witt_sum(sizes)
+    L = RestrictedLie(A)
+    table = witt_pmap(A.field, sizes)
+    assert [L.pth_power(L.basis_vector(i)) for i in range(L.dim)] == table
+    # the table given as pmap is accepted; a wrong row is refused
+    RestrictedLie(GradedAlgebra(A.field, A.m, A.degrees, A.products, table))
+    bad = list(table)
+    bad[0] = L.basis_vector(0)
+    with pytest.raises(ValueError, match=r"ad\(e_0\)\^p differs"):
+        RestrictedLie(GradedAlgebra(A.field, A.m, A.degrees, A.products,
+                                    bad))
+
+
+@pytest.mark.parametrize("sizes,degree", [((5,), 1), ((5,), 2),
+                                          ((3, 3), 2), ((5, 5), 1)],
+                         ids=["witt:5", "witt:5-GF25", "witt:3+witt:3-GF9",
+                              "witt:5+witt:5"])
+def test_pth_power_is_semilinear_on_commuting_supports(sizes, degree):
+    # over GF(p^2) the coefficients' p-th powers are not the coefficients
+    A = witt_sum(sizes).change_field(GF(sizes[0], degree))
+    L = RestrictedLie(A)
+    F = L.field
+    table = witt_pmap(F, sizes)
+    rng = random.Random(53)
+    seen = 0
+    for _ in range(60):
+        slots = rng.sample(range(L.dim), rng.randint(1, 3))
+        x = tuple(F.random_element(rng) if i in slots else F.zero
+                  for i in range(L.dim))
+        if any(x) and supports_commute(A, x):
+            assert L.pth_power(x) == semilinear_pth_power(table, x)
+            seen += 1
+    assert seen >= 10
 
 
 def _toral_by_solve(lie, t):
@@ -72,21 +153,15 @@ def test_is_toral_matches_ad_recovery(algebra):
     rng = random.Random(31)
     while len(cases) < len(toral) + 9:
         t = tuple(F.random_element(rng) for _ in range(L.dim))
-        if not L.supports_commute(t):
+        if not supports_commute(algebra, t):
             cases.append((t, None))
     for t, want in cases:
-        with pytest.raises(ValueError):
-            L.pth_power(t)   # every case takes the centerless route
+        adt = L.ad(t)
+        assert L.ad(L.pth_power(t)) == adt.p_power(1)
         got = L.is_toral(t)
         assert got == _toral_by_solve(L, t)
+        assert got == (adt.p_power(1) == adt)
         assert want is None or got == want
-
-
-def test_is_toral_refuses_a_center():
-    L = RestrictedLie(direct_sum(witt(5), torus_line(5, 5)))
-    x = tuple(L.field.scalar(c) for c in (1, 1, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="center is nontrivial"):
-        L.is_toral(x)
 
 
 def test_torus_validation():

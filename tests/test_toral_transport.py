@@ -1,14 +1,16 @@
 """Transport (naturality) tests of torus replacement.
 
-A diagonal phi: e_i -> s_i e_i with s_i in F_p^* carries a restricted Lie
+An invertible phi that keeps every degree carries a restricted Lie
 algebra L to phi.L, with bracket [x, y]' = phi[phi^(-1) x, phi^(-1) y]
-and p-map x^[p]' = phi((phi^(-1) x)^[p]).  The p-map is p-semilinear, so
-its rows carry s_i^(-p) where the bracket carries s_i^(-1):
-e_i^[p]' = s_i^(-p) sum_k pmap[i][k] s_k e_k.  phi is an isomorphism of
-restricted Lie algebras, so compare_switch_to_toral on
-(phi.L, phi T, phi x) must give the same roots and r, root spaces, w and
-replacement torus mapped by phi, the switching map, its alpha and the
-operator-product form conjugated by phi, and both verdicts true."""
+on the same graded basis.  Only the bracket is carried: phi.L stores no
+p-map, and RestrictedLie derives its x^[p]' = phi((phi^(-1) x)^[p]) from
+ad, so phi is an isomorphism of restricted Lie algebras.
+compare_switch_to_toral on (phi.L, phi T, phi x) must then give the same
+roots and r, root spaces, w and replacement torus mapped by phi, the
+switching map, its alpha and the operator-product form conjugated by
+phi, and both verdicts true.  phi is diagonal (e_i -> s_i e_i, s_i in
+F_p^*), or a random mix of the two basis vectors of each degree of
+witt:5+witt:5."""
 
 import random
 
@@ -21,16 +23,13 @@ from gradeswitch.toral import RestrictedLie, compare_switch_to_toral, \
 from oracles import inverse
 
 
-def carried(A, s):
-    """phi.A for phi = diag(s): structure constants times
-    s_k / (s_i s_j), p-map rows times s_k / s_i^p."""
-    p, n = A.field.p, A.dim
-    inv = [x.inverse() for x in s]
-    prods = {(i, j): [(k, inv[i] * inv[j] * s[k] * a) for k, a in terms]
-             for (i, j), terms in A.products.items()}
-    pmap = [[inv[i] ** p * s[k] * A.pmap[i][k] for k in range(n)]
-            for i in range(n)]
-    return GradedAlgebra(A.field, A.m, A.degrees, prods, pmap)
+def carried(A, phi):
+    """phi.A: e_i e_j' = phi((phi^(-1) e_i) (phi^(-1) e_j)), for a phi
+    that keeps degrees."""
+    cols = [inverse(phi).column(i) for i in range(A.dim)]
+    prods = {(i, j): list(enumerate(phi.apply(A.product(u, v))))
+             for i, u in enumerate(cols) for j, v in enumerate(cols)}
+    return GradedAlgebra(A.field, A.m, A.degrees, prods)
 
 
 def on(torus, beta, gens):
@@ -62,12 +61,44 @@ def test_toral_switch_commutes_with_diagonal_rescaling(spec, torus, slot,
     s = [F.scalar(rng.randrange(1, F.p)) for _ in range(n)]
     phi = LinearMap(F, [[s[i] if i == j else F.zero for j in range(n)]
                         for i in range(n)])
-    lie = RestrictedLie(A)
+    check_transport(A, phi, torus, slot)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_toral_switch_commutes_with_a_graded_change_of_basis(seed):
+    # each degree of witt:5+witt:5 holds slots k and k + 5, and phi is a
+    # random invertible 2x2 block on each, not all of them diagonal
+    A = cli._parse_builtin("witt:5+witt:5")
+    F = A.field
+    rng = random.Random(seed)
+    rows = [[F.zero] * 10 for _ in range(10)]
+    while True:
+        blocks = [[[F.random_element(rng) for _ in range(2)]
+                   for _ in range(2)] for _ in range(5)]
+        if all(a * d - b * c for (a, b), (c, d) in blocks) and \
+                any(b or c for (_, b), (c, _) in blocks):
+            break
+    for k, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            for j, c in enumerate(row):
+                rows[k + 5 * i][k + 5 * j] = c
+    phi = LinearMap(F, rows)
+    assert all(A.degrees[i] == A.degrees[j]
+               for i in range(10) for j in range(10) if rows[i][j])
+    check_transport(A, phi, (1, 6), 0)
+
+
+def check_transport(A, phi, torus, slot):
+    F = A.field
+    lie, lie2 = RestrictedLie(A), RestrictedLie(carried(A, phi))
+    for i in range(A.dim):     # the derived p-maps correspond
+        e = lie.basis_vector(i)
+        assert lie2.pth_power(phi.apply(e)) == phi.apply(lie.pth_power(e))
     tvecs = [lie.basis_vector(i) for i in torus]
     x = lie.basis_vector(slot)
     want = compare_switch_to_toral(lie, tvecs, x)
-    got = compare_switch_to_toral(RestrictedLie(carried(A, s)),
-                                  [phi.apply(t) for t in tvecs], phi.apply(x))
+    got = compare_switch_to_toral(lie2, [phi.apply(t) for t in tvecs],
+                                  phi.apply(x))
 
     # every field stays GF(p) here, so phi needs no embedding
     assert got.strade_agrees and got.spaces_match
