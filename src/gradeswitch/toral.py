@@ -14,11 +14,9 @@ connecting map
 is that same operator written as one global polynomial in commuting maps.
 """
 
-import math
 from dataclasses import dataclass
 
 from .echelon import Echelon
-from .fields import GF, embed
 from .galg import Decomposition, Subspace, bracket_failure, \
     generalized_eigenspaces
 from .laguerre import descending_form
@@ -110,16 +108,16 @@ class RestrictedLie:
         """t^[p] == t."""
         return self.pth_power(t) == tuple(t)
 
-    def change_field(self, field):
-        return RestrictedLie(self.algebra.change_field(field))
-
 
 class Torus:
-    """Span of pairwise-commuting vectors with semisimple adjoints.
+    """Span of pairwise-commuting vectors with semisimple adjoints, over
+    the field of its algebra.
 
     eigen[i] is (F_i, Decomposition) for the adjoint of basis vector t_i:
-    its generalized eigenspaces over a field F_i where it splits.  ad t_i
-    is semisimple exactly when it acts on each of them as its eigenvalue.
+    its generalized eigenspaces over the field F_i where it splits.  ad t_i
+    is semisimple exactly when it acts on each of them as its eigenvalue,
+    so a semisimple torus that splits only over a larger F_i is accepted;
+    root_decomposition refuses it.
     """
 
     def __init__(self, lie, vectors):
@@ -140,17 +138,6 @@ class Torus:
                    for rho, space in dec for b in space.basis):
                 raise HypothesisError("torus adjoints are semisimple")
             self.eigen.append((big, dec))
-
-    def change_field(self, field):
-        """This torus over `field`, its eigenspaces carried along."""
-        out = object.__new__(Torus)
-        out.lie = self.lie.change_field(field)
-        out.subspace = self.subspace.map_field(field)
-        out.basis = out.subspace.basis
-        out.eigen = [(field, Decomposition(field, [
-            (embed(rho, field), space.map_field(field))
-            for rho, space in dec])) for _, dec in self.eigen]
-        return out
 
     @property
     def dim(self):
@@ -193,20 +180,22 @@ class Torus:
 
 
 def root_decomposition(torus):
-    """(lie', torus', Decomposition) over a field where every adjoint of
-    the torus basis splits; root labels are eigenvalue tuples.
+    """The Decomposition of the algebra into the torus's root spaces, over
+    torus.lie.field; root labels are eigenvalue tuples.
 
     The eigenspaces the torus holds for each ad t refine the parts by
-    intersection.  When some adjoint splits only over a larger field, the
-    algebra and the torus first move once, to the field of degree the lcm
-    of the splitting degrees.
+    intersection.  A torus with an adjoint that splits only over a larger
+    field is refused, naming that field: the caller builds the algebra
+    over a field containing every one named (GradedAlgebra.change_field)
+    and decomposes there.
     """
     lie = torus.lie
-    degree = math.lcm(*(big.n for big, _ in torus.eigen))
-    if degree != lie.field.n:
-        torus = torus.change_field(GF(lie.p, degree))
-        lie = torus.lie
     field = lie.field
+    wider = ["ad t_%d splits over %r" % (i, big)
+             for i, (big, _) in enumerate(torus.eigen) if big is not field]
+    if wider:
+        raise HypothesisError("torus adjoints split over %r" % field,
+                              "; ".join(wider))
     parts = [((), Subspace.full(field, lie.dim))]
     for _, eigen in torus.eigen:
         refined = []
@@ -219,7 +208,7 @@ def root_decomposition(torus):
     if sum(s.dim for _, s in parts) != lie.dim:
         raise VerificationError("root spaces do not fill the algebra")
     parts.sort(key=lambda e: [int(c) for c in e[0]])
-    return lie, torus, Decomposition(field, parts)
+    return Decomposition(field, parts)
 
 
 def switch_torus(lie, torus, x, r):
@@ -259,7 +248,6 @@ def strade_map(result):
 class ToralComparison:
     """Outcome of switching a torus along a root vector both ways."""
 
-    lie: object
     torus: object
     torus_x: object
     beta: object
@@ -277,14 +265,18 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     """Replace the torus along x and check the two descriptions of the new
     root spaces against each other.
 
-    Verifies: T_x is a torus (commuting, semisimple, toral generators);
-    the switching operator of D = ad x maps each old root space onto a
-    new one (equal multisets of subspaces); and the descending
-    operator-product form of the connecting map equals the switching
-    operator build_LD evaluates by Horner's rule, exactly.
+    Both tori stay over lie.field, and both must split there
+    (root_decomposition).  Verifies: T_x is a torus (commuting,
+    semisimple, toral generators); the switching operator of D = ad x
+    maps each old root space onto a new one (equal multisets of
+    subspaces, compared over the switch's field F', which contains
+    lie.field through the canonical embedding build_LD used for D); and
+    the descending operator-product form of the connecting map equals
+    the switching operator build_LD evaluates by Horner's rule, exactly.
     """
     _check_r(r)
-    lie, torus, old = root_decomposition(Torus(lie, torus_vectors))
+    torus = Torus(lie, torus_vectors)
+    old = root_decomposition(torus)
     if len(x) != lie.dim:
         raise ValueError("x has the wrong length")
     torus.nonzero_root(x)   # refused before the switch is built
@@ -293,22 +285,18 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     torus_x, beta, w = switch_torus(lie, torus, x, r)
     toral_x = all(lie.is_toral(t) for t in torus_x.basis)
 
-    lie2, _, new = root_decomposition(torus_x)
+    new = root_decomposition(torus_x)
 
-    d1, d2 = res.field_final.n, lie2.field.n
-    f_common = GF(lie.p, math.lcm(d1, d2))
+    strade_agrees = strade_map(res) == res.switch_map
 
-    emap = strade_map(res)
-    strade_agrees = emap == res.switch_map
-
-    lmap = res.switch_map.embed_to(f_common)
-    switched = [space.map_field(f_common).image(lmap) for _, space in old]
-    target = [s.map_field(f_common) for _, s in new]
+    big = res.field_final
+    switched = [s.map_field(big).image(res.switch_map) for _, s in old]
+    target = [s.map_field(big) for _, s in new]
     spaces_match = sorted(switched, key=_space_key) == \
         sorted(target, key=_space_key)
 
     out = ToralComparison(
-        lie=lie, torus=torus, torus_x=torus_x, beta=beta, w=w, r=r,
+        torus=torus, torus_x=torus_x, beta=beta, w=w, r=r,
         old_roots=old, new_roots=new, switch=res,
         strade_agrees=strade_agrees, spaces_match=spaces_match,
         torus_x_toral=toral_x)

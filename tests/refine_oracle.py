@@ -48,7 +48,8 @@ def refine_grading(lie, torus_vectors, x, r=None):
     over pairs.
     """
     _check_r(r)
-    lie, torus, dec = root_decomposition(Torus(lie, torus_vectors))
+    torus = Torus(lie, torus_vectors)
+    dec = root_decomposition(torus)
     field = lie.field
     beta = torus.nonzero_root(x)
 

@@ -36,6 +36,12 @@ REPORTS = [
      "52645855b360569b6332370a96d3aa15f891010db0efa72cc071f02dbede9f46"),
     (["toral", "--builtin", "witt:5+witt:5"],
      "cd04e2fddfce87f2b6acc1e6066ec72daceefaa368e9727655ae98c77ee4b3b8"),
+    (["toral", "--builtin", "witt:7", "--x", "e:2"],
+     "8e61661a1b92d5daec0051f6fc2fe873c5d62c62e241baf6617746070472c4d2"),
+    (["toral", "--builtin", "witt:5", "--x", "e:3", "--r", "5"],
+     "72dcbd6734eb2dbb30d1e86b90125592746969389d8ba844347c4f3e35baa579"),
+    (["toral", "--builtin", "witt:3+witt:3+witt:3"],
+     "f66e9b44fdcb8f063be27ee99e134fd5f73c3895cde62353f83143378134963f"),
 ]
 
 

@@ -222,8 +222,8 @@ def test_root_of():
 def test_root_decomposition_witt():
     L = witt_lie(5)
     F = L.field
-    L1, T1, dec = root_decomposition(Torus(L, [L.basis_vector(1)]))
-    assert L1.field is F  # already split
+    dec = root_decomposition(Torus(L, [L.basis_vector(1)]))
+    assert dec.field is F  # already split
     assert len(dec) == 5
     assert sorted(int(r[0]) for r, _ in dec) == [0, 1, 2, 3, 4]
     assert all(s.dim == 1 for _, s in dec)
@@ -258,11 +258,19 @@ ENLARGED = [
 @pytest.mark.parametrize("p,slots,modulus,spaces", ENLARGED,
                          ids=["witt5", "witt7"])
 def test_root_decomposition_enlarges_the_field(p, slots, modulus, spaces):
-    # e_{-1} + c e_1 has an adjoint that splits only over GF(p^2)
+    # e_{-1} + c e_1 has an adjoint that splits only over GF(p^2): over
+    # GF(p) the decomposition is refused, naming GF(p^2)
     L = witt_lie(p)
     t = tuple(L.field.scalar(slots.get(i, 0)) for i in range(p))
-    L2, T2, dec = root_decomposition(Torus(L, [t]))
-    assert L2.field is GF(p, 2) and L2.field.modulus == modulus
+    with pytest.raises(HypothesisError,
+                       match=r"split.*GF\(%d\^2\)" % p):
+        root_decomposition(Torus(L, [t]))
+    # over GF(p^2), built by the caller, it decomposes there
+    L2 = RestrictedLie(witt(p).change_field(GF(p, 2)))
+    t = tuple(L2.field.scalar(slots.get(i, 0)) for i in range(p))
+    T2 = Torus(L2, [t])
+    dec = root_decomposition(T2)
+    assert dec.field is GF(p, 2) and dec.field.modulus == modulus
     # the torus line is the root-0 space
     assert [[c.coeffs for c in b] for b in T2.basis] == [list(spaces[0][1])]
     got = [(tuple(c.coeffs for c in root), s.dim,
@@ -274,8 +282,7 @@ def test_switch_torus_witt5():
     L = witt_lie(5)
     F = L.field
     e0, em1 = L.basis_vector(1), L.basis_vector(0)
-    L1, T1, _ = root_decomposition(Torus(L, [e0]))
-    Tx, beta, w = switch_torus(L1, T1, em1, 1)
+    Tx, beta, w = switch_torus(L, Torus(L, [e0]), em1, 1)
     assert beta == (F.scalar(-1),)
     assert w == em1
     want = Subspace(F, 5, [tuple(a + b for a, b in zip(e0, em1))])
@@ -284,9 +291,9 @@ def test_switch_torus_witt5():
 
 def test_switch_torus_hypotheses():
     L = witt_lie(5)
-    L1, T1, _ = root_decomposition(Torus(L, [L.basis_vector(1)]))
+    T = Torus(L, [L.basis_vector(1)])
     with pytest.raises(HypothesisError):
-        switch_torus(L1, T1, L.basis_vector(1), 1)  # root 0
+        switch_torus(L, T, L.basis_vector(1), 1)  # root 0
 
 
 def test_compare_switch_to_toral_witt():
@@ -307,6 +314,20 @@ def test_compare_switch_to_toral_witt():
         assert strade_map(out.switch) == out.switch.switch_map
 
 
+@pytest.mark.parametrize("p,c", [(5, 2), (7, 1)])
+def test_a_torus_that_splits_only_over_a_larger_field_is_refused(p, c):
+    # e_{-1} + c e_1 splits only over GF(p^2); the comparison stays over
+    # the caller's GF(p) and refuses the torus, naming GF(p^2)
+    L = witt_lie(p)
+    e = [L.basis_vector(i) for i in range(p)]
+    t = tuple(a + c * b for a, b in zip(e[0], e[2]))
+    want = r"torus adjoints split over GF\(%d\) .*GF\(%d\^2\)" % (p, p)
+    with pytest.raises(HypothesisError, match=want):
+        compare_switch_to_toral(L, [t], e[0])
+    with pytest.raises(HypothesisError, match=want):
+        root_decomposition(Torus(L, [t]))
+
+
 def test_refine_grading_on_witt_sum():
     A2 = direct_sum(witt(5), witt(5))
     L2 = RestrictedLie(A2)
@@ -314,7 +335,7 @@ def test_refine_grading_on_witt_sum():
     t_a, t_b = L2.basis_vector(1), L2.basis_vector(6)
     x = L2.basis_vector(0)
 
-    _, _, dec = root_decomposition(Torus(L2, [t_a, t_b]))
+    dec = root_decomposition(Torus(L2, [t_a, t_b]))
     assert len(dec) == 9
     assert sorted(s.dim for _, s in dec) == [1] * 8 + [2]
     assert dec.find((F5.zero, F5.zero)).dim == 2
