@@ -10,7 +10,9 @@ made (smallest root, smallest modulus, smallest Artin-Schreier solution).
 
 Default moduli come from a deterministic search for the monic irreducible
 polynomial of the required degree with the smallest encoding, so the same
-field is reconstructed in every run without a Conway table.
+field is reconstructed in every run without a Conway table.  Each
+candidate goes through Ben-Or's test, whose coprimality check is the
+extended Euclidean algorithm finding no inverse.
 
 A small field (q <= 2^16) builds discrete-log tables when it is
 constructed: exp[k] = g^k for a multiplicative generator g, its inverse
@@ -19,9 +21,10 @@ then exp[log a + log b], a sum exp[la + zech[lb - la]], and a negation
 exp[la + (q-1)/2] for odd p (the identity for p = 2); a difference
 a - b is the sum a + (-b), at every field size.  Every result is the
 table's own element, or the field's ``zero``, and so are int scalars.
-Larger fields fall back to coefficient-wise sums and plain polynomial
-products, and invert by the extended Euclidean algorithm against the
-modulus.
+Larger fields fall back to coefficient-wise sums and products modulo the
+modulus, and invert by the extended Euclidean algorithm against it: the
+same product and the same Euclid on int tuples that search the moduli
+and build the tables.
 Dot products of whole vectors run on packed ints instead
 (:meth:`FqField.dot_kernel`), whole rows of dot products at once on wide
 ints (:meth:`FqField.row_kernel`), and so do sums of products of truncated
@@ -68,9 +71,10 @@ def _prime_factors(m):
 
 
 # ---------------------------------------------------------------------------
-# small helpers on F_p[T] with plain int coefficients (little-endian tuples,
-# no trailing zeros); used to search and validate moduli and to invert
-# elements of fields above the log/exp table cap.
+# F_p[T] on plain int tuples, little-endian: one product modulo a monic
+# polynomial and one extended Euclidean algorithm.  They search and validate
+# moduli, build the log/exp tables, and multiply and invert elements of
+# fields above the table cap.
 
 def _digits(enc, p, n):
     """The n base-p digits of enc, lowest first."""
@@ -81,73 +85,60 @@ def _digits(enc, p, n):
     return tuple(out)
 
 
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a, b, p, red):
+    """a b mod f in F_p[T] for coefficient tuples a, b of length n, with
+    red = _reduction_rows(p, f, n - 1), the rows T^(n+k) mod f of a monic
+    f of degree n; the result has length n."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                if bj:
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(2 * n - 2, n - 1, -1):
+        ck = prod[k]
+        if ck:
+            row = red[k - n]
+            for j in range(n):
+                rj = row[j]
+                if rj:
+                    prod[j] = (prod[j] + ck * rj) % p
+    return tuple(prod[:n])
 
 
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm):
-                a[off + j] = (a[off + j] - c * m[j]) % p
-        a.pop()
-    return _trim(a)
+def _inverse_mod(a, m, p):
+    """The s with a s = 1 mod m in F_p[T], as a tuple of n coefficients,
+    for a monic m of degree n >= 1 and an a of degree < n given by at most
+    n coefficients; None when gcd(a, m) != 1 (a = 0 included).
 
-
-def _pgcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _pinverse(a, m, p):
-    """a^(-1) mod m in F_p[T] for a nonzero a of lower degree than an
-    irreducible m, by the extended Euclidean algorithm: each step divides
-    r_(i-1) by r_i with quotient q and keeps s_(i+1) = s_(i-1) - q s_i,
-    so that s_i a = r_i mod m, until r_i is a constant."""
-    r0, r1, s0, s1 = m, _trim(a), (), (1,)
-    while len(r1) > 1:
-        inv = pow(r1[-1], p - 2, p)
+    The extended Euclidean algorithm: each step divides r_(i-1) by r_i
+    with quotient q and keeps s_(i+1) = s_(i-1) - q s_i, so that
+    s_i a = r_i mod m, until r_i is a constant or zero.  s_i has degree
+    n - deg r_(i-1) < n, so subtracting c T^k s_i touches only the
+    w = n - deg r_(i-1) + 1 coefficients of s_(i-1) from k on."""
+    n = len(m) - 1
+    r0, r1 = list(m), list(a)
+    s0, s1 = [0] * n, [1] + [0] * (n - 1)
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
         d = len(r1) - 1
-        r, q = list(r0), [0] * (len(r0) - d)
-        for k in reversed(range(len(q))):
-            c = q[k] = r[k + d] * inv % p
-            for j, x in enumerate(r1):
-                r[k + j] = (r[k + j] - c * x) % p
-        r0, r1 = r1, _trim(r)
-        s0, s1 = s1, _psub(s0, _pmul(tuple(q), s1, p), p)
+        if d < 1:
+            break
+        inv = pow(r1[-1], p - 2, p)
+        w = n - len(r0) + 2
+        for k in reversed(range(len(r0) - d)):
+            c = r0[k + d] * inv % p
+            if c:
+                r0[k:k + d + 1] = [(y - c * x) % p
+                                   for x, y in zip(r1, r0[k:k + d + 1])]
+                s0[k:k + w] = [(y - c * x) % p
+                               for x, y in zip(s1, s0[k:k + w])]
+        del r0[d:]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        return None
     inv = pow(r1[0], p - 2, p)
     return tuple(c * inv % p for c in s1)
 
@@ -174,25 +165,22 @@ def power(x, e, one, mul=operator.mul):
     return result
 
 
-def _ppowmod(a, e, m, p):
-    return power(_pmod(a, m, p), e, (1,),
-                 lambda b, c: _pmod(_pmul(b, c, p), m, p))
-
-
 def _is_irreducible(f, p):
     """Ben-Or's test of a monic f of degree n over F_p: f is irreducible
     exactly when gcd(T^(p^k) - T, f) = 1 for every k <= n/2, since a
     reducible f has a factor of some degree k <= n/2, which divides
-    T^(p^k) - T.  Most candidates have a small factor, so the search of
-    the default modulus rejects them after a few Frobenius steps."""
+    T^(p^k) - T.  The gcd is 1 exactly when T^(p^k) - T has an inverse
+    mod f.  Most candidates have a small factor, so the search of the
+    default modulus rejects them after a few Frobenius steps."""
     n = len(f) - 1
     if n < 1:
         return False
-    x = (0, 1)
-    h = x
+    mul = functools.partial(_mulmod, p=p, red=_reduction_rows(p, f, n - 1))
+    h = (0, 1) + (0,) * (n - 2)
     for _ in range(n // 2):
-        h = _ppowmod(h, p, f, p)  # T^(p^k) mod f
-        if len(_pgcd(_psub(h, x, p), f, p)) != 1:
+        h = power(h, p, None, mul)  # T^(p^k) mod f
+        h_minus_t = (h[0], (h[1] - 1) % p) + h[2:]
+        if _inverse_mod(h_minus_t, f, p) is None:
             return False
     return True
 
@@ -320,7 +308,7 @@ class FqElement:
         a, b = self.coeffs, o.coeffs
         if not any(a) or not any(b):
             return fld.zero
-        return FqElement(fld, fld._raw_mul(a, b))
+        return FqElement(fld, _mulmod(a, b, fld.p, fld._red))
 
     __rmul__ = __mul__
 
@@ -346,8 +334,7 @@ class FqElement:
             raise ZeroDivisionError("0 is not invertible")
         if fld._log is not None:
             return fld._exp[(-fld._log[self.coeffs]) % (fld.q - 1)]
-        inv = _pinverse(self.coeffs, fld.modulus, fld.p)
-        return FqElement(fld, inv + (0,) * (fld.n - len(inv)))
+        return FqElement(fld, _inverse_mod(self.coeffs, fld.modulus, fld.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -474,26 +461,6 @@ class FqField:
     def random_element(self, rng):
         return self.from_int(rng.randrange(self.q))
 
-    # -- internal multiplication ----------------------------------------------
-
-    def _raw_mul(self, a, b):
-        p, n = self.p, self.n
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(2 * n - 2, n - 1, -1):
-            ck = prod[k]
-            if ck:
-                red = self._red[k - n]
-                for j in range(n):
-                    rj = red[j]
-                    if rj:
-                        prod[j] = (prod[j] + ck * rj) % p
-        return tuple(prod[:n])
-
     def dot_kernel(self, length, factors=2):
         """(pack, unpack, bits) for sums of `length` products on ints.
 
@@ -536,9 +503,10 @@ class FqField:
     def _find_generator(self):
         factors = list(_prime_factors(self.q - 1))
         one = self.one.coeffs
+        mul = functools.partial(_mulmod, p=self.p, red=self._red)
         for enc in range(1, self.q):
             cand = self.from_int(enc).coeffs
-            if all(power(cand, (self.q - 1) // l, None, self._raw_mul) != one
+            if all(power(cand, (self.q - 1) // l, None, mul) != one
                    for l in factors):
                 return cand
         raise AssertionError("no multiplicative generator found")  # unreachable
@@ -551,7 +519,7 @@ class FqField:
         # each slot at most n (p-1)^2
         width, digits = _slots((n * (p - 1) ** 2).bit_length(), n)
         slots = range(0, n * width, width)
-        rows = [sum(map(operator.lshift, self._raw_mul(e, g), slots))
+        rows = [sum(map(operator.lshift, _mulmod(e, g, p, self._red), slots))
                 for e in ((0,) * i + (1,) + (0,) * (n - 1 - i)
                           for i in range(n))]
         mul, reduce = operator.mul, p.__rmod__

@@ -98,6 +98,18 @@ def test_p_cap_enforced_on_json_input(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_a_reducible_modulus_in_json_input_is_refused(tmp_path, capsys):
+    # T^4 + T^2 + 1 = (T^2 + T + 1)^2 over F_2
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({
+        "algebra": {"p": 2, "field_degree": 4, "modulus": [1, 0, 1, 0, 1],
+                    "dim": 1, "m": 1, "deg": [0], "sc": []},
+        "derivation": [[0]]}))
+    code, out, err = run(capsys, "switch", "--input", str(path))
+    assert (code, out, err) == (
+        2, "", "configuration error: modulus is not irreducible over F_2\n")
+
+
 MERSENNE_61 = str(2 ** 61 - 1)   # prime; trial division takes minutes
 
 

@@ -79,6 +79,70 @@ def test_inverse_above_table_cap_matches_power(p, n):
         F.zero.inverse()
 
 
+@pytest.mark.parametrize("p, n, budget", [(2, 64, 0.02), (5, 60, 0.05)],
+                         ids=["GF(2^64)", "GF(5^60)"])
+def test_inverse_at_the_degree_cap_matches_power(p, n, budget):
+    """Characteristic 2 over a large field and a degree near the cap: each
+    inverse equals x^(q-2), within `budget` seconds an element."""
+    F = GF(p, n)
+    rng = random.Random(p * n)
+    xs = [F.gen, -F.one] + [F.random_element(rng) for _ in range(4)]
+    with time_limit(budget * len(xs)):
+        inverses = [x.inverse() for x in xs]
+    for x, inv in zip(xs, inverses):
+        assert inv == fields.power(x, F.q - 2, F.one)
+        assert x * inv == F.one
+
+
+def small_pairs(p, top):
+    """Every (a, m) with m monic of degree 1..top over F_p and a of lower
+    degree, zero included, as coefficient tuples."""
+    for d in range(1, top + 1):
+        for m in monic_polynomials(p, d):
+            for enc in range(p ** d):
+                yield fields._digits(enc, p, d), m
+
+
+def drawn_pairs(p, seed, count, top=8):
+    """`count` seeded pairs (a, m) as in small_pairs, m of degree up to
+    `top`; in every third pair both a and m get a root c by their constant
+    terms, so they share the factor T - c."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d = rng.randrange(1, top + 1)
+        a = [rng.randrange(p) for _ in range(d)]
+        m = [rng.randrange(p) for _ in range(d)] + [1]
+        if i % 3 == 0:
+            c = rng.randrange(p)
+            for f in (a, m):
+                f[0] = -sum(x * c ** k for k, x in enumerate(f) if k) % p
+        yield tuple(a), tuple(m)
+
+
+@pytest.mark.parametrize("p, pairs", [
+    (2, lambda: small_pairs(2, 4)),
+    (3, lambda: small_pairs(3, 4)),
+    (5, lambda: drawn_pairs(5, 0, 400)),
+    (13, lambda: drawn_pairs(13, 1, 400)),
+], ids=["GF(2)", "GF(3)", "GF(5)", "GF(13)"])
+def test_inverse_mod_answers_none_exactly_on_a_common_factor(p, pairs):
+    """_inverse_mod(a, m) is None iff gcd(a, m) has positive degree, for m
+    irreducible or not; otherwise a s = 1 mod m, by Polynomial arithmetic."""
+    F = GF(p)
+    coprime = shared = 0
+    for a, m in pairs():
+        s = fields._inverse_mod(a, m, p)
+        pa, pm = Polynomial(F, a), Polynomial(F, m)
+        if pm.gcd(pa).degree() != 0:
+            assert s is None, (a, m)
+            shared += 1
+        else:
+            assert len(s) == len(m) - 1, (a, m)
+            assert (pa * Polynomial(F, s)) % pm == Polynomial(F, [1]), (a, m)
+            coprime += 1
+    assert coprime and shared
+
+
 def test_power_refuses_negative_exponents():
     F = GF(5, 2)
     x = F.gen
@@ -101,6 +165,17 @@ def test_gf_rejects_bad_arguments():
         GF(3, 0)
     with pytest.raises(ValueError):
         GF(3, 2, (1, 1, 1))  # T^2 + T + 1 has the root 1 over F_3
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, [1, 0, 1, 0, 1]),   # (T^2 + T + 1)^2: only the gcd sees the square
+    (3, [2, 0, 1]),         # (T - 1)(T + 1)
+    (5, [4, 0, 4, 0, 1]),   # (T^2 + 2)^2
+], ids=["GF(2)", "GF(3)", "GF(5)"])
+def test_gf_refuses_a_reducible_modulus(p, modulus):
+    with pytest.raises(ValueError,
+                       match="modulus is not irreducible over F_%d$" % p):
+        GF(p, len(modulus) - 1, modulus=modulus)
 
 
 def test_canonical_moduli():
@@ -136,20 +211,18 @@ def test_default_modulus_searched_once(monkeypatch):
 
 
 def rabin_is_irreducible(f, p):
-    """Rabin's test, the oracle for Ben-Or's: a monic f of degree n >= 1
-    is irreducible iff T^(p^n) = T mod f and T^(p^(n/l)) - T is coprime
-    to f for every prime l | n."""
+    """Rabin's test, the oracle for Ben-Or's, on Polynomial over GF(p): a
+    monic f of degree n >= 1 is irreducible iff T^(p^n) = T mod f and
+    T^(p^(n/l)) - T is coprime to f for every prime l | n."""
     n = len(f) - 1
     if n < 1:
         return False
-    x = (0, 1)
-    if fields._ppowmod(x, p ** n, f, p) != fields._pmod(x, f, p):
+    m = Polynomial(GF(p), f)
+    t = Polynomial.variable(GF(p))
+    if t.pow_mod(p ** n, m) != t % m:
         return False
-    for l in fields._prime_factors(n):
-        h = fields._ppowmod(x, p ** (n // l), f, p)
-        if len(fields._pgcd(fields._psub(h, x, p), f, p)) != 1:
-            return False
-    return True
+    return all(m.gcd(t.pow_mod(p ** (n // l), m) - t).degree() == 0
+               for l in fields._prime_factors(n))
 
 
 def monic_polynomials(p, n):
