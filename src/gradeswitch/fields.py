@@ -171,14 +171,25 @@ def _is_irreducible(f, p):
     reducible f has a factor of some degree k <= n/2, which divides
     T^(p^k) - T.  The gcd is 1 exactly when T^(p^k) - T has an inverse
     mod f.  Most candidates have a small factor, so the search of the
-    default modulus rejects them after a few Frobenius steps."""
+    default modulus rejects them after a few Frobenius steps.  A zero
+    constant term (T divides f) refuses f before any arithmetic, T^p is a
+    monomial when p < n, and the reduction rows of f are built only when
+    a Frobenius step first needs them."""
     n = len(f) - 1
     if n < 1:
         return False
-    mul = functools.partial(_mulmod, p=p, red=_reduction_rows(p, f, n - 1))
+    if n > 1 and not f[0]:
+        return False
+    mul = None
     h = (0, 1) + (0,) * (n - 2)
-    for _ in range(n // 2):
-        h = power(h, p, None, mul)  # T^(p^k) mod f
+    for k in range(n // 2):
+        if k == 0 and p < n:
+            h = (0,) * p + (1,) + (0,) * (n - 1 - p)    # T^p, reduced
+        else:
+            if mul is None:
+                mul = functools.partial(_mulmod, p=p,
+                                        red=_reduction_rows(p, f, n - 1))
+            h = power(h, p, None, mul)  # T^(p^(k+1)) mod f
         h_minus_t = (h[0], (h[1] - 1) % p) + h[2:]
         if _inverse_mod(h_minus_t, f, p) is None:
             return False
@@ -311,6 +322,10 @@ class FqElement:
         return FqElement(fld, _mulmod(a, b, fld.p, fld._red))
 
     __rmul__ = __mul__
+
+    def mul_add(self, x, c, s):
+        """self x + c s: the Horner step of the ring protocol."""
+        return self * x + c * s
 
     def __pow__(self, e):
         if not isinstance(e, int):

@@ -32,11 +32,14 @@ class LinearMap(RingElement):
     A B is then one sum of n products of A's packed entries with B's wide
     rows, A v one sum of n products of v's packed entries with A's wide
     columns, row i of A + B the sum of the two wide rows, and each is
-    reduced to field elements in one pass over the whole row.
+    reduced to field elements in one pass over the whole row.  The kernel
+    is sized for n + 1 products, so that the fused step A.mul_add(B, C, s)
+    = A B + s C adds s times C's wide row i to row i of A B before that
+    one pass.
     """
 
     __slots__ = ("field", "n", "rows", "_prows", "_wrows", "_wcols",
-                 "_chain")
+                 "_chain", "_minpoly")
 
     def __init__(self, field, rows):
         rs = tuple(tuple(_as_field_elt(field, x) for x in row) for row in rows)
@@ -47,6 +50,7 @@ class LinearMap(RingElement):
         self.n = n
         self.rows = rs
         self._prows = self._wrows = self._wcols = self._chain = None
+        self._minpoly = None
 
     @classmethod
     def _trusted(cls, field, rows):
@@ -57,6 +61,7 @@ class LinearMap(RingElement):
         M.n = len(rows)
         M.rows = rows
         M._prows = M._wrows = M._wcols = M._chain = None
+        M._minpoly = None
         return M
 
     @classmethod
@@ -85,7 +90,7 @@ class LinearMap(RingElement):
         return None
 
     def _kernel(self):
-        return self.field.row_kernel(self.n, self.n)
+        return self.field.row_kernel(self.n + 1, self.n)
 
     def _packed_rows(self):
         if self._prows is None:
@@ -151,6 +156,23 @@ class LinearMap(RingElement):
             return NotImplemented
         return self * s
 
+    def mul_add(self, x, c, s):
+        """self x + c s in one pass over each row when x and c are maps
+        and s a scalar: row i is the sum of n products of this map's
+        packed entries with x's wide rows plus packed s times c's wide
+        row i, unpacked once.  A scalar x or c takes the plain form."""
+        if not (isinstance(x, LinearMap) and isinstance(c, LinearMap)):
+            return self * x + c * s
+        self._same_space(x)
+        self._same_space(c)
+        pack, _, unpack, _ = self._kernel()
+        ps = pack(_as_field_elt(self.field, s).coeffs)
+        wide = x._wide_rows()
+        mul = operator.mul
+        return LinearMap._trusted(self.field, tuple([
+            unpack(sum(map(mul, row, wide)) + ps * crow)
+            for row, crow in zip(self._packed_rows(), c._wide_rows())]))
+
     def p_power(self, k):
         """M^(p^k), from the chain M^p, M^(p^2), ... this map keeps: each
         power is formed once, and a repeated call returns the same
@@ -178,7 +200,9 @@ class LinearMap(RingElement):
 
     def minimal_polynomial(self):
         """Least monic f with f(M) = 0: one Krylov sequence, refined by
-        f(M) until it vanishes or deg f reaches n.
+        f(M) until it vanishes or deg f reaches n.  The map keeps f beside
+        its p-power chain (it is immutable), so a repeated call on the
+        same object returns the same polynomial and forms nothing.
 
         f starts as the local minimal polynomial of the all-ones vector
         (the least monic f with f(M) v = 0).  While F = f(M) is nonzero,
@@ -190,6 +214,8 @@ class LinearMap(RingElement):
         M's minimal polynomial divides its characteristic one
         (Cayley-Hamilton), and then f(M) is never formed; or F = 0.
         """
+        if self._minpoly is not None:
+            return self._minpoly
         zero = self.field.zero
         f = self._local_minimal_polynomial((self.field.one,) * self.n)
         while f.degree() < self.n:
@@ -198,6 +224,7 @@ class LinearMap(RingElement):
             if u is None:
                 break
             f = f * self._local_minimal_polynomial(u)
+        self._minpoly = f
         return f
 
     def _local_minimal_polynomial(self, v):
@@ -349,13 +376,30 @@ class Decomposition:
 def generalized_eigenspaces(D):
     """(F', Decomposition) after enlarging to a splitting field F' of the
     minimal polynomial; entries are (eigenvalue, generalized eigenspace)
-    sorted by eigenvalue encoding, components verified to fill the space."""
+    sorted by eigenvalue encoding, components verified to fill the space.
+
+    The rho-eigenspace is the kernel of D^(p^k) - rho^(p^k), which is
+    (D - rho)^(p^k) in characteristic p, for the least k with p^k at
+    least the multiplicity of rho in D's minimal polynomial: past that
+    multiplicity the kernels of the powers of D - rho stop growing.
+    D^(p^k) comes from D's own p-power chain, over D's field, and is
+    embedded into F' once per k.  A simple root takes k = 0, and the
+    largest k is the least r with D^(p^r) semisimple, so after
+    switch.semisimple_exponent(D) the chain and the minimal polynomial
+    are formed already.
+    """
     f = D.minimal_polynomial()
     big, roots = roots_in_splitting_field(f)
-    D2 = D.embed_to(big)
+    p = big.p
+    powers = {}     # k -> D^(p^k) over big
     entries = []
     for rho, mult in roots:
-        nmap = (D2 - rho) ** mult
+        k = 0
+        while p ** k < mult:
+            k += 1
+        if k not in powers:
+            powers[k] = D.p_power(k).embed_to(big)
+        nmap = powers[k] - rho ** (p ** k)
         entries.append((rho, Subspace(big, D.n, kernel(nmap))))
     dec = Decomposition(big, entries)
     if dec.total_dim != D.n:

@@ -70,18 +70,12 @@ def _check_p(p, field):
                          % (field.p, p))
 
 
-def laguerre_coeffs(p, alpha, n=None):
-    """The X^k coefficients (k = 0..n) of L_n^(alpha)(X), in alpha's ring.
-
-    The X^k coefficient is binom(alpha + n, n - k) (-1)^k / k!.  The
-    falling factorials (alpha + n) (alpha + n - 1) ... (alpha + k + 1)
-    are built once, one ring product each, so the whole list costs n - 1
-    ring products (none for n = 0) and n + 1 scalar multiplies by the
-    field's cached (-1)^k / (k! (n - k)!).  alpha may be a field
-    element or any ring value that mixes with field scalars: a Polynomial
-    or MultiPoly (symbolic alpha), a BiTruncSeries or a LinearMap
-    (operator alpha).
-    """
+def _falling_factorials(p, alpha, n):
+    """(field, n, F) for L_n^(alpha), n defaulting to p - 1: F[m] is the
+    falling factorial (alpha + n) (alpha + n - 1) ... (alpha + n - m + 1)
+    for m = 0..n, in alpha's ring, the X^k coefficient of L_n^(alpha)(X)
+    being F[n - k] times _laguerre_scalars(field, n)[k].  The list costs
+    n - 1 ring products (none for n = 0)."""
     field = getattr(alpha, "field", None)
     if field is None:
         raise TypeError("cannot infer a base field from %r" % (alpha,))
@@ -91,9 +85,24 @@ def laguerre_coeffs(p, alpha, n=None):
     if not 0 <= n < p:
         raise ValueError("degree must satisfy 0 <= n < p")
     t = alpha + n
-    falling = [t ** 0, t]       # falling[m] = t (t-1) ... (t-m+1)
+    falling = [t ** 0, t]
     for i in range(1, n):
         falling.append(falling[-1] * (t - i))
+    return field, n, falling
+
+
+def laguerre_coeffs(p, alpha, n=None):
+    """The X^k coefficients (k = 0..n) of L_n^(alpha)(X), in alpha's ring.
+
+    The X^k coefficient is binom(alpha + n, n - k) (-1)^k / k!: the
+    falling factorial (alpha + n) (alpha + n - 1) ... (alpha + k + 1) of
+    :func:`_falling_factorials` (n - 1 ring products for the whole list)
+    times the field's cached (-1)^k / (k! (n - k)!), n + 1 scalar
+    multiplies.  alpha may be a field element or any ring value that
+    mixes with field scalars: a Polynomial or MultiPoly (symbolic alpha),
+    a BiTruncSeries or a LinearMap (operator alpha).
+    """
+    field, n, falling = _falling_factorials(p, alpha, n)
     return tuple(map(operator.mul, falling[n::-1],
                      _laguerre_scalars(field, n)))
 
@@ -108,16 +117,22 @@ def laguerre_at(p, alpha, n=None):
 def laguerre_value(p, alpha, x, n=None):
     """L_n^(alpha)(x) for commuting ring values alpha and x.
 
-    Horner's rule in x over :func:`laguerre_coeffs`, so n ring products
-    beyond the coefficients.  alpha and x may be field elements, Polynomials,
+    Horner's rule in x over the falling factorials F_m of alpha + n
+    (:func:`_falling_factorials`) and the cached scalars s_k of
+    :func:`_laguerre_scalars`: each step is acc.mul_add(x, F_(n-k), s_k)
+    = acc x + s_k F_(n-k), which a LinearMap makes in one pass over its
+    rows and every other ring value as a product, a scalar multiple and
+    a sum.  So n ring products beyond the n - 1 of the falling
+    factorials.  alpha and x may be field elements, Polynomials,
     MultiPolys over one variable tuple, BiTruncSeries or LinearMaps (x may
     also be an operator with alpha a field scalar); for n = 0 the value is
     the one of alpha's ring.
     """
-    coeffs = laguerre_coeffs(p, alpha, n)
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+    field, n, falling = _falling_factorials(p, alpha, n)
+    scalars = _laguerre_scalars(field, n)
+    acc = falling[0] * scalars[n]
+    for k in range(n - 1, -1, -1):
+        acc = acc.mul_add(x, falling[n - k], scalars[k])
     return acc
 
 

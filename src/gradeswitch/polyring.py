@@ -20,7 +20,8 @@ arithmetic below the log/exp table cap returns too, or a quotient ring's
 Every flavour, quotient elements and :class:`gradeswitch.galg.LinearMap`
 included, derives from :class:`RingElement`.  A subclass writes ``+``,
 unary ``-``, ``*`` and ``one()``; the base derives reflected ``+``, both
-subtractions and ``** k`` from them.
+subtractions, ``** k`` and the Horner step ``a.mul_add(x, c, s)`` =
+``a x + c s`` from them, and a LinearMap fuses that step into one pass.
 """
 
 import functools
@@ -39,8 +40,9 @@ class NonInvertibleError(ValueError):
 
 class RingElement:
     """The ring protocol written once, on a subclass's own ``__add__``,
-    ``__neg__`` and ``one()``: ``k + a``, ``a - b``, ``k - a`` and
-    ``a ** e`` for an int e >= 0 (``a ** 0`` is ``a.one()``).  Operands
+    ``__neg__``, ``__mul__`` and ``one()``: ``k + a``, ``a - b``,
+    ``k - a``, ``a ** e`` for an int e >= 0 (``a ** 0`` is ``a.one()``)
+    and the Horner step ``a.mul_add(x, c, s)`` = ``a x + c s``.  Operands
     that ``__add__`` refuses stay refused (NotImplemented)."""
 
     __slots__ = ()
@@ -58,6 +60,9 @@ class RingElement:
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         return power(self, e, None) if e else self.one()
+
+    def mul_add(self, x, c, s):
+        return self * x + c * s
 
 
 def _row_kernel(field, length, count):

@@ -1,13 +1,15 @@
 """Reference routines that only the tests call: the inverse of a linear
 map, its matrix on an invariant subspace, a map from its columns, a
 MultiPoly's value at a scalar point, the check that a p-power relation
-holds at D, and the p-map tables and p-th power rule that the Witt
-builders once stored.  The package has no caller for them, so they live
-here, next to the tests that use them."""
+holds at D, the p-map tables and p-th power rule that the Witt builders
+once stored, and the generalized eigenspaces as kernels of the powers
+(D - rho)^mult that the package once formed.  The package has no caller
+for them, so they live here, next to the tests that use them."""
 
+from gradeswitch import galg
 from gradeswitch.echelon import Echelon, kernel
-from gradeswitch.fields import _as_field_elt
-from gradeswitch.galg import LinearMap
+from gradeswitch.fields import _as_field_elt, roots_in_splitting_field
+from gradeswitch.galg import Decomposition, LinearMap, Subspace
 from gradeswitch.switch import PPolynomial
 
 
@@ -108,3 +110,16 @@ def center(A):
     rows = [row for i in range(A.dim)
             for row in A.left_multiplication(A.basis_vector(i)).rows]
     return kernel(rows, A.dim, A.field)
+
+
+def eigenspaces_by_powers(D):
+    """(F', Decomposition) as :func:`gradeswitch.galg.generalized_eigenspaces`
+    once found them: D embedded into the splitting field F' of its
+    minimal polynomial, and the rho-eigenspace the kernel of
+    (D - rho)^mult, mult the multiplicity of rho there, by
+    square-and-multiply."""
+    big, roots = roots_in_splitting_field(D.minimal_polynomial())
+    D2 = D.embed_to(big)
+    return big, Decomposition(big, [
+        (rho, Subspace(big, D.n, galg.kernel((D2 - rho) ** mult)))
+        for rho, mult in roots])

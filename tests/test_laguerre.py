@@ -139,20 +139,28 @@ def test_identity_suite_builds_each_value_once(p, monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_shared_values_still_catch_a_wrong_coefficient(p, monkeypatch):
     """One coefficient of L_{p-1} off by one, at any position, fails at
-    least one identity of check_all_identities."""
-    original = laguerre.laguerre_coeffs
+    least one identity of check_all_identities.  The X^k coefficient is
+    F[n - k] s_k, with F the falling factorials that laguerre_coeffs and
+    laguerre_value share and s_k = _laguerre_scalars(field, n)[k], so
+    adding 1/s_k to F[n - k] adds 1 to it."""
+    original = laguerre._falling_factorials
+    clean = laguerre_coeffs(p, GF(p).zero)
     for k in range(p):
-        def off_by_one(p_, alpha, n=None, k=k):
-            coeffs = original(p_, alpha, n)
-            if n in (None, p_ - 1):
-                coeffs = coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:]
-            return coeffs
+        def off_by_one(p_, alpha, n, k=k):
+            field, n, falling = original(p_, alpha, n)
+            if n == p_ - 1:
+                falling = list(falling)
+                falling[n - k] = falling[n - k] + laguerre._laguerre_scalars(
+                    field, n)[k].inverse()
+            return field, n, falling
 
-        monkeypatch.setattr(laguerre, "laguerre_coeffs", off_by_one)
+        monkeypatch.setattr(laguerre, "_falling_factorials", off_by_one)
+        assert laguerre_coeffs(p, GF(p).zero) == \
+            clean[:k] + (clean[k] + 1,) + clean[k + 1:]
         failed = [rep.name for rep in check_all_identities(p)
                   if not rep.passed]
         assert failed, k
-    monkeypatch.setattr(laguerre, "laguerre_coeffs", original)
+    monkeypatch.setattr(laguerre, "_falling_factorials", original)
     assert all(rep.passed for rep in check_all_identities(p))
 
 

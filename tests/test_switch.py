@@ -524,26 +524,61 @@ def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
     assert res.alpha ** 5 - res.alpha == res.derivation ** 5
 
 
-def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
-    # D^5, ..., D^(5^17) are formed once, on D's own p-power chain over the
-    # start field: p_power_relation walks it, and alpha = (g - h)(D) and
-    # the law alpha^5 - alpha = D^5 embed its terms.  Walking h(D) along a
-    # second chain and forming D^(5^16) again for a check of g(D) made 250
-    # products, forming D^5 once more for the law 160, and a second chain
-    # from D^5 to D^(5^16) over the enlarged field for alpha 157
-    real = LinearMap.__mul__
+def count_map_products(monkeypatch):
+    """A one-entry list that counts the map products formed from now on:
+    LinearMap.__mul__ of two maps, and each fused step LinearMap.mul_add
+    of maps (whose plain fallback reaches __mul__ and counts there)."""
+    real, real_fused = LinearMap.__mul__, LinearMap.mul_add
     products = [0]
 
     def counting(self, other):
         if isinstance(other, LinearMap):
             products[0] += 1
         return real(self, other)
+
+    def counting_fused(self, x, c, s):
+        if isinstance(x, LinearMap) and isinstance(c, LinearMap):
+            products[0] += 1
+        return real_fused(self, x, c, s)
     monkeypatch.setattr(LinearMap, "__mul__", counting)
-    code = cli.main(["switch", "--builtin", "witt:5", "--derivation", "ad:1",
-                     "--r", "16", "--output", "json"])
+    monkeypatch.setattr(LinearMap, "mul_add", counting_fused)
+    return products
+
+
+def switch_products(monkeypatch, capsys, argv):
+    products = count_map_products(monkeypatch)
+    code = cli.main(["switch"] + argv + ["--output", "json"])
     capsys.readouterr()
     assert code == 0
-    assert products[0] == 109
+    return products[0]
+
+
+def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
+    # D^5, ..., D^(5^17) are formed once, on D's own p-power chain over the
+    # start field: p_power_relation walks it, and alpha = (g - h)(D) and
+    # the law alpha^5 - alpha = D^5 embed its terms.  Walking h(D) along a
+    # second chain and forming D^(5^16) again for a check of g(D) made 250
+    # products, forming D^5 once more for the law 160, and a second chain
+    # from D^5 to D^(5^16) over the enlarged field for alpha 157.  The
+    # fused Horner steps of the Laguerre value count as products: 105
+    # plain ones and 4 fused
+    assert switch_products(monkeypatch, capsys, [
+        "--builtin", "witt:5", "--derivation", "ad:1", "--r", "16"]) == 109
+
+
+@pytest.mark.parametrize("spec,der,want", [
+    ("tpoly:5:25:5", "ddx", 25), ("tpoly:5:25:5", "xddx", 22),
+    ("tpoly:3:27:3", "ddx", 23)])
+def test_switch_forms_each_map_product_once(monkeypatch, capsys, spec, der,
+                                            want):
+    # each map forms its p-power chain and its minimal polynomial once:
+    # the eigenspaces read D's chain and the minimal polynomial
+    # semisimple_exponent formed, and each Horner step of the Laguerre
+    # value is one fused product.  Forming D^(p^k) - rho^(p^k) as
+    # (D - rho)^mult, a second minimal polynomial of D and unfused steps
+    # made 31, 25 and 30 products
+    assert switch_products(monkeypatch, capsys, [
+        "--builtin", spec, "--derivation", der]) == want
 
 
 def test_scalar_law_on_blocks():
