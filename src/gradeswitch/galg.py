@@ -793,20 +793,20 @@ def derivation_degree(A, D):
     return 0 if d is None else d
 
 
-def is_grading(A, parts, add=None):
+def is_grading(A, parts):
     """True iff the labelled subspaces sum directly to A and multiply into
-    the component of the combined label; absent labels act as zero.
+    the component of the combined label; labels are residues mod A.m,
+    added mod A.m, and absent labels act as zero.
 
-    Labels are residues mod A.m added mod A.m, unless `add` combines them:
-    then they may be any hashable values.
+    When e_j e_i = s e_i e_j on every basis pair, for one sign s = 1 or
+    -1, then v u = s u v for all u and v, and both lie in one subspace: so
+    only the label pairs k <= l are checked, in the order of the parts,
+    and inside one part the basis pairs i <= j.  Any other product is
+    checked on every ordered pair.
     """
-    if add is None:
-        parts = [(k % A.m, s) for k, s in parts]
-
-        def add(k, l):
-            return (k + l) % A.m
     by_label = {}
     for k, s in parts:
+        k %= A.m
         if k in by_label:
             raise ValueError("duplicate label %r" % (k,))
         by_label[k] = s
@@ -814,19 +814,34 @@ def is_grading(A, parts, add=None):
     if len(stacked) != A.dim or Echelon(stacked).rank != A.dim:
         return False
     # pairs of nonempty components only: of the m^2, most can be empty
-    packed = {k: [A._pack(b) for b in s.basis]
-              for k, s in by_label.items() if s.basis}
+    packed = [(k, [A._pack(b) for b in s.basis])
+              for k, s in by_label.items() if s.basis]
+    unordered = _commutes_up_to_sign(A)
     zero = A.field.zero
-    for k, us in packed.items():
-        for l, vs in packed.items():
-            target = by_label.get(add(k, l))
-            for pu in us:
-                for pv in vs:
+    for a, (k, us) in enumerate(packed):
+        for b in range(a if unordered else 0, len(packed)):
+            l, vs = packed[b]
+            target = by_label.get((k + l) % A.m)
+            for i, pu in enumerate(us):
+                for pv in vs[i:] if unordered and a == b else vs:
                     w = A._product(pu, pv)
                     if (any(x is not zero and x for x in w)
                             and (target is None or not target.contains(w))):
                         return False
     return True
+
+
+def _commutes_up_to_sign(A):
+    """True when the structure constants give e_j e_i = s e_i e_j on every
+    basis pair for one sign s = 1 or -1 (in characteristic 2 the two signs
+    are one test)."""
+    prods = A.products
+
+    def signed(neg):
+        return all(dict(prods.get((j, i), ()))
+                   == {k: -c if neg else c for k, c in terms}
+                   for (i, j), terms in prods.items())
+    return signed(False) or (A.field.p != 2 and signed(True))
 
 
 # ---------------------------------------------------------------------------

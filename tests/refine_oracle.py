@@ -3,18 +3,42 @@
 t_1 is a toral element with beta(t_1) = 1 and T_0 = ker beta.  Switching
 along D = ad x must act along the single cyclic direction of t_1 and fix
 every T_0-root space.  :func:`refine_grading` checks that with the
-package's own root decomposition, switch and grading check; no command
-of the package calls it, so it lives here with its tests.
+package's own root decomposition and switch; no command of the package
+calls it, so it lives here with its tests.  Its product grading is
+labelled by pairs, which the package's grading check (labels mod m) does
+not take, so its grading check is here too: :func:`is_grading_over`, a
+sweep over every ordered pair.
 """
 
 from dataclasses import dataclass
 
 from gradeswitch.fields import embedding
-from gradeswitch.galg import Subspace, is_grading
+from gradeswitch.galg import Subspace
 from gradeswitch.switch import HypothesisError, VerificationError, \
     _check_r, build_LD
 from gradeswitch.toral import Torus, _vec_add, _vec_is_zero, _vec_scale, \
     root_decomposition
+
+
+def is_grading_over(alg, parts, add):
+    """True iff the labelled subspaces sum directly to alg and each
+    product of basis vectors of the parts labelled k and l lies in the
+    part labelled add(k, l), every ordered pair checked; labels may be any
+    hashable values, and absent labels act as zero."""
+    by_label = dict(parts)
+    stacked = [b for s in by_label.values() for b in s.basis]
+    if len(stacked) != alg.dim \
+            or Subspace(alg.field, alg.dim, stacked).dim != alg.dim:
+        return False
+    for k, s in by_label.items():
+        for l, t in by_label.items():
+            target = by_label.get(add(k, l))
+            for u in s.basis:
+                for v in t.basis:
+                    w = alg.product(u, v)
+                    if any(w) and (target is None or not target.contains(w)):
+                        return False
+    return True
 
 
 @dataclass
@@ -102,7 +126,7 @@ def refine_grading(lie, torus_vectors, x, r=None):
     p = lie.p
 
     switched_line = [(k, s.map_field(f2).image(lmap)) for k, s in line_parts]
-    line_ok = is_grading(alg2, switched_line, lambda a, b: (a + b) % p)
+    line_ok = is_grading_over(alg2, switched_line, lambda a, b: (a + b) % p)
 
     emb = embedding(field, f2)
     residual_fixed = True
@@ -119,7 +143,7 @@ def refine_grading(lie, torus_vectors, x, r=None):
     for (kk, g0), s in product_parts:
         g0e = tuple(emb(c) for c in g0)
         switched_product.append(((kk, g0e), s.map_field(f2).image(lmap)))
-    product_ok = is_grading(alg2, switched_product, addpair)
+    product_ok = is_grading_over(alg2, switched_product, addpair)
 
     out = RefinedSwitch(
         lie=lie, beta=beta, t1=t1, torus0_basis=tuple(t0_vecs),

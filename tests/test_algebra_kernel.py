@@ -6,9 +6,9 @@ are compared with the schoolbook routines they replaced: a product that
 scans every index pair and multiplies ``FqElement`` terms one by one, and a
 derivation check that compares D(e_i e_j) with D(e_i) e_j + e_i D(e_j) on
 every basis pair.  Algebras are random (sparse and dense, repeated
-structure constants included) over prime fields, log-table fields and a
-field above the log-table cap, from dimension 0 up.  Skipped when
-hypothesis is not installed."""
+structure constants included; general, commutative or anticommutative)
+over prime fields, log-table fields and a field above the log-table cap,
+from dimension 0 up.  Skipped when hypothesis is not installed."""
 
 import random
 
@@ -17,7 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from gradeswitch import cli  # noqa: E402
+from gradeswitch import cli, galg  # noqa: E402
 from gradeswitch.fields import GF, _TABLE_CAP  # noqa: E402
 from gradeswitch.galg import (GradedAlgebra, LinearMap, Subspace,  # noqa: E402
                               bracket_failure, is_derivation, is_grading)
@@ -102,32 +102,47 @@ def vector(field, dim, rng):
     return tuple(entry(field, rng) for _ in range(dim))
 
 
-def random_algebra(field, dim, rng):
+SYMMETRIES = ("general", "commutative", "anticommutative")
+
+
+def random_algebra(field, dim, rng, symmetry="general"):
     """A graded algebra with random structure constants, sparse or dense,
-    some of them listed twice for the same (i, j, k)."""
+    some of them listed twice for the same (i, j, k).
+
+    A commutative or anticommutative draw lists c_jik = c_ijk or -c_ijk
+    beside each c_ijk with i > j.  An anticommutative one has c_iik = 0,
+    except in characteristic 2, where -1 = 1 and c_iik is drawn too."""
     m = rng.randrange(1, 4)
     degrees = [rng.randrange(m) for _ in range(dim)]
     density = rng.choice([0.1, 0.5, 1.0])
     entries = []
+
+    def put(i, j, k, c):
+        entries.append((i, j, k, c))
+        if symmetry != "general" and i != j:
+            entries.append((j, i, k, -c if symmetry == "anticommutative"
+                            else c))
     for i in range(dim):
-        for j in range(dim):
+        for j in range(dim if symmetry == "general" else i + 1):
+            if i == j and symmetry == "anticommutative" and field.p != 2:
+                continue
             for k in range(dim):
                 if (degrees[i] + degrees[j] - degrees[k]) % m:
                     continue
                 if rng.random() < density:
-                    entries.append((i, j, k, entry(field, rng)))
+                    put(i, j, k, entry(field, rng))
                     if rng.random() < 0.1:
-                        entries.append((i, j, k, entry(field, rng)))
+                        put(i, j, k, entry(field, rng))
     return GradedAlgebra.from_entries(field, m, degrees, entries)
 
 
 cases = st.tuples(st.sampled_from(FIELDS), st.integers(0, 1 << 30))
 
 
-def draw(field, seed):
+def draw(field, seed, symmetry="general"):
     rng = random.Random(seed)
     dim = rng.choice([0, 1, rng.randrange(2, MAX_DIM[field] + 1)])
-    return rng, random_algebra(field, dim, rng)
+    return rng, random_algebra(field, dim, rng, symmetry)
 
 
 # -- products -----------------------------------------------------------------
@@ -241,6 +256,7 @@ def test_transported_parts_are_a_grading(spec, der):
     res = switch_grading(A, cli._parse_derivation(A, der, None),
                          check_product_rule=False)
     B = res.algebra
+    assert galg._commutes_up_to_sign(B)     # so the unordered pairs serve
     for parts in (res.old_parts, res.new_parts):
         assert is_grading(B, parts)
         assert reference_is_grading(B, parts)
@@ -260,17 +276,121 @@ def test_relabelled_part_is_not_a_grading(spec, der):
     assert is_grading(B, moved) is False
 
 
-@SETTINGS
-@hypothesis.given(cases)
-def test_is_grading_matches_reference_on_random_algebras(case):
-    field, seed = case
-    rng, A = draw(field, seed)
+def mutated_part(A, parts, rng):
+    """parts with one basis vector u of one part replaced by u + v, v in
+    another part: still a direct sum, but a grading only by chance; None
+    when fewer than two parts are nonzero."""
+    full = [k for k, s in parts if s.dim]
+    if len(full) < 2:
+        return None
+    k, l = rng.sample(full, 2)
+    by_label = dict(parts)
+    u, *rest = by_label[k].basis
+    v = by_label[l].basis[0]
+    by_label[k] = Subspace(A.field, A.dim,
+                           [tuple(a + b for a, b in zip(u, v))] + rest)
+    return list(by_label.items())
+
+
+def perturbed_constant(A, rng):
+    """A with one c_ijk, i != j, moved by an amount that keeps
+    e_j e_i = s e_i e_j from holding at (i, j) for either sign s; None when
+    no such (i, j, k) respects the grading."""
+    field = A.field
+    slots = [(i, j, k) for i in range(A.dim) for j in range(A.dim)
+             for k in range(A.dim) if i != j
+             and not (A.degrees[i] + A.degrees[j] - A.degrees[k]) % A.m]
+    if not slots:
+        return None
+    i, j, k = rng.choice(slots)
+    a = dict(A.products.get((i, j), ())).get(k, field.zero)
+    c = field.zero
+    while not c or c == -2 * a:
+        c = field.random_element(rng)
+    entries = [(i2, j2, k2, c2) for (i2, j2), terms in A.products.items()
+               for k2, c2 in terms]
+    return GradedAlgebra.from_entries(field, A.m, A.degrees,
+                                      entries + [(i, j, k, c)])
+
+
+def grading_checks_agree(A, rng, symmetry):
+    """Compare is_grading with the reference on A's own parts, on them
+    with shuffled labels and with one mutated part, and the same on A with
+    one constant moved off its symmetry; the number of refusals seen."""
+    assert symmetry == "general" or galg._commutes_up_to_sign(A)
     parts = A.grading_parts()
     assert is_grading(A, parts) is True
     perm = list(range(A.m))
     rng.shuffle(perm)
     shuffled = [(perm[k], s) for k, s in parts]
-    assert is_grading(A, shuffled) == reference_is_grading(A, shuffled)
+    B = perturbed_constant(A, rng)
+    assert B is None or symmetry == "general" \
+        or not galg._commutes_up_to_sign(B)
+    refused = 0
+    for alg in (A, B):
+        for moved in (shuffled, mutated_part(A, parts, rng)):
+            if alg is not None and moved is not None:
+                want = reference_is_grading(alg, moved)
+                assert is_grading(alg, moved) == want
+                refused += not want
+    return refused
+
+
+@SETTINGS
+@hypothesis.given(cases, st.sampled_from(SYMMETRIES))
+def test_is_grading_matches_reference_on_random_algebras(case, symmetry):
+    field, seed = case
+    rng, A = draw(field, seed, symmetry)
+    grading_checks_agree(A, rng, symmetry)
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_is_grading_matches_reference_by_symmetry(field, symmetry):
+    # the unordered-pair check on commutative and anticommutative draws,
+    # the ordered one on general draws and on every draw with one
+    # constant moved off the symmetry; in characteristic 2, where -1 = 1,
+    # anticommutative draws have nonzero squares e_i e_i
+    refused = squares = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        A = random_algebra(field, rng.randrange(2, MAX_DIM[field] + 1), rng,
+                           symmetry)
+        squares += sum((i, i) in A.products for i in range(A.dim))
+        refused += grading_checks_agree(A, rng, symmetry)
+    assert refused
+    assert squares or (symmetry == "anticommutative" and field.p != 2)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(2)], ids=repr)
+def test_a_square_outside_its_part_is_refused(field):
+    # e_0 e_0 = e_1 and no other product: commutative, and over GF(2)
+    # anticommutative too.  Labelling e_0 by 0 puts e_0 e_0 outside its
+    # part, and only the pair of e_0 with itself shows it
+    A = GradedAlgebra.from_entries(field, 2, [1, 0], [(0, 0, 1, field.one)])
+    assert galg._commutes_up_to_sign(A)
+    e0, e1 = (Subspace(field, 2, [A.basis_vector(i)]) for i in range(2))
+    assert is_grading(A, [(1, e0), (0, e1)]) is True
+    moved = [(0, e0), (1, e1)]
+    assert reference_is_grading(A, moved) is False
+    assert is_grading(A, moved) is False
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_product_neither_commutative_nor_anticommutative_is_swept_in_order(
+        order):
+    # e_1 e_0 = e_1 and e_0 e_1 = 0.  Labelling e_0 by 1 and e_1 by 0 is
+    # no grading, since e_1 e_0 lies in the part of label 1; only the
+    # ordered pair (e_1, e_0) shows it, and in the first part order that
+    # pair is the later one of the two label pairs
+    F = GF(3)
+    A = GradedAlgebra.from_entries(F, 2, [0, 1], [(1, 0, 1, F.one)])
+    assert not galg._commutes_up_to_sign(A)
+    e0, e1 = (Subspace(F, 2, [A.basis_vector(i)]) for i in range(2))
+    assert is_grading(A, [(0, e0), (1, e1)]) is True
+    moved = [(1, e0), (0, e1)][::order]
+    assert reference_is_grading(A, moved) is False
+    assert is_grading(A, moved) is False
 
 
 # -- the Lie bracket checks ---------------------------------------------------

@@ -516,6 +516,20 @@ def test_switch_malformed_json(tmp_path, capsys):
                "--derivation", "ad:0")[0] == 2
 
 
+def test_switch_refuses_an_off_grade_constant_in_json_input(tmp_path,
+                                                           capsys):
+    # witt:3 has deg e_1 = 0 and deg e_0 = 2, so e_1 e_1 = e_0 is off grade
+    alg = witt(3).to_json()
+    alg["sc"].append([1, 1, 0, "1"])
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"algebra": alg}))
+    code, out, err = run(capsys, "switch", "--input", str(path),
+                         "--derivation", "ad:0")
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: product e_1 e_1 hits e_0 outside "
+                   "the graded component\n")
+
+
 def _witt3_input(tmp_path, derivation):
     from gradeswitch.galg import witt
     path = tmp_path / "witt3.json"

@@ -394,6 +394,20 @@ def test_is_grading_rejects_wrong_parts():
     assert not is_grading(A, relabeled)
     with pytest.raises(ValueError):
         is_grading(A, parts + [parts[0]])  # duplicate label
+    assert not is_grading(A, parts[1:])     # four vectors do not span
+    # two vectors that span one dimension: with every product zero, only
+    # their rank tells
+    F = GF(3)
+    Z = GradedAlgebra(F, 2, [0, 1], {})
+    line = Subspace(F, 2, [Z.basis_vector(0)])
+    assert not is_grading(Z, [(0, line), (1, line)])
+
+
+def test_off_grade_structure_constant_is_refused():
+    F = GF(3)
+    with pytest.raises(ValueError, match="product e_1 e_1 hits e_0 outside "
+                                         "the graded component"):
+        GradedAlgebra.from_entries(F, 3, [0, 1, 2], [(1, 1, 0, F.one)])
 
 
 def test_json_roundtrip():
@@ -504,6 +518,9 @@ def test_non_derivation_detected():
     assert not is_derivation(W, LinearMap(F, rows))
     assert derivation_degree(W, LinearMap(F, rows)) == 0  # graded, degree 0
     rows[1][0] = F.one  # now maps slot 0 across two degrees
+    assert derivation_degree(W, LinearMap(F, rows)) is None
+    rows[1][0] = F.zero
+    rows[3][1] = F.one  # slot 0 keeps its degree, slot 1 moves by 2
     assert derivation_degree(W, LinearMap(F, rows)) is None
 
 

@@ -524,6 +524,27 @@ def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
     assert res.alpha ** 5 - res.alpha == res.derivation ** 5
 
 
+@pytest.mark.parametrize("spec,der", [("tpoly:3:9:3", "ddx"),
+                                      ("witt:5+witt:5", "ad:1")])
+def test_switch_grading_refuses_parts_with_two_labels_swapped(
+        monkeypatch, spec, der):
+    real = switch.build_LD
+
+    def swapped(A, D, r=None):
+        res = real(A, D, r=r)
+        k, l = [k for k, s in res.new_parts if s.dim][:2]
+        swap = {k: l, l: k}
+        return dataclasses.replace(res, new_parts=tuple(
+            (swap.get(j, j), s) for j, s in res.new_parts))
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    assert switch_grading(A, D, check_product_rule=False).grading_ok
+    monkeypatch.setattr(switch, "build_LD", swapped)
+    with pytest.raises(VerificationError,
+                       match="switched components fail the grading check"):
+        switch_grading(A, D, check_product_rule=False)
+
+
 def count_map_products(monkeypatch):
     """A one-entry list that counts the map products formed from now on:
     LinearMap.__mul__ of two maps, and each fused step LinearMap.mul_add
