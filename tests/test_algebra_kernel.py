@@ -380,9 +380,9 @@ def test_a_square_outside_its_part_is_refused(field):
 def test_a_product_neither_commutative_nor_anticommutative_is_swept_in_order(
         order):
     # e_1 e_0 = e_1 and e_0 e_1 = 0.  Labelling e_0 by 1 and e_1 by 0 is
-    # no grading, since e_1 e_0 lies in the part of label 1; only the
-    # ordered pair (e_1, e_0) shows it, and in the first part order that
-    # pair is the later one of the two label pairs
+    # no grading, since e_1 e_0 = e_1 is not in the part of label 0 + 1;
+    # only the ordered pair (e_1, e_0) shows it, and in the first part
+    # order unordered pairs would take (e_0, e_1) for those labels instead
     F = GF(3)
     A = GradedAlgebra.from_entries(F, 2, [0, 1], [(1, 0, 1, F.one)])
     assert not galg._commutes_up_to_sign(A)
