@@ -420,12 +420,13 @@ class GradedAlgebra:
     restricted Lie algebras).
 
     degrees[i] is the residue of basis vector e_i; products[(i, j)] lists
-    the nonzero (k, coeff) of e_i e_j, each k once (constants given more
-    than once for one (i, j, k) are summed); pmap, when present, gives
-    e_i^[p] as a vector, which toral.RestrictedLie checks against the
-    p-map it derives from ad.  Products and the checks below run on the
-    structure constants packed for the field's three-factor dot kernel,
-    built once (the algebra is immutable).
+    the nonzero (k, coeff) of e_i e_j, each k once.  Constants given more
+    than once for one (i, j, k) are summed first; a nonzero sum with
+    deg e_k != deg e_i + deg e_j mod m raises ValueError.  pmap, when
+    present, gives e_i^[p] as a vector, which toral.RestrictedLie checks
+    against the p-map it derives from ad.  Products and the checks below
+    run on the structure constants packed for the field's three-factor
+    dot kernel, built once (the algebra is immutable).
     """
 
     __slots__ = ("field", "m", "degrees", "products", "pmap", "_sc")
@@ -448,13 +449,14 @@ class GradedAlgebra:
                     continue
                 if not 0 <= k < dim:
                     raise ValueError("basis index out of range")
+                merged[k] = merged[k] + c if k in merged else c
+            kept = tuple((k, c) for k, c in merged.items() if c)
+            for k, _ in kept:
                 if (self.degrees[i] + self.degrees[j]
                         - self.degrees[k]) % m:
                     raise ValueError(
                         "product e_%d e_%d hits e_%d outside the graded "
                         "component" % (i, j, k))
-                merged[k] = merged[k] + c if k in merged else c
-            kept = tuple((k, c) for k, c in merged.items() if c)
             if kept:
                 clean[(i, j)] = kept
         self.products = clean

@@ -14,7 +14,8 @@ commuting ring values (symbols, polynomials, series, operators), the
 standard identity suite relating L at neighbouring alpha values, the three
 factored forms of L_{p-1}^(Z^p)(Z^p - Z), and the coefficient tables
 c'_{ij} that split a product of two Laguerre operator values over the
-bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)).
+bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)), with
+the closed form of those tables checked over GF(p)[alpha, beta].
 """
 
 import functools
@@ -23,8 +24,8 @@ import operator
 from dataclasses import dataclass
 
 from .fields import GF
-from .polyring import (MultiPoly, Polynomial, QuotientRing, _scalar_power,
-                       quotient_inverse, quotient_mul, quotient_mul_cells)
+from .polyring import (MultiPoly, Polynomial, QuotientRing, quotient_inverse,
+                       quotient_mul, quotient_mul_cells)
 
 
 class VerificationError(RuntimeError):
@@ -354,12 +355,6 @@ def _laguerre_xy_quotient(ring, coeff_values, p):
     return ring.from_exponents(items)
 
 
-def _vanishing_violations(p, entries):
-    """The (i, j) with p not dividing i + j where entries[i][j] != 0."""
-    return [(i, j) for i in range(p) for j in range(p)
-            if (i + j) % p and entries[i][j]]
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """The table c'_{ij} with L^(a)(X) L^(b)(Y) = sum c'_{ij} X^i Y^j
@@ -382,9 +377,6 @@ class CoefficientTable:
         if not 1 <= i <= self.p - 1:
             raise ValueError("index out of range")
         return self.table[i][self.p - i]
-
-    def vanishing_violations(self):
-        return _vanishing_violations(self.p, self.table)
 
     def values(self):
         return (self.c0,) + tuple(self.c(i) for i in range(1, self.p))
@@ -411,8 +403,8 @@ def _split_pair(p, a, b):
     QuotientRing(p, xc + yc, xc + yc); its powers and its inverse stay on
     row 0 and spread back by :func:`_laguerre_xy_quotient`.  The verified
     tables invert u_z (over a field, in the local ring
-    F[Z]/((Z - c^(1/p))^p), c = xc + yc, by forward substitution), and
-    the symbolic ones power it by _scalar_power.
+    F[Z]/((Z - c^(1/p))^p), c = xc + yc, by forward substitution);
+    :func:`check_closed_form_congruence` needs u and v alone.
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
@@ -480,47 +472,36 @@ def zero_pair_closed_form(p, field=None):
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class SymbolicCoefficientReport:
-    """Denominator-cleared symbolic table: N_{ij} = c'_{ij} * s where the
-    clearing factor s = prod_i (1 + (alpha+beta)/i)^i is the scalar
-    L^(alpha+beta)(X+Y)^p."""
-    p: int
-    table: tuple
-    clearing_factor: object
-    vanishing_ok: bool
-    reconstruction_ok: bool
-    scalar_matches_product_form: bool
-
-    @property
-    def passed(self):
-        return (self.vanishing_ok and self.reconstruction_ok
-                and self.scalar_matches_product_form)
+def closed_form_numerators(p, alpha, beta):
+    """[c_i den for i < p], den = (alpha+beta)^(p-1) - 1, for alpha and beta
+    from one commutative ring of characteristic p: with T_j(x) =
+    prod_{k=j+1}^{p-1} (x + k), so T_0(x) = x^(p-1) - 1, c_0 den =
+    -T_0(alpha) T_0(beta) and c_i den = -T_i(alpha) T_(p-i)(beta)."""
+    def tails(x):   # [T_0(x), ..., T_(p-1)(x)], built from the right
+        out = [x ** 0]
+        for k in range(p - 1, 0, -1):
+            out.append(out[-1] * (x + k))
+        return out[::-1]
+    ta, tb = tails(alpha), tails(beta)
+    return [-(ta[i] * tb[-i % p]) for i in range(p)]
 
 
-def c_coefficients_symbolic(p):
-    """Fully symbolic coefficient table over GF(p)[alpha, beta].
-
-    The inverse of u = L^(alpha+beta)(X+Y) does not exist in a polynomial
-    ring, so both sides are cleared by s = u^p (a scalar): the table
-    N = v * u^(p-1) satisfies u * N == s * v, and N/s is the rational
-    c-table.  u^(p-1) and s are the _scalar_power of the p-entry u_z of
-    :func:`_split_pair`, and u^(p-1) is spread to X + Y.
-    """
+def check_closed_form_congruence(p):
+    """u * N == ((alpha+beta)^(p-1) - 1) v over GF(p)[alpha, beta], with
+    (u, v) of :func:`_split_pair` and N the closed_form_numerators on the
+    admissible cells.  u^p is a nonzero scalar (scalar_product_form at
+    alpha + beta), so this proves c_i = N_i / den at every admissible
+    (a, b), and c'_{ij} = 0 for p not dividing i + j."""
     field = GF(p)
-    vars_ = ("alpha", "beta")
-    alpha = MultiPoly.variable(field, vars_, "alpha")
-    beta = MultiPoly.variable(field, vars_, "beta")
-    u, v, u_z = _split_pair(p, alpha, beta)
-    upow, s = _scalar_power(u_z)
-    n_table = quotient_mul(
-        v, _laguerre_xy_quotient(u.ring, upow.entries[0], p))
-
-    vanishing_ok = not _vanishing_violations(p, n_table.entries)
-    reconstruction_ok = quotient_mul(u, n_table) == v * s
-    return SymbolicCoefficientReport(
-        p, n_table.entries, s, vanishing_ok, reconstruction_ok,
-        s == scalar_product_form(p, alpha + beta))
+    alpha, beta = (MultiPoly.variable(field, ("alpha", "beta"), name)
+                   for name in ("alpha", "beta"))
+    u, v, _ = _split_pair(p, alpha, beta)
+    table = u.ring.from_exponents(
+        zip(_admissible_cells(p), closed_form_numerators(p, alpha, beta)))
+    return CheckReport("closed_form_congruence[p=%d]" % p,
+                       u * table == v * ((alpha + beta) ** (p - 1) - 1),
+                       "c_i = N_i / ((alpha+beta)^(p-1) - 1), zero off "
+                       "the admissible cells")
 
 
 # ---------------------------------------------------------------------------

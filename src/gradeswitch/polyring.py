@@ -1080,8 +1080,8 @@ def _scalar_power(u):
     """(u^(p-1), s) for the entry s = u^p, formed as u * u^(p-1).
 
     In characteristic p Frobenius is additive on the commutative quotient
-    ring and (X^i Y^j)^p = xc^i yc^j, so u^p is a scalar: the p-power
-    inverse and the symbolic tables both take it here.
+    ring and (X^i Y^j)^p = xc^i yc^j, so u^p is a scalar, which the
+    p-power inverse divides by.
     """
     upow = u ** (u.ring.p - 1)
     up = u * upow

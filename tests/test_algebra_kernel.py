@@ -140,9 +140,16 @@ cases = st.tuples(st.sampled_from(FIELDS), st.integers(0, 1 << 30))
 
 
 def draw(field, seed, symmetry="general"):
+    """(rng, A): one draw in eight of dimension 0 or 1, the others of
+    dimension 2 up with a nonzero product, redrawn until they have one."""
     rng = random.Random(seed)
-    dim = rng.choice([0, 1, rng.randrange(2, MAX_DIM[field] + 1)])
-    return rng, random_algebra(field, dim, rng, symmetry)
+    if rng.randrange(8) == 0:
+        return rng, random_algebra(field, rng.randrange(2), rng, symmetry)
+    dim = rng.randrange(2, MAX_DIM[field] + 1)
+    A = random_algebra(field, dim, rng, symmetry)
+    while not A.products:
+        A = random_algebra(field, dim, rng, symmetry)
+    return rng, A
 
 
 # -- products -----------------------------------------------------------------

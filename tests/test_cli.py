@@ -888,3 +888,28 @@ def test_toral_help_names_exactly_the_families_with_a_torus(monkeypatch,
             named = family.torus is not None or command == "switch"
             assert (family.form in out) == named, (command, family.form)
     assert "witt:P | tor:P:N, joined with +" in builtin_help(capsys, "toral")
+
+
+@pytest.mark.parametrize("argv, doc, refusal", [
+    (("coeffs", "--p", "3", "--field-degree", "0"), None,
+     "field degree must be >= 1"),
+    (("switch", "--builtin", "witt:3", "--input", "{input}",
+      "--derivation", "ad:0"), {},
+     "give either --builtin or --input, not both"),
+    (("switch", "--input", "{input}", "--derivation", "ad:0"), [1, 2],
+     "algebra JSON must be an object"),
+    (("switch", "--input", "{input}", "--derivation", "json"),
+     {"algebra": witt(3).to_json()},
+     "input file carries no derivation matrix"),
+    (("switch", "--builtin", "witt:3", "--derivation", "dx"), None,
+     "unknown derivation 'dx' (use ad:I, ddx, xddx, or json)"),
+], ids=["field-degree-0", "builtin-and-input", "json-not-an-object",
+        "json-without-matrix", "unknown-derivation"])
+def test_each_input_refusal_is_one_exact_line(tmp_path, capsys, argv, doc,
+                                              refusal):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.replace("{input}", str(path))
+                                   for a in argv])
+    assert (code, out, err) == (2, "", "configuration error: %s\n" % refusal)

@@ -410,6 +410,39 @@ def test_off_grade_structure_constant_is_refused():
         GradedAlgebra.from_entries(F, 3, [0, 1, 2], [(1, 1, 0, F.one)])
 
 
+def test_off_grade_constants_that_cancel_are_accepted():
+    # the constants listed for one (i, j, k) are summed before the grade
+    # test: c and -c off grade give no product, c and c still refuse
+    A = GradedAlgebra.from_entries(GF(3), 3, [0, 1, 2],
+                                   [(1, 1, 0, 1), (1, 1, 0, -1)])
+    assert A.products == {}
+    with pytest.raises(ValueError, match="product e_1 e_1 hits e_0 outside "
+                                         "the graded component"):
+        GradedAlgebra.from_entries(GF(3), 3, [0, 1, 2],
+                                   [(1, 1, 0, 1), (1, 1, 0, 1)])
+
+
+def test_malformed_algebras_are_refused():
+    # a deg list of the wrong length, summands that differ in field or in
+    # grading modulus, and a modulus that is not monic
+    obj = witt(3).to_json()
+    obj["deg"] = obj["deg"][:-1]
+    with pytest.raises(ValueError, match="deg must list one residue per "
+                                         "basis vector"):
+        GradedAlgebra.from_json(obj)
+    with pytest.raises(ValueError, match="summands over different fields"):
+        direct_sum(witt(3), witt(3).change_field(GF(3, 2)))
+    with pytest.raises(ValueError, match="summands with different grading "
+                                         "moduli"):
+        direct_sum(witt(3), truncated_poly(3, 3, 1))
+    obj = witt(3).to_json()
+    obj.update(field_degree=2, modulus=[1, 0, 2])
+    with pytest.raises(ValueError, match="modulus must be monic of degree n"):
+        GradedAlgebra.from_json(obj)
+    with pytest.raises(ValueError, match="modulus must be monic of degree n"):
+        GF(3, 2, (2, 0, 2))
+
+
 def test_json_roundtrip():
     W = witt(5)
     tabled = GradedAlgebra(W.field, W.m, W.degrees, W.products,

@@ -633,7 +633,7 @@ def test_ppower_inverse_quotient_product_count(p, monkeypatch):
 
 
 def _symbolic_ring(p):
-    """The entry ring of c_coefficients_symbolic: GF(p)[alpha, beta]."""
+    """The entry ring of check_closed_form_congruence: GF(p)[alpha, beta]."""
     F = GF(p)
     vars_ = ("alpha", "beta")
     alpha = MultiPoly.variable(F, vars_, "alpha")

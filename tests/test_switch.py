@@ -8,12 +8,13 @@ import pytest
 from gradeswitch import cli, switch
 from gradeswitch.fields import GF, FqElement, roots_in_splitting_field
 from gradeswitch.galg import (
-    GradedAlgebra, LinearMap, direct_sum, generalized_eigenspaces, is_grading,
-    truncated_poly, truncated_poly_derivation, witt)
+    Decomposition, GradedAlgebra, LinearMap, direct_sum,
+    generalized_eigenspaces, is_grading, truncated_poly,
+    truncated_poly_derivation, witt)
 from gradeswitch.laguerre import (
-    c_coefficients, c_coefficients_symbolic, in_prime_star, laguerre_at,
+    c_coefficients, closed_form_numerators, in_prime_star, laguerre_at,
     laguerre_value, scalar_product_form, truncated_exp)
-from gradeswitch.polyring import BiTruncSeries, Polynomial
+from gradeswitch.polyring import BiTruncSeries, MultiPoly, Polynomial
 from gradeswitch.switch import (
     HypothesisError, PPolynomial, Relation, VerificationError,
     _pair_coefficient_series, build_LD, build_g, h_polynomial,
@@ -839,6 +840,64 @@ def test_product_rule_refuses_a_perturbed_c_value(monkeypatch, spec, der,
     assert orders == {(order, order)}
 
 
+@pytest.mark.parametrize("spec,der", [("tpoly:3:9:3", "ddx"),
+                                      ("witt:5+witt:5", "ad:1")])
+def test_scalar_law_refuses_each_wrong_input(monkeypatch, spec, der):
+    res = switched_without_product_rule(spec, der)
+    L, dec, g, r = res.switch_map, res.decomposition, res.g, res.r
+    assert switch._scalar_law(L, dec, g, r) == res.block_scalars
+    # (L + 1)^(p^r) = L^(p^r) + 1 acts on each eigenspace as s + 1
+    with pytest.raises(VerificationError, match=r"L\^\(p\^r\) is not the "
+                                                r"predicted scalar"):
+        switch._scalar_law(L + LinearMap.identity(L.field, L.n), dec, g, r)
+    # g(rho) = 1 gives prod_i (1 + 1/i)^i, whose factor at i = p - 1 is 0
+    with pytest.raises(VerificationError, match="scalar law gives zero"):
+        switch._scalar_law(L, dec, lambda rho: rho.field.one, r)
+    real = switch.scalar_product_form
+    monkeypatch.setattr(switch, "scalar_product_form",
+                        lambda p, x: real(p, x) + 1)
+    with pytest.raises(VerificationError, match="Laguerre and product forms "
+                                                "disagree"):
+        switch_grading(res.algebra, res.derivation, check_product_rule=False)
+
+
+def test_product_rule_refuses_a_product_outside_the_eigenspace_sum():
+    # witt:5+witt:5 under ad e_0 has eigenvalue i on e_i.  Keeping only
+    # the eigenspaces of 4 (e_-1) and 2 (e_2) of the first summand puts
+    # [e_-1, e_2] = 3 e_1 outside, since 4 + 2 = 1 is no longer a label
+    res = switched_without_product_rule("witt:5+witt:5", "ad:1")
+    F = res.field_final
+    kept = [(rho, s) for rho, s in res.decomposition
+            if rho in (F.scalar(4), F.scalar(2))]
+    assert [s.dim for _, s in kept] == [1, 1]
+    bad = dataclasses.replace(res, decomposition=Decomposition(F, kept))
+    with pytest.raises(VerificationError,
+                       match="^product outside the eigenspace sum"):
+        verify_product_rule(bad)
+
+
+def test_product_rule_refuses_a_switched_product_outside_the_eigenspace_sum():
+    # tpoly:5:5:5 under xddx has eigenvalue i on x^(i).  With the
+    # eigenspace of 4 alone, 4 + 4 = 3 is no label, and x^(4) x^(4) = 0
+    # passes; a switch map moved to send x^(4) to L x^(4) + x^(1) makes
+    # the switched square nonzero through x^(1) x^(1) = 2 x^(2)
+    res = switched_without_product_rule("tpoly:5:5:5", "xddx")
+    F, L = res.field_final, res.switch_map
+    kept = [(F.scalar(4), res.decomposition.find(F.scalar(4)))]
+    assert verify_product_rule(dataclasses.replace(
+        res, decomposition=Decomposition(F, kept))) == 1
+    moved = L + LinearMap(F, [[F.one if (i, j) == (1, 4) else F.zero
+                               for j in range(L.n)] for i in range(L.n)])
+    assert moved.apply(res.algebra.basis_vector(4)) == tuple(
+        a + b for a, b in zip(L.apply(res.algebra.basis_vector(4)),
+                              res.algebra.basis_vector(1)))
+    bad = dataclasses.replace(res, decomposition=Decomposition(F, kept),
+                              switch_map=moved)
+    with pytest.raises(VerificationError,
+                       match="switched product outside the eigenspace sum"):
+        verify_product_rule(bad)
+
+
 @pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
 def test_product_rule_and_strade_map_refuse_alpha_plus_one(spec, der, order):
     # nil = alpha + 1 - a0 is not nilpotent on any eigenspace
@@ -912,12 +971,14 @@ def test_product_rule_tensor_vs_product_reading():
     L = res.switch_map
     n = A.dim
 
-    rep = c_coefficients_symbolic(p)
-    s_terms = [(e[0], e[1], c) for e, c in rep.clearing_factor.terms.items()]
-    N_terms = [[(e[0], e[1], c) for e, c in rep.table[0][0].terms.items()]]
-    for i in range(1, p):
-        N_terms.append([(e[0], e[1], c)
-                        for e, c in rep.table[i][p - i].terms.items()])
+    # c_i = N_i / den over GF(p)[alpha, beta], cleared by den
+    vars_ = ("alpha", "beta")
+    alpha = MultiPoly.variable(GF(p), vars_, "alpha")
+    beta = MultiPoly.variable(GF(p), vars_, "beta")
+    den = (alpha + beta) ** (p - 1) - 1
+    s_terms = [(e[0], e[1], c) for e, c in den.terms.items()]
+    N_terms = [[(e[0], e[1], c) for e, c in n.terms.items()]
+               for n in closed_form_numerators(p, alpha, beta)]
 
     a_op = LinearMap.zero(F, n) - D.p_power(1)  # alpha_0 = g(0) - h(D)
 
