@@ -240,13 +240,11 @@ class LinearMap(RingElement):
             yield v
             v = self.apply(v)
 
-    def map_coefficients(self, fn, field):
-        return LinearMap(field, [[fn(x) for x in row] for row in self.rows])
-
     def embed_to(self, field):
         if field is self.field:
             return self
-        return self.map_coefficients(embedding(self.field, field), field)
+        emb = embedding(self.field, field)
+        return LinearMap(field, [[emb(x) for x in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -259,10 +257,6 @@ class LinearMap(RingElement):
     def _same_space(self, other):
         if other.field is not self.field or other.n != self.n:
             raise ValueError("maps on different spaces")
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return "LinearMap(%r, [%s])" % (self.field, body)
 
 
 def kernel(M):
@@ -339,9 +333,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((id(self.field), self.ambient, self.basis))
-
-    def __repr__(self):
-        return "Subspace(dim %d of F^%d)" % (self.dim, self.ambient)
 
 
 class Decomposition:
@@ -573,10 +564,6 @@ class GradedAlgebra:
                 and self.degrees == other.degrees
                 and self.products == other.products
                 and self.pmap == other.pmap)
-
-    def __repr__(self):
-        return "GradedAlgebra(dim %d over %r, Z/%d-graded)" % (
-            self.dim, self.field, self.m)
 
     # -- JSON ------------------------------------------------------------------
 

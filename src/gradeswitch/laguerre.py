@@ -112,7 +112,7 @@ def laguerre_at(p, alpha, n=None):
     """L_n^(alpha)(X) as a univariate Polynomial over alpha's field."""
     if isinstance(alpha, int):
         alpha = GF(p).scalar(alpha)
-    return Polynomial(alpha.field, laguerre_coeffs(p, alpha, n), "X")
+    return Polynomial(alpha.field, laguerre_coeffs(p, alpha, n))
 
 
 def laguerre_value(p, alpha, x, n=None):
@@ -148,7 +148,7 @@ def _symbols(p):
 def truncated_exp(p, field=None):
     """E(X) = sum_{k<p} X^k / k! = L_{p-1}^(0)(X)."""
     field = field or GF(p)
-    return Polynomial(field, inverse_factorials(field), "X")
+    return Polynomial(field, inverse_factorials(field))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def _check_identity(name, p, values):
 
     if name == "exp_diff":
         e = truncated_exp(p)
-        z = Polynomial.variable(e.field, "X")
+        z = Polynomial.variable(e.field)
         return report(z * e.derivative() == z * e + z ** p)
 
     raise ValueError("unknown identity %r" % name)
@@ -268,20 +268,20 @@ def check_all_identities(p):
 
 def lemma_eval(p):
     """L_{p-1}^(Z^p)(Z^p - Z) as a univariate Polynomial in Z over GF(p)."""
-    z = Polynomial.variable(GF(p), "Z")
+    z = Polynomial.variable(GF(p))
     return laguerre_value(p, z ** p, z ** p - z)
 
 
 def lemma_product(p):
     """prod_{i=1}^{p-1} (1 + Z/i)^i over GF(p)."""
-    return scalar_product_form(p, Polynomial.variable(GF(p), "Z"))
+    return scalar_product_form(p, Polynomial.variable(GF(p)))
 
 
 def lemma_binomial(p):
     """(-1)^(p(p-1)/2) prod_{j=1}^{p-1} binom(Z - 1, j) over GF(p)."""
     field = GF(p)
-    z = Polynomial.variable(field, "Z")
-    acc = Polynomial(field, [field.scalar((-1) ** (p * (p - 1) // 2))], "Z")
+    z = Polynomial.variable(field)
+    acc = Polynomial(field, [field.scalar((-1) ** (p * (p - 1) // 2))])
     binom = acc.one()           # binom(Z - 1, j), one factor at a time
     for j in range(1, p):
         binom = binom * (z - j) * field.scalar(j).inverse()
@@ -296,7 +296,7 @@ def check_lemma_forms(p):
     checks = [f == lemma_product(p), f == lemma_binomial(p),
               f.degree() == p * (p - 1) // 2,
               bool(f[0] == f.field.one)]
-    z = Polynomial.variable(f.field, "Z")
+    z = Polynomial.variable(f.field)
     for i in range(1, p):
         g = f
         for _ in range(i):
@@ -314,7 +314,7 @@ def check_lemma_forms(p):
 
 def check_lemma_product_identity(p):
     """L^(Z^p)(Z^p - Z) * L^(-Z^p)(-Z^p + Z) == 1 - Z^(p(p-1))."""
-    z = Polynomial.variable(GF(p), "Z")
+    z = Polynomial.variable(GF(p))
     f2 = laguerre_value(p, -(z ** p), z - z ** p)
     return CheckReport("product_identity[p=%d]" % p,
                        lemma_eval(p) * f2 == 1 - z ** (p * (p - 1)),

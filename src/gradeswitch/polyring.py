@@ -75,37 +75,34 @@ def _row_kernel(field, length, count):
 class Polynomial(RingElement):
     """Dense univariate polynomial over an FqField.
 
-    The zero polynomial has empty coeffs and degree -1.  The variable tag is
-    display-only and ignored by equality.  Products run on the field's row
-    kernel: coefficient k of a polynomial packs into block k of one wide
-    int, so a product is one int product and one unpack.
+    The zero polynomial has empty coeffs and degree -1.  Products run on
+    the field's row kernel: coefficient k of a polynomial packs into block
+    k of one wide int, so a product is one int product and one unpack.
     """
 
-    __slots__ = ("field", "coeffs", "var", "_rows")
+    __slots__ = ("field", "coeffs", "_rows")
 
-    def __init__(self, field, coeffs, var="T"):
+    def __init__(self, field, coeffs):
         cs = [_as_field_elt(field, c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-        self.var = var
         self._rows = None
 
     @classmethod
-    def _trusted(cls, field, coeffs, var):
+    def _trusted(cls, field, coeffs):
         """The polynomial with `coeffs`, a tuple of elements of `field`
         whose last is nonzero, unchecked."""
         f = object.__new__(cls)
         f.field = field
         f.coeffs = coeffs
-        f.var = var
         f._rows = None
         return f
 
     @classmethod
-    def variable(cls, field, var="T"):
-        return cls(field, [field.zero, field.one], var)
+    def variable(cls, field):
+        return cls(field, [field.zero, field.one])
 
     # -- basic queries -------------------------------------------------------
 
@@ -134,8 +131,7 @@ class Polynomial(RingElement):
                 raise ValueError("polynomials over different fields")
             return other
         if isinstance(other, (int, FqElement)):
-            return Polynomial(self.field, [_as_field_elt(self.field, other)],
-                              self.var)
+            return Polynomial(self.field, [_as_field_elt(self.field, other)])
         return None
 
     def __add__(self, other):
@@ -148,13 +144,13 @@ class Polynomial(RingElement):
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial(self.field, out, self.var)
+        return Polynomial(self.field, out)
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs], self.var)
+        return Polynomial(self.field, [-c for c in self.coeffs])
 
     def one(self):
-        return Polynomial(self.field, [self.field.one], self.var)
+        return Polynomial(self.field, [self.field.one])
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -162,7 +158,7 @@ class Polynomial(RingElement):
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if not a or not b:
-            return Polynomial._trusted(self.field, (), self.var)
+            return Polynomial._trusted(self.field, ())
         # block k of the int product sums a_i b_j over i + j = k: at most
         # min(len a, len b) products of two packed elements
         count = len(a) + len(b) - 1
@@ -170,8 +166,7 @@ class Polynomial(RingElement):
                                              count)
         wa = widen(map(pack, map(_COEFFS, a)))
         wb = wa if b is a else widen(map(pack, map(_COEFFS, b)))
-        return Polynomial._trusted(self.field, unpack(wa * wb)[:count],
-                                   self.var)
+        return Polynomial._trusted(self.field, unpack(wa * wb)[:count])
 
     __rmul__ = __mul__
 
@@ -203,8 +198,8 @@ class Polynomial(RingElement):
         del rem[d:]
         while rem and not rem[-1]:
             rem.pop()
-        return (Polynomial._trusted(field, tuple(quo), self.var),
-                Polynomial._trusted(field, tuple(rem), self.var))
+        return (Polynomial._trusted(field, tuple(quo)),
+                Polynomial._trusted(field, tuple(rem)))
 
     def __floordiv__(self, other):
         r = divmod(self, other)
@@ -243,8 +238,7 @@ class Polynomial(RingElement):
             return widen(map(pack, map(_COEFFS, residue)))
 
         wide = widen(map(pack, map(_COEFFS, base.coeffs)))
-        return Polynomial(field, unpack(power(wide, e, 1, mulmod))[:d],
-                          self.var)
+        return Polynomial(field, unpack(power(wide, e, 1, mulmod))[:d])
 
     def _reduction_rows(self):
         """The wide rows of X^k mod self for k < 2d - 1 (d = deg self >= 1)
@@ -279,12 +273,11 @@ class Polynomial(RingElement):
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
         inv = self.leading().inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs], self.var)
+        return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     def derivative(self):
         return Polynomial(self.field,
-                          [i * c for i, c in enumerate(self.coeffs)][1:],
-                          self.var)
+                          [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
         """Horner from the leading coefficient over the nonzero
@@ -320,7 +313,7 @@ class Polynomial(RingElement):
         if d.is_zero():
             # self = g(T^p) = (g twisted by p-th roots)^p
             root = [c.pth_root() for c in self.coeffs[::self.field.p]]
-            return Polynomial(self.field, root, self.var).squarefree_part()
+            return Polynomial(self.field, root).squarefree_part()
         g = self.gcd(d)
         if g.degree() == 0:
             return self.monic()
@@ -350,30 +343,6 @@ class Polynomial(RingElement):
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-                continue
-            v = self.var if i == 1 else "%s^%d" % (self.var, i)
-            if cs == "1":
-                parts.append(v)
-            elif any(ch in cs for ch in "+ "):
-                parts.append("(%s)*%s" % (cs, v))
-            else:
-                parts.append("%s*%s" % (cs, v))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "Polynomial(%r, %s)" % (self.field, self)
 
 
 class MultiPoly(RingElement):
@@ -522,9 +491,6 @@ class MultiPoly(RingElement):
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return "MultiPoly(%r, %s)" % (self.field, self)
-
     __hash__ = None
 
 
@@ -672,11 +638,6 @@ class BiTruncSeries(RingElement):
 
     def __hash__(self):
         return hash((id(self.field), self.ua, self.ub, self.coeffs))
-
-    def __repr__(self):
-        return "BiTruncSeries(%r, %d, %d, %r)" % (
-            self.field, self.ua, self.ub,
-            [[str(c) for c in row] for row in self.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -849,16 +810,6 @@ class QuotientElement(RingElement):
         return self.ring is other.ring and self.entries == other.entries
 
     __hash__ = None
-
-    def __repr__(self):
-        parts = []
-        for i, row in enumerate(self.entries):
-            for j, c in enumerate(row):
-                if c:
-                    mono = "".join(s for s, e in (("X^%d" % i, i), ("Y^%d" % j, j))
-                                   if e)
-                    parts.append("(%s)%s" % (c, mono) if mono else "(%s)" % (c,))
-        return "Quotient[%s]" % (" + ".join(parts) or "0")
 
 
 def _schoolbook_product(u, v):

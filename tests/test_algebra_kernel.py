@@ -343,12 +343,39 @@ def grading_checks_agree(A, rng, symmetry):
     return refused
 
 
+def with_witness(A):
+    """(C, moved): C = A + W, W spanned by f_0, f_1 with f_1 f_0 = f_1 its
+    one nonzero product, graded mod 3m with A's degrees tripled and f_0,
+    f_1 of degrees 0 and 1; moved keeps A's parts and puts f_0 by label 1
+    and f_1 by label 2, after them.  f_1 f_0 = f_1 is not in the part of
+    label 3, so moved is no grading, and only the ordered pair
+    (f_1, f_0) shows it: over unordered pairs of parts, in this order,
+    the sweep would take f_0 f_1 = 0 instead."""
+    field, n = A.field, A.dim
+    entries = [(i, j, k, c) for (i, j), terms in A.products.items()
+               for k, c in terms] + [(n + 1, n, n + 1, field.one)]
+    C = GradedAlgebra.from_entries(field, 3 * A.m,
+                                   [3 * d for d in A.degrees] + [0, 1],
+                                   entries)
+    parts = [(3 * k, Subspace(field, n + 2, [v + (field.zero,) * 2
+                                         for v in s.basis]))
+             for k, s in A.grading_parts()]
+    moved = parts + [(k, Subspace(field, n + 2, [C.basis_vector(n + i)]))
+                     for i, k in ((0, 1), (1, 2))]
+    return C, moved
+
+
 @SETTINGS
 @hypothesis.given(cases, st.sampled_from(SYMMETRIES))
 def test_is_grading_matches_reference_on_random_algebras(case, symmetry):
     field, seed = case
     rng, A = draw(field, seed, symmetry)
     grading_checks_agree(A, rng, symmetry)
+    C, moved = with_witness(A)
+    assert not galg._commutes_up_to_sign(C)
+    assert is_grading(C, C.grading_parts()) is True
+    assert reference_is_grading(C, moved) is False
+    assert is_grading(C, moved) is False
 
 
 @pytest.mark.parametrize("symmetry", SYMMETRIES)

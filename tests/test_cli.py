@@ -65,6 +65,26 @@ def test_p_cap_enforced(capsys):
     assert code == 0
 
 
+def test_identities_without_p_runs_each_default_prime_up_to_the_cap(
+        capsys):
+    # no --p: nine rows for each default prime up to --p-cap, row for row
+    # those of a --p P run
+    code, out, _ = run(capsys, "identities", "--p-cap", "5",
+                       "--output", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [r["p"] for r in rows] == [2] * 9 + [3] * 9 + [5] * 9
+    for p in (2, 3, 5):
+        code, out, _ = run(capsys, "identities", "--p", str(p),
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == [r for r in rows if r["p"] == p]
+    code, out, _ = run(capsys, "identities", "--output", "json")
+    assert code == 0
+    assert sorted({r["p"] for r in json.loads(out)["results"]}) == \
+        [2, 3, 5, 7, 11, 13]
+
+
 @pytest.mark.parametrize("argv", [
     ("switch", "--builtin", "witt:17", "--derivation", "ad:0"),
     ("switch", "--builtin", "tpoly:17:17:17", "--derivation", "ddx"),
@@ -903,8 +923,11 @@ def test_toral_help_names_exactly_the_families_with_a_torus(monkeypatch,
      "input file carries no derivation matrix"),
     (("switch", "--builtin", "witt:3", "--derivation", "dx"), None,
      "unknown derivation 'dx' (use ad:I, ddx, xddx, or json)"),
+    (("switch", "--input", "{input}", "--derivation", "ad:0"),
+     {"algebra": dict(witt(3).to_json(), sc=[[0, 1, 3, "1"]])},
+     "basis index out of range"),
 ], ids=["field-degree-0", "builtin-and-input", "json-not-an-object",
-        "json-without-matrix", "unknown-derivation"])
+        "json-without-matrix", "unknown-derivation", "index-beyond-dim"])
 def test_each_input_refusal_is_one_exact_line(tmp_path, capsys, argv, doc,
                                               refusal):
     path = tmp_path / "input.json"

@@ -437,7 +437,7 @@ def test_roots_in_splitting_field_p_polynomial():
 
 def test_roots_multiplicity():
     F = GF(5)
-    t = Polynomial.variable(F, "T")
+    t = Polynomial.variable(F)
     f = (t - 2) ** 3 * (t - 1)
     big, roots = roots_in_splitting_field(f)
     assert big is F

@@ -85,7 +85,7 @@ def test_laguerre_value_at_maps(F, n):
 
 def test_ring_protocol_default_step():
     F = GF(5)
-    z = Polynomial.variable(F, "Z")
+    z = Polynomial.variable(F)
     f = z ** 2 + 3
     assert f.mul_add(z, f, 2) == f * z + f * 2
     a, b = F.scalar(2), F.scalar(3)

@@ -145,11 +145,11 @@ def brute_char_poly(M):
     """det(T I - M) via the Leibniz permutation sum."""
     F = M.field
     n = M.n
-    t = Polynomial.variable(F, "T")
+    t = Polynomial.variable(F)
     entries = [[t - M.rows[i][j] if i == j else
-                Polynomial(F, [-M.rows[i][j]], "T")
+                Polynomial(F, [-M.rows[i][j]])
                 for j in range(n)] for i in range(n)]
-    acc = Polynomial(F, [], "T")
+    acc = Polynomial(F, [])
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -162,7 +162,7 @@ def brute_char_poly(M):
                 j, clen = perm[j], clen + 1
             if clen % 2 == 0:
                 sign = -sign
-        term = Polynomial(F, [F.scalar(sign)], "T")
+        term = Polynomial(F, [F.scalar(sign)])
         for i in range(n):
             term = term * entries[i][perm[i]]
         acc = acc + term
@@ -181,7 +181,7 @@ def test_minimal_polynomial_properties():
         assert mp.leading() == F.one
     # companion matrix of T^2 + 1 over GF(3)
     C = LinearMap(F, [[F.zero, -F.one], [F.one, F.zero]])
-    t = Polynomial.variable(F, "T")
+    t = Polynomial.variable(F)
     assert C.minimal_polynomial() == t ** 2 + 1
 
 
@@ -215,7 +215,7 @@ def test_minimal_polynomial_applies_each_krylov_vector_once(monkeypatch):
                       [F.zero, F.zero, F.scalar(5), F.zero],
                       [F.zero, F.zero, F.zero, F.scalar(5)]])
     applies.clear()
-    t = Polynomial.variable(F, "T")
+    t = Polynomial.variable(F)
     assert D.minimal_polynomial() == (t - 2) ** 2 * (t - 5)
     assert len(applies) == 3
 

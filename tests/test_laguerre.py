@@ -91,7 +91,7 @@ def test_truncated_exp_is_alpha_zero():
 def test_laguerre_coeffs_at_polynomial_alpha():
     p = 5
     F = GF(p, 2)
-    C = laguerre_coeffs(p, Polynomial.variable(F, "alpha"))
+    C = laguerre_coeffs(p, Polynomial.variable(F))
     rng = random.Random(6)
     for _ in range(20):
         a = F.random_element(rng)
@@ -209,7 +209,7 @@ def test_scalar_product_form_at_Z_evaluates_to_its_values(p, n):
     # evaluated at x, is its value at x; over GF(p) the value at Z is
     # lemma_product
     F = GF(p, n)
-    at_z = scalar_product_form(p, Polynomial.variable(F, "Z"))
+    at_z = scalar_product_form(p, Polynomial.variable(F))
     assert at_z.degree() == p * (p - 1) // 2
     for x in F.elements():
         assert at_z.evaluate(x) == scalar_product_form(p, x)

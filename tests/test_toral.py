@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from gradeswitch import toral
 from gradeswitch.echelon import solve
 from gradeswitch.fields import GF
 from gradeswitch.galg import GradedAlgebra, Subspace, direct_sum, \
     truncated_poly, witt
 from gradeswitch.laguerre import truncated_exp
-from gradeswitch.switch import HypothesisError, SwitchResult
+from gradeswitch.switch import HypothesisError, SwitchResult, \
+    VerificationError
 from gradeswitch.toral import (
     RestrictedLie, ToralComparison, Torus, compare_switch_to_toral,
     root_decomposition, strade_map, switch_torus)
@@ -312,6 +314,33 @@ def test_compare_switch_to_toral_witt():
         D = L.ad(L.basis_vector(0))
         assert out.switch.switch_map == truncated_exp(p).evaluate(D)
         assert strade_map(out.switch) == out.switch.switch_map
+
+
+def test_compare_switch_to_toral_refuses_a_wrong_operator_product(
+        monkeypatch):
+    # the operator-product form off by the identity map
+    L = witt_lie(5)
+    monkeypatch.setattr(toral, "strade_map", lambda res: res.switch_map + 1)
+    with pytest.raises(VerificationError) as info:
+        compare_switch_to_toral(L, [L.basis_vector(1)], L.basis_vector(0))
+    assert str(info.value) == ("operator-product form of the connecting "
+                               "map disagrees with the Laguerre value")
+
+
+def test_compare_switch_to_toral_refuses_root_spaces_that_do_not_move(
+        monkeypatch):
+    # a replacement torus handed back as the old one: ad e_{-1} moves the
+    # root spaces of e_0 off themselves, so they miss the old ones
+    L = witt_lie(5)
+    switch = toral.switch_torus
+
+    def stale(lie, torus, x, r):
+        return (torus,) + switch(lie, torus, x, r)[1:]
+    monkeypatch.setattr(toral, "switch_torus", stale)
+    with pytest.raises(VerificationError) as info:
+        compare_switch_to_toral(L, [L.basis_vector(1)], L.basis_vector(0))
+    assert str(info.value) == ("switched root spaces differ from the root "
+                               "spaces of the replacement torus")
 
 
 @pytest.mark.parametrize("p,c", [(5, 2), (7, 1)])

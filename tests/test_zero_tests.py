@@ -144,7 +144,7 @@ def test_linear_map_is_zero_with_other_zeros(field):
 
 def test_minimal_polynomial_with_other_zeros(field):
     F = field
-    t = Polynomial.variable(F, "T")
+    t = Polynomial.variable(F)
     zs = other_zeros(F)
     n = 4
     shift = [[F.one if i == j + 1 else F.zero for j in range(n)]
