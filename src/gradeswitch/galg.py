@@ -173,6 +173,40 @@ class LinearMap(RingElement):
             unpack(sum(map(mul, row, wide)) + ps * crow)
             for row, crow in zip(self._packed_rows(), c._wide_rows())]))
 
+    def polynomial_value(self, f):
+        """f(M) for a Polynomial f over M's field of degree below
+        (n + 1)^2, by Paterson and Stockmeyer (SIAM J. Comput. 2(1), 1973):
+        baby steps M^0, ..., M^(s-1) for s = ceil(sqrt(deg f + 1)), the
+        giant step M^s, and one fused Horner step acc M^s + B(M) per
+        further block B of s coefficients from the top.  Row i of B(M) is
+        one sum of s <= n + 1 packed scalars times wide rows i, unpacked
+        once.  About 2 sqrt(deg f) map products, against deg f for
+        Horner's rule."""
+        cs = f.coeffs
+        s = math.isqrt(max(len(cs) - 1, 0)) + 1
+        if s > self.n + 1:
+            raise ValueError("degree %d is too high for an %d x %d map"
+                             % (f.degree(), self.n, self.n))
+        if not cs:
+            return LinearMap.zero(self.field, self.n)
+        pack, _, unpack, _ = self._kernel()
+        powers = [self.one(), self]
+        while len(powers) < min(s, len(cs)) + (len(cs) > s):
+            powers.append(powers[-1] * self)
+
+        def combination(block):
+            terms = [(pack(c.coeffs), M._wide_rows())
+                     for c, M in zip(block, powers) if c]
+            return LinearMap._trusted(self.field, tuple([
+                unpack(sum([c * wide[i] for c, wide in terms]))
+                for i in range(self.n)]))
+        starts = range(0, len(cs), s)
+        acc = combination(cs[starts[-1]:])
+        for k in reversed(starts[:-1]):
+            acc = acc.mul_add(powers[s], combination(cs[k:k + s]),
+                              self.field.one)
+        return acc
+
     def p_power(self, k):
         """M^(p^k), from the chain M^p, M^(p^2), ... this map keeps: each
         power is formed once, and a repeated call returns the same
@@ -364,10 +398,11 @@ class Decomposition:
         return sum(s.dim for _, s in self.entries)
 
 
-def generalized_eigenspaces(D):
+def generalized_eigenspaces(D, f=None):
     """(F', Decomposition) after enlarging to a splitting field F' of the
-    minimal polynomial; entries are (eigenvalue, generalized eigenspace)
-    sorted by eigenvalue encoding, components verified to fill the space.
+    minimal polynomial f of D (formed here unless the caller has it);
+    entries are (eigenvalue, generalized eigenspace) sorted by eigenvalue
+    encoding, components verified to fill the space.
 
     The rho-eigenspace is the kernel of D^(p^k) - rho^(p^k), which is
     (D - rho)^(p^k) in characteristic p, for the least k with p^k at
@@ -379,7 +414,8 @@ def generalized_eigenspaces(D):
     switch.semisimple_exponent(D) the chain and the minimal polynomial
     are formed already.
     """
-    f = D.minimal_polynomial()
+    if f is None:
+        f = D.minimal_polynomial()
     big, roots = roots_in_splitting_field(f)
     p = big.p
     powers = {}     # k -> D^(p^k) over big

@@ -153,6 +153,11 @@ class Polynomial(RingElement):
         return Polynomial(self.field, [self.field.one])
 
     def __mul__(self, other):
+        if isinstance(other, (int, FqElement)):
+            # a scalar multiple costs one element product per coefficient
+            s = _as_field_elt(self.field, other)
+            return Polynomial._trusted(self.field, tuple(
+                [c * s for c in self.coeffs]) if s else ())
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -386,9 +391,6 @@ class MultiPoly(RingElement):
         return cls(field, vars_, {e: field.one})
 
     # -- queries ---------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)

@@ -17,7 +17,10 @@ product-splitting tables evaluated at commuting operators.
 
 One builder, :func:`build_LD`, takes (A, D) to a SwitchResult over the
 field F' of g, where the eigenvalues of D always lie; where D^(p^2) = D^p
-its g is gamma T^p with gamma^p - gamma = 1 (0 when D^p = 0).
+its g is gamma T^p with gamma^p - gamma = 1 (0 when D^p = 0).  Since
+alpha and L_D are polynomials in D, the switching law, the Laguerre value
+and the scalar law are worked on polynomials modulo D's minimal
+polynomial, and L_D is evaluated at D once.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from .galg import Decomposition, LinearMap, _accumulate, _check_acts, \
     derivation_degree, generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
-from .polyring import BiTruncSeries, NonInvertibleError
+from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
 
 
 class HypothesisError(RuntimeError):
@@ -244,12 +247,18 @@ def build_LD(A, D, r=None):
 
     A supplied r must be at least the semisimplicity exponent, as p-th
     powers of a semisimple map stay semisimple.  alpha = (g - h)(D) is
-    formed over the field F' of g from D's own p-power chain and checked
-    against the switching law alpha^p - alpha = D^p.  The generalized
-    eigenspaces of D, found over the field E where D splits, reach F'
-    through the embedding that agrees with the canonical one on A's field
-    F.  Over F': the one Laguerre value, its scalar law through g on each
-    eigenspace and the switched parts.
+    formed over the field F' of g from D's own p-power chain.  The
+    generalized eigenspaces of D, found over the field E where D splits,
+    reach F' through the embedding that agrees with the canonical one on
+    A's field F.
+
+    The law, the operator and its scalar law live in F'[D], which T -> D
+    identifies with F'[T]/(m_D), m_D the minimal polynomial of D (degree
+    d <= n), so each is a congruence of Polynomials mod m_D: alpha(T)
+    along T^(p^i) mod m_D against alpha(T)^p - alpha(T) = T^p, the
+    operator's residue P = L_{p-1}^(alpha(T))(T) mod m_D as one Laguerre
+    value, and :func:`_scalar_law`.  The one map formed from P is
+    L = P(D), in about 2 sqrt(d) products (LinearMap.polynomial_value).
 
     E always embeds in F', so an E whose degree does not divide that of
     F' raises VerificationError (Lidl-Niederreiter, Finite Fields, 3.4).
@@ -277,15 +286,23 @@ def build_LD(A, D, r=None):
     relation = p_power_relation(D, r)
     f1, g, lam = build_g(relation)
     p = f1.p
-    # every exponent of g - h is at least 1, and D^p is the one power of
-    # D the law needs
-    dp = D.p_power(1).embed_to(f1)
-    alpha = LinearMap.zero(f1, D.n)
+    # alpha = (g - h)(D) on D's chain, and alpha_t = (g - h)(T) on the
+    # chain of T^p in F'[T]/(m_D), T standing for D; every exponent of
+    # g - h is at least 1
+    mD = D.minimal_polynomial()
+    emb = embedding(D.field, f1)
+    m = Polynomial(f1, [emb(c) for c in mD.coeffs])
+    t = Polynomial.variable(f1) % m
+    tp = x = t.pow_mod(p, m)
+    alpha, alpha_t, j = LinearMap.zero(f1, D.n), tp * 0, 1
     for i, b in (g - h_polynomial(f1, r)).terms:
-        alpha = alpha + (dp if i == 1 else D.p_power(i).embed_to(f1)) * b
-    if alpha ** p - alpha != dp:
+        for _ in range(i - j):
+            x = x.pow_mod(p, m)
+        alpha = alpha + D.p_power(i).embed_to(f1) * b
+        alpha_t, j = alpha_t + x * b, i
+    if alpha_t.pow_mod(p, m) - alpha_t != tp:
         raise VerificationError("alpha^p - alpha != D^p")
-    big, dec = generalized_eigenspaces(D)
+    big, dec = generalized_eigenspaces(D, mD)
     if f1.n % big.n:
         raise VerificationError("eigenvalue field %r does not embed in %r"
                                 % (big, f1))
@@ -296,29 +313,49 @@ def build_LD(A, D, r=None):
             key=lambda entry: int(entry[0])))
     a1 = A.change_field(f1)
     d1 = D.embed_to(f1)
-    lmap = laguerre_value(p, alpha, d1)
+    poly = laguerre_value(p, alpha_t, t) % m
+    scalars = _scalar_law(poly, m, dec, g, r)
+    lmap = d1.polynomial_value(poly)
     old_parts = tuple(a1.grading_parts())
     return SwitchResult(
         algebra=a1, derivation=d1, field_start=A.field, field_final=f1,
         r_raw=r_raw, r=r, relation=relation, g=g, lam=lam,
-        decomposition=dec, block_scalars=_scalar_law(lmap, dec, g, r),
+        decomposition=dec, block_scalars=scalars,
         switch_map=lmap, alpha=alpha, old_parts=old_parts,
         new_parts=tuple((k, s.image(lmap)) for k, s in old_parts))
 
 
-def _scalar_law(lmap, dec, g, r):
+def _scalar_law(poly, m, dec, g, r):
     """((rho, s), ...) over the eigenvalues rho of dec, with
     s = L_{p-1}^(g(rho)^p)(g(rho)^p - g(rho)) checked against its product
-    form, nonzero, and lmap^(p^r) checked to act on A^(rho) as s.
+    form, nonzero, and L^(p^r) checked to act on A^(rho) as s, for the
+    operator L = poly(D) and m = m_D.
 
-    G = g(D) acts on A^(rho) as the scalar g(rho), since the nilpotent
-    part N of D there has N^(p^r) = 0; the eigenspaces span the space, so
-    this is the scalar law of the whole operator.
+    The multiplicity mu of rho in m is read off by dividing T - rho out
+    of what the eigenvalues before rho left of m: it must be at least 1,
+    and the eigenvalues must use up m.  D's minimal polynomial on
+    A^(rho) = ker (D - rho)^mu is (T - rho)^mu, so the law there is
+    poly^(p^r) = s mod (T - rho)^mu.  G = g(D) acts on A^(rho) as the
+    scalar g(rho), since the nilpotent part N of D there has
+    N^(p^r) = 0; the eigenspaces span the space, so this is the scalar
+    law of the whole operator.
     """
-    p = lmap.field.p
-    power = lmap.p_power(r)
+    field = m.field
+    p = field.p
+    power = poly.pow_mod(p ** r, m)
+    rest = m
     scalars = []
-    for rho, space in dec:
+    for rho, _ in dec:
+        lin = Polynomial(field, [-rho, field.one])
+        mu = 0
+        while True:
+            quo, rem = divmod(rest, lin)
+            if rem:
+                break
+            rest, mu = quo, mu + 1
+        if not mu:
+            raise VerificationError("eigenvalue %s is not a root of D's "
+                                    "minimal polynomial" % (rho,))
         grho = g(rho)
         s_lag = laguerre_value(p, grho ** p, grho ** p - grho)
         if s_lag != scalar_product_form(p, grho):
@@ -327,11 +364,17 @@ def _scalar_law(lmap, dec, g, r):
         if not s_lag:
             raise VerificationError("scalar law gives zero at rho = %s "
                                     "(operator not invertible)" % (rho,))
-        for x in space.basis:
-            if power.apply(x) != tuple(s_lag * c for c in x):
+        left = power - s_lag
+        for _ in range(mu):
+            left, rem = divmod(left, lin)
+            if rem:
                 raise VerificationError("L^(p^r) is not the predicted "
                                         "scalar at rho = %s" % (rho,))
         scalars.append((rho, s_lag))
+    if rest.degree():
+        raise VerificationError("eigenvalue multiplicities add up to %d, "
+                                "not deg m_D = %d"
+                                % (m.degree() - rest.degree(), m.degree()))
     return tuple(scalars)
 
 

@@ -272,7 +272,8 @@ def compare_switch_to_toral(lie, torus_vectors, x, r=None):
     subspaces, compared over the switch's field F', which contains
     lie.field through the canonical embedding build_LD used for D); and
     the descending operator-product form of the connecting map equals
-    the switching operator build_LD evaluates by Horner's rule, exactly.
+    the switching operator build_LD evaluates at D from its residue
+    modulo D's minimal polynomial, exactly.
     """
     _check_r(r)
     torus = Torus(lie, torus_vectors)

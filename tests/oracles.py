@@ -2,15 +2,19 @@
 map, its matrix on an invariant subspace, a map from its columns, a
 MultiPoly's value at a scalar point, the check that a p-power relation
 holds at D, the p-map tables and p-th power rule that the Witt builders
-once stored, and the generalized eigenspaces as kernels of the powers
-(D - rho)^mult that the package once formed.  The package has no caller
+once stored, the generalized eigenspaces as kernels of the powers
+(D - rho)^mult that the package once formed, and the switching operator
+as build_LD once formed it, on n x n maps.  The package has no caller
 for them, so they live here, next to the tests that use them."""
 
 from gradeswitch import galg
 from gradeswitch.echelon import Echelon, kernel
-from gradeswitch.fields import _as_field_elt, roots_in_splitting_field
+from gradeswitch.fields import (_as_field_elt, embedding_over,
+                                roots_in_splitting_field)
 from gradeswitch.galg import Decomposition, LinearMap, Subspace
-from gradeswitch.switch import PPolynomial
+from gradeswitch.laguerre import laguerre_value, scalar_product_form
+from gradeswitch.switch import PPolynomial, build_g, h_polynomial, \
+    p_power_relation, semisimple_exponent
 
 
 def inverse(M):
@@ -123,3 +127,35 @@ def eigenspaces_by_powers(D):
     return big, Decomposition(big, [
         (rho, Subspace(big, D.n, galg.kernel((D2 - rho) ** mult)))
         for rho, mult in roots])
+
+
+def switch_by_maps(A, D, r=None):
+    """(switch_map, block_scalars, alpha) as build_LD once formed them on
+    n x n maps over the field F' of g: alpha = (g - h)(D) on the chain of
+    D over F', checked against alpha^p - alpha = D^p; the Laguerre value
+    L_{p-1}^(alpha)(D) by Horner's rule; and L^(p^r) applied to each
+    basis vector of each generalized eigenspace (kernels of
+    (D - rho)^mult over F'), which it must multiply by the scalar
+    L_{p-1}^(g(rho)^p)(g(rho)^p - g(rho)) of the product form."""
+    r_raw = semisimple_exponent(D)
+    r = max(r_raw if r is None else r, 1)
+    f1, g, _ = build_g(p_power_relation(D, r))
+    p = f1.p
+    d1 = D.embed_to(f1)
+    alpha = (g - h_polynomial(f1, r))(d1)
+    assert alpha ** p - alpha == d1 ** p, "the switching law fails"
+    lmap = laguerre_value(p, alpha, d1)
+    power = lmap ** (p ** r)
+    big, dec = eigenspaces_by_powers(D)
+    into = embedding_over(big, f1, A.field)
+    scalars = []
+    for rho, space in sorted(((into(rho), space.map_field(f1, into))
+                              for rho, space in dec),
+                             key=lambda entry: int(entry[0])):
+        grho = g(rho)
+        s = laguerre_value(p, grho ** p, grho ** p - grho)
+        assert s and s == scalar_product_form(p, grho), "scalar law"
+        for x in space.basis:
+            assert power.apply(x) == tuple(s * c for c in x), "L^(p^r)"
+        scalars.append((rho, s))
+    return lmap, tuple(scalars), alpha

@@ -215,7 +215,7 @@ def test_an_eigenvalue_field_outside_g_field_is_refused(monkeypatch):
     A, D = companion_blocks(2, [2])
     assert build_LD(A, D).field_final is GF(2, 4)
     monkeypatch.setattr(switch, "generalized_eigenspaces",
-                        lambda D: (GF(2, 17), None))
+                        lambda D, f: (GF(2, 17), None))
     monkeypatch.setattr(switch, "Decomposition", None)  # not called
     with pytest.raises(VerificationError, match=r"GF\(2\^17\) does not "
                        r"embed in GF\(2\^4\)"):

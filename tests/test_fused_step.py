@@ -11,6 +11,9 @@ coefficient p - 1 (-1 in a prime field), which fill every slot with
 n + 1 maximal products.  laguerre_value on maps is compared with the
 unfused Horner rule over :func:`laguerre_coeffs` and with
 -:func:`descending_form`, which shares no code with either.
+``LinearMap.polynomial_value``, whose Paterson-Stockmeyer blocks sum up to
+n + 1 scaled wide rows per row and whose giant steps are fused steps, is
+compared with Horner's rule of ``Polynomial.evaluate``.
 """
 
 import random
@@ -81,6 +84,34 @@ def test_laguerre_value_at_maps(F, n):
             value = laguerre_value(p, a, x)
             assert value == unfused_horner(p, a, x)
             assert value == -descending_form(p, a, x)
+
+
+@pytest.mark.parametrize("F,n", CASES, ids=IDS)
+def test_polynomial_value_matches_horner(F, n):
+    rng = random.Random(n * F.q + 1)
+    c = top(F)
+    # up to the largest degree taken, (n + 1)^2 - 1, where the maps are
+    # small enough for Horner's rule; all coefficients maximal at the
+    # maximal map, random below a maximal leading one at a random map
+    degrees = [0, 1, n] + ([(n + 1) ** 2 - 1] if n <= 4 else [])
+    M, X = random_map(F, n, rng), LinearMap(F, [[c] * n] * n)
+    assert M.polynomial_value(Polynomial(F, [])) == LinearMap.zero(F, n)
+    for d in degrees:
+        f = Polynomial(F, [F.random_element(rng) for _ in range(d)] + [c])
+        assert M.polynomial_value(f) == f.evaluate(M)
+        f = Polynomial(F, [c] * (d + 1))
+        assert X.polynomial_value(f) == f.evaluate(X)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_polynomial_value_refuses_a_degree_past_its_blocks(n):
+    F = GF(5)
+    M = LinearMap.identity(F, n)
+    assert M.polynomial_value(Polynomial(F, [1] * (n + 1) ** 2)) == \
+        M * ((n + 1) ** 2)
+    with pytest.raises(ValueError, match="degree %d is too high"
+                       % (n + 1) ** 2):
+        M.polynomial_value(Polynomial(F, [1] * ((n + 1) ** 2 + 1)))
 
 
 def test_ring_protocol_default_step():

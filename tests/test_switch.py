@@ -577,28 +577,31 @@ def switch_products(monkeypatch, capsys, argv):
 
 def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
     # D^5, ..., D^(5^17) are formed once, on D's own p-power chain over the
-    # start field: p_power_relation walks it, and alpha = (g - h)(D) and
-    # the law alpha^5 - alpha = D^5 embed its terms.  Walking h(D) along a
-    # second chain and forming D^(5^16) again for a check of g(D) made 250
-    # products, forming D^5 once more for the law 160, and a second chain
-    # from D^5 to D^(5^16) over the enlarged field for alpha 157.  The
-    # fused Horner steps of the Laguerre value count as products: 105
-    # plain ones and 4 fused
+    # start field: p_power_relation walks it, and alpha = (g - h)(D) embeds
+    # its terms.  Walking h(D) along a second chain and forming D^(5^16)
+    # again for a check of g(D) made 250 products, forming D^5 once more
+    # for the law 160, and a second chain from D^5 to D^(5^16) over the
+    # enlarged field for alpha 157.  The law, the Laguerre value and the
+    # scalar law on n x n maps (alpha^5, four fused Horner steps and
+    # L^(5^16)) made 109; modulo D's minimal polynomial they form no map,
+    # and L = P(D) takes D^2, D^3 and one fused step: 54
     assert switch_products(monkeypatch, capsys, [
-        "--builtin", "witt:5", "--derivation", "ad:1", "--r", "16"]) == 109
+        "--builtin", "witt:5", "--derivation", "ad:1", "--r", "16"]) == 54
 
 
 @pytest.mark.parametrize("spec,der,want", [
-    ("tpoly:5:25:5", "ddx", 25), ("tpoly:5:25:5", "xddx", 22),
-    ("tpoly:3:27:3", "ddx", 23)])
+    ("tpoly:5:25:5", "ddx", 17), ("tpoly:5:25:5", "xddx", 12),
+    ("tpoly:3:27:3", "ddx", 19)])
 def test_switch_forms_each_map_product_once(monkeypatch, capsys, spec, der,
                                             want):
     # each map forms its p-power chain and its minimal polynomial once:
     # the eigenspaces read D's chain and the minimal polynomial
-    # semisimple_exponent formed, and each Horner step of the Laguerre
-    # value is one fused product.  Forming D^(p^k) - rho^(p^k) as
-    # (D - rho)^mult, a second minimal polynomial of D and unfused steps
-    # made 31, 25 and 30 products
+    # semisimple_exponent formed.  The operator is P(D) for P the Laguerre
+    # value modulo D's minimal polynomial m, by Paterson-Stockmeyer: about
+    # 2 sqrt(deg m) products, each fused Horner step one.  Forming
+    # D^(p^k) - rho^(p^k) as (D - rho)^mult, a second minimal polynomial of
+    # D and unfused steps made 31, 25 and 30 products; the Laguerre value
+    # by Horner on n x n maps, alpha^p and L^(p^r) there 25, 22 and 23
     assert switch_products(monkeypatch, capsys, [
         "--builtin", spec, "--derivation", der]) == want
 
@@ -840,25 +843,79 @@ def test_product_rule_refuses_a_perturbed_c_value(monkeypatch, spec, der,
     assert orders == {(order, order)}
 
 
+def operator_residue(res):
+    """(P, m): D's minimal polynomial m over F' and the residue P of the
+    switching operator modulo m, L = P(D), as build_LD forms them."""
+    D = res.derivation
+    field = D.field
+    m = D.minimal_polynomial()
+    t = Polynomial.variable(field) % m
+    alpha = t * 0
+    for i, b in (res.g - h_polynomial(field, res.r)).terms:
+        alpha = alpha + t.pow_mod(field.p ** i, m) * b
+    return laguerre_value(field.p, alpha, t) % m, m
+
+
 @pytest.mark.parametrize("spec,der", [("tpoly:3:9:3", "ddx"),
                                       ("witt:5+witt:5", "ad:1")])
 def test_scalar_law_refuses_each_wrong_input(monkeypatch, spec, der):
     res = switched_without_product_rule(spec, der)
-    L, dec, g, r = res.switch_map, res.decomposition, res.g, res.r
-    assert switch._scalar_law(L, dec, g, r) == res.block_scalars
-    # (L + 1)^(p^r) = L^(p^r) + 1 acts on each eigenspace as s + 1
+    P, m = operator_residue(res)
+    dec, g, r = res.decomposition, res.g, res.r
+    assert res.derivation.polynomial_value(P) == res.switch_map
+    assert switch._scalar_law(P, m, dec, g, r) == res.block_scalars
+    F = m.field
+    # (P + 1)^(p^r) = P^(p^r) + 1 is s + 1 modulo each (T - rho)^mu
     with pytest.raises(VerificationError, match=r"L\^\(p\^r\) is not the "
                                                 r"predicted scalar"):
-        switch._scalar_law(L + LinearMap.identity(L.field, L.n), dec, g, r)
+        switch._scalar_law(P + 1, m, dec, g, r)
+    # an eigenvalue off the spectrum, in place of the first
+    space = dec.entries[0][1]
+    off = next(x for x in map(F.from_int, range(F.q)) if m.evaluate(x))
+    with pytest.raises(VerificationError, match="is not a root of D's "
+                                                "minimal polynomial"):
+        switch._scalar_law(P, m, Decomposition(
+            F, ((off, space),) + dec.entries[1:]), g, r)
+    # the last eigenvalue left out: its multiplicity is missing
+    with pytest.raises(VerificationError, match=r"multiplicities add up "
+                       r"to \d+, not deg m_D = %d" % m.degree()):
+        switch._scalar_law(P, m, Decomposition(F, dec.entries[:-1]), g, r)
     # g(rho) = 1 gives prod_i (1 + 1/i)^i, whose factor at i = p - 1 is 0
     with pytest.raises(VerificationError, match="scalar law gives zero"):
-        switch._scalar_law(L, dec, lambda rho: rho.field.one, r)
-    real = switch.scalar_product_form
+        switch._scalar_law(P, m, dec, lambda rho: rho.field.one, r)
+    # a wrong s on both forms, so that they agree and s stays nonzero
+    real_value, real_form = switch.laguerre_value, switch.scalar_product_form
+    monkeypatch.setattr(switch, "laguerre_value",
+                        lambda p, a, x: real_value(p, a, x) + 1)
     monkeypatch.setattr(switch, "scalar_product_form",
-                        lambda p, x: real(p, x) + 1)
+                        lambda p, x: real_form(p, x) + 1)
+    assert all(s + 1 for _, s in res.block_scalars)
+    with pytest.raises(VerificationError, match=r"L\^\(p\^r\) is not the "
+                                                r"predicted scalar"):
+        switch._scalar_law(P, m, dec, g, r)
+    monkeypatch.setattr(switch, "laguerre_value", real_value)
     with pytest.raises(VerificationError, match="Laguerre and product forms "
                                                 "disagree"):
         switch_grading(res.algebra, res.derivation, check_product_rule=False)
+
+
+@pytest.mark.parametrize("spec,der", [("tpoly:3:9:3", "ddx"),
+                                      ("witt:5+witt:5", "ad:1")])
+def test_build_LD_refuses_a_perturbed_alpha(monkeypatch, spec, der):
+    # h - c T^p moves alpha to alpha + c D^p, and the law's left side by
+    # c^p D^(p^2) - c D^p: not 0 for c = 1 with D^(p^2) = 0 != D^p
+    # (tpoly:3:9:3 ddx), nor for c outside F_p with D^(p^2) = D^p
+    # (witt:5+witt:5 ad:1)
+    real = switch.h_polynomial
+
+    def perturbed(field, r):
+        c = field.gen if field.n > 1 else field.one
+        return real(field, r) - PPolynomial.make(field, [(1, c)])
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    monkeypatch.setattr(switch, "h_polynomial", perturbed)
+    with pytest.raises(VerificationError, match=r"alpha\^p - alpha != D\^p"):
+        build_LD(A, D)
 
 
 def test_product_rule_refuses_a_product_outside_the_eigenspace_sum():
