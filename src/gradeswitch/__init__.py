@@ -11,9 +11,9 @@ restricted Lie algebras (`toral`).
 
 from .fields import GF, FqElement, embed, embedding, \
     roots_in_splitting_field
-from .galg import Decomposition, GradedAlgebra, LinearMap, Subspace, \
-    derivation_degree, direct_sum, generalized_eigenspaces, is_derivation, \
-    is_grading, truncated_poly, truncated_poly_derivation, witt
+from .galg import GradedAlgebra, LinearMap, Subspace, derivation_degree, \
+    direct_sum, generalized_eigenspaces, is_derivation, is_grading, \
+    truncated_poly, truncated_poly_derivation, witt
 from .laguerre import CoefficientTable, c_coefficients, \
     check_all_identities, check_closed_form_congruence, check_lemma_forms, \
     check_lemma_product_identity, laguerre_at, laguerre_value, \
@@ -31,10 +31,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GF", "FqElement", "embed", "embedding", "roots_in_splitting_field",
-    "Decomposition", "GradedAlgebra", "LinearMap", "Subspace",
-    "derivation_degree", "direct_sum", "generalized_eigenspaces",
-    "is_derivation", "is_grading", "truncated_poly",
-    "truncated_poly_derivation", "witt",
+    "GradedAlgebra", "LinearMap", "Subspace", "derivation_degree",
+    "direct_sum", "generalized_eigenspaces", "is_derivation", "is_grading",
+    "truncated_poly", "truncated_poly_derivation", "witt",
     "CoefficientTable", "c_coefficients", "check_all_identities",
     "check_closed_form_congruence", "check_lemma_forms",
     "check_lemma_product_identity", "laguerre_at", "laguerre_value",

@@ -310,8 +310,6 @@ def _parse_x(lie, spec):
 
 
 def cmd_toral(args):
-    if not args.builtin:
-        raise ValueError("the toral demo runs on builtin algebras")
     _check_cap("r =", args.r, R_CAP)
     lie = RestrictedLie(_load_builtin(args.builtin, args))
     tvecs = _default_torus(args.builtin, lie)

@@ -1065,18 +1065,11 @@ def _multiplicities(f, roots):
     out = []
     check = Polynomial(f.field, [f.coeffs[-1]])
     t = Polynomial.variable(f.field)
+    rest = f
     for r in sorted(roots, key=int):
-        mult = 0
-        g = f
-        while True:
-            q, rem = divmod(g, t - r)
-            if not rem.is_zero():
-                break
-            mult += 1
-            g = q
+        mult, rest = rest.multiplicity(r)
         out.append((r, mult))
-        for _ in range(mult):
-            check = check * (t - r)
+        check = check * (t - r) ** mult
     if check != f or sum(m for _, m in out) != f.degree():
         raise AssertionError("root re-expansion failed")  # splitting defect
     return out

@@ -369,40 +369,11 @@ class Subspace:
         return hash((id(self.field), self.ambient, self.basis))
 
 
-class Decomposition:
-    """Eigenvalue-labelled direct sum of subspaces."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = tuple(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def values(self):
-        return tuple(v for v, _ in self.entries)
-
-    def find(self, value):
-        for v, s in self.entries:
-            if v == value:
-                return s
-        return None
-
-    @property
-    def total_dim(self):
-        return sum(s.dim for _, s in self.entries)
-
-
 def generalized_eigenspaces(D, f=None):
-    """(F', Decomposition) after enlarging to a splitting field F' of the
-    minimal polynomial f of D (formed here unless the caller has it);
-    entries are (eigenvalue, generalized eigenspace) sorted by eigenvalue
-    encoding, components verified to fill the space.
+    """(F', ((eigenvalue, generalized eigenspace), ...)) after enlarging
+    to a splitting field F' of the minimal polynomial f of D (formed here
+    unless the caller has it); the pairs are sorted by eigenvalue
+    encoding, and the eigenspaces are verified to fill the space.
 
     The rho-eigenspace is the kernel of D^(p^k) - rho^(p^k), which is
     (D - rho)^(p^k) in characteristic p, for the least k with p^k at
@@ -428,13 +399,12 @@ def generalized_eigenspaces(D, f=None):
             powers[k] = D.p_power(k).embed_to(big)
         nmap = powers[k] - rho ** (p ** k)
         entries.append((rho, Subspace(big, D.n, kernel(nmap))))
-    dec = Decomposition(big, entries)
-    if dec.total_dim != D.n:
+    if sum(s.dim for _, s in entries) != D.n:
         raise AssertionError("generalized eigenspaces do not fill the space")
     stacked = [b for _, s in entries for b in s.basis]
     if Echelon(stacked).rank != D.n:
         raise AssertionError("generalized eigenspaces are not independent")
-    return big, dec
+    return big, tuple(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -296,17 +296,8 @@ def check_lemma_forms(p):
     checks = [f == lemma_product(p), f == lemma_binomial(p),
               f.degree() == p * (p - 1) // 2,
               bool(f[0] == f.field.one)]
-    z = Polynomial.variable(f.field)
-    for i in range(1, p):
-        g = f
-        for _ in range(i):
-            q, r = divmod(g, z + i)
-            if not r.is_zero():
-                checks.append(False)
-                break
-            g = q
-        else:
-            checks.append(not (g % (z + i)).is_zero())  # multiplicity exactly i
+    checks += [f.multiplicity(-f.field.scalar(i))[0] == i
+               for i in range(1, p)]
     return CheckReport("factored_forms[p=%d]" % p, all(checks),
                        "eval == product == signed-binomial, degree %d"
                        % (p * (p - 1) // 2))

@@ -280,6 +280,20 @@ class Polynomial(RingElement):
         inv = self.leading().inverse()
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
+    def multiplicity(self, root):
+        """(mu, q) with self = (T - root)^mu q and q(root) != 0, by
+        dividing T - root out while it divides.  The zero polynomial
+        raises ValueError."""
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no root multiplicity")
+        lin = Polynomial(self.field, [-root, self.field.one])
+        mu, q = 0, self
+        while True:
+            quo, rem = divmod(q, lin)
+            if rem:
+                return mu, q
+            mu, q = mu + 1, quo
+
     def derivative(self):
         return Polynomial(self.field,
                           [i * c for i, c in enumerate(self.coeffs)][1:])

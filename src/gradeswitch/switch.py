@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .echelon import first_dependence
 from .fields import additive_root, embedding, embedding_over
-from .galg import Decomposition, LinearMap, _accumulate, _check_acts, \
-    derivation_degree, generalized_eigenspaces, is_derivation, is_grading
+from .galg import LinearMap, _accumulate, _check_acts, derivation_degree, \
+    generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
 from .polyring import BiTruncSeries, NonInvertibleError, Polynomial
@@ -308,7 +308,7 @@ def build_LD(A, D, r=None):
                                 % (big, f1))
     if big is not f1:
         into = embedding_over(big, f1, A.field)
-        dec = Decomposition(f1, sorted(
+        dec = tuple(sorted(
             [(into(rho), space.map_field(f1, into)) for rho, space in dec],
             key=lambda entry: int(entry[0])))
     a1 = A.change_field(f1)
@@ -331,11 +331,11 @@ def _scalar_law(poly, m, dec, g, r):
     form, nonzero, and L^(p^r) checked to act on A^(rho) as s, for the
     operator L = poly(D) and m = m_D.
 
-    The multiplicity mu of rho in m is read off by dividing T - rho out
-    of what the eigenvalues before rho left of m: it must be at least 1,
-    and the eigenvalues must use up m.  D's minimal polynomial on
-    A^(rho) = ker (D - rho)^mu is (T - rho)^mu, so the law there is
-    poly^(p^r) = s mod (T - rho)^mu.  G = g(D) acts on A^(rho) as the
+    The multiplicity mu of rho in m is that in what the eigenvalues
+    before rho left of m (Polynomial.multiplicity): it must be at least
+    1, and the eigenvalues must use up m.  D's minimal polynomial on
+    A^(rho) = ker (D - rho)^mu is (T - rho)^mu, so the law there is that
+    poly^(p^r) - s is 0 mod (T - rho)^mu.  G = g(D) acts on A^(rho) as the
     scalar g(rho), since the nilpotent part N of D there has
     N^(p^r) = 0; the eigenspaces span the space, so this is the scalar
     law of the whole operator.
@@ -346,13 +346,7 @@ def _scalar_law(poly, m, dec, g, r):
     rest = m
     scalars = []
     for rho, _ in dec:
-        lin = Polynomial(field, [-rho, field.one])
-        mu = 0
-        while True:
-            quo, rem = divmod(rest, lin)
-            if rem:
-                break
-            rest, mu = quo, mu + 1
+        mu, rest = rest.multiplicity(rho)
         if not mu:
             raise VerificationError("eigenvalue %s is not a root of D's "
                                     "minimal polynomial" % (rho,))
@@ -364,12 +358,9 @@ def _scalar_law(poly, m, dec, g, r):
         if not s_lag:
             raise VerificationError("scalar law gives zero at rho = %s "
                                     "(operator not invertible)" % (rho,))
-        left = power - s_lag
-        for _ in range(mu):
-            left, rem = divmod(left, lin)
-            if rem:
-                raise VerificationError("L^(p^r) is not the predicted "
-                                        "scalar at rho = %s" % (rho,))
+        if (power - s_lag) % Polynomial(field, [-rho, field.one]) ** mu:
+            raise VerificationError("L^(p^r) is not the predicted "
+                                    "scalar at rho = %s" % (rho,))
         scalars.append((rho, s_lag))
     if rest.degree():
         raise VerificationError("eigenvalue multiplicities add up to %d, "
@@ -449,6 +440,7 @@ def verify_product_rule(result):
     n = a2.dim
     gh = result.g - h_polynomial(f2, result.r)
     dec = result.decomposition
+    values = {rho for rho, _ in dec}
     lmap = result.switch_map
     zero = f2.zero
     zero_vec = (zero,) * n
@@ -499,7 +491,7 @@ def verify_product_rule(result):
     pairs = 0
     for rho, vspace, a0, sa, xgrids, plx in info:
         for sigma, wspace, b0, sb, ygrids, ply in info:
-            if dec.find(rho + sigma) is None:
+            if rho + sigma not in values:
                 for x in vspace.basis:
                     for y in wspace.basis:
                         if a2.product(x, y) != zero_vec:

@@ -17,8 +17,7 @@ is that same operator written as one global polynomial in commuting maps.
 from dataclasses import dataclass
 
 from .echelon import Echelon
-from .galg import Decomposition, Subspace, bracket_failure, \
-    generalized_eigenspaces
+from .galg import Subspace, bracket_failure, generalized_eigenspaces
 from .laguerre import descending_form
 from .switch import HypothesisError, VerificationError, _check_r, \
     build_LD
@@ -113,11 +112,11 @@ class Torus:
     """Span of pairwise-commuting vectors with semisimple adjoints, over
     the field of its algebra.
 
-    eigen[i] is (F_i, Decomposition) for the adjoint of basis vector t_i:
-    its generalized eigenspaces over the field F_i where it splits.  ad t_i
-    is semisimple exactly when it acts on each of them as its eigenvalue,
-    so a semisimple torus that splits only over a larger F_i is accepted;
-    root_decomposition refuses it.
+    eigen[i] is (F_i, ((eigenvalue, eigenspace), ...)) for the adjoint of
+    basis vector t_i: its generalized eigenspaces over the field F_i where
+    it splits.  ad t_i is semisimple exactly when it acts on each of them
+    as its eigenvalue, so a semisimple torus that splits only over a
+    larger F_i is accepted; root_decomposition refuses it.
     """
 
     def __init__(self, lie, vectors):
@@ -180,8 +179,9 @@ class Torus:
 
 
 def root_decomposition(torus):
-    """The Decomposition of the algebra into the torus's root spaces, over
-    torus.lie.field; root labels are eigenvalue tuples.
+    """The root spaces of the algebra for the torus, over torus.lie.field,
+    as ((root label, Subspace), ...) sorted by label; a root label is a
+    tuple of eigenvalues.
 
     The eigenspaces the torus holds for each ad t refine the parts by
     intersection.  A torus with an adjoint that splits only over a larger
@@ -208,7 +208,7 @@ def root_decomposition(torus):
     if sum(s.dim for _, s in parts) != lie.dim:
         raise VerificationError("root spaces do not fill the algebra")
     parts.sort(key=lambda e: [int(c) for c in e[0]])
-    return Decomposition(field, parts)
+    return tuple(parts)
 
 
 def switch_torus(lie, torus, x, r):

@@ -17,8 +17,9 @@ gradeswitch.cli``) is not seen.
 ``linecov_allow.txt`` beside this file lists the statements that are
 meant never to run, each with its reason: those are left out of the
 report, and an entry that names no statement of the package is reported
-as stale.  Tracing makes the run about three times slower, so tests with a
-wall-clock budget may fail under it and only there.
+as stale.  Tracing makes the run about three times slower, so the tests
+whose wall-clock budget it broke time their body untraced
+(``time_budget.untraced``).
 """
 
 import ast

@@ -11,7 +11,7 @@ from gradeswitch import galg
 from gradeswitch.echelon import Echelon, kernel
 from gradeswitch.fields import (_as_field_elt, embedding_over,
                                 roots_in_splitting_field)
-from gradeswitch.galg import Decomposition, LinearMap, Subspace
+from gradeswitch.galg import LinearMap, Subspace
 from gradeswitch.laguerre import laguerre_value, scalar_product_form
 from gradeswitch.switch import PPolynomial, build_g, h_polynomial, \
     p_power_relation, semisimple_exponent
@@ -117,16 +117,16 @@ def center(A):
 
 
 def eigenspaces_by_powers(D):
-    """(F', Decomposition) as :func:`gradeswitch.galg.generalized_eigenspaces`
-    once found them: D embedded into the splitting field F' of its
-    minimal polynomial, and the rho-eigenspace the kernel of
-    (D - rho)^mult, mult the multiplicity of rho there, by
-    square-and-multiply."""
+    """(F', ((rho, eigenspace), ...)) as
+    :func:`gradeswitch.galg.generalized_eigenspaces` once found them: D
+    embedded into the splitting field F' of its minimal polynomial, and
+    the rho-eigenspace the kernel of (D - rho)^mult, mult the
+    multiplicity of rho there, by square-and-multiply."""
     big, roots = roots_in_splitting_field(D.minimal_polynomial())
     D2 = D.embed_to(big)
-    return big, Decomposition(big, [
+    return big, tuple(
         (rho, Subspace(big, D.n, galg.kernel((D2 - rho) ** mult)))
-        for rho, mult in roots])
+        for rho, mult in roots)
 
 
 def switch_by_maps(A, D, r=None):

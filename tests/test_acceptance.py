@@ -26,6 +26,7 @@ from gradeswitch.switch import (
     build_LD, h_polynomial, switch_grading, verify_product_rule)
 from gradeswitch.toral import RestrictedLie, compare_switch_to_toral
 from oracles import restrict_to
+from time_budget import untraced
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -134,9 +135,12 @@ def test_criterion_03_coefficient_tables():
 
 
 def test_criterion_04_symbolic_tables():
-    t0 = time.monotonic()
-    ok = all(check_closed_form_congruence(p).passed for p in PRIMES)
-    dt = time.monotonic() - t0
+    # timed untraced, so that the budget holds in every run;
+    # tests/test_laguerre.py runs the closed-form lines traced
+    with untraced():
+        t0 = time.monotonic()
+        ok = all(check_closed_form_congruence(p).passed for p in PRIMES)
+        dt = time.monotonic() - t0
     ok = ok and dt < 10.0
     _verdict(4, ok, "closed-form tables over GF(p)[alpha, beta] for p in "
              "{%s}, %.2fs (budget 10s)" % (",".join(map(str, PRIMES)), dt))

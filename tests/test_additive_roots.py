@@ -216,7 +216,7 @@ def test_an_eigenvalue_field_outside_g_field_is_refused(monkeypatch):
     assert build_LD(A, D).field_final is GF(2, 4)
     monkeypatch.setattr(switch, "generalized_eigenspaces",
                         lambda D, f: (GF(2, 17), None))
-    monkeypatch.setattr(switch, "Decomposition", None)  # not called
+    monkeypatch.setattr(switch, "embedding_over", None)  # not called
     with pytest.raises(VerificationError, match=r"GF\(2\^17\) does not "
                        r"embed in GF\(2\^4\)"):
         build_LD(A, D)

@@ -655,6 +655,13 @@ def test_toral_sum(capsys):
     assert doc["results"][0]["old_dims"] == [2] + [1] * 8
 
 
+def test_toral_requires_a_builtin(capsys):
+    # argparse refuses it, before any command runs
+    code, out, err = run(capsys, "toral", "--x", "e:2")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --builtin" in err
+
+
 def test_toral_bad_x_is_hypothesis_error(capsys):
     code, _, err = run(capsys, "toral", "--builtin", "witt:5", "--x", "e:0")
     assert code == 1

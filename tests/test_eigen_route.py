@@ -24,7 +24,7 @@ from gradeswitch.laguerre import laguerre_value
 from gradeswitch.switch import build_g, build_LD, h_polynomial, \
     p_power_relation, semisimple_exponent
 from test_switch import assert_special_closed_form, is_special
-from time_budget import time_limit
+from time_budget import time_limit, untraced
 
 
 def old_route(D, g, r):
@@ -49,8 +49,9 @@ def build_LD_g(D):
 def assert_same_route(res, old):
     f2, dec, alpha, lmap = old
     assert res.field_final is f2
-    assert res.decomposition.field is f2
-    assert res.decomposition.values() == dec.values()
+    assert all(rho.field is f2 and s.field is f2
+               for rho, s in res.decomposition)
+    assert [rho for rho, _ in res.decomposition] == [rho for rho, _ in dec]
     assert [s for _, s in res.decomposition] == [s for _, s in dec]
     assert res.alpha == alpha
     assert res.switch_map == lmap
@@ -123,8 +124,9 @@ def test_eigenvalue_field_embeds_in_g_field():
     """The field E where D splits divides the field F' of g, for every r
     from max(r_raw, 1) to two above it, so build_LD ends over F' itself:
     8 seeded random maps of a 1- to 5-dimensional space per start field,
-    120 cases, some with E = GF(3^12) and F' = GF(3^36)."""
-    with time_limit(5):
+    120 cases, some with E = GF(3^12) and F' = GF(3^36).  Untraced: no
+    line of the package runs only here."""
+    with untraced(), time_limit(5):
         for p, n in EMBED_FIELDS:
             F = GF(p, n)
             rng = random.Random(100 * p + n)

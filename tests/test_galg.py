@@ -309,9 +309,9 @@ def test_generalized_eigenspaces_diagonalizable():
     D = LinearMap(F, [[F.scalar(2), F.zero], [F.zero, F.scalar(3)]])
     big, dec = generalized_eigenspaces(D)
     assert big is F
-    assert dec.values() == (F.scalar(2), F.scalar(3))
-    assert tuple(dec.find(F.scalar(2)).basis) == ((F.one, F.zero),)
-    assert dec.total_dim == 2
+    assert [rho for rho, _ in dec] == [F.scalar(2), F.scalar(3)]
+    assert tuple(dec[0][1].basis) == ((F.one, F.zero),)
+    assert sum(s.dim for _, s in dec) == 2
 
 
 def test_generalized_eigenspaces_need_extension():
@@ -335,7 +335,7 @@ def test_generalized_eigenspaces_nilpotent_and_invariance():
                       [F.zero, F.zero, F.zero]])
     big, dec = generalized_eigenspaces(N)
     assert big is F and len(dec) == 1
-    rho, space = dec.entries[0]
+    (rho, space), = dec
     assert not rho and space.dim == 3
     rng = random.Random(16)
     M = rand_map(F, 4, rng)

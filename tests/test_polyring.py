@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import gc
 import io
+import operator
 import random
 import weakref
 
@@ -188,6 +190,37 @@ def test_polynomial_derivative():
     t = Polynomial.variable(F)
     f = t ** 5 + 2 * t ** 3 + t
     assert f.derivative() == 6 * t ** 2 + 1  # the T^5 term dies mod 5
+
+
+# GF(2^17) lies above the table cap
+assert GF(2, 17).q > fields._TABLE_CAP
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2, 5), GF(2, 17)],
+                         ids=str)
+def test_multiplicity_of_products_of_linear_factors(field):
+    # c (T - r_1)^m_1 ... (T - r_k)^m_k with distinct random roots: each
+    # r_i has multiplicity m_i and cofactor f / (T - r_i)^m_i, and any
+    # other element has multiplicity 0 and cofactor f itself
+    rng = random.Random(field.q)
+    t = Polynomial.variable(field)
+    for _ in range(5):
+        roots = list(dict.fromkeys(field.random_element(rng)
+                                   for _ in range(4)))
+        mults = [rng.randrange(1, 4) for _ in roots]
+        factors = [(t - r) ** m for r, m in zip(roots, mults)]
+        lead = field.random_element(rng) or field.one
+        f = lead * functools.reduce(operator.mul, factors)
+        for i, (r, m) in enumerate(zip(roots, mults)):
+            rest = functools.reduce(operator.mul,
+                                    factors[:i] + factors[i + 1:], t ** 0)
+            assert f.multiplicity(r) == (m, lead * rest)
+        other = next(x for x in map(field.from_int, range(field.q))
+                     if x not in roots)
+        assert f.multiplicity(other) == (0, f)
+    with pytest.raises(ValueError, match="^the zero polynomial has no root "
+                                         "multiplicity$"):
+        Polynomial(field, []).multiplicity(field.one)
 
 
 def test_multipoly_evaluate():

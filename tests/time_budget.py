@@ -2,6 +2,7 @@
 
 import contextlib
 import signal
+import sys
 
 import pytest
 
@@ -21,3 +22,16 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@contextlib.contextmanager
+def untraced():
+    """Suspend any line tracer (the ``-p linecov`` plugin, which makes the
+    package about three times slower) for the body, so that a wall-clock
+    budget inside it holds in a traced run as in a plain one."""
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    try:
+        yield
+    finally:
+        sys.settrace(tracer)
