@@ -14,8 +14,8 @@ from .fields import GF, FqElement, embed, embedding, \
 from .galg import GradedAlgebra, LinearMap, Subspace, derivation_degree, \
     direct_sum, generalized_eigenspaces, is_derivation, is_grading, \
     truncated_poly, truncated_poly_derivation, witt
-from .laguerre import CoefficientTable, c_coefficients, \
-    check_all_identities, check_closed_form_congruence, check_lemma_forms, \
+from .laguerre import c_coefficients, check_all_identities, \
+    check_closed_form_congruence, check_lemma_forms, \
     check_lemma_product_identity, laguerre_at, laguerre_value, \
     scalar_product_form, strade_operator_form_check, truncated_exp, \
     zero_pair_closed_form
@@ -34,7 +34,7 @@ __all__ = [
     "GradedAlgebra", "LinearMap", "Subspace", "derivation_degree",
     "direct_sum", "generalized_eigenspaces", "is_derivation", "is_grading",
     "truncated_poly", "truncated_poly_derivation", "witt",
-    "CoefficientTable", "c_coefficients", "check_all_identities",
+    "c_coefficients", "check_all_identities",
     "check_closed_form_congruence", "check_lemma_forms",
     "check_lemma_product_identity", "laguerre_at", "laguerre_value",
     "scalar_product_form", "strade_operator_form_check", "truncated_exp",

@@ -14,8 +14,9 @@ commuting ring values (symbols, polynomials, series, operators), the
 standard identity suite relating L at neighbouring alpha values, the three
 factored forms of L_{p-1}^(Z^p)(Z^p - Z), and the coefficient tables
 c'_{ij} that split a product of two Laguerre operator values over the
-bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)), with
-the closed form of those tables checked over GF(p)[alpha, beta].
+bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)): a
+table's result is its p admissible coefficients c_0, ..., c_(p-1), with
+their closed form checked over GF(p)[alpha, beta].
 """
 
 import functools
@@ -346,33 +347,6 @@ def _laguerre_xy_quotient(ring, coeff_values, p):
     return ring.from_exponents(items)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The table c'_{ij} with L^(a)(X) L^(b)(Y) = sum c'_{ij} X^i Y^j
-    (mod X^p - (a^p - a), Y^p - (b^p - b)) after dividing by L^(a+b)(X+Y).
-
-    c0 = c'_{00} and c(i) = c'_{i,p-i} are the only entries that can be
-    nonzero (:func:`_admissible_cells`); the reconstruction u * table == v
-    is verified on build.
-    """
-    p: int
-    a: object
-    b: object
-    table: tuple
-
-    @property
-    def c0(self):
-        return self.table[0][0]
-
-    def c(self, i):
-        if not 1 <= i <= self.p - 1:
-            raise ValueError("index out of range")
-        return self.table[i][self.p - i]
-
-    def values(self):
-        return (self.c0,) + tuple(self.c(i) for i in range(1, self.p))
-
-
 @functools.lru_cache(maxsize=None)
 def _admissible_cells(p):
     """The cells (0, 0) and (i, p - i), 0 < i < p, of a coefficient table:
@@ -407,7 +381,8 @@ def _split_pair(p, a, b):
 
 
 def coefficient_table(p, a, b):
-    """The verified table v * u^(-1) of :func:`_split_pair`.
+    """(c_0, ..., c_(p-1)): the p admissible coefficients of the verified
+    table v * u^(-1) of :func:`_split_pair`, read at _admissible_cells(p).
 
     a and b come from one commutative ring of characteristic p: field
     elements, or truncated series for the product rule.  u is inverted in
@@ -419,28 +394,29 @@ def coefficient_table(p, a, b):
     NonInvertibleError when it has no inverse, which is exactly when u
     has none.  The inverse w(Z) is spread to w(X+Y).
 
-    The table T holds the p admissible cells of v * w(X+Y), (0, 0) and
-    (i, p - i), read from the packed product by
-    :func:`quotient_mul_cells`; every other entry is ring.zero_entry.
-    One check over all p^2 cells, u * T == v, then proves the whole
-    table.  quotient_inverse has verified u_z w_z == 1, and Z -> X + Y is
-    a ring map, since (X+Y)^p = xc + yc, so u w(X+Y) == 1 and u is a
-    unit.  u * T == v thus gives T = v u^(-1): the admissible cells are
-    right, and c'_{ij} = 0 for p not dividing i + j, which T holds by
-    construction.  A table that fails the check raises
-    VerificationError.
+    The table T holds the admissible cells of v * w(X+Y), read from the
+    packed product by :func:`quotient_mul_cells`; every other entry is
+    ring.zero_entry.  One check over all p^2 cells, u * T == v, then
+    proves the whole table.  quotient_inverse has verified u_z w_z == 1,
+    and Z -> X + Y is a ring map, since (X+Y)^p = xc + yc, so
+    u w(X+Y) == 1 and u is a unit.  u * T == v thus gives T = v u^(-1):
+    the admissible cells are right, and c'_{ij} = 0 for p not dividing
+    i + j, which T holds by construction.  A table that fails the check
+    raises VerificationError.
     """
     u, v, u_z = _split_pair(p, a, b)
     w = _laguerre_xy_quotient(u.ring, quotient_inverse(u_z).entries[0], p)
-    table = quotient_mul_cells(v, w, _admissible_cells(p))
+    cells = _admissible_cells(p)
+    table = quotient_mul_cells(v, w, cells)
     if quotient_mul(u, table) != v:
         raise VerificationError("coefficient table reconstruction failed: "
                                 "u * table != v")
-    return CoefficientTable(p, a, b, table.entries)
+    return tuple(table.entries[i][j] for i, j in cells)
 
 
 def c_coefficients(p, a, b):
-    """Coefficient table for field elements a, b with a + b not in F_p^*.
+    """The p coefficients of :func:`coefficient_table` for field elements
+    a, b with a + b not in F_p^*.
 
     Raises NonInvertibleError when L^(a+b)(X+Y) is not invertible, which
     happens exactly on the excluded locus.

@@ -354,8 +354,6 @@ class Polynomial(RingElement):
         return self.squarefree_part().degree() == self.degree()
 
     def __eq__(self, other):
-        if isinstance(other, (int, FqElement)):
-            other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.field is other.field and self.coeffs == other.coeffs
@@ -481,8 +479,6 @@ class MultiPoly(RingElement):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, FqElement)):
-            other = self._coerce(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.field is other.field and self.vars == other.vars
@@ -652,9 +648,6 @@ class BiTruncSeries(RingElement):
         return (self.field is other.field and (self.ua, self.ub) ==
                 (other.ua, other.ub) and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((id(self.field), self.ua, self.ub, self.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # the bivariate quotient ring
@@ -819,8 +812,6 @@ class QuotientElement(RingElement):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, FqElement)):
-            other = self.ring.monomial(0, 0, self._coerce_scalar(other))
         if not isinstance(other, QuotientElement):
             return NotImplemented
         return self.ring is other.ring and self.entries == other.entries

@@ -393,10 +393,10 @@ def switch_grading(A, D, r=None, check_product_rule=True):
 
 
 def _pair_coefficient_series(p, field, a0, b0, sa, sb):
-    """c-list of the product-splitting table at alpha = a0 + U, b0 + V.
+    """c-values of the product-splitting table at alpha = a0 + U, b0 + V.
 
     U and V stand for the nilpotent parts of the coefficient operators on
-    the two tensor factors (orders sa, sb).  Returns [c_0, c_1, .., c_{p-1}]
+    the two tensor factors (orders sa, sb).  Returns (c_0, ..., c_(p-1))
     as bivariate truncated series; coefficient [j][k] of c_i multiplies
     nil_x^j applied to the left factor times nil_y^k applied to the right.
     """
@@ -405,11 +405,10 @@ def _pair_coefficient_series(p, field, a0, b0, sa, sb):
     beta = BiTruncSeries.constant(field, sa, sb, b0) \
         + BiTruncSeries.shift_v(field, sa, sb)
     try:
-        table = coefficient_table(p, alpha, beta)
+        return coefficient_table(p, alpha, beta)
     except NonInvertibleError as exc:
         raise VerificationError("product-rule coefficient denominator is "
                                 "not invertible: %s" % exc) from exc
-    return list(table.values())
 
 
 def verify_product_rule(result):

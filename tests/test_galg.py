@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradeswitch.echelon import Echelon, kernel as echelon_kernel, solve
-from gradeswitch.fields import GF
+from gradeswitch.fields import GF, embedding
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
     direct_sum, generalized_eigenspaces, is_derivation, is_grading, kernel,
@@ -456,6 +456,19 @@ def test_json_roundtrip():
         GradedAlgebra.from_json({"p": 3})
 
 
+def test_pmap_tables_of_the_wrong_shape_are_refused():
+    W = witt(5)
+    table = witt_pmap(W.field, [5])
+    for bad in (table[:4], table[:4] + [table[4][:4]]):
+        with pytest.raises(ValueError, match="^pmap must give one vector "
+                                             "per basis element$"):
+            GradedAlgebra(W.field, W.m, W.degrees, W.products, bad)
+    obj = W.to_json()
+    obj["pmap"] = [[1, ["0", "1", "0", "0"]]]
+    with pytest.raises(ValueError, match="^pmap vector of wrong length$"):
+        GradedAlgebra.from_json(obj)
+
+
 def test_json_rejects_non_integer_sizes():
     for key, bad in (("p", 5.5), ("dim", 2.7), ("m", True), ("p", "5"),
                      ("modulus", [0.5, 1])):
@@ -524,6 +537,31 @@ def test_change_field_preserves_products():
         x = tuple(A.field.random_element(rng) for _ in range(5))
         y = tuple(A.field.random_element(rng) for _ in range(5))
         assert B.product(emb(x), emb(y)) == emb(A.product(x, y))
+
+
+def test_change_field_carries_the_pmap_table():
+    W = witt(5)
+    A = GradedAlgebra(W.field, W.m, W.degrees, W.products,
+                      witt_pmap(W.field, [5]))
+    F = GF(5, 2)
+    B = A.change_field(F)
+    assert B.pmap == tuple(witt_pmap(F, [5]))
+    assert B == GradedAlgebra(F, W.m, W.degrees, W.change_field(F).products,
+                              witt_pmap(F, [5]))
+    RestrictedLie(B)    # the carried table agrees with the derived p-map
+
+
+def test_map_field_defaults_to_the_canonical_embedding():
+    small, big = GF(5, 2), GF(5, 4)
+    rng = random.Random(23)
+    U = Subspace(small, 4, [tuple(small.random_element(rng)
+                                  for _ in range(4)) for _ in range(2)])
+    emb = embedding(small, big)
+    V = U.map_field(big)
+    assert V == U.map_field(big, emb)
+    assert V.field is big and V.dim == 2
+    assert V.basis == tuple(tuple(emb(c) for c in b) for b in U.basis)
+    assert U.map_field(small) is U
 
 
 def test_derivations_and_degrees():

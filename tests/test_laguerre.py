@@ -226,8 +226,7 @@ def test_zero_pair_closed_form_values():
 def test_c_table_zero_pair():
     for p in (2, 3, 5, 7):
         F = GF(p)
-        tab = c_coefficients(p, F.zero, F.zero)
-        assert tab.values() == zero_pair_closed_form(p)
+        assert c_coefficients(p, F.zero, F.zero) == zero_pair_closed_form(p)
 
 
 def test_c_table_random_admissible():
@@ -240,8 +239,8 @@ def test_c_table_random_admissible():
         if in_prime_star(a + b):
             continue
         tab = c_coefficients(p, a, b)
-        assert len(tab.values()) == p
-        assert tab.c0 == tab.table[0][0]
+        assert isinstance(tab, tuple) and len(tab) == p
+        assert tab[0] == bivariate_table(p, a, b)[0][0]
         done += 1
 
 
@@ -250,8 +249,7 @@ def test_c_table_rejects_excluded_locus():
     with pytest.raises(NonInvertibleError):
         c_coefficients(3, F.one, F.zero)  # a + b = 1 lies in F_3^*
     # integers are accepted and coerced
-    tab = c_coefficients(3, 0, 0)
-    assert tab.values() == zero_pair_closed_form(3)
+    assert c_coefficients(3, 0, 0) == zero_pair_closed_form(3)
 
 
 def test_c_table_symmetric_in_arguments():
@@ -265,9 +263,9 @@ def test_c_table_symmetric_in_arguments():
             continue
         t1 = c_coefficients(p, a, b)
         t2 = c_coefficients(p, b, a)
-        assert t1.c0 == t2.c0
-        for i in range(1, p):
-            assert t1.c(i) == t2.table[p - i][i]
+        # c_i(a, b) at X^i Y^(p-i) is c_(p-i)(b, a) at Y^i X^(p-i)
+        assert t1[0] == t2[0]
+        assert t1[1:] == t2[:0:-1]
         done += 1
 
 
@@ -280,14 +278,18 @@ def bivariate_table(p, a, b):
 
 
 def assert_routes_agree(p, a, b):
-    """Both routes give one table, or both refuse the pair."""
+    """Both routes give one table, or both refuse the pair; the oracle's
+    table is zero off the admissible cells."""
     try:
         want = bivariate_table(p, a, b)
     except NonInvertibleError:
         with pytest.raises(NonInvertibleError):
             coefficient_table(p, a, b)
         return False
-    assert coefficient_table(p, a, b).table == want
+    cells = laguerre._admissible_cells(p)
+    assert coefficient_table(p, a, b) == tuple(want[i][j] for i, j in cells)
+    assert not any(c for i, row in enumerate(want) for j, c in enumerate(row)
+                   if (i, j) not in cells)
     return True
 
 
@@ -495,7 +497,7 @@ def test_c_coefficients_match_the_closed_form(p, n):
                 c_coefficients(p, a, b)
             continue
         want = tuple(c / den for c in closed_form_numerators(p, a, b))
-        assert c_coefficients(p, a, b).values() == want
+        assert c_coefficients(p, a, b) == want
         admissible += 1
     assert admissible >= 3
 
@@ -533,3 +535,16 @@ def test_failing_identity_reports_its_difference():
     assert rep.passed is False
     assert rep.detail == "fails at n=1: 4*X"
     assert laguerre._check_identity("step", 5, {}).passed
+
+
+def test_failing_derivative_identity_names_its_form():
+    # the same wrong L_1^(alpha+1)(X) leaves the product form
+    # d/dX L_1^(alpha) = -L_0^(alpha+1) intact at n = 1 and breaks the
+    # difference form d/dX L_1^(alpha) = L_1^(alpha) - L_1^(alpha+1)
+    alpha, x = laguerre._symbols(5)
+    wrong = laguerre_value(5, alpha + 1, x, 1) + x
+    rep = laguerre._check_identity("derivative", 5, {(1, 1): wrong})
+    assert rep.name == "derivative[p=5]"
+    assert rep.passed is False
+    assert rep.detail == "difference form fails at n=1"
+    assert laguerre._check_identity("derivative", 5, {}).passed

@@ -362,6 +362,26 @@ def test_quotient_exponents_must_be_reduced():
             ring.monomial(i, j, F.one)
 
 
+def test_ring_elements_never_equal_a_scalar():
+    # a polynomial, multipolynomial or quotient element equals only an
+    # element of its own type, even where it is a constant; series still
+    # compare with scalars, and of the four only Polynomial hashes
+    F = GF(5)
+    constants = [Polynomial(F, [F.one]),
+                 MultiPoly.variable(F, ("x",), "x").one(),
+                 quotient_ring_for(5, F.one, F.scalar(2)).one()]
+    for elt in constants:
+        assert elt == elt.one()
+        for scalar in (1, F.one):
+            assert (elt == scalar) is False and (scalar == elt) is False
+            assert elt != scalar
+    series = BiTruncSeries.constant(F, 2, 2, F.one)
+    assert series == 1 and series == F.one
+    for elt in constants[1:] + [series]:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(elt)
+
+
 def test_ring_protocol_is_written_once():
     # every element type inherits the derived operations from RingElement
     # instead of writing its own

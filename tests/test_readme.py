@@ -37,7 +37,8 @@ def removed_names():
 
 def test_removed_names_are_gone_from_the_package():
     names = removed_names()
-    assert len(names) >= 5 and "c_coefficients_symbolic" in names
+    assert len(names) >= 6 and "c_coefficients_symbolic" in names
+    assert "CoefficientTable" in names
     for name in names:
         assert not hasattr(gradeswitch, name), name
         assert name not in gradeswitch.__all__, name

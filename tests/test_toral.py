@@ -297,6 +297,11 @@ def test_switch_torus_hypotheses():
     T = Torus(L, [L.basis_vector(1)])
     with pytest.raises(HypothesisError):
         switch_torus(L, T, L.basis_vector(1), 1)  # root 0
+    # x = e_1 has the nonzero root 1, but x^[p]^0 = x is not in the torus
+    with pytest.raises(HypothesisError) as info:
+        switch_torus(L, T, L.basis_vector(2), 0)
+    assert str(info.value) == \
+        "hypothesis failed: x^[p]^r lies in the torus (r = 0)"
 
 
 def test_compare_switch_to_toral_witt():
