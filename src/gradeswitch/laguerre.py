@@ -15,8 +15,11 @@ standard identity suite relating L at neighbouring alpha values, the three
 factored forms of L_{p-1}^(Z^p)(Z^p - Z), and the coefficient tables
 c'_{ij} that split a product of two Laguerre operator values over the
 bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)): a
-table's result is its p admissible coefficients c_0, ..., c_(p-1), with
-their closed form checked over GF(p)[alpha, beta].
+table's result is its p admissible coefficients c_0, ..., c_(p-1), taken
+from their closed form, which is checked over GF(p)[alpha, beta].  Each
+table is proved where it is made: the inverse of L^(a+b)(Z) certifies
+that u = L^(a+b)(X+Y) is a unit, and u * T == L^(a)(X) L^(b)(Y) then
+gives T = v u^(-1).
 """
 
 import functools
@@ -25,8 +28,8 @@ import operator
 from dataclasses import dataclass
 
 from .fields import GF
-from .polyring import (MultiPoly, Polynomial, QuotientRing, quotient_inverse,
-                       quotient_mul, quotient_mul_cells)
+from .polyring import (MultiPoly, NonInvertibleError, Polynomial, QuotientRing,
+                       quotient_inverse, quotient_mul)
 
 
 class VerificationError(RuntimeError):
@@ -292,13 +295,19 @@ def lemma_binomial(p):
 
 def check_lemma_forms(p):
     """All three closed forms agree, with the expected degree, constant
-    term 1, and a root of multiplicity i at Z = -i for each i in F_p^*."""
+    term 1, and a root of multiplicity i at Z = -i for each i in F_p^*.
+    Each multiplicity is read from what the roots before it left of the
+    polynomial (Polynomial.multiplicity), and what all of them leave must
+    be a nonzero constant."""
     f = lemma_eval(p)
     checks = [f == lemma_product(p), f == lemma_binomial(p),
               f.degree() == p * (p - 1) // 2,
               bool(f[0] == f.field.one)]
-    checks += [f.multiplicity(-f.field.scalar(i))[0] == i
-               for i in range(1, p)]
+    rest = f
+    for i in range(1, p):
+        mu, rest = rest.multiplicity(-f.field.scalar(i))
+        checks.append(mu == i)
+    checks.append(rest.degree() == 0)
     return CheckReport("factored_forms[p=%d]" % p, all(checks),
                        "eval == product == signed-binomial, degree %d"
                        % (p * (p - 1) // 2))
@@ -339,7 +348,7 @@ def in_prime_star(x):
 def _laguerre_xy_quotient(ring, coeff_values, p):
     """sum_k coeff_values[k] (X+Y)^k in `ring`: each (X+Y)^k spread by
     integer binomials.  This is the image of a polynomial in Z under
-    Z -> X + Y, such as L at X + Y or an inverse taken in the Z subring."""
+    Z -> X + Y, such as L at X + Y."""
     items = []
     for k, c in enumerate(coeff_values):
         for i in range(k + 1):
@@ -365,11 +374,11 @@ def _split_pair(p, a, b):
     (X+Y)^p = X^p + Y^p = xc + yc, the map Z -> X + Y embeds the
     one-variable ring R[Z]/(Z^p - (xc + yc)) there, and u is the image of
     u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
-    QuotientRing(p, xc + yc, xc + yc); its powers and its inverse stay on
-    row 0 and spread back by :func:`_laguerre_xy_quotient`.  The verified
-    tables invert u_z (over a field, in the local ring
-    F[Z]/((Z - c^(1/p))^p), c = xc + yc, by forward substitution);
-    :func:`check_closed_form_congruence` needs u and v alone.
+    QuotientRing(p, xc + yc, xc + yc), so its inverse, when it has one, is
+    found there (over a field, in the local ring F[Z]/((Z - c^(1/p))^p),
+    c = xc + yc, by forward substitution) and is u's inverse carried by
+    the ring map: the verified tables invert u_z to certify that u is a
+    unit; :func:`check_closed_form_congruence` needs u and v alone.
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
@@ -385,33 +394,40 @@ def coefficient_table(p, a, b):
     table v * u^(-1) of :func:`_split_pair`, read at _admissible_cells(p).
 
     a and b come from one commutative ring of characteristic p: field
-    elements, or truncated series for the product rule.  u is inverted in
-    the Z subring: :func:`quotient_inverse` inverts the p-entry u_z, which
-    lies on row 0 (for field entries by forward substitution in the
-    local ring F[Z]/(Z^p - c) = F[W]/(W^p), W = Z - c^(1/p), where u_z
-    is a unit exactly when u_z(c^(1/p)) is nonzero; for series by the
-    p-power closed form u^(p-1) (u^p)^(-1)), and raises
-    NonInvertibleError when it has no inverse, which is exactly when u
-    has none.  The inverse w(Z) is spread to w(X+Y).
+    elements, or truncated series for the product rule.  First
+    :func:`quotient_inverse` inverts the p-entry u_z on row 0 (for field
+    entries by forward substitution in the local ring
+    F[Z]/(Z^p - c) = F[W]/(W^p), W = Z - c^(1/p); for series by the
+    p-power closed form u^(p-1) (u^p)^(-1)) and raises NonInvertibleError
+    when it has no inverse, which is exactly when u has none, on the
+    excluded locus.  Its result is only the certificate that u is a unit:
+    quotient_inverse has verified u_z w_z == 1, and Z -> X + Y is a ring
+    map, since (X+Y)^p = xc + yc, so u w(X+Y) == 1.
 
-    The table T holds the admissible cells of v * w(X+Y), read from the
-    packed product by :func:`quotient_mul_cells`; every other entry is
-    ring.zero_entry.  One check over all p^2 cells, u * T == v, then
-    proves the whole table.  quotient_inverse has verified u_z w_z == 1,
-    and Z -> X + Y is a ring map, since (X+Y)^p = xc + yc, so
-    u w(X+Y) == 1 and u is a unit.  u * T == v thus gives T = v u^(-1):
+    The values are the closed form c_i = N_i / den of
+    :func:`closed_form_numerators`, den = (a+b)^(p-1) - 1, with one
+    inverse of den (a field inverse, or BiTruncSeries.inverse for
+    series); u^p = scalar_product_form(a + b) vanishes exactly where den
+    does, so a den that is not a unit after the certificate raises
+    VerificationError.  The table T holds them at the admissible cells
+    and ring.zero_entry everywhere else.  One check over all p^2 cells,
+    u * T == v, then proves the whole table: u is a unit, so T = v u^(-1),
     the admissible cells are right, and c'_{ij} = 0 for p not dividing
-    i + j, which T holds by construction.  A table that fails the check
-    raises VerificationError.
+    i + j.  A table that fails the check raises VerificationError.
     """
     u, v, u_z = _split_pair(p, a, b)
-    w = _laguerre_xy_quotient(u.ring, quotient_inverse(u_z).entries[0], p)
-    cells = _admissible_cells(p)
-    table = quotient_mul_cells(v, w, cells)
+    quotient_inverse(u_z)   # the certificate; its value is not needed
+    try:
+        inv = ((a + b) ** (p - 1) - 1).inverse()
+    except (ZeroDivisionError, NonInvertibleError) as exc:
+        raise VerificationError("closed-form denominator is not a unit "
+                                "although u is") from exc
+    values = tuple(n * inv for n in closed_form_numerators(p, a, b))
+    table = u.ring.from_exponents(zip(_admissible_cells(p), values))
     if quotient_mul(u, table) != v:
         raise VerificationError("coefficient table reconstruction failed: "
                                 "u * table != v")
-    return tuple(table.entries[i][j] for i, j in cells)
+    return values
 
 
 def c_coefficients(p, a, b):
@@ -445,8 +461,8 @@ def closed_form_numerators(p, alpha, beta):
     prod_{k=j+1}^{p-1} (x + k), so T_0(x) = x^(p-1) - 1, c_0 den =
     -T_0(alpha) T_0(beta) and c_i den = -T_i(alpha) T_(p-i)(beta)."""
     def tails(x):   # [T_0(x), ..., T_(p-1)(x)], built from the right
-        out = [x ** 0]
-        for k in range(p - 1, 0, -1):
+        out = [x ** 0, x + (p - 1)]
+        for k in range(p - 2, 0, -1):
             out.append(out[-1] * (x + k))
         return out[::-1]
     ta, tb = tails(alpha), tails(beta)

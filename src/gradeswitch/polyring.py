@@ -503,8 +503,6 @@ class MultiPoly(RingElement):
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    __hash__ = None
-
 
 class BiTruncSeries(RingElement):
     """Element of F[U,V]/(U^ua, V^ub): series in two commuting nilpotents,
@@ -816,8 +814,6 @@ class QuotientElement(RingElement):
             return NotImplemented
         return self.ring is other.ring and self.entries == other.entries
 
-    __hash__ = None
-
 
 def _schoolbook_product(u, v):
     """Entry rows of u v by entry products, exponents >= p folded back
@@ -867,8 +863,7 @@ def _quotient_layout(p, bits):
 
 def _packed_product(ring):
     """The packed-int product kernel of a ring with field or
-    truncated-series entries: a function (u, v, cells=None) -> entry rows
-    of u v.
+    truncated-series entries: a function (u, v) -> entry rows of u v.
 
     Kronecker layout: entry [i][j] is the entry kernel's block (field
     digits, and for series above order (1, 1) the U^a V^b cells around
@@ -881,8 +876,6 @@ def _packed_product(ring):
     of p^2 products of at most four entries (c1 c2 yc xc), which is what
     the entry kernel's slots are sized for, and is unpacked once: U and V
     truncated, field digits folded through the reduction rows, one mod p.
-    With `cells`, an iterable of (i, j), only those entries are unpacked
-    and every other one is ring.zero_entry.
 
     The layout (:func:`_quotient_layout`, kept as the kernel's `layout`)
     is built once per p and block width and shared; what is the ring's
@@ -934,20 +927,13 @@ def _packed_product(ring):
                              for c, sh in zip(row, shs) if c is not zero])
         return u._packed
 
-    def product(u, v, cells=None):
+    def product(u, v):
         s = packed(u) * packed(v)
         s = (s & low_t) + ((s >> shift_t) & high_t) * yc
         s = (s & low_s) + (s >> shift_s) * xc
-        if cells is None:
-            return tuple([tuple([unpack_entry(b) if b else zero
-                                 for b in [(s >> sh) & mask for sh in shs]])
-                          for shs in offsets])
-        rows = [[zero] * p for _ in range(p)]
-        for i, j in cells:
-            b = (s >> offsets[i][j]) & mask
-            if b:
-                rows[i][j] = unpack_entry(b)
-        return tuple(map(tuple, rows))
+        return tuple([tuple([unpack_entry(b) if b else zero
+                             for b in [(s >> sh) & mask for sh in shs]])
+                      for shs in offsets])
     product.layout = layout
     return product
 
@@ -955,17 +941,6 @@ def _packed_product(ring):
 def quotient_mul(u, v):
     """Product in the quotient ring, by the ring's product kernel."""
     return u * v
-
-
-def quotient_mul_cells(u, v, cells):
-    """The entries of u v at `cells`, an iterable of (i, j), as an element
-    whose every other entry is ring.zero_entry, for a ring with field or
-    truncated-series entries: only those entries are unpacked from the
-    packed product of :func:`_packed_product`."""
-    ring = u.ring
-    if v.ring is not ring:
-        raise ValueError("elements of different quotient rings")
-    return QuotientElement(ring, ring._product_kernel()(u, v, cells))
 
 
 @functools.lru_cache(maxsize=None)

@@ -178,6 +178,21 @@ def test_lemma_three_forms_agree():
         assert check_lemma_forms(p).passed
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_lemma_forms_refuse_moved_multiplicities(monkeypatch, p):
+    """g = 2 f (T+1)/(T+2) swaps the multiplicities of the roots -1 and -2
+    of f and keeps its degree and its constant term 1; with all three
+    forms made g they agree, so only the multiplicities can fail."""
+    f = lemma_eval(p)
+    t = Polynomial.variable(f.field)
+    g, rem = divmod(2 * f * (t + 1), t + 2)
+    assert not rem
+    assert g.degree() == f.degree() and g[0] == f.field.one
+    for name in ("lemma_eval", "lemma_product", "lemma_binomial"):
+        monkeypatch.setattr(laguerre, name, lambda q: g)
+    assert not check_lemma_forms(p).passed
+
+
 def test_lemma_product_identity():
     for p in (2, 3, 5):
         assert check_lemma_product_identity(p).passed
@@ -353,6 +368,20 @@ def test_table_inverts_only_one_variable_elements(monkeypatch):
     assert len(seen) == 4
 
 
+def test_table_refuses_a_denominator_that_is_not_a_unit(monkeypatch):
+    """With the certificate skipped, a pair on the excluded locus reaches
+    the closed form, whose den = (a+b)^(p-1) - 1 is then not a unit: a
+    field zero, or a series with zero constant term."""
+    monkeypatch.setattr(laguerre, "quotient_inverse", lambda w: None)
+    F = GF(5)
+    for a, b in ((F.scalar(2), F.scalar(4)),
+                 (F.scalar(2) + BiTruncSeries.shift_u(F, 2, 3),
+                  F.scalar(4) + BiTruncSeries.shift_v(F, 2, 3))):
+        with pytest.raises(laguerre.VerificationError,
+                           match="denominator is not a unit"):
+            coefficient_table(5, a, b)
+
+
 def refusal_pairs():
     """(p, a, b) with a + b off the excluded locus: over GF(5), over
     GF(7^2), and a series pair of orders (2, 3) over GF(5)."""
@@ -397,17 +426,16 @@ def test_table_refuses_a_nonzero_non_admissible_cell(monkeypatch, p, a, b):
 
 @pytest.mark.parametrize("p,a,b", refusal_pairs(), ids=REFUSAL_IDS)
 def test_table_refuses_a_perturbed_admissible_cell(monkeypatch, p, a, b):
-    """c_1 = c'_{1,p-1} off by one, as read from the cell product, fails
-    the reconstruction."""
+    """The closed-form numerator of c_1 = c'_{1,p-1} off by one fails the
+    reconstruction."""
     coefficient_table(p, a, b)
-    original = laguerre.quotient_mul_cells
+    original = laguerre.closed_form_numerators
 
-    def perturbed(u, v, cells):
-        t = original(u, v, cells)
-        rows = [list(row) for row in t.entries]
-        rows[1][p - 1] = rows[1][p - 1] + 1
-        return t.ring.element(rows)
-    monkeypatch.setattr(laguerre, "quotient_mul_cells", perturbed)
+    def perturbed(q, alpha, beta):
+        ns = original(q, alpha, beta)
+        ns[1] = ns[1] + 1
+        return ns
+    monkeypatch.setattr(laguerre, "closed_form_numerators", perturbed)
     with pytest.raises(laguerre.VerificationError,
                        match="reconstruction failed"):
         coefficient_table(p, a, b)

@@ -11,10 +11,8 @@ log-table fields and a field above the log-table cap; p runs over 2, 3, 5
 and 7.  The reduction constants xc and yc are random, zero, all-(p-1) or
 the pair-series constants alpha^p - alpha, so they carry U and V terms.
 Elements include zero and all-(p-1) entries, which fill the kernel's
-slots the most.  Products read at named cells only are checked against
-the same cells of the schoolbook loop, and rings over one field are
-checked to share one kernel layout.  Skipped when hypothesis is not
-installed."""
+slots the most.  Rings over one field are checked to share one kernel
+layout.  Skipped when hypothesis is not installed."""
 
 import random
 
@@ -306,57 +304,6 @@ def test_tracer_binds_one_product():
     # function bound as both __mul__ and __rmul__
     assert QuotientElement.__dict__["__rmul__"] is \
         QuotientElement.__dict__["__mul__"]
-
-
-# -- products read at named cells only ------------------------------------------
-
-CELL_FIELDS = [GF(3), GF(7, 2), GF(5, 7)]
-assert CELL_FIELDS[-1].q > _TABLE_CAP
-
-
-def cell_lists(p, rng):
-    """No cell, one cell, the admissible cells of a coefficient table
-    ((0, 0) and (i, p - i)), a random half, and every cell."""
-    every = [(i, j) for i in range(p) for j in range(p)]
-    return [[], [(p - 1, 0)], [(0, 0)] + [(i, p - i) for i in range(1, p)],
-            rng.sample(every, len(every) // 2), every]
-
-
-@pytest.mark.parametrize("orders", [None, (1, 1), (2, 3)], ids=str)
-@pytest.mark.parametrize("F", CELL_FIELDS, ids=repr)
-def test_cell_product_matches_schoolbook_cells(F, orders):
-    """quotient_mul_cells reads the named cells of the packed product:
-    each equals the same cell of _schoolbook_product, and every other
-    cell is ring.zero_entry itself."""
-    rng = random.Random(F.q + 7 * (orders is not None))
-    p = F.p
-    for kinds in (("pair", "random", "random"), ("random", "max", "mixed"),
-                  ("max", "sparse", "max"), ("zero", "zero", "random")):
-        ring = QuotientRing(p, constant(F, orders, kinds[0], rng),
-                            constant(F, orders, kinds[0], rng))
-        u = element(ring, F, orders, kinds[1], rng)
-        v = element(ring, F, orders, kinds[2], rng)
-        want = polyring._schoolbook_product(u, v)
-        for cells in cell_lists(p, rng):
-            got = polyring.quotient_mul_cells(u, v, cells)
-            assert got.ring is ring
-            for i in range(p):
-                for j in range(p):
-                    if (i, j) in cells:
-                        assert got.entries[i][j] == want[i][j]
-                    else:
-                        assert got.entries[i][j] is ring.zero_entry
-        assert got.entries == (u * v).entries == want  # every cell
-        # a cell product is a valid operand
-        got = polyring.quotient_mul_cells(u, v, cell_lists(p, rng)[2])
-        assert (got * u).entries == polyring._schoolbook_product(got, u)
-
-
-def test_cell_product_refuses_elements_of_two_rings():
-    F = GF(3)
-    r1, r2 = QuotientRing(3, F.one, F.one), QuotientRing(3, F.one, F.one)
-    with pytest.raises(ValueError):
-        polyring.quotient_mul_cells(r1.one(), r2.one(), [(0, 0)])
 
 
 @pytest.mark.parametrize("orders", [None, (1, 1), (2, 3)], ids=str)
