@@ -229,9 +229,6 @@ class LinearMap(RingElement):
             pack(_as_field_elt(field, x).coeffs) for x in v],
             self._wide_columns())))
 
-    def rank(self):
-        return Echelon(self.rows).rank
-
     def minimal_polynomial(self):
         """Least monic f with f(M) = 0: one Krylov sequence, refined by
         f(M) until it vanishes or deg f reaches n.  The map keeps f beside
@@ -308,10 +305,6 @@ class Subspace:
         self.basis, self.pivots = self._echelon.rref()
         self.field = field
         self.ambient = ambient
-
-    @classmethod
-    def zero(cls, field, ambient):
-        return cls(field, ambient, ())
 
     @classmethod
     def full(cls, field, ambient):

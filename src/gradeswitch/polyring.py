@@ -556,10 +556,6 @@ class BiTruncSeries(RingElement):
         return cls(field, ua, ub,
                    [[field.zero, field.one]] if ub > 1 else [[]])
 
-    @property
-    def constant_term(self):
-        return self.coeffs[0][0]
-
     def __bool__(self):
         return any(any(c for c in row) for row in self.coeffs)
 

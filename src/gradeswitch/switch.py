@@ -18,9 +18,10 @@ product-splitting tables evaluated at commuting operators.
 One builder, :func:`build_LD`, takes (A, D) to a SwitchResult over the
 field F' of g, where the eigenvalues of D always lie; where D^(p^2) = D^p
 its g is gamma T^p with gamma^p - gamma = 1 (0 when D^p = 0).  Since
-alpha and L_D are polynomials in D, the switching law, the Laguerre value
-and the scalar law are worked on polynomials modulo D's minimal
-polynomial, and L_D is evaluated at D once.
+the relation, alpha and L_D are polynomials in D, the relation is read in
+F[T]/(m_D), m_D the minimal polynomial of D over its field F, and the
+switching law, the Laguerre value and the scalar law modulo m_D over F';
+L_D is evaluated at D once.
 """
 
 from dataclasses import dataclass
@@ -116,29 +117,32 @@ def semisimple_exponent(D):
         r += 1
 
 
-def p_power_relation(D, r):
-    """Minimal monic relation among S, S^p, S^(p^2), ... for S = D^(p^r).
+def p_power_relation(m, r):
+    """Minimal monic relation among S, S^p, S^(p^2), ... for S = D^(p^r),
+    read off the minimal polynomial m of D over its field F.
 
-    The first dependence P(T) = T^(p^t) + sum_{k<t} rep[k] T^(p^k) is the
-    least additive polynomial with P(S) = 0, and rep[0] != 0 exactly when
-    S is semisimple.  If rep[0] != 0, P is separable, so the minimal
-    polynomial of S, which divides P, is squarefree.  If rep[0] = 0,
-    P(S) = Q(S)^p for an additive Q of degree p^(t-1); Q(S) is nilpotent,
-    so for semisimple S it is zero, a dependence before the first.
-    Returns the degenerate relation when S = 0.
+    T -> D identifies F[T]/(m) with F[D], so the first dependence among
+    the residues T^(p^k) mod m, k >= r (deg m + 1 of them suffice), is
+    P(T) = T^(p^t) + sum_{k<t} rep[k] T^(p^k), the least additive
+    polynomial with P(S) = 0; rep[0] != 0 exactly when S is semisimple.
+    If rep[0] != 0, P is separable, so the minimal polynomial of S, which
+    divides P, is squarefree.  If rep[0] = 0, P(S) = Q(S)^p for an
+    additive Q of degree p^(t-1); Q(S) is nilpotent, so for semisimple S
+    it is zero, a dependence before the first.  Returns the degenerate
+    relation when S = 0, that is when T^(p^r) is 0 mod m.
     """
-    field = D.field
-    S = D.p_power(r)
-    if S.is_zero():
+    field, p, d = m.field, m.field.p, m.degree()
+    x = Polynomial.variable(field).pow_mod(p ** r, m)
+    if not x:
         return Relation(field, r, r, (), True)
-    # first dependence among the flattened iterates; the space of
-    # matrices has dimension n^2, so n^2 + 1 iterates always suffice
-    rep = first_dependence(
-        ([x for row in D.p_power(k).rows for x in row]
-         for k in range(r, r + D.n * D.n + 1)), field)
-    if rep is None:
-        raise AssertionError("no p-power relation found")  # unreachable
+
+    def residues(x):
+        while True:
+            yield [x[i] for i in range(d)]
+            x = x.pow_mod(p, m)
+
     # S^(p^t) = -sum_{k<t} rep[k] S^(p^k)
+    rep = first_dependence(residues(x), field)
     if not rep[0]:
         raise HypothesisError("D^(p^r) semisimple",
                               "r = %d gives a non-semisimple power" % r)
@@ -252,9 +256,10 @@ def build_LD(A, D, r=None):
     reach F' through the embedding that agrees with the canonical one on
     A's field F.
 
-    The law, the operator and its scalar law live in F'[D], which T -> D
-    identifies with F'[T]/(m_D), m_D the minimal polynomial of D (degree
-    d <= n), so each is a congruence of Polynomials mod m_D: alpha(T)
+    The relation lives in F[D] and the law, the operator and its scalar
+    law in F'[D], which T -> D identifies with F'[T]/(m_D), m_D the
+    minimal polynomial of D (degree d <= n), so each is a congruence of
+    Polynomials mod m_D: the relation among the T^(p^k), alpha(T)
     along T^(p^i) mod m_D against alpha(T)^p - alpha(T) = T^p, the
     operator's residue P = L_{p-1}^(alpha(T))(T) mod m_D as one Laguerre
     value, and :func:`_scalar_law`.  The one map formed from P is
@@ -283,13 +288,13 @@ def build_LD(A, D, r=None):
         raise HypothesisError("D^(p^r) semisimple",
                               "supplied r = %d fails" % r)
     r = max(r, 1)
-    relation = p_power_relation(D, r)
+    mD = D.minimal_polynomial()
+    relation = p_power_relation(mD, r)
     f1, g, lam = build_g(relation)
     p = f1.p
     # alpha = (g - h)(D) on D's chain, and alpha_t = (g - h)(T) on the
-    # chain of T^p in F'[T]/(m_D), T standing for D; every exponent of
-    # g - h is at least 1
-    mD = D.minimal_polynomial()
+    # chain of T^p in F'[T]/(m_D) (the relation was read in F[T]/(m_D)),
+    # T standing for D; every exponent of g - h is at least 1
     emb = embedding(D.field, f1)
     m = Polynomial(f1, [emb(c) for c in mD.coeffs])
     t = Polynomial.variable(f1) % m

@@ -114,9 +114,10 @@ class Torus:
 
     eigen[i] is (F_i, ((eigenvalue, eigenspace), ...)) for the adjoint of
     basis vector t_i: its generalized eigenspaces over the field F_i where
-    it splits.  ad t_i is semisimple exactly when it acts on each of them
-    as its eigenvalue, so a semisimple torus that splits only over a
-    larger F_i is accepted; root_decomposition refuses it.
+    it splits.  ad t_i is semisimple exactly when its minimal polynomial,
+    which finding them formed, is squarefree, as in
+    switch.semisimple_exponent; so a semisimple torus that splits only
+    over a larger F_i is accepted, and root_decomposition refuses it.
     """
 
     def __init__(self, lie, vectors):
@@ -132,9 +133,7 @@ class Torus:
                     raise HypothesisError("torus generators commute")
             adt = lie.ad(t)
             big, dec = generalized_eigenspaces(adt)
-            adt = adt.embed_to(big)
-            if any(adt.apply(b) != _vec_scale(b, rho)
-                   for rho, space in dec for b in space.basis):
+            if not adt.minimal_polynomial().squarefree_is():
                 raise HypothesisError("torus adjoints are semisimple")
             self.eigen.append((big, dec))
 

@@ -1,20 +1,21 @@
 """Reference routines that only the tests call: the inverse of a linear
 map, its matrix on an invariant subspace, a map from its columns, a
 MultiPoly's value at a scalar point, the check that a p-power relation
-holds at D, the p-map tables and p-th power rule that the Witt builders
-once stored, the generalized eigenspaces as kernels of the powers
-(D - rho)^mult that the package once formed, and the switching operator
-as build_LD once formed it, on n x n maps.  The package has no caller
-for them, so they live here, next to the tests that use them."""
+holds at D, the p-power relation as the package once found it among the
+flattened maps D^(p^k), the p-map tables and p-th power rule that the
+Witt builders once stored, the generalized eigenspaces as kernels of the
+powers (D - rho)^mult that the package once formed, and the switching
+operator as build_LD once formed it, on n x n maps.  The package has no
+caller for them, so they live here, next to the tests that use them."""
 
 from gradeswitch import galg
-from gradeswitch.echelon import Echelon, kernel
+from gradeswitch.echelon import Echelon, first_dependence, kernel
 from gradeswitch.fields import (_as_field_elt, embedding_over,
                                 roots_in_splitting_field)
 from gradeswitch.galg import LinearMap, Subspace
 from gradeswitch.laguerre import laguerre_value, scalar_product_form
-from gradeswitch.switch import PPolynomial, build_g, h_polynomial, \
-    p_power_relation, semisimple_exponent
+from gradeswitch.switch import HypothesisError, PPolynomial, Relation, \
+    build_g, h_polynomial, p_power_relation, semisimple_exponent
 
 
 def inverse(M):
@@ -73,6 +74,23 @@ def relation_holds(rel, D):
     poly = PPolynomial.make(rel.field, [*enumerate(rel.coeffs, rel.r),
                                         (rel.n, rel.field.one)])
     return poly(D).is_zero()
+
+
+def p_power_relation_by_maps(D, r):
+    """switch.p_power_relation for S = D^(p^r) as the package once found
+    it: the first dependence among the maps D^(p^k), k >= r, each
+    flattened to its n^2 entries, formed on D's own p-power chain up to
+    D^(p^n); degenerate when S = 0."""
+    field = D.field
+    if D.p_power(r).is_zero():
+        return Relation(field, r, r, (), True)
+    rep = first_dependence(
+        ([x for row in D.p_power(k).rows for x in row]
+         for k in range(r, r + D.n * D.n + 1)), field)
+    if not rep[0]:
+        raise HypothesisError("D^(p^r) semisimple",
+                              "r = %d gives a non-semisimple power" % r)
+    return Relation(field, r, r + len(rep), tuple(rep), False)
 
 
 def witt_pmap(field, sizes):
@@ -139,7 +157,7 @@ def switch_by_maps(A, D, r=None):
     L_{p-1}^(g(rho)^p)(g(rho)^p - g(rho)) of the product form."""
     r_raw = semisimple_exponent(D)
     r = max(r_raw if r is None else r, 1)
-    f1, g, _ = build_g(p_power_relation(D, r))
+    f1, g, _ = build_g(p_power_relation(D.minimal_polynomial(), r))
     p = f1.p
     d1 = D.embed_to(f1)
     alpha = (g - h_polynomial(f1, r))(d1)

@@ -102,7 +102,7 @@ def test_entries_from_another_field_are_refused():
         with pytest.raises(ValueError):
             S.contains(v)
     with pytest.raises(ValueError):
-        Subspace.zero(K, 2).contains((F.zero, F.zero))
+        Subspace(K, 2, ()).contains((F.zero, F.zero))
     # ints stay scalars
     assert S.contains((1, 0, 0)) and S.contains((2, K.zero, 0))
     assert not S.contains((0, 1, 0))

@@ -13,6 +13,7 @@ from gradeswitch.galg import LinearMap  # noqa: E402
 from gradeswitch.switch import (  # noqa: E402
     HypothesisError, p_power_relation, semisimple_exponent)
 from oracles import inverse, relation_holds  # noqa: E402
+from test_eigen_route import assert_same_relation  # noqa: E402
 from test_galg import brute_char_poly  # noqa: E402
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 3), GF(3, 2)]
@@ -119,7 +120,7 @@ def test_p_power_relation_verifies(case):
     field, _, rows = case
     D = LinearMap(field, rows)
     r = semisimple_exponent(D)
-    rel = p_power_relation(D, r)
+    rel = p_power_relation(D.minimal_polynomial(), r)
     assert relation_holds(rel, D)
     assert rel.degenerate or rel.coefficient(r)
 
@@ -172,10 +173,16 @@ def test_p_power_relation_reads_semisimplicity(case):
     S = D.p_power(r)
     want = not S.is_zero() and not S.minimal_polynomial().squarefree_is()
     try:
-        rel = p_power_relation(D, r)
+        rel = p_power_relation(D.minimal_polynomial(), r)
     except HypothesisError as exc:
         assert want, exc
         assert exc.hypothesis == "D^(p^r) semisimple"
     else:
         assert not want
         assert relation_holds(rel, D)
+
+
+@SETTINGS
+@hypothesis.given(relation_cases())
+def test_p_power_relation_matches_the_flattened_maps(case):
+    assert_same_relation(*case)

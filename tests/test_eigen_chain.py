@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from gradeswitch.echelon import Echelon
 from gradeswitch.fields import GF
 from gradeswitch.galg import (LinearMap, generalized_eigenspaces,
                               truncated_poly, truncated_poly_derivation)
@@ -55,7 +56,7 @@ def conjugated(M, rng):
     while True:
         P = LinearMap(field, [[field.random_element(rng) for _ in range(n)]
                               for _ in range(n)])
-        if P.rank() == n:
+        if Echelon(P.rows).rank == n:
             return P * M * inverse(P)
 
 

@@ -8,6 +8,11 @@ the oracle.  Both must give the same final field object, the same
 eigenvalues in the same order, the same subspaces, the same alpha and the
 same switching operator.  Where D^(p^2) = D^p, build_LD must also take
 its closed form.
+
+The p-power relation is read off D's minimal polynomial m_D over the
+start field, as the first dependence among the residues T^(p^k) mod m_D;
+the first dependence among the flattened maps D^(p^k), which it
+replaced, is its oracle (oracles.p_power_relation_by_maps).
 """
 
 import json
@@ -21,8 +26,9 @@ from gradeswitch.fields import GF, embed, embedding_over
 from gradeswitch.galg import GradedAlgebra, LinearMap, \
     generalized_eigenspaces, witt
 from gradeswitch.laguerre import laguerre_value
-from gradeswitch.switch import build_g, build_LD, h_polynomial, \
-    p_power_relation, semisimple_exponent
+from gradeswitch.switch import HypothesisError, build_g, build_LD, \
+    h_polynomial, p_power_relation, semisimple_exponent
+from oracles import p_power_relation_by_maps
 from test_switch import assert_special_closed_form, is_special
 from time_budget import time_limit, untraced
 
@@ -43,7 +49,21 @@ def old_route(D, g, r):
 def build_LD_g(D):
     """(g over F', r) as :func:`build_LD` forms them."""
     r = max(semisimple_exponent(D), 1)
-    return build_g(p_power_relation(D, r))[1], r
+    return build_g(p_power_relation(D.minimal_polynomial(), r))[1], r
+
+
+def assert_same_relation(D, r):
+    """p_power_relation on D's minimal polynomial gives what the first
+    dependence among the flattened maps D^(p^k) gives: the same Relation,
+    or the same HypothesisError."""
+    try:
+        want = p_power_relation_by_maps(D, r)
+    except HypothesisError as exc:
+        with pytest.raises(HypothesisError) as info:
+            p_power_relation(D.minimal_polynomial(), r)
+        assert str(info.value) == str(exc)
+    else:
+        assert p_power_relation(D.minimal_polynomial(), r) == want
 
 
 def assert_same_route(res, old):
@@ -93,6 +113,21 @@ def test_builtins_take_the_old_route(spec, der):
     check_both_routes(A, cli._parse_derivation(A, der, None))
 
 
+@pytest.mark.parametrize("spec,der", builtin_pairs(),
+                         ids=lambda x: x)
+def test_builtins_read_the_relation_of_the_flattened_maps(spec, der):
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    r_raw = semisimple_exponent(D)
+    for r in (max(r_raw, 1), r_raw + 2):
+        assert_same_relation(D, r)
+
+
+def test_relation_at_r_16_matches_the_flattened_maps():
+    A = cli._parse_builtin("witt:5")
+    assert_same_relation(cli._parse_derivation(A, "ad:1", None), 16)
+
+
 # (p, n, modulus) of the start fields of the random matrices; the
 # non-default moduli make canonical embeddings that do not compose
 RANDOM_FIELDS = [(2, 1, None), (3, 1, None), (5, 1, None), (2, 2, None),
@@ -138,7 +173,8 @@ def test_eigenvalue_field_embeds_in_g_field():
                 big, _ = generalized_eigenspaces(D)
                 low = max(semisimple_exponent(D), 1)
                 for r in range(low, low + 3):
-                    f1 = build_g(p_power_relation(D, r))[0]
+                    f1 = build_g(
+                        p_power_relation(D.minimal_polynomial(), r))[0]
                     assert f1.n % big.n == 0
                     assert build_LD(A, D, r).field_final is f1
 

@@ -55,7 +55,7 @@ def quotient_entries(rows):
      "elements of different quotient rings"),
     (lambda: quotient_entries(3) * quotient_entries(3),
      "elements of different quotient rings"),
-    (lambda: Subspace.zero(F3, 2) + Subspace.zero(F3, 3),
+    (lambda: Subspace(F3, 2, ()) + Subspace(F3, 3, ()),
      "subspaces of different spaces"),
     (lambda: compare_switch_to_toral(RestrictedLie(witt(5)), [
         (0, 1, 0, 0, 0)], (0, 1, 0, 0)), "x has the wrong length"),

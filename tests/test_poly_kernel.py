@@ -191,7 +191,7 @@ def conjugated(M, rng, ones=False):
         if ones:
             P = LinearMap(M.field, [(M.field.one,) + row[1:]
                                     for row in P.rows])
-        if P.rank() == M.n:
+        if Echelon(P.rows).rank == M.n:
             return P * M * inverse(P)
 
 

@@ -21,6 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from gradeswitch import cli  # noqa: E402
+from gradeswitch.echelon import Echelon  # noqa: E402
 from gradeswitch.galg import GradedAlgebra, LinearMap  # noqa: E402
 from gradeswitch.switch import switch_grading  # noqa: E402
 from oracles import inverse  # noqa: E402
@@ -52,7 +53,7 @@ def component_automorphism(A, rng):
         while True:
             block = LinearMap(F, [[F.random_element(rng) for _ in idx]
                                   for _ in idx])
-            if block.rank() == len(idx):
+            if Echelon(block.rows).rank == len(idx):
                 break
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
