@@ -31,9 +31,9 @@ DEFAULT_DIM_CAP = 40
 # under 0.1 s; up to n = 40 the slowest is GF(11^32), about 2 s (2-core
 # host, Python 3.11)
 FIELD_DEGREE_CAP = 16
-# a run's time grows linearly in --r (witt:5 ad:1 takes 1.6 s at r = 1000
-# on a 2-core host, Python 3.11); every semisimplicity exponent under the
-# default --dim-cap is at most 6
+# a run's time grows linearly in --r (witt:5 ad:1 takes 0.19 s at r = 1000
+# in process on a 2-core host, Python 3.11); every semisimplicity exponent
+# under the default --dim-cap is at most 6
 R_CAP = 16
 # the grading modulus m: the report lists m components; tpoly:5:5:1000 xddx
 # takes 0.1 s and writes 57 kB (2-core host, Python 3.11)

@@ -1046,14 +1046,12 @@ def roots_in_splitting_field(f):
     returning.  A splitting field of degree above DEGREE_CAP over GF(p)
     raises ValueError in :func:`GF`.
     """
-    from .polyring import Polynomial
     if f.is_zero():
         raise ValueError("the zero polynomial has no splitting field")
     field = f.field
     lcm = math.lcm(*_factor_degrees(f.squarefree_part()))
     big = field if lcm == 1 else GF(field.p, field.n * lcm)
-    emb = embedding(field, big)
-    f2 = Polynomial(big, [emb(c) for c in f.coeffs])
+    f2 = f.embed_to(big)
     return big, _multiplicities(f2, _roots_in_field(f2))
 
 

@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 
-from .fields import FqElement, _as_field_elt, power
+from .fields import FqElement, _as_field_elt, embedding, power
 
 _COEFFS = operator.attrgetter("coeffs")
 _ADD = operator.add
@@ -273,6 +273,14 @@ class Polynomial(RingElement):
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
+
+    def embed_to(self, field):
+        """self over `field` by the canonical embedding: self itself on
+        its own field, so its reduction rows serve both."""
+        if field is self.field:
+            return self
+        emb = embedding(self.field, field)
+        return Polynomial(field, [emb(c) for c in self.coeffs])
 
     def monic(self):
         if self.is_zero():

@@ -19,8 +19,9 @@ One builder, :func:`build_LD`, takes (A, D) to a SwitchResult over the
 field F' of g, where the eigenvalues of D always lie; where D^(p^2) = D^p
 its g is gamma T^p with gamma^p - gamma = 1 (0 when D^p = 0).  Since
 the relation, alpha and L_D are polynomials in D, the relation is read in
-F[T]/(m_D), m_D the minimal polynomial of D over its field F, and the
-switching law, the Laguerre value and the scalar law modulo m_D over F';
+F[T]/(m_D), m_D the minimal polynomial of D over its field F, and alpha,
+the switching law, the Laguerre value and the scalar law modulo m_D over
+F'.  alpha stays that residue, which a reader evaluates at D itself, and
 L_D is evaluated at D once.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .echelon import first_dependence
 from .fields import additive_root, embedding, embedding_over
-from .galg import LinearMap, _accumulate, _check_acts, derivation_degree, \
+from .galg import _accumulate, _check_acts, derivation_degree, \
     generalized_eigenspaces, is_derivation, is_grading
 from .laguerre import VerificationError, coefficient_table, \
     laguerre_value, scalar_product_form
@@ -149,17 +150,17 @@ def p_power_relation(m, r):
     return Relation(field, r, r + len(rep), tuple(rep), False)
 
 
-def build_g(relation, lam=None):
+def build_g(relation):
     """(F', g, lambda) with g an additive polynomial supported on exponents
     r..n-1 for which alpha = (g - h)(D) obeys alpha^p - alpha = D^p, as
-    :func:`build_LD` checks at D.  Since h(D)^p - h(D) = D^(p^r) - D^p
+    :func:`build_LD` checks modulo m_D.  Since h(D)^p - h(D) = D^(p^r) - D^p
     telescopes, this makes g(D) an Artin-Schreier root of D^(p^r).
 
     lambda is a root of the constraint polynomial
     1 + T + sum_{k=r}^{n-1} a_k^(p^(n-1-k)) T^(p^(n-k)), an affine additive
-    polynomial kept as its terms; by default its smallest root in the
-    canonical splitting field, found by :func:`additive_root` as a linear
-    solve over F_p.  The coefficients b_i of g follow from lambda by a
+    polynomial kept as its terms: its smallest root in the canonical
+    splitting field, found by :func:`additive_root` as a linear solve
+    over F_p.  The coefficients b_i of g follow from lambda by a
     recursion, checked at its last step.
     """
     field = relation.field
@@ -170,8 +171,7 @@ def build_g(relation, lam=None):
     terms = [(0, field.one)] + [
         (n - k, relation.coefficient(k) ** (p ** (n - 1 - k)))
         for k in range(r, n)]
-    if lam is None:
-        _, lam = additive_root(field.one, terms)
+    _, lam = additive_root(field.one, terms)
     big = lam.field
     emb = embedding(field, big)
     if big.one + PPolynomial.make(big, [(j, emb(b)) for j, b in terms])(lam):
@@ -207,7 +207,7 @@ class SwitchResult:
     decomposition: object
     block_scalars: tuple
     switch_map: object
-    alpha: object            # switch_map = L_{p-1}^(alpha)(derivation)
+    alpha: object            # (g - h)(T) mod m_D, L_D = L_{p-1}^(alpha(D))(D)
     old_parts: tuple
     new_parts: tuple
     degree: int = None               # set by switch_grading
@@ -250,20 +250,22 @@ def build_LD(A, D, r=None):
     scalar law verified.
 
     A supplied r must be at least the semisimplicity exponent, as p-th
-    powers of a semisimple map stay semisimple.  alpha = (g - h)(D) is
-    formed over the field F' of g from D's own p-power chain.  The
-    generalized eigenspaces of D, found over the field E where D splits,
-    reach F' through the embedding that agrees with the canonical one on
-    A's field F.
+    powers of a semisimple map stay semisimple.  The generalized
+    eigenspaces of D, found over the field E where D splits, reach the
+    field F' of g through the embedding that agrees with the canonical
+    one on A's field F.
 
-    The relation lives in F[D] and the law, the operator and its scalar
-    law in F'[D], which T -> D identifies with F'[T]/(m_D), m_D the
+    The relation lives in F[D] and alpha, the law, the operator and its
+    scalar law in F'[D], which T -> D identifies with F'[T]/(m_D), m_D the
     minimal polynomial of D (degree d <= n), so each is a congruence of
-    Polynomials mod m_D: the relation among the T^(p^k), alpha(T)
-    along T^(p^i) mod m_D against alpha(T)^p - alpha(T) = T^p, the
-    operator's residue P = L_{p-1}^(alpha(T))(T) mod m_D as one Laguerre
-    value, and :func:`_scalar_law`.  The one map formed from P is
-    L = P(D), in about 2 sqrt(d) products (LinearMap.polynomial_value).
+    Polynomials mod m_D: the relation among the T^(p^k), alpha(T) =
+    (g - h)(T) along T^(p^i) mod m_D against alpha(T)^p - alpha(T) = T^p,
+    the operator's residue P = L_{p-1}^(alpha(T))(T) mod m_D as one
+    Laguerre value, and :func:`_scalar_law`.  The result keeps alpha as
+    its residue; the one map formed is L = P(D), in about 2 sqrt(d)
+    products (LinearMap.polynomial_value).  No power of D's p-power chain
+    is formed here, so the chain stops at D^(p^r_raw), where
+    :func:`semisimple_exponent` and the eigenspaces left it.
 
     E always embeds in F', so an E whose degree does not divide that of
     F' raises VerificationError (Lidl-Niederreiter, Finite Fields, 3.4).
@@ -292,20 +294,18 @@ def build_LD(A, D, r=None):
     relation = p_power_relation(mD, r)
     f1, g, lam = build_g(relation)
     p = f1.p
-    # alpha = (g - h)(D) on D's chain, and alpha_t = (g - h)(T) on the
-    # chain of T^p in F'[T]/(m_D) (the relation was read in F[T]/(m_D)),
-    # T standing for D; every exponent of g - h is at least 1
-    emb = embedding(D.field, f1)
-    m = Polynomial(f1, [emb(c) for c in mD.coeffs])
+    # alpha = (g - h)(T) on the chain of T^p in F'[T]/(m_D) (the relation
+    # was read in F[T]/(m_D)), T standing for D; every exponent of g - h
+    # is at least 1
+    m = mD.embed_to(f1)
     t = Polynomial.variable(f1) % m
     tp = x = t.pow_mod(p, m)
-    alpha, alpha_t, j = LinearMap.zero(f1, D.n), tp * 0, 1
+    alpha, j = tp * 0, 1
     for i, b in (g - h_polynomial(f1, r)).terms:
         for _ in range(i - j):
             x = x.pow_mod(p, m)
-        alpha = alpha + D.p_power(i).embed_to(f1) * b
-        alpha_t, j = alpha_t + x * b, i
-    if alpha_t.pow_mod(p, m) - alpha_t != tp:
+        alpha, j = alpha + x * b, i
+    if alpha.pow_mod(p, m) - alpha != tp:
         raise VerificationError("alpha^p - alpha != D^p")
     big, dec = generalized_eigenspaces(D, mD)
     if f1.n % big.n:
@@ -318,7 +318,7 @@ def build_LD(A, D, r=None):
             key=lambda entry: int(entry[0])))
     a1 = A.change_field(f1)
     d1 = D.embed_to(f1)
-    poly = laguerre_value(p, alpha_t, t) % m
+    poly = laguerre_value(p, alpha, t) % m
     scalars = _scalar_law(poly, m, dec, g, r)
     lmap = d1.polynomial_value(poly)
     old_parts = tuple(a1.grading_parts())
@@ -420,13 +420,14 @@ def verify_product_rule(result):
     """Check L_D x * L_D y == L_D(c_0(xy) + sum_i c_i(D^i x, D^(p-i) y)) on
     every pair of eigen-basis vectors.
 
-    The coefficients c_i are evaluated at the result's own alpha acting on
-    the left factor and again on the right factor, the way the operator
-    identity behind the switched grading composes with the multiplication
-    map.  On A^(rho), alpha is the scalar a0 = g(rho) - h(rho) plus
-    nil = alpha - a0, nilpotent and commuting with D.  Returns the number
-    of pairs checked.  A VerificationError of a pair series is raised
-    again naming its components (rho, sigma), its message kept.
+    The coefficients c_i are evaluated at alpha(D), formed once from the
+    result's residue alpha, acting on the left factor and again on the
+    right factor, the way the operator identity behind the switched
+    grading composes with the multiplication map.  On A^(rho), alpha(D) is
+    the scalar a0 = alpha(rho) = g(rho) - h(rho) plus nil = alpha(D) - a0,
+    nilpotent and commuting with D.  Returns the number of pairs checked.
+    A VerificationError of a pair series is raised again naming its
+    components (rho, sigma), its message kept.
 
     The sweep runs on packed ints.  Each grid vector D^i nil^j x, each
     L x and each L y is packed once.  By bilinearity the inner argument is
@@ -442,7 +443,7 @@ def verify_product_rule(result):
     f2 = d2.field
     p = f2.p
     n = a2.dim
-    gh = result.g - h_polynomial(f2, result.r)
+    alpha = d2.polynomial_value(result.alpha)
     dec = result.decomposition
     values = {rho for rho, _ in dec}
     lmap = result.switch_map
@@ -455,8 +456,8 @@ def verify_product_rule(result):
     # eigenspace means nil is not nilpotent.
     eigen = []
     for rho, space in dec:
-        a0 = gh(rho)
-        nil = result.alpha - a0
+        a0 = result.alpha.evaluate(rho)
+        nil = alpha - a0
         grids = []
         for v in space.basis:
             grid = []

@@ -237,10 +237,11 @@ def switch_torus(lie, torus, x, r):
 
 def strade_map(result):
     """The switching operator rebuilt as one global operator product
-    -sum_{i<p} (prod_{k=i+1}^{p-1} (alpha + k)) D^i, at the alpha the
-    result's switch_map was built from."""
-    return -descending_form(result.field_final.p, result.alpha,
-                            result.derivation)
+    -sum_{i<p} (prod_{k=i+1}^{p-1} (alpha + k)) D^i, at the map alpha(D)
+    of the residue alpha the result's switch_map was built from."""
+    D = result.derivation
+    return -descending_form(result.field_final.p,
+                            D.polynomial_value(result.alpha), D)
 
 
 @dataclass

@@ -4,7 +4,8 @@ MultiPoly's value at a scalar point, the check that a p-power relation
 holds at D, the p-power relation as the package once found it among the
 flattened maps D^(p^k), the p-map tables and p-th power rule that the
 Witt builders once stored, the generalized eigenspaces as kernels of the
-powers (D - rho)^mult that the package once formed, and the switching
+powers (D - rho)^mult that the package once formed, alpha = (g - h)(D)
+as build_LD once formed it on D's own p-power chain, and the switching
 operator as build_LD once formed it, on n x n maps.  The package has no
 caller for them, so they live here, next to the tests that use them."""
 
@@ -145,6 +146,18 @@ def eigenspaces_by_powers(D):
     return big, tuple(
         (rho, Subspace(big, D.n, galg.kernel((D2 - rho) ** mult)))
         for rho, mult in roots)
+
+
+def alpha_on_chain(D, r):
+    """alpha = (g - h)(D) over the field F' of g for the exponent
+    max(r, 1), as build_LD once formed it: each term of g - h from D's
+    own p-power chain over its field, embedded into F'."""
+    r = max(r, 1)
+    f1, g, _ = build_g(p_power_relation(D.minimal_polynomial(), r))
+    alpha = LinearMap.zero(f1, D.n)
+    for i, b in (g - h_polynomial(f1, r)).terms:
+        alpha = alpha + D.p_power(i).embed_to(f1) * b
+    return alpha
 
 
 def switch_by_maps(A, D, r=None):

@@ -1,13 +1,13 @@
 """D's eigenspaces over D's own field, against the route they replaced.
 
 :func:`switch.build_LD` finds the generalized eigenspaces of D over the
-field E where D splits and embeds them into the field F' of g, and forms
-alpha from D's own p-power chain over the start field.  The route it
-replaced embedded D into F' first and did both there; it is kept here as
-the oracle.  Both must give the same final field object, the same
-eigenvalues in the same order, the same subspaces, the same alpha and the
-same switching operator.  Where D^(p^2) = D^p, build_LD must also take
-its closed form.
+field E where D splits and embeds them into the field F' of g, and keeps
+alpha as its residue modulo D's minimal polynomial.  The route it
+replaced embedded D into F' first and did both there, alpha on D's
+p-power chain; it is kept here as the oracle.  Both must give the same
+final field object, the same eigenvalues in the same order, the same
+subspaces, the same map alpha(D) and the same switching operator.
+Where D^(p^2) = D^p, build_LD must also take its closed form.
 
 The p-power relation is read off D's minimal polynomial m_D over the
 start field, as the first dependence among the residues T^(p^k) mod m_D;
@@ -73,7 +73,7 @@ def assert_same_route(res, old):
                for rho, s in res.decomposition)
     assert [rho for rho, _ in res.decomposition] == [rho for rho, _ in dec]
     assert [s for _, s in res.decomposition] == [s for _, s in dec]
-    assert res.alpha == alpha
+    assert res.derivation.polynomial_value(res.alpha) == alpha
     assert res.switch_map == lmap
 
 

@@ -1,7 +1,9 @@
 """Differential tests of :func:`gradeswitch.switch.build_LD`, which forms
-the switching law, the Laguerre value and the scalar law on polynomials
-modulo D's minimal polynomial and evaluates the operator at D once, against
-the route on n x n maps it replaced (:func:`oracles.switch_by_maps`)."""
+alpha, the switching law, the Laguerre value and the scalar law on
+polynomials modulo D's minimal polynomial and evaluates the operator at D
+once, against the route on n x n maps it replaced
+(:func:`oracles.switch_by_maps`, and :func:`oracles.alpha_on_chain` for
+alpha on D's own p-power chain)."""
 
 import pytest
 
@@ -9,8 +11,9 @@ from gradeswitch import cli
 from gradeswitch.fields import GF
 from gradeswitch.galg import GradedAlgebra, LinearMap, truncated_poly, \
     truncated_poly_derivation
-from gradeswitch.switch import build_LD
-from oracles import switch_by_maps
+from gradeswitch.switch import build_LD, h_polynomial, semisimple_exponent
+from oracles import alpha_on_chain, switch_by_maps
+from test_eigen_route import builtin_pairs
 
 WITT = ["witt:3", "witt:5", "witt:7", "witt:11", "witt:13", "witt:3+witt:3",
         "witt:3+witt:3+witt:3", "witt:5+witt:5", "witt:5+witt:5+witt:5",
@@ -32,7 +35,7 @@ def assert_routes_agree(A, D, r=None):
     lmap, scalars, alpha = switch_by_maps(A, D, r)
     assert res.switch_map == lmap
     assert res.block_scalars == scalars
-    assert res.alpha == alpha
+    assert res.derivation.polynomial_value(res.alpha) == alpha
     return res
 
 
@@ -64,3 +67,21 @@ def test_the_algebra_of_dimension_zero():
     F = GF(5)
     res = assert_routes_agree(GradedAlgebra(F, 1, [], {}), LinearMap(F, []))
     assert res.switch_map == LinearMap(F, []) and not res.block_scalars
+
+
+@pytest.mark.parametrize("spec,der", builtin_pairs(), ids=lambda x: x)
+def test_alpha_residue_is_the_chain_alpha(spec, der):
+    # the residue at D is (g - h)(D) on D's chain, and at each eigenvalue,
+    # a root of m_D, it is (g - h)(rho); the switches read no power of
+    # D's chain past r_raw
+    A = cli._parse_builtin(spec)
+    D = cli._parse_derivation(A, der, None)
+    r_raw = semisimple_exponent(D)
+    results = [build_LD(A, D, r) for r in (max(r_raw, 1), r_raw + 2)]
+    assert len(D._chain or ()) <= r_raw
+    for res in results:
+        assert res.derivation.polynomial_value(res.alpha) == \
+            alpha_on_chain(D, res.r)
+        gh = res.g - h_polynomial(res.field_final, res.r)
+        assert all(res.alpha.evaluate(rho) == gh(rho)
+                   for rho, _ in res.decomposition)

@@ -61,6 +61,11 @@ def blockwise_switch_map(res, special=False):
     return vmat * LinearMap(f2, diag) * inverse(vmat)
 
 
+def alpha_map(res):
+    """The map alpha(D) of a result's residue alpha."""
+    return res.derivation.polynomial_value(res.alpha)
+
+
 def is_special(D):
     """D^(p^2) = D^p, the special case of the switching operator."""
     dp = D ** D.field.p
@@ -93,7 +98,7 @@ def assert_special_closed_form(res, D):
     assert res.relation == Relation(F, 1, 2, (F.scalar(-1),), False)
     assert res.field_final is big and res.lam == gamma
     assert res.g == PPolynomial.make(big, [(1, gamma)])
-    assert res.alpha == dp.embed_to(big) * gamma
+    assert alpha_map(res) == dp.embed_to(big) * gamma
 
 
 BLOCKWISE_CASES = [
@@ -244,25 +249,27 @@ def test_build_g_companion_case():
     assert gD ** 3 - gD == D.embed_to(big).p_power(1)
 
 
-def test_build_g_rejects_bad_lambda():
+def test_build_g_rejects_bad_lambda(monkeypatch):
     F3 = GF(3)
     D = LinearMap(F3, [[F3.zero, F3.one], [F3.one, F3.one]])
     rel = p_power_relation(D.minimal_polynomial(), 1)
     big = GF(3, 6)
+    monkeypatch.setattr(switch, "additive_root",
+                        lambda c, terms: (big, big.scalar(2)))
     with pytest.raises(HypothesisError):
-        build_g(rel, lam=big.scalar(2))  # 1 + 2 - 2^9 != 0
+        build_g(rel)  # 1 + 2 - 2^9 != 0
 
 
-def test_build_g_accepts_each_constraint_root():
-    from gradeswitch.fields import roots_in_splitting_field
-    from gradeswitch.polyring import Polynomial
+def test_build_g_accepts_each_constraint_root(monkeypatch):
     F3 = GF(3)
     D = LinearMap(F3, [[F3.zero, F3.one], [F3.one, F3.one]])
     rel = p_power_relation(D.minimal_polynomial(), 1)
     t = Polynomial.variable(F3)
     big, roots = roots_in_splitting_field(1 + t - t ** 9)
     for lam, _ in roots[:3]:
-        _, g, lam_out = build_g(rel, lam=lam)
+        monkeypatch.setattr(switch, "additive_root",
+                            lambda c, terms: (big, lam))
+        _, g, lam_out = build_g(rel)
         assert lam_out == lam
         gD = g(D.embed_to(big))
         assert gD ** 3 - gD == D.embed_to(big).p_power(1)
@@ -370,7 +377,8 @@ def test_special_LD_requires_the_relation():
     res = build_LD(A, D)
     assert (res.relation.r, res.relation.n) == (1, 3)
     assert len(res.g.terms) == 2
-    assert res.alpha ** 3 - res.alpha == res.derivation.p_power(1)
+    alpha = alpha_map(res)
+    assert alpha ** 3 - alpha == res.derivation.p_power(1)
 
 
 def test_special_LD_on_ad_e0():
@@ -393,7 +401,7 @@ def test_special_LD_adjoins_no_gamma_when_D_p_vanishes():
         res = build_LD(W, D)
         assert_special_closed_form(res, D)
         assert res.field_final is GF(p) and res.relation.degenerate
-        assert res.switch_map == laguerre_value(p, res.alpha, D)
+        assert res.switch_map == laguerre_value(p, alpha_map(res), D)
 
 
 # -- alpha, carried on the result -------------------------------------------
@@ -410,8 +418,10 @@ DIGEST_SWITCHES = [
 def test_switch_map_is_the_laguerre_value_at_alpha(spec, der, r):
     A = cli._parse_builtin(spec)
     res = build_LD(A, cli._parse_derivation(A, der, None), r)
-    alpha, D = res.alpha, res.derivation
-    assert alpha.field is D.field is res.field_final
+    alpha, D = alpha_map(res), res.derivation
+    # alpha is kept as its residue modulo D's minimal polynomial
+    assert res.alpha.field is D.field is res.field_final
+    assert res.alpha.degree() < D.minimal_polynomial().degree()
     assert res.switch_map == laguerre_value(D.field.p, alpha, D)
     assert alpha * D == D * alpha
     # the switching law
@@ -439,8 +449,8 @@ def test_special_LD_refuses_gamma_off_the_law(monkeypatch, spec, der):
     # alpha^p - alpha = D^p != 0
     real = switch.build_g
 
-    def shifted(relation, lam=None):
-        big, g, lam = real(relation, lam)
+    def shifted(relation):
+        big, g, lam = real(relation)
         (i, gamma), = g.terms
         delta = big.gen
         assert i == 1 and delta ** big.p != delta
@@ -483,8 +493,8 @@ def test_build_LD_refuses_g_off_the_law(monkeypatch):
     # test, so c is taken outside F_p with e outside F_p too.
     real = switch.build_g
 
-    def scaled(relation, lam=None):
-        big, g, lam = real(relation, lam)
+    def scaled(relation):
+        big, g, lam = real(relation)
         (i, b), *rest = g.terms
         assert big.n > 1  # gen and gen + 1 lie outside F_p
         c = next(c for c in (big.gen, big.gen + 1)
@@ -509,8 +519,8 @@ def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
     real = switch.build_g
     shifts = []
 
-    def shifted(relation, lam=None):
-        big, g, lam = real(relation, lam)
+    def shifted(relation):
+        big, g, lam = real(relation)
         k = big.scalar(2)
         shifts.append((relation, lam + k))
         moved = dict(g.terms)
@@ -522,8 +532,11 @@ def test_build_LD_accepts_the_artin_schreier_ambiguity(monkeypatch):
     assert D.p_power(2) == D.p_power(1)
     res = build_LD(W, D)
     (relation, lam_k), = shifts
-    assert res.g == real(relation, lam_k)[1]
-    assert res.alpha ** 5 - res.alpha == res.derivation ** 5
+    monkeypatch.setattr(switch, "additive_root",
+                        lambda c, terms: (lam_k.field, lam_k))
+    assert res.g == real(relation)[1]
+    alpha = alpha_map(res)
+    assert alpha ** 5 - alpha == res.derivation ** 5
 
 
 @pytest.mark.parametrize("spec,der", [("tpoly:3:9:3", "ddx"),
@@ -577,40 +590,58 @@ def switch_products(monkeypatch, capsys, argv):
 
 
 def test_switch_at_r_16_makes_at_most_160_map_products(monkeypatch, capsys):
-    # D^5, ..., D^(5^16) are formed once, three products each, on D's own
-    # p-power chain over the start field, for alpha = (g - h)(D) to embed
-    # its terms; the relation, the law, the Laguerre value and the scalar
-    # law are read modulo D's minimal polynomial and form no map, and
-    # L = P(D) takes D^2, D^3 and one fused step: 51.  Walking h(D) along
-    # a second chain and forming D^(5^16) again for a check of g(D) made
-    # 250 products, forming D^5 once more for the law 160, and a second
-    # chain from D^5 to D^(5^16) over the enlarged field for alpha 157.
-    # The law, the Laguerre value and the scalar law on n x n maps
-    # (alpha^5, four fused Horner steps and L^(5^16)) made 109, and the
-    # relation read off the flattened maps D^(5^16) and D^(5^17) 54
+    # the relation, alpha, the law, the Laguerre value and the scalar law
+    # are read modulo D's minimal polynomial m = T^5 - T and form no map;
+    # L = P(D) takes D^2, D^3 and one fused step, and the product rule's
+    # alpha(D), from a residue of degree 1, none: 3.  Forming
+    # alpha = (g - h)(D) from D^5, ..., D^(5^16) on D's own p-power chain,
+    # three products each, made 51.  Walking h(D) along a second chain and
+    # forming D^(5^16) again for a check of g(D) made 250 products,
+    # forming D^5 once more for the law 160, and a second chain from D^5
+    # to D^(5^16) over the enlarged field for alpha 157.  The law, the
+    # Laguerre value and the scalar law on n x n maps (alpha^5, four fused
+    # Horner steps and L^(5^16)) made 109, and the relation read off the
+    # flattened maps D^(5^16) and D^(5^17) 54
     assert switch_products(monkeypatch, capsys, [
-        "--builtin", "witt:5", "--derivation", "ad:1", "--r", "16"]) == 51
+        "--builtin", "witt:5", "--derivation", "ad:1", "--r", "16"]) == 3
 
 
 @pytest.mark.parametrize("spec,der,want", [
-    ("tpoly:5:25:5", "ddx", 17), ("tpoly:5:25:5", "xddx", 9),
-    ("tpoly:3:27:3", "ddx", 19)])
+    ("tpoly:5:25:5", "ddx", 20), ("tpoly:5:25:5", "xddx", 6),
+    ("tpoly:3:27:3", "ddx", 24)])
 def test_switch_forms_each_map_product_once(monkeypatch, capsys, spec, der,
                                             want):
     # each map forms its p-power chain and its minimal polynomial once:
     # the eigenspaces read D's chain and the minimal polynomial
-    # semisimple_exponent formed, and the relation is read modulo that
-    # minimal polynomial, so the chain ends at the last power that alpha
-    # embeds.  The operator is P(D) for P the Laguerre value modulo D's
-    # minimal polynomial m, by Paterson-Stockmeyer: about 2 sqrt(deg m)
-    # products, each fused Horner step one.  Forming D^(p^k) - rho^(p^k)
-    # as (D - rho)^mult, a second minimal polynomial of D and unfused
-    # steps made 31, 25 and 30 products; the Laguerre value by Horner on
-    # n x n maps, alpha^p and L^(p^r) there 25, 22 and 23; the relation
-    # read off the flattened maps, which formed D^25 for xddx, 17, 12
-    # and 19
+    # semisimple_exponent formed, and the relation and alpha are read
+    # modulo that minimal polynomial m, so the chain ends at D^(p^r_raw).
+    # The operator is P(D) for P the Laguerre value modulo m, by
+    # Paterson-Stockmeyer: about 2 sqrt(deg m) products, each fused
+    # Horner step one; the product rule forms alpha(D) from its residue
+    # the same way, 3 and 5 products for the ddx residues -T^5 and
+    # -T^3 - T^9 and none for the xddx one, of degree 1.  Forming alpha
+    # on D's chain made 17, 9 and 19 products: the ddx runs read the
+    # D^(p^k) semisimple_exponent had formed, and xddx formed D^5 for
+    # alpha alone.  Forming D^(p^k) - rho^(p^k) as (D - rho)^mult, a
+    # second minimal polynomial of D and unfused steps made 31, 25 and
+    # 30 products; the Laguerre value by Horner on n x n maps, alpha^p
+    # and L^(p^r) there 25, 22 and 23; the relation read off the
+    # flattened maps, which formed D^25 for xddx, 17, 12 and 19
     assert switch_products(monkeypatch, capsys, [
         "--builtin", spec, "--derivation", der]) == want
+
+
+def test_switch_without_the_product_rule_forms_no_alpha_map(monkeypatch):
+    # alpha stays its residue modulo m = T^5 - T, so the 6 products are
+    # m(D) = 0 checked as (D^4 - 1) D from D^2 and D^4, and L = P(D) from
+    # D^2, D^3 and one fused step; D's chain stops at D^(p^r_raw) = D.
+    # Forming alpha on D's chain formed D^5 as well: 9 products
+    A = cli._parse_builtin("tpoly:5:25:5")
+    D = cli._parse_derivation(A, "xddx", None)
+    products = count_map_products(monkeypatch)
+    res = switch_grading(A, D, check_product_rule=False)
+    assert products[0] == 6
+    assert res.r_raw == 0 and len(D._chain or ()) <= res.r_raw
 
 
 def test_scalar_law_on_blocks():
@@ -964,21 +995,39 @@ def test_product_rule_refuses_a_switched_product_outside_the_eigenspace_sum():
 
 @pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
 def test_product_rule_and_strade_map_refuse_alpha_plus_one(spec, der, order):
-    # nil = alpha + 1 - a0 is not nilpotent on any eigenspace
+    # alpha + 1 moves every a0 = alpha(rho) by 1 and leaves nil as it was.
+    # Each case has the eigenvalue 0, where alpha(0) = 0, so that pair
+    # series has a0 + b0 = 2 in F_p^*: its denominator
+    # (a0 + b0)^(p-1) - 1 is no unit
     res = switched_without_product_rule(spec, der)
     bad = dataclasses.replace(res, alpha=res.alpha + 1)
-    with pytest.raises(VerificationError, match="not nilpotent"):
+    with pytest.raises(VerificationError,
+                       match=r"^pair series of components \(0, 0\): "
+                             "product-rule coefficient denominator"):
         verify_product_rule(bad)
     assert strade_map(bad) != res.switch_map
 
 
+@pytest.mark.parametrize("spec,der,order", SWEEP_CASES)
+def test_product_rule_refuses_a_mislabelled_eigenspace(spec, der, order):
+    # labelling A^(rho) as rho + 1 takes a0 = alpha(rho + 1), and on
+    # A^(rho) alpha(D) - a0 is the nonzero scalar alpha(rho) -
+    # alpha(rho + 1) plus a nilpotent, so the chains nil^j x outrun it
+    res = switched_without_product_rule(spec, der)
+    dec = tuple((rho + 1, s) for rho, s in res.decomposition)
+    with pytest.raises(VerificationError, match="not nilpotent"):
+        verify_product_rule(dataclasses.replace(res, decomposition=dec))
+
+
 def test_product_rule_refuses_a_nilpotent_perturbation_of_alpha():
-    # tpoly:3:9:3 ddx has alpha = -D^3; alpha + D keeps nil nilpotent and
-    # commuting with D, so only the product rule itself can refuse it
+    # tpoly:3:9:3 ddx has alpha = -D^3; alpha + T, that is alpha(D) + D,
+    # keeps nil nilpotent and commuting with D, so only the product rule
+    # itself can refuse it
     res = switched_without_product_rule("tpoly:3:9:3", "ddx")
     D = res.derivation
-    assert res.alpha == -D.p_power(1)
-    bad = dataclasses.replace(res, alpha=res.alpha + D)
+    assert alpha_map(res) == -D.p_power(1)
+    bad = dataclasses.replace(
+        res, alpha=res.alpha + Polynomial.variable(res.field_final))
     with pytest.raises(VerificationError, match="product rule fails"):
         verify_product_rule(bad)
     assert strade_map(bad) != res.switch_map

@@ -94,7 +94,10 @@ def test_switch_commutes_with_component_automorphisms(spec, der, seed):
     assert got.product_rule_pairs == res.product_rule_pairs
     phi2 = phi.embed_to(res.field_final)
     assert got.switch_map == phi2 * res.switch_map * inverse(phi2)
-    assert got.alpha == phi2 * res.alpha * inverse(phi2)
+    # E and D share a minimal polynomial, so alpha's residue is the same
+    assert got.alpha == res.alpha
+    assert got.derivation.polynomial_value(got.alpha) == \
+        phi2 * res.derivation.polynomial_value(res.alpha) * inverse(phi2)
     assert got.new_parts == tuple((k, s.image(phi2))
                                   for k, s in res.new_parts)
 

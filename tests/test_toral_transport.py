@@ -120,5 +120,7 @@ def check_transport(A, phi, torus, slot):
     assert res.field_final is ref.field_final is F
     inv = inverse(phi)
     assert res.switch_map == phi * ref.switch_map * inv
-    assert res.alpha == phi * ref.alpha * inv
+    assert res.alpha == ref.alpha
+    assert res.derivation.polynomial_value(res.alpha) == \
+        phi * ref.derivation.polynomial_value(ref.alpha) * inv
     assert strade_map(res) == phi * strade_map(ref) * inv
