@@ -486,7 +486,10 @@ class FqField:
         unpack(sum of pack(a) * pack(b) * pack(c) over `length` terms) is
         the sum of the a b c).  Every such sum fits in `bits` bits, so
         packed elements laid side by side `bits` apart multiply as blocks
-        of a larger Kronecker layout; unpack takes one block.
+        of a larger Kronecker layout; unpack takes one block.  pack reads
+        the field's table of packed ints; unpack folds each high slot of
+        the block with one multiply by its packed reduction row, reduces
+        the n low slots mod p and returns interned elements.
         """
         return _dot_kernel(self, length, factors)
 
@@ -618,15 +621,22 @@ def _dot_kernel(field, length, factors):
     # sum c_i 2^(i w).  The product of f packed elements holds the
     # f (n - 1) + 1 coefficients of the product polynomial in its slots,
     # each a sum of at most n^(f-1) products of f digits, so a sum of
-    # `length` such products never carries between slots once 2^w exceeds
-    # length n^(f-1) (p-1)^f.  Unpacking reads the slots, folds slots
-    # n.. back through the reduction rows T^(n+k) mod modulus and reduces
-    # mod p once.  Results come from the field's interned elements.  The
-    # f (n - 1) + 1 slots of w bits are the block one such sum occupies.
+    # `length` such products holds at most length n^(f-1) (p-1)^f in a
+    # slot.  Unpacking folds the high slots n + k as _row_kernel does, one
+    # multiply-add each: the slot, reduced mod p, times T^(n+k) packed as
+    # the small int sum r_kj 2^(j w), added to the masked low slots.  Each
+    # of the f (n - 1) + 1 - n folds adds at most (p-1)^2 to a low slot,
+    # so w is sized for length n^(f-1) (p-1)^f + (f (n-1) + 1 - n) (p-1)^2
+    # and the fold never carries between slots; the n low slots are then
+    # read and reduced mod p.  Elements pack from the field's _packed
+    # table and unpack to its interned elements.  The f (n - 1) + 1 slots
+    # of w bits are the block one such sum occupies.
     p, n = field.p, field.n
     elements = _interned(field)
-    width = (length * n ** (factors - 1) * (p - 1) ** factors).bit_length() \
-        or 1
+    top = factors * (n - 1) + 1
+    bound = length * n ** (factors - 1) * (p - 1) ** factors \
+        + (top - n) * (p - 1) ** 2
+    width = bound.bit_length() or 1
     if n == 1:
         def pack(x):
             return _as_field_elt(field, x).coeffs[0]
@@ -635,21 +645,21 @@ def _dot_kernel(field, length, factors):
             return elements[(s % p,)]
         return pack, unpack, width
     mask = (1 << width) - 1
-    top = factors * (n - 1) + 1
-    low = tuple(range(0, n * width, width))
-    high = tuple(range(n * width, top * width, width))
-    # fold[j][k]: T^(n+k) at g^j
-    fold = tuple(zip(*_reduction_rows(p, field.modulus, top - n)))
-    shl, mul = operator.lshift, operator.mul
+    low = (1 << (n * width)) - 1
+    packed = _packed(field, width)
+    fold = tuple(((n + k) * width, packed[red])
+                 for k, red in enumerate(_reduction_rows(
+                     p, field.modulus, top - n)))
+    slots = tuple(range(0, n * width, width))
 
     def pack(x):
-        return sum(map(shl, _as_field_elt(field, x).coeffs, low))
+        return packed[_as_field_elt(field, x).coeffs]
 
     def unpack(s):
-        hi = [(s >> sh) & mask for sh in high]
-        return elements[tuple([
-            (((s >> sh) & mask) + sum(map(mul, hi, red))) % p
-            for sh, red in zip(low, fold)])]
+        f = s & low
+        for sh, red in fold:
+            f += ((s >> sh) & mask) % p * red
+        return elements[tuple([((f >> sh) & mask) % p for sh in slots])]
     return pack, unpack, top * width
 
 

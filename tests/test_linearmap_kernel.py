@@ -137,3 +137,25 @@ def test_interned_elements_stay_bounded(monkeypatch):
     A, B = matrix(F, 12, rng), matrix(F, 12, rng)
     assert (A * B).rows == reference_product(A, B)
     assert len(fields._interned(F)) == fields._INTERN_CAP
+
+
+def test_dot_kernel_packed_table_stays_bounded(monkeypatch):
+    # the dot kernel packs from the field's table of packed ints, capped
+    # like the interned elements: packing elements it has not seen fills
+    # it exactly to the patched cap, and the packs past the cap are
+    # still right
+    from gradeswitch import fields
+    F = GF(2, 17)
+    pack, _, bits = F.dot_kernel(9, 4)
+    width = bits // (4 * (F.n - 1) + 1)
+    table = fields._packed(F, width)
+    monkeypatch.setattr(fields, "_INTERN_CAP", len(table) + 3)
+    assert fields._INTERN_CAP < F.q
+    rng = random.Random(6)
+    fresh = [x for x in (F.random_element(rng) for _ in range(40))
+             if x.coeffs not in table]
+    assert len(fresh) > 3
+    for x in fresh:
+        assert pack(x) == sum(c << (i * width)
+                              for i, c in enumerate(x.coeffs))
+    assert len(table) == fields._INTERN_CAP

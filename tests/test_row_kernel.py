@@ -8,9 +8,14 @@ mixed with zeros and random entries, are checked against a schoolbook
 reference at the sizes 0, 1 and 40 (the CLI's dimension cap) and for
 short product chains.  The slot width is checked against the folding
 bound directly, on the kernel itself, including fields whose slots are
-too wide to be read as machine words.
+too wide to be read as machine words.  The dot kernel, which folds one
+block's high slots after reducing them mod p, gets the same headroom
+check for products of two, three and four elements at the lengths the
+package asks of it, and a seeded differential test against element
+arithmetic.
 """
 
+import functools
 import operator
 import random
 
@@ -152,3 +157,86 @@ def test_row_kernel_headroom(field, length):
     s = sum(map(operator.mul, a, wide))
     assert unpack(s) == (x * x * length, x * y * length, field.zero)
     assert unpack(0) == (field.zero,) * 3
+
+
+# The dot kernel's fields: a prime field, log-table fields, fields above
+# the table cap and characteristic 2.
+DOT_FIELDS = [GF(13), GF(3, 3), GF(5, 5), GF(7, 2), GF(5, 7), BIG, GF(2, 8)]
+assert GF(5, 7).q > _TABLE_CAP and GF(3, 3).q <= _TABLE_CAP
+
+
+def dot_lengths(field):
+    """The lengths the package asks of the dot kernel: one term, the
+    p-th-root map (n), an echelon row and an algebra product at the
+    dimension cap, the row-0 inverse p (p - 1), a quotient product p p
+    and its series cells at order (p, p), p p (p p)^3."""
+    p, n = field.p, field.n
+    return sorted({1, n, DEFAULT_DIM_CAP + 1, 3 * DEFAULT_DIM_CAP,
+                   p * (p - 1), p * p, p ** 8})
+
+
+def dot_folded_slot_maximum(field, length, factors):
+    """Largest a low slot can reach in the dot kernel's unpack, computed
+    slot by slot: slot s of a product of `factors` all-(p-1) elements
+    holds (p-1)^factors once for every way of writing s as a sum of
+    `factors` exponents below n, and slot n + k, reduced mod p (so at
+    most p - 1), folds into slot j times the coefficient of g^j in
+    T^(n+k)."""
+    p, n = field.p, field.n
+    top = factors * (n - 1) + 1
+    ways = [1] + [0] * (top - 1)
+    for _ in range(factors):
+        ways = [sum(ways[s - i] for i in range(n) if 0 <= s - i < top)
+                for s in range(top)]
+    raw = [length * (p - 1) ** factors * w for w in ways]
+    rows = _reduction_rows(p, field.modulus, top - n)
+    return max(raw[j] + sum((p - 1) * rows[k][j] for k in range(top - n))
+               for j in range(n))
+
+
+@pytest.mark.parametrize("factors", (2, 3, 4))
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=repr)
+def test_dot_kernel_headroom(field, factors):
+    p, n = field.p, field.n
+    top = factors * (n - 1) + 1
+    x = full(field)
+    y = field.from_coeffs([1] * n)
+    for length in dot_lengths(field):
+        pack, unpack, bits = field.dot_kernel(length, factors)
+        width, rest = divmod(bits, top)
+        assert rest == 0
+        bound = length * n ** (factors - 1) * (p - 1) ** factors \
+            + (top - n) * (p - 1) ** 2
+        assert dot_folded_slot_maximum(field, length, factors) <= bound
+        assert bound < 1 << width
+        # the worst sum: `length` products of all-(p-1) elements, alone
+        # and with one more term of small coefficients
+        worst = length * pack(x) ** factors
+        want = x ** factors * field.scalar(length)
+        assert unpack(worst) == want
+        if length > 1:
+            worst -= pack(x) ** factors
+            assert unpack(worst + pack(y) ** factors) == \
+                want - x ** factors + y ** factors
+        assert unpack(0) is field.zero
+
+
+@pytest.mark.parametrize("factors", (2, 3, 4))
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=repr)
+def test_dot_kernel_matches_element_arithmetic(field, factors):
+    rng = random.Random(field.q * 7 + factors)
+    pool = [field.zero, field.one, full(field)]
+    for length in (1, 2, field.p, 25):
+        pack, unpack, _ = field.dot_kernel(length, factors)
+        for _ in range(3):
+            terms = [[rng.choice(pool) if rng.random() < 0.2
+                      else field.random_element(rng)
+                      for _ in range(factors)] for _ in range(length)]
+            s = sum(functools.reduce(operator.mul, map(pack, t))
+                    for t in terms)
+            want = field.zero
+            for t in terms:
+                want = want + functools.reduce(operator.mul, t)
+            assert unpack(s) == want
+    # an int packs as the scalar it stands for
+    assert pack(-1) == pack(field.scalar(-1))
