@@ -125,6 +125,22 @@ class Echelon:
             cols = [i for i in range(c, len(row)) if row[i]]
         return c, row, cols, list(map(self._pack, [row[i] for i in cols]))
 
+    def mapped(self, emb, field):
+        """This echelon over `field`, every stored entry sent through the
+        field embedding emb.  An embedding sends 0 to 0 and 1 to 1, so each
+        row keeps its pivot and its nonzero columns, and nothing is
+        reduced again; the rows of :meth:`rref` stay reduced."""
+        ech = Echelon(width=self.width, field=field)
+        zero = field.zero
+        for c, row, cols, _ in self.rows:
+            new = [zero] * len(row)
+            for i in cols:
+                new[i] = emb(row[i])
+            if ech._pack is None:
+                ech._checked(new)       # fixes the kernel
+            ech.rows.append(ech._row(c, new, cols))
+        return ech
+
     def rref(self):
         """(rows, pivots) of the reduced row echelon form, rows as tuples.
 

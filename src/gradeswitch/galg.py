@@ -340,13 +340,18 @@ class Subspace:
 
     def map_field(self, field, emb=None):
         """This subspace over `field`, its basis mapped by the embedding
-        emb, by default the canonical one."""
+        emb, by default the canonical one.  An embedding keeps a reduced
+        row echelon basis reduced, with the same pivots, so the mapped
+        rows are stored with no elimination (:meth:`Echelon.mapped`)."""
         if emb is None:
             if field is self.field:
                 return self
             emb = embedding(self.field, field)
-        return Subspace(field, self.ambient,
-                        [tuple(emb(x) for x in b) for b in self.basis])
+        out = object.__new__(Subspace)
+        out.field, out.ambient, out.pivots = field, self.ambient, self.pivots
+        out._echelon = self._echelon.mapped(emb, field)
+        out.basis = tuple(tuple(row) for _, row, _, _ in out._echelon.rows)
+        return out
 
     def _compatible(self, other):
         if other.field is not self.field or other.ambient != self.ambient:

@@ -18,8 +18,8 @@ bivariate quotient ring R[X,Y]/(X^p - (a^p - a), Y^p - (b^p - b)): a
 table's result is its p admissible coefficients c_0, ..., c_(p-1), taken
 from their closed form, which is checked over GF(p)[alpha, beta].  Each
 table is proved where it is made: the inverse of L^(a+b)(Z) certifies
-that u = L^(a+b)(X+Y) is a unit, and u * T == L^(a)(X) L^(b)(Y) then
-gives T = v u^(-1).
+that u = L^(a+b)(X+Y) is a unit, and u * T == L^(a)(X) L^(b)(Y), checked
+on the quotient ring's packed ints, then gives T = v u^(-1).
 """
 
 import functools
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .fields import GF
 from .polyring import (MultiPoly, NonInvertibleError, Polynomial, QuotientRing,
-                       quotient_inverse, quotient_mul)
+                       quotient_inverse)
 
 
 class VerificationError(RuntimeError):
@@ -107,7 +107,12 @@ def laguerre_coeffs(p, alpha, n=None):
     mixes with field scalars: a Polynomial or MultiPoly (symbolic alpha),
     a BiTruncSeries or a LinearMap (operator alpha).
     """
-    field, n, falling = _falling_factorials(p, alpha, n)
+    return _coefficients(*_falling_factorials(p, alpha, n))
+
+
+def _coefficients(field, n, falling):
+    """The coefficients of :func:`laguerre_coeffs` from the result of
+    :func:`_falling_factorials`."""
     return tuple(map(operator.mul, falling[n::-1],
                      _laguerre_scalars(field, n)))
 
@@ -364,67 +369,74 @@ def _admissible_cells(p):
 
 
 def _split_pair(p, a, b):
-    """(u, v, u_z) for a and b from one commutative ring R of
-    characteristic p.
+    """(u, v) for a and b from one commutative ring R of characteristic p.
 
     v = L^(a)(X) L^(b)(Y) and u = L^(a+b)(X+Y) live in the quotient ring
     R[X,Y]/(X^p - xc, Y^p - yc), xc = a^p - a and yc = b^p - b; v has
     degree below p in X and in Y, so it is the outer product of the two
-    coefficient lists, with no quotient product.  Since
-    (X+Y)^p = X^p + Y^p = xc + yc, the map Z -> X + Y embeds the
-    one-variable ring R[Z]/(Z^p - (xc + yc)) there, and u is the image of
-    u_z = L^(a+b)(Z).  u_z sits on the Y axis (row 0) of
-    QuotientRing(p, xc + yc, xc + yc), so its inverse, when it has one, is
-    found there (over a field, in the local ring F[Z]/((Z - c^(1/p))^p),
-    c = xc + yc, by forward substitution) and is u's inverse carried by
-    the ring map: the verified tables invert u_z to certify that u is a
-    unit; :func:`check_closed_form_congruence` needs u and v alone.
+    coefficient lists, with no quotient product.  This is the object form
+    of the pair that :func:`coefficient_table` checks on packed ints; it
+    serves :func:`check_closed_form_congruence`, whose symbolic entries
+    have no packed kernel, and the tests' oracles.
     """
     xc, yc = a ** p - a, b ** p - b
     ring = QuotientRing(p, xc, yc)
     v = ring.outer_product(laguerre_coeffs(p, a), laguerre_coeffs(p, b))
-    l_ab = laguerre_coeffs(p, a + b)
-    u = _laguerre_xy_quotient(ring, l_ab, p)
-    u_z = QuotientRing(p, xc + yc, xc + yc).from_y_poly(l_ab)
-    return u, v, u_z
+    return _laguerre_xy_quotient(ring, laguerre_coeffs(p, a + b), p), v
 
 
 def coefficient_table(p, a, b):
-    """(c_0, ..., c_(p-1)): the p admissible coefficients of the verified
-    table v * u^(-1) of :func:`_split_pair`, read at _admissible_cells(p).
+    """(c_0, ..., c_(p-1)): the p admissible coefficients, at
+    _admissible_cells(p), of the table T = v u^(-1) with
+    v = L^(a)(X) L^(b)(Y) and u = L^(a+b)(X+Y) in the quotient ring
+    R[X,Y]/(X^p - xc, Y^p - yc), xc = a^p - a and yc = b^p - b.
 
-    a and b come from one commutative ring of characteristic p: field
-    elements, or truncated series for the product rule.  First
-    :func:`quotient_inverse` inverts the p-entry u_z on row 0 (for field
+    a and b come from one commutative ring R of characteristic p: field
+    elements, or truncated series for the product rule.  Everything is
+    read from three lists of :func:`_falling_factorials`, formed once, for
+    a, b and a + b: the three Laguerre coefficient lists, the closed-form
+    tails T_j(x) = F[p-1-j], den = T_0(a+b) = (a+b)^(p-1) - 1, and
+    xc = a T_0(a), yc = b T_0(b).
+
+    Since (X+Y)^p = X^p + Y^p = xc + yc, the map Z -> X + Y embeds
+    R[Z]/(Z^p - (xc + yc)) in the quotient ring, and u is the image of
+    u_z = L^(a+b)(Z), which sits on row 0 of QuotientRing(p, xc + yc,
+    xc + yc).  First :func:`quotient_inverse` inverts u_z there (for field
     entries by forward substitution in the local ring
     F[Z]/(Z^p - c) = F[W]/(W^p), W = Z - c^(1/p); for series by the
     p-power closed form u^(p-1) (u^p)^(-1)) and raises NonInvertibleError
     when it has no inverse, which is exactly when u has none, on the
     excluded locus.  Its result is only the certificate that u is a unit:
     quotient_inverse has verified u_z w_z == 1, and Z -> X + Y is a ring
-    map, since (X+Y)^p = xc + yc, so u w(X+Y) == 1.
+    map, so u w(X+Y) == 1.
 
     The values are the closed form c_i = N_i / den of
-    :func:`closed_form_numerators`, den = (a+b)^(p-1) - 1, with one
-    inverse of den (a field inverse, or BiTruncSeries.inverse for
-    series); u^p = scalar_product_form(a + b) vanishes exactly where den
-    does, so a den that is not a unit after the certificate raises
-    VerificationError.  The table T holds them at the admissible cells
-    and ring.zero_entry everywhere else.  One check over all p^2 cells,
-    u * T == v, then proves the whole table: u is a unit, so T = v u^(-1),
-    the admissible cells are right, and c'_{ij} = 0 for p not dividing
-    i + j.  A table that fails the check raises VerificationError.
+    :func:`closed_form_numerators`, with one inverse of den (a field
+    inverse, or BiTruncSeries.inverse for series); u^p =
+    scalar_product_form(a + b) vanishes exactly where den does, so a den
+    that is not a unit after the certificate raises VerificationError.
+    T holds them at the admissible cells and zero everywhere else.  One
+    check over all p^2 cells, u T == v, then proves the whole table: u is
+    a unit, so T = v u^(-1), the admissible cells are right, and
+    c'_{ij} = 0 for p not dividing i + j.  The check runs on the packed
+    ints of the ring's product kernel (its `table_check`), with no
+    quotient element formed; a table that fails it raises
+    VerificationError.
     """
-    u, v, u_z = _split_pair(p, a, b)
-    quotient_inverse(u_z)   # the certificate; its value is not needed
+    lists = [_falling_factorials(p, x, None) for x in (a, b, a + b)]
+    la, lb, lab = (_coefficients(*f) for f in lists)
+    fa, fb, fab = (f[2] for f in lists)
+    xc, yc = a * fa[-1], b * fb[-1]
+    # the certificate; its value is not needed
+    quotient_inverse(QuotientRing(p, xc + yc, xc + yc).from_y_poly(lab))
     try:
-        inv = ((a + b) ** (p - 1) - 1).inverse()
+        inv = fab[-1].inverse()
     except (ZeroDivisionError, NonInvertibleError) as exc:
         raise VerificationError("closed-form denominator is not a unit "
                                 "although u is") from exc
-    values = tuple(n * inv for n in closed_form_numerators(p, a, b))
-    table = u.ring.from_exponents(zip(_admissible_cells(p), values))
-    if quotient_mul(u, table) != v:
+    values = tuple(n * inv for n in _numerators(fa, fb))
+    check = QuotientRing(p, xc, yc)._product_kernel().table_check
+    if not check(lab, la, lb, zip(_admissible_cells(p), values)):
         raise VerificationError("coefficient table reconstruction failed: "
                                 "u * table != v")
     return values
@@ -460,13 +472,16 @@ def closed_form_numerators(p, alpha, beta):
     from one commutative ring of characteristic p: with T_j(x) =
     prod_{k=j+1}^{p-1} (x + k), so T_0(x) = x^(p-1) - 1, c_0 den =
     -T_0(alpha) T_0(beta) and c_i den = -T_i(alpha) T_(p-i)(beta)."""
-    def tails(x):   # [T_0(x), ..., T_(p-1)(x)], built from the right
-        out = [x ** 0, x + (p - 1)]
-        for k in range(p - 2, 0, -1):
-            out.append(out[-1] * (x + k))
-        return out[::-1]
-    ta, tb = tails(alpha), tails(beta)
-    return [-(ta[i] * tb[-i % p]) for i in range(p)]
+    return _numerators(_falling_factorials(p, alpha, None)[2],
+                       _falling_factorials(p, beta, None)[2])
+
+
+def _numerators(fa, fb):
+    """:func:`closed_form_numerators` from the falling factorials F of
+    alpha and beta (:func:`_falling_factorials`, n = p - 1), whose
+    F[p-1-j] is T_j: c_i den = -F_alpha[p-1-i] F_beta[i-1], the index
+    -1 of i = 0 reading F_beta[p-1] = T_0(beta)."""
+    return [-(fa[-1 - i] * fb[i - 1]) for i in range(len(fa))]
 
 
 def check_closed_form_congruence(p):
@@ -478,7 +493,7 @@ def check_closed_form_congruence(p):
     field = GF(p)
     alpha, beta = (MultiPoly.variable(field, ("alpha", "beta"), name)
                    for name in ("alpha", "beta"))
-    u, v, _ = _split_pair(p, alpha, beta)
+    u, v = _split_pair(p, alpha, beta)
     table = u.ring.from_exponents(
         zip(_admissible_cells(p), closed_form_numerators(p, alpha, beta)))
     return CheckReport("closed_form_congruence[p=%d]" % p,

@@ -865,9 +865,20 @@ def _quotient_layout(p, bits):
     return offsets, low_t, high_t, low_s
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_patterns(p, bits):
+    """(B_0, ..., B_(p-1)) in the layout of :func:`_quotient_layout`: B_k
+    holds the int binom(k, i) mod p at block (i, k - i), so
+    sum_k pack(f_k) B_k packs f(X + Y) for f = sum_k f_k Z^k."""
+    offsets = _quotient_layout(p, bits)[0]
+    return tuple(sum(math.comb(k, i) % p << offsets[i][k - i]
+                     for i in range(k + 1)) for k in range(p))
+
+
 def _packed_product(ring):
     """The packed-int product kernel of a ring with field or
-    truncated-series entries: a function (u, v) -> entry rows of u v.
+    truncated-series entries: a function (u, v) -> entry rows of u v,
+    with the coefficient-table check as its `table_check`.
 
     Kronecker layout: entry [i][j] is the entry kernel's block (field
     digits, and for series above order (1, 1) the U^a V^b cells around
@@ -880,6 +891,21 @@ def _packed_product(ring):
     of p^2 products of at most four entries (c1 c2 yc xc), which is what
     the entry kernel's slots are sized for, and is unpacked once: U and V
     truncated, field digits folded through the reduction rows, one mod p.
+
+    table_check(lz, xs, ys, items) tells whether u T == v for
+    u = lz(X + Y) (lz the p coefficients of a polynomial in Z), v the
+    outer product of the coefficient lists xs and ys, and T the table of
+    the ((i, j), entry) pairs `items`, and never forms u, v or T as
+    elements.  u packs as sum_k pack(lz[k]) B_k from the cached binomial
+    patterns of :func:`_binomial_patterns`; u T is one product of the
+    packed u by each packed table entry, shifted to its cell, folded as a
+    product is; -v is added as (p - 1) times the product of packed xs on
+    column 0 and packed ys on row 0, which needs no fold.  All p^2 blocks
+    of that residual (`table_residual`) must unpack to zero.  A block
+    sums, for each of the p table cells, one entry of u times a binomial
+    weight below p times the table entry, times yc, xc or both, plus
+    p - 1 times one entry product of v: p (p - 1) + 1 <= p^2 products of
+    at most four entries, so the product's slots hold it.
 
     The layout (:func:`_quotient_layout`, kept as the kernel's `layout`)
     is built once per p and block width and shared; what is the ring's
@@ -897,32 +923,34 @@ def _packed_product(ring):
     one = ring.one_entry
     field = one.field
     if not isinstance(one, BiTruncSeries):
-        pack_entry, unpack_entry, bits = field.dot_kernel(p * p, 4)
+        pack_entry, raw, bits = field.dot_kernel(p * p, 4)
+        unpack_entry = raw
     elif one.ua == one.ub == 1:
         # order (1, 1): the one coefficient on the element kernel, the
         # same layout as series_kernel(1, 1, p * p, 4)
-        epack, eunpack, bits = field.dot_kernel(p * p, 4)
+        epack, raw, bits = field.dot_kernel(p * p, 4)
 
         def pack_entry(c):
             return epack(c.coeffs[0][0])
 
         def unpack_entry(s):
-            return BiTruncSeries._from_rows(field, 1, 1, ((eunpack(s),),))
+            return BiTruncSeries._from_rows(field, 1, 1, ((raw(s),),))
     else:
         ua, ub = one.ua, one.ub
-        spack, sunpack, bits = field.series_kernel(ua, ub, p * p, 4)
+        spack, raw, bits = field.series_kernel(ua, ub, p * p, 4)
 
         def pack_entry(c):
             return spack(c.coeffs)
 
         def unpack_entry(s):
-            return BiTruncSeries._from_rows(field, ua, ub, sunpack(s))
+            return BiTruncSeries._from_rows(field, ua, ub, raw(s))
     layout = _quotient_layout(p, bits)
     offsets, low_t, high_t, low_s = layout
     shift_t, shift_s = p * bits, p * (2 * p - 1) * bits
     mask = (1 << bits) - 1
     xc, yc = pack_entry(ring.xc), pack_entry(ring.yc)
     zero = ring.zero_entry
+    column = [shs[0] for shs in offsets]
 
     def packed(u):
         if u._packed is None:
@@ -931,14 +959,35 @@ def _packed_product(ring):
                              for c, sh in zip(row, shs) if c is not zero])
         return u._packed
 
-    def product(u, v):
-        s = packed(u) * packed(v)
+    def fold(s):
         s = (s & low_t) + ((s >> shift_t) & high_t) * yc
-        s = (s & low_s) + (s >> shift_s) * xc
+        return (s & low_s) + (s >> shift_s) * xc
+
+    def product(u, v):
+        s = fold(packed(u) * packed(v))
         return tuple([tuple([unpack_entry(b) if b else zero
                              for b in [(s >> sh) & mask for sh in shs]])
                       for shs in offsets])
+
+    def spread(cs, shifts):
+        return sum(map(operator.lshift, map(pack_entry, cs), shifts))
+
+    def table_residual(lz, xs, ys, items):
+        u = sum(map(operator.mul, map(pack_entry, lz),
+                    _binomial_patterns(p, bits)))
+        s = fold(sum([u * pack_entry(c) << offsets[i][j]
+                      for (i, j), c in items]))
+        return s + (p - 1) * spread(xs, column) * spread(ys, offsets[0])
+
+    def table_check(lz, xs, ys, items):
+        s = table_residual(lz, xs, ys, items)
+        blank = raw(0)
+        return all(not b or raw(b) == blank
+                   for b in [(s >> sh) & mask for shs in offsets
+                             for sh in shs])
     product.layout = layout
+    product.table_check = table_check
+    product.table_residual = table_residual
     return product
 
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from gradeswitch.cli import _parse_builtin, _parse_derivation
 from gradeswitch.echelon import Echelon, kernel as echelon_kernel, solve
-from gradeswitch.fields import GF, embedding
+from gradeswitch.fields import GF, embedding, embedding_over
 from gradeswitch.galg import (
     GradedAlgebra, LinearMap, Subspace, _coeff_parse, derivation_degree,
     direct_sum, generalized_eigenspaces, is_derivation, is_grading, kernel,
@@ -13,6 +14,7 @@ from gradeswitch.polyring import Polynomial
 from gradeswitch.toral import RestrictedLie
 from algebra_builders import torus_line
 from oracles import from_columns, inverse, witt_pmap
+from test_eigen_route import builtin_pairs
 
 
 def rand_map(field, n, rng):
@@ -562,6 +564,40 @@ def test_map_field_defaults_to_the_canonical_embedding():
     assert V.field is big and V.dim == 2
     assert V.basis == tuple(tuple(emb(c) for c in b) for b in U.basis)
     assert U.map_field(small) is U
+
+
+@pytest.mark.parametrize("spec,derivation", builtin_pairs(),
+                         ids=lambda x: x)
+def test_map_field_equals_the_re_reduced_subspace(spec, derivation):
+    """The embedded basis is stored with no elimination; it equals the
+    subspace re-reduced from it, pivots and membership included, on each
+    generalized eigenspace of every builtin and derivation of
+    builtin_pairs, mapped into the field of twice the eigenvalue field's
+    degree by the canonical embedding and by the one switch_grading
+    takes (embedding_over)."""
+    A = _parse_builtin(spec)
+    D = _parse_derivation(A, derivation, None)
+    big, dec = generalized_eigenspaces(D)
+    target = GF(big.p, 2 * big.n)
+    rng = random.Random(len(spec) * 31 + big.n)
+    for emb in (embedding(big, target), embedding_over(big, target, A.field)):
+        for _, space in dec:
+            got = space.map_field(target, emb)
+            want = Subspace(target, space.ambient,
+                            [tuple(emb(x) for x in b) for b in space.basis])
+            assert got == want
+            assert (got.field, got.ambient, got.pivots) == \
+                (want.field, want.ambient, want.pivots)
+            inside = [tuple(emb(x) for x in b) for b in space.basis]
+            outside = [tuple(target.random_element(rng)
+                             for _ in range(space.ambient))
+                       for _ in range(3)]
+            for v in inside + outside:
+                assert got.contains(v) == want.contains(v)
+            for v in inside:
+                assert got.coordinates(v) == want.coordinates(v)
+            assert got.image(D.embed_to(target)) == \
+                want.image(D.embed_to(target))
 
 
 def test_derivations_and_degrees():

@@ -288,7 +288,7 @@ def bivariate_table(p, a, b):
     """v * u^(-1) with u = L^(a+b)(X+Y) inverted as a full p^2-entry
     element of R[X,Y]/(X^p - xc, Y^p - yc): the reference for the table
     builder, which inverts u in the one-variable subring Z = X + Y."""
-    u, v, _ = _split_pair(p, a, b)
+    u, v = _split_pair(p, a, b)
     return quotient_mul(v, quotient_inverse(u)).entries
 
 
@@ -407,15 +407,24 @@ REFUSAL_IDS = ["GF(5)", "GF(7^2)", "series(2,3)"]
 def test_table_refuses_a_nonzero_non_admissible_cell(monkeypatch, p, a, b):
     """One Laguerre coefficient of L^(a) off by one makes v u^(-1) nonzero
     at some cell (i, j) with p not dividing i + j.  The table holds the
-    admissible cells only, so the reconstruction u * table == v fails."""
+    admissible cells only, so the reconstruction u * table == v fails.
+    The builder reads L^(a)'s coefficients off the falling factorials of
+    a, F[n - k] times s_k for X^k, so adding 1/s_1 to F[n - 1] adds 1 to
+    the X coefficient; F[n] = a^(p-1) - 1, hence xc, stays as it is."""
     coefficient_table(p, a, b)
-    original = laguerre.laguerre_coeffs
+    clean = laguerre_coeffs(p, a)
+    original = laguerre._falling_factorials
 
-    def perturbed(q, alpha, n=None):
-        cs = original(q, alpha, n)
-        return (cs[0], cs[1] + 1) + cs[2:] if alpha is a else cs
-    monkeypatch.setattr(laguerre, "laguerre_coeffs", perturbed)
-    u, v, _ = _split_pair(p, a, b)
+    def perturbed(q, alpha, n):
+        field, n, falling = original(q, alpha, n)
+        if alpha is a:
+            falling = list(falling)
+            falling[n - 1] = falling[n - 1] + laguerre._laguerre_scalars(
+                field, n)[1].inverse()
+        return field, n, falling
+    monkeypatch.setattr(laguerre, "_falling_factorials", perturbed)
+    assert laguerre_coeffs(p, a) == (clean[0], clean[1] + 1) + clean[2:]
+    u, v = _split_pair(p, a, b)
     full = quotient_mul(v, quotient_inverse(u))
     assert any(full.entries[i][j] for i in range(p) for j in range(p)
                if (i + j) % p)
@@ -426,16 +435,17 @@ def test_table_refuses_a_nonzero_non_admissible_cell(monkeypatch, p, a, b):
 
 @pytest.mark.parametrize("p,a,b", refusal_pairs(), ids=REFUSAL_IDS)
 def test_table_refuses_a_perturbed_admissible_cell(monkeypatch, p, a, b):
-    """The closed-form numerator of c_1 = c'_{1,p-1} off by one fails the
+    """The closed-form numerator of c_1 = c'_{1,p-1} off by one, as the
+    builder reads it from the shared falling factorials, fails the
     reconstruction."""
     coefficient_table(p, a, b)
-    original = laguerre.closed_form_numerators
+    original = laguerre._numerators
 
-    def perturbed(q, alpha, beta):
-        ns = original(q, alpha, beta)
+    def perturbed(fa, fb):
+        ns = original(fa, fb)
         ns[1] = ns[1] + 1
         return ns
-    monkeypatch.setattr(laguerre, "closed_form_numerators", perturbed)
+    monkeypatch.setattr(laguerre, "_numerators", perturbed)
     with pytest.raises(laguerre.VerificationError,
                        match="reconstruction failed"):
         coefficient_table(p, a, b)
@@ -470,7 +480,7 @@ def outer_v_cases():
 def test_split_pair_v_is_the_kernel_product(p, a, b):
     """v = L^(a)(X) L^(b)(Y) as an outer product of the two coefficient
     lists equals the quotient product of the two one-variable elements."""
-    u, v, _ = _split_pair(p, a, b)
+    u, v = _split_pair(p, a, b)
     ring = u.ring
     want = quotient_mul(ring.from_x_poly(laguerre_coeffs(p, a)),
                         ring.from_y_poly(laguerre_coeffs(p, b)))

@@ -13,7 +13,7 @@ from gradeswitch.cli import main
 from gradeswitch.echelon import Echelon, solve
 from gradeswitch.fields import GF, power
 from gradeswitch.galg import LinearMap
-from gradeswitch.laguerre import _split_pair
+from gradeswitch.laguerre import laguerre_coeffs
 from gradeswitch.polyring import (
     BiTruncSeries, MultiPoly, NonInvertibleError, Polynomial, QuotientElement,
     QuotientRing, RingElement, _quotient_inverse_linear,
@@ -484,8 +484,10 @@ def test_row0_block_inverse_matches_full_matrix(p, n):
     rings = [quotient_ring_for(p, a, b), quotient_ring_for(p, a, F.zero)]
     elements = [ring.from_y_poly([F.random_element(rng) for _ in range(p)])
                 for ring in rings for _ in range(4)]
-    # u_z of a pair with a + b in F_p^*, and Y with Y^p = 0
-    singular = [_split_pair(p, a, F.one - a)[2], rings[1].monomial(0, 1, 1)]
+    # u_z = L^(1)(Z) of a pair with a + b = 1 (so xc + yc = 0), and Y
+    # with Y^p = 0
+    singular = [quotient_ring_for(p, F.zero, F.zero).from_y_poly(
+        laguerre_coeffs(p, F.one)), rings[1].monomial(0, 1, 1)]
     invertible = 0
     for u in elements + singular:
         try:
